@@ -10,7 +10,9 @@ immutable and all operations are pure, so everything is safe to share.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -28,7 +30,8 @@ class StateSet:
     """Ordered collection of distinct state labels.
 
     The construction order is fixed and drives every deterministic
-    enumeration and witness in the package.
+    enumeration and witness in the package.  Lookups use a label-to-index
+    dict built on first use, so sets never queried cost only their tuple.
     """
 
     labels: tuple[str, ...]
@@ -37,7 +40,7 @@ class StateSet:
         if len(self.labels) == 0:
             raise InvalidMachineError("a state set needs at least one state")
         if len(set(self.labels)) != len(self.labels):
-            dupes = sorted({s for s in self.labels if self.labels.count(s) > 1})
+            dupes = sorted(s for s, c in Counter(self.labels).items() if c > 1)
             raise InvalidMachineError(f"duplicate state labels: {dupes}")
 
     def __len__(self):
@@ -46,13 +49,20 @@ class StateSet:
     def __iter__(self):
         return iter(self.labels)
 
+    @cached_property
+    def _positions(self) -> dict:
+        return {s: i for i, s in enumerate(self.labels)}
+
     def __contains__(self, label):
-        return label in self.labels
+        try:
+            return label in self._positions
+        except TypeError:  # unhashable, so never a label
+            return False
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):
             raise DomainMismatchError(f"state {label!r} is not in this state set") from None
 
 
@@ -171,11 +181,15 @@ class Machine:
                 return f
         raise KeyError(f"no function named {name!r}")
 
+    @cached_property
+    def _function_positions(self) -> dict:
+        return {f.table: i for i, f in enumerate(self.functions)}
+
     def function_index(self, f: TransitionFunction) -> int:
-        for i, g in enumerate(self.functions):
-            if g == f:
-                return i
-        raise KeyError("function is not part of this machine")
+        i = self._function_positions.get(f.table)
+        if i is None or f.domain != self.states:
+            raise KeyError("function is not part of this machine")
+        return i
 
 
 def make_machine(
@@ -198,12 +212,13 @@ def make_machine(
         if f.domain != state_set:
             raise InvalidMachineError("all functions must share the machine's state set")
         by_table.setdefault(f.table, f)
-    canonical = tuple(by_table[t] for t in sorted(by_table))
+    position = {t: i for i, t in enumerate(sorted(by_table))}
+    canonical = tuple(by_table[t] for t in position)
     out_indices = set()
     for f in outputs:
-        if f.table not in by_table:
+        if f.table not in position:
             raise InvalidMachineError("output designation is not one of the machine's functions")
-        out_indices.add(sorted(by_table).index(f.table))
+        out_indices.add(position[f.table])
     return Machine(state_set, canonical, frozenset(out_indices), name)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -371,6 +372,14 @@ class MemProgram:
     def initial_state(self) -> MemState:
         return MemState(self.initial_cells, self.initial_selector, self.initial_function)
 
+    @cached_property
+    def _entry_index(self) -> tuple[dict, ...]:
+        """Per family, its entries keyed on (read_cells, read_values)."""
+        return tuple(
+            {(e.read_cells, e.read_values): e for e in entries}
+            for entries in self.functions
+        )
+
 
 def mem_is_final(p: MemProgram, state: MemState) -> bool:
     return any(state.cells[c] == v for c, v in p.finals)
@@ -378,10 +387,14 @@ def mem_is_final(p: MemProgram, state: MemState) -> bool:
 
 def _find_entry(p: MemProgram, state: MemState) -> Optional[MemEntry]:
     values = tuple(state.cells[c] for c in state.selector)
-    for e in p.functions[state.fn]:
-        if e.read_cells == state.selector and e.read_values == values:
-            return e
-    return None
+    return p._entry_index[state.fn].get((state.selector, values))
+
+
+def _missing_entry(fn: int, selector: tuple, values: tuple) -> TotalityViolationError:
+    return TotalityViolationError(
+        f"family {fn} has no entry for read{selector}={values} "
+        "and the program declares no default"
+    )
 
 
 def mem_step(p: MemProgram, state: MemState) -> MemState:
@@ -393,10 +406,7 @@ def mem_step(p: MemProgram, state: MemState) -> MemState:
         if p.default_halt:
             return state
         values = tuple(state.cells[c] for c in state.selector)
-        raise TotalityViolationError(
-            f"family {state.fn} has no entry for read{state.selector}={values} "
-            "and the program declares no default"
-        )
+        raise _missing_entry(state.fn, state.selector, values)
     cells = list(state.cells)
     for c, v in zip(e.write_cells, e.write_values):
         cells[c] = v
@@ -455,17 +465,43 @@ def compile_mem(
     if size > cap:
         raise EnumerationTooLargeError("aggregate state set", size, cap)
 
+    # State (cells, selector i, family a) has index (rank(cells)*|sel| + i)*F + a,
+    # rank(cells) in base m with cell 0 most significant: declaration order.
     codec = MemStateCodec(p.n_cells, p.alphabet, selectors)
-    states = [
-        MemState(cells, sel, fn)
-        for cells in itertools.product(p.alphabet, repeat=p.n_cells)
-        for sel in selectors
-        for fn in range(n_fns)
+    m, n, n_sel = len(p.alphabet), p.n_cells, len(selectors)
+    value_rank = {v: i for i, v in enumerate(p.alphabet)}
+    sel_rank = {sel: i for i, sel in enumerate(selectors)}
+    weight = [m ** (n - 1 - c) for c in range(n)]
+    block = n_sel * n_fns
+    suffixes = [
+        f"|{'.'.join(str(c) for c in sel)}|{fn}" for sel in selectors for fn in range(n_fns)
     ]
-    index = {s: i for i, s in enumerate(states)}
-    table = tuple(index[mem_step(p, s)] for s in states)
-    domain = StateSet(tuple(codec.encode(s) for s in states))
-    step = TransitionFunction(domain, table, "step")
+    entry_index = p._entry_index
+    labels = []
+    table = []
+    for rank, cells in enumerate(itertools.product(p.alphabet, repeat=n)):
+        prefix = ";".join(cells)
+        labels.extend(prefix + suffix for suffix in suffixes)
+        base = rank * block
+        if any(cells[c] == v for c, v in p.finals):
+            table.extend(range(base, base + block))
+            continue
+        for si, sel in enumerate(selectors):
+            values = tuple(cells[c] for c in sel)
+            for fn in range(n_fns):
+                e = entry_index[fn].get((sel, values))
+                if e is None:
+                    if not p.default_halt:
+                        raise _missing_entry(fn, sel, values)
+                    table.append(base + si * n_fns + fn)
+                    continue
+                rank2 = rank
+                for c, v in zip(e.write_cells, e.write_values):
+                    rank2 += (value_rank[v] - value_rank[cells[c]]) * weight[c]
+                nxt = (rank2 * n_sel + sel_rank[e.next_read_cells]) * n_fns
+                table.append(nxt + e.next_function)
+    domain = StateSet(tuple(labels))
+    step = TransitionFunction(domain, tuple(table), "step")
     return make_machine(domain, [step], name=p.name), codec
 
 

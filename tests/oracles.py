@@ -1,9 +1,11 @@
 """Independent brute-force reference implementations.
 
-Nothing here shares logic with the package's search or reduction code: the
-isomorphism oracle tries every state bijection against every function
-bijection with no pruning, no induced mapping, no ordering tricks, and the
-state-reduction oracle filters and re-indexes raw tables by hand.
+Nothing here shares logic with the package's search, reduction or compiler
+code: the isomorphism oracle tries every state bijection against every
+function bijection with no pruning, no induced mapping, no ordering tricks,
+the state-reduction oracle filters and re-indexes raw tables by hand, and
+the memory-cell compiler oracle steps every aggregate state through the
+direct interpreter ``mem_step`` instead of compile_mem's index arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +13,15 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from machalg import Machine, StateSet, TransitionFunction
+from machalg import (
+    Machine,
+    MemProgram,
+    MemState,
+    MemStateCodec,
+    StateSet,
+    TransitionFunction,
+    mem_step,
+)
 
 
 def brute_force_isomorphism(
@@ -54,3 +64,28 @@ def brute_force_state_reduction(m: Machine, labels) -> Optional[Machine]:
     return Machine(
         sub, tuple(TransitionFunction(sub, t) for t in sorted(tables))
     )
+
+
+def brute_force_compile_mem(p: MemProgram) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Labels and step table of ``p``'s aggregate machine, state by state.
+
+    Enumerates every (cells, selector, family) as a MemState in declaration
+    order, steps each with ``mem_step`` and encodes the result with
+    ``MemStateCodec``.  Raises whatever ``mem_step`` raises.
+    """
+    selectors = {p.initial_selector}
+    for entries in p.functions:
+        for e in entries:
+            selectors.update((e.read_cells, e.next_read_cells))
+    selectors = tuple(sorted(selectors))
+    codec = MemStateCodec(p.n_cells, p.alphabet, selectors)
+    aggregate = [
+        MemState(cells, sel, fn)
+        for cells in itertools.product(p.alphabet, repeat=p.n_cells)
+        for sel in selectors
+        for fn in range(len(p.functions))
+    ]
+    labels = tuple(codec.encode(s) for s in aggregate)
+    position = {label: i for i, label in enumerate(labels)}
+    table = tuple(position[codec.encode(mem_step(p, s))] for s in aggregate)
+    return labels, table

@@ -1,5 +1,8 @@
 """End-to-end command tests driving main() with in-process argv."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ from machalg import (
 )
 from machalg.cli import main
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 
 SWITCH = str(SAMPLES / "switch.mx")
 CONST0 = str(SAMPLES / "const0.mx")
@@ -445,3 +449,21 @@ class TestCheckLemmas:
         for line in out.splitlines():
             if line.startswith("lemma 1") or line.startswith("lemma 3"):
                 assert "0 violation(s)" in line
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_machalg(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "machalg", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: machalg")
+        assert "RuntimeWarning" not in proc.stderr

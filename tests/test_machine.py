@@ -1,5 +1,7 @@
 """States, transition functions, machine construction, fixpoint runs."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -44,10 +46,62 @@ class TestStateSet:
     def test_rejects_duplicates(self):
         with pytest.raises(InvalidMachineError):
             states("a", "a")
+        with pytest.raises(InvalidMachineError, match=r"duplicate state labels: \['a', 'c'\]$"):
+            states("c", "a", "b", "a", "c", "c")
 
     def test_unknown_label(self):
         with pytest.raises(DomainMismatchError):
             states("a").index("b")
+
+
+class TestLookupCaches:
+    """The lazily built lookup dicts never show in values or answers."""
+
+    def test_state_set_unchanged_by_lookups(self):
+        fresh, queried = states("a", "b", "c"), states("a", "b", "c")
+        before = (hash(queried), repr(queried))
+        assert queried.index("b") == 1 and "c" in queried
+        assert queried == fresh and fresh == queried
+        assert (hash(queried), repr(queried)) == before == (hash(fresh), repr(fresh))
+
+    def test_machine_unchanged_by_function_index(self):
+        ss = states("a", "b")
+        fns = [constant_fn(ss, "a", "ca"), identity_fn(ss)]
+        fresh, queried = make_machine(ss, fns), make_machine(ss, fns)
+        before = (hash(queried), repr(queried))
+        assert [queried.function_index(f) for f in fns] == [0, 1]
+        assert queried == fresh
+        assert (hash(queried), repr(queried)) == before == (hash(fresh), repr(fresh))
+
+    def test_replace_and_pickle_after_lookups(self):
+        ss = states("a", "b", "c")
+        m = make_machine(ss, [constant_fn(ss, "c"), identity_fn(ss)])
+        ss.index("a")
+        m.function_index(m.functions[1])
+        for copy in (pickle.loads(pickle.dumps(m)), dataclasses.replace(m)):
+            assert copy == m and hash(copy) == hash(m) and repr(copy) == repr(m)
+            assert copy.function_index(m.functions[1]) == 1
+            assert copy.states.index("c") == 2
+        renamed = dataclasses.replace(ss, labels=("x", "y", "z"))
+        assert renamed.index("z") == 2 and "a" not in renamed
+        with pytest.raises(DomainMismatchError):
+            renamed.index("a")
+
+    @pytest.mark.parametrize("label", ["z", 0, None, ("a",), ["a"], {"a": 1}, {"a"}])
+    def test_unknown_and_unhashable_labels(self, label):
+        ss = states("a", "b")
+        for _ in range(2):  # before and after the dict exists
+            assert label not in ss
+            with pytest.raises(DomainMismatchError):
+                ss.index(label)
+
+    def test_function_index_checks_the_domain(self):
+        m = make_machine(states("a", "b"), [identity_fn(states("a", "b"))])
+        foreign = identity_fn(states("x", "y"))
+        assert foreign.table == m.functions[0].table
+        with pytest.raises(KeyError):
+            m.function_index(foreign)
+        assert m.function_index(identity_fn(states("a", "b"))) == 0
 
 
 class TestTransitionFunction:

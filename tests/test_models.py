@@ -1,6 +1,7 @@
 """Turing and memory-cell frontends: interpreters, compilers, translation."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from machalg import (
 )
 
 from conftest import random_tm_config, random_turing_spec
+from oracles import brute_force_compile_mem
 
 
 def bitflip_spec(policy=BoundaryPolicy.CLAMP, start="0"):
@@ -490,12 +492,114 @@ class TestCompileMem:
 
     def test_compile_requires_totality(self):
         p = toggle_program(finals=())  # state "2" has no entry, no default
-        with pytest.raises(TotalityViolationError):
+        with pytest.raises(TotalityViolationError, match=r"read\(0,\)=\('2',\)"):
             compile_mem(p)
 
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationTooLargeError):
             compile_mem(toggle_program(), cap=2)
+
+
+def random_mem_program(rng, total, default_halt, n_families=None, with_finals=None):
+    """A seeded MemProgram; ``total`` gives every family an entry for every
+    (selector, values) pair its selectors can produce."""
+    n = rng.randint(1, 3)
+    alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+    n_fns = n_families or rng.randint(1, 3)
+
+    def selector():
+        return tuple(rng.sample(range(n), rng.randint(0, min(n, 2))))
+
+    pool = sorted({selector() for _ in range(3)})
+    families = []
+    for _ in range(n_fns):
+        entries = []
+        for sel in pool:
+            for values in itertools.product(alphabet, repeat=len(sel)):
+                if not total and rng.random() < 0.3:
+                    continue
+                writes = tuple(rng.sample(range(n), rng.randint(0, n)))
+                entries.append(
+                    MemEntry(
+                        sel,
+                        values,
+                        writes,
+                        tuple(rng.choice(alphabet) for _ in writes),
+                        rng.choice(pool),
+                        rng.randrange(n_fns),
+                    )
+                )
+        families.append(tuple(entries))
+    if with_finals is None:
+        with_finals = rng.random() < 0.5
+    finals = (
+        tuple((rng.randrange(n), rng.choice(alphabet)) for _ in range(rng.randint(1, 2)))
+        if with_finals
+        else ()
+    )
+    return MemProgram(
+        n_cells=n,
+        alphabet=alphabet,
+        functions=tuple(families),
+        initial_cells=tuple(rng.choice(alphabet) for _ in range(n)),
+        initial_selector=rng.choice(pool),
+        initial_function=rng.randrange(n_fns),
+        finals=finals,
+        default_halt=default_halt,
+    )
+
+
+def compiled_labels_and_table(p):
+    machine, _ = compile_mem(p)
+    assert machine.n_functions == 1
+    return machine.states.labels, machine.functions[0].table
+
+
+class TestCompileMemMatchesOracle:
+    """compile_mem's index arithmetic against stepping every state."""
+
+    @pytest.mark.parametrize("default_halt", [False, True])
+    @pytest.mark.parametrize("with_finals", [False, True])
+    def test_random_total_programs(self, default_halt, with_finals):
+        rng = random.Random(31 + 2 * default_halt + with_finals)
+        families = set()
+        for _ in range(40):
+            p = random_mem_program(rng, True, default_halt, with_finals=with_finals)
+            families.add(len(p.functions))
+            assert compiled_labels_and_table(p) == brute_force_compile_mem(p)
+        assert max(families) > 1
+
+    def test_partial_programs_with_default_halt(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            p = random_mem_program(rng, False, True, n_families=rng.randint(2, 3))
+            assert compiled_labels_and_table(p) == brute_force_compile_mem(p)
+
+    @pytest.mark.parametrize("policy", list(BoundaryPolicy))
+    def test_tm_to_mem_output(self, policy):
+        rng = random.Random(59)
+        for _ in range(12):
+            t = dataclasses.replace(
+                random_turing_spec(rng, max_cells=2), boundary_policy=policy
+            )
+            p = tm_to_mem(t)
+            assert compiled_labels_and_table(p) == brute_force_compile_mem(p)
+
+    def test_missing_entry_raises_the_same_error(self):
+        rng = random.Random(61)
+        raised = 0
+        for _ in range(40):
+            p = random_mem_program(rng, False, False, with_finals=False)
+            try:
+                brute_force_compile_mem(p)
+            except TotalityViolationError as e:
+                with pytest.raises(TotalityViolationError) as got:
+                    compile_mem(p)
+                assert str(got.value) == str(e)
+                raised += 1
+            else:
+                assert compiled_labels_and_table(p) == brute_force_compile_mem(p)
+        assert raised > 10
 
 
 class TestTmToMem:
