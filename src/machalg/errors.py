@@ -57,13 +57,19 @@ class SearchBudgetExceededError(MachalgError, RuntimeError):
     """A search hit its node cap before reaching a definite answer.
 
     Deliberately distinct from a negative result: the question was not
-    answered, and callers must not treat this as "no".
+    answered, and callers must not treat this as "no".  ``depth`` is the
+    most states the search had assigned at once, out of ``n``.
     """
 
-    def __init__(self, what: str, cap: int):
-        super().__init__(f"{what}: search budget of {cap} nodes exceeded (inconclusive)")
+    def __init__(self, what: str, cap: int, depth: int, n: int):
+        super().__init__(
+            f"{what}: search budget of {cap} nodes exceeded (inconclusive; "
+            f"deepest level {depth} of {n})"
+        )
         self.what = what
         self.cap = cap
+        self.depth = depth
+        self.n = n
 
 
 class ParseError(MachalgError, ValueError):

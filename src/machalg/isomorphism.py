@@ -11,6 +11,11 @@ Completeness asks for a sub-machine of one machine isomorphic to another.
 When the container carries the full function set the witness is constructed
 directly (conjugate each target function by an arbitrary injection and
 extend by the identity); otherwise subsets are searched exhaustively.
+
+Both searches run on one explicit-stack loop, :func:`_search`, so no input
+depth meets the recursion limit.  Isomorphism prunes by colour refinement
+of the disjoint union of the two machines (McKay & Piperno, "Practical
+graph isomorphism II", 2014), completeness by sub-multiset invariants.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .errors import IncompatibleShapesError, SearchBudgetExceededError
 from .machine import (
@@ -89,8 +94,8 @@ def verify_morphism(a: Machine, b: Machine, mor: Morphism) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _function_profile(table: tuple[int, ...]) -> tuple[tuple, frozenset]:
-    """(invariant fingerprint, set of on-cycle states) for one self-map.
+def _function_profile(table: tuple[int, ...]) -> tuple[tuple, list[int], frozenset]:
+    """(invariant fingerprint, indegrees, set of on-cycle states) for one self-map.
 
     The fingerprint (image size, indegree multiset, cycle-length multiset)
     is preserved by conjugation with any state bijection, so mismatched
@@ -100,66 +105,202 @@ def _function_profile(table: tuple[int, ...]) -> tuple[tuple, frozenset]:
     indeg = [0] * n
     for j in table:
         indeg[j] += 1
+    # Peel off states of indegree zero until only the cycles remain.
     deg = indeg[:]
-    stack = [i for i in range(n) if deg[i] == 0]
-    off_cycle = [False] * n
-    while stack:
-        i = stack.pop()
-        off_cycle[i] = True
+    peeled = [i for i, d in enumerate(deg) if not d]
+    for i in peeled:
         j = table[i]
         deg[j] -= 1
-        if deg[j] == 0:
-            stack.append(j)
-    cyclic = frozenset(i for i in range(n) if not off_cycle[i])
+        if not deg[j]:
+            peeled.append(j)
+    cyclic = frozenset(range(n)).difference(peeled)
     lengths = []
-    seen = set()
-    for i in cyclic:
-        if i in seen:
-            continue
-        length = 0
-        j = i
-        while j not in seen:
-            seen.add(j)
+    todo = set(cyclic)
+    while todo:
+        i = todo.pop()
+        length = 1
+        j = table[i]
+        while j != i:
+            todo.discard(j)
             j = table[j]
             length += 1
         lengths.append(length)
-    fingerprint = (len(set(table)), tuple(sorted(indeg)), tuple(sorted(lengths)))
-    return fingerprint, cyclic
+    fingerprint = (n - indeg.count(0), tuple(sorted(indeg)), tuple(sorted(lengths)))
+    return fingerprint, indeg, cyclic
 
 
-def _state_signatures(m: Machine) -> list[tuple]:
+def _state_signatures(
+    tables: Sequence[tuple[int, ...]], n: int, profiles: Optional[list] = None
+) -> list[tuple]:
     """Per-state fingerprints invariant under isomorphism.
 
-    For each state, the multiset over functions of (indegree here, fixes
-    here, lies on a cycle here).  Conjugation matches functions one to one
-    and transports all three quantities, so signatures must agree between
-    g-paired states.
+    For each of the ``n`` states, the multiset over ``tables`` of (indegree
+    here, fixes here, lies on a cycle here).  Conjugation matches functions
+    one to one and transports all three quantities, so signatures must agree
+    between g-paired states.  ``profiles`` may pass in the tables' profiles.
     """
-    n = m.n_states
-    per_fn = []
-    for f in m.functions:
-        indeg = [0] * n
-        for j in f.table:
-            indeg[j] += 1
-        _, cyclic = _function_profile(f.table)
-        per_fn.append((indeg, f.table, cyclic))
-    sigs = []
-    for s in range(n):
-        rows = sorted(
-            (indeg[s], table[s] == s, s in cyclic) for indeg, table, cyclic in per_fn
-        )
-        sigs.append(tuple(rows))
-    return sigs
+    if profiles is None:
+        profiles = [_function_profile(t) for t in tables]
+    per_fn = [(indeg, table, cyclic) for table, (_, indeg, cyclic) in zip(tables, profiles)]
+    return [
+        tuple(sorted((indeg[s], table[s] == s, s in cyclic) for indeg, table, cyclic in per_fn))
+        for s in range(n)
+    ]
 
 
-def _arc_counts(m: Machine) -> list[list[int]]:
-    """arc[s][t] = number of functions sending s to t; invariant matrix."""
-    n = m.n_states
+def _arc_counts(tables: Iterable[tuple[int, ...]], n: int) -> list[list[int]]:
+    """arc[s][t] = number of tables sending s to t; invariant matrix."""
     arc = [[0] * n for _ in range(n)]
-    for f in m.functions:
-        for s, t in enumerate(f.table):
+    for table in tables:
+        for s, t in enumerate(table):
             arc[s][t] += 1
     return arc
+
+
+def _conjugate(table: tuple[int, ...], g: Sequence[int]) -> tuple[int, ...]:
+    """The table g . f . g^-1 of a self-map f under an injection g onto 0..n-1."""
+    conj = [0] * len(table)
+    for s, t in enumerate(table):
+        conj[g[s]] = g[t]
+    return tuple(conj)
+
+
+# ---------------------------------------------------------------------------
+# The search core
+# ---------------------------------------------------------------------------
+
+def _search(problems: Iterable[tuple], n: int, what: str, node_budget: Optional[int]) -> Any:
+    """Lexicographic depth-first search, on an explicit stack, for an assignment g of n states.
+
+    Each problem is a pair (candidates, leaf): ``candidates(i, g)`` yields
+    the targets for state i in increasing order given ``g[:i]``, and
+    ``leaf(g)`` turns a full g into a result or None; the first result wins.
+    Every candidate costs one node of the shared budget; exceeding it raises.
+    """
+    g = [-1] * n
+    nodes = depth = 0
+    for candidates, leaf in problems:
+        stack = [candidates(0, g)]
+        while stack:
+            i = len(stack) - 1
+            t = next(stack[i], None)
+            if t is None:
+                stack.pop()
+                continue
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise SearchBudgetExceededError(what, node_budget, depth, n)
+            g[i] = t
+            depth = max(depth, i + 1)
+            if i + 1 < n:
+                stack.append(candidates(i + 1, g))
+            else:
+                found = leaf(g)
+                if found is not None:
+                    return found
+    return None
+
+
+class _Partition:
+    """An ordered partition of the 2n states of a ⊔ b (a's below n), refined in place.
+
+    Each cell is a run of ``lab`` named by the index where it starts:
+    ``cell[v]`` names v's cell and ``end[c]`` is one past its run.  Splits
+    stay inside the parent's run and are logged on ``trail``, so undoing
+    one restores ``end`` and ``cell`` only: the state is linear in n.
+    """
+
+    def __init__(self, sigs: list[tuple], out: list[list[int]], n: int):
+        self.n, self.out, self.trail = n, out, []
+        self.inn: list[list[int]] = [[] for _ in out]
+        for s, ts in enumerate(out):
+            for t in ts:
+                self.inn[t].append(s)
+        self.lab = sorted(range(2 * n), key=sigs.__getitem__)
+        self.cell = [0] * (2 * n)
+        self.end = [2 * n] * (2 * n)
+        c = 0  # the first cells are the runs of equal signature
+        for i, v in enumerate(self.lab):
+            if sigs[v] != sigs[self.lab[c]]:
+                self.end[c], c = i, i
+            self.cell[v] = c
+
+    def carve(self, d: int, groups: list[list[int]]) -> list[int]:
+        """Split cell d: the states of ``groups`` move to the tail of its
+        run, one new cell per group, and d keeps the rest (or else is the
+        first group).  Returns the ids of all the fragments, d first."""
+        lab, cell, end, e = self.lab, self.cell, self.end, self.end[d]
+        moving = {w for f in groups for w in f}
+        rest = [v for v in lab[d:e] if v not in moving]
+        runs = [rest] + groups if rest else groups
+        lab[d:e] = [w for f in runs for w in f]
+        ids, p = [], d
+        for f in runs:
+            ids.append(p)
+            end[p] = p + len(f)
+            for w in f:
+                cell[w] = p
+            p += len(f)
+        self.trail.append((d, e, ids[1]))
+        return ids
+
+    def undo(self, mark: int) -> None:
+        """Undo every split logged since ``trail`` had ``mark`` entries."""
+        while len(self.trail) > mark:
+            d, e, first = self.trail.pop()
+            self.end[d] = e
+            for w in self.lab[first:e]:
+                self.cell[w] = d
+
+    def refine(self, queue: list[int]) -> bool:
+        """Refine to the coarsest equitable partition below the current one.
+
+        A cell splits by (arcs into the splitter cell, arcs out of it), over
+        all functions with multiplicity.  Fragments are queued as splitters,
+        all but the largest unless their cell was still queued (Hopcroft).
+        Returns False once a cell holds unequal numbers of a- and b-states.
+        """
+        lab, cell, end, out, inn, n = self.lab, self.cell, self.end, self.out, self.inn, self.n
+        queued = set(queue)
+        shift = len(lab) * len(out[0])  # exceeds any count of arcs into one state
+        while queue:
+            c = queue.pop()
+            queued.discard(c)
+            key: dict[int, int] = {}
+            get = key.get
+            for u in lab[c : end[c]]:
+                for w in inn[u]:
+                    key[w] = get(w, 0) + shift
+                for w in out[u]:
+                    key[w] = get(w, 0) + 1
+            touched: dict[int, list[int]] = {}
+            for w in key:
+                touched.setdefault(cell[w], []).append(w)
+            for d, ws in touched.items():
+                size = end[d] - d
+                if size == 2:  # one a-state and one b-state: a split unbalances it
+                    if len(ws) == 1 or key[ws[0]] != key[ws[1]]:
+                        return False
+                    continue
+                groups: dict[int, list[int]] = {}
+                for w in ws:
+                    groups.setdefault(key[w], []).append(w)
+                if len(ws) == size and len(groups) == 1:
+                    continue
+                frags = [groups[k] for k in sorted(groups)]
+                # The cell was balanced, so what stays in front is too
+                # when every group that moves is.
+                for f in frags:
+                    if len(f) != 2 * sum(1 for v in f if v < n):
+                        return False
+                was_queued = d in queued
+                ids = self.carve(d, frags)
+                largest = max(ids, key=lambda s: end[s] - s)
+                for s in ids:
+                    if (was_queued or s != largest) and s not in queued:
+                        queue.append(s)
+                        queued.add(s)
+        return True
 
 
 def find_isomorphism(
@@ -167,81 +308,63 @@ def find_isomorphism(
 ) -> Optional[Morphism]:
     """Canonical isomorphism witness or None.
 
-    Backtracks over state bijections g in lexicographic order; the first
-    solution is therefore the least.  h is never searched: at a full
-    assignment each conjugate g.f.g^-1 must literally be one of b's
-    functions, found by table lookup.  ``node_budget`` caps the number of
-    attempted partial assignments; exceeding it raises rather than guessing.
+    Colours the 2n states of a ⊔ b by their signatures and refines to the
+    coarsest equitable partition.  The search assigns a's states in order,
+    each to the b-states of its cell in increasing order, individualising
+    the pair and refining again.  Refinement only drops assignments that no
+    isomorphism extends, so the first solution is the lexicographically
+    least g.  h is never searched: each conjugate g.f.g^-1 must literally be
+    one of b's functions, found by table lookup.  ``node_budget`` caps the
+    candidates tried; exceeding it raises rather than guessing.
     """
     if a.n_states != b.n_states or a.n_functions != b.n_functions:
         return None
-    n = a.n_states
     # Cheap reject: image-size multisets (bijections can never pair with
     # non-bijections, collapse ranks must line up).
     if sorted(len(set(f.table)) for f in a.functions) != sorted(
         len(set(f.table)) for f in b.functions
     ):
         return None
-    prof_a = sorted(_function_profile(f.table)[0] for f in a.functions)
-    prof_b = sorted(_function_profile(f.table)[0] for f in b.functions)
-    if prof_a != prof_b:
+    n = a.n_states
+    tables_a, tables_b = [f.table for f in a.functions], [f.table for f in b.functions]
+    prof_a, prof_b = ([_function_profile(t) for t in ts] for ts in (tables_a, tables_b))
+    if sorted(p[0] for p in prof_a) != sorted(p[0] for p in prof_b):
         return None
-    sig_a = _state_signatures(a)
-    sig_b = _state_signatures(b)
-    if sorted(sig_a) != sorted(sig_b):
+    sigs = _state_signatures(tables_a, n, prof_a) + _state_signatures(tables_b, n, prof_b)
+    if sorted(sigs[:n]) != sorted(sigs[n:]):
         return None
-    arc_a = _arc_counts(a)
-    arc_b = _arc_counts(b)
-    b_index = {f.table: j for j, f in enumerate(b.functions)}
+    # b's states are shifted up by n in the union.
+    out = [list(ts) for ts in zip(*tables_a)] + [[n + t for t in ts] for ts in zip(*tables_b)]
+    part = _Partition(sigs, out, n)
+    # Every state has k out-arcs and its signature fixes its in-arc total,
+    # so counts into the largest cell follow from the others'.
+    cells = sorted(set(part.cell))
+    largest = max(cells, key=lambda c: part.end[c] - c)
+    if not part.refine([c for c in cells if c != largest]):
+        return None
+    b_index = {t: j for j, t in enumerate(tables_b)}
 
-    assign = [-1] * n
-    used = [False] * n
-    nodes = 0
+    def candidates(i: int, g: list) -> Iterator[int]:
+        if i:  # individualise the pair chosen one level up, then refine
+            d = part.cell[i - 1]
+            if part.end[d] - d > 2 and not part.refine(part.carve(d, [[i - 1, n + g[i - 1]]])[1:]):
+                return
+        # The b-states of i's cell in increasing order, one at a time (no lists on the stack).
+        c, t, mark = part.cell[i], n - 1, len(part.trail)
+        while True:
+            part.undo(mark)
+            t = min((v for v in part.lab[c : part.end[c]] if v > t), default=None)
+            if t is None:
+                return
+            yield t - n
 
-    def induced() -> Optional[Morphism]:
-        h = []
-        for f in a.functions:
-            conj = [0] * n
-            for s in range(n):
-                conj[assign[s]] = assign[f.table[s]]
-            j = b_index.get(tuple(conj))
-            if j is None:
-                return None
-            h.append(j)
+    def leaf(g: list) -> Optional[Morphism]:
+        h = [b_index.get(_conjugate(t, g)) for t in tables_a]
         # Conjugation by a bijection is injective, and counts match, so h
-        # here is always a bijection.
-        return Morphism(tuple(assign), tuple(h))
+        # here is always a bijection once every conjugate is found.
+        return None if None in h else Morphism(tuple(g), tuple(h))
 
-    def extend(i: int) -> Optional[Morphism]:
-        nonlocal nodes
-        if i == n:
-            return induced()
-        for t in range(n):
-            if used[t] or sig_a[i] != sig_b[t]:
-                continue
-            if arc_a[i][i] != arc_b[t][t]:
-                continue
-            ok = True
-            for j in range(i):
-                u = assign[j]
-                if arc_a[i][j] != arc_b[t][u] or arc_a[j][i] != arc_b[u][t]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise SearchBudgetExceededError("isomorphism search", node_budget)
-            assign[i] = t
-            used[t] = True
-            found = extend(i + 1)
-            if found is not None:
-                return found
-            assign[i] = -1
-            used[t] = False
-        return None
-
-    return extend(0)
+    return _search([(candidates, leaf)], n, "isomorphism search", node_budget)
 
 
 def is_isomorphic(a: Machine, b: Machine, *, node_budget: Optional[int] = None) -> bool:
@@ -352,117 +475,62 @@ def _search_completeness(
     a: Machine, b: Machine, node_budget: Optional[int]
 ) -> Optional[CompletenessWitness]:
     """Exhaustive completeness search: subsets in lexicographic order, then
-    bijections onto each subset, with sub-multiset pruning.
-
-    For a candidate subset S' the reachable function tables are the
-    restrictions of a's S'-preserving functions; b embeds iff some bijection
-    g sends every b-function's conjugate into that table set.  Surplus
-    functions are discarded by the functional reduction, which keeps, for
-    each needed table, the least-index function of a realizing it.
+    bijections onto each subset, with sub-multiset pruning, all on the
+    shared search loop with one node budget.
     """
-    n_a = a.n_states
     n_b = b.n_states
-    sig_b = _state_signatures(b)
-    arc_b = _arc_counts(b)
-    nodes = 0
+    tables_b = [f.table for f in b.functions]
+    sig_b = _state_signatures(tables_b, n_b)
+    arc_b = _arc_counts(tables_b, n_b)
+    problems = (
+        _subset_problem(a, tables_b, subset, sig_b, arc_b)
+        for subset in itertools.combinations(range(a.n_states), n_b)
+    )
+    return _search((p for p in problems if p), n_b, "completeness search", node_budget)
 
-    for subset in itertools.combinations(range(n_a), n_b):
-        sub_labels = tuple(a.states.labels[i] for i in subset)
-        kept = {i: p for p, i in enumerate(subset)}
-        # Restrictions of preserving functions, each with its least origin.
-        reachable: dict[tuple[int, ...], int] = {}
-        for idx, f in enumerate(a.functions):
-            if all(f.table[i] in kept for i in subset):
-                restr = tuple(kept[f.table[i]] for i in subset)
-                reachable.setdefault(restr, idx)
-        if len(reachable) < b.n_functions:
-            continue
 
-        # Invariants of the reduced machine, for pruning g.
-        arc_r = [[0] * n_b for _ in range(n_b)]
-        for restr in reachable:
-            for s, t in enumerate(restr):
-                arc_r[s][t] += 1
-        sigs_r = _subset_signatures(list(reachable), n_b)
+def _subset_problem(a: Machine, tables_b: list, subset: tuple[int, ...], sig_b, arc_b):
+    """Candidates and leaf for embedding b onto one state subset of a, or None.
 
-        assign = [-1] * n_b
-        used = [False] * n_b
+    The reachable tables are the restrictions of a's subset-preserving
+    functions; b embeds iff some bijection g sends every b-function's
+    conjugate into them.  The functional reduction keeps, for each needed
+    table, the least-index function of a realizing it.
+    """
+    n_b = len(subset)
+    kept = {i: p for p, i in enumerate(subset)}
+    # Restrictions of preserving functions, each with its least origin.
+    reachable: dict[tuple[int, ...], int] = {}
+    for idx, f in enumerate(a.functions):
+        if all(f.table[i] in kept for i in subset):
+            reachable.setdefault(tuple(kept[f.table[i]] for i in subset), idx)
+    if len(reachable) < len(tables_b):
+        return None
+    # Invariants of the reduced machine, for pruning g.
+    arc_r = _arc_counts(reachable, n_b)
+    sigs_r = _state_signatures(list(reachable), n_b)
 
-        def embeds_current() -> bool:
-            for f in b.functions:
-                conj = [0] * n_b
-                for s in range(n_b):
-                    conj[assign[s]] = assign[f.table[s]]
-                if tuple(conj) not in reachable:
-                    return False
-            return True
+    def candidates(i: int, g: list) -> Iterator[int]:
+        used = g[:i]
+        for t in range(n_b):
+            if t in used or not _sub_multiset(sig_b[i], sigs_r[t]) or arc_b[i][i] > arc_r[t][t]:
+                continue
+            if all(arc_b[i][j] <= arc_r[t][u] and arc_b[j][i] <= arc_r[u][t]
+                   for j, u in enumerate(used)):
+                yield t
 
-        def extend(i: int) -> Optional[tuple[int, ...]]:
-            nonlocal nodes
-            if i == n_b:
-                return tuple(assign) if embeds_current() else None
-            for t in range(n_b):
-                if used[t] or not _sub_multiset(sig_b[i], sigs_r[t]):
-                    continue
-                if arc_b[i][i] > arc_r[t][t]:
-                    continue
-                ok = True
-                for j in range(i):
-                    u = assign[j]
-                    if arc_b[i][j] > arc_r[t][u] or arc_b[j][i] > arc_r[u][t]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    raise SearchBudgetExceededError("completeness search", node_budget)
-                assign[i] = t
-                used[t] = True
-                found = extend(i + 1)
-                if found is not None:
-                    return found
-                assign[i] = -1
-                used[t] = False
+    def leaf(g: list) -> Optional[CompletenessWitness]:
+        conj_tables = [_conjugate(t, g) for t in tables_b]
+        if any(t not in reachable for t in conj_tables):
             return None
-
-        g_found = extend(0)
-        if g_found is None:
-            continue
-
-        chosen = []
-        conj_tables = []
-        for f in b.functions:
-            conj = [0] * n_b
-            for s in range(n_b):
-                conj[g_found[s]] = g_found[f.table[s]]
-            conj = tuple(conj)
-            conj_tables.append(conj)
-            chosen.append(reachable[conj])
-        fr = functional_reduction(a, [a.functions[j] for j in sorted(set(chosen))])
-        sr = state_reduction(fr.result, sub_labels)
+        chosen = sorted({reachable[t] for t in conj_tables})
+        fr = functional_reduction(a, [a.functions[j] for j in chosen])
+        sr = state_reduction(fr.result, tuple(a.states.labels[i] for i in subset))
         sub_index = {f.table: j for j, f in enumerate(sr.result.functions)}
-        mor = Morphism(g_found, tuple(sub_index[t] for t in conj_tables))
+        mor = Morphism(tuple(g), tuple(sub_index[t] for t in conj_tables))
         return CompletenessWitness((fr, sr), mor)
-    return None
 
-
-def _subset_signatures(tables: list[tuple[int, ...]], n: int) -> list[tuple]:
-    """Per-state rows for a set of reduced tables, matching _state_signatures."""
-    per_fn = []
-    for table in tables:
-        indeg = [0] * n
-        for j in table:
-            indeg[j] += 1
-        _, cyclic = _function_profile(table)
-        per_fn.append((indeg, table, cyclic))
-    sigs = []
-    for s in range(n):
-        rows = sorted(
-            (indeg[s], table[s] == s, s in cyclic) for indeg, table, cyclic in per_fn
-        )
-        sigs.append(tuple(rows))
-    return sigs
+    return candidates, leaf
 
 
 def _sub_multiset(smaller: tuple, larger: tuple) -> bool:

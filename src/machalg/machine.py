@@ -292,7 +292,10 @@ def run_to_fixpoint(
     """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
-    current = f.domain.index(start)
+    try:  # one scan, so a state set never queried builds no label dict
+        current = f.domain.labels.index(start)
+    except ValueError:
+        current = f.domain.index(start)  # raises the usual DomainMismatchError
     first_seen = {current: 0}
     path = [current] if record_trajectory else None
     steps = 0

@@ -3,7 +3,8 @@
 Nothing here shares logic with the package's search, reduction or compiler
 code: the isomorphism oracle tries every state bijection against every
 function bijection with no pruning, no induced mapping, no ordering tricks,
-the state-reduction oracle filters and re-indexes raw tables by hand, and
+the embedding oracle tries every subset and bijection on raw tables with no
+invariants, the state-reduction oracle filters and re-indexes raw tables by hand, and
 the memory-cell compiler oracle steps every aggregate state through the
 direct interpreter ``mem_step`` instead of compile_mem's index arithmetic.
 """
@@ -89,3 +90,34 @@ def brute_force_compile_mem(p: MemProgram) -> tuple[tuple[str, ...], tuple[int, 
     position = {label: i for i, label in enumerate(labels)}
     table = tuple(position[codec.encode(mem_step(p, s))] for s in aggregate)
     return labels, table
+
+
+def brute_force_embedding(
+    a: Machine, b: Machine
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """First (subset, g) embedding ``b`` into a sub-machine of ``a``, or None.
+
+    Subsets of a's state indices come in ``combinations`` order, then each
+    ``g`` (b-state to position in the subset) in ``permutations`` order.
+    The pair is accepted when every b-table, conjugated through ``g``, is
+    the restriction to the subset of some a-table that maps the subset
+    into itself.
+    """
+    n_b = b.n_states
+    a_tabs = [f.table for f in a.functions]
+    b_tabs = [f.table for f in b.functions]
+    for subset in itertools.combinations(range(a.n_states), n_b):
+        restrictions = set()
+        for t in a_tabs:
+            if all(t[i] in subset for i in subset):
+                restrictions.add(tuple(subset.index(t[i]) for i in subset))
+        for g in itertools.permutations(range(n_b)):
+            conjugates = []
+            for t in b_tabs:
+                conj = [None] * n_b
+                for s in range(n_b):
+                    conj[g[s]] = g[t[s]]
+                conjugates.append(tuple(conj))
+            if all(c in restrictions for c in conjugates):
+                return subset, g
+    return None

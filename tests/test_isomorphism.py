@@ -6,12 +6,18 @@ import random
 import pytest
 
 from machalg import (
+    BoundaryPolicy,
     DomainMismatchError,
     EnumerationTooLargeError,
     IncompatibleShapesError,
     Morphism,
+    Move,
     SearchBudgetExceededError,
     StateSet,
+    TmConfiguration,
+    TransitionFunction,
+    TuringSpec,
+    compile_tm,
     construct_full_embedding,
     find_isomorphism,
     fn_from_map,
@@ -29,7 +35,30 @@ from machalg import (
 from machalg.lemmas import random_machine
 
 from conftest import conjugated
-from oracles import brute_force_isomorphism
+from oracles import brute_force_embedding, brute_force_isomorphism
+
+
+def table_machine(tables, prefix="s"):
+    ss = StateSet(tuple(f"{prefix}{i}" for i in range(len(tables[0]))))
+    return make_machine(ss, [TransitionFunction(ss, t) for t in tables])
+
+
+def random_tables(rng, n, k, targets=None):
+    targets = n if targets is None else targets
+    return [tuple(rng.randrange(targets) for _ in range(n)) for _ in range(k)]
+
+
+def relabelled(rng, m):
+    perm = list(range(m.n_states))
+    rng.shuffle(perm)
+    return conjugated(m, tuple(perm))
+
+
+def perturbed(rng, m):
+    """One table entry changed: usually, but not always, non-isomorphic."""
+    tables = [list(f.table) for f in m.functions]
+    tables[rng.randrange(len(tables))][rng.randrange(m.n_states)] = rng.randrange(m.n_states)
+    return table_machine([tuple(t) for t in tables], "t")
 
 
 def switch_pair():
@@ -164,6 +193,37 @@ class TestFindIsomorphism:
         assert "2" in str(err.value)
         assert "inconclusive" in str(err.value)
 
+    def test_budget_error_reports_depth(self):
+        x = full_machine(StateSet(("a", "b", "c")))
+        y = full_machine(StateSet(("d", "e", "f")))
+        with pytest.raises(SearchBudgetExceededError) as err:
+            find_isomorphism(x, y, node_budget=2)
+        assert (err.value.depth, err.value.n) == (2, 3)
+        assert "deepest level 2 of 3" in str(err.value)
+
+    @pytest.mark.parametrize("k, max_states", [(1, 7), (2, 5)])
+    def test_witness_matches_oracle_on_larger_machines(self, k, max_states):
+        # relabelled positives and perturbed negatives, up to 7 states
+        rng = random.Random(20 + k)
+        for trial in range(90):
+            a = table_machine(random_tables(rng, rng.randint(1, max_states), k))
+            b = relabelled(rng, a)
+            if trial % 2:
+                b = perturbed(rng, b)
+            got = find_isomorphism(a, b)
+            expected = brute_force_isomorphism(a, b)
+            assert (None if got is None else (got.g, got.h)) == expected
+
+    def test_lex_least_among_automorphic_leaves(self):
+        # every state maps into three hubs, so sibling leaves swap freely and
+        # many g are valid; the witness must be the first in lex order
+        rng = random.Random(23)
+        for trial in range(40):
+            a = table_machine(random_tables(rng, 7, 1 + trial % 2, targets=3))
+            b = relabelled(rng, a)
+            got = find_isomorphism(a, b)
+            assert (got.g, got.h) == brute_force_isomorphism(a, b)
+
     def test_fast_rejection_on_profiles(self):
         # same counts but different fixed-point structure: no search needed
         ss = states("0", "1")
@@ -287,6 +347,54 @@ class TestIsComplete:
         assert witness is not None
         assert verify_completeness(container, probe, witness)
 
+    def test_search_witness_matches_oracle(self):
+        # containers with a planted preserved subset; the search must pick
+        # the same subset and the same g as plain enumeration
+        rng = random.Random(19)
+        found = 0
+        for _ in range(80):
+            n_a = rng.randint(3, 5)
+            n_b = rng.randint(1, n_a - 1)
+            subset = rng.sample(range(n_a), n_b)
+            tables = random_tables(rng, n_a, rng.randint(2, 7))
+            for t in tables[: len(tables) // 2]:
+                for s in subset:
+                    t = t[:s] + (rng.choice(subset),) + t[s + 1 :]
+                tables.append(t)
+            a = table_machine(tables)
+            if rng.random() < 0.5:
+                inside = [f for f in a.functions if all(f.table[s] in subset for s in subset)]
+                pos = {s: p for p, s in enumerate(sorted(subset))}
+                picks = rng.sample(inside, min(2, len(inside)))
+                b = relabelled(rng, table_machine(
+                    [tuple(pos[f.table[s]] for s in sorted(subset)) for f in picks], "t"
+                ))
+            else:
+                b = table_machine(random_tables(rng, n_b, rng.randint(1, 2)), "t")
+            w = is_complete(a, b, method="search")
+            expected = brute_force_embedding(a, b)
+            if w is None:
+                assert expected is None
+                continue
+            found += 1
+            assert verify_completeness(a, b, w)
+            kept = tuple(a.states.index(label) for label in w.reductions[1].kept_states)
+            assert (kept, w.morphism.g) == expected
+        assert found >= 30
+
+    def test_search_budget_error_reports_depth(self):
+        ss = states("p", "q", "r")
+        rot = fn_from_map(ss, {"p": "q", "q": "r", "r": "p"}, "rot")
+        container = make_machine(ss, [identity_fn(ss), rot])
+        probe_ss = states("0", "1", "2")
+        probe = make_machine(
+            probe_ss, [fn_from_map(probe_ss, {"0": "1", "1": "2", "2": "0"}, "step")]
+        )
+        with pytest.raises(SearchBudgetExceededError) as err:
+            is_complete(container, probe, method="search", node_budget=1)
+        assert "budget of 1" in str(err.value)
+        assert (err.value.depth, err.value.n) == (1, 3)
+
     def test_tampered_witness_rejected(self):
         big = full_machine(StateSet(("x", "y", "z")))
         probe_ss = states("0", "1")
@@ -307,6 +415,47 @@ class TestIsComplete:
         neg = fn_from_map(ss, {"0": "1", "1": "0"}, "neg")
         with pytest.raises(DomainMismatchError):
             neg("z")
+
+
+class TestSearchScale:
+    def test_relabelled_random_self_map_on_1000_states(self):
+        rng = random.Random(30)
+        a = table_machine(random_tables(rng, 1000, 1))
+        b = relabelled(rng, a)
+        mor = find_isomorphism(a, b, node_budget=2 * 1000)
+        assert mor is not None and verify_morphism(a, b, mor)
+
+    def test_two_function_machine_on_400_states(self):
+        rng = random.Random(31)
+        a = table_machine(random_tables(rng, 400, 2))
+        b = relabelled(rng, a)
+        mor = find_isomorphism(a, b, node_budget=2 * 400)
+        assert mor is not None and verify_morphism(a, b, mor)
+        assert find_isomorphism(a, perturbed(rng, b), node_budget=2 * 400) is None
+
+    def test_compiled_tape_machine_self_isomorphism_is_not_recursive(self):
+        # 3 registers, 2 symbols, 6 cells: 1152 states, deeper than the
+        # interpreter's default recursion limit
+        rng = random.Random(32)
+        registers, symbols = ("q0", "q1", "q2"), ("0", "1")
+        rules = {
+            (r, s): (rng.choice(registers), rng.choice(symbols), rng.choice(list(Move)))
+            for r in registers[:2]
+            for s in symbols
+        }
+        spec = TuringSpec(
+            symbols=symbols,
+            registers=registers,
+            cells=6,
+            rules=rules,
+            halting=frozenset({"q2"}),
+            boundary_policy=BoundaryPolicy.CLAMP,
+            initial=TmConfiguration("q0", ("0",) * 6, 0),
+        )
+        m, _ = compile_tm(spec)
+        assert m.n_states == 1152
+        mor = find_isomorphism(m, m, node_budget=2 * 1152)
+        assert mor.g == tuple(range(1152))
 
 
 class TestEmbeddingCensus:

@@ -238,6 +238,17 @@ class TestRunToFixpoint:
         with pytest.raises(ValueError):
             run_to_fixpoint(f, "a", -1)
 
+    def test_start_lookup_builds_no_label_dict(self):
+        # one lookup on a fresh state set is a scan, not a dict build
+        ss = StateSet(("a", "b", "c"))
+        f = TransitionFunction(ss, (1, 2, 2))
+        assert run_to_fixpoint(f, "b", 10) == Halted("c", 1, None)
+        assert "_positions" not in ss.__dict__
+        with pytest.raises(DomainMismatchError):
+            run_to_fixpoint(f, "z", 10)
+        with pytest.raises(DomainMismatchError):
+            run_to_fixpoint(TransitionFunction(StateSet(("a",)), (0,)), ["a"], 10)
+
     @given(st.data())
     def test_enough_steps_always_definite(self, data):
         n = data.draw(st.integers(1, 6))
