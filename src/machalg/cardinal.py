@@ -14,6 +14,12 @@ rewrite rules implemented here are the standard ones:
 
 Every operation optionally appends ``TraceStep`` records to a caller-owned
 list, so the CLI can print the derivation that produced a value.
+
+``evaluate_expression`` reads integers, ``beth(i)``, ``+``, ``*``, ``^`` and
+parentheses (``^`` tightest and right-associative).  It tokenises the whole
+text, then one loop over a value stack and an operator stack applies each
+operator as soon as precedence allows, so the trace and the first error
+follow the order of the text and nesting depth is limited only by memory.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Optional, Union
 
-from .errors import CardinalOverflowError, UndefinedFormError
+from .errors import CardinalOverflowError, ParseError, UndefinedFormError
 
 # Checked bound for Finite values: non-negative signed-64-bit range.
 FINITE_MAX = 2**63 - 1
@@ -78,14 +84,6 @@ def _order_key(c: Cardinal) -> tuple[int, int]:
     if isinstance(c, Finite):
         return (0, c.n)
     return (1, c.alpha)
-
-
-def is_finite(c: Cardinal) -> bool:
-    return isinstance(c, Finite)
-
-
-def is_infinite(c: Cardinal) -> bool:
-    return isinstance(c, Beth)
 
 
 @dataclass(frozen=True)
@@ -326,118 +324,82 @@ def transition_space_cardinality(state_card: Cardinal, trace: Optional[Trace] = 
 # ---------------------------------------------------------------------------
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, object, int]] = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", int(text[i:j]), i))
-                i = j
-                continue
-            if text.startswith("beth", i):
-                self.tokens.append(("beth", None, i))
-                i += 4
-                continue
-            if ch in "+*^()":
-                self.tokens.append((ch, None, i))
-                i += 1
-                continue
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """Split ``text`` into ``(kind, value, position)`` tokens ending in ``end``."""
+    tokens: list[tuple[str, object, int]] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", int(text[i:j]), i))
+            i = j
+        elif text.startswith("beth", i):
+            tokens.append(("beth", None, i))
+            i += 4
+        elif ch in "+*^()":
+            tokens.append((ch, None, i))
+            i += 1
+        else:
             raise _expr_error(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", None, len(text)))
-
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.index]
-
-    def next(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+    tokens.append(("end", None, len(text)))
+    return tokens
 
 
-def _expr_error(message: str, column: int):
-    from .errors import ParseError
-
+def _expr_error(message: str, column: int) -> ParseError:
     return ParseError(message, line=1, column=column + 1)
-
-
-class _ExprParser:
-    """Recursive descent over: sum -> product -> power -> atom.
-
-    ``^`` binds tightest and associates to the right; ``+`` and ``*`` are
-    left-associative.  Evaluation happens during the parse, feeding the trace.
-    """
-
-    def __init__(self, text: str, trace: Optional[Trace] = None):
-        self.toks = _Tokenizer(text)
-        self.trace = trace
-
-    def parse(self) -> Cardinal:
-        value = self._sum()
-        kind, _, pos = self.toks.peek()
-        if kind != "end":
-            raise _expr_error(f"unexpected token {kind!r}", pos)
-        return value
-
-    def _sum(self) -> Cardinal:
-        value = self._product()
-        while self.toks.peek()[0] == "+":
-            self.toks.next()
-            value = card_add(value, self._product(), self.trace)
-        return value
-
-    def _product(self) -> Cardinal:
-        value = self._power()
-        while self.toks.peek()[0] == "*":
-            self.toks.next()
-            value = card_mul(value, self._power(), self.trace)
-        return value
-
-    def _power(self) -> Cardinal:
-        base = self._atom()
-        if self.toks.peek()[0] == "^":
-            self.toks.next()
-            return card_pow(base, self._power(), self.trace)
-        return base
-
-    def _atom(self) -> Cardinal:
-        kind, value, pos = self.toks.next()
-        if kind == "int":
-            return Finite(value)
-        if kind == "beth":
-            k, _, p = self.toks.next()
-            if k != "(":
-                raise _expr_error("expected '(' after beth", p)
-            k, idx, p = self.toks.next()
-            if k != "int":
-                raise _expr_error("expected a non-negative integer index in beth(...)", p)
-            k, _, p = self.toks.next()
-            if k != ")":
-                raise _expr_error("expected ')' closing beth(...)", p)
-            return Beth(idx)
-        if kind == "(":
-            inner = self._sum()
-            k, _, p = self.toks.next()
-            if k != ")":
-                raise _expr_error("expected ')'", p)
-            return inner
-        raise _expr_error(f"expected a value, got {kind!r}", pos)
 
 
 def evaluate_expression(text: str, trace: Optional[Trace] = None) -> Cardinal:
     """Evaluate a cardinal arithmetic expression like ``2 ^ beth(0) + 5``."""
-    return _ExprParser(text, trace).parse()
+    tokens = _tokenize(text)
+    apply = {"+": card_add, "*": card_mul, "^": card_pow}
+    values: list[Cardinal] = []
+    ops: list[str] = []  # pending operators and "(" markers
+    i = 0
+    while True:
+        # Operand position: any number of "(", then one value.
+        kind, value, pos = tokens[i]
+        i += 1
+        if kind == "(":
+            ops.append(kind)
+            continue
+        if kind == "int":
+            values.append(Finite(value))
+        elif kind == "beth":
+            k, _, p = tokens[i]
+            if k != "(":
+                raise _expr_error("expected '(' after beth", p)
+            k, index, p = tokens[i + 1]
+            if k != "int":
+                raise _expr_error("expected a non-negative integer index in beth(...)", p)
+            k, _, p = tokens[i + 2]
+            if k != ")":
+                raise _expr_error("expected ')' closing beth(...)", p)
+            values.append(Beth(index))
+            i += 3
+        else:
+            raise _expr_error(f"expected a value, got {kind!r}", pos)
+        # Operator position: apply the pending operators above the innermost
+        # "(" that bind at least as tightly as the next token (all of them if
+        # it is not an operator, none if it is the right-associative "^").
+        while True:
+            kind, _, pos = tokens[i]
+            i += 1
+            rank = "+*^".find(kind)
+            while kind != "^" and ops and ops[-1] != "(" and "+*^".find(ops[-1]) >= rank:
+                values[-2:] = [apply[ops.pop()](*values[-2:], trace)]
+            if rank >= 0:
+                ops.append(kind)
+                break
+            if not ops:
+                if kind == "end":
+                    return values[0]
+                raise _expr_error(f"unexpected token {kind!r}", pos)
+            if kind != ")":
+                raise _expr_error("expected ')'", pos)
+            ops.pop()  # the ")" closes the innermost "("

@@ -97,12 +97,6 @@ class TransitionFunction:
     def __call__(self, label: str) -> str:
         return self.domain.labels[self.table[self.domain.index(label)]]
 
-    def image_index(self, i: int) -> int:
-        return self.table[i]
-
-    def renamed(self, name: str) -> "TransitionFunction":
-        return TransitionFunction(self.domain, self.table, name)
-
 
 def fn_from_map(domain: StateSet, mapping: dict, name: Optional[str] = None) -> TransitionFunction:
     """Build a function from a label-to-label dict; every state must appear."""

@@ -372,20 +372,13 @@ def _parse_cells(piece: str, prefix: str, lineno: int, raw: str) -> tuple[int, .
     return tuple(out)
 
 
-def _parse_read_eq(piece: str, lineno: int, raw: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
+def _parse_cells_eq(
+    piece: str, prefix: str, lineno: int, raw: str
+) -> tuple[tuple[int, ...], tuple[str, ...]]:
     left, sep, right = piece.partition("=")
     if not sep:
-        raise ParseError(f"expected 'read(...)=(...)', got {piece!r}", lineno, _col(raw, piece))
-    cells = _parse_cells(left, "read", lineno, raw)
-    values = tuple(_parse_paren(right, "", lineno, raw))
-    return cells, values
-
-
-def _parse_write_eq(piece: str, lineno: int, raw: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    left, sep, right = piece.partition("=")
-    if not sep:
-        raise ParseError(f"expected 'write(...)=(...)', got {piece!r}", lineno, _col(raw, piece))
-    cells = _parse_cells(left, "write", lineno, raw)
+        raise ParseError(f"expected '{prefix}(...)=(...)', got {piece!r}", lineno, _col(raw, piece))
+    cells = _parse_cells(left, prefix, lineno, raw)
     values = tuple(_parse_paren(right, "", lineno, raw))
     return cells, values
 
@@ -458,8 +451,8 @@ def parse_mem(text: str) -> MemProgram:
                     lineno,
                     1,
                 )
-            rc, rv = _parse_read_eq(tokens[1], lineno, raw)
-            wc, wv = _parse_write_eq(tokens[3], lineno, raw)
+            rc, rv = _parse_cells_eq(tokens[1], "read", lineno, raw)
+            wc, wv = _parse_cells_eq(tokens[3], "write", lineno, raw)
             nc = _parse_cells(tokens[5], "read", lineno, raw)
             families[-1].append(
                 MemEntry(rc, rv, wc, wv, nc, int(tokens[7]))

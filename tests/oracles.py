@@ -4,9 +4,11 @@ Nothing here shares logic with the package's search, reduction or compiler
 code: the isomorphism oracle tries every state bijection against every
 function bijection with no pruning, no induced mapping, no ordering tricks,
 the embedding oracle tries every subset and bijection on raw tables with no
-invariants, the state-reduction oracle filters and re-indexes raw tables by hand, and
+invariants, the state-reduction oracle filters and re-indexes raw tables by hand,
 the memory-cell compiler oracle steps every aggregate state through the
-direct interpreter ``mem_step`` instead of compile_mem's index arithmetic.
+direct interpreter ``mem_step`` instead of compile_mem's index arithmetic,
+and the expression oracle is the package's earlier recursive-descent
+evaluator, kept verbatim as the reference for the iterative one.
 """
 
 from __future__ import annotations
@@ -15,14 +17,22 @@ import itertools
 from typing import Optional
 
 from machalg import (
+    Beth,
+    Cardinal,
+    Finite,
     Machine,
     MemProgram,
     MemState,
     MemStateCodec,
+    ParseError,
     StateSet,
     TransitionFunction,
+    card_add,
+    card_mul,
+    card_pow,
     mem_step,
 )
+from machalg.cardinal import Trace
 
 
 def brute_force_isomorphism(
@@ -121,3 +131,123 @@ def brute_force_embedding(
             if all(c in restrictions for c in conjugates):
                 return subset, g
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference expression evaluator: recursive descent, evaluating as it parses
+# ---------------------------------------------------------------------------
+
+
+class _Tokenizer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.tokens: list[tuple[str, object, int]] = []
+        self._scan()
+        self.index = 0
+
+    def _scan(self):
+        text = self.text
+        i = 0
+        while i < len(text):
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if ch.isdigit():
+                j = i
+                while j < len(text) and text[j].isdigit():
+                    j += 1
+                self.tokens.append(("int", int(text[i:j]), i))
+                i = j
+                continue
+            if text.startswith("beth", i):
+                self.tokens.append(("beth", None, i))
+                i += 4
+                continue
+            if ch in "+*^()":
+                self.tokens.append((ch, None, i))
+                i += 1
+                continue
+            raise _expr_error(f"unexpected character {ch!r}", i)
+        self.tokens.append(("end", None, len(text)))
+
+    def peek(self) -> tuple[str, object, int]:
+        return self.tokens[self.index]
+
+    def next(self) -> tuple[str, object, int]:
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+
+def _expr_error(message: str, column: int):
+    return ParseError(message, line=1, column=column + 1)
+
+
+class _ExprParser:
+    """Recursive descent over: sum -> product -> power -> atom.
+
+    ``^`` binds tightest and associates to the right; ``+`` and ``*`` are
+    left-associative.  Evaluation happens during the parse, feeding the trace.
+    """
+
+    def __init__(self, text: str, trace: Optional[Trace] = None):
+        self.toks = _Tokenizer(text)
+        self.trace = trace
+
+    def parse(self) -> Cardinal:
+        value = self._sum()
+        kind, _, pos = self.toks.peek()
+        if kind != "end":
+            raise _expr_error(f"unexpected token {kind!r}", pos)
+        return value
+
+    def _sum(self) -> Cardinal:
+        value = self._product()
+        while self.toks.peek()[0] == "+":
+            self.toks.next()
+            value = card_add(value, self._product(), self.trace)
+        return value
+
+    def _product(self) -> Cardinal:
+        value = self._power()
+        while self.toks.peek()[0] == "*":
+            self.toks.next()
+            value = card_mul(value, self._power(), self.trace)
+        return value
+
+    def _power(self) -> Cardinal:
+        base = self._atom()
+        if self.toks.peek()[0] == "^":
+            self.toks.next()
+            return card_pow(base, self._power(), self.trace)
+        return base
+
+    def _atom(self) -> Cardinal:
+        kind, value, pos = self.toks.next()
+        if kind == "int":
+            return Finite(value)
+        if kind == "beth":
+            k, _, p = self.toks.next()
+            if k != "(":
+                raise _expr_error("expected '(' after beth", p)
+            k, idx, p = self.toks.next()
+            if k != "int":
+                raise _expr_error("expected a non-negative integer index in beth(...)", p)
+            k, _, p = self.toks.next()
+            if k != ")":
+                raise _expr_error("expected ')' closing beth(...)", p)
+            return Beth(idx)
+        if kind == "(":
+            inner = self._sum()
+            k, _, p = self.toks.next()
+            if k != ")":
+                raise _expr_error("expected ')'", p)
+            return inner
+        raise _expr_error(f"expected a value, got {kind!r}", pos)
+
+
+def reference_evaluate_expression(text: str, trace: Optional[Trace] = None) -> Cardinal:
+    """The recursive-descent evaluator; recursion depth grows with nesting."""
+    return _ExprParser(text, trace).parse()

@@ -1,7 +1,9 @@
 """Cardinal arithmetic: exact finite values, absorption rules, templates."""
 
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from machalg import (
     Beth,
@@ -18,6 +20,7 @@ from machalg import (
     state_cardinality,
     transition_space_cardinality,
 )
+from oracles import reference_evaluate_expression
 
 finites = st.integers(min_value=0, max_value=10**6).map(Finite)
 beths = st.integers(min_value=0, max_value=12).map(Beth)
@@ -219,3 +222,73 @@ class TestExpressions:
     def test_undefined_form_propagates(self):
         with pytest.raises(UndefinedFormError):
             evaluate_expression("0 ^ 0")
+
+
+# Pieces of expression text: literals at and past the 64-bit bound, beth
+# with and without its argument, operators and spaces, then stray characters
+# (a superscript digit passes isdigit() but not int()).
+_PIECES = (
+    "0", "1", "2", "3", "7", "10", "63", "64", "4294967296", "9223372036854775808",
+    "beth", "beth(0)", "beth(1)", "beth(12)", "(", ")", "+", "*", "^", " ", "\t",
+)
+_STRAYS = ("x", "-", "b", ",", "\u00b2")
+
+
+def _outcome(evaluate, text):
+    trace = []
+    try:
+        value = evaluate(text, trace)
+    except Exception as e:  # the exception itself is the outcome under test
+        return type(e), str(e), trace
+    return value, trace
+
+
+def _well_formed(rng, budget):
+    """A random valid expression with at most ``budget`` operators."""
+    if budget == 0 or rng.random() < 0.3:
+        return rng.choice(("0", "1", "2", "3", "5", "63", "beth(0)", "beth(2)", "beth( 7 )"))
+    op = rng.choice("+*^")
+    split = rng.randint(0, budget - 1)
+    text = f"{_well_formed(rng, split)} {op} {_well_formed(rng, budget - 1 - split)}"
+    return f"({text})" if rng.random() < 0.4 else text
+
+
+def _piece(rng):
+    return rng.choice(_STRAYS if rng.random() < 0.02 else _PIECES)
+
+
+def _expression_corpus(seed, count):
+    """``count`` distinct strings: token soup, and valid expressions with
+    and without one random edit."""
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < count:
+        roll = rng.random()
+        if roll < 0.35:
+            text = "".join(_piece(rng) for _ in range(rng.randint(0, 16)))
+        else:
+            text = _well_formed(rng, rng.randint(0, 10))
+            if roll < 0.7:
+                i = rng.randrange(len(text) + 1)
+                text = text[:i] + rng.choice(("", _piece(rng))) + text[i + rng.randint(0, 2) :]
+        if text not in seen:
+            seen.add(text)
+            yield text
+
+
+class TestExpressionOracle:
+    """The iterative evaluator against the recursive-descent reference:
+    equal value, equal trace, or equal exception type and message."""
+
+    def test_seeded_corpus(self):
+        for text in _expression_corpus(seed=20171222, count=100_000):
+            assert _outcome(evaluate_expression, text) == _outcome(
+                reference_evaluate_expression, text
+            ), text
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(_PIECES + _STRAYS), max_size=20).map("".join))
+    def test_property(self, text):
+        assert _outcome(evaluate_expression, text) == _outcome(
+            reference_evaluate_expression, text
+        )

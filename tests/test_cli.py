@@ -451,19 +451,47 @@ class TestCheckLemmas:
                 assert "0 violation(s)" in line
 
 
+def run_module(*argv):
+    """Run ``python -m machalg`` as its own process on this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "machalg", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_machalg(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "machalg", "--help"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: machalg")
         assert "RuntimeWarning" not in proc.stderr
+
+
+class TestHostileExpressions:
+    """Deep input ends in an answer or a one-line error, never a traceback."""
+
+    def test_deeply_nested_parentheses(self):
+        proc = run_module("card", "(" * 1500 + "1" + ")" * 1500)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0].endswith("= Finite(1)")
+        assert "Traceback" not in proc.stderr
+
+    def test_long_beth_power_chain(self):
+        proc = run_module("card", "^".join(["beth(0)"] * 2000))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0].endswith("= Beth(1999)")
+        assert "Traceback" not in proc.stderr
+
+    def test_long_finite_power_chain_overflows(self):
+        proc = run_module("card", "^".join(["2"] * 2000))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: Finite(2) ** Finite(65536) exceeds the checked 64-bit range\n"
+        )
