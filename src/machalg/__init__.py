@@ -16,6 +16,9 @@ from .cardinal import (
     MachineTemplate,
     TEMPLATE_KINDS,
     TraceStep,
+    UniversalityReport,
+    UniversalityRow,
+    build_universality_report,
     card_add,
     card_mul,
     card_pow,
@@ -43,14 +46,8 @@ from .isomorphism import (
     construct_full_embedding,
     find_isomorphism,
     is_complete,
-    is_isomorphic,
     verify_completeness,
     verify_morphism,
-)
-from .cli import (
-    UniversalityReport,
-    UniversalityRow,
-    build_universality_report,
 )
 from .lemmas import (
     LemmaRunReport,
@@ -67,11 +64,9 @@ from .machine import (
     StateSet,
     StepLimit,
     TransitionFunction,
-    apply,
     constant_fn,
     fn_from_map,
     full_machine,
-    full_transition_set,
     identity_fn,
     is_fixed_point,
     make_machine,
@@ -125,3 +120,13 @@ from .textio import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+
+
+def __getattr__(name):
+    # The command line loads on first use: imported here, it would already be
+    # in sys.modules when ``python -m machalg.cli`` runs it as __main__.
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,6 +14,8 @@ rewrite rules implemented here are the standard ones:
 
 Every operation optionally appends ``TraceStep`` records to a caller-owned
 list, so the CLI can print the derivation that produced a value.
+``build_universality_report`` compares the templates' state cardinalities
+with the full-transition-set simulator's.
 
 ``evaluate_expression`` reads integers, ``beth(i)``, ``+``, ``*``, ``^`` and
 parentheses (``^`` tightest and right-associative).  It tokenises the whole
@@ -320,6 +322,71 @@ def transition_space_cardinality(state_card: Cardinal, trace: Optional[Trace] = 
 
 
 # ---------------------------------------------------------------------------
+# Universality report
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class UniversalityRow:
+    template: MachineTemplate
+    states: Cardinal
+    transitions: Cardinal
+    trace: tuple[TraceStep, ...]
+
+
+@dataclass(frozen=True)
+class UniversalityReport:
+    """Cardinality table plus simulate-everything verdicts.
+
+    A target is marked "UMM-complete" exactly when its state cardinality is
+    at most the simulator's and the simulator carries the full transition
+    set; both facts are computed, never assumed.
+    """
+
+    simulator: UniversalityRow
+    targets: tuple[UniversalityRow, ...]
+    verdicts: tuple[tuple[str, str, str], ...]
+
+    @property
+    def all_complete(self) -> bool:
+        return all(v == "UMM-complete" for _, v, _ in self.verdicts)
+
+
+def _universality_row(t: MachineTemplate) -> UniversalityRow:
+    trace: list[TraceStep] = []
+    card = state_cardinality(t, trace)
+    phi = transition_space_cardinality(card, trace)
+    return UniversalityRow(t, card, phi, tuple(trace))
+
+
+def build_universality_report(k: int = 2, m: int = 2, n: int = 2) -> UniversalityReport:
+    simulator = _universality_row(MachineTemplate("umm", n=n))
+    targets = (
+        _universality_row(MachineTemplate("infinite-tape-turing", k=k, m=m)),
+        _universality_row(MachineTemplate("lsm")),
+        _universality_row(MachineTemplate("quantum", m=m, n=n)),
+    )
+    verdicts = []
+    for row in targets:
+        small_enough = row.states <= simulator.states
+        full_set = simulator.template.has_full_transition_set
+        if small_enough and full_set:
+            verdict = "UMM-complete"
+            reason = (
+                f"|T| = {row.states!r} <= |S| = {simulator.states!r} "
+                "and the simulator's transition set is full"
+            )
+        elif not full_set:
+            verdict = "not shown"
+            reason = "the simulator lacks the full transition set"
+        else:
+            verdict = "not shown"
+            reason = f"|T| = {row.states!r} > |S| = {simulator.states!r}"
+        verdicts.append((row.template.describe(), verdict, reason))
+    return UniversalityReport(simulator, targets, tuple(verdicts))
+
+
+# ---------------------------------------------------------------------------
 # Expression grammar: integers, beth(alpha), + * ^, parentheses
 # ---------------------------------------------------------------------------
 
@@ -332,11 +399,14 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # more digits than int() converts
+                raise _expr_error(f"{j - i}-digit number is too long", i) from None
             i = j
         elif text.startswith("beth", i):
             tokens.append(("beth", None, i))

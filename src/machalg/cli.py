@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .cardinal import (
-    Cardinal,
     MachineTemplate,
     TEMPLATE_KINDS,
     TraceStep,
+    UniversalityReport,
+    build_universality_report,
     evaluate_expression,
     state_cardinality,
     transition_space_cardinality,
 )
-from .errors import IncompatibleShapesError, MachalgError
+from .errors import MachalgError
 from .isomorphism import (
     CompletenessWitness,
     Morphism,
@@ -36,7 +36,6 @@ from .machine import (
     Cycled,
     Halted,
     Machine,
-    StepLimit,
     run_to_fixpoint,
 )
 from .models import (
@@ -48,12 +47,7 @@ from .models import (
     tm_to_mem,
     verify_lockstep,
 )
-from .reductions import (
-    functional_reduction,
-    is_sub_machine,
-    state_reduction,
-    sub_machine,
-)
+from .reductions import is_sub_machine, sub_machine
 from .textio import (
     Certificate,
     display_names,
@@ -73,66 +67,6 @@ DEFAULT_STEPS = 50
 # ---------------------------------------------------------------------------
 # Universality report
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UniversalityRow:
-    template: MachineTemplate
-    states: Cardinal
-    transitions: Cardinal
-    trace: tuple[TraceStep, ...]
-
-
-@dataclass(frozen=True)
-class UniversalityReport:
-    """Cardinality table plus simulate-everything verdicts.
-
-    A target is marked "UMM-complete" exactly when its state cardinality is
-    at most the simulator's and the simulator carries the full transition
-    set; both facts are computed, never assumed.
-    """
-
-    simulator: UniversalityRow
-    targets: tuple[UniversalityRow, ...]
-    verdicts: tuple[tuple[str, str, str], ...]
-
-    @property
-    def all_complete(self) -> bool:
-        return all(v == "UMM-complete" for _, v, _ in self.verdicts)
-
-
-def _universality_row(t: MachineTemplate) -> UniversalityRow:
-    trace: list[TraceStep] = []
-    card = state_cardinality(t, trace)
-    phi = transition_space_cardinality(card, trace)
-    return UniversalityRow(t, card, phi, tuple(trace))
-
-
-def build_universality_report(k: int = 2, m: int = 2, n: int = 2) -> UniversalityReport:
-    simulator = _universality_row(MachineTemplate("umm", n=n))
-    targets = (
-        _universality_row(MachineTemplate("infinite-tape-turing", k=k, m=m)),
-        _universality_row(MachineTemplate("lsm")),
-        _universality_row(MachineTemplate("quantum", m=m, n=n)),
-    )
-    verdicts = []
-    for row in targets:
-        small_enough = row.states <= simulator.states
-        full_set = simulator.template.has_full_transition_set
-        if small_enough and full_set:
-            verdict = "UMM-complete"
-            reason = (
-                f"|T| = {row.states!r} <= |S| = {simulator.states!r} "
-                "and the simulator's transition set is full"
-            )
-        elif not full_set:
-            verdict = "not shown"
-            reason = "the simulator lacks the full transition set"
-        else:
-            verdict = "not shown"
-            reason = f"|T| = {row.states!r} > |S| = {simulator.states!r}"
-        verdicts.append((row.template.describe(), verdict, reason))
-    return UniversalityReport(simulator, targets, tuple(verdicts))
 
 
 def _render_universality(report: UniversalityReport, show_trace: bool) -> list[str]:
@@ -171,15 +105,16 @@ def _emit(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _resolve_fn(m: Machine, token: str):
+def _resolve_fn(m: Machine, token: str) -> int:
+    """Index of the function a display name, name or index refers to."""
     display = display_names(m)
     if token in display:
-        return m.functions[display.index(token)]
-    named = [f for f in m.functions if f.name == token]
+        return display.index(token)
+    named = [i for i, f in enumerate(m.functions) if f.name == token]
     if len(named) == 1:
         return named[0]
-    if token.isdigit() and int(token) < m.n_functions:
-        return m.functions[int(token)]
+    if token.isascii() and token.isdigit() and int(token) < m.n_functions:
+        return int(token)
     raise MachalgError(
         f"unknown function {token!r}; known names: {' '.join(display)}"
     )
@@ -297,14 +232,14 @@ def _cmd_reduce(args) -> int:
     m = parse_machine(_read(args.machine))
     if args.keep_fns is None and args.keep_states is None:
         raise MachalgError("nothing to do: pass --keep-fns and/or --keep-states")
-    keep_fns = None
+    keep_fns = range(m.n_functions)
     if args.keep_fns is not None:
         keep_fns = [_resolve_fn(m, tok) for tok in args.keep_fns.split(",") if tok]
-    keep_states = None
+    keep_states = m.states.labels
     if args.keep_states is not None:
         keep_states = [tok for tok in args.keep_states.split(",") if tok]
-    _, _, result = sub_machine(m, keep_functions=keep_fns, keep_states=keep_states)
-    sys.stdout.write(render_machine(result))
+    _, sr = sub_machine(m, keep_fns, keep_states)
+    sys.stdout.write(render_machine(sr.result))
     return 0
 
 
@@ -409,7 +344,7 @@ def _cmd_sim(args) -> int:
         m = parse_machine(text)
         if args.fn is None or getattr(args, "from") is None:
             raise MachalgError("machine simulation needs --fn and --from")
-        f = _resolve_fn(m, args.fn)
+        f = m.functions[_resolve_fn(m, args.fn)]
         result = run_to_fixpoint(f, getattr(args, "from"), args.steps, record_trajectory=True)
         out.append("trajectory: " + " -> ".join(result.trajectory))
         if isinstance(result, Halted):
@@ -445,29 +380,19 @@ def _verify_certificate(cert: Certificate, a: Machine, b: Machine) -> tuple[bool
             if not verify_morphism(a, b, mor):
                 return False, "the mapping does not commute with every function"
             return True, ""
+        if cert.kind not in ("complete", "submachine"):
+            return False, f"unknown certificate kind {cert.kind!r}"
+        fr, sr = sub_machine(a, cert.kept_functions, cert.kept_states)
         if cert.kind == "complete":
-            fr = functional_reduction(
-                a, [a.functions[i] for i in cert.kept_functions]
-            )
-            sr = state_reduction(fr.result, cert.kept_states)
             w = CompletenessWitness((fr, sr), Morphism(cert.g, cert.h))
             if not verify_completeness(a, b, w):
                 return False, "the reductions or the morphism do not check out"
             return True, ""
-        if cert.kind == "submachine":
-            fr = functional_reduction(
-                a, [a.functions[i] for i in cert.kept_functions]
-            )
-            sr = state_reduction(fr.result, cert.kept_states)
-            got = sr.result
-            if got.states != b.states:
-                return False, "the reduced state set differs from the target"
-            if tuple(f.table for f in got.functions) != tuple(
-                f.table for f in b.functions
-            ):
-                return False, "the reduced function set differs from the target"
-            return True, ""
-        return False, f"unknown certificate kind {cert.kind!r}"
+        if sr.result.states != b.states:
+            return False, "the reduced state set differs from the target"
+        if tuple(f.table for f in sr.result.functions) != tuple(f.table for f in b.functions):
+            return False, "the reduced function set differs from the target"
+        return True, ""
     except IndexError:
         return False, "an index in the certificate is out of range"
     except MachalgError as e:

@@ -26,13 +26,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .errors import IncompatibleShapesError, SearchBudgetExceededError
-from .machine import (
-    DEFAULT_ENUMERATION_CAP,
-    Machine,
-    StateSet,
-    full_machine,
-)
-from .reductions import Reduction, functional_reduction, state_reduction
+from .machine import Machine
+from .reductions import Reduction, sub_machine
 
 
 @dataclass(frozen=True)
@@ -367,81 +362,59 @@ def find_isomorphism(
     return _search([(candidates, leaf)], n, "isomorphism search", node_budget)
 
 
-def is_isomorphic(a: Machine, b: Machine, *, node_budget: Optional[int] = None) -> bool:
-    return find_isomorphism(a, b, node_budget=node_budget) is not None
-
-
 # ---------------------------------------------------------------------------
 # Completeness
 # ---------------------------------------------------------------------------
 
 
 def construct_full_embedding(
-    a_states: StateSet,
-    b: Machine,
-    g: Optional[Sequence[int]] = None,
-    *,
-    container: Optional[Machine] = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    a: Machine, b: Machine, g: Optional[Sequence[int]] = None
 ) -> CompletenessWitness:
-    """Embed ``b`` into the full machine on ``a_states`` without searching.
+    """Embed ``b`` into the full machine ``a`` without searching.
 
-    ``g`` is an injection as a tuple of ``a_states`` indices, one per state
+    ``g`` is an injection as a tuple of ``a``'s state indices, one per state
     of ``b`` (default: the order-preserving injection 0,1,...).  Each
     function of ``b`` is conjugated through g and extended by the identity
-    off the image; with the full function set available the extension is
-    always present, so the witness verifies by construction.
-
-    ``container`` can supply an existing full machine on ``a_states`` to
-    avoid re-enumeration; otherwise one is materialized (subject to ``cap``).
+    off the image; a full machine holds every table, in lexicographic
+    order, so the extension's index is its table read as a base-n numeral
+    and the witness verifies by construction.
     """
-    n_a = len(a_states)
-    n_b = b.n_states
-    if n_b > n_a:
+    if not a.has_full_function_set():
         raise IncompatibleShapesError(
-            f"cannot embed {n_b} states into {n_a}; an injection needs "
+            "the constructive path needs the full function set on the container"
+        )
+    n, n_b = a.n_states, b.n_states
+    if n_b > n:
+        raise IncompatibleShapesError(
+            f"cannot embed {n_b} states into {n}; an injection needs "
             "at least as many targets as sources"
         )
-    if g is None:
-        g = tuple(range(n_b))
-    else:
-        g = tuple(g)
-        if len(g) != n_b or len(set(g)) != n_b or not all(0 <= i < n_a for i in g):
-            raise IncompatibleShapesError(
-                "g must be an injection of target-state indices into the container states"
-            )
-    if container is None:
-        container = full_machine(a_states, cap)
-    else:
-        if container.states != a_states:
-            raise IncompatibleShapesError("container is not a machine on the given states")
-        if not container.has_full_function_set():
-            raise IncompatibleShapesError(
-                "the constructive embedding needs the full function set"
-            )
-
-    image = sorted(g)  # sub-machine states keep the container's order
-    sub_labels = tuple(a_states.labels[i] for i in image)
-    position = {i: p for p, i in enumerate(image)}
-    table_index = {f.table: j for j, f in enumerate(container.functions)}
-
+    g = tuple(range(n_b)) if g is None else tuple(g)
+    if len(g) != n_b or len(set(g)) != n_b or not all(0 <= i < n for i in g):
+        raise IncompatibleShapesError(
+            "g must be an injection of target-state indices into the container states"
+        )
+    subset = sorted(g)  # sub-machine states keep the container's order
+    g_sub = [subset.index(i) for i in g]
+    conj_tables = [_conjugate(f.table, g_sub) for f in b.functions]
     chosen = []
-    conjugates = []
-    for f in b.functions:
-        ext = list(range(n_a))
-        for s in range(n_b):
-            ext[g[s]] = g[f.table[s]]
-        conjugates.append(tuple(ext))
-        chosen.append(table_index[tuple(ext)])
+    for t in conj_tables:
+        ext = list(range(n))
+        for p, q in enumerate(t):
+            ext[subset[p]] = subset[q]
+        chosen.append(sum(image * n ** (n - 1 - s) for s, image in enumerate(ext)))
+    return _witness(a, chosen, subset, conj_tables, g_sub)
 
-    fr = functional_reduction(container, [container.functions[j] for j in chosen])
-    sr = state_reduction(fr.result, sub_labels)
+
+def _witness(
+    a: Machine, chosen: list[int], subset: Sequence[int], conj_tables: list, g: Sequence[int]
+) -> CompletenessWitness:
+    """The witness that keeps ``a``'s functions at ``chosen`` and its states
+    at ``subset``, where b's state i goes to subset position ``g[i]`` and
+    b's function j to the sub-machine function with table ``conj_tables[j]``."""
+    fr, sr = sub_machine(a, chosen, [a.states.labels[i] for i in subset])
     sub_index = {f.table: j for j, f in enumerate(sr.result.functions)}
-    h = []
-    for ext in conjugates:
-        restr = tuple(position[ext[i]] for i in image)
-        h.append(sub_index[restr])
-    mor = Morphism(tuple(position[i] for i in g), tuple(h))
+    mor = Morphism(tuple(g), tuple(sub_index[t] for t in conj_tables))
     return CompletenessWitness((fr, sr), mor)
 
 
@@ -463,11 +436,7 @@ def is_complete(
     if b.n_states > a.n_states:
         return None
     if method == "construct" or (method == "auto" and a.has_full_function_set()):
-        if not a.has_full_function_set():
-            raise IncompatibleShapesError(
-                "the constructive path needs the full function set on the container"
-            )
-        return construct_full_embedding(a.states, b, container=a)
+        return construct_full_embedding(a, b)
     return _search_completeness(a, b, node_budget)
 
 
@@ -523,12 +492,7 @@ def _subset_problem(a: Machine, tables_b: list, subset: tuple[int, ...], sig_b, 
         conj_tables = [_conjugate(t, g) for t in tables_b]
         if any(t not in reachable for t in conj_tables):
             return None
-        chosen = sorted({reachable[t] for t in conj_tables})
-        fr = functional_reduction(a, [a.functions[j] for j in chosen])
-        sr = state_reduction(fr.result, tuple(a.states.labels[i] for i in subset))
-        sub_index = {f.table: j for j, f in enumerate(sr.result.functions)}
-        mor = Morphism(tuple(g), tuple(sub_index[t] for t in conj_tables))
-        return CompletenessWitness((fr, sr), mor)
+        return _witness(a, [reachable[t] for t in conj_tables], subset, conj_tables, g)
 
     return candidates, leaf
 
@@ -553,8 +517,7 @@ def verify_completeness(a: Machine, b: Machine, w: CompletenessWitness) -> bool:
     if fr.source != a or sr.source != fr.result:
         return False
     try:
-        fr2 = functional_reduction(a, [a.functions[i] for i in fr.kept_functions])
-        sr2 = state_reduction(fr2.result, sr.kept_states)
+        fr2, sr2 = sub_machine(a, fr.kept_functions, sr.kept_states)
     except Exception:
         return False
     if fr2.result != fr.result or sr2.result != sr.result:

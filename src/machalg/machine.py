@@ -116,11 +116,6 @@ def constant_fn(domain: StateSet, target: str, name: Optional[str] = None) -> Tr
     return TransitionFunction(domain, (i,) * len(domain), name)
 
 
-def apply(f: TransitionFunction, state: str) -> str:
-    """Image of ``state`` under ``f``; raises DomainMismatchError off-domain."""
-    return f(state)
-
-
 def is_fixed_point(f: TransitionFunction, state: str) -> bool:
     i = f.domain.index(state)
     return f.table[i] == i
@@ -216,26 +211,15 @@ def make_machine(
     return Machine(state_set, canonical, frozenset(out_indices), name)
 
 
-def full_transition_set(
-    state_set: StateSet, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[TransitionFunction]:
-    """All ``n**n`` total self-maps, in lexicographic table order."""
-    n = len(state_set)
-    size = n**n
-    if size > cap:
-        raise EnumerationTooLargeError("full transition set", size, cap)
-    return [
-        TransitionFunction(state_set, table)
-        for table in itertools.product(range(n), repeat=n)
-    ]
-
-
 def full_machine(
     state_set: StateSet, cap: int = DEFAULT_ENUMERATION_CAP, name: Optional[str] = None
 ) -> Machine:
-    """The machine carrying every transition function on ``state_set``."""
-    fns = full_transition_set(state_set, cap)
-    # Enumeration order is already canonical and duplicate-free.
+    """The machine carrying all ``n**n`` transition functions on ``state_set``."""
+    n = len(state_set)
+    if n**n > cap:
+        raise EnumerationTooLargeError("full transition set", n**n, cap)
+    # Lexicographic table order is already canonical and duplicate-free.
+    fns = (TransitionFunction(state_set, t) for t in itertools.product(range(n), repeat=n))
     return Machine(state_set, tuple(fns), frozenset(), name)
 
 

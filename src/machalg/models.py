@@ -50,6 +50,9 @@ class Move(str, Enum):
     STAY = "S"
 
 
+_HEAD_SHIFT = {Move.LEFT: -1, Move.RIGHT: 1, Move.STAY: 0}
+
+
 class BoundaryPolicy(str, Enum):
     REJECT = "reject"
     CLAMP = "clamp"
@@ -168,7 +171,7 @@ def simulate_tm(t: TuringSpec, max_steps: int) -> TmTrace:
         r2, s2, mv = t.rules[(c.register, c.tape[c.head])]
         tape = list(c.tape)
         tape[c.head] = s2
-        head = c.head + {Move.LEFT: -1, Move.RIGHT: 1, Move.STAY: 0}[mv]
+        head = c.head + _HEAD_SHIFT[mv]
         if not 0 <= head < t.cells:
             if t.boundary_policy is BoundaryPolicy.CLAMP:
                 head = c.head
@@ -252,7 +255,7 @@ def compile_tm(
                     continue
                 r2, s2, mv = rule
                 new_tape = tape[:h] + (s2,) + tape[h + 1 :]
-                h2 = h + {Move.LEFT: -1, Move.RIGHT: 1, Move.STAY: 0}[mv]
+                h2 = h + _HEAD_SHIFT[mv]
                 if not 0 <= h2 < n:
                     if reject:
                         table.append(error_index)
@@ -548,7 +551,7 @@ def tm_to_mem(t: TuringSpec) -> MemProgram:
     entries = []
     for j in range(n):
         for (r, s), (r2, s2, mv) in sorted(t.rules.items()):
-            h2 = j + {Move.LEFT: -1, Move.RIGHT: 1, Move.STAY: 0}[mv]
+            h2 = j + _HEAD_SHIFT[mv]
             read = ((reg_cell, addr_cell, j), (_reg(r), _pos(j), _sym(s)))
             if 0 <= h2 < n:
                 pass

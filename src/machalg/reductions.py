@@ -118,18 +118,14 @@ def state_reduction(m: Machine, keep_states: Sequence[str]) -> Reduction:
 
 
 def sub_machine(
-    m: Machine,
-    keep_functions: Optional[Iterable[TransitionFunction]] = None,
-    keep_states: Optional[Sequence[str]] = None,
-) -> tuple[Reduction, Reduction, Machine]:
-    """Functional reduction followed by state reduction, with witnesses."""
-    fr = functional_reduction(
-        m, m.functions if keep_functions is None else keep_functions
-    )
-    sr = state_reduction(
-        fr.result, fr.result.states.labels if keep_states is None else keep_states
-    )
-    return fr, sr, sr.result
+    m: Machine, kept_functions: Iterable[int], kept_states: Sequence[str]
+) -> tuple[Reduction, Reduction]:
+    """Keep ``m``'s functions at the indices ``kept_functions``, then the
+    states ``kept_states``; returns both witnesses, the second one's
+    ``result`` being the sub-machine.  Every witness builder and checker
+    replays a sub-machine through here."""
+    fr = functional_reduction(m, [m.functions[i] for i in kept_functions])
+    return fr, state_reduction(fr.result, kept_states)
 
 
 def is_sub_machine(a: Machine, b: Machine) -> Optional[tuple[Reduction, Reduction]]:
@@ -148,16 +144,15 @@ def is_sub_machine(a: Machine, b: Machine) -> Optional[tuple[Reduction, Reductio
     wanted = {g.table for g in b.functions}
     kept = []
     achieved = set()
-    for f in a.functions:
+    for i, f in enumerate(a.functions):
         if preserves(f, sub.labels):
             r = restrict(f, sub).table
             if r in wanted:
-                kept.append(f)
+                kept.append(i)
                 achieved.add(r)
     if achieved != wanted:
         return None
-    fr = functional_reduction(a, kept)
-    sr = state_reduction(fr.result, sub.labels)
+    fr, sr = sub_machine(a, kept, sub.labels)
     if sr.result.states != b.states or sr.result.functions != b.functions:
         return None
     return fr, sr

@@ -37,6 +37,16 @@ def _col(raw: str, piece: str) -> int:
     return at + 1 if at >= 0 else 1
 
 
+def _number(token: str, lineno: int, raw: str) -> int | None:
+    """The value of a numeral of ASCII digits, or None for any other token."""
+    if not (token.isascii() and token.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{len(token)}-digit number is too long", lineno, _col(raw, token)) from None
+
+
 # ---------------------------------------------------------------------------
 # Machine format (.mx)
 # ---------------------------------------------------------------------------
@@ -230,13 +240,10 @@ def parse_turing(text: str) -> TuringSpec:
                 raise ParseError("'registers' needs at least one register", lineno, 1)
             registers = tuple(tokens[1:])
         elif head == "cells":
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
-                raise ParseError(
-                    "'cells' needs one positive integer",
-                    lineno,
-                    _col(raw, tokens[1]) if len(tokens) > 1 else 1,
-                )
-            cells = int(tokens[1])
+            cells = _number(tokens[1], lineno, raw) if len(tokens) == 2 else None
+            if cells is None or cells < 1:
+                col = _col(raw, tokens[1]) if len(tokens) > 1 else 1
+                raise ParseError("'cells' needs one positive integer", lineno, col)
         elif head == "boundary":
             if len(tokens) != 2 or tokens[1] not in ("reject", "clamp"):
                 raise ParseError("'boundary' must be 'reject' or 'clamp'", lineno, 1)
@@ -294,12 +301,13 @@ def parse_turing(text: str) -> TuringSpec:
                 if sym not in syms:
                     raise ParseError(f"unknown symbol {sym!r}", lineno, _col(raw, sym))
             head_tok = tokens[3 + n]
-            if not head_tok.isdigit() or not 0 <= int(head_tok) < n:
+            at = _number(head_tok, lineno, raw)
+            if at is None or at >= n:
                 raise ParseError(f"head must be in 0..{n - 1}", lineno, _col(raw, head_tok))
             reg = tokens[5 + n]
             if reg not in regs:
                 raise ParseError(f"unknown register {reg!r}", lineno, _col(raw, reg))
-            initial = TmConfiguration(reg, tape, int(head_tok))
+            initial = TmConfiguration(reg, tape, at)
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, head))
 
@@ -366,9 +374,10 @@ def _parse_paren(piece: str, prefix: str, lineno: int, raw: str) -> list[str]:
 def _parse_cells(piece: str, prefix: str, lineno: int, raw: str) -> tuple[int, ...]:
     out = []
     for p in _parse_paren(piece, prefix, lineno, raw):
-        if not p.isdigit():
+        i = _number(p, lineno, raw)
+        if i is None:
             raise ParseError(f"cell index {p!r} is not a number", lineno, _col(raw, p))
-        out.append(int(p))
+        out.append(i)
     return tuple(out)
 
 
@@ -410,7 +419,7 @@ def parse_mem(text: str) -> MemProgram:
         elif head == "cell":
             if alphabet is None:
                 raise ParseError("'alphabet' must come before 'cell'", lineno, 1)
-            if len(tokens) != 4 or tokens[2] != "=" or not tokens[1].isdigit():
+            if len(tokens) != 4 or tokens[2] != "=" or _number(tokens[1], lineno, raw) is None:
                 raise ParseError("cell line must read 'cell <i> = <value>'", lineno, 1)
             idx, val = int(tokens[1]), tokens[3]
             if val not in alphabet:
@@ -419,7 +428,7 @@ def parse_mem(text: str) -> MemProgram:
                 raise ParseError(f"cell {idx} initialized twice", lineno, 1)
             cell_inits[idx] = val
         elif head == "start":
-            if len(tokens) != 4 or tokens[2] != "fn" or not tokens[3].isdigit():
+            if len(tokens) != 4 or tokens[2] != "fn" or _number(tokens[3], lineno, raw) is None:
                 raise ParseError("start line must read 'start read(...) fn <i>'", lineno, 1)
             start_sel = _parse_cells(tokens[1], "read", lineno, raw)
             start_fn = int(tokens[3])
@@ -428,7 +437,7 @@ def parse_mem(text: str) -> MemProgram:
                 raise ParseError("only 'default halt' is supported", lineno, 1)
             default_halt = True
         elif head == "fn":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or _number(tokens[1], lineno, raw) is None:
                 raise ParseError("fn line must read 'fn <i>'", lineno, 1)
             if int(tokens[1]) != len(families):
                 raise ParseError(
@@ -443,7 +452,7 @@ def parse_mem(text: str) -> MemProgram:
                 or tokens[2] != "->"
                 or tokens[4] != "next"
                 or tokens[6] != "fn"
-                or not tokens[7].isdigit()
+                or _number(tokens[7], lineno, raw) is None
             ):
                 raise ParseError(
                     "entry must read 'entry read(...)=(...) -> write(...)=(...) "
@@ -458,9 +467,10 @@ def parse_mem(text: str) -> MemProgram:
                 MemEntry(rc, rv, wc, wv, nc, int(tokens[7]))
             )
         elif head == "final":
-            if len(tokens) != 5 or tokens[1] != "cell" or tokens[3] != "=" or not tokens[2].isdigit():
+            at = _number(tokens[2], lineno, raw) if len(tokens) == 5 else None
+            if at is None or tokens[1] != "cell" or tokens[3] != "=":
                 raise ParseError("final line must read 'final cell <i> = <value>'", lineno, 1)
-            finals.append((int(tokens[2]), tokens[4]))
+            finals.append((at, tokens[4]))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, head))
 
@@ -572,11 +582,12 @@ def parse_certificate(text: str) -> Certificate:
         else:
             vals = []
             for tok in tokens[1:]:
-                if not tok.isdigit():
+                v = _number(tok, lineno, raw)
+                if v is None:
                     raise ParseError(
                         f"{key} entries must be numbers, got {tok!r}", lineno, _col(raw, tok)
                     )
-                vals.append(int(tok))
+                vals.append(v)
             fields[key] = tuple(vals)
     for key in _CERT_REQUIRED[kind]:
         if key not in fields:

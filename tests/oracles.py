@@ -154,11 +154,14 @@ class _Tokenizer:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
-                self.tokens.append(("int", int(text[i:j]), i))
+                try:
+                    self.tokens.append(("int", int(text[i:j]), i))
+                except ValueError:
+                    raise _expr_error(f"{j - i}-digit number is too long", i) from None
                 i = j
                 continue
             if text.startswith("beth", i):

@@ -1,6 +1,7 @@
 """Cardinal arithmetic: exact finite values, absorption rules, templates."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,10 +224,31 @@ class TestExpressions:
         with pytest.raises(UndefinedFormError):
             evaluate_expression("0 ^ 0")
 
+    @pytest.mark.parametrize("text, column", [("\u00b2", 1), ("1 + \u0663", 5), ("beth(\uff11)", 6)])
+    def test_only_ascii_digits_are_digits(self, text, column):
+        with pytest.raises(ParseError) as e:
+            evaluate_expression(text)
+        assert (e.value.column, e.value.message) == (
+            column, f"unexpected character {text[column - 1]!r}"
+        )
+        assert _outcome(evaluate_expression, text) == _outcome(reference_evaluate_expression, text)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts integers of any length",
+    )
+    def test_literal_longer_than_int_converts(self):
+        text = "2 + " + "9" * 5000
+        with pytest.raises(ParseError) as e:
+            evaluate_expression(text)
+        assert (e.value.line, e.value.column) == (1, 5)
+        assert e.value.message == "5000-digit number is too long"
+        assert _outcome(evaluate_expression, text) == _outcome(reference_evaluate_expression, text)
+
 
 # Pieces of expression text: literals at and past the 64-bit bound, beth
 # with and without its argument, operators and spaces, then stray characters
-# (a superscript digit passes isdigit() but not int()).
+# (a superscript digit passes str.isdigit() but is no digit to either evaluator).
 _PIECES = (
     "0", "1", "2", "3", "7", "10", "63", "64", "4294967296", "9223372036854775808",
     "beth", "beth(0)", "beth(1)", "beth(12)", "(", ")", "+", "*", "^", " ", "\t",

@@ -15,7 +15,7 @@ from machalg import (
     parse_mem,
     render_machine,
 )
-from machalg.cli import main
+from machalg.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -185,6 +185,16 @@ class TestComplete:
         rc, out2, _ = run(capsys, "verify", str(path), full2, CONST0)
         assert rc == 0
         assert "certificate verifies" in out2
+
+    def test_tampered_morphism_rejected(self, capsys, tmp_path, full2):
+        # The replayed reductions still check out; only the maps are wrong.
+        rc, out, _ = run(capsys, "complete", full2, CONST0, "--format", "certificate")
+        assert rc == 0 and "g 0 1\n" in out
+        path = tmp_path / "tampered.cert"
+        path.write_text(out.replace("g 0 1\n", "g 1 0\n"))
+        rc, out2, _ = run(capsys, "verify", str(path), full2, CONST0, "--expect", "yes")
+        assert rc == 1
+        assert out2 == "certificate rejected: the reductions or the morphism do not check out\n"
 
     def test_methods_agree(self, capsys, full2):
         rc1, out1, _ = run(capsys, "complete", full2, CONST0, "--method", "construct")
@@ -451,14 +461,14 @@ class TestCheckLemmas:
                 assert "0 violation(s)" in line
 
 
-def run_module(*argv):
-    """Run ``python -m machalg`` as its own process on this checkout."""
+def run_module(*argv, module="machalg"):
+    """Run ``python -m machalg`` (or another module) as its own process on this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
-        [sys.executable, "-m", "machalg", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -472,6 +482,23 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: machalg")
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_python_dash_m_machalg_cli(self):
+        # The form the benchmark runs; the package must not import the CLI
+        # module before runpy executes it.
+        proc = run_module("--help", module="machalg.cli")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: machalg")
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_cli_stays_reachable_from_the_package(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import machalg, sys; print('machalg.cli' in sys.modules, "
+             "machalg.cli.main is sys.modules['machalg.cli'].main)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.stdout == "False True\n", proc.stderr
 
 
 class TestHostileExpressions:
@@ -495,3 +522,55 @@ class TestHostileExpressions:
         assert proc.stderr == (
             "error: Finite(2) ** Finite(65536) exceeds the checked 64-bit range\n"
         )
+
+
+HUGE = "7" * 5000
+
+# One hostile request per subcommand; "{name}" names a file the hostile_files fixture writes.
+HOSTILE = {
+    "card": ["card", "\u00b2"],
+    "universality": ["universality", "--m", "100000", "--n", "100000"],
+    "iso": ["iso", "{binary}", SWITCH],
+    "complete": ["complete", SWITCH, BITFLIP],
+    "submachine": ["submachine", SWITCH, "{binary}"],
+    "reduce": ["reduce", SWITCH, "--keep-fns", "\u00b2"],
+    "compile-tm": ["compile-tm", "{cells}"],
+    "compile-mem": ["compile-mem", "{cell}"],
+    "tm2mem": ["tm2mem", "{head}"],
+    "lockstep": ["lockstep", "--tm", BITFLIP, "--steps", "-1"],
+    "sim": ["sim", SWITCH, "--fn", "\u00b2", "--from", "off"],
+    "verify": ["verify", "{cert}", CONST0, CONST1],
+    "check-lemmas": ["check-lemmas", "--max-states", "0"],
+}
+
+
+@pytest.fixture
+def hostile_files(tmp_path):
+    bitflip = Path(BITFLIP).read_text()
+    toggle = Path(TOGGLE).read_text()
+    files = {
+        "binary": b"\xff\xfe\x00machine",
+        "cells": bitflip.replace("cells 1", "cells \u00b2").encode(),
+        "cell": toggle.replace("cell 0 = 0", "cell \u0663 = 0").encode(),
+        "head": bitflip.replace("head 0", "head " + HUGE).encode(),
+        "cert": "certificate iso\ng \u00b2 0\nh 0\n".encode(),
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    return {name: str(tmp_path / name) for name in files}
+
+
+class TestHostileInput:
+    """Every subcommand ends hostile input with exit 0, 1 or 2 and at most
+    one line on stderr, never a traceback."""
+
+    def test_every_subcommand_is_covered(self):
+        (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+        assert set(HOSTILE) == set(subparsers.choices)
+
+    @pytest.mark.parametrize("sub", sorted(HOSTILE))
+    def test_no_traceback(self, sub, hostile_files):
+        proc = run_module(*(arg.format(**hostile_files) for arg in HOSTILE[sub]))
+        assert proc.returncode in (0, 1, 2)
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) <= 1, proc.stderr

@@ -8,7 +8,6 @@ import pytest
 from machalg import (
     BoundaryPolicy,
     DomainMismatchError,
-    EnumerationTooLargeError,
     IncompatibleShapesError,
     Morphism,
     Move,
@@ -24,7 +23,6 @@ from machalg import (
     full_machine,
     identity_fn,
     is_complete,
-    is_isomorphic,
     make_machine,
     state_reduce,
     states,
@@ -246,7 +244,7 @@ class TestConstructFullEmbedding:
     def test_negation_keeps_conjugated_table(self):
         probe = self.negation_probe()
         big = full_machine(StateSet(("x", "y", "z")))
-        witness = construct_full_embedding(big.states, probe, g=(0, 1), container=big)
+        witness = construct_full_embedding(big, probe, g=(0, 1))
         sub = witness.sub
         assert sub.states.labels == ("x", "y")
         assert [f.table for f in sub.functions] == [(1, 0)]
@@ -257,7 +255,7 @@ class TestConstructFullEmbedding:
     def test_unsorted_injection_supported(self):
         probe = self.negation_probe()
         big = full_machine(StateSet(("x", "y", "z")))
-        witness = construct_full_embedding(big.states, probe, g=(2, 0), container=big)
+        witness = construct_full_embedding(big, probe, g=(2, 0))
         assert witness.sub.states.labels == ("x", "z")
         assert witness.morphism.g == (1, 0)
         assert verify_completeness(big, probe, witness)
@@ -265,30 +263,44 @@ class TestConstructFullEmbedding:
     def test_non_injective_g_rejected(self):
         big = full_machine(StateSet(("x", "y", "z")))
         with pytest.raises(IncompatibleShapesError):
-            construct_full_embedding(big.states, self.negation_probe(), g=(1, 1))
+            construct_full_embedding(big, self.negation_probe(), g=(1, 1))
 
     def test_g_out_of_range_rejected(self):
         big = full_machine(StateSet(("x", "y", "z")))
         with pytest.raises(IncompatibleShapesError):
-            construct_full_embedding(big.states, self.negation_probe(), g=(0, 3))
+            construct_full_embedding(big, self.negation_probe(), g=(0, 3))
 
     def test_container_must_be_full(self):
         ss = states("x", "y")
         thin = make_machine(ss, [identity_fn(ss)])
         with pytest.raises(IncompatibleShapesError):
-            construct_full_embedding(ss, self.negation_probe(), container=thin)
+            construct_full_embedding(thin, self.negation_probe())
 
     def test_too_many_source_states_rejected(self):
         ss = states("0", "1", "2")
         probe = make_machine(ss, [identity_fn(ss)])
         with pytest.raises(IncompatibleShapesError):
-            construct_full_embedding(StateSet(("x", "y")), probe)
+            construct_full_embedding(full_machine(StateSet(("x", "y"))), probe)
 
-    def test_enumeration_cap_respected(self):
-        one = states("z",)
-        probe = make_machine(one, [identity_fn(one)])
-        with pytest.raises(EnumerationTooLargeError):
-            construct_full_embedding(StateSet(("x", "y")), probe, cap=3)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kept_functions_are_the_identity_extensions(self, n):
+        # The kept index is found by arithmetic; check it against the tables.
+        rng = random.Random(n)
+        big = full_machine(StateSet(tuple(f"s{i}" for i in range(n))))
+        for _ in range(30):
+            probe = random_machine(rng, max_states=n, max_functions=4)
+            g = tuple(rng.sample(range(n), probe.n_states))
+            witness = construct_full_embedding(big, probe, g)
+            extensions = set()
+            for f in probe.functions:
+                ext = list(range(n))
+                for s, t in enumerate(f.table):
+                    ext[g[s]] = g[t]
+                extensions.add(tuple(ext))
+            kept = witness.reductions[0].kept_functions
+            assert {big.functions[i].table for i in kept} == extensions
+            assert witness.sub.states.labels == tuple(f"s{i}" for i in sorted(g))
+            assert verify_completeness(big, probe, witness)
 
 
 class TestIsComplete:

@@ -18,11 +18,9 @@ from machalg import (
     StepLimit,
     TotalityViolationError,
     TransitionFunction,
-    apply,
     constant_fn,
     fn_from_map,
     full_machine,
-    full_transition_set,
     identity_fn,
     is_fixed_point,
     make_machine,
@@ -116,7 +114,7 @@ class TestTransitionFunction:
         ss = states("a", "b")
         f = fn_from_map(ss, {"a": "b", "b": "b"})
         assert f("a") == "b"
-        assert apply(f, "b") == "b"
+        assert f("b") == "b"
         assert not is_fixed_point(f, "a")
         assert is_fixed_point(f, "b")
 
@@ -180,18 +178,18 @@ class TestFullEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_counts(self, n):
         ss = StateSet(tuple(f"s{i}" for i in range(n)))
-        fns = full_transition_set(ss)
+        fns = full_machine(ss).functions
         assert len(fns) == n**n
         assert len({f.table for f in fns}) == n**n
 
     def test_lexicographic(self):
-        fns = full_transition_set(states("a", "b"))
+        fns = full_machine(states("a", "b")).functions
         assert [f.table for f in fns] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_cap(self):
         ss = StateSet(tuple(f"s{i}" for i in range(4)))
         with pytest.raises(EnumerationTooLargeError) as e:
-            full_transition_set(ss, cap=100)
+            full_machine(ss, cap=100)
         assert e.value.size == 256
         assert e.value.cap == 100
 

@@ -307,7 +307,8 @@ class TestSubMachine:
         ident = identity_fn(ss)
         const0 = constant_fn(ss, "0", "c0")
         m = make_machine(ss, [ident, const0])
-        fr, sr, result = sub_machine(m, keep_functions=[const0], keep_states=("0", "1"))
+        fr, sr = sub_machine(m, [m.function_index(const0)], ("0", "1"))
+        result = sr.result
         sub = states("0", "1")
         assert result == make_machine(sub, [constant_fn(sub, "0", "c0")])
         assert fr.kind == "functional" and sr.kind == "state"

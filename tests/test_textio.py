@@ -1,13 +1,18 @@
 """Round-trips and error positions for every text format."""
 
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from machalg import (
     BoundaryPolicy,
     Certificate,
     InvalidMachineError,
+    MachalgError,
     MemEntry,
     MemProgram,
     ParseError,
@@ -317,3 +322,148 @@ class TestCertificates:
         with pytest.raises(ParseError) as e:
             parse_certificate("certificate iso\ng zero\nh 0\n")
         assert "numbers" in str(e.value)
+
+
+TINY_TM = """\
+tm t
+symbols 0 1
+registers q h
+cells {cells}
+boundary clamp
+init tape 0 head {head} register q
+"""
+
+TINY_MEM = """\
+mem m
+alphabet 0 1
+cell {cell} = 0
+start read({read}) fn {start}
+fn {fn}
+entry read(0)=(0) -> write(0)=(1) next read(0) fn {next}
+final cell {final} = 1
+"""
+
+
+def _tm(cells="1", head="0"):
+    return TINY_TM.format(cells=cells, head=head)
+
+
+def _mem(cell="0", read="0", start="0", fn="0", next="0", final="0"):
+    return TINY_MEM.format(cell=cell, read=read, start=start, fn=fn, next=next, final=final)
+
+
+# Characters for which str.isdigit() is true but which are no ASCII digit.
+NOT_DIGITS = ("\u00b2", "\u0663", "\uff11")
+
+# (parser, text with a numeral, the numeral's line and column, a valid numeral there).
+NUMERAL_SITES = [
+    pytest.param(parse_turing, lambda d: _tm(cells=d), 4, 7, "1", id="tm-cells"),
+    pytest.param(parse_turing, lambda d: _tm(head=d), 6, 18, "0", id="tm-head"),
+    pytest.param(parse_mem, lambda d: _mem(cell=d), 3, 1, "0", id="mem-cell"),
+    pytest.param(parse_mem, lambda d: _mem(read=d), 4, 12, "0", id="mem-read"),
+    pytest.param(parse_mem, lambda d: _mem(start=d), 4, 1, "0", id="mem-start-fn"),
+    pytest.param(parse_mem, lambda d: _mem(fn=d), 5, 1, "0", id="mem-fn"),
+    pytest.param(parse_mem, lambda d: _mem(next=d), 6, 1, "0", id="mem-entry-fn"),
+    pytest.param(parse_mem, lambda d: _mem(final=d), 7, 1, "0", id="mem-final"),
+    pytest.param(
+        parse_certificate, lambda d: f"certificate iso\ng {d}\nh 0\n", 2, 3, "0", id="cert-g"
+    ),
+    pytest.param(
+        parse_certificate,
+        lambda d: f"certificate submachine\nkeep-fns 0 {d}\nkeep-states a\n",
+        2,
+        12,
+        "7",
+        id="cert-keep-fns",
+    ),
+]
+
+
+class TestNumerals:
+    """Numbers in every format are ASCII digits only, and a numeral that
+    int() will not convert is a ParseError at its own line and column."""
+
+    @pytest.mark.parametrize("digit", NOT_DIGITS, ids=ascii)
+    @pytest.mark.parametrize("parse, make, line, column, valid", NUMERAL_SITES)
+    def test_non_ascii_digit_is_a_parse_error(self, parse, make, line, column, valid, digit):
+        with pytest.raises(ParseError) as e:
+            parse(make(digit))
+        assert (e.value.line, e.value.column) == (line, column)
+
+    @pytest.mark.parametrize("parse, make, line, column, valid", NUMERAL_SITES)
+    def test_ascii_digits_still_parse(self, parse, make, line, column, valid):
+        parse(make(valid))
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts integers of any length",
+    )
+    @pytest.mark.parametrize("parse, make, line, column, valid", NUMERAL_SITES)
+    def test_numeral_too_long_for_int(self, parse, make, line, column, valid):
+        with pytest.raises(ParseError) as e:
+            parse(make("7" * 5000))
+        assert e.value.line == line
+        assert e.value.message == "5000-digit number is too long"
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+CERTIFICATES = (
+    "certificate iso\ng 1 0\nh 0\n",
+    "certificate complete\nkeep-fns 0 3\nkeep-states x y\ng 1 0\nh 0 1\n",
+    "certificate submachine\nkeep-fns 1\nkeep-states off\n",
+)
+FORMATS = (
+    (parse_machine, render_machine, ("switch.mx", "const0.mx", "const1.mx")),
+    (parse_turing, render_turing, ("bitflip.tm", "increment.tm")),
+    (parse_mem, render_mem, ("toggle.mem",)),
+)
+SEEDS = [
+    (parse, render, (SAMPLES / name).read_text()) for parse, render, names in FORMATS
+    for name in names
+] + [(parse_certificate, render_certificate, text) for text in CERTIFICATES]
+DEBRIS = NOT_DIGITS + (
+    "", "0", "1", "7", "9" * 5000, "-1", " ", "\t", "\n", "#", ",", ":", "->", "(", ")",
+    "=", ".", ";", "|", "fn", "cell", "read(", ")=(", "halt", "states", "g",
+)
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A sample file or certificate with one to three pieces of debris, each
+    in place of a whole word or of a span of up to eight characters."""
+    parse, render, text = draw(st.sampled_from(SEEDS))
+    for _ in range(draw(st.integers(1, 3))):
+        piece = draw(st.sampled_from(DEBRIS))
+        if draw(st.booleans()):
+            parts = re.split(r"(\s+)", text)  # words at the even indices
+            k = 2 * draw(st.integers(0, len(parts) // 2))
+            text = "".join(parts[:k] + [piece] + parts[k + 1 :])
+        else:
+            i = draw(st.integers(0, len(text)))
+            j = draw(st.integers(i, min(len(text), i + 8)))
+            text = text[:i] + piece + text[j:]
+    return parse, render, text
+
+
+class TestMutatedInputs:
+    """Every parser answers any text with a value or a MachalgError, and
+    what it accepts renders to text that parses back to the same value."""
+
+    @staticmethod
+    def check(parse, render, text):
+        try:
+            value = parse(text)
+        except MachalgError:
+            return
+        assert parse(render(value)) == value
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_inputs())
+    def test_mutated_samples(self, case):
+        self.check(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SEEDS), st.text(max_size=200))
+    def test_arbitrary_text(self, seed, text):
+        parse, render, _ = seed
+        self.check(parse, render, text)
