@@ -113,8 +113,11 @@ def _resolve_fn(m: Machine, token: str) -> int:
     named = [i for i, f in enumerate(m.functions) if f.name == token]
     if len(named) == 1:
         return named[0]
-    if token.isascii() and token.isdigit() and int(token) < m.n_functions:
-        return int(token)
+    # The length test keeps int() off numerals longer than it will convert.
+    digits = token.lstrip("0") or "0"
+    if token.isascii() and token.isdigit() and len(digits) <= len(str(m.n_functions)):
+        if int(digits) < m.n_functions:
+            return int(digits)
     raise MachalgError(
         f"unknown function {token!r}; known names: {' '.join(display)}"
     )

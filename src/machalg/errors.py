@@ -30,6 +30,9 @@ class TotalityViolationError(MachalgError, ValueError):
 class DomainMismatchError(MachalgError, KeyError):
     """A state was used with a function defined on a different state set."""
 
+    def __str__(self) -> str:  # KeyError's would quote the message
+        return Exception.__str__(self)
+
 
 class EnumerationTooLargeError(MachalgError, ValueError):
     """An exhaustive enumeration would exceed the configured cap."""

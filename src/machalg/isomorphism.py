@@ -314,16 +314,26 @@ def find_isomorphism(
     """
     if a.n_states != b.n_states or a.n_functions != b.n_functions:
         return None
-    # Cheap reject: image-size multisets (bijections can never pair with
-    # non-bijections, collapse ranks must line up).
-    if sorted(len(set(f.table)) for f in a.functions) != sorted(
+    # Each machine caches one int, a hash of its sorted fingerprints, set by
+    # the first call that profiles it: unequal keys prove non-isomorphism.
+    # Until both have one, the cheap reject is image-size multisets
+    # (bijections can never pair with non-bijections, collapse ranks must line up).
+    key_a, key_b = a.__dict__.get("_fingerprint_key"), b.__dict__.get("_fingerprint_key")
+    if key_a is not None and key_b is not None:
+        if key_a != key_b:
+            return None
+    elif sorted(len(set(f.table)) for f in a.functions) != sorted(
         len(set(f.table)) for f in b.functions
     ):
         return None
     n = a.n_states
     tables_a, tables_b = [f.table for f in a.functions], [f.table for f in b.functions]
     prof_a, prof_b = ([_function_profile(t) for t in ts] for ts in (tables_a, tables_b))
-    if sorted(p[0] for p in prof_a) != sorted(p[0] for p in prof_b):
+    fps_a, fps_b = sorted(p[0] for p in prof_a), sorted(p[0] for p in prof_b)
+    # Ints and tuples of them hash alike under every PYTHONHASHSEED.
+    a.__dict__["_fingerprint_key"] = hash(tuple(fps_a))
+    b.__dict__["_fingerprint_key"] = hash(tuple(fps_b))
+    if fps_a != fps_b:
         return None
     sigs = _state_signatures(tables_a, n, prof_a) + _state_signatures(tables_b, n, prof_b)
     if sorted(sigs[:n]) != sorted(sigs[n:]):

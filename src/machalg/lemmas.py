@@ -27,7 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import EmptyReductionError
+from .errors import EmptyReductionError, MachalgError
 from .machine import Machine, StateSet, TransitionFunction, make_machine
 from .reductions import functional_reduce, preserves, restrict, state_reduce
 
@@ -206,6 +206,13 @@ def run_lemma_suite(
     max_functions: int = 6,
 ) -> LemmaRunReport:
     """Draw ``iterations`` machines and check every law on each."""
+    for what, value, least in (
+        ("iterations", iterations, 0),
+        ("max_states", max_states, 1),
+        ("max_functions", max_functions, 1),
+    ):
+        if value < least:
+            raise MachalgError(f"{what} must be at least {least}, got {value}")
     rng = random.Random(seed)
     counts = {1: 0, 2: 0, 3: 0}
     violations: list[LemmaViolation] = []

@@ -574,3 +574,25 @@ class TestHostileInput:
         assert proc.returncode in (0, 1, 2)
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) <= 1, proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["check-lemmas", "--max-states", "0"], "max_states must be at least 1, got 0"),
+            (["check-lemmas", "--max-fns", "0"], "max_functions must be at least 1, got 0"),
+            (["check-lemmas", "--iters", "-5"], "iterations must be at least 0, got -5"),
+            (["sim", SWITCH, "--fn", "0", "--from", "\u00b2"],
+             "state '\u00b2' is not in this state set"),
+            (["sim", SWITCH, "--fn", HUGE, "--from", "off"],
+             f"unknown function '{HUGE}'; known names: hold flip"),
+            (["reduce", SWITCH, "--keep-fns", "0" * 5000 + "2"],
+             f"unknown function '{'0' * 5000}2'; known names: hold flip"),
+        ],
+        ids=["max-states", "max-fns", "iters", "from", "fn", "keep-fns"],
+    )
+    def test_one_line_error(self, capsys, argv, error):
+        assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+
+    def test_zero_padded_function_index(self, capsys):
+        rc, out, _ = run(capsys, "sim", SWITCH, "--fn", "0" * 5000 + "1", "--from", "off")
+        assert rc == 0 and out.startswith("trajectory: off -> on -> off")

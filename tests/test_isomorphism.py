@@ -1,7 +1,12 @@
 """Isomorphism search, embeddings into full machines, completeness checks."""
 
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +35,7 @@ from machalg import (
     verify_completeness,
     verify_morphism,
 )
+from machalg import isomorphism
 from machalg.lemmas import random_machine
 
 from conftest import conjugated
@@ -229,6 +235,98 @@ class TestFindIsomorphism:
         b = make_machine(ss, [constantish(ss)])
         mor = find_isomorphism(a, b, node_budget=0)
         assert mor is None
+
+
+def fingerprint_key(m):
+    return m.__dict__.get("_fingerprint_key")
+
+
+def key_cases(seed, count):
+    """Table pairs on up to 4 states and 1-3 functions: relabelled
+    positives, perturbed negatives and unrelated pairs."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        a = table_machine(random_tables(rng, rng.randint(1, 4), rng.randint(1, 3)))
+        b = relabelled(rng, a)
+        if trial % 3 == 1:
+            b = perturbed(rng, b)
+        elif trial % 3 == 2:
+            b = table_machine(random_tables(rng, a.n_states, a.n_functions), "t")
+        yield [f.table for f in a.functions], [f.table for f in b.functions]
+
+
+KEY_PROGRAM = """
+import ast, sys
+from machalg import StateSet, TransitionFunction, find_isomorphism, make_machine
+ss = StateSet(("x", "y", "z", "w"))
+m = make_machine(ss, [TransitionFunction(ss, t) for t in ast.literal_eval(sys.argv[1])])
+find_isomorphism(m, m)
+print(m.__dict__["_fingerprint_key"])
+"""
+
+
+class TestFingerprintKey:
+    """Each machine caches a hash of its sorted function fingerprints; two
+    unequal keys end a call at once, and nothing else may change."""
+
+    @pytest.mark.parametrize("keyed", ["neither", "a", "b", "both"])
+    def test_agrees_with_brute_force_whichever_keys_are_set(self, keyed):
+        for tables_a, tables_b in key_cases(31, 240):
+            a, b = table_machine(tables_a), table_machine(tables_b, "t")
+            if keyed in ("a", "both"):
+                find_isomorphism(a, a)
+            if keyed in ("b", "both"):
+                find_isomorphism(b, b)
+            assert (fingerprint_key(a) is None) == (keyed in ("neither", "b"))
+            assert (fingerprint_key(b) is None) == (keyed in ("neither", "a"))
+            got = find_isomorphism(a, b)
+            assert (None if got is None else (got.g, got.h)) == brute_force_isomorphism(a, b)
+
+    def test_isomorphic_machines_get_equal_keys(self):
+        for tables_a, tables_b in itertools.islice(key_cases(32, 300), 0, None, 3):
+            a, b = table_machine(tables_a), table_machine(tables_b, "t")
+            assert find_isomorphism(a, b) is not None
+            assert fingerprint_key(a) == fingerprint_key(b) is not None
+
+    def test_unequal_keys_decide_without_profiling(self, monkeypatch):
+        a = table_machine([(1, 2, 0), (0, 0, 0)])  # a 3-cycle; image sizes 3, 1
+        b = table_machine([(1, 0, 2), (0, 0, 0)])  # a 2-cycle and a fixed point
+        find_isomorphism(a, a)
+        find_isomorphism(b, b)
+        assert fingerprint_key(a) != fingerprint_key(b)
+
+        def fail(table):
+            raise AssertionError("profiled a machine whose key was set")
+
+        monkeypatch.setattr(isomorphism, "_function_profile", fail)
+        assert find_isomorphism(a, b) is None and find_isomorphism(b, a) is None
+
+    def test_image_size_rejection_sets_no_key(self):
+        a = table_machine([(0, 1)])
+        b = table_machine([(0, 0)])
+        assert find_isomorphism(a, b) is None
+        assert fingerprint_key(a) is None and fingerprint_key(b) is None
+
+    def test_pickle_keeps_the_key(self):
+        a = table_machine([(1, 2, 0), (0, 0, 1)])
+        find_isomorphism(a, a)
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and fingerprint_key(copy) == fingerprint_key(a) is not None
+        assert find_isomorphism(copy, a) == find_isomorphism(a, a)
+
+    def test_key_does_not_depend_on_the_hash_seed(self):
+        tables = [(1, 2, 3, 0), (0, 0, 1, 1), (3, 3, 3, 3)]
+        m = table_machine(tables)
+        find_isomorphism(m, m)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        for seed in ("0", "1", "4242"):
+            env["PYTHONHASHSEED"] = seed
+            proc = subprocess.run(
+                [sys.executable, "-c", KEY_PROGRAM, repr(tables)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert int(proc.stdout) == fingerprint_key(m)
 
 
 def constantish(ss):

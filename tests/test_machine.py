@@ -19,6 +19,7 @@ from machalg import (
     TotalityViolationError,
     TransitionFunction,
     constant_fn,
+    find_isomorphism,
     fn_from_map,
     full_machine,
     identity_fn,
@@ -85,13 +86,29 @@ class TestLookupCaches:
         with pytest.raises(DomainMismatchError):
             renamed.index("a")
 
+    def test_machine_unchanged_by_isomorphism_key(self):
+        ss = states("a", "b", "c")
+        fns = [constant_fn(ss, "c"), fn_from_map(ss, {"a": "b", "b": "c", "c": "a"})]
+        fresh, keyed = make_machine(ss, fns), make_machine(ss, fns)
+        before = (hash(keyed), repr(keyed))
+        assert find_isomorphism(keyed, keyed) is not None
+        assert "_fingerprint_key" in keyed.__dict__
+        assert keyed == fresh and fresh == keyed
+        assert (hash(keyed), repr(keyed)) == before == (hash(fresh), repr(fresh))
+        copy = dataclasses.replace(keyed)
+        assert copy == keyed and hash(copy) == hash(keyed) and repr(copy) == repr(keyed)
+        other = dataclasses.replace(keyed, functions=keyed.functions[:1])
+        assert "_fingerprint_key" not in other.__dict__
+        assert find_isomorphism(other, keyed) is None
+
     @pytest.mark.parametrize("label", ["z", 0, None, ("a",), ["a"], {"a": 1}, {"a"}])
     def test_unknown_and_unhashable_labels(self, label):
         ss = states("a", "b")
         for _ in range(2):  # before and after the dict exists
             assert label not in ss
-            with pytest.raises(DomainMismatchError):
+            with pytest.raises(DomainMismatchError) as e:
                 ss.index(label)
+            assert str(e.value) == f"state {label!r} is not in this state set"
 
     def test_function_index_checks_the_domain(self):
         m = make_machine(states("a", "b"), [identity_fn(states("a", "b"))])

@@ -9,6 +9,7 @@ from machalg import (
     EmptyReductionError,
     InvalidMachineError,
     InvalidReductionError,
+    MachalgError,
     StateSet,
     TransitionFunction,
     constant_fn,
@@ -210,6 +211,13 @@ class TestCompositionLaws:
         assert report.violations_for(1) == ()
         assert report.violations_for(3) == ()
         assert report.checked_for(1) == 300
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"iterations": -1}, {"max_states": 0}, {"max_functions": 0}]
+    )
+    def test_suite_rejects_empty_ranges(self, kwargs):
+        with pytest.raises(MachalgError, match="must be at least"):
+            run_lemma_suite(**{"seed": 0, "iterations": 5, **kwargs})
 
     def test_seeded_suite_documents_lemma_2_failures(self):
         # the strict-containment cases surface as honest violations
