@@ -102,7 +102,6 @@ from .reductions import (
     functional_reduction,
     is_sub_machine,
     preserves,
-    restrict,
     state_reduce,
     state_reduction,
     sub_machine,

@@ -27,7 +27,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .errors import IncompatibleShapesError, SearchBudgetExceededError
 from .machine import Machine
-from .reductions import Reduction, sub_machine
+from .reductions import Reduction, _restrictions, sub_machine
 
 
 @dataclass(frozen=True)
@@ -477,12 +477,10 @@ def _subset_problem(a: Machine, tables_b: list, subset: tuple[int, ...], sig_b, 
     table, the least-index function of a realizing it.
     """
     n_b = len(subset)
-    kept = {i: p for p, i in enumerate(subset)}
     # Restrictions of preserving functions, each with its least origin.
     reachable: dict[tuple[int, ...], int] = {}
-    for idx, f in enumerate(a.functions):
-        if all(f.table[i] in kept for i in subset):
-            reachable.setdefault(tuple(kept[f.table[i]] for i in subset), idx)
+    for idx, t in _restrictions(a, subset):
+        reachable.setdefault(t, idx)
     if len(reachable) < len(tables_b):
         return None
     # Invariants of the reduced machine, for pruning g.

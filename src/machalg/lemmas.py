@@ -23,13 +23,13 @@ checks this law, and also checks that the literal law 2 stays refuted.
 
 from __future__ import annotations
 
-import itertools
 import random
+import sys
 from dataclasses import dataclass
 
 from .errors import EmptyReductionError, MachalgError
 from .machine import Machine, StateSet, TransitionFunction, make_machine
-from .reductions import functional_reduce, preserves, restrict, state_reduce
+from .reductions import _restrictions, functional_reduce, state_reduce
 
 LEMMA_NAMES = {
     1: "nested functional reductions collapse",
@@ -38,17 +38,30 @@ LEMMA_NAMES = {
 }
 
 
+# random.sample draws from range(n**n), whose length must fit in a C ssize_t.
+_MAX_STATES = max(n for n in range(1, 20) if n**n <= sys.maxsize)
+
+
+def _check_sizes(max_states: int, max_functions: int) -> None:
+    for what, value in (("max_states", max_states), ("max_functions", max_functions)):
+        if value < 1:
+            raise MachalgError(f"{what} must be at least 1, got {value}")
+    if max_states > _MAX_STATES:
+        raise MachalgError(f"max_states must be at most {_MAX_STATES}, got {max_states}")
+
+
 def random_machine(
     rng: random.Random, max_states: int = 4, max_functions: int = 6
 ) -> Machine:
-    """Uniform draw: a state count, then distinct transition tables."""
+    """Uniform draw: a state count, then distinct tables, each drawn by its
+    lexicographic index (its base-n numeral), so no draw lists all n**n."""
+    _check_sizes(max_states, max_functions)
     n = rng.randint(1, max_states)
     states = StateSet(tuple(f"s{i}" for i in range(n)))
-    tables = list(itertools.product(range(n), repeat=n))
-    k = rng.randint(1, min(max_functions, len(tables)))
-    chosen = rng.sample(tables, k)
-    fns = [TransitionFunction(states, t) for t in chosen]
-    return make_machine(states, fns)
+    k = rng.randint(1, min(max_functions, n**n))
+    chosen = rng.sample(range(n**n), k)
+    tables = [tuple(c // n**p % n for p in range(n - 1, -1, -1)) for c in chosen]
+    return make_machine(states, [TransitionFunction(states, t) for t in tables])
 
 
 def _subset(rng: random.Random, items: tuple) -> list:
@@ -150,11 +163,8 @@ def check_lemma_3(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
         keep2 = _subset(rng, sr2.functions)
         b2 = functional_reduce(sr2, keep2)
         wanted2 = {f.table for f in b2.functions}
-        lifted = [
-            f
-            for f in m.functions
-            if preserves(f, s2) and restrict(f, b2.states).table in wanted2
-        ]
+        kept2 = [m.states.index(s) for s in s2]
+        lifted = [m.functions[i] for i, t in _restrictions(m, kept2) if t in wanted2]
         if not lifted:
             problems.append(
                 f"{_describe(m)} subset={s2} keep={sorted(wanted2)}: no lift exists"
@@ -206,13 +216,9 @@ def run_lemma_suite(
     max_functions: int = 6,
 ) -> LemmaRunReport:
     """Draw ``iterations`` machines and check every law on each."""
-    for what, value, least in (
-        ("iterations", iterations, 0),
-        ("max_states", max_states, 1),
-        ("max_functions", max_functions, 1),
-    ):
-        if value < least:
-            raise MachalgError(f"{what} must be at least {least}, got {value}")
+    if iterations < 0:
+        raise MachalgError(f"iterations must be at least 0, got {iterations}")
+    _check_sizes(max_states, max_functions)
     rng = random.Random(seed)
     counts = {1: 0, 2: 0, 3: 0}
     violations: list[LemmaViolation] = []

@@ -10,6 +10,7 @@ immutable and all operations are pure, so everything is safe to share.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -170,13 +171,10 @@ class Machine:
                 return f
         raise KeyError(f"no function named {name!r}")
 
-    @cached_property
-    def _function_positions(self) -> dict:
-        return {f.table: i for i, f in enumerate(self.functions)}
-
     def function_index(self, f: TransitionFunction) -> int:
-        i = self._function_positions.get(f.table)
-        if i is None or f.domain != self.states:
+        """Position of ``f``, by bisection over the table-sorted functions."""
+        i = bisect_left(self.functions, f.table, key=lambda g: g.table)
+        if i == len(self.functions) or self.functions[i] != f:
             raise KeyError("function is not part of this machine")
         return i
 

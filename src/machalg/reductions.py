@@ -15,7 +15,7 @@ designations are bookkeeping and are not consulted by these operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     EmptyReductionError,
@@ -78,14 +78,15 @@ def preserves(f: TransitionFunction, labels: Sequence[str]) -> bool:
     return all(f.table[i] in kept for i in kept)
 
 
-def restrict(f: TransitionFunction, sub: StateSet) -> TransitionFunction:
-    """Restriction of ``f`` to a preserved subset, reindexed against ``sub``."""
-    if not preserves(f, sub.labels):
-        raise InvalidReductionError(
-            f"function does not map {list(sub.labels)} into itself"
-        )
-    table = tuple(sub.index(f(s)) for s in sub.labels)
-    return TransitionFunction(sub, table, f.name)
+def _restrictions(m: Machine, kept: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(i, table)`` for each function ``i`` of ``m`` mapping the states at
+    indices ``kept`` into themselves, ``table`` re-indexed by position in
+    ``kept``: the one place a table is restricted to a state subset."""
+    position = {s: p for p, s in enumerate(kept)}.get
+    for i, f in enumerate(m.functions):
+        image = tuple(map(position, map(f.table.__getitem__, kept)))
+        if None not in image:
+            yield i, image
 
 
 def state_reduce(m: Machine, keep_states: Sequence[str]) -> Machine:
@@ -107,13 +108,16 @@ def state_reduction(m: Machine, keep_states: Sequence[str]) -> Reduction:
     if foreign:
         raise InvalidReductionError(f"states not in the machine: {foreign}")
     sub = StateSet(keep_states)  # validates distinctness
-    preserving = [f for f in m.functions if preserves(f, keep_states)]
-    if not preserving:
+    kept = [m.states.index(s) for s in keep_states]
+    restricted = [
+        TransitionFunction(sub, t, m.functions[i].name) for i, t in _restrictions(m, kept)
+    ]
+    if not restricted:
         raise EmptyReductionError(
             f"no transition function preserves {list(keep_states)}; "
             "the reduction would leave an empty function set"
         )
-    reduced = make_machine(sub, [restrict(f, sub) for f in preserving], name=m.name)
+    reduced = make_machine(sub, restricted, name=m.name)
     return Reduction("state", m, reduced, kept_states=keep_states)
 
 
@@ -138,21 +142,12 @@ def is_sub_machine(a: Machine, b: Machine) -> Optional[tuple[Reduction, Reductio
     restriction lands in ``b``'s function set, which makes the witness
     canonical (it is the same for every run).
     """
-    if not set(b.states.labels) <= set(a.states.labels):
+    labels = b.states.labels
+    if not all(s in a.states for s in labels):
         return None
-    sub = b.states
     wanted = {g.table for g in b.functions}
-    kept = []
-    achieved = set()
-    for i, f in enumerate(a.functions):
-        if preserves(f, sub.labels):
-            r = restrict(f, sub).table
-            if r in wanted:
-                kept.append(i)
-                achieved.add(r)
-    if achieved != wanted:
+    positions = [a.states.index(s) for s in labels]
+    hits = [(i, t) for i, t in _restrictions(a, positions) if t in wanted]
+    if {t for _, t in hits} != wanted:
         return None
-    fr, sr = sub_machine(a, kept, sub.labels)
-    if sr.result.states != b.states or sr.result.functions != b.functions:
-        return None
-    return fr, sr
+    return sub_machine(a, [i for i, _ in hits], labels)

@@ -4,11 +4,12 @@ Nothing here shares logic with the package's search, reduction or compiler
 code: the isomorphism oracle tries every state bijection against every
 function bijection with no pruning, no induced mapping, no ordering tricks,
 the embedding oracle tries every subset and bijection on raw tables with no
-invariants, the state-reduction oracle filters and re-indexes raw tables by hand,
-the memory-cell compiler oracle steps every aggregate state through the
-direct interpreter ``mem_step`` instead of compile_mem's index arithmetic,
-and the expression oracle is the package's earlier recursive-descent
-evaluator, kept verbatim as the reference for the iterative one.
+invariants, the state-reduction and sub-machine oracles filter and re-index
+raw tables by hand, the memory-cell compiler oracle steps every aggregate
+state through the direct interpreter ``mem_step`` instead of compile_mem's
+index arithmetic, and the expression oracle is the package's earlier
+recursive-descent evaluator, kept verbatim as the reference for the
+iterative one.
 """
 
 from __future__ import annotations
@@ -75,6 +76,29 @@ def brute_force_state_reduction(m: Machine, labels) -> Optional[Machine]:
     return Machine(
         sub, tuple(TransitionFunction(sub, t) for t in sorted(tables))
     )
+
+
+def brute_force_sub_machine(a: Machine, b: Machine) -> Optional[tuple[int, ...]]:
+    """``kept_functions`` of the canonical witness that ``b`` is a
+    sub-machine of ``a`` with literal labels, from raw tables, or None.
+
+    Keeps every a-table whose restriction to b's labels (in b's order) is a
+    b-table; None when some b-label is not a's or some b-table is never
+    reached.
+    """
+    if not all(s in a.states.labels for s in b.states.labels):
+        return None
+    positions = [a.states.labels.index(s) for s in b.states.labels]
+    b_tabs = {f.table for f in b.functions}
+    kept, reached = [], set()
+    for j, f in enumerate(a.functions):
+        t = f.table
+        if all(t[i] in positions for i in positions):
+            r = tuple(positions.index(t[i]) for i in positions)
+            if r in b_tabs:
+                kept.append(j)
+                reached.add(r)
+    return tuple(kept) if reached == b_tabs else None
 
 
 def brute_force_compile_mem(p: MemProgram) -> tuple[tuple[str, ...], tuple[int, ...]]:

@@ -579,6 +579,7 @@ class TestHostileInput:
         "argv, error",
         [
             (["check-lemmas", "--max-states", "0"], "max_states must be at least 1, got 0"),
+            (["check-lemmas", "--max-states", "16"], "max_states must be at most 15, got 16"),
             (["check-lemmas", "--max-fns", "0"], "max_functions must be at least 1, got 0"),
             (["check-lemmas", "--iters", "-5"], "iterations must be at least 0, got -5"),
             (["sim", SWITCH, "--fn", "0", "--from", "\u00b2"],
@@ -588,7 +589,7 @@ class TestHostileInput:
             (["reduce", SWITCH, "--keep-fns", "0" * 5000 + "2"],
              f"unknown function '{'0' * 5000}2'; known names: hold flip"),
         ],
-        ids=["max-states", "max-fns", "iters", "from", "fn", "keep-fns"],
+        ids=["max-states", "max-states-16", "max-fns", "iters", "from", "fn", "keep-fns"],
     )
     def test_one_line_error(self, capsys, argv, error):
         assert run(capsys, *argv) == (2, "", f"error: {error}\n")

@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,21 @@ class TestConstructFullEmbedding:
             assert {big.functions[i].table for i in kept} == extensions
             assert witness.sub.states.labels == tuple(f"s{i}" for i in sorted(g))
             assert verify_completeness(big, probe, witness)
+
+    def test_full_container_costs_only_the_kept_functions(self):
+        # Construct and verify look up the kept functions by arithmetic and
+        # bisection, so they allocate nothing that grows with the 46,656
+        # functions of the container.
+        big = full_machine(StateSet(tuple(f"s{i}" for i in range(6))))
+        probe = random_machine(random.Random(3), max_states=5, max_functions=6)
+        tracemalloc.start()
+        try:
+            witness = construct_full_embedding(big, probe)
+            assert verify_completeness(big, probe, witness)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, f"tracemalloc peak {peak} bytes"
 
 
 class TestIsComplete:

@@ -118,6 +118,15 @@ class TestLookupCaches:
             m.function_index(foreign)
         assert m.function_index(identity_fn(states("a", "b"))) == 0
 
+    @pytest.mark.parametrize("table", [(0, 0, 0), (1, 0, 2), (2, 2, 2)])
+    def test_function_index_rejects_absent_tables(self, table):
+        # Below the first table, between the two, above the last.
+        ss = states("a", "b", "c")
+        m = make_machine(ss, [identity_fn(ss), constant_fn(ss, "b")])
+        assert [f.table for f in m.functions] == [(0, 1, 2), (1, 1, 1)]
+        with pytest.raises(KeyError):
+            m.function_index(TransitionFunction(ss, table))
+
 
 class TestTransitionFunction:
     def test_totality_enforced(self):

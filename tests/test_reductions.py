@@ -21,14 +21,14 @@ from machalg import (
     identity_fn,
     is_sub_machine,
     make_machine,
-    preserves,
-    restrict,
     state_reduce,
     state_reduction,
     states,
     sub_machine,
 )
 from machalg.lemmas import random_machine, run_lemma_suite
+
+from oracles import brute_force_state_reduction, brute_force_sub_machine
 
 
 def switchlike():
@@ -117,15 +117,12 @@ class TestStateReduce:
             labels = m.states.labels
             k = rng.randint(1, len(labels))
             keep = labels[:k]
-            preserving = [f for f in m.functions if preserves(f, keep)]
-            if not preserving:
+            want = brute_force_state_reduction(m, keep)
+            if want is None:
                 with pytest.raises(EmptyReductionError):
                     state_reduce(m, keep)
                 continue
-            got = state_reduce(m, keep)
-            sub = got.states
-            want = {restrict(f, sub).table for f in preserving}
-            assert {f.table for f in got.functions} == want
+            assert state_reduce(m, keep) == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_full_machine_reduces_to_full(self, n):
@@ -219,6 +216,24 @@ class TestCompositionLaws:
         with pytest.raises(MachalgError, match="must be at least"):
             run_lemma_suite(**{"seed": 0, "iterations": 5, **kwargs})
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            ((0,), "max_states must be at least 1, got 0"),
+            ((3, 0), "max_functions must be at least 1, got 0"),
+            ((16,), "max_states must be at most 15, got 16"),
+        ],
+    )
+    def test_random_machine_rejects_bad_sizes(self, args, error):
+        with pytest.raises(MachalgError) as e:
+            random_machine(random.Random(0), *args)
+        assert str(e.value) == error
+
+    def test_random_machine_at_the_largest_size(self):
+        rng = random.Random(1)
+        sizes = {random_machine(rng, 15, 2).n_states for _ in range(60)}
+        assert 15 in sizes
+
     def test_seeded_suite_documents_lemma_2_failures(self):
         # the strict-containment cases surface as honest violations
         report = run_lemma_suite(seed=101, iterations=300)
@@ -309,6 +324,38 @@ class TestSubMachine:
             b = random_machine(rng)
             if is_sub_machine(a, b) and is_sub_machine(b, a):
                 assert find_isomorphism(a, b) is not None
+
+    def test_random_pairs_match_the_oracle(self):
+        # b is a fresh draw, or a sub-machine of a on shuffled labels with,
+        # half the time, one table swapped for a random one.
+        rng = random.Random(10)
+        answers = []
+        for _ in range(300):
+            a = random_machine(rng)
+            if rng.random() < 0.3:
+                b = random_machine(rng)
+            else:
+                labels = rng.sample(a.states.labels, rng.randint(1, a.n_states))
+                keep = rng.sample(a.functions, rng.randint(1, a.n_functions))
+                try:
+                    b = state_reduce(functional_reduce(a, keep), labels)
+                except EmptyReductionError:
+                    continue
+                if rng.random() < 0.5:
+                    extra = tuple(rng.randrange(b.n_states) for _ in range(b.n_states))
+                    b = make_machine(
+                        b.states, [*b.functions[1:], TransitionFunction(b.states, extra)]
+                    )
+            want = brute_force_sub_machine(a, b)
+            got = is_sub_machine(a, b)
+            answers.append(want is not None)
+            if want is None:
+                assert got is None
+            else:
+                fr, sr = got
+                assert fr.kept_functions == want
+                assert sr.result == b and sr.kept_states == b.states.labels
+        assert answers.count(True) > 50 and answers.count(False) > 50
 
     def test_sub_machine_composite(self):
         ss = states("0", "1", "2")
