@@ -560,6 +560,9 @@ def main(argv=None) -> int:
     except (MachalgError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a fault in machalg itself: still one line, exit 2
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -312,19 +312,20 @@ def find_isomorphism(
     one of b's functions, found by table lookup.  ``node_budget`` caps the
     candidates tried; exceeding it raises rather than guessing.
     """
-    if a.n_states != b.n_states or a.n_functions != b.n_functions:
-        return None
-    # Each machine caches one int, a hash of its sorted fingerprints, set by
-    # the first call that profiles it: unequal keys prove non-isomorphism.
-    # Until both have one, the cheap reject is image-size multisets
-    # (bijections can never pair with non-bijections, collapse ranks must line up).
+    # Each machine caches two ints, and unequal ones prove non-isomorphism:
+    # a hash of its sorted fingerprints, set by the first call that profiles
+    # it, and a hash of its state count and image-size multiset, set by its
+    # first call (bijections never pair with non-bijections).
     key_a, key_b = a.__dict__.get("_fingerprint_key"), b.__dict__.get("_fingerprint_key")
-    if key_a is not None and key_b is not None:
-        if key_a != key_b:
-            return None
-    elif sorted(len(set(f.table)) for f in a.functions) != sorted(
-        len(set(f.table)) for f in b.functions
-    ):
+    if key_a is not None and key_b is not None and key_a != key_b:
+        return None
+    for m in (a, b):
+        if "_image_key" not in m.__dict__:
+            sizes = sorted(len(set(f.table)) for f in m.functions)
+            m.__dict__["_image_key"] = hash((m.n_states, tuple(sizes)))
+    if a.__dict__["_image_key"] != b.__dict__["_image_key"]:
+        return None
+    if a.n_states != b.n_states or a.n_functions != b.n_functions:
         return None
     n = a.n_states
     tables_a, tables_b = [f.table for f in a.functions], [f.table for f in b.functions]

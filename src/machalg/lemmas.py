@@ -40,14 +40,19 @@ LEMMA_NAMES = {
 
 # random.sample draws from range(n**n), whose length must fit in a C ssize_t.
 _MAX_STATES = max(n for n in range(1, 20) if n**n <= sys.maxsize)
+# A draw holds up to max_functions tables; 10 000 15-state ones are about 20 MB.
+_MAX_FUNCTIONS = 10_000
 
 
 def _check_sizes(max_states: int, max_functions: int) -> None:
-    for what, value in (("max_states", max_states), ("max_functions", max_functions)):
+    for what, value, bound in (
+        ("max_states", max_states, _MAX_STATES),
+        ("max_functions", max_functions, _MAX_FUNCTIONS),
+    ):
         if value < 1:
             raise MachalgError(f"{what} must be at least 1, got {value}")
-    if max_states > _MAX_STATES:
-        raise MachalgError(f"max_states must be at most {_MAX_STATES}, got {max_states}")
+        if value > bound:
+            raise MachalgError(f"{what} must be at most {bound}, got {value}")
 
 
 def random_machine(

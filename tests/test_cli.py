@@ -15,6 +15,7 @@ from machalg import (
     parse_mem,
     render_machine,
 )
+from machalg import cli
 from machalg.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -581,6 +582,9 @@ class TestHostileInput:
             (["check-lemmas", "--max-states", "0"], "max_states must be at least 1, got 0"),
             (["check-lemmas", "--max-states", "16"], "max_states must be at most 15, got 16"),
             (["check-lemmas", "--max-fns", "0"], "max_functions must be at least 1, got 0"),
+            (["check-lemmas", "--iters", "2", "--max-states", "15",
+              "--max-fns", "99999999999999999999"],
+             "max_functions must be at most 10000, got 99999999999999999999"),
             (["check-lemmas", "--iters", "-5"], "iterations must be at least 0, got -5"),
             (["sim", SWITCH, "--fn", "0", "--from", "\u00b2"],
              "state '\u00b2' is not in this state set"),
@@ -589,10 +593,20 @@ class TestHostileInput:
             (["reduce", SWITCH, "--keep-fns", "0" * 5000 + "2"],
              f"unknown function '{'0' * 5000}2'; known names: hold flip"),
         ],
-        ids=["max-states", "max-states-16", "max-fns", "iters", "from", "fn", "keep-fns"],
+        ids=["max-states", "max-states-16", "max-fns", "max-fns-huge", "iters", "from", "fn",
+             "keep-fns"],
     )
     def test_one_line_error(self, capsys, argv, error):
         assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+
+    def test_internal_error_is_one_line(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("lemma suite fell over")
+
+        monkeypatch.setattr(cli, "run_lemma_suite", fail)
+        rc, out, err = run(capsys, "check-lemmas")
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == ["error: internal error: RuntimeError: lemma suite fell over"]
 
     def test_zero_padded_function_index(self, capsys):
         rc, out, _ = run(capsys, "sim", SWITCH, "--fn", "0" * 5000 + "1", "--from", "off")

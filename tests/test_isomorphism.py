@@ -26,6 +26,7 @@ from machalg import (
     construct_full_embedding,
     find_isomorphism,
     fn_from_map,
+    full_bijection_machine,
     full_machine,
     identity_fn,
     is_complete,
@@ -242,6 +243,31 @@ def fingerprint_key(m):
     return m.__dict__.get("_fingerprint_key")
 
 
+def image_key(m):
+    return m.__dict__.get("_image_key")
+
+
+# The keys each side holds before a call: every one of the 16 pairs, the
+# four where only self-calls set keys under their original names.
+KEY_STATES = ("none", "image", "fingerprint", "both")
+KEY_PRESETS = {"neither": ("none", "none"), "a": ("both", "none"),
+               "b": ("none", "both"), "both": ("both", "both")}
+KEY_PRESETS.update({f"{x}-{y}": (x, y) for x, y in itertools.product(KEY_STATES, repeat=2)
+                    if (x, y) not in KEY_PRESETS.values()})
+
+
+def preset_keys(m, keys):
+    """Leave m with no cached key, the image key, the fingerprint key or both."""
+    if keys == "image":  # a machine one state larger is rejected by image key
+        find_isomorphism(m, table_machine([tuple(range(m.n_states + 1))], "u"))
+    elif keys in ("fingerprint", "both"):
+        find_isomorphism(m, m)
+        if keys == "fingerprint":
+            del m.__dict__["_image_key"]
+    assert (image_key(m) is None) == (keys in ("none", "fingerprint"))
+    assert (fingerprint_key(m) is None) == (keys in ("none", "image"))
+
+
 def key_cases(seed, count):
     """Table pairs on up to 4 states and 1-3 functions: relabelled
     positives, perturbed negatives and unrelated pairs."""
@@ -262,26 +288,41 @@ from machalg import StateSet, TransitionFunction, find_isomorphism, make_machine
 ss = StateSet(("x", "y", "z", "w"))
 m = make_machine(ss, [TransitionFunction(ss, t) for t in ast.literal_eval(sys.argv[1])])
 find_isomorphism(m, m)
-print(m.__dict__["_fingerprint_key"])
+print(m.__dict__["_fingerprint_key"], m.__dict__["_image_key"])
 """
 
 
 class TestFingerprintKey:
-    """Each machine caches a hash of its sorted function fingerprints; two
-    unequal keys end a call at once, and nothing else may change."""
+    """Each machine caches a hash of its sorted function fingerprints and one
+    of its image sizes; two unequal keys end a call at once, and nothing else
+    may change."""
 
-    @pytest.mark.parametrize("keyed", ["neither", "a", "b", "both"])
+    @pytest.mark.parametrize("keyed", sorted(KEY_PRESETS))
     def test_agrees_with_brute_force_whichever_keys_are_set(self, keyed):
         for tables_a, tables_b in key_cases(31, 240):
             a, b = table_machine(tables_a), table_machine(tables_b, "t")
-            if keyed in ("a", "both"):
-                find_isomorphism(a, a)
-            if keyed in ("b", "both"):
-                find_isomorphism(b, b)
-            assert (fingerprint_key(a) is None) == (keyed in ("neither", "b"))
-            assert (fingerprint_key(b) is None) == (keyed in ("neither", "a"))
+            preset_keys(a, KEY_PRESETS[keyed][0])
+            preset_keys(b, KEY_PRESETS[keyed][1])
             got = find_isomorphism(a, b)
             assert (None if got is None else (got.g, got.h)) == brute_force_isomorphism(a, b)
+
+    def test_image_key_rejects_a_fresh_non_bijection_without_profiling(self, monkeypatch):
+        # The bijection-closure pass: one keyed machine against fresh probes.
+        ss = StateSet(("x", "y", "z"))
+        bij = full_bijection_machine(ss)
+        find_isomorphism(bij, bij)
+        tables = sorted(itertools.product(range(3), repeat=3))
+
+        def fail(table):
+            raise AssertionError("profiled a machine the image key rejects")
+
+        monkeypatch.setattr(isomorphism, "_function_profile", fail)
+        for combo in itertools.islice(itertools.combinations(tables, bij.n_functions), 0, None, 97):
+            probe = table_machine(list(combo), "p")
+            if any(len(set(t)) < 3 for t in combo):
+                assert find_isomorphism(bij, probe) is None
+                assert find_isomorphism(probe, bij) is None
+                assert fingerprint_key(probe) is None and image_key(probe) is not None
 
     def test_isomorphic_machines_get_equal_keys(self):
         for tables_a, tables_b in itertools.islice(key_cases(32, 300), 0, None, 3):
@@ -313,6 +354,7 @@ class TestFingerprintKey:
         find_isomorphism(a, a)
         copy = pickle.loads(pickle.dumps(a))
         assert copy == a and fingerprint_key(copy) == fingerprint_key(a) is not None
+        assert image_key(copy) == image_key(a) is not None
         assert find_isomorphism(copy, a) == find_isomorphism(a, a)
 
     def test_key_does_not_depend_on_the_hash_seed(self):
@@ -327,7 +369,7 @@ class TestFingerprintKey:
                 capture_output=True, text=True, env=env, timeout=60,
             )
             assert proc.returncode == 0, proc.stderr
-            assert int(proc.stdout) == fingerprint_key(m)
+            assert proc.stdout.split() == [str(fingerprint_key(m)), str(image_key(m))]
 
 
 def constantish(ss):

@@ -222,6 +222,7 @@ class TestCompositionLaws:
             ((0,), "max_states must be at least 1, got 0"),
             ((3, 0), "max_functions must be at least 1, got 0"),
             ((16,), "max_states must be at most 15, got 16"),
+            ((3, 10_001), "max_functions must be at most 10000, got 10001"),
         ],
     )
     def test_random_machine_rejects_bad_sizes(self, args, error):
