@@ -12,6 +12,7 @@ original step for step, checked by verify_lockstep.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -207,6 +208,15 @@ class TmStateCodec:
         return TmConfiguration(register, tuple(tape.split(".")), int(head))
 
 
+def _grid_runs(first: int, inner: int, n_inner: int, outer: int, n_outer: int):
+    """Cover first + i*inner + o*outer (i < n_inner, o < n_outer) with the
+    fewest strided runs, as (start, stop, step, length) tuples."""
+    if n_inner < n_outer:
+        inner, n_inner, outer, n_outer = outer, n_outer, inner, n_inner
+    for a in range(first, first + n_outer * outer, outer):
+        yield a, a + n_inner * inner, inner, n_inner
+
+
 def compile_tm(
     t: TuringSpec, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[Machine, TmStateCodec]:
@@ -223,47 +233,38 @@ def compile_tm(
     if size > cap:
         raise EnumerationTooLargeError("compiled state set", size, cap)
 
-    tapes = list(itertools.product(t.symbols, repeat=n))
-    labels = []
-    for r in t.registers:
-        for tape in tapes:
-            for h in range(n):
-                labels.append(f"{r}|{'.'.join(tape)}|{h}")
-    error_index = None
+    heads = [f"|{h}" for h in range(n)]
+    tapes = list(map(".".join, itertools.product(t.symbols, repeat=n)))
+    labels = [
+        prefix + head
+        for r in t.registers
+        for prefix in [f"{r}|{tape}" for tape in tapes]
+        for head in heads
+    ]
+    error_index = len(labels)
     if reject:
-        error_index = len(labels)
         labels.append(ERROR_LABEL)
 
+    # State (register r, tape, head h) has index (rank(r)*m^n + rank(tape))*n + h,
+    # rank(tape) in base m with cell 0 most significant.  Halting registers and
+    # missing rules are fixed points.  Cell h holds symbol d exactly on the tape
+    # ranks (hi*m + d)*w + lo, w = m^(n-1-h), and a rule moves all of them alike.
+    n_tapes = len(tapes)
+    table = list(range(size))
+    reg_rank = {r: i for i, r in enumerate(t.registers)}
     sym_rank = {s: i for i, s in enumerate(t.symbols)}
-    tape_rank = {tape: i for i, tape in enumerate(tapes)}
-    halting = t.halting
-
-    def index_of(register_i: int, tape: tuple, head: int) -> int:
-        return (register_i * len(tapes) + tape_rank[tape]) * n + head
-
-    table = []
-    for ri, r in enumerate(t.registers):
-        for tape in tapes:
-            for h in range(n):
-                me = index_of(ri, tape, h)
-                if r in halting:
-                    table.append(me)
-                    continue
-                rule = t.rules.get((r, tape[h]))
-                if rule is None:
-                    table.append(me)
-                    continue
-                r2, s2, mv = rule
-                new_tape = tape[:h] + (s2,) + tape[h + 1 :]
-                h2 = h + _HEAD_SHIFT[mv]
-                if not 0 <= h2 < n:
-                    if reject:
-                        table.append(error_index)
-                        continue
-                    h2 = h
-                table.append(index_of(t.registers.index(r2), new_tape, h2))
-    if reject:
-        table.append(error_index)
+    for (r, s), (r2, s2, mv) in t.rules.items():
+        d, d2 = sym_rank[s], sym_rank[s2]
+        for h in range(n):
+            w = m ** (n - 1 - h)
+            h2 = h + _HEAD_SHIFT[mv]
+            error = reject and not 0 <= h2 < n
+            h2 = min(max(h2, 0), n - 1)
+            shift = ((reg_rank[r2] - reg_rank[r]) * n_tapes + (d2 - d) * w) * n + h2 - h
+            first = (reg_rank[r] * n_tapes + d * w) * n + h
+            for a, b, stride, count in _grid_runs(first, n, w, m * w * n, m**h):
+                moved = range(a + shift, b + shift, stride)
+                table[a:b:stride] = [error_index] * count if error else moved
 
     domain = StateSet(tuple(labels))
     step = TransitionFunction(domain, tuple(table), "step")
@@ -479,30 +480,39 @@ def compile_mem(
     suffixes = [
         f"|{'.'.join(str(c) for c in sel)}|{fn}" for sel in selectors for fn in range(n_fns)
     ]
-    entry_index = p._entry_index
-    labels = []
-    table = []
-    for rank, cells in enumerate(itertools.product(p.alphabet, repeat=n)):
-        prefix = ";".join(cells)
-        labels.extend(prefix + suffix for suffix in suffixes)
-        base = rank * block
-        if any(cells[c] == v for c, v in p.finals):
-            table.extend(range(base, base + block))
-            continue
-        for si, sel in enumerate(selectors):
-            values = tuple(cells[c] for c in sel)
-            for fn in range(n_fns):
-                e = entry_index[fn].get((sel, values))
-                if e is None:
-                    if not p.default_halt:
-                        raise _missing_entry(fn, sel, values)
-                    table.append(base + si * n_fns + fn)
+    labels = [
+        prefix + suffix
+        for prefix in map(";".join, itertools.product(p.alphabet, repeat=n))
+        for suffix in suffixes
+    ]
+    # Final states, and with default_halt states no entry matches, are fixed
+    # points; -1 marks a state that still waits for its entry.  Cell c holds
+    # value v exactly on the ranks (hi*m + v)*w + lo, w = weight[c].
+    finals = [(c, value_rank[v]) for c, v in p.finals]
+    table = list(range(size)) if p.default_halt else [-1] * size
+    for c, v in finals:
+        w = weight[c] * block
+        for a, b, stride, _ in _grid_runs(v * w, 1, w, m * w, size // (m * w)):
+            table[a:b:stride] = range(a, b, stride)
+    for fn, entries in enumerate(p.functions):
+        for e in entries:
+            me = sel_rank[e.read_cells] * n_fns + fn
+            nxt = sel_rank[e.next_read_cells] * n_fns + e.next_function
+            read = dict(zip(e.read_cells, e.read_values))
+            cell_digits = [(value_rank[read[c]],) if c in read else range(m) for c in range(n)]
+            writes = [(c, value_rank[v]) for c, v in zip(e.write_cells, e.write_values)]
+            for digits in itertools.product(*cell_digits):
+                if any(digits[c] == v for c, v in finals):
                     continue
-                rank2 = rank
-                for c, v in zip(e.write_cells, e.write_values):
-                    rank2 += (value_rank[v] - value_rank[cells[c]]) * weight[c]
-                nxt = (rank2 * n_sel + sel_rank[e.next_read_cells]) * n_fns
-                table.append(nxt + e.next_function)
+                rank = sum(map(operator.mul, digits, weight))
+                rank2 = rank + sum((v - digits[c]) * weight[c] for c, v in writes)
+                table[rank * block + me] = rank2 * block + nxt
+    if not p.default_halt and -1 in table:
+        # The first unfilled index is the first state the program leaves open.
+        rank, rest = divmod(table.index(-1), block)
+        si, fn = divmod(rest, n_fns)
+        cells = [p.alphabet[rank // w % m] for w in weight]
+        raise _missing_entry(fn, selectors[si], tuple(cells[c] for c in selectors[si]))
     domain = StateSet(tuple(labels))
     step = TransitionFunction(domain, tuple(table), "step")
     return make_machine(domain, [step], name=p.name), codec
@@ -551,34 +561,18 @@ def tm_to_mem(t: TuringSpec) -> MemProgram:
     entries = []
     for j in range(n):
         for (r, s), (r2, s2, mv) in sorted(t.rules.items()):
-            h2 = j + _HEAD_SHIFT[mv]
             read = ((reg_cell, addr_cell, j), (_reg(r), _pos(j), _sym(s)))
-            if 0 <= h2 < n:
-                pass
-            elif not reject:
-                h2 = j
+            h2 = j + _HEAD_SHIFT[mv]
+            if reject and not 0 <= h2 < n:
+                move = ((addr_cell,), (_pos("err"),), (reg_cell, addr_cell))
             else:
-                entries.append(
-                    MemEntry(
-                        read_cells=read[0],
-                        read_values=read[1],
-                        write_cells=(addr_cell,),
-                        write_values=(_pos("err"),),
-                        next_read_cells=(reg_cell, addr_cell),
-                        next_function=0,
-                    )
+                h2 = min(max(h2, 0), n - 1)  # clamp
+                move = (
+                    (reg_cell, addr_cell, j),
+                    (_reg(r2), _pos(h2), _sym(s2)),
+                    (reg_cell, addr_cell, h2),
                 )
-                continue
-            entries.append(
-                MemEntry(
-                    read_cells=read[0],
-                    read_values=read[1],
-                    write_cells=(reg_cell, addr_cell, j),
-                    write_values=(_reg(r2), _pos(h2), _sym(s2)),
-                    next_read_cells=(reg_cell, addr_cell, h2),
-                    next_function=0,
-                )
-            )
+            entries.append(MemEntry(*read, *move, next_function=0))
     return MemProgram(
         n_cells=n + 2,
         alphabet=alphabet,

@@ -5,20 +5,23 @@ code: the isomorphism oracle tries every state bijection against every
 function bijection with no pruning, no induced mapping, no ordering tricks,
 the embedding oracle tries every subset and bijection on raw tables with no
 invariants, the state-reduction and sub-machine oracles filter and re-index
-raw tables by hand, the memory-cell compiler oracle steps every aggregate
-state through the direct interpreter ``mem_step`` instead of compile_mem's
-index arithmetic, and the expression oracle is the package's earlier
+raw tables by hand, the compiler oracles step every compiled state through
+the direct interpreters ``simulate_tm`` and ``mem_step`` instead of the
+compilers' index arithmetic, and the expression oracle is the package's earlier
 recursive-descent evaluator, kept verbatim as the reference for the
 iterative one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Optional
 
 from machalg import (
+    ERROR_LABEL,
     Beth,
+    BoundaryPolicy,
     Cardinal,
     Finite,
     Machine,
@@ -27,11 +30,15 @@ from machalg import (
     MemStateCodec,
     ParseError,
     StateSet,
+    TmConfiguration,
+    TmStateCodec,
     TransitionFunction,
+    TuringSpec,
     card_add,
     card_mul,
     card_pow,
     mem_step,
+    simulate_tm,
 )
 from machalg.cardinal import Trace
 
@@ -99,6 +106,39 @@ def brute_force_sub_machine(a: Machine, b: Machine) -> Optional[tuple[int, ...]]
                 kept.append(j)
                 reached.add(r)
     return tuple(kept) if reached == b_tabs else None
+
+
+def brute_force_compile_tm(t: TuringSpec) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Labels and step table of ``t``'s compiled machine, state by state.
+
+    Enumerates every (register, tape, head) in declaration order, runs
+    ``simulate_tm`` one step from each and encodes the result with
+    ``TmStateCodec``: a state that halts where it stands maps to itself, a
+    rejected boundary move to ``ERROR_LABEL``, which the reject policy
+    appends as an absorbing last state.
+    """
+    codec = TmStateCodec(t.symbols, t.registers, t.cells)
+    configurations = [
+        TmConfiguration(r, tape, h)
+        for r in t.registers
+        for tape in itertools.product(t.symbols, repeat=t.cells)
+        for h in range(t.cells)
+    ]
+    labels = [codec.encode(c) for c in configurations]
+    targets = []
+    for c in configurations:
+        trace = simulate_tm(dataclasses.replace(t, initial=c), 1)
+        if trace.steps:  # "step-limit", or "halted" one step later
+            targets.append(codec.encode(trace.configurations[1]))
+        elif trace.outcome == "boundary-error":
+            targets.append(ERROR_LABEL)
+        else:  # halted where it stands
+            targets.append(codec.encode(c))
+    if t.boundary_policy is BoundaryPolicy.REJECT:
+        labels.append(ERROR_LABEL)
+        targets.append(ERROR_LABEL)
+    position = {label: i for i, label in enumerate(labels)}
+    return tuple(labels), tuple(position[label] for label in targets)
 
 
 def brute_force_compile_mem(p: MemProgram) -> tuple[tuple[str, ...], tuple[int, ...]]:

@@ -35,7 +35,7 @@ from machalg import (
 )
 
 from conftest import random_tm_config, random_turing_spec
-from oracles import brute_force_compile_mem
+from oracles import brute_force_compile_mem, brute_force_compile_tm
 
 
 def bitflip_spec(policy=BoundaryPolicy.CLAMP, start="0"):
@@ -294,6 +294,46 @@ class TestCompileTm:
         with pytest.raises(EnumerationTooLargeError) as err:
             compile_tm(increment_spec(), cap=10)
         assert "cap" in str(err.value) or "10" in str(err.value)
+
+
+class TestCompileTmMatchesOracle:
+    """compile_tm's block fill against stepping every configuration."""
+
+    @pytest.mark.parametrize("policy", list(BoundaryPolicy))
+    @pytest.mark.parametrize("rule_density", [0.3, 0.85, 1.0])
+    def test_random_specs(self, policy, rule_density):
+        rng = random.Random(f"{policy.value}-{rule_density}")
+        seen = set()
+        for _ in range(40):
+            t = dataclasses.replace(
+                random_turing_spec(
+                    rng, max_registers=5, max_symbols=3, rule_density=rule_density
+                ),
+                boundary_policy=policy,
+            )
+            machine, _ = compile_tm(t)
+            assert machine.n_functions == 1
+            got = machine.states.labels, machine.functions[0].table
+            assert got == brute_force_compile_tm(t)
+            seen.update(
+                name
+                for name, hit in (
+                    ("halting", bool(t.halting)),
+                    ("one symbol", t.m == 1),
+                    ("one cell", t.n == 1),
+                    ("four registers", t.k >= 4),
+                )
+                if hit
+            )
+        assert seen == {"halting", "one symbol", "one cell", "four registers"}
+
+    @pytest.mark.parametrize("policy", list(BoundaryPolicy))
+    def test_named_specs(self, policy):
+        for t in (bitflip_spec(policy), runner_spec(policy), increment_spec()):
+            t = dataclasses.replace(t, boundary_policy=policy)  # increment_spec takes none
+            machine, _ = compile_tm(t)
+            got = machine.states.labels, machine.functions[0].table
+            assert got == brute_force_compile_tm(t)
 
 
 def toggle_program(**overrides):
@@ -585,11 +625,12 @@ class TestCompileMemMatchesOracle:
             p = tm_to_mem(t)
             assert compiled_labels_and_table(p) == brute_force_compile_mem(p)
 
-    def test_missing_entry_raises_the_same_error(self):
-        rng = random.Random(61)
+    @pytest.mark.parametrize("with_finals", [False, True])
+    def test_missing_entry_raises_the_same_error(self, with_finals):
+        rng = random.Random(61 + with_finals)
         raised = 0
         for _ in range(40):
-            p = random_mem_program(rng, False, False, with_finals=False)
+            p = random_mem_program(rng, False, False, with_finals=with_finals)
             try:
                 brute_force_compile_mem(p)
             except TotalityViolationError as e:
@@ -600,6 +641,21 @@ class TestCompileMemMatchesOracle:
             else:
                 assert compiled_labels_and_table(p) == brute_force_compile_mem(p)
         assert raised > 10
+
+    def test_gaps_only_in_final_states_compile(self):
+        # No entry reads cell 0 = "b", but every such state is final.
+        p = MemProgram(
+            n_cells=2,
+            alphabet=("a", "b"),
+            functions=((MemEntry((0,), ("a",), (0, 1), ("b", "a"), (0,), 0),),),
+            initial_cells=("a", "b"),
+            initial_selector=(0,),
+            initial_function=0,
+            finals=((0, "b"),),
+        )
+        assert compiled_labels_and_table(p) == brute_force_compile_mem(p)
+        with pytest.raises(TotalityViolationError, match=r"read\(0,\)=\('b',\)"):
+            compile_mem(dataclasses.replace(p, finals=()))
 
 
 class TestTmToMem:

@@ -1,9 +1,12 @@
-"""Growth guard: label lookups keep reductions and text round trips linear.
+"""Growth guard: reductions, text round trips and the compilers stay linear.
 
-Each operation is timed on a single-function machine with 2048 states and
-on one with 16384 states, the minimum of three repeats per size.  Eight
-times the states should cost about eight times as much; a quadratic path
-costs about 64 times as much.  The bound of 24 sits between the two.
+Each operation is timed on an input with 2048 states and on one with 16384
+states, the minimum of three repeats per size: a single-function machine
+for the reductions and round trips, a tape machine with 1 and with 8
+registers for ``compile_tm``, and a memory-cell program with 11 and with 14
+cells for ``compile_mem``.  Eight times the states should cost about eight
+times as much; a quadratic path costs about 64 times as much.  The bound of
+24 sits between the two.
 """
 
 import time
@@ -11,8 +14,16 @@ import time
 import pytest
 
 from machalg import (
+    BoundaryPolicy,
+    MemEntry,
+    MemProgram,
+    Move,
     StateSet,
+    TmConfiguration,
     TransitionFunction,
+    TuringSpec,
+    compile_mem,
+    compile_tm,
     make_machine,
     parse_machine,
     render_machine,
@@ -55,5 +66,70 @@ def test_growth_is_linear(op):
     ratio = large / small
     assert ratio < MAX_RATIO, (
         f"{op.__name__}: {small * 1e3:.2f} ms at {SMALL} states, "
+        f"{large * 1e3:.2f} ms at {LARGE} states, ratio {ratio:.1f}"
+    )
+
+
+def tape_spec(k):
+    """k registers on 2 symbols x 8 cells, clamped: k * 2**8 * 8 states."""
+    registers = tuple(f"q{i}" for i in range(k))
+    rules = {
+        (r, s): (registers[(i + 1) % k], "1" if s == "0" else "0", Move.RIGHT)
+        for i, r in enumerate(registers)
+        for s in ("0", "1")
+    }
+    return TuringSpec(
+        symbols=("0", "1"),
+        registers=registers,
+        cells=8,
+        rules=rules,
+        halting=frozenset(),
+        boundary_policy=BoundaryPolicy.CLAMP,
+        initial=TmConfiguration("q0", ("0",) * 8, 0),
+    )
+
+
+def cell_program(n):
+    """n two-valued cells, 2**n states: flip cell 0 and copy its old value
+    into cell n-1; states with cell 1 = "1" are final."""
+    flip = tuple(
+        MemEntry((0,), (v,), (0, n - 1), (w, v), (0,), 0)
+        for v, w in (("0", "1"), ("1", "0"))
+    )
+    return MemProgram(
+        n_cells=n,
+        alphabet=("0", "1"),
+        functions=(flip,),
+        initial_cells=("0",) * n,
+        initial_selector=(0,),
+        initial_function=0,
+        finals=((1, "1"),),
+    )
+
+
+def best_of_three_compiles(compile_fn, source):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        machine, _ = compile_fn(source)
+        times.append(time.perf_counter() - start)
+    return machine.n_states, min(times)
+
+
+@pytest.mark.parametrize(
+    "compile_fn, small_source, large_source",
+    [
+        (compile_tm, tape_spec(1), tape_spec(8)),
+        (compile_mem, cell_program(11), cell_program(14)),
+    ],
+    ids=["compile_tm", "compile_mem"],
+)
+def test_compiler_growth_is_linear(compile_fn, small_source, large_source):
+    small_n, small = best_of_three_compiles(compile_fn, small_source)
+    large_n, large = best_of_three_compiles(compile_fn, large_source)
+    assert (small_n, large_n) == (SMALL, LARGE)
+    ratio = large / small
+    assert ratio < MAX_RATIO, (
+        f"{compile_fn.__name__}: {small * 1e3:.2f} ms at {SMALL} states, "
         f"{large * 1e3:.2f} ms at {LARGE} states, ratio {ratio:.1f}"
     )
