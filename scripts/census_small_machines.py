@@ -18,7 +18,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from machalg import (
     Machine,
     StateSet,
-    TransitionFunction,
     find_isomorphism,
     full_bijection_machine,
 )
@@ -29,13 +28,12 @@ def iso_classes(n_states: int, n_functions: int, sample_cap: int, rng) -> tuple[
     """(machines, classes) for |S|=n_states and exactly n_functions maps."""
     ss = StateSet(tuple(f"s{i}" for i in range(n_states)))
     tables = sorted(itertools.product(range(n_states), repeat=n_states))
-    fns = [TransitionFunction(ss, t) for t in tables]
-    combos = list(itertools.combinations(fns, n_functions))
+    combos = list(itertools.combinations(tables, n_functions))
     if len(combos) > sample_cap:
         combos = rng.sample(combos, sample_cap)
     reps: list[Machine] = []
     for combo in combos:
-        m = Machine(ss, tuple(combo), frozenset(), None)
+        m = Machine(ss, combo)
         if not any(find_isomorphism(r, m) for r in reps):
             reps.append(m)
     return len(combos), len(reps)
@@ -82,13 +80,12 @@ def main() -> int:
         ss = StateSet(tuple(f"s{i}" for i in range(n)))
         bij = full_bijection_machine(ss)
         tables = sorted(itertools.product(range(n), repeat=n))
-        fns = [TransitionFunction(ss, t) for t in tables]
         t0 = time.perf_counter()
         tried = rejected = 0
-        for combo in itertools.combinations(fns, bij.n_functions):
-            if all(len(set(f.table)) == n for f in combo):
+        for combo in itertools.combinations(tables, bij.n_functions):
+            if all(len(set(t)) == n for t in combo):
                 continue
-            m = Machine(ss, tuple(combo), frozenset(), None)
+            m = Machine(ss, combo)
             tried += 1
             if find_isomorphism(bij, m) is None:
                 rejected += 1

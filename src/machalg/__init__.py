@@ -64,11 +64,9 @@ from .machine import (
     StateSet,
     StepLimit,
     TransitionFunction,
-    constant_fn,
     fn_from_map,
     full_machine,
     identity_fn,
-    is_fixed_point,
     make_machine,
     run_to_fixpoint,
     states,

@@ -110,7 +110,7 @@ def _resolve_fn(m: Machine, token: str) -> int:
     display = display_names(m)
     if token in display:
         return display.index(token)
-    named = [i for i, f in enumerate(m.functions) if f.name == token]
+    named = [i for i, name in enumerate(m.function_names) if name == token]
     if len(named) == 1:
         return named[0]
     # The length test keeps int() off numerals longer than it will convert.
@@ -393,7 +393,7 @@ def _verify_certificate(cert: Certificate, a: Machine, b: Machine) -> tuple[bool
             return True, ""
         if sr.result.states != b.states:
             return False, "the reduced state set differs from the target"
-        if tuple(f.table for f in sr.result.functions) != tuple(f.table for f in b.functions):
+        if sr.result.tables != b.tables:
             return False, "the reduced function set differs from the target"
         return True, ""
     except IndexError:

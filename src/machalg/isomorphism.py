@@ -76,10 +76,10 @@ def verify_morphism(a: Machine, b: Machine, mor: Morphism) -> bool:
         return False
     if len(mor.h) != k or sorted(mor.h) != list(range(k)):
         return False
-    for j, f in enumerate(a.functions):
-        image = b.functions[mor.h[j]]
+    for j, table in enumerate(a.tables):
+        image = b.tables[mor.h[j]]
         for s in range(n):
-            if mor.g[f.table[s]] != image.table[mor.g[s]]:
+            if mor.g[table[s]] != image[mor.g[s]]:
                 return False
     return True
 
@@ -321,26 +321,25 @@ def find_isomorphism(
         return None
     for m in (a, b):
         if "_image_key" not in m.__dict__:
-            sizes = sorted(len(set(f.table)) for f in m.functions)
+            sizes = sorted(len(set(t)) for t in m.tables)
             m.__dict__["_image_key"] = hash((m.n_states, tuple(sizes)))
     if a.__dict__["_image_key"] != b.__dict__["_image_key"]:
         return None
     if a.n_states != b.n_states or a.n_functions != b.n_functions:
         return None
     n = a.n_states
-    tables_a, tables_b = [f.table for f in a.functions], [f.table for f in b.functions]
-    prof_a, prof_b = ([_function_profile(t) for t in ts] for ts in (tables_a, tables_b))
+    prof_a, prof_b = ([_function_profile(t) for t in ts] for ts in (a.tables, b.tables))
     fps_a, fps_b = sorted(p[0] for p in prof_a), sorted(p[0] for p in prof_b)
     # Ints and tuples of them hash alike under every PYTHONHASHSEED.
     a.__dict__["_fingerprint_key"] = hash(tuple(fps_a))
     b.__dict__["_fingerprint_key"] = hash(tuple(fps_b))
     if fps_a != fps_b:
         return None
-    sigs = _state_signatures(tables_a, n, prof_a) + _state_signatures(tables_b, n, prof_b)
+    sigs = _state_signatures(a.tables, n, prof_a) + _state_signatures(b.tables, n, prof_b)
     if sorted(sigs[:n]) != sorted(sigs[n:]):
         return None
     # b's states are shifted up by n in the union.
-    out = [list(ts) for ts in zip(*tables_a)] + [[n + t for t in ts] for ts in zip(*tables_b)]
+    out = [list(ts) for ts in zip(*a.tables)] + [[n + t for t in ts] for ts in zip(*b.tables)]
     part = _Partition(sigs, out, n)
     # Every state has k out-arcs and its signature fixes its in-arc total,
     # so counts into the largest cell follow from the others'.
@@ -348,7 +347,7 @@ def find_isomorphism(
     largest = max(cells, key=lambda c: part.end[c] - c)
     if not part.refine([c for c in cells if c != largest]):
         return None
-    b_index = {t: j for j, t in enumerate(tables_b)}
+    b_index = {t: j for j, t in enumerate(b.tables)}
 
     def candidates(i: int, g: list) -> Iterator[int]:
         if i:  # individualise the pair chosen one level up, then refine
@@ -365,7 +364,7 @@ def find_isomorphism(
             yield t - n
 
     def leaf(g: list) -> Optional[Morphism]:
-        h = [b_index.get(_conjugate(t, g)) for t in tables_a]
+        h = [b_index.get(_conjugate(t, g)) for t in a.tables]
         # Conjugation by a bijection is injective, and counts match, so h
         # here is always a bijection once every conjugate is found.
         return None if None in h else Morphism(tuple(g), tuple(h))
@@ -407,7 +406,7 @@ def construct_full_embedding(
         )
     subset = sorted(g)  # sub-machine states keep the container's order
     g_sub = [subset.index(i) for i in g]
-    conj_tables = [_conjugate(f.table, g_sub) for f in b.functions]
+    conj_tables = [_conjugate(t, g_sub) for t in b.tables]
     chosen = []
     for t in conj_tables:
         ext = list(range(n))
@@ -424,7 +423,7 @@ def _witness(
     at ``subset``, where b's state i goes to subset position ``g[i]`` and
     b's function j to the sub-machine function with table ``conj_tables[j]``."""
     fr, sr = sub_machine(a, chosen, [a.states.labels[i] for i in subset])
-    sub_index = {f.table: j for j, f in enumerate(sr.result.functions)}
+    sub_index = {t: j for j, t in enumerate(sr.result.tables)}
     mor = Morphism(tuple(g), tuple(sub_index[t] for t in conj_tables))
     return CompletenessWitness((fr, sr), mor)
 
@@ -459,17 +458,16 @@ def _search_completeness(
     shared search loop with one node budget.
     """
     n_b = b.n_states
-    tables_b = [f.table for f in b.functions]
-    sig_b = _state_signatures(tables_b, n_b)
-    arc_b = _arc_counts(tables_b, n_b)
+    sig_b = _state_signatures(b.tables, n_b)
+    arc_b = _arc_counts(b.tables, n_b)
     problems = (
-        _subset_problem(a, tables_b, subset, sig_b, arc_b)
+        _subset_problem(a, b.tables, subset, sig_b, arc_b)
         for subset in itertools.combinations(range(a.n_states), n_b)
     )
     return _search((p for p in problems if p), n_b, "completeness search", node_budget)
 
 
-def _subset_problem(a: Machine, tables_b: list, subset: tuple[int, ...], sig_b, arc_b):
+def _subset_problem(a: Machine, tables_b: Sequence, subset: tuple[int, ...], sig_b, arc_b):
     """Candidates and leaf for embedding b onto one state subset of a, or None.
 
     The reachable tables are the restrictions of a's subset-preserving

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import random
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import EmptyReductionError, MachalgError
-from .machine import Machine, StateSet, TransitionFunction, make_machine
-from .reductions import _restrictions, functional_reduce, state_reduce
+from .machine import Machine, StateSet, _assemble
+from .reductions import _keep_functions, _restrictions, state_reduce
 
 LEMMA_NAMES = {
     1: "nested functional reductions collapse",
@@ -66,10 +67,10 @@ def random_machine(
     k = rng.randint(1, min(max_functions, n**n))
     chosen = rng.sample(range(n**n), k)
     tables = [tuple(c // n**p % n for p in range(n - 1, -1, -1)) for c in chosen]
-    return make_machine(states, [TransitionFunction(states, t) for t in tables])
+    return _assemble(states, [(t, None) for t in tables])
 
 
-def _subset(rng: random.Random, items: tuple) -> list:
+def _subset(rng: random.Random, items: Sequence) -> list:
     """Non-empty subset in original order."""
     k = rng.randint(1, len(items))
     picks = sorted(rng.sample(range(len(items)), k))
@@ -77,7 +78,7 @@ def _subset(rng: random.Random, items: tuple) -> list:
 
 
 def _describe(m: Machine) -> str:
-    tables = ", ".join(str(f.table) for f in m.functions)
+    tables = ", ".join(map(str, m.tables))
     return f"states={list(m.states.labels)} tables=[{tables}]"
 
 
@@ -90,15 +91,16 @@ def _try_state_reduce(m: Machine, labels) -> Machine | None:
 
 def check_lemma_1(m: Machine, rng: random.Random) -> str | None:
     """None when the law holds on one random draw, else a counterexample."""
-    k1 = _subset(rng, m.functions)
-    inner = functional_reduce(m, k1)
-    k2 = _subset(rng, inner.functions)
-    left = functional_reduce(inner, k2)
-    right = functional_reduce(m, k2)
+    k1 = _subset(rng, range(m.n_functions))
+    inner = _keep_functions(m, k1).result
+    k2 = _subset(rng, range(inner.n_functions))
+    left = _keep_functions(inner, k2).result
+    right = _keep_functions(m, [k1[j] for j in k2]).result  # inner's function j is m's k1[j]
     if left == right:
         return None
     return (
-        f"{_describe(m)} keep1={[f.table for f in k1]} keep2={[f.table for f in k2]}: "
+        f"{_describe(m)} keep1={[m.tables[i] for i in k1]} "
+        f"keep2={[inner.tables[j] for j in k2]}: "
         f"two-step {_describe(left)} != one-step {_describe(right)}"
     )
 
@@ -131,8 +133,9 @@ def check_lemma_3(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
     problems: list[str] = []
 
     # functions first, then states; rebuild as states first, functions second
-    keep = _subset(rng, m.functions)
-    fr = functional_reduce(m, keep)
+    picks = _subset(rng, range(m.n_functions))
+    keep = [m.tables[i] for i in picks]
+    fr = _keep_functions(m, picks).result
     s1 = _subset(rng, m.states.labels)
     b = _try_state_reduce(fr, s1)
     if b is not None:
@@ -140,23 +143,22 @@ def check_lemma_3(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
         sr = _try_state_reduce(m, s1)
         if sr is None:
             problems.append(
-                f"{_describe(m)} keep={[f.table for f in keep]} subset={s1}: "
+                f"{_describe(m)} keep={keep} subset={s1}: "
                 "state reduction vanished after widening the function set"
             )
         else:
-            wanted = {f.table for f in b.functions}
-            if not wanted <= {f.table for f in sr.functions}:
+            wanted = set(b.tables)
+            if not wanted <= set(sr.tables):
                 problems.append(
-                    f"{_describe(m)} keep={[f.table for f in keep]} subset={s1}: "
+                    f"{_describe(m)} keep={keep} subset={s1}: "
                     f"{_describe(b)} is not a functional reduction of {_describe(sr)}"
                 )
             else:
-                cand = functional_reduce(
-                    sr, [f for f in sr.functions if f.table in wanted]
-                )
+                hits = [i for i, t in enumerate(sr.tables) if t in wanted]
+                cand = _keep_functions(sr, hits).result
                 if cand != b:
                     problems.append(
-                        f"{_describe(m)} keep={[f.table for f in keep]} subset={s1}: "
+                        f"{_describe(m)} keep={keep} subset={s1}: "
                         f"rebuilt {_describe(cand)} != direct {_describe(b)}"
                     )
 
@@ -165,17 +167,16 @@ def check_lemma_3(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
     sr2 = _try_state_reduce(m, s2)
     if sr2 is not None:
         checked += 1
-        keep2 = _subset(rng, sr2.functions)
-        b2 = functional_reduce(sr2, keep2)
-        wanted2 = {f.table for f in b2.functions}
+        b2 = _keep_functions(sr2, _subset(rng, range(sr2.n_functions))).result
+        wanted2 = set(b2.tables)
         kept2 = [m.states.index(s) for s in s2]
-        lifted = [m.functions[i] for i, t in _restrictions(m, kept2) if t in wanted2]
+        lifted = [i for i, t in _restrictions(m, kept2) if t in wanted2]
         if not lifted:
             problems.append(
                 f"{_describe(m)} subset={s2} keep={sorted(wanted2)}: no lift exists"
             )
         else:
-            cand2 = _try_state_reduce(functional_reduce(m, lifted), s2)
+            cand2 = _try_state_reduce(_keep_functions(m, lifted).result, s2)
             if cand2 != b2:
                 got = "undefined" if cand2 is None else _describe(cand2)
                 problems.append(

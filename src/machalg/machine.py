@@ -10,6 +10,7 @@ immutable and all operations are pure, so everything is safe to share.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -71,6 +72,18 @@ def states(*labels: str) -> StateSet:
     return StateSet(tuple(labels))
 
 
+def _check_tables(tables: Iterable[tuple[int, ...]], n: int) -> None:
+    """Raise TotalityViolationError unless every table maps range(n) into itself."""
+    for table in tables:
+        if len(table) != n:
+            raise TotalityViolationError(f"table has {len(table)} entries for {n} states")
+        for j in table:
+            if not 0 <= j < n:  # all entries before it are in range, so none equals j
+                raise TotalityViolationError(
+                    f"entry {table.index(j)} maps to index {j}, outside the {n}-state domain"
+                )
+
+
 @dataclass(frozen=True)
 class TransitionFunction:
     """A total self-map on a state set, stored as an index table.
@@ -84,16 +97,7 @@ class TransitionFunction:
     name: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
-        n = len(self.domain)
-        if len(self.table) != n:
-            raise TotalityViolationError(
-                f"table has {len(self.table)} entries for {n} states"
-            )
-        for i, j in enumerate(self.table):
-            if not 0 <= j < n:
-                raise TotalityViolationError(
-                    f"entry {i} maps to index {j}, outside the {n}-state domain"
-                )
+        _check_tables((self.table,), len(self.domain))
 
     def __call__(self, label: str) -> str:
         return self.domain.labels[self.table[self.domain.index(label)]]
@@ -112,47 +116,63 @@ def identity_fn(domain: StateSet, name: Optional[str] = "id") -> TransitionFunct
     return TransitionFunction(domain, tuple(range(len(domain))), name)
 
 
-def constant_fn(domain: StateSet, target: str, name: Optional[str] = None) -> TransitionFunction:
-    i = domain.index(target)
-    return TransitionFunction(domain, (i,) * len(domain), name)
-
-
-def is_fixed_point(f: TransitionFunction, state: str) -> bool:
-    i = f.domain.index(state)
-    return f.table[i] == i
+def _unwrap(state_set: StateSet, items: Iterable) -> tuple[tuple, tuple]:
+    """Tables and names of ``items``: bare tables (named None), or else
+    TransitionFunctions on ``state_set``.  The one place a function becomes a table."""
+    items = tuple(items)
+    if TransitionFunction not in set(map(type, items)):
+        return tuple(map(tuple, items)), (None,) * len(items)
+    tables, names = [], []
+    for f in items:
+        if f.domain is not state_set and f.domain != state_set:
+            raise InvalidMachineError("all functions must share the machine's state set")
+        tables.append(f.table)
+        names.append(f.name)
+    return tuple(tables), tuple(names)
 
 
 @dataclass(frozen=True)
 class Machine:
     """A state set with a realizable set of transition functions.
 
-    ``functions`` is canonically ordered (lexicographic by table) with
-    extensional duplicates removed; construct through :func:`make_machine`.
-    ``output_functions`` holds indices of functions designated as output
-    decoders; the designation is bookkeeping and plays no role in equality
-    of behaviour questions (reductions, isomorphism).
+    ``tables`` holds one index table per function, sorted and duplicate-free
+    (see :func:`make_machine`); TransitionFunctions on ``states`` may stand in.
+    ``function_names[i]``, never compared, names ``tables[i]``.  Reductions and
+    isomorphism never consult ``output_functions``, the output decoders' indices.
     """
 
     states: StateSet
-    functions: tuple[TransitionFunction, ...]
+    tables: tuple[tuple[int, ...], ...]
     output_functions: frozenset[int] = frozenset()
     name: Optional[str] = field(default=None, compare=False)
+    function_names: tuple[Optional[str], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        if not self.functions:
+        tables, names = _unwrap(self.states, self.tables)
+        if not tables:
             raise InvalidMachineError("a machine needs at least one transition function")
-        tables = [f.table for f in self.functions]
-        for f in self.functions:
-            if f.domain != self.states:
-                raise InvalidMachineError("all functions must share the machine's state set")
-        if sorted(tables) != list(tables) or len(set(tables)) != len(tables):
+        names = tuple(self.function_names) or names
+        if len(names) != len(tables):
+            raise InvalidMachineError(f"{len(names)} function names for {len(tables)} tables")
+        _check_tables(tables, len(self.states.labels))
+        if any(map(operator.ge, tables, tables[1:])):
             raise InvalidMachineError(
-                "functions must be duplicate-free and in canonical table order; "
-                "use make_machine"
+                "functions must be duplicate-free and in canonical table order; use make_machine"
             )
         for i in self.output_functions:
-            if not 0 <= i < len(self.functions):
+            if not 0 <= i < len(tables):
                 raise InvalidMachineError(f"output designation {i} is out of range")
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "function_names", names)
+
+    @cached_property
+    def functions(self) -> tuple[TransitionFunction, ...]:
+        """The tables as TransitionFunctions, built once on first access and
+        not checked again: the tables are."""
+        fns = tuple(object.__new__(TransitionFunction) for _ in self.tables)
+        for f, t, nm in zip(fns, self.tables, self.function_names):
+            f.__dict__.update(domain=self.states, table=t, name=nm)
+        return fns
 
     @property
     def n_states(self) -> int:
@@ -160,23 +180,35 @@ class Machine:
 
     @property
     def n_functions(self) -> int:
-        return len(self.functions)
+        return len(self.tables)
 
     def has_full_function_set(self) -> bool:
         return self.n_functions == self.n_states**self.n_states
 
-    def function_named(self, name: str) -> TransitionFunction:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise KeyError(f"no function named {name!r}")
-
     def function_index(self, f: TransitionFunction) -> int:
-        """Position of ``f``, by bisection over the table-sorted functions."""
-        i = bisect_left(self.functions, f.table, key=lambda g: g.table)
-        if i == len(self.functions) or self.functions[i] != f:
+        """Position of ``f``, by bisection over the sorted tables."""
+        i = bisect_left(self.tables, f.table)
+        if i == len(self.tables) or self.tables[i] != f.table or f.domain != self.states:
             raise KeyError("function is not part of this machine")
         return i
+
+
+def _assemble(
+    state_set: StateSet, pairs: Iterable, outputs: Iterable = (), name: Optional[str] = None
+) -> Machine:
+    """The machine of the ``(table, name)`` pairs: extensional duplicates
+    collapse (first name wins), tables sort lexicographically, and each
+    output table resolves to its position."""
+    by_table: dict[tuple[int, ...], Optional[str]] = {}
+    for t, nm in pairs:
+        by_table.setdefault(t, nm)
+    tables = sorted(by_table)
+    outputs = set(outputs)
+    position = {t: i for i, t in enumerate(tables)} if outputs else {}
+    if not outputs <= position.keys():
+        raise InvalidMachineError("output designation is not one of the machine's functions")
+    names = tuple(map(by_table.get, tables))
+    return Machine(state_set, tuple(tables), frozenset(map(position.get, outputs)), name, names)
 
 
 def make_machine(
@@ -185,28 +217,11 @@ def make_machine(
     outputs: Iterable[TransitionFunction] = (),
     name: Optional[str] = None,
 ) -> Machine:
-    """Canonical Machine constructor.
-
-    Collapses extensional duplicates (first name wins), sorts functions
-    lexicographically by table, and resolves output designations against the
-    collapsed set.
-    """
-    fns = list(fns)
-    if not fns:
-        raise InvalidMachineError("a machine needs at least one transition function")
-    by_table: dict[tuple[int, ...], TransitionFunction] = {}
-    for f in fns:
-        if f.domain != state_set:
-            raise InvalidMachineError("all functions must share the machine's state set")
-        by_table.setdefault(f.table, f)
-    position = {t: i for i, t in enumerate(sorted(by_table))}
-    canonical = tuple(by_table[t] for t in position)
-    out_indices = set()
-    for f in outputs:
-        if f.table not in position:
-            raise InvalidMachineError("output designation is not one of the machine's functions")
-        out_indices.add(position[f.table])
-    return Machine(state_set, canonical, frozenset(out_indices), name)
+    """Canonical Machine constructor: extensional duplicates collapse (first
+    name wins), tables sort lexicographically, and output designations resolve
+    against the collapsed set.  Functions and outputs must be on ``state_set``."""
+    tables, names = _unwrap(state_set, fns)
+    return _assemble(state_set, zip(tables, names), _unwrap(state_set, outputs)[0], name)
 
 
 def full_machine(
@@ -217,8 +232,7 @@ def full_machine(
     if n**n > cap:
         raise EnumerationTooLargeError("full transition set", n**n, cap)
     # Lexicographic table order is already canonical and duplicate-free.
-    fns = (TransitionFunction(state_set, t) for t in itertools.product(range(n), repeat=n))
-    return Machine(state_set, tuple(fns), frozenset(), name)
+    return Machine(state_set, tuple(itertools.product(range(n), repeat=n)), frozenset(), name)
 
 
 # ---------------------------------------------------------------------------

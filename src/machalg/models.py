@@ -12,6 +12,7 @@ original step for step, checked by verify_lockstep.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,8 +28,6 @@ from .machine import (
     DEFAULT_ENUMERATION_CAP,
     Machine,
     StateSet,
-    TransitionFunction,
-    make_machine,
 )
 
 # Characters reserved by the compiled-state label codecs plus the text
@@ -267,11 +266,10 @@ def compile_tm(
                 table[a:b:stride] = [error_index] * count if error else moved
 
     domain = StateSet(tuple(labels))
-    step = TransitionFunction(domain, tuple(table), "step")
     codec = TmStateCodec(
         t.symbols, t.registers, n, ERROR_LABEL if reject else None
     )
-    return make_machine(domain, [step], name=t.name), codec
+    return Machine(domain, (tuple(table),), frozenset(), t.name, ("step",)), codec
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +512,7 @@ def compile_mem(
         cells = [p.alphabet[rank // w % m] for w in weight]
         raise _missing_entry(fn, selectors[si], tuple(cells[c] for c in selectors[si]))
     domain = StateSet(tuple(labels))
-    step = TransitionFunction(domain, tuple(table), "step")
-    return make_machine(domain, [step], name=p.name), codec
+    return Machine(domain, (tuple(table),), frozenset(), p.name, ("step",)), codec
 
 
 # ---------------------------------------------------------------------------
@@ -660,23 +657,14 @@ def verify_lockstep(t: TuringSpec, p: MemProgram, steps: int) -> LockstepReport:
     return LockstepReport(verified, mapping, None, trace.outcome)
 
 
-def full_bijection_machine(
-    states: StateSet, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Machine:
+def full_bijection_machine(states: StateSet, cap: int = DEFAULT_ENUMERATION_CAP) -> Machine:
     """The machine whose realizable set is exactly all bijections on S.
 
     A strict subset of the full function set for |S| >= 2, and closed under
     conjugation by any state bijection, which is what blocks isomorphisms
     to machines holding any non-invertible function.
     """
-    n = len(states)
-    size = 1
-    for i in range(2, n + 1):
-        size *= i
+    size = math.factorial(len(states))
     if size > cap:
         raise EnumerationTooLargeError("bijection set", size, cap)
-    fns = [
-        TransitionFunction(states, perm)
-        for perm in itertools.permutations(range(n))
-    ]
-    return Machine(states, tuple(fns), frozenset(), None)
+    return Machine(states, tuple(itertools.permutations(range(len(states)))), frozenset(), None)

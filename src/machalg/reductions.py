@@ -22,7 +22,7 @@ from .errors import (
     InvalidMachineError,
     InvalidReductionError,
 )
-from .machine import Machine, StateSet, TransitionFunction, make_machine
+from .machine import Machine, StateSet, TransitionFunction, _assemble
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class Reduction:
     """Witness for one reduction step.
 
     kind "functional": ``kept_functions`` holds indices into
-    ``source.functions``.  kind "state": ``kept_states`` holds the retained
+    ``source.tables``.  kind "state": ``kept_states`` holds the retained
     labels in result order.  ``result`` is the reduced machine either way.
     """
 
@@ -56,20 +56,22 @@ def functional_reduce(m: Machine, keep: Iterable[TransitionFunction]) -> Machine
 
 def functional_reduction(m: Machine, keep: Iterable[TransitionFunction]) -> Reduction:
     """Like :func:`functional_reduce` but returns the full witness."""
-    keep = list(keep)
-    if not keep:
+    try:
+        indices = [m.function_index(f) for f in keep]
+    except KeyError:
+        raise InvalidReductionError(
+            "functional reduction may only keep functions the machine already has"
+        ) from None
+    return _keep_functions(m, indices)
+
+
+def _keep_functions(m: Machine, indices: Iterable[int]) -> Reduction:
+    """The functional reduction of ``m`` to the functions at ``indices``."""
+    kept = tuple(sorted({range(m.n_functions)[i] for i in indices}))  # IndexError if out of range
+    if not kept:
         raise InvalidMachineError("a machine cannot keep zero transition functions")
-    indices = set()
-    for f in keep:
-        try:
-            indices.add(m.function_index(f))
-        except KeyError:
-            raise InvalidReductionError(
-                "functional reduction may only keep functions the machine already has"
-            ) from None
-    kept = tuple(sorted(indices))
-    reduced = make_machine(m.states, [m.functions[i] for i in kept], name=m.name)
-    return Reduction("functional", m, reduced, kept_functions=kept)
+    pairs = [(m.tables[i], m.function_names[i]) for i in kept]
+    return Reduction("functional", m, _assemble(m.states, pairs, name=m.name), kept_functions=kept)
 
 
 def preserves(f: TransitionFunction, labels: Sequence[str]) -> bool:
@@ -83,8 +85,8 @@ def _restrictions(m: Machine, kept: Sequence[int]) -> Iterator[tuple[int, tuple[
     indices ``kept`` into themselves, ``table`` re-indexed by position in
     ``kept``: the one place a table is restricted to a state subset."""
     position = {s: p for p, s in enumerate(kept)}.get
-    for i, f in enumerate(m.functions):
-        image = tuple(map(position, map(f.table.__getitem__, kept)))
+    for i, table in enumerate(m.tables):
+        image = tuple(map(position, map(table.__getitem__, kept)))
         if None not in image:
             yield i, image
 
@@ -109,15 +111,13 @@ def state_reduction(m: Machine, keep_states: Sequence[str]) -> Reduction:
         raise InvalidReductionError(f"states not in the machine: {foreign}")
     sub = StateSet(keep_states)  # validates distinctness
     kept = [m.states.index(s) for s in keep_states]
-    restricted = [
-        TransitionFunction(sub, t, m.functions[i].name) for i, t in _restrictions(m, kept)
-    ]
+    restricted = [(t, m.function_names[i]) for i, t in _restrictions(m, kept)]
     if not restricted:
         raise EmptyReductionError(
             f"no transition function preserves {list(keep_states)}; "
             "the reduction would leave an empty function set"
         )
-    reduced = make_machine(sub, restricted, name=m.name)
+    reduced = _assemble(sub, restricted, name=m.name)
     return Reduction("state", m, reduced, kept_states=keep_states)
 
 
@@ -128,7 +128,7 @@ def sub_machine(
     states ``kept_states``; returns both witnesses, the second one's
     ``result`` being the sub-machine.  Every witness builder and checker
     replays a sub-machine through here."""
-    fr = functional_reduction(m, [m.functions[i] for i in kept_functions])
+    fr = _keep_functions(m, kept_functions)
     return fr, state_reduction(fr.result, kept_states)
 
 
@@ -145,7 +145,7 @@ def is_sub_machine(a: Machine, b: Machine) -> Optional[tuple[Reduction, Reductio
     labels = b.states.labels
     if not all(s in a.states for s in labels):
         return None
-    wanted = {g.table for g in b.functions}
+    wanted = set(b.tables)
     positions = [a.states.index(s) for s in labels]
     hits = [(i, t) for i, t in _restrictions(a, positions) if t in wanted]
     if {t for _, t in hits} != wanted:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidMachineError, ParseError
-from .machine import Machine, StateSet, TransitionFunction, fn_from_map, make_machine
+from .machine import Machine, StateSet, _assemble
 from .models import (
     BoundaryPolicy,
     MemEntry,
@@ -75,8 +75,8 @@ def parse_machine(text: str) -> Machine:
         raise ParseError("empty input; expected 'machine <name>'", 1)
     name = None
     state_set = None
-    fns: list[TransitionFunction] = []
-    fn_names: dict[str, TransitionFunction] = {}
+    fns: list[tuple[tuple[int, ...], str]] = []
+    fn_names: dict[str, tuple[int, ...]] = {}
     output_names: list[tuple[str, int, str]] = []
     last_line = rows[-1][0]
 
@@ -140,9 +140,9 @@ def parse_machine(text: str) -> Machine:
                 raise ParseError(
                     f"fn {fname!r} missing clauses for: {' '.join(missing)}", lineno, 1
                 )
-            f = fn_from_map(state_set, mapping, fname)
-            fn_names[fname] = f
-            fns.append(f)
+            table = tuple(state_set.index(mapping[s]) for s in state_set.labels)
+            fn_names[fname] = table
+            fns.append((table, fname))
         elif head == "output":
             if len(tokens) < 2:
                 raise ParseError("'output' needs at least one function name", lineno, 1)
@@ -162,14 +162,13 @@ def parse_machine(text: str) -> Machine:
         if tok not in fn_names:
             raise ParseError(f"output names unknown function {tok!r}", lineno, _col(raw, tok))
         outputs.append(fn_names[tok])
-    return make_machine(state_set, fns, outputs, name)
+    return _assemble(state_set, fns, outputs, name)
 
 
 def display_names(m: Machine) -> list[str]:
     names = []
     used = set()
-    for i, f in enumerate(m.functions):
-        cand = f.name
+    for i, cand in enumerate(m.function_names):
         if (
             cand is None
             or cand in used
@@ -186,14 +185,14 @@ def display_names(m: Machine) -> list[str]:
 
 def render_machine(m: Machine, name: str | None = None) -> str:
     """Canonical machine block; inverse of parse_machine."""
-    for s in m.states.labels:
+    labels = m.states.labels
+    for s in labels:
         if any(bad in s for bad in _MX_BAD) or any(ch.isspace() for ch in s):
             raise InvalidMachineError(f"state label {s!r} is not representable in text")
-    lines = [f"machine {name or m.name or 'm'}"]
-    lines.append("states " + " ".join(m.states.labels))
+    lines = [f"machine {name or m.name or 'm'}", "states " + " ".join(labels)]
     display = display_names(m)
-    for f, dn in zip(m.functions, display):
-        clauses = ", ".join(f"{s}->{f(s)}" for s in m.states.labels)
+    for t, dn in zip(m.tables, display):
+        clauses = ", ".join(f"{s}->{labels[j]}" for s, j in zip(labels, t))
         lines.append(f"fn {dn}: {clauses}")
     if m.output_functions:
         lines.append("output " + " ".join(display[i] for i in sorted(m.output_functions)))

@@ -326,13 +326,12 @@ def test_criterion_9_bijection_closure_obstruction():
         # two states: every same-count machine with a non-invertible map
         ss2 = StateSet(("a", "b"))
         b2 = full_bijection_machine(ss2)
-        tables2 = list(itertools.product(range(2), repeat=2))
-        fns2 = [TransitionFunction(ss2, t) for t in sorted(tables2)]
+        tables2 = sorted(itertools.product(range(2), repeat=2))
         rejected2 = 0
-        for combo in itertools.combinations(fns2, 2):
-            if all(len(set(f.table)) == 2 for f in combo):
+        for combo in itertools.combinations(tables2, 2):
+            if all(len(set(t)) == 2 for t in combo):
                 continue  # the all-bijective pair is b2 itself
-            m = Machine(ss2, tuple(combo), frozenset(), None)
+            m = Machine(ss2, combo)
             assert find_isomorphism(b2, m) is None
             assert brute_force_isomorphism(b2, m) is None
             rejected2 += 1
@@ -342,14 +341,13 @@ def test_criterion_9_bijection_closure_obstruction():
         ss3 = StateSet(("a", "b", "c"))
         b3 = full_bijection_machine(ss3)
         tables3 = sorted(itertools.product(range(3), repeat=3))
-        fns3 = [TransitionFunction(ss3, t) for t in tables3]
         rng = random.Random(9)
         rejected3 = 0
         oracle_checked = 0
-        for combo in itertools.combinations(fns3, 6):
-            if all(len(set(f.table)) == 3 for f in combo):
+        for combo in itertools.combinations(tables3, 6):
+            if all(len(set(t)) == 3 for t in combo):
                 continue  # only the six permutations: b3 itself
-            m = Machine(ss3, tuple(combo), frozenset(), None)
+            m = Machine(ss3, combo)
             assert find_isomorphism(b3, m) is None
             rejected3 += 1
             if rng.random() < 0.0004:

@@ -3,6 +3,8 @@
 import dataclasses
 import pickle
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,16 +20,18 @@ from machalg import (
     StepLimit,
     TotalityViolationError,
     TransitionFunction,
-    constant_fn,
     find_isomorphism,
     fn_from_map,
     full_machine,
     identity_fn,
-    is_fixed_point,
     make_machine,
+    parse_machine,
     run_to_fixpoint,
     states,
 )
+from machalg.textio import display_names
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 class TestStateSet:
@@ -65,7 +69,7 @@ class TestLookupCaches:
 
     def test_machine_unchanged_by_function_index(self):
         ss = states("a", "b")
-        fns = [constant_fn(ss, "a", "ca"), identity_fn(ss)]
+        fns = [fn_from_map(ss, dict.fromkeys(ss, "a"), "ca"), identity_fn(ss)]
         fresh, queried = make_machine(ss, fns), make_machine(ss, fns)
         before = (hash(queried), repr(queried))
         assert [queried.function_index(f) for f in fns] == [0, 1]
@@ -74,7 +78,7 @@ class TestLookupCaches:
 
     def test_replace_and_pickle_after_lookups(self):
         ss = states("a", "b", "c")
-        m = make_machine(ss, [constant_fn(ss, "c"), identity_fn(ss)])
+        m = make_machine(ss, [fn_from_map(ss, dict.fromkeys(ss, "c")), identity_fn(ss)])
         ss.index("a")
         m.function_index(m.functions[1])
         for copy in (pickle.loads(pickle.dumps(m)), dataclasses.replace(m)):
@@ -88,7 +92,10 @@ class TestLookupCaches:
 
     def test_machine_unchanged_by_isomorphism_key(self):
         ss = states("a", "b", "c")
-        fns = [constant_fn(ss, "c"), fn_from_map(ss, {"a": "b", "b": "c", "c": "a"})]
+        fns = [
+            fn_from_map(ss, dict.fromkeys(ss, "c")),
+            fn_from_map(ss, {"a": "b", "b": "c", "c": "a"}),
+        ]
         fresh, keyed = make_machine(ss, fns), make_machine(ss, fns)
         before = (hash(keyed), repr(keyed))
         assert find_isomorphism(keyed, keyed) is not None
@@ -97,7 +104,9 @@ class TestLookupCaches:
         assert (hash(keyed), repr(keyed)) == before == (hash(fresh), repr(fresh))
         copy = dataclasses.replace(keyed)
         assert copy == keyed and hash(copy) == hash(keyed) and repr(copy) == repr(keyed)
-        other = dataclasses.replace(keyed, functions=keyed.functions[:1])
+        other = dataclasses.replace(
+            keyed, tables=keyed.tables[:1], function_names=keyed.function_names[:1]
+        )
         assert "_fingerprint_key" not in other.__dict__
         assert find_isomorphism(other, keyed) is None
 
@@ -122,7 +131,7 @@ class TestLookupCaches:
     def test_function_index_rejects_absent_tables(self, table):
         # Below the first table, between the two, above the last.
         ss = states("a", "b", "c")
-        m = make_machine(ss, [identity_fn(ss), constant_fn(ss, "b")])
+        m = make_machine(ss, [identity_fn(ss), fn_from_map(ss, dict.fromkeys(ss, "b"))])
         assert [f.table for f in m.functions] == [(0, 1, 2), (1, 1, 1)]
         with pytest.raises(KeyError):
             m.function_index(TransitionFunction(ss, table))
@@ -141,8 +150,6 @@ class TestTransitionFunction:
         f = fn_from_map(ss, {"a": "b", "b": "b"})
         assert f("a") == "b"
         assert f("b") == "b"
-        assert not is_fixed_point(f, "a")
-        assert is_fixed_point(f, "b")
 
     def test_fn_from_map_requires_total(self):
         ss = states("a", "b")
@@ -192,12 +199,95 @@ class TestMachine:
         swapped_index = [f.table for f in m.functions].index((1, 0))
         assert m.output_functions == frozenset({swapped_index})
 
-    def test_function_named(self):
+    def test_outputs_must_share_the_state_set(self):
+        a = states("a", "b")
+        foreign = identity_fn(states("x", "y"))
+        assert foreign.table == identity_fn(a).table
+        with pytest.raises(InvalidMachineError, match="share the machine's state set"):
+            make_machine(a, [identity_fn(a)], outputs=[foreign])
+
+
+def _named_machines():
+    """Seeded machines with names, duplicates and outputs, plus every sample."""
+    rng = random.Random(5)
+    out = [parse_machine(p.read_text()) for p in sorted(SAMPLES.glob("*.mx"))]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        ss = StateSet(tuple(f"s{i}" for i in range(n)))
+        fns = [
+            TransitionFunction(
+                ss, tuple(rng.randrange(n) for _ in range(n)), rng.choice([None, "f", "g", "h x"])
+            )
+            for _ in range(rng.randint(1, 5))
+        ]
+        outs = rng.sample(fns, rng.randint(0, len(fns)))
+        out.append(make_machine(ss, fns, outputs=outs, name=rng.choice([None, "m"])))
+    return out
+
+
+class TestTables:
+    """Machines store sorted tables and names; ``functions`` is a cached view."""
+
+    @pytest.mark.parametrize("m", _named_machines(), ids=lambda m: f"{m.name}-{m.n_functions}")
+    def test_view_rebuilds_the_machine(self, m):
+        rebuilt = make_machine(
+            m.states, m.functions, outputs=[m.functions[i] for i in m.output_functions], name=m.name
+        )
+        assert rebuilt == m and rebuilt.output_functions == m.output_functions
+        assert rebuilt.function_names == m.function_names
+        assert display_names(rebuilt) == display_names(m)
+        assert [f.table for f in m.functions] == list(m.tables)
+        assert [f.name for f in m.functions] == list(m.function_names)
+
+    def test_view_is_built_once(self):
+        m = full_machine(states("a", "b", "c"))
+        assert "functions" not in m.__dict__
+        assert m.functions is m.functions
+        assert all(f.domain is m.states for f in m.functions)
+
+    def test_pickle_and_replace_keep_tables_and_names(self):
+        ss = states("a", "b", "c")
+        sink = fn_from_map(ss, dict.fromkeys(ss, "c"), "sink")
+        m = make_machine(ss, [sink, identity_fn(ss)], name="m")
+        assert [f.name for f in m.functions] == ["id", "sink"]  # copies see a built view
+        for copy in (pickle.loads(pickle.dumps(m)), dataclasses.replace(m)):
+            assert copy.tables == m.tables == ((0, 1, 2), (2, 2, 2))
+            assert copy.function_names == m.function_names == ("id", "sink")
+            assert copy.name == "m" and copy == m and hash(copy) == hash(m)
+        renamed = dataclasses.replace(m, function_names=("one", "two"))
+        assert renamed == m and renamed.function_names == ("one", "two")
+
+    def test_raw_tables_and_functions_build_the_same_machine(self):
         ss = states("a", "b")
-        m = make_machine(ss, [identity_fn(ss), constant_fn(ss, "a", "sink")])
-        assert m.function_named("sink").table == (0, 0)
-        with pytest.raises(KeyError):
-            m.function_named("missing")
+        raw = Machine(ss, ((0, 0), (1, 0)))
+        assert raw == Machine(ss, (TransitionFunction(ss, (0, 0)), TransitionFunction(ss, (1, 0))))
+        assert raw.function_names == (None, None)
+        with pytest.raises(InvalidMachineError, match="canonical table order"):
+            Machine(ss, ((1, 0), (0, 0)))
+        with pytest.raises(InvalidMachineError, match="canonical table order"):
+            Machine(ss, ((0, 0), (0, 0)))
+        with pytest.raises(InvalidMachineError, match="3 function names for 2 tables"):
+            Machine(ss, ((0, 0), (1, 0)), function_names=("x", "y", "z"))
+
+    @pytest.mark.parametrize("table", [(0, 5), (0,), (0, 1, 1), (-1, 0), (1, 2)])
+    def test_bad_tables_fail_as_functions_do(self, table):
+        ss = states("a", "b")
+        with pytest.raises(TotalityViolationError) as want:
+            TransitionFunction(ss, table)
+        with pytest.raises(TotalityViolationError) as got:
+            Machine(ss, ((0, 0), table))
+        assert str(got.value) == str(want.value)
+
+    def test_full_machine_holds_its_tables_only(self):
+        ss = StateSet(tuple(f"s{i}" for i in range(6)))
+        tracemalloc.start()
+        try:
+            m = full_machine(ss)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.n_functions == 6**6
+        assert held <= 5.5e6, f"full_machine(6) holds {held / 1e6:.1f} MB"
 
 
 class TestFullEnumeration:
@@ -283,7 +373,7 @@ class TestRunToFixpoint:
         r = run_to_fixpoint(f, start, n, record_trajectory=True)
         assert not isinstance(r, StepLimit)
         if isinstance(r, Halted):
-            assert is_fixed_point(f, r.state)
+            assert f(r.state) == r.state
             assert r.trajectory[-1] == r.state
         else:
             assert r.cycle_length >= 2

@@ -12,7 +12,6 @@ from machalg import (
     MachalgError,
     StateSet,
     TransitionFunction,
-    constant_fn,
     find_isomorphism,
     fn_from_map,
     full_machine,
@@ -76,14 +75,14 @@ class TestStateReduce:
     def setup_method(self):
         self.ss = states("0", "1", "2")
         self.ident = identity_fn(self.ss)
-        self.const0 = constant_fn(self.ss, "0", "const0")
+        self.const0 = fn_from_map(self.ss, dict.fromkeys(self.ss, "0"), "const0")
         self.m = make_machine(self.ss, [self.ident, self.const0])
 
     def test_both_preserve(self):
         got = state_reduce(self.m, ("0", "1"))
         sub = states("0", "1")
         assert got == make_machine(
-            sub, [identity_fn(sub), constant_fn(sub, "0", "const0")]
+            sub, [identity_fn(sub), fn_from_map(sub, dict.fromkeys(sub, "0"), "const0")]
         )
 
     def test_const_dropped_when_target_left_out(self):
@@ -361,10 +360,10 @@ class TestSubMachine:
     def test_sub_machine_composite(self):
         ss = states("0", "1", "2")
         ident = identity_fn(ss)
-        const0 = constant_fn(ss, "0", "c0")
+        const0 = fn_from_map(ss, dict.fromkeys(ss, "0"), "c0")
         m = make_machine(ss, [ident, const0])
         fr, sr = sub_machine(m, [m.function_index(const0)], ("0", "1"))
         result = sr.result
         sub = states("0", "1")
-        assert result == make_machine(sub, [constant_fn(sub, "0", "c0")])
+        assert result == make_machine(sub, [fn_from_map(sub, dict.fromkeys(sub, "0"), "c0")])
         assert fr.kind == "functional" and sr.kind == "state"

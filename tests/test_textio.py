@@ -44,13 +44,14 @@ class TestMachineFormat:
         m = parse_machine(SWITCH)
         assert m.states.labels == ("off", "on")
         assert m.n_functions == 2
-        assert m.function_named("flip").table == (1, 0)
-        assert m.output_functions == frozenset({m.function_index(m.function_named("flip"))})
+        flip = m.function_names.index("flip")
+        assert m.tables[flip] == (1, 0)
+        assert m.output_functions == frozenset({flip})
 
     def test_comments_and_blanks(self):
         text = "# top note\nmachine m\n\nstates a b  # trailing\nfn f: a->b, b->b\n"
         m = parse_machine(text)
-        assert m.function_named("f")("a") == "b"
+        assert m.functions[m.function_names.index("f")]("a") == "b"
 
     def test_round_trip(self):
         m = parse_machine(SWITCH)
