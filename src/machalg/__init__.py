@@ -65,6 +65,7 @@ from .machine import (
     StepLimit,
     TransitionFunction,
     fn_from_map,
+    full_bijection_machine,
     full_machine,
     identity_fn,
     make_machine,
@@ -86,7 +87,6 @@ from .models import (
     TuringSpec,
     compile_mem,
     compile_tm,
-    full_bijection_machine,
     mem_is_final,
     mem_run,
     mem_step,

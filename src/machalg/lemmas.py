@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyReductionError, MachalgError
 from .machine import Machine, StateSet, _assemble
-from .reductions import _keep_functions, _restrictions, state_reduce
+from .reductions import _keep_functions, is_sub_machine, state_reduce
 
 LEMMA_NAMES = {
     1: "nested functional reductions collapse",
@@ -128,61 +128,34 @@ def check_lemma_2(m: Machine, rng: random.Random) -> tuple[bool, str | None]:
 
 
 def check_lemma_3(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
-    """(directions checked, violations) for one random draw per direction."""
+    """(directions checked, violations) for one random draw per direction:
+    a state reduction of a functional reduction is a functional reduction of
+    the state reduction to the same subset, and a functional reduction of a
+    state reduction is a sub-machine."""
     checked = 0
     problems: list[str] = []
 
-    # functions first, then states; rebuild as states first, functions second
     picks = _subset(rng, range(m.n_functions))
-    keep = [m.tables[i] for i in picks]
-    fr = _keep_functions(m, picks).result
     s1 = _subset(rng, m.states.labels)
-    b = _try_state_reduce(fr, s1)
+    b = _try_state_reduce(_keep_functions(m, picks).result, s1)
     if b is not None:
         checked += 1
         sr = _try_state_reduce(m, s1)
-        if sr is None:
+        # same states in the same order, so inclusion of tables is the relation
+        if sr is None or not set(b.tables) <= set(sr.tables):
             problems.append(
-                f"{_describe(m)} keep={keep} subset={s1}: "
-                "state reduction vanished after widening the function set"
+                f"{_describe(m)} keep={[m.tables[i] for i in picks]} subset={s1}: "
+                f"{_describe(b)} is not a functional reduction of "
+                f"{'undefined' if sr is None else _describe(sr)}"
             )
-        else:
-            wanted = set(b.tables)
-            if not wanted <= set(sr.tables):
-                problems.append(
-                    f"{_describe(m)} keep={keep} subset={s1}: "
-                    f"{_describe(b)} is not a functional reduction of {_describe(sr)}"
-                )
-            else:
-                hits = [i for i, t in enumerate(sr.tables) if t in wanted]
-                cand = _keep_functions(sr, hits).result
-                if cand != b:
-                    problems.append(
-                        f"{_describe(m)} keep={keep} subset={s1}: "
-                        f"rebuilt {_describe(cand)} != direct {_describe(b)}"
-                    )
 
-    # states first, then functions; rebuild as functions first, states second
     s2 = _subset(rng, m.states.labels)
     sr2 = _try_state_reduce(m, s2)
     if sr2 is not None:
         checked += 1
         b2 = _keep_functions(sr2, _subset(rng, range(sr2.n_functions))).result
-        wanted2 = set(b2.tables)
-        kept2 = [m.states.index(s) for s in s2]
-        lifted = [i for i, t in _restrictions(m, kept2) if t in wanted2]
-        if not lifted:
-            problems.append(
-                f"{_describe(m)} subset={s2} keep={sorted(wanted2)}: no lift exists"
-            )
-        else:
-            cand2 = _try_state_reduce(_keep_functions(m, lifted).result, s2)
-            if cand2 != b2:
-                got = "undefined" if cand2 is None else _describe(cand2)
-                problems.append(
-                    f"{_describe(m)} subset={s2} keep={sorted(wanted2)}: "
-                    f"rebuilt {got} != direct {_describe(b2)}"
-                )
+        if is_sub_machine(m, b2) is None:
+            problems.append(f"{_describe(m)} subset={s2}: {_describe(b2)} is not a sub-machine")
     return checked, problems
 
 

@@ -10,6 +10,7 @@ immutable and all operations are pure, so everything is safe to share.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from bisect import bisect_left
 from collections import Counter
@@ -224,15 +225,26 @@ def make_machine(
     return _assemble(state_set, zip(tables, names), _unwrap(state_set, outputs)[0], name)
 
 
-def full_machine(
-    state_set: StateSet, cap: int = DEFAULT_ENUMERATION_CAP, name: Optional[str] = None
-) -> Machine:
+def full_machine(state_set: StateSet) -> Machine:
     """The machine carrying all ``n**n`` transition functions on ``state_set``."""
     n = len(state_set)
-    if n**n > cap:
-        raise EnumerationTooLargeError("full transition set", n**n, cap)
+    if n**n > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLargeError("full transition set", n**n, DEFAULT_ENUMERATION_CAP)
     # Lexicographic table order is already canonical and duplicate-free.
-    return Machine(state_set, tuple(itertools.product(range(n), repeat=n)), frozenset(), name)
+    return Machine(state_set, tuple(itertools.product(range(n), repeat=n)))
+
+
+def full_bijection_machine(state_set: StateSet) -> Machine:
+    """The machine whose realizable set is exactly all bijections on S.
+
+    A strict subset of the full function set for |S| >= 2, and closed under
+    conjugation by any state bijection, which is what blocks isomorphisms
+    to machines holding any non-invertible function.
+    """
+    size = math.factorial(len(state_set))
+    if size > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLargeError("bijection set", size, DEFAULT_ENUMERATION_CAP)
+    return Machine(state_set, tuple(itertools.permutations(range(len(state_set)))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ original step for step, checked by verify_lockstep.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -483,15 +482,9 @@ def compile_mem(
         for prefix in map(";".join, itertools.product(p.alphabet, repeat=n))
         for suffix in suffixes
     ]
-    # Final states, and with default_halt states no entry matches, are fixed
-    # points; -1 marks a state that still waits for its entry.  Cell c holds
-    # value v exactly on the ranks (hi*m + v)*w + lo, w = weight[c].
-    finals = [(c, value_rank[v]) for c, v in p.finals]
+    # With default_halt, states no entry matches are fixed points; -1 marks
+    # a state that still waits for its entry.
     table = list(range(size)) if p.default_halt else [-1] * size
-    for c, v in finals:
-        w = weight[c] * block
-        for a, b, stride, _ in _grid_runs(v * w, 1, w, m * w, size // (m * w)):
-            table[a:b:stride] = range(a, b, stride)
     for fn, entries in enumerate(p.functions):
         for e in entries:
             me = sel_rank[e.read_cells] * n_fns + fn
@@ -500,11 +493,15 @@ def compile_mem(
             cell_digits = [(value_rank[read[c]],) if c in read else range(m) for c in range(n)]
             writes = [(c, value_rank[v]) for c, v in zip(e.write_cells, e.write_values)]
             for digits in itertools.product(*cell_digits):
-                if any(digits[c] == v for c, v in finals):
-                    continue
                 rank = sum(map(operator.mul, digits, weight))
                 rank2 = rank + sum((v - digits[c]) * weight[c] for c, v in writes)
                 table[rank * block + me] = rank2 * block + nxt
+    # Final states are fixed points, whatever an entry wrote there.  Cell c
+    # holds value v exactly on the ranks (hi*m + v)*w + lo, w = weight[c].
+    for c, v in p.finals:
+        w = weight[c] * block
+        for a, b, stride, _ in _grid_runs(value_rank[v] * w, 1, w, m * w, size // (m * w)):
+            table[a:b:stride] = range(a, b, stride)
     if not p.default_halt and -1 in table:
         # The first unfilled index is the first state the program leaves open.
         rank, rest = divmod(table.index(-1), block)
@@ -655,16 +652,3 @@ def verify_lockstep(t: TuringSpec, p: MemProgram, steps: int) -> LockstepReport:
             )
         verified += 1
     return LockstepReport(verified, mapping, None, trace.outcome)
-
-
-def full_bijection_machine(states: StateSet, cap: int = DEFAULT_ENUMERATION_CAP) -> Machine:
-    """The machine whose realizable set is exactly all bijections on S.
-
-    A strict subset of the full function set for |S| >= 2, and closed under
-    conjugation by any state bijection, which is what blocks isomorphisms
-    to machines holding any non-invertible function.
-    """
-    size = math.factorial(len(states))
-    if size > cap:
-        raise EnumerationTooLargeError("bijection set", size, cap)
-    return Machine(states, tuple(itertools.permutations(range(len(states)))), frozenset(), None)

@@ -47,15 +47,28 @@ def _number(token: str, lineno: int, raw: str) -> int | None:
         raise ParseError(f"{len(token)}-digit number is too long", lineno, _col(raw, token)) from None
 
 
+def _once(head: str, once: tuple[str, ...], seen: set, lineno: int, raw: str) -> None:
+    """Reject the second line of a directive in ``once``."""
+    if head in once:
+        if head in seen:
+            raise ParseError(f"second {head!r} line", lineno, _col(raw, head))
+        seen.add(head)
+
+
 # ---------------------------------------------------------------------------
 # Machine format (.mx)
 # ---------------------------------------------------------------------------
 
-_MX_BAD = (",", ":", "->", "#")
+def _is_mx_token(token: str | None) -> bool:
+    """True when ``token`` can stand as a name or state in ``.mx`` text: it is
+    non-empty, has no whitespace, and contains none of , : -> #."""
+    return bool(token) and token.split() == [token] and not any(
+        bad in token for bad in (",", ":", "->", "#")
+    )
 
 
 def _check_mx_token(token: str, what: str, lineno: int, raw: str) -> None:
-    if any(bad in token for bad in _MX_BAD):
+    if not _is_mx_token(token):
         raise ParseError(
             f"{what} {token!r} may not contain any of , : -> #",
             lineno,
@@ -79,20 +92,18 @@ def parse_machine(text: str) -> Machine:
     fn_names: dict[str, tuple[int, ...]] = {}
     output_names: list[tuple[str, int, str]] = []
     last_line = rows[-1][0]
+    heads: set[str] = set()
 
     for lineno, raw, tokens in rows:
         head = tokens[0]
+        _once(head, ("machine", "states"), heads, lineno, raw)
         if head == "machine":
-            if name is not None:
-                raise ParseError("second 'machine' header", lineno, _col(raw, "machine"))
             if len(tokens) != 2:
                 raise ParseError("expected 'machine <name>'", lineno, 1)
             name = tokens[1]
         elif head == "states":
             if name is None:
                 raise ParseError("'machine <name>' must come first", lineno, 1)
-            if state_set is not None:
-                raise ParseError("second 'states' line", lineno, 1)
             if len(tokens) < 2:
                 raise ParseError("'states' needs at least one state", lineno, 1)
             seen = set()
@@ -169,12 +180,7 @@ def display_names(m: Machine) -> list[str]:
     names = []
     used = set()
     for i, cand in enumerate(m.function_names):
-        if (
-            cand is None
-            or cand in used
-            or any(bad in cand for bad in _MX_BAD)
-            or any(ch.isspace() for ch in cand)
-        ):
+        if cand in used or not _is_mx_token(cand):
             cand = f"f{i}"
             while cand in used:
                 cand += "_"
@@ -183,13 +189,14 @@ def display_names(m: Machine) -> list[str]:
     return names
 
 
-def render_machine(m: Machine, name: str | None = None) -> str:
-    """Canonical machine block; inverse of parse_machine."""
+def render_machine(m: Machine) -> str:
+    """Canonical machine block; inverse of parse_machine.  A function or
+    machine name that is no ``.mx`` token is replaced; a state label is not."""
     labels = m.states.labels
     for s in labels:
-        if any(bad in s for bad in _MX_BAD) or any(ch.isspace() for ch in s):
+        if not _is_mx_token(s):
             raise InvalidMachineError(f"state label {s!r} is not representable in text")
-    lines = [f"machine {name or m.name or 'm'}", "states " + " ".join(labels)]
+    lines = [f"machine {m.name if _is_mx_token(m.name) else 'm'}", "states " + " ".join(labels)]
     display = display_names(m)
     for t, dn in zip(m.tables, display):
         clauses = ", ".join(f"{s}->{labels[j]}" for s, j in zip(labels, t))
@@ -218,6 +225,7 @@ def parse_turing(text: str) -> TuringSpec:
     rules_seen = False
     initial: TmConfiguration | None = None
     last_line = rows[-1][0]
+    heads: set[str] = set()
 
     def need(value, what, lineno):
         if value is None:
@@ -226,6 +234,8 @@ def parse_turing(text: str) -> TuringSpec:
 
     for lineno, raw, tokens in rows:
         head = tokens[0]
+        _once(head, ("tm", "symbols", "registers", "cells", "boundary", "halting", "init"),
+              heads, lineno, raw)
         if head == "tm":
             if len(tokens) != 2:
                 raise ParseError("expected 'tm <name>'", lineno, 1)
@@ -404,9 +414,11 @@ def parse_mem(text: str) -> MemProgram:
     families: list[list[MemEntry]] = []
     finals: list[tuple[int, str]] = []
     last_line = rows[-1][0]
+    heads: set[str] = set()
 
     for lineno, raw, tokens in rows:
         head = tokens[0]
+        _once(head, ("mem", "alphabet", "start", "default"), heads, lineno, raw)
         if head == "mem":
             if len(tokens) != 2:
                 raise ParseError("expected 'mem <name>'", lineno, 1)

@@ -599,6 +599,15 @@ class TestHostileInput:
     def test_one_line_error(self, capsys, argv, error):
         assert run(capsys, *argv) == (2, "", f"error: {error}\n")
 
+    def test_repeated_directive_is_a_one_line_error(self, tmp_path):
+        twice = tmp_path / "twice.tm"
+        bitflip = Path(BITFLIP).read_text()
+        twice.write_text(bitflip.replace("boundary clamp", "boundary clamp\nboundary reject"))
+        proc = run_module("compile-tm", str(twice))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: line 7, column 1: second 'boundary' line\n"
+        )
+
     def test_internal_error_is_one_line(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise RuntimeError("lemma suite fell over")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from machalg import (
+    DEFAULT_ENUMERATION_CAP,
     Cycled,
     DomainMismatchError,
     EnumerationTooLargeError,
@@ -303,11 +304,11 @@ class TestFullEnumeration:
         assert [f.table for f in fns] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_cap(self):
-        ss = StateSet(tuple(f"s{i}" for i in range(4)))
+        ss = StateSet(tuple(f"s{i}" for i in range(8)))
         with pytest.raises(EnumerationTooLargeError) as e:
-            full_machine(ss, cap=100)
-        assert e.value.size == 256
-        assert e.value.cap == 100
+            full_machine(ss)
+        assert e.value.size == 8**8
+        assert e.value.cap == DEFAULT_ENUMERATION_CAP
 
     def test_full_machine_flag(self):
         m = full_machine(states("x", "y"))

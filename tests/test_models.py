@@ -2,11 +2,13 @@
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
 
 from machalg import (
+    DEFAULT_ENUMERATION_CAP,
     ERROR_LABEL,
     BoundaryPolicy,
     EnumerationTooLargeError,
@@ -761,5 +763,7 @@ class TestFullBijectionMachine:
         assert find_isomorphism(bij, probe) is None
 
     def test_enumeration_cap(self):
-        with pytest.raises(EnumerationTooLargeError):
-            full_bijection_machine(StateSet(("a", "b", "c", "d")), cap=10)
+        with pytest.raises(EnumerationTooLargeError) as e:
+            full_bijection_machine(StateSet(tuple(f"s{i}" for i in range(10))))
+        assert e.value.size == math.factorial(10)
+        assert e.value.cap == DEFAULT_ENUMERATION_CAP

@@ -1,5 +1,6 @@
 """Reductions: worked examples, composition laws, the sub-machine order."""
 
+import dataclasses
 import itertools
 import random
 
@@ -25,6 +26,7 @@ from machalg import (
     states,
     sub_machine,
 )
+from machalg import lemmas, reductions
 from machalg.lemmas import random_machine, run_lemma_suite
 
 from oracles import brute_force_state_reduction, brute_force_sub_machine
@@ -239,6 +241,48 @@ class TestCompositionLaws:
         report = run_lemma_suite(seed=101, iterations=300)
         assert report.violations_for(2) != ()
         assert not report.ok
+
+    @pytest.mark.parametrize("fault, fires", [
+        (None, None),
+        ("keep drops its first index", "law 1"),
+        ("restrictions lose the last preserving function", "law 3 inclusion"),
+        ("state reduction rotates every table", "law 3 lift"),
+    ])
+    def test_each_check_fires_on_a_planted_fault(self, monkeypatch, fault, fires):
+        keep, restrictions, state_red = (
+            lemmas._keep_functions, reductions._restrictions, reductions.state_reduction
+        )
+
+        def drop_first(m, indices):
+            return keep(m, sorted(indices)[1:] or indices)
+
+        def drop_last(m, kept):
+            found = list(restrictions(m, kept))
+            return found[:-1] or found
+
+        def rotated(m, keep_states):
+            r = state_red(m, keep_states)
+            ss = r.result.states
+            shift = [TransitionFunction(ss, tuple((j + 1) % len(ss) for j in t))
+                     for t in r.result.tables]
+            return dataclasses.replace(r, result=make_machine(ss, shift))
+
+        planted = {
+            "keep drops its first index": (lemmas, "_keep_functions", drop_first),
+            "restrictions lose the last preserving function":
+                (reductions, "_restrictions", drop_last),
+            "state reduction rotates every table": (reductions, "state_reduction", rotated),
+        }
+        if fault is not None:
+            monkeypatch.setattr(*planted[fault])
+        report = run_lemma_suite(seed=7, iterations=400)
+        law3 = [v.description for v in report.violations_for(3)]
+        tally = {
+            "law 1": len(report.violations_for(1)),
+            "law 3 inclusion": sum("not a functional reduction" in d for d in law3),
+            "law 3 lift": sum("not a sub-machine" in d for d in law3),
+        }
+        assert {check for check, n in tally.items() if n} == ({fires} if fires else set())
 
 
 class TestSubMachine:

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from machalg import (
     BoundaryPolicy,
@@ -16,6 +16,9 @@ from machalg import (
     MemEntry,
     MemProgram,
     ParseError,
+    StateSet,
+    TransitionFunction,
+    make_machine,
     parse_certificate,
     parse_machine,
     parse_mem,
@@ -37,6 +40,27 @@ fn flip: off->on, on->off
 fn hold: off->off, on->on
 output flip
 """
+
+# Arbitrary text, and text built from the characters the .mx format reserves.
+MX_TEXT = st.text(max_size=3) | st.text(st.sampled_from("a-> ,:#\t\u2028"), max_size=3)
+
+
+@st.composite
+def labelled_machines(draw):
+    ss = StateSet(tuple(draw(st.lists(MX_TEXT, min_size=1, max_size=3, unique=True))))
+    n = len(ss)
+    tables = st.tuples(*[st.integers(0, n - 1)] * n)
+    fns = draw(st.lists(
+        st.builds(TransitionFunction, st.just(ss), tables, st.none() | MX_TEXT),
+        min_size=1, max_size=3,
+    ))
+    outputs = draw(st.lists(st.sampled_from(fns), max_size=2))
+    return make_machine(ss, fns, outputs, draw(st.none() | MX_TEXT))
+
+
+def _one_state(label="a", fn_name="f", name="m"):
+    ss = StateSet((label,))
+    return make_machine(ss, [TransitionFunction(ss, (0,), fn_name)], name=name)
 
 
 class TestMachineFormat:
@@ -122,6 +146,35 @@ class TestMachineFormat:
         with pytest.raises(InvalidMachineError):
             render_machine(m)
 
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_machines())
+    @example(_one_state(label=""))
+    @example(_one_state(fn_name=""))
+    @example(_one_state(name="x y"))
+    def test_render_raises_or_round_trips(self, m):
+        try:
+            text = render_machine(m)
+        except InvalidMachineError:
+            return
+        again = parse_machine(text)
+        assert again == m
+        assert render_machine(again) == text
+
+    @pytest.mark.parametrize("kwargs, line", [
+        ({"fn_name": ""}, "fn f0: a->a"),
+        ({"fn_name": "f g"}, "fn f0: a->a"),
+        ({"name": "x y"}, "machine m"),
+        ({"name": ""}, "machine m"),
+        ({"name": "a,b"}, "machine m"),
+    ])
+    def test_unusable_names_fall_back(self, kwargs, line):
+        assert line in render_machine(_one_state(**kwargs)).splitlines()
+
+    @pytest.mark.parametrize("label", ["", "a b", "a\u2028b", "a->b", "a:b", "a#b"])
+    def test_unusable_label_rejected_on_render(self, label):
+        with pytest.raises(InvalidMachineError):
+            render_machine(_one_state(label=label))
+
     def test_samples_parse(self):
         for path in ("samples/switch.mx", "samples/const0.mx", "samples/const1.mx"):
             with open(path) as fh:
@@ -200,6 +253,21 @@ class TestTuringFormat:
         with pytest.raises(ParseError) as e:
             parse_turing(text)
         assert "move" in str(e.value)
+
+    @pytest.mark.parametrize("repeat", [
+        "tm u", "symbols 0 2", "registers q h", "cells 1", "boundary reject", "halting h",
+        "init tape 0 head 0 register q",
+    ])
+    def test_repeated_directive(self, repeat):
+        text = (
+            "tm t\nsymbols 0 1\nregisters q h\ncells 1\nboundary clamp\nhalting h\n"
+            "rule q 0 -> h 1 S\ninit tape 0 head 0 register q\n"
+        )
+        parse_turing(text)
+        with pytest.raises(ParseError) as e:
+            parse_turing(text + repeat)
+        assert e.value.line == 9
+        assert e.value.message == f"second {repeat.split()[0]!r} line"
 
 
 class TestMemFormat:
@@ -281,6 +349,20 @@ class TestMemFormat:
         with pytest.raises(ParseError) as e:
             parse_mem("mem m\nalphabet 0\ncell 0 = 0\nfn 0\n")
         assert "missing 'start'" in str(e.value)
+
+    @pytest.mark.parametrize("repeat", [
+        "mem n", "alphabet 0 1", "start read(0) fn 0", "default halt",
+    ])
+    def test_repeated_directive(self, repeat):
+        text = (
+            "mem m\nalphabet 0 1\ncell 0 = 0\nstart read(0) fn 0\ndefault halt\nfn 0\n"
+            "entry read(0)=(0) -> write(0)=(1) next read(0) fn 0\nfinal cell 0 = 1\n"
+        )
+        parse_mem(text)
+        with pytest.raises(ParseError) as e:
+            parse_mem(text + repeat)
+        assert e.value.line == 9
+        assert e.value.message == f"second {repeat.split()[0]!r} line"
 
 
 class TestCertificates:
