@@ -21,15 +21,8 @@ from .cardinal import (
     state_cardinality,
     transition_space_cardinality,
 )
-from .errors import MachalgError
-from .isomorphism import (
-    CompletenessWitness,
-    Morphism,
-    find_isomorphism,
-    is_complete,
-    verify_completeness,
-    verify_morphism,
-)
+from .errors import IncompatibleShapesError, MachalgError
+from .isomorphism import Morphism, find_isomorphism, is_complete, verify_morphism
 from .lemmas import LEMMA_NAMES, run_lemma_suite
 from .machine import (
     DEFAULT_ENUMERATION_CAP,
@@ -106,13 +99,10 @@ def _emit(lines) -> None:
 
 
 def _resolve_fn(m: Machine, token: str) -> int:
-    """Index of the function a display name, name or index refers to."""
+    """Index of the function a display name or index refers to."""
     display = display_names(m)
     if token in display:
         return display.index(token)
-    named = [i for i, name in enumerate(m.function_names) if name == token]
-    if len(named) == 1:
-        return named[0]
     # The length test keeps int() off numerals longer than it will convert.
     digits = token.lstrip("0") or "0"
     if token.isascii() and token.isdigit() and len(digits) <= len(str(m.n_functions)):
@@ -168,18 +158,31 @@ def _cmd_universality(args) -> int:
     return _definite(report.all_complete, args.expect)
 
 
+def _answer(args, word: str, cert: Certificate | None = None, morphism_lines=()) -> int:
+    """Print one answer of ``iso``, ``complete`` or ``submachine``: a bare
+    ``word`` when there is no certificate; else the certificate under
+    ``--format certificate``, or ``word``, the certificate's ``keep-`` lines
+    and ``morphism_lines``."""
+    if cert is None:
+        _emit([word])
+        return _definite(False, args.expect)
+    text = render_certificate(cert)
+    if args.format == "certificate":
+        sys.stdout.write(text)
+    else:
+        keeps = [line for line in text.splitlines() if line.startswith("keep-")]
+        _emit([word, *keeps, *morphism_lines])
+    return _definite(True, args.expect)
+
+
 def _cmd_iso(args) -> int:
     a = parse_machine(_read(args.a))
     b = parse_machine(_read(args.b))
     mor = find_isomorphism(a, b, node_budget=args.node_budget)
     if mor is None:
-        _emit(["not isomorphic"])
-        return _definite(False, args.expect)
-    if args.format == "certificate":
-        sys.stdout.write(render_certificate(Certificate("iso", g=mor.g, h=mor.h)))
-    else:
-        _emit(["isomorphic"] + _morphism_lines(a, b, mor))
-    return _definite(True, args.expect)
+        return _answer(args, "not isomorphic")
+    cert = Certificate("iso", g=mor.g, h=mor.h)
+    return _answer(args, "isomorphic", cert, _morphism_lines(a, b, mor))
 
 
 def _cmd_complete(args) -> int:
@@ -187,48 +190,25 @@ def _cmd_complete(args) -> int:
     b = parse_machine(_read(args.b))
     w = is_complete(a, b, method=args.method, node_budget=args.node_budget)
     if w is None:
-        _emit(["not complete"])
-        return _definite(False, args.expect)
+        return _answer(args, "not complete")
     fr, sr = w.reductions
-    if args.format == "certificate":
-        cert = Certificate(
-            "complete",
-            g=w.morphism.g,
-            h=w.morphism.h,
-            kept_functions=fr.kept_functions,
-            kept_states=sr.kept_states,
-        )
-        sys.stdout.write(render_certificate(cert))
-    else:
-        out = ["complete"]
-        out.append("keep-fns " + " ".join(str(i) for i in fr.kept_functions))
-        out.append("keep-states " + " ".join(sr.kept_states))
-        out.extend(_morphism_lines(b, w.sub, w.morphism))
-        _emit(out)
-    return _definite(True, args.expect)
+    cert = Certificate(
+        "complete",
+        g=w.morphism.g,
+        h=w.morphism.h,
+        kept_functions=fr.kept_functions,
+        kept_states=sr.kept_states,
+    )
+    return _answer(args, "complete", cert, _morphism_lines(b, w.sub, w.morphism))
 
 
 def _cmd_submachine(args) -> int:
-    a = parse_machine(_read(args.a))
-    b = parse_machine(_read(args.b))
-    witness = is_sub_machine(a, b)
+    witness = is_sub_machine(parse_machine(_read(args.a)), parse_machine(_read(args.b)))
     if witness is None:
-        _emit(["not a sub-machine"])
-        return _definite(False, args.expect)
+        return _answer(args, "not a sub-machine")
     fr, sr = witness
-    if args.format == "certificate":
-        cert = Certificate(
-            "submachine",
-            kept_functions=fr.kept_functions,
-            kept_states=sr.kept_states,
-        )
-        sys.stdout.write(render_certificate(cert))
-    else:
-        out = ["sub-machine"]
-        out.append("keep-fns " + " ".join(str(i) for i in fr.kept_functions))
-        out.append("keep-states " + " ".join(sr.kept_states))
-        _emit(out)
-    return _definite(True, args.expect)
+    cert = Certificate("submachine", kept_functions=fr.kept_functions, kept_states=sr.kept_states)
+    return _answer(args, "sub-machine", cert)
 
 
 def _cmd_reduce(args) -> int:
@@ -379,21 +359,19 @@ def _cmd_verify(args) -> int:
 def _verify_certificate(cert: Certificate, a: Machine, b: Machine) -> tuple[bool, str]:
     try:
         if cert.kind == "iso":
-            mor = Morphism(cert.g, cert.h)
-            if not verify_morphism(a, b, mor):
+            if not verify_morphism(a, b, Morphism(cert.g, cert.h)):
                 return False, "the mapping does not commute with every function"
             return True, ""
-        if cert.kind not in ("complete", "submachine"):
-            return False, f"unknown certificate kind {cert.kind!r}"
-        fr, sr = sub_machine(a, cert.kept_functions, cert.kept_states)
+        sub = sub_machine(a, cert.kept_functions, cert.kept_states)[1].result
         if cert.kind == "complete":
-            w = CompletenessWitness((fr, sr), Morphism(cert.g, cert.h))
-            if not verify_completeness(a, b, w):
-                return False, "the reductions or the morphism do not check out"
-            return True, ""
-        if sr.result.states != b.states:
+            try:
+                ok = verify_morphism(b, sub, Morphism(cert.g, cert.h))
+            except IncompatibleShapesError:  # the replay has the wrong shape
+                ok = False
+            return ok, "" if ok else "the reductions or the morphism do not check out"
+        if sub.states != b.states:
             return False, "the reduced state set differs from the target"
-        if sr.result.tables != b.tables:
+        if sub.tables != b.tables:
             return False, "the reduced function set differs from the target"
         return True, ""
     except IndexError:

@@ -89,42 +89,41 @@ def _try_state_reduce(m: Machine, labels) -> Machine | None:
         return None
 
 
-def check_lemma_1(m: Machine, rng: random.Random) -> str | None:
-    """None when the law holds on one random draw, else a counterexample."""
+def check_lemma_1(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
+    """(1, violations) for one random nested pair of functional keeps."""
     k1 = _subset(rng, range(m.n_functions))
     inner = _keep_functions(m, k1).result
     k2 = _subset(rng, range(inner.n_functions))
     left = _keep_functions(inner, k2).result
     right = _keep_functions(m, [k1[j] for j in k2]).result  # inner's function j is m's k1[j]
     if left == right:
-        return None
-    return (
+        return 1, []
+    return 1, [
         f"{_describe(m)} keep1={[m.tables[i] for i in k1]} "
         f"keep2={[inner.tables[j] for j in k2]}: "
         f"two-step {_describe(left)} != one-step {_describe(right)}"
-    )
+    ]
 
 
-def check_lemma_2(m: Machine, rng: random.Random) -> tuple[bool, str | None]:
-    """(applicable, counterexample or None) for one random nested pair."""
+def check_lemma_2(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
+    """(pairs checked, violations) for one random nested pair of state
+    subsets; none is checked when the outer reduction is undefined."""
     s1 = _subset(rng, m.states.labels)
     inner = _try_state_reduce(m, s1)
     if inner is None:
-        return False, None
+        return 0, []
     s2 = _subset(rng, tuple(s1))
     left = _try_state_reduce(inner, s2)
     right = _try_state_reduce(m, s2)
-    if left is None and right is None:
-        return True, None
+    if left == right:  # both undefined, or equal
+        return 1, []
     if left is None or right is None:
         missing = "two-step" if left is None else "one-step"
-        return True, f"{_describe(m)} outer={s1} inner={s2}: {missing} side undefined"
-    if left == right:
-        return True, None
-    return True, (
+        return 1, [f"{_describe(m)} outer={s1} inner={s2}: {missing} side undefined"]
+    return 1, [
         f"{_describe(m)} outer={s1} inner={s2}: "
         f"two-step {_describe(left)} != one-step {_describe(right)}"
-    )
+    ]
 
 
 def check_lemma_3(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
@@ -203,22 +202,10 @@ def run_lemma_suite(
     violations: list[LemmaViolation] = []
     for _ in range(iterations):
         m = random_machine(rng, max_states, max_functions)
-
-        problem = check_lemma_1(m, rng)
-        counts[1] += 1
-        if problem is not None:
-            violations.append(LemmaViolation(1, problem))
-
-        applicable, problem = check_lemma_2(m, rng)
-        if applicable:
-            counts[2] += 1
-        if problem is not None:
-            violations.append(LemmaViolation(2, problem))
-
-        checked, problems = check_lemma_3(m, rng)
-        counts[3] += checked
-        for p in problems:
-            violations.append(LemmaViolation(3, p))
+        for lemma, check in ((1, check_lemma_1), (2, check_lemma_2), (3, check_lemma_3)):
+            checked, problems = check(m, rng)
+            counts[lemma] += checked
+            violations.extend(LemmaViolation(lemma, p) for p in problems)
     return LemmaRunReport(
         seed=seed,
         iterations=iterations,

@@ -101,6 +101,7 @@ def parse_machine(text: str) -> Machine:
             if len(tokens) != 2:
                 raise ParseError("expected 'machine <name>'", lineno, 1)
             name = tokens[1]
+            _check_mx_token(name, "machine name", lineno, raw)
         elif head == "states":
             if name is None:
                 raise ParseError("'machine <name>' must come first", lineno, 1)
@@ -543,9 +544,6 @@ def render_mem(p: MemProgram) -> str:
 # Certificates
 # ---------------------------------------------------------------------------
 
-CERTIFICATE_KINDS = ("iso", "complete", "submachine")
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Machine-readable witness: what to keep and where states/functions go.
@@ -562,11 +560,14 @@ class Certificate:
     kept_states: tuple[str, ...] = ()
 
 
+# The lines of each certificate kind in the order they are written, and the
+# Certificate field each line holds.
 _CERT_REQUIRED = {
     "iso": ("g", "h"),
     "complete": ("keep-fns", "keep-states", "g", "h"),
     "submachine": ("keep-fns", "keep-states"),
 }
+_CERT_FIELD = {"g": "g", "h": "h", "keep-fns": "kept_functions", "keep-states": "kept_states"}
 
 
 def parse_certificate(text: str) -> Certificate:
@@ -577,14 +578,14 @@ def parse_certificate(text: str) -> Certificate:
     if tokens[0] != "certificate" or len(tokens) != 2:
         raise ParseError("expected 'certificate <kind>'", lineno, 1)
     kind = tokens[1]
-    if kind not in CERTIFICATE_KINDS:
+    if kind not in _CERT_REQUIRED:
         raise ParseError(
             f"unknown certificate kind {kind!r}", lineno, _col(raw, kind)
         )
     fields: dict[str, tuple] = {}
     for lineno, raw, tokens in rows[1:]:
         key = tokens[0]
-        if key not in ("g", "h", "keep-fns", "keep-states"):
+        if key not in _CERT_FIELD:
             raise ParseError(f"unknown certificate key {key!r}", lineno, _col(raw, key))
         if key in fields:
             raise ParseError(f"duplicate certificate key {key!r}", lineno, 1)
@@ -606,23 +607,13 @@ def parse_certificate(text: str) -> Certificate:
     for key in fields:
         if key not in _CERT_REQUIRED[kind]:
             raise ParseError(f"{key!r} does not belong in a {kind} certificate", rows[-1][0])
-    return Certificate(
-        kind,
-        g=fields.get("g", ()),
-        h=fields.get("h", ()),
-        kept_functions=fields.get("keep-fns", ()),
-        kept_states=fields.get("keep-states", ()),
-    )
+    return Certificate(kind, **{_CERT_FIELD[key]: value for key, value in fields.items()})
 
 
 def render_certificate(c: Certificate) -> str:
-    if c.kind not in CERTIFICATE_KINDS:
+    if c.kind not in _CERT_REQUIRED:
         raise InvalidMachineError(f"unknown certificate kind {c.kind!r}")
     lines = [f"certificate {c.kind}"]
-    if "keep-fns" in _CERT_REQUIRED[c.kind]:
-        lines.append("keep-fns " + " ".join(str(i) for i in c.kept_functions))
-        lines.append("keep-states " + " ".join(c.kept_states))
-    if "g" in _CERT_REQUIRED[c.kind]:
-        lines.append("g " + " ".join(str(i) for i in c.g))
-        lines.append("h " + " ".join(str(i) for i in c.h))
+    for key in _CERT_REQUIRED[c.kind]:
+        lines.append(f"{key} " + " ".join(map(str, getattr(c, _CERT_FIELD[key]))))
     return "\n".join(lines) + "\n"

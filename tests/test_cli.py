@@ -298,6 +298,108 @@ class TestSubmachineAndReduce:
         assert "out of range" in out
 
 
+class TestAnswerGolden:
+    """Exact stdout and exit code of every answer of iso, complete and
+    submachine in both formats, and of verify on each certificate and on
+    tampered copies.  "sub" is switch reduced to hold on state off."""
+
+    # command and files -> (exit code, text output, certificate output)
+    ANSWERS = {
+        "iso switch switch": (
+            0,
+            "isomorphic\ng: off -> off\ng: on -> on\nh: hold -> hold\nh: flip -> flip\n",
+            "certificate iso\ng 0 1\nh 0 1\n",
+        ),
+        "iso const0 const1": (
+            0,
+            "isomorphic\ng: 0 -> 1\ng: 1 -> 0\nh: to0 -> to1\n",
+            "certificate iso\ng 1 0\nh 0\n",
+        ),
+        "iso switch const0": (0, "not isomorphic\n", "not isomorphic\n"),
+        "iso switch const0 --expect yes": (1, "not isomorphic\n", "not isomorphic\n"),
+        "complete switch sub": (
+            0,
+            "complete\nkeep-fns 0\nkeep-states off\ng: off -> off\nh: hold -> hold\n",
+            "certificate complete\nkeep-fns 0\nkeep-states off\ng 0\nh 0\n",
+        ),
+        "complete const0 sub": (
+            0,
+            "complete\nkeep-fns 0\nkeep-states 0\ng: off -> 0\nh: hold -> to0\n",
+            "certificate complete\nkeep-fns 0\nkeep-states 0\ng 0\nh 0\n",
+        ),
+        "complete switch switch": (
+            0,
+            "complete\nkeep-fns 0 1\nkeep-states off on\n"
+            "g: off -> off\ng: on -> on\nh: hold -> hold\nh: flip -> flip\n",
+            "certificate complete\nkeep-fns 0 1\nkeep-states off on\ng 0 1\nh 0 1\n",
+        ),
+        "complete switch const0": (0, "not complete\n", "not complete\n"),
+        "complete const0 switch": (0, "not complete\n", "not complete\n"),
+        "submachine switch sub": (
+            0,
+            "sub-machine\nkeep-fns 0\nkeep-states off\n",
+            "certificate submachine\nkeep-fns 0\nkeep-states off\n",
+        ),
+        "submachine switch sub --expect no": (
+            1,
+            "sub-machine\nkeep-fns 0\nkeep-states off\n",
+            "certificate submachine\nkeep-fns 0\nkeep-states off\n",
+        ),
+        "submachine switch const0": (0, "not a sub-machine\n", "not a sub-machine\n"),
+    }
+
+    # certificate, files -> verify output; each a tampered copy of an answer above
+    TAMPERED = [
+        ("certificate iso\ng 0 0\nh 0\n", "const0 const1",
+         "certificate rejected: the mapping does not commute with every function\n"),
+        ("certificate complete\nkeep-fns 0 1\nkeep-states off on\ng 0 0\nh 0 1\n",
+         "switch switch",
+         "certificate rejected: the reductions or the morphism do not check out\n"),
+        ("certificate complete\nkeep-fns 0 2\nkeep-states off on\ng 0 1\nh 0 1\n",
+         "switch switch",
+         "certificate rejected: an index in the certificate is out of range\n"),
+        ("certificate complete\nkeep-fns 0\nkeep-states 0\ng 1\nh 0\n", "const0 sub",
+         "certificate rejected: the reductions or the morphism do not check out\n"),
+        ("certificate submachine\nkeep-fns 2\nkeep-states off\n", "switch sub",
+         "certificate rejected: an index in the certificate is out of range\n"),
+    ]
+
+    @pytest.fixture
+    def argv(self, capsys, tmp_path):
+        rc, reduced, _ = run(
+            capsys, "reduce", SWITCH, "--keep-fns", "hold", "--keep-states", "off"
+        )
+        assert rc == 0
+        sub = tmp_path / "sub.mx"
+        sub.write_text(reduced)
+        files = {"switch": SWITCH, "const0": CONST0, "const1": CONST1, "sub": str(sub)}
+        return lambda words: [files.get(w, w) for w in words.split()]
+
+    @pytest.mark.parametrize("question", sorted(ANSWERS))
+    @pytest.mark.parametrize("fmt", ["text", "certificate"])
+    def test_answer(self, capsys, argv, question, fmt):
+        rc, text, cert = self.ANSWERS[question]
+        assert run(capsys, *argv(question), "--format", fmt) == (
+            rc, text if fmt == "text" else cert, ""
+        )
+
+    @pytest.mark.parametrize("question", sorted(
+        q for q, (_, _, cert) in ANSWERS.items() if cert.startswith("certificate")
+    ))
+    def test_verify_answer(self, capsys, tmp_path, argv, question):
+        path = tmp_path / "answer.cert"
+        path.write_text(self.ANSWERS[question][2])
+        files = argv(question)[1:3]
+        assert run(capsys, "verify", str(path), *files) == (0, "certificate verifies\n", "")
+
+    @pytest.mark.parametrize("cert, files, out", TAMPERED)
+    def test_verify_tampered(self, capsys, tmp_path, argv, cert, files, out):
+        path = tmp_path / "tampered.cert"
+        path.write_text(cert)
+        assert run(capsys, "verify", str(path), *argv(files)) == (0, out, "")
+        assert run(capsys, "verify", str(path), *argv(files), "--expect", "yes")[0] == 1
+
+
 class TestCompilers:
     def test_compile_tm_parseable(self, capsys):
         rc, out, _ = run(capsys, "compile-tm", BITFLIP)

@@ -147,11 +147,12 @@ class TestMachineFormat:
             render_machine(m)
 
     @settings(max_examples=300, deadline=None)
-    @given(labelled_machines())
-    @example(_one_state(label=""))
-    @example(_one_state(fn_name=""))
-    @example(_one_state(name="x y"))
-    def test_render_raises_or_round_trips(self, m):
+    @given(labelled_machines(), MX_TEXT)
+    @example(_one_state(label=""), "m")
+    @example(_one_state(fn_name=""), "m")
+    @example(_one_state(name="x y"), "m")
+    @example(_one_state(), "a,b")
+    def test_render_raises_or_round_trips(self, m, name):
         try:
             text = render_machine(m)
         except InvalidMachineError:
@@ -159,6 +160,19 @@ class TestMachineFormat:
         again = parse_machine(text)
         assert again == m
         assert render_machine(again) == text
+        # Under any other name, the text parses to a name that renders as parsed.
+        try:
+            renamed = parse_machine(f"machine {name}\n" + text.split("\n", 1)[1])
+        except ParseError:
+            return
+        assert render_machine(renamed).splitlines()[0] == f"machine {renamed.name}"
+
+    @pytest.mark.parametrize("name", ["a,b", "a:b", "a->b"])
+    def test_machine_name_must_be_a_token(self, name):
+        with pytest.raises(ParseError) as e:
+            parse_machine(f"machine {name}\nstates x\nfn f: x->x\n")
+        assert "machine name" in str(e.value)
+        assert (e.value.line, e.value.column) == (1, len("machine ") + 1)
 
     @pytest.mark.parametrize("kwargs, line", [
         ({"fn_name": ""}, "fn f0: a->a"),
