@@ -30,7 +30,7 @@ from machalg import (
     run_to_fixpoint,
     simulate_tm,
     state_cardinality,
-    state_reduce,
+    state_reduction,
     states,
     tm_to_mem,
     transition_space_cardinality,
@@ -70,7 +70,7 @@ def main() -> int:
     m3 = make_machine(
         ss3, [identity_fn(ss3), fn_from_map(ss3, {"0": "0", "1": "0", "2": "0"}, "sink")]
     )
-    reduced = state_reduce(m3, ("1", "2"))
+    reduced = state_reduction(m3, ("1", "2")).result
     print("keeping states {1,2} of {identity, sink}:")
     print(render_machine(reduced), end="")
 

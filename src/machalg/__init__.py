@@ -96,11 +96,8 @@ from .models import (
 )
 from .reductions import (
     Reduction,
-    functional_reduce,
     functional_reduction,
     is_sub_machine,
-    preserves,
-    state_reduce,
     state_reduction,
     sub_machine,
 )

@@ -207,14 +207,6 @@ def card_pow(base: Cardinal, exp: Cardinal, trace: Optional[Trace] = None) -> Ca
 # Machine-size templates
 # ---------------------------------------------------------------------------
 
-TEMPLATE_KINDS = (
-    "finite-turing",
-    "infinite-tape-turing",
-    "umm",
-    "lsm",
-    "quantum",
-)
-
 # Which parameters each kind requires.
 _TEMPLATE_PARAMS = {
     "finite-turing": ("k", "m", "n"),
@@ -223,6 +215,7 @@ _TEMPLATE_PARAMS = {
     "lsm": (),
     "quantum": ("m", "n"),
 }
+TEMPLATE_KINDS = tuple(_TEMPLATE_PARAMS)
 
 
 @dataclass(frozen=True)

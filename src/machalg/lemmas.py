@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyReductionError, MachalgError
 from .machine import Machine, StateSet, _assemble
-from .reductions import _keep_functions, is_sub_machine, state_reduce
+from .reductions import _keep_functions, is_sub_machine, state_reduction
 
 LEMMA_NAMES = {
     1: "nested functional reductions collapse",
@@ -84,7 +84,7 @@ def _describe(m: Machine) -> str:
 
 def _try_state_reduce(m: Machine, labels) -> Machine | None:
     try:
-        return state_reduce(m, labels)
+        return state_reduction(m, labels).result
     except EmptyReductionError:
         return None
 

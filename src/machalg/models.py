@@ -416,6 +416,8 @@ def mem_step(p: MemProgram, state: MemState) -> MemState:
 
 def mem_run(p: MemProgram, steps: int) -> list[MemState]:
     """States visited from the initial state, inclusive; length steps+1."""
+    if steps < 0:
+        raise ValueError("max_steps must be non-negative")
     out = [p.initial_state]
     for _ in range(steps):
         out.append(mem_step(p, out[-1]))
@@ -586,7 +588,6 @@ class LockstepReport:
     """Outcome of running a TuringSpec and a MemProgram side by side."""
 
     steps_verified: int
-    mapping: str
     divergence: Optional[tuple[int, str]]
     tm_outcome: str
 
@@ -604,11 +605,10 @@ def verify_lockstep(t: TuringSpec, p: MemProgram, steps: int) -> LockstepReport:
     address cell one step later.
     """
     n = t.cells
-    mapping = (
-        f"tape[i] <-> cell i (sym.*) for i<{n}; register <-> cell {n} (reg.*); "
-        f"head <-> cell {n + 1} (pos.*)"
-    )
     trace = simulate_tm(t, steps)
+    if p.n_cells < n + 2:
+        detail = f"program has {p.n_cells} cell(s), the tape machine needs {n + 2}"
+        return LockstepReport(0, (0, detail), trace.outcome)
     state = p.initial_state
     verified = 0
     for i, c in enumerate(trace.configurations):
@@ -621,7 +621,6 @@ def verify_lockstep(t: TuringSpec, p: MemProgram, steps: int) -> LockstepReport:
         if got != want:
             return LockstepReport(
                 verified,
-                mapping,
                 (i, f"expected {want}, program shows {got}"),
                 trace.outcome,
             )
@@ -634,7 +633,6 @@ def verify_lockstep(t: TuringSpec, p: MemProgram, steps: int) -> LockstepReport:
         if nxt != state:
             return LockstepReport(
                 verified,
-                mapping,
                 (len(trace.configurations) - 1, "machine halted but program still moves"),
                 trace.outcome,
             )
@@ -643,7 +641,6 @@ def verify_lockstep(t: TuringSpec, p: MemProgram, steps: int) -> LockstepReport:
         if state.cells[n + 1] != _pos("err"):
             return LockstepReport(
                 verified,
-                mapping,
                 (
                     len(trace.configurations) - 1,
                     "rejected boundary move not mirrored by pos.err",
@@ -651,4 +648,4 @@ def verify_lockstep(t: TuringSpec, p: MemProgram, steps: int) -> LockstepReport:
                 trace.outcome,
             )
         verified += 1
-    return LockstepReport(verified, mapping, None, trace.outcome)
+    return LockstepReport(verified, None, trace.outcome)

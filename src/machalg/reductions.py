@@ -49,13 +49,8 @@ class Reduction:
             raise InvalidReductionError("state reduction witness lists no states")
 
 
-def functional_reduce(m: Machine, keep: Iterable[TransitionFunction]) -> Machine:
-    """Keep only the listed functions; the state set is untouched."""
-    return functional_reduction(m, keep).result
-
-
 def functional_reduction(m: Machine, keep: Iterable[TransitionFunction]) -> Reduction:
-    """Like :func:`functional_reduce` but returns the full witness."""
+    """Keep only the listed functions; the state set is untouched."""
     try:
         indices = [m.function_index(f) for f in keep]
     except KeyError:
@@ -74,12 +69,6 @@ def _keep_functions(m: Machine, indices: Iterable[int]) -> Reduction:
     return Reduction("functional", m, _assemble(m.states, pairs, name=m.name), kept_functions=kept)
 
 
-def preserves(f: TransitionFunction, labels: Sequence[str]) -> bool:
-    """True when ``f`` maps every listed state to a listed state."""
-    kept = {f.domain.index(s) for s in labels}
-    return all(f.table[i] in kept for i in kept)
-
-
 def _restrictions(m: Machine, kept: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """``(i, table)`` for each function ``i`` of ``m`` mapping the states at
     indices ``kept`` into themselves, ``table`` re-indexed by position in
@@ -91,18 +80,13 @@ def _restrictions(m: Machine, kept: Sequence[int]) -> Iterator[tuple[int, tuple[
             yield i, image
 
 
-def state_reduce(m: Machine, keep_states: Sequence[str]) -> Machine:
+def state_reduction(m: Machine, keep_states: Sequence[str]) -> Reduction:
     """Shrink to ``keep_states``; the result is unique given the subset.
 
     Keeps exactly the restrictions of functions preserving the subset,
     extensional duplicates collapsed.  The given label order becomes the
     reduced machine's state order.
     """
-    return state_reduction(m, keep_states).result
-
-
-def state_reduction(m: Machine, keep_states: Sequence[str]) -> Reduction:
-    """Like :func:`state_reduce` but returns the full witness."""
     keep_states = tuple(keep_states)
     if not keep_states:
         raise InvalidReductionError("a state reduction must keep at least one state")

@@ -39,15 +39,14 @@ from machalg import (
     fn_from_map,
     full_bijection_machine,
     full_machine,
-    functional_reduce,
+    functional_reduction,
     identity_fn,
     is_complete,
     is_sub_machine,
     make_machine,
-    preserves,
     simulate_tm,
     state_cardinality,
-    state_reduce,
+    state_reduction,
     states,
     tm_to_mem,
     transition_space_cardinality,
@@ -180,7 +179,7 @@ def test_criterion_5_reduction_laws():
         # subset but not the outer one, so one step keeps it and two steps
         # drop it (minimal case: test_nested_state_collapse_fails_in_general
         # in test_reductions.py).  Should the suite stop refuting it,
-        # state_reduce has changed its semantics.
+        # state_reduction has changed its semantics.
         assert report.violations_for(2) != ()
 
         # The true law: two nested state reductions are one sub-machine step,
@@ -200,9 +199,10 @@ def test_criterion_5_reduction_laws():
             nested += 1
             two_step = _state_reduce_or_none(outer, s2)
             one_step = _state_reduce_or_none(m, s2)
-            preservers = functional_reduce(
-                m, [f for f in m.functions if preserves(f, s1)]
-            )
+            kept = {m.states.index(s) for s in s1}
+            preservers = functional_reduction(
+                m, [f for f in m.functions if all(f.table[i] in kept for i in kept)]
+            ).result
             assert two_step == _state_reduce_or_none(preservers, s2)
             assert two_step == brute_force_state_reduction(outer_oracle, s2)
             assert one_step == brute_force_state_reduction(m, s2)
@@ -215,7 +215,7 @@ def test_criterion_5_reduction_laws():
 
 def _state_reduce_or_none(m: Machine, labels) -> Machine | None:
     try:
-        return state_reduce(m, labels)
+        return state_reduction(m, labels).result
     except EmptyReductionError:
         return None
 

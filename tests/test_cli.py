@@ -1,5 +1,6 @@
 """End-to-end command tests driving main() with in-process argv."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -477,6 +478,14 @@ class TestCompilers:
         )
         assert rc == 1
 
+    def test_lockstep_program_with_too_few_cells(self, capsys):
+        assert run(capsys, "lockstep", "--tm", BITFLIP, "--mem", TOGGLE) == (
+            0,
+            "verified 0 step(s), halted, divergence at step 0: "
+            "program has 1 cell(s), the tape machine needs 3\n",
+            "",
+        )
+
 
 class TestSim:
     def test_machine_route_needs_fn(self, capsys):
@@ -517,12 +526,47 @@ class TestSim:
         assert rc == 0
         assert "outcome: step limit after 1 step(s)" in out
 
+    @pytest.mark.parametrize("path", [BITFLIP, TOGGLE], ids=["tm", "mem"])
+    def test_negative_step_count_refused(self, capsys, path):
+        assert run(capsys, "sim", path, "--steps", "-1") == (
+            2, "", "error: max_steps must be non-negative\n"
+        )
+
     def test_unknown_file_shape(self, capsys, tmp_path):
         path = tmp_path / "mystery.txt"
         path.write_text("gibberish here\n")
         rc, _, err = run(capsys, "sim", str(path))
         assert rc == 2
         assert "cannot tell" in err
+
+
+class TestEverySample:
+    """Every file-taking subcommand on every sample, and on every ordered
+    pair of samples, ends in an answer, an ``--expect`` mismatch or a
+    one-line error: never in an internal error."""
+
+    def test_no_call_faults(self, capsys):
+        samples = sorted(str(p) for p in SAMPLES.iterdir())
+        calls = [
+            [command, s]
+            for command in ("sim", "compile-tm", "compile-mem", "tm2mem", "reduce")
+            for s in samples
+        ]
+        for a, b in itertools.product(samples, repeat=2):
+            calls += [
+                ["iso", a, b],
+                ["complete", a, b],
+                ["submachine", a, b],
+                ["lockstep", "--tm", a, "--mem", b],
+                ["verify", a, a, b],  # a sample in the certificate slot
+            ]
+        assert len(calls) == 210
+        faults = []
+        for argv in calls:
+            rc, _, err = run(capsys, *argv)
+            if rc not in (0, 1, 2) or "internal error" in err:
+                faults.append((argv, rc, err))
+        assert faults == []
 
 
 class TestErrorPaths:

@@ -31,7 +31,7 @@ from machalg import (
     identity_fn,
     is_complete,
     make_machine,
-    state_reduce,
+    state_reduction,
     states,
     TotalityViolationError,
     verify_completeness,
@@ -642,7 +642,7 @@ class TestEmbeddingCensus:
 
     def test_reduce_then_embed_round_trip(self):
         big = full_machine(StateSet(("x", "y", "z")))
-        sub = state_reduce(big, ("x", "y"))
+        sub = state_reduction(big, ("x", "y")).result
         witness = is_complete(big, sub)
         assert witness is not None
         assert verify_completeness(big, sub, witness)

@@ -439,6 +439,10 @@ class TestMemStep:
         cells = [s.cells[0] for s in mem_run(p, 4)]
         assert cells == ["0", "1", "2", "2", "2"]
 
+    def test_negative_step_count_rejected(self):
+        with pytest.raises(ValueError, match="max_steps must be non-negative"):
+            mem_run(toggle_program(), -1)
+
     def test_final_wins_over_entries(self):
         # an entry matching the final state must not fire
         loop_back = MemEntry((0,), ("2",), (0,), ("0",), (0,), 0)
@@ -723,6 +727,15 @@ class TestTmToMem:
         assert not report.ok
         assert report.divergence[0] == 1
         assert report.steps_verified == 0
+
+    def test_too_few_cells_diverge_at_step_0(self):
+        # one cell cannot hold the tape cell, the register and the head
+        report = verify_lockstep(bitflip_spec(), toggle_program(), 10)
+        assert report.divergence == (
+            0, "program has 1 cell(s), the tape machine needs 3"
+        )
+        assert report.steps_verified == 0
+        assert report.tm_outcome == "halted"
 
     def test_random_specs_lockstep(self):
         rng = random.Random(24)

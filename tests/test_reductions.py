@@ -16,12 +16,10 @@ from machalg import (
     find_isomorphism,
     fn_from_map,
     full_machine,
-    functional_reduce,
     functional_reduction,
     identity_fn,
     is_sub_machine,
     make_machine,
-    state_reduce,
     state_reduction,
     states,
     sub_machine,
@@ -43,26 +41,26 @@ class TestFunctionalReduce:
     def test_keep_identity_drops_switching(self):
         ss, ident, neg = switchlike()
         m = make_machine(ss, [ident, neg])
-        reduced = functional_reduce(m, [ident])
+        reduced = functional_reduction(m, [ident]).result
         assert reduced == make_machine(ss, [ident])
         assert reduced.states == m.states
 
     def test_keep_all_is_identity_operation(self):
         ss, ident, neg = switchlike()
         m = make_machine(ss, [ident, neg])
-        assert functional_reduce(m, m.functions) == m
+        assert functional_reduction(m, m.functions).result == m
 
     def test_foreign_function_rejected(self):
         ss, ident, neg = switchlike()
         m = make_machine(ss, [ident])
         with pytest.raises(InvalidReductionError):
-            functional_reduce(m, [neg])
+            functional_reduction(m, [neg])
 
     def test_empty_keep_rejected(self):
         ss, ident, _ = switchlike()
         m = make_machine(ss, [ident])
         with pytest.raises(InvalidMachineError):
-            functional_reduce(m, [])
+            functional_reduction(m, [])
 
     def test_witness_records_indices(self):
         ss, ident, neg = switchlike()
@@ -81,19 +79,19 @@ class TestStateReduce:
         self.m = make_machine(self.ss, [self.ident, self.const0])
 
     def test_both_preserve(self):
-        got = state_reduce(self.m, ("0", "1"))
+        got = state_reduction(self.m, ("0", "1")).result
         sub = states("0", "1")
         assert got == make_machine(
             sub, [identity_fn(sub), fn_from_map(sub, dict.fromkeys(sub, "0"), "const0")]
         )
 
     def test_const_dropped_when_target_left_out(self):
-        got = state_reduce(self.m, ("1", "2"))
+        got = state_reduction(self.m, ("1", "2")).result
         sub = states("1", "2")
         assert got == make_machine(sub, [identity_fn(sub)])
 
     def test_caller_order_kept(self):
-        got = state_reduce(self.m, ("2", "0"))
+        got = state_reduction(self.m, ("2", "0")).result
         assert got.states.labels == ("2", "0")
 
     def test_no_preserving_function_is_error(self):
@@ -101,15 +99,15 @@ class TestStateReduce:
         shift = fn_from_map(ss, {"a": "b", "b": "a"})
         m = make_machine(ss, [shift])
         with pytest.raises(EmptyReductionError):
-            state_reduce(m, ("a",))
+            state_reduction(m, ("a",))
 
     def test_empty_subset_rejected(self):
         with pytest.raises(InvalidReductionError):
-            state_reduce(self.m, ())
+            state_reduction(self.m, ())
 
     def test_foreign_label_rejected(self):
         with pytest.raises(InvalidReductionError):
-            state_reduce(self.m, ("0", "x"))
+            state_reduction(self.m, ("0", "x"))
 
     def test_restrictions_are_exact(self):
         rng = random.Random(2)
@@ -121,9 +119,9 @@ class TestStateReduce:
             want = brute_force_state_reduction(m, keep)
             if want is None:
                 with pytest.raises(EmptyReductionError):
-                    state_reduce(m, keep)
+                    state_reduction(m, keep)
                 continue
-            assert state_reduce(m, keep) == want
+            assert state_reduction(m, keep).result == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_full_machine_reduces_to_full(self, n):
@@ -131,7 +129,7 @@ class TestStateReduce:
         full = full_machine(ss)
         for size in range(1, n + 1):
             for combo in itertools.combinations(ss.labels, size):
-                got = state_reduce(full, combo)
+                got = state_reduction(full, combo).result
                 assert got.n_functions == size**size
                 assert got.has_full_function_set()
 
@@ -143,10 +141,11 @@ class TestCompositionLaws:
             m = random_machine(rng)
             k1 = rng.randint(1, m.n_functions)
             keep1 = list(m.functions[:k1])
-            inner = functional_reduce(m, keep1)
+            inner = functional_reduction(m, keep1).result
             k2 = rng.randint(1, inner.n_functions)
             keep2 = list(inner.functions[:k2])
-            assert functional_reduce(inner, keep2) == functional_reduce(m, keep2)
+            want = functional_reduction(m, keep2).result
+            assert functional_reduction(inner, keep2).result == want
 
     def test_nested_state_one_sided_containment(self):
         # the two-step machine never has functions the one-step lacks
@@ -157,15 +156,15 @@ class TestCompositionLaws:
             labels = m.states.labels
             s1 = labels[: rng.randint(1, len(labels))]
             try:
-                inner = state_reduce(m, s1)
+                inner = state_reduction(m, s1).result
             except EmptyReductionError:
                 continue
             s2 = s1[: rng.randint(1, len(s1))]
             try:
-                two_step = state_reduce(inner, s2)
+                two_step = state_reduction(inner, s2).result
             except EmptyReductionError:
                 continue
-            one_step = state_reduce(m, s2)  # defined whenever two-step is
+            one_step = state_reduction(m, s2).result  # defined whenever two-step is
             checked += 1
             assert {f.table for f in two_step.functions} <= {
                 f.table for f in one_step.functions
@@ -183,8 +182,8 @@ class TestCompositionLaws:
         m = make_machine(ss, [identity_fn(ss), partial_swap])
         outer = ("s0", "s1", "s2")
         inner = ("s0", "s1")
-        two_step = state_reduce(state_reduce(m, outer), inner)
-        one_step = state_reduce(m, inner)
+        two_step = state_reduction(state_reduction(m, outer).result, inner).result
+        one_step = state_reduction(m, inner).result
         assert two_step != one_step
         assert two_step.n_functions == 1  # identity only
         assert one_step.n_functions == 2  # identity and the swap
@@ -199,10 +198,10 @@ class TestCompositionLaws:
             labels = m.states.labels
             s1 = labels[: rng.randint(1, len(labels))]
             try:
-                once = state_reduce(m, s1)
+                once = state_reduction(m, s1).result
             except EmptyReductionError:
                 continue
-            assert state_reduce(once, s1) == once
+            assert state_reduction(once, s1).result == once
 
     def test_seeded_suite_lemmas_1_and_3_clean(self):
         report = run_lemma_suite(seed=101, iterations=300)
@@ -271,7 +270,7 @@ class TestCompositionLaws:
             "keep drops its first index": (lemmas, "_keep_functions", drop_first),
             "restrictions lose the last preserving function":
                 (reductions, "_restrictions", drop_last),
-            "state reduction rotates every table": (reductions, "state_reduction", rotated),
+            "state reduction rotates every table": (lemmas, "state_reduction", rotated),
         }
         if fault is not None:
             monkeypatch.setattr(*planted[fault])
@@ -323,16 +322,16 @@ class TestSubMachine:
             labels = a.states.labels
             subset = labels[: rng.randint(1, len(labels))]
             try:
-                b = state_reduce(functional_reduce(a, keep), subset)
+                b = state_reduction(functional_reduction(a, keep).result, subset).result
             except EmptyReductionError:
                 continue
             witness = is_sub_machine(a, b)
             assert witness is not None
             fr, sr = witness
-            rebuilt = state_reduce(
-                functional_reduce(a, [a.functions[i] for i in fr.kept_functions]),
+            rebuilt = state_reduction(
+                functional_reduction(a, [a.functions[i] for i in fr.kept_functions]).result,
                 sr.kept_states,
-            )
+            ).result
             assert rebuilt == b
             hits += 1
         assert hits > 50
@@ -343,18 +342,18 @@ class TestSubMachine:
         for _ in range(200):
             a = random_machine(rng)
             try:
-                b = state_reduce(
-                    functional_reduce(
+                b = state_reduction(
+                    functional_reduction(
                         a, list(a.functions[: rng.randint(1, a.n_functions)])
-                    ),
+                    ).result,
                     a.states.labels[: rng.randint(1, a.n_states)],
-                )
-                c = state_reduce(
-                    functional_reduce(
+                ).result
+                c = state_reduction(
+                    functional_reduction(
                         b, list(b.functions[: rng.randint(1, b.n_functions)])
-                    ),
+                    ).result,
                     b.states.labels[: rng.randint(1, b.n_states)],
-                )
+                ).result
             except EmptyReductionError:
                 continue
             assert is_sub_machine(a, c) is not None
@@ -382,7 +381,7 @@ class TestSubMachine:
                 labels = rng.sample(a.states.labels, rng.randint(1, a.n_states))
                 keep = rng.sample(a.functions, rng.randint(1, a.n_functions))
                 try:
-                    b = state_reduce(functional_reduce(a, keep), labels)
+                    b = state_reduction(functional_reduction(a, keep).result, labels).result
                 except EmptyReductionError:
                     continue
                 if rng.random() < 0.5:
