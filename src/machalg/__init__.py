@@ -43,7 +43,6 @@ from .errors import (
 from .isomorphism import (
     CompletenessWitness,
     Morphism,
-    construct_full_embedding,
     find_isomorphism,
     is_complete,
     verify_completeness,

@@ -43,6 +43,7 @@ from .models import (
 from .reductions import is_sub_machine, sub_machine
 from .textio import (
     Certificate,
+    _significant_lines,
     display_names,
     parse_certificate,
     parse_machine,
@@ -288,11 +289,8 @@ def _cmd_lockstep(args) -> int:
 
 
 def _sniff(text: str) -> str:
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            return body.split()[0]
-    return ""
+    rows = _significant_lines(text)
+    return rows[0][2][0] if rows else ""
 
 
 def _cmd_sim(args) -> int:

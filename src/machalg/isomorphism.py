@@ -9,13 +9,14 @@ produce identical certificates.
 
 Completeness asks for a sub-machine of one machine isomorphic to another.
 When the container carries the full function set the witness is constructed
-directly (conjugate each target function by an arbitrary injection and
-extend by the identity); otherwise subsets are searched exhaustively.
+directly (place the target on the container's first states and extend each
+function by the identity); otherwise subsets are searched exhaustively.
 
 Both searches run on one explicit-stack loop, :func:`_search`, so no input
 depth meets the recursion limit.  Isomorphism prunes by colour refinement
 of the disjoint union of the two machines (McKay & Piperno, "Practical
-graph isomorphism II", 2014), completeness by sub-multiset invariants.
+graph isomorphism II", 2014), completeness by state signatures compared as
+sub-multisets.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .errors import IncompatibleShapesError, SearchBudgetExceededError
+from .errors import IncompatibleShapesError, MachalgError, SearchBudgetExceededError
 from .machine import Machine
 from .reductions import Reduction, _restrictions, sub_machine
 
@@ -141,15 +142,6 @@ def _state_signatures(
         tuple(sorted((indeg[s], table[s] == s, s in cyclic) for indeg, table, cyclic in per_fn))
         for s in range(n)
     ]
-
-
-def _arc_counts(tables: Iterable[tuple[int, ...]], n: int) -> list[list[int]]:
-    """arc[s][t] = number of tables sending s to t; invariant matrix."""
-    arc = [[0] * n for _ in range(n)]
-    for table in tables:
-        for s, t in enumerate(table):
-            arc[s][t] += 1
-    return arc
 
 
 def _conjugate(table: tuple[int, ...], g: Sequence[int]) -> tuple[int, ...]:
@@ -312,6 +304,8 @@ def find_isomorphism(
     one of b's functions, found by table lookup.  ``node_budget`` caps the
     candidates tried; exceeding it raises rather than guessing.
     """
+    if node_budget is not None and node_budget < 0:
+        raise MachalgError(f"node_budget must be at least 0, got {node_budget}")
     # Each machine caches two ints, and unequal ones prove non-isomorphism:
     # a hash of its sorted fingerprints, set by the first call that profiles
     # it, and a hash of its state count and image-size multiset, set by its
@@ -377,47 +371,26 @@ def find_isomorphism(
 # ---------------------------------------------------------------------------
 
 
-def construct_full_embedding(
-    a: Machine, b: Machine, g: Optional[Sequence[int]] = None
-) -> CompletenessWitness:
-    """Embed ``b`` into the full machine ``a`` without searching.
+def _construct_embedding(a: Machine, b: Machine) -> CompletenessWitness:
+    """Embed ``b`` into the full machine ``a`` on a's first states, without searching.
 
-    ``g`` is an injection as a tuple of ``a``'s state indices, one per state
-    of ``b`` (default: the order-preserving injection 0,1,...).  Each
-    function of ``b`` is conjugated through g and extended by the identity
-    off the image; a full machine holds every table, in lexicographic
-    order, so the extension's index is its table read as a base-n numeral
-    and the witness verifies by construction.
+    Each function of ``b`` is extended by the identity off those states; a
+    full machine holds every table, in lexicographic order, so the
+    extension's index is its table read as a base-n numeral and the witness
+    verifies by construction.  The caller ensures ``b`` has no more states.
     """
     if not a.has_full_function_set():
         raise IncompatibleShapesError(
             "the constructive path needs the full function set on the container"
         )
-    n, n_b = a.n_states, b.n_states
-    if n_b > n:
-        raise IncompatibleShapesError(
-            f"cannot embed {n_b} states into {n}; an injection needs "
-            "at least as many targets as sources"
-        )
-    g = tuple(range(n_b)) if g is None else tuple(g)
-    if len(g) != n_b or len(set(g)) != n_b or not all(0 <= i < n for i in g):
-        raise IncompatibleShapesError(
-            "g must be an injection of target-state indices into the container states"
-        )
-    subset = sorted(g)  # sub-machine states keep the container's order
-    g_sub = [subset.index(i) for i in g]
-    conj_tables = [_conjugate(t, g_sub) for t in b.tables]
-    chosen = []
-    for t in conj_tables:
-        ext = list(range(n))
-        for p, q in enumerate(t):
-            ext[subset[p]] = subset[q]
-        chosen.append(sum(image * n ** (n - 1 - s) for s, image in enumerate(ext)))
-    return _witness(a, chosen, subset, conj_tables, g_sub)
+    n, first = a.n_states, range(b.n_states)
+    rest = tuple(range(b.n_states, n))
+    chosen = [sum(image * n ** (n - 1 - s) for s, image in enumerate(t + rest)) for t in b.tables]
+    return _witness(a, chosen, first, b.tables, first)
 
 
 def _witness(
-    a: Machine, chosen: list[int], subset: Sequence[int], conj_tables: list, g: Sequence[int]
+    a: Machine, chosen: list[int], subset: Sequence[int], conj_tables: Sequence, g: Sequence[int]
 ) -> CompletenessWitness:
     """The witness that keeps ``a``'s functions at ``chosen`` and its states
     at ``subset``, where b's state i goes to subset position ``g[i]`` and
@@ -443,10 +416,12 @@ def is_complete(
     """
     if method not in ("auto", "construct", "search"):
         raise ValueError(f"unknown method {method!r}")
+    if node_budget is not None and node_budget < 0:
+        raise MachalgError(f"node_budget must be at least 0, got {node_budget}")
     if b.n_states > a.n_states:
         return None
     if method == "construct" or (method == "auto" and a.has_full_function_set()):
-        return construct_full_embedding(a, b)
+        return _construct_embedding(a, b)
     return _search_completeness(a, b, node_budget)
 
 
@@ -459,15 +434,14 @@ def _search_completeness(
     """
     n_b = b.n_states
     sig_b = _state_signatures(b.tables, n_b)
-    arc_b = _arc_counts(b.tables, n_b)
     problems = (
-        _subset_problem(a, b.tables, subset, sig_b, arc_b)
+        _subset_problem(a, b.tables, subset, sig_b)
         for subset in itertools.combinations(range(a.n_states), n_b)
     )
     return _search((p for p in problems if p), n_b, "completeness search", node_budget)
 
 
-def _subset_problem(a: Machine, tables_b: Sequence, subset: tuple[int, ...], sig_b, arc_b):
+def _subset_problem(a: Machine, tables_b: Sequence, subset: tuple[int, ...], sig_b):
     """Candidates and leaf for embedding b onto one state subset of a, or None.
 
     The reachable tables are the restrictions of a's subset-preserving
@@ -482,17 +456,13 @@ def _subset_problem(a: Machine, tables_b: Sequence, subset: tuple[int, ...], sig
         reachable.setdefault(t, idx)
     if len(reachable) < len(tables_b):
         return None
-    # Invariants of the reduced machine, for pruning g.
-    arc_r = _arc_counts(reachable, n_b)
+    # Signatures of the reduced machine, for pruning g.
     sigs_r = _state_signatures(list(reachable), n_b)
 
     def candidates(i: int, g: list) -> Iterator[int]:
         used = g[:i]
         for t in range(n_b):
-            if t in used or not _sub_multiset(sig_b[i], sigs_r[t]) or arc_b[i][i] > arc_r[t][t]:
-                continue
-            if all(arc_b[i][j] <= arc_r[t][u] and arc_b[j][i] <= arc_r[u][t]
-                   for j, u in enumerate(used)):
+            if t not in used and _sub_multiset(sig_b[i], sigs_r[t]):
                 yield t
 
     def leaf(g: list) -> Optional[CompletenessWitness]:

@@ -738,9 +738,13 @@ class TestHostileInput:
              f"unknown function '{HUGE}'; known names: hold flip"),
             (["reduce", SWITCH, "--keep-fns", "0" * 5000 + "2"],
              f"unknown function '{'0' * 5000}2'; known names: hold flip"),
+            (["iso", CONST0, CONST1, "--node-budget", "-3"],
+             "node_budget must be at least 0, got -3"),
+            (["complete", CONST0, CONST1, "--node-budget", "-3"],
+             "node_budget must be at least 0, got -3"),
         ],
         ids=["max-states", "max-states-16", "max-fns", "max-fns-huge", "iters", "from", "fn",
-             "keep-fns"],
+             "keep-fns", "iso-budget", "complete-budget"],
     )
     def test_one_line_error(self, capsys, argv, error):
         assert run(capsys, *argv) == (2, "", f"error: {error}\n")

@@ -15,6 +15,7 @@ from machalg import (
     BoundaryPolicy,
     DomainMismatchError,
     IncompatibleShapesError,
+    MachalgError,
     Morphism,
     Move,
     SearchBudgetExceededError,
@@ -23,7 +24,6 @@ from machalg import (
     TransitionFunction,
     TuringSpec,
     compile_tm,
-    construct_full_embedding,
     find_isomorphism,
     fn_from_map,
     full_bijection_machine,
@@ -198,6 +198,12 @@ class TestFindIsomorphism:
             find_isomorphism(x, y, node_budget=2)
         assert "2" in str(err.value)
         assert "inconclusive" in str(err.value)
+
+    def test_negative_budget_rejected_before_any_work(self):
+        # Machines of different sizes would otherwise be a quick "no".
+        a = make_machine(states("0"), [identity_fn(states("0"))])
+        with pytest.raises(MachalgError, match="^node_budget must be at least 0, got -3$"):
+            find_isomorphism(a, full_machine(StateSet(("x", "y"))), node_budget=-3)
 
     def test_budget_error_reports_depth(self):
         x = full_machine(StateSet(("a", "b", "c")))
@@ -385,7 +391,7 @@ class TestConstructFullEmbedding:
     def test_negation_keeps_conjugated_table(self):
         probe = self.negation_probe()
         big = full_machine(StateSet(("x", "y", "z")))
-        witness = construct_full_embedding(big, probe, g=(0, 1))
+        witness = is_complete(big, probe, method="construct")
         sub = witness.sub
         assert sub.states.labels == ("x", "y")
         assert [f.table for f in sub.functions] == [(1, 0)]
@@ -393,35 +399,11 @@ class TestConstructFullEmbedding:
         assert kept == [(1, 0, 2)]  # identity extension off the image
         assert verify_completeness(big, probe, witness)
 
-    def test_unsorted_injection_supported(self):
-        probe = self.negation_probe()
-        big = full_machine(StateSet(("x", "y", "z")))
-        witness = construct_full_embedding(big, probe, g=(2, 0))
-        assert witness.sub.states.labels == ("x", "z")
-        assert witness.morphism.g == (1, 0)
-        assert verify_completeness(big, probe, witness)
-
-    def test_non_injective_g_rejected(self):
-        big = full_machine(StateSet(("x", "y", "z")))
-        with pytest.raises(IncompatibleShapesError):
-            construct_full_embedding(big, self.negation_probe(), g=(1, 1))
-
-    def test_g_out_of_range_rejected(self):
-        big = full_machine(StateSet(("x", "y", "z")))
-        with pytest.raises(IncompatibleShapesError):
-            construct_full_embedding(big, self.negation_probe(), g=(0, 3))
-
     def test_container_must_be_full(self):
         ss = states("x", "y")
         thin = make_machine(ss, [identity_fn(ss)])
         with pytest.raises(IncompatibleShapesError):
-            construct_full_embedding(thin, self.negation_probe())
-
-    def test_too_many_source_states_rejected(self):
-        ss = states("0", "1", "2")
-        probe = make_machine(ss, [identity_fn(ss)])
-        with pytest.raises(IncompatibleShapesError):
-            construct_full_embedding(full_machine(StateSet(("x", "y"))), probe)
+            is_complete(thin, self.negation_probe(), method="construct")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kept_functions_are_the_identity_extensions(self, n):
@@ -430,17 +412,12 @@ class TestConstructFullEmbedding:
         big = full_machine(StateSet(tuple(f"s{i}" for i in range(n))))
         for _ in range(30):
             probe = random_machine(rng, max_states=n, max_functions=4)
-            g = tuple(rng.sample(range(n), probe.n_states))
-            witness = construct_full_embedding(big, probe, g)
-            extensions = set()
-            for f in probe.functions:
-                ext = list(range(n))
-                for s, t in enumerate(f.table):
-                    ext[g[s]] = g[t]
-                extensions.add(tuple(ext))
+            witness = is_complete(big, probe, method="construct")
+            extensions = {f.table + tuple(range(probe.n_states, n)) for f in probe.functions}
             kept = witness.reductions[0].kept_functions
             assert {big.functions[i].table for i in kept} == extensions
-            assert witness.sub.states.labels == tuple(f"s{i}" for i in sorted(g))
+            assert witness.sub.states.labels == big.states.labels[: probe.n_states]
+            assert witness.morphism.g == tuple(range(probe.n_states))
             assert verify_completeness(big, probe, witness)
 
     def test_full_container_costs_only_the_kept_functions(self):
@@ -451,7 +428,7 @@ class TestConstructFullEmbedding:
         probe = random_machine(random.Random(3), max_states=5, max_functions=6)
         tracemalloc.start()
         try:
-            witness = construct_full_embedding(big, probe)
+            witness = is_complete(big, probe, method="construct")
             assert verify_completeness(big, probe, witness)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -469,11 +446,20 @@ class TestIsComplete:
             assert witness is not None
             assert verify_completeness(big, m, witness)
 
-    def test_bigger_probe_is_incomplete(self):
+    @pytest.mark.parametrize("method", ["auto", "construct", "search"])
+    def test_bigger_probe_is_incomplete(self, method):
         small = full_machine(StateSet(("x", "y")))
         ss = states("0", "1", "2")
         probe = make_machine(ss, [identity_fn(ss)])
-        assert is_complete(small, probe) is None
+        assert is_complete(small, probe, method=method) is None
+
+    @pytest.mark.parametrize("method", ["auto", "construct", "search"])
+    def test_negative_budget_rejected_before_any_work(self, method):
+        ss = states("0", "1", "2")
+        probe = make_machine(ss, [identity_fn(ss)])
+        small = full_machine(StateSet(("x", "y")))  # too small: any work would answer None
+        with pytest.raises(MachalgError, match="^node_budget must be at least 0, got -3$"):
+            is_complete(small, probe, method=method, node_budget=-3)
 
     def test_construct_demands_full_container(self):
         ss = states("x", "y", "z")
