@@ -2,10 +2,10 @@
 
 Submodules: ``cardinal`` (symbolic state-set sizes), ``machine`` (states,
 transition functions, fixpoint runs), ``reductions`` (keeping fewer
-functions or states), ``isomorphism`` (witness search, completeness,
-constructive embeddings), ``models`` (tape machines and memory-cell
-programs compiled down to machines), ``textio`` (file formats and
-certificates), ``lemmas`` (randomized law checks), ``cli`` (command line).
+functions or states), ``isomorphism`` (witness search, completeness and
+embeddings, the certificate checker), ``models`` (tape machines and
+memory-cell programs compiled down to machines), ``textio`` (file formats
+and certificates), ``lemmas`` (randomized law checks), ``cli`` (command line).
 """
 
 from .cardinal import (
@@ -45,6 +45,7 @@ from .isomorphism import (
     Morphism,
     find_isomorphism,
     is_complete,
+    verify,
     verify_completeness,
     verify_morphism,
 )

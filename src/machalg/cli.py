@@ -21,8 +21,8 @@ from .cardinal import (
     state_cardinality,
     transition_space_cardinality,
 )
-from .errors import IncompatibleShapesError, MachalgError
-from .isomorphism import Morphism, find_isomorphism, is_complete, verify_morphism
+from .errors import MachalgError
+from .isomorphism import Morphism, find_isomorphism, is_complete, verify
 from .lemmas import LEMMA_NAMES, run_lemma_suite
 from .machine import (
     DEFAULT_ENUMERATION_CAP,
@@ -200,7 +200,7 @@ def _cmd_complete(args) -> int:
         kept_functions=fr.kept_functions,
         kept_states=sr.kept_states,
     )
-    return _answer(args, "complete", cert, _morphism_lines(b, w.sub, w.morphism))
+    return _answer(args, "complete", cert, _morphism_lines(b, sr.result, w.morphism))
 
 
 def _cmd_submachine(args) -> int:
@@ -349,33 +349,9 @@ def _cmd_verify(args) -> int:
     cert = parse_certificate(_read(args.certificate))
     a = parse_machine(_read(args.a))
     b = parse_machine(_read(args.b))
-    ok, reason = _verify_certificate(cert, a, b)
+    ok, reason = verify(cert, a, b)
     _emit(["certificate verifies"] if ok else [f"certificate rejected: {reason}"])
     return _definite(ok, args.expect)
-
-
-def _verify_certificate(cert: Certificate, a: Machine, b: Machine) -> tuple[bool, str]:
-    try:
-        if cert.kind == "iso":
-            if not verify_morphism(a, b, Morphism(cert.g, cert.h)):
-                return False, "the mapping does not commute with every function"
-            return True, ""
-        sub = sub_machine(a, cert.kept_functions, cert.kept_states)[1].result
-        if cert.kind == "complete":
-            try:
-                ok = verify_morphism(b, sub, Morphism(cert.g, cert.h))
-            except IncompatibleShapesError:  # the replay has the wrong shape
-                ok = False
-            return ok, "" if ok else "the reductions or the morphism do not check out"
-        if sub.states != b.states:
-            return False, "the reduced state set differs from the target"
-        if sub.tables != b.tables:
-            return False, "the reduced function set differs from the target"
-        return True, ""
-    except IndexError:
-        return False, "an index in the certificate is out of range"
-    except MachalgError as e:
-        return False, str(e)
 
 
 def _cmd_check_lemmas(args) -> int:

@@ -1,4 +1,4 @@
-"""Machine isomorphism, completeness, and the full-set embedding.
+"""Machine isomorphism, completeness, the full-set embedding, and certificate checks.
 
 An isomorphism between machines is a pair of bijections: g on states and h
 on functions, commuting in the sense g(f(s)) = h(f)(g(s)).  The commuting
@@ -29,6 +29,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 from .errors import IncompatibleShapesError, MachalgError, SearchBudgetExceededError
 from .machine import Machine
 from .reductions import Reduction, _restrictions, sub_machine
+from .textio import Certificate
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,6 @@ class CompletenessWitness:
 
     reductions: tuple[Reduction, Reduction]
     morphism: Morphism
-
-    @property
-    def sub(self) -> Machine:
-        return self.reductions[1].result
 
 
 def verify_morphism(a: Machine, b: Machine, mor: Morphism) -> bool:
@@ -482,12 +479,9 @@ def _sub_multiset(smaller: tuple, larger: tuple) -> bool:
 
 
 def verify_completeness(a: Machine, b: Machine, w: CompletenessWitness) -> bool:
-    """Re-derive both reductions and re-check the morphism; no search.
-
-    A witness is accepted only if its functional reduction starts from
-    ``a``, the reductions chain, the recomputed results match the recorded
-    ones, and the morphism is a genuine isomorphism onto the sub-machine.
-    """
+    """The witness-object form of :func:`verify`: True only if the functional
+    reduction starts from ``a``, the reductions chain, a replay gives the
+    recorded results, and ``verify`` accepts the certificate they record."""
     fr, sr = w.reductions
     if fr.kind != "functional" or sr.kind != "state":
         return False
@@ -499,7 +493,36 @@ def verify_completeness(a: Machine, b: Machine, w: CompletenessWitness) -> bool:
         return False
     if fr2.result != fr.result or sr2.result != sr.result:
         return False
+    cert = Certificate("complete", w.morphism.g, w.morphism.h, fr.kept_functions, sr.kept_states)
+    return verify(cert, a, b)[0]
+
+
+def verify(cert: Certificate, a: Machine, b: Machine) -> tuple[bool, str]:
+    """``(True, "")`` if ``cert`` checks out for ``a`` and ``b``, else ``(False, reason)``; no search.
+
+    ``iso`` maps ``a`` onto ``b``.  ``complete`` and ``submachine`` replay
+    the sub-machine of ``a`` they keep: ``complete`` maps ``b`` onto it,
+    and for ``submachine`` it must equal ``b``, labels included.
+    """
+    if cert.kind not in ("iso", "complete", "submachine"):
+        return False, f"unknown certificate kind {cert.kind!r}"
     try:
-        return verify_morphism(b, sr.result, w.morphism)
-    except IncompatibleShapesError:
-        return False
+        if cert.kind == "iso":
+            ok = verify_morphism(a, b, Morphism(cert.g, cert.h))
+            return ok, "" if ok else "the mapping does not commute with every function"
+        sub = sub_machine(a, cert.kept_functions, cert.kept_states)[1].result
+        if cert.kind == "complete":
+            try:
+                ok = verify_morphism(b, sub, Morphism(cert.g, cert.h))
+            except IncompatibleShapesError:  # the replay has the wrong shape
+                ok = False
+            return ok, "" if ok else "the reductions or the morphism do not check out"
+        if sub.states != b.states:
+            return False, "the reduced state set differs from the target"
+        if sub.tables != b.tables:
+            return False, "the reduced function set differs from the target"
+        return True, ""
+    except IndexError:
+        return False, "an index in the certificate is out of range"
+    except MachalgError as e:
+        return False, str(e)

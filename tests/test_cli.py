@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -691,6 +692,73 @@ HOSTILE = {
 }
 
 
+def _malformed(kind, text, error):
+    argv = {"mx": ["iso", text, SWITCH], "tm": ["compile-tm", text],
+            "mem": ["compile-mem", text], "cert": ["verify", text, CONST0, CONST1]}[kind]
+    return pytest.param(argv, error, id=kind + "-" + "-".join(re.findall(r"\w+", error)))
+
+
+# One malformed file per parse error message, each with its line and column.
+MALFORMED = [
+    _malformed("mx", "machine\nstates a\n", "line 1, column 1: expected 'machine <name>'"),
+    _malformed("mx", "machine m\nstates\n", "line 2, column 1: 'states' needs at least one state"),
+    _malformed("mx", "machine m\nfn f: a->a\n", "line 2, column 1: 'states' must come before 'fn'"),
+    _malformed("mx", "machine m\nstates a\nfn f a->a\n",
+               "line 3, column 1: fn line needs 'fn <name>: <clauses>'"),
+    _malformed("mx", "machine m\nstates a\nfn f g: a->a\n",
+               "line 3, column 1: fn line needs exactly one name"),
+    _malformed("mx", "machine m\nstates a\nfn f: a->a,\n", "line 3, column 1: empty clause"),
+    _malformed("mx", "machine m\nstates a\nfn f: a\n",
+               "line 3, column 7: clause 'a' must read 'state->state'"),
+    _malformed("mx", "machine m\nstates a\nfn f: a->a\noutput\n",
+               "line 4, column 1: 'output' needs at least one function name"),
+    _malformed("mx", "# no header\noutput f\n", "line 2, column 1: missing 'machine <name>' header"),
+    _malformed("tm", "# nothing\n", "line 1, column 1: empty input; expected 'tm <name>'"),
+    _malformed("tm", "tm\n", "line 1, column 1: expected 'tm <name>'"),
+    _malformed("tm", "tm t\nsymbols\n", "line 2, column 1: 'symbols' needs at least one symbol"),
+    _malformed("tm", "tm t\nregisters\n",
+               "line 2, column 1: 'registers' needs at least one register"),
+    _malformed("tm", "tm t\nboundary wrap\n",
+               "line 2, column 1: 'boundary' must be 'reject' or 'clamp'"),
+    _malformed("tm", "tm t\nrule q0 0 -> q0 0 S\n",
+               "line 2, column 1: 'symbols' must be declared before this line"),
+    _malformed("tm", "tm t\nsymbols 0\nregisters q0 h\nrule q0 0 -> h 0 S\nhalting h\n",
+               "line 5, column 1: 'halting' must come before the rules"),
+    _malformed("tm", "tm t\nregisters q0\nhalting z\n",
+               "line 3, column 9: unknown halting register 'z'"),
+    _malformed("tm", "tm t\nsymbols 0\nregisters q0\nrule q0 0 q0 0 S\n",
+               "line 4, column 1: rule must read 'rule <reg> <sym> -> <reg> <sym> <L|R|S>'"),
+    _malformed("tm", "tm t\nsymbols 0\nregisters q0\nrule q9 0 -> q0 0 S\n",
+               "line 4, column 6: unknown register 'q9'"),
+    _malformed("tm", "tm t\nsymbols 0\nregisters q0\ncells 1\ninit tape 0 head 0\n",
+               "line 5, column 1: init must read 'init tape <1 symbols> head <i> register <reg>'"),
+    _malformed("tm", "tm t\nsymbols 0\nregisters q0\ncells 1\ninit tape 0 head 0 register q9\n",
+               "line 5, column 29: unknown register 'q9'"),
+    _malformed("mem", "\n", "line 1, column 1: empty input; expected 'mem <name>'"),
+    _malformed("mem", "mem\n", "line 1, column 1: expected 'mem <name>'"),
+    _malformed("mem", "mem m\nalphabet\n", "line 2, column 1: 'alphabet' needs at least one value"),
+    _malformed("mem", "mem m\ncell 0 = 0\n", "line 2, column 1: 'alphabet' must come before 'cell'"),
+    _malformed("mem", "mem m\nalphabet 0\ncell 0 = 0\ncell 0 = 0\n",
+               "line 4, column 1: cell 0 initialized twice"),
+    _malformed("mem", "mem m\ndefault loop\n", "line 2, column 1: only 'default halt' is supported"),
+    _malformed("mem", "mem m\nalphabet 0\ncell 0 = 0\nstart rd(0) fn 0\n",
+               "line 4, column 7: expected 'read(...)', got 'rd(0)'"),
+    _malformed("mem", "mem m\nalphabet 0\ncell 0 = 0\nstart read(0) fn 0\nfn 0\n"
+               "entry read(0) -> write(0)=(0) next read(0) fn 0\n",
+               "line 6, column 7: expected 'read(...)=(...)', got 'read(0)'"),
+    _malformed("mem", "alphabet 0\n", "line 1, column 1: missing 'mem <name>' header"),
+    _malformed("mem", "mem m\n", "line 1, column 1: missing 'alphabet' line"),
+    _malformed("mem", "mem m\nalphabet 0\n", "line 2, column 1: missing 'cell' lines"),
+    _malformed("mem", "mem m\nalphabet 0\ncell 0 = 0\nstart read(0) fn 0\n",
+               "line 4, column 1: missing 'fn' block"),
+    _malformed("cert", "# nothing\n",
+               "line 1, column 1: empty input; expected 'certificate <kind>'"),
+    _malformed("cert", "certificate iso\nk 0\n", "line 2, column 1: unknown certificate key 'k'"),
+    _malformed("cert", "certificate iso\ng 1 0\ng 1 0\nh 0\n",
+               "line 3, column 1: duplicate certificate key 'g'"),
+]
+
+
 @pytest.fixture
 def hostile_files(tmp_path):
     bitflip = Path(BITFLIP).read_text()
@@ -722,31 +790,38 @@ class TestHostileInput:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) <= 1, proc.stderr
 
-    @pytest.mark.parametrize(
-        "argv, error",
-        [
-            (["check-lemmas", "--max-states", "0"], "max_states must be at least 1, got 0"),
-            (["check-lemmas", "--max-states", "16"], "max_states must be at most 15, got 16"),
-            (["check-lemmas", "--max-fns", "0"], "max_functions must be at least 1, got 0"),
-            (["check-lemmas", "--iters", "2", "--max-states", "15",
-              "--max-fns", "99999999999999999999"],
-             "max_functions must be at most 10000, got 99999999999999999999"),
-            (["check-lemmas", "--iters", "-5"], "iterations must be at least 0, got -5"),
-            (["sim", SWITCH, "--fn", "0", "--from", "\u00b2"],
-             "state '\u00b2' is not in this state set"),
-            (["sim", SWITCH, "--fn", HUGE, "--from", "off"],
-             f"unknown function '{HUGE}'; known names: hold flip"),
-            (["reduce", SWITCH, "--keep-fns", "0" * 5000 + "2"],
-             f"unknown function '{'0' * 5000}2'; known names: hold flip"),
-            (["iso", CONST0, CONST1, "--node-budget", "-3"],
-             "node_budget must be at least 0, got -3"),
-            (["complete", CONST0, CONST1, "--node-budget", "-3"],
-             "node_budget must be at least 0, got -3"),
-        ],
-        ids=["max-states", "max-states-16", "max-fns", "max-fns-huge", "iters", "from", "fn",
-             "keep-fns", "iso-budget", "complete-budget"],
-    )
-    def test_one_line_error(self, capsys, argv, error):
+    @pytest.mark.parametrize("argv, error", [
+        pytest.param(["check-lemmas", "--max-states", "0"],
+                     "max_states must be at least 1, got 0", id="max-states"),
+        pytest.param(["check-lemmas", "--max-states", "16"],
+                     "max_states must be at most 15, got 16", id="max-states-16"),
+        pytest.param(["check-lemmas", "--max-fns", "0"],
+                     "max_functions must be at least 1, got 0", id="max-fns"),
+        pytest.param(["check-lemmas", "--iters", "2", "--max-states", "15",
+                      "--max-fns", "99999999999999999999"],
+                     "max_functions must be at most 10000, got 99999999999999999999",
+                     id="max-fns-huge"),
+        pytest.param(["check-lemmas", "--iters", "-5"],
+                     "iterations must be at least 0, got -5", id="iters"),
+        pytest.param(["sim", SWITCH, "--fn", "0", "--from", "\u00b2"],
+                     "state '\u00b2' is not in this state set", id="from"),
+        pytest.param(["sim", SWITCH, "--fn", HUGE, "--from", "off"],
+                     f"unknown function '{HUGE}'; known names: hold flip", id="fn"),
+        pytest.param(["reduce", SWITCH, "--keep-fns", "0" * 5000 + "2"],
+                     f"unknown function '{'0' * 5000}2'; known names: hold flip", id="keep-fns"),
+        pytest.param(["iso", CONST0, CONST1, "--node-budget", "-3"],
+                     "node_budget must be at least 0, got -3", id="iso-budget"),
+        pytest.param(["complete", CONST0, CONST1, "--node-budget", "-3"],
+                     "node_budget must be at least 0, got -3", id="complete-budget"),
+        *MALFORMED,
+    ])
+    def test_one_line_error(self, capsys, tmp_path, argv, error):
+        # An argument holding a newline is file text: it is passed as a file.
+        paths = [tmp_path / f"arg{i}" for i in range(len(argv))]
+        for path, arg in zip(paths, argv):
+            if "\n" in arg:
+                path.write_text(arg)
+        argv = [str(path) if "\n" in arg else arg for path, arg in zip(paths, argv)]
         assert run(capsys, *argv) == (2, "", f"error: {error}\n")
 
     def test_repeated_directive_is_a_one_line_error(self, tmp_path):

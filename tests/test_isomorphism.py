@@ -1,5 +1,6 @@
 """Isomorphism search, embeddings into full machines, completeness checks."""
 
+import dataclasses
 import itertools
 import os
 import pickle
@@ -13,6 +14,8 @@ import pytest
 
 from machalg import (
     BoundaryPolicy,
+    Certificate,
+    CompletenessWitness,
     DomainMismatchError,
     IncompatibleShapesError,
     MachalgError,
@@ -31,9 +34,11 @@ from machalg import (
     identity_fn,
     is_complete,
     make_machine,
+    parse_machine,
     state_reduction,
     states,
     TotalityViolationError,
+    verify,
     verify_completeness,
     verify_morphism,
 )
@@ -382,60 +387,6 @@ def constantish(ss):
     return fn_from_map(ss, {lab: ss.labels[0] for lab in ss.labels}, "k0")
 
 
-class TestConstructFullEmbedding:
-    def negation_probe(self):
-        ss = states("0", "1")
-        neg = fn_from_map(ss, {"0": "1", "1": "0"}, "neg")
-        return make_machine(ss, [neg])
-
-    def test_negation_keeps_conjugated_table(self):
-        probe = self.negation_probe()
-        big = full_machine(StateSet(("x", "y", "z")))
-        witness = is_complete(big, probe, method="construct")
-        sub = witness.sub
-        assert sub.states.labels == ("x", "y")
-        assert [f.table for f in sub.functions] == [(1, 0)]
-        kept = [big.functions[i].table for i in witness.reductions[0].kept_functions]
-        assert kept == [(1, 0, 2)]  # identity extension off the image
-        assert verify_completeness(big, probe, witness)
-
-    def test_container_must_be_full(self):
-        ss = states("x", "y")
-        thin = make_machine(ss, [identity_fn(ss)])
-        with pytest.raises(IncompatibleShapesError):
-            is_complete(thin, self.negation_probe(), method="construct")
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_kept_functions_are_the_identity_extensions(self, n):
-        # The kept index is found by arithmetic; check it against the tables.
-        rng = random.Random(n)
-        big = full_machine(StateSet(tuple(f"s{i}" for i in range(n))))
-        for _ in range(30):
-            probe = random_machine(rng, max_states=n, max_functions=4)
-            witness = is_complete(big, probe, method="construct")
-            extensions = {f.table + tuple(range(probe.n_states, n)) for f in probe.functions}
-            kept = witness.reductions[0].kept_functions
-            assert {big.functions[i].table for i in kept} == extensions
-            assert witness.sub.states.labels == big.states.labels[: probe.n_states]
-            assert witness.morphism.g == tuple(range(probe.n_states))
-            assert verify_completeness(big, probe, witness)
-
-    def test_full_container_costs_only_the_kept_functions(self):
-        # Construct and verify look up the kept functions by arithmetic and
-        # bisection, so they allocate nothing that grows with the 46,656
-        # functions of the container.
-        big = full_machine(StateSet(tuple(f"s{i}" for i in range(6))))
-        probe = random_machine(random.Random(3), max_states=5, max_functions=6)
-        tracemalloc.start()
-        try:
-            witness = is_complete(big, probe, method="construct")
-            assert verify_completeness(big, probe, witness)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 256 * 1024, f"tracemalloc peak {peak} bytes"
-
-
 class TestIsComplete:
     def test_full_container_always_complete(self):
         rng = random.Random(15)
@@ -468,6 +419,48 @@ class TestIsComplete:
         probe = make_machine(one, [identity_fn(one)])
         with pytest.raises(IncompatibleShapesError):
             is_complete(thin, probe, method="construct")
+
+    def test_negation_keeps_conjugated_table(self):
+        ss = states("0", "1")
+        probe = make_machine(ss, [fn_from_map(ss, {"0": "1", "1": "0"}, "neg")])
+        big = full_machine(StateSet(("x", "y", "z")))
+        witness = is_complete(big, probe, method="construct")
+        sub = witness.reductions[1].result
+        assert sub.states.labels == ("x", "y")
+        assert [f.table for f in sub.functions] == [(1, 0)]
+        kept = [big.functions[i].table for i in witness.reductions[0].kept_functions]
+        assert kept == [(1, 0, 2)]  # identity extension off the image
+        assert verify_completeness(big, probe, witness)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kept_functions_are_the_identity_extensions(self, n):
+        # The kept index is found by arithmetic; check it against the tables.
+        rng = random.Random(n)
+        big = full_machine(StateSet(tuple(f"s{i}" for i in range(n))))
+        for _ in range(30):
+            probe = random_machine(rng, max_states=n, max_functions=4)
+            witness = is_complete(big, probe, method="construct")
+            extensions = {f.table + tuple(range(probe.n_states, n)) for f in probe.functions}
+            kept = witness.reductions[0].kept_functions
+            assert {big.functions[i].table for i in kept} == extensions
+            assert witness.reductions[1].result.states.labels == big.states.labels[: probe.n_states]
+            assert witness.morphism.g == tuple(range(probe.n_states))
+            assert verify_completeness(big, probe, witness)
+
+    def test_full_container_costs_only_the_kept_functions(self):
+        # Construct and verify look up the kept functions by arithmetic and
+        # bisection, so they allocate nothing that grows with the 46,656
+        # functions of the container.
+        big = full_machine(StateSet(tuple(f"s{i}" for i in range(6))))
+        probe = random_machine(random.Random(3), max_states=5, max_functions=6)
+        tracemalloc.start()
+        try:
+            witness = is_complete(big, probe, method="construct")
+            assert verify_completeness(big, probe, witness)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, f"tracemalloc peak {peak} bytes"
 
     def test_search_agrees_with_construct(self):
         rng = random.Random(18)
@@ -569,6 +562,111 @@ class TestIsComplete:
         neg = fn_from_map(ss, {"0": "1", "1": "0"}, "neg")
         with pytest.raises(DomainMismatchError):
             neg("z")
+
+
+class TestVerify:
+    """Every rejection of ``verify`` and ``verify_completeness``, each by one
+    planted fault that only its own check catches."""
+
+    SWITCH = Path(__file__).resolve().parent.parent / "samples" / "switch.mx"
+
+    @pytest.fixture
+    def case(self):
+        big = full_machine(StateSet(("x", "y", "z")))
+        ss = states("0", "1")
+        probe = make_machine(ss, [fn_from_map(ss, {"0": "1", "1": "0"}, "neg"), constantish(ss)])
+        witness = is_complete(big, probe, method="search")
+        assert verify_completeness(big, probe, witness)
+        return big, probe, witness
+
+    @staticmethod
+    def replaced(w, fr=None, sr=None):
+        return CompletenessWitness((fr or w.reductions[0], sr or w.reductions[1]), w.morphism)
+
+    def test_wrong_reduction_kinds(self, case):
+        big, probe, w = case
+        fr, sr = w.reductions
+        # Each mislabelled step still replays and chains: only the kind test sees it.
+        as_state = dataclasses.replace(fr, kind="state", kept_states=sr.kept_states)
+        as_functional = dataclasses.replace(sr, kind="functional", kept_functions=fr.kept_functions)
+        assert verify_completeness(big, probe, self.replaced(w, fr=as_state)) is False
+        assert verify_completeness(big, probe, self.replaced(w, sr=as_functional)) is False
+
+    def test_foreign_source(self, case):
+        big, probe, w = case
+        other = full_machine(StateSet(("x", "y")))
+        fr = dataclasses.replace(w.reductions[0], source=other)
+        assert verify_completeness(big, probe, self.replaced(w, fr=fr)) is False
+
+    def test_broken_chain(self, case):
+        big, probe, w = case
+        sr = dataclasses.replace(w.reductions[1], source=big)
+        assert verify_completeness(big, probe, self.replaced(w, sr=sr)) is False
+
+    @pytest.mark.parametrize("field, value", [
+        ("kept_functions", (10**6,)),  # IndexError
+        ("kept_functions", ("0", "1")),  # TypeError: not an integer
+        ("kept_states", ("w",)),  # InvalidReductionError
+    ])
+    def test_replay_that_raises(self, case, field, value):
+        big, probe, w = case
+        i = 0 if field == "kept_functions" else 1
+        steps = list(w.reductions)
+        steps[i] = dataclasses.replace(steps[i], **{field: value})
+        assert verify_completeness(big, probe, self.replaced(w, *steps)) is False
+
+    def test_recorded_results_must_equal_the_replay(self, case):
+        big, probe, w = case
+        fr, sr = w.reductions
+        # The kept lists are right, so the certificate alone still verifies.
+        wrong_sr = dataclasses.replace(sr, result=probe)
+        assert verify_completeness(big, probe, self.replaced(w, sr=wrong_sr)) is False
+        wrong_fr = dataclasses.replace(fr, result=probe)
+        chained_sr = dataclasses.replace(sr, source=probe)
+        assert verify_completeness(big, probe, self.replaced(w, wrong_fr, chained_sr)) is False
+
+    def test_replay_of_the_wrong_shape(self, case):
+        big, probe, w = case
+        three = full_machine(StateSet(("0", "1", "2")))
+        fr, sr = w.reductions
+        cert = Certificate("complete", w.morphism.g, w.morphism.h, fr.kept_functions, sr.kept_states)
+        assert verify(cert, big, three) == (False, "the reductions or the morphism do not check out")
+        assert verify_completeness(big, three, w) is False
+
+    def test_accepts_each_kind(self):
+        m = parse_machine(self.SWITCH.read_text())
+        everything = dict(kept_functions=(0, 1), kept_states=("off", "on"))
+        for cert in (
+            Certificate("iso", g=(0, 1), h=(0, 1)),
+            Certificate("complete", g=(0, 1), h=(0, 1), **everything),
+            Certificate("submachine", **everything),
+        ):
+            assert verify(cert, m, m) == (True, "")
+
+    @pytest.mark.parametrize("cert, b, reason", [
+        (Certificate("divides", kept_functions=(0, 1), kept_states=("off", "on")), "switch",
+         "unknown certificate kind 'divides'"),
+        (Certificate("iso", g=(0, 1), h=(1, 0)), "switch",
+         "the mapping does not commute with every function"),
+        (Certificate("iso", g=(0,), h=(0,)), "hold",
+         "cannot compare a 2-state/2-function machine with a 1-state/1-function one"),
+        (Certificate("complete", g=(0, 1), h=(1, 0), kept_functions=(0, 1),
+                     kept_states=("off", "on")), "switch",
+         "the reductions or the morphism do not check out"),
+        (Certificate("submachine", kept_functions=(0, 2), kept_states=("off",)), "hold",
+         "an index in the certificate is out of range"),
+        (Certificate("submachine", kept_functions=(0,), kept_states=("off", "dim")), "hold",
+         "states not in the machine: ['dim']"),
+        (Certificate("submachine", kept_functions=(0, 1), kept_states=("on", "off")), "switch",
+         "the reduced state set differs from the target"),
+        (Certificate("submachine", kept_functions=(0,), kept_states=("off", "on")), "switch",
+         "the reduced function set differs from the target"),
+    ], ids=["unknown-kind", "iso-commute", "iso-shape", "complete-morphism", "index",
+            "foreign-state", "state-set", "function-set"])
+    def test_rejections(self, cert, b, reason):
+        switch = parse_machine(self.SWITCH.read_text())
+        target = {"switch": switch, "hold": state_reduction(switch, ["off"]).result}[b]
+        assert verify(cert, switch, target) == (False, reason)
 
 
 class TestSearchScale:

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,7 @@ from machalg import (
     mem_is_final,
     mem_run,
     mem_step,
+    parse_turing,
     simulate_tm,
     states,
     tm_to_mem,
@@ -38,6 +40,9 @@ from machalg import (
 
 from conftest import random_tm_config, random_turing_spec
 from oracles import brute_force_compile_mem, brute_force_compile_tm
+
+
+BITFLIP_TM = Path(__file__).resolve().parent.parent / "samples" / "bitflip.tm"
 
 
 def bitflip_spec(policy=BoundaryPolicy.CLAMP, start="0"):
@@ -736,6 +741,38 @@ class TestTmToMem:
         )
         assert report.steps_verified == 0
         assert report.tm_outcome == "halted"
+
+    def test_program_moving_after_the_halt_diverges(self):
+        # bitflip halts after one step; without its final condition and with
+        # one more entry on the halted state, the program steps on.
+        t = parse_turing(BITFLIP_TM.read_text())
+        p = tm_to_mem(t)
+        n = t.cells
+        onward = MemEntry(
+            (n, n + 1, 0), ("reg.halt", "pos.0", "sym.1"),
+            (0,), ("sym.0",), (n, n + 1, 0), 0,
+        )
+        moving = dataclasses.replace(p, finals=(), functions=(p.functions[0] + (onward,),))
+        assert verify_lockstep(t, p, 10).ok
+        report = verify_lockstep(t, moving, 10)
+        assert report.divergence == (1, "machine halted but program still moves")
+        assert (report.steps_verified, report.tm_outcome) == (1, "halted")
+
+    def test_rejected_move_without_pos_err_diverges(self):
+        # bitflip under the reject policy, moving left off its one cell; the
+        # program's rejection entries write pos.0 where pos.err belongs.
+        text = BITFLIP_TM.read_text().replace("boundary clamp", "boundary reject")
+        t = parse_turing(text.replace("halt 1 S", "halt 1 L"))
+        p = tm_to_mem(t)
+        entries = tuple(
+            dataclasses.replace(e, write_values=("pos.0",)) if e.write_values == ("pos.err",) else e
+            for e in p.functions[0]
+        )
+        assert entries != p.functions[0]
+        assert verify_lockstep(t, p, 10).ok
+        report = verify_lockstep(t, dataclasses.replace(p, functions=(entries,)), 10)
+        assert report.divergence == (0, "rejected boundary move not mirrored by pos.err")
+        assert (report.steps_verified, report.tm_outcome) == (0, "boundary-error")
 
     def test_random_specs_lockstep(self):
         rng = random.Random(24)
