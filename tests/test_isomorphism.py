@@ -432,21 +432,6 @@ class TestIsComplete:
         assert kept == [(1, 0, 2)]  # identity extension off the image
         assert verify_completeness(big, probe, witness)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_kept_functions_are_the_identity_extensions(self, n):
-        # The kept index is found by arithmetic; check it against the tables.
-        rng = random.Random(n)
-        big = full_machine(StateSet(tuple(f"s{i}" for i in range(n))))
-        for _ in range(30):
-            probe = random_machine(rng, max_states=n, max_functions=4)
-            witness = is_complete(big, probe, method="construct")
-            extensions = {f.table + tuple(range(probe.n_states, n)) for f in probe.functions}
-            kept = witness.reductions[0].kept_functions
-            assert {big.functions[i].table for i in kept} == extensions
-            assert witness.reductions[1].result.states.labels == big.states.labels[: probe.n_states]
-            assert witness.morphism.g == tuple(range(probe.n_states))
-            assert verify_completeness(big, probe, witness)
-
     def test_full_container_costs_only_the_kept_functions(self):
         # Construct and verify look up the kept functions by arithmetic and
         # bisection, so they allocate nothing that grows with the 46,656
@@ -562,6 +547,24 @@ class TestIsComplete:
         neg = fn_from_map(ss, {"0": "1", "1": "0"}, "neg")
         with pytest.raises(DomainMismatchError):
             neg("z")
+
+
+class TestConstructFullEmbedding:
+    # is_complete(method="construct") on a full container.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kept_functions_are_the_identity_extensions(self, n):
+        # The kept index is found by arithmetic; check it against the tables.
+        rng = random.Random(n)
+        big = full_machine(StateSet(tuple(f"s{i}" for i in range(n))))
+        for _ in range(30):
+            probe = random_machine(rng, max_states=n, max_functions=4)
+            witness = is_complete(big, probe, method="construct")
+            extensions = {f.table + tuple(range(probe.n_states, n)) for f in probe.functions}
+            kept = witness.reductions[0].kept_functions
+            assert {big.functions[i].table for i in kept} == extensions
+            assert witness.reductions[1].result.states.labels == big.states.labels[: probe.n_states]
+            assert witness.morphism.g == tuple(range(probe.n_states))
+            assert verify_completeness(big, probe, witness)
 
 
 class TestVerify:
