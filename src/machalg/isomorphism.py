@@ -506,6 +506,11 @@ def verify(cert: Certificate, a: Machine, b: Machine) -> tuple[bool, str]:
     """
     if cert.kind not in ("iso", "complete", "submachine"):
         return False, f"unknown certificate kind {cert.kind!r}"
+    numbers = cert.g, cert.h, cert.kept_functions
+    if not all(isinstance(f, (tuple, list)) for f in (*numbers, cert.kept_states)) or not all(
+        type(i) is int for f in numbers for i in f  # not bool, which renders as True/False
+    ):
+        return False, "g, h and kept_functions must be sequences of integers, kept_states a sequence"
     try:
         if cert.kind == "iso":
             ok = verify_morphism(a, b, Morphism(cert.g, cert.h))

@@ -62,9 +62,11 @@ def functional_reduction(m: Machine, keep: Iterable[TransitionFunction]) -> Redu
 
 def _keep_functions(m: Machine, indices: Iterable[int]) -> Reduction:
     """The functional reduction of ``m`` to the functions at ``indices``."""
-    kept = tuple(sorted({range(m.n_functions)[i] for i in indices}))  # IndexError if out of range
+    kept = tuple(sorted(set(indices)))
     if not kept:
         raise InvalidMachineError("a machine cannot keep zero transition functions")
+    if not 0 <= kept[0] <= kept[-1] < m.n_functions:
+        raise IndexError(f"function index out of range 0..{m.n_functions - 1}")
     pairs = [(m.tables[i], m.function_names[i]) for i in kept]
     return Reduction("functional", m, _assemble(m.states, pairs, name=m.name), kept_functions=kept)
 

@@ -9,6 +9,7 @@ round-trips.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InvalidMachineError, ParseError
 from .machine import Machine, StateSet, _assemble
@@ -47,12 +48,36 @@ def _number(token: str, lineno: int, raw: str) -> int | None:
         raise ParseError(f"{len(token)}-digit number is too long", lineno, _col(raw, token)) from None
 
 
-def _once(head: str, once: tuple[str, ...], seen: set, lineno: int, raw: str) -> None:
-    """Reject the second line of a directive in ``once``."""
-    if head in once:
-        if head in seen:
-            raise ParseError(f"second {head!r} line", lineno, _col(raw, head))
-        seen.add(head)
+def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tuple[int, str, list]]:
+    """(line number, raw line, tokens) for every significant line of a
+    ``<kind> <name>`` format, after the rules all such formats share: the
+    input is not empty, the header has exactly one name, no head in ``once``
+    (the header among them) comes twice, and every head is in ``once`` or
+    ``many``."""
+    rows = _significant_lines(text)
+    if not rows:
+        raise ParseError(f"empty input; expected '{kind} <name>'", 1)
+    seen = set()
+    for lineno, raw, tokens in rows:
+        head = tokens[0]
+        if head in once:
+            if head in seen:
+                raise ParseError(f"second {head!r} line", lineno, _col(raw, head))
+            seen.add(head)
+        elif head not in many:
+            raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, head))
+        if head == kind and len(tokens) != 2:
+            raise ParseError(f"expected '{kind} <name>'", lineno, 1)
+        yield lineno, raw, tokens
+
+
+def _require(lineno: int, *needed: tuple[str, object]) -> None:
+    """Raise ``missing <what>`` at ``lineno`` for the first ``(what, value)``
+    whose value is None.  The parsers call it after their loop over
+    :func:`_directives`, so ``lineno`` is the last significant line."""
+    for what, value in needed:
+        if value is None:
+            raise ParseError(f"missing {what}", lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -83,23 +108,15 @@ def parse_machine(text: str) -> Machine:
     unknown state names, duplicate states, functions, or clauses, and
     output lines naming undeclared functions.
     """
-    rows = _significant_lines(text)
-    if not rows:
-        raise ParseError("empty input; expected 'machine <name>'", 1)
     name = None
     state_set = None
-    fns: list[tuple[tuple[int, ...], str]] = []
     fn_names: dict[str, tuple[int, ...]] = {}
     output_names: list[tuple[str, int, str]] = []
-    last_line = rows[-1][0]
-    heads: set[str] = set()
 
-    for lineno, raw, tokens in rows:
+    once = ("machine", "states")
+    for lineno, raw, tokens in _directives(text, "machine", once, ("fn", "output")):
         head = tokens[0]
-        _once(head, ("machine", "states"), heads, lineno, raw)
         if head == "machine":
-            if len(tokens) != 2:
-                raise ParseError("expected 'machine <name>'", lineno, 1)
             name = tokens[1]
             _check_mx_token(name, "machine name", lineno, raw)
         elif head == "states":
@@ -154,27 +171,21 @@ def parse_machine(text: str) -> Machine:
                 )
             table = tuple(state_set.index(mapping[s]) for s in state_set.labels)
             fn_names[fname] = table
-            fns.append((table, fname))
         elif head == "output":
             if len(tokens) < 2:
                 raise ParseError("'output' needs at least one function name", lineno, 1)
             for tok in tokens[1:]:
                 output_names.append((tok, lineno, raw))
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, head))
 
-    if name is None:
-        raise ParseError("missing 'machine <name>' header", last_line)
-    if state_set is None:
-        raise ParseError("missing 'states' line", last_line)
-    if not fns:
-        raise ParseError("a machine needs at least one fn", last_line)
+    _require(lineno, ("'machine <name>' header", name), ("'states' line", state_set))
+    if not fn_names:
+        raise ParseError("a machine needs at least one fn", lineno)
     outputs = []
     for tok, lineno, raw in output_names:
         if tok not in fn_names:
             raise ParseError(f"output names unknown function {tok!r}", lineno, _col(raw, tok))
         outputs.append(fn_names[tok])
-    return _assemble(state_set, fns, outputs, name)
+    return _assemble(state_set, [(t, f) for f, t in fn_names.items()], outputs, name)
 
 
 def display_names(m: Machine) -> list[str]:
@@ -213,9 +224,6 @@ def render_machine(m: Machine) -> str:
 
 
 def parse_turing(text: str) -> TuringSpec:
-    rows = _significant_lines(text)
-    if not rows:
-        raise ParseError("empty input; expected 'tm <name>'", 1)
     name = None
     symbols: tuple[str, ...] | None = None
     registers: tuple[str, ...] | None = None
@@ -225,21 +233,16 @@ def parse_turing(text: str) -> TuringSpec:
     rules: dict = {}
     rules_seen = False
     initial: TmConfiguration | None = None
-    last_line = rows[-1][0]
-    heads: set[str] = set()
 
     def need(value, what, lineno):
         if value is None:
             raise ParseError(f"{what} must be declared before this line", lineno)
         return value
 
-    for lineno, raw, tokens in rows:
+    once = ("tm", "symbols", "registers", "cells", "boundary", "halting", "init")
+    for lineno, raw, tokens in _directives(text, "tm", once, ("rule",)):
         head = tokens[0]
-        _once(head, ("tm", "symbols", "registers", "cells", "boundary", "halting", "init"),
-              heads, lineno, raw)
         if head == "tm":
-            if len(tokens) != 2:
-                raise ParseError("expected 'tm <name>'", lineno, 1)
             name = tokens[1]
         elif head == "symbols":
             if len(tokens) < 2:
@@ -318,19 +321,10 @@ def parse_turing(text: str) -> TuringSpec:
             if reg not in regs:
                 raise ParseError(f"unknown register {reg!r}", lineno, _col(raw, reg))
             initial = TmConfiguration(reg, tape, at)
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, head))
 
-    for what, value in (
-        ("'tm <name>' header", name),
-        ("'symbols' line", symbols),
-        ("'registers' line", registers),
-        ("'cells' line", cells),
-        ("'boundary' line", boundary),
-        ("'init' line", initial),
-    ):
-        if value is None:
-            raise ParseError(f"missing {what}", last_line)
+    _require(lineno, ("'tm <name>' header", name), ("'symbols' line", symbols),
+             ("'registers' line", registers), ("'cells' line", cells),
+             ("'boundary' line", boundary), ("'init' line", initial))
     return TuringSpec(
         symbols=symbols,
         registers=registers,
@@ -376,9 +370,7 @@ def _parse_paren(piece: str, prefix: str, lineno: int, raw: str) -> list[str]:
             f"expected '{prefix}(...)', got {piece!r}", lineno, _col(raw, piece)
         )
     inner = piece[len(prefix) + 1 : -1]
-    if not inner:
-        return []
-    return [p for p in inner.split(",")]
+    return inner.split(",") if inner else []
 
 
 def _parse_cells(piece: str, prefix: str, lineno: int, raw: str) -> tuple[int, ...]:
@@ -403,9 +395,6 @@ def _parse_cells_eq(
 
 
 def parse_mem(text: str) -> MemProgram:
-    rows = _significant_lines(text)
-    if not rows:
-        raise ParseError("empty input; expected 'mem <name>'", 1)
     name = None
     alphabet: tuple[str, ...] | None = None
     cell_inits: dict[int, str] = {}
@@ -414,15 +403,11 @@ def parse_mem(text: str) -> MemProgram:
     default_halt = False
     families: list[list[MemEntry]] = []
     finals: list[tuple[int, str]] = []
-    last_line = rows[-1][0]
-    heads: set[str] = set()
 
-    for lineno, raw, tokens in rows:
+    once = ("mem", "alphabet", "start", "default")
+    for lineno, raw, tokens in _directives(text, "mem", once, ("cell", "fn", "entry", "final")):
         head = tokens[0]
-        _once(head, ("mem", "alphabet", "start", "default"), heads, lineno, raw)
         if head == "mem":
-            if len(tokens) != 2:
-                raise ParseError("expected 'mem <name>'", lineno, 1)
             name = tokens[1]
         elif head == "alphabet":
             if len(tokens) < 2:
@@ -431,27 +416,31 @@ def parse_mem(text: str) -> MemProgram:
         elif head == "cell":
             if alphabet is None:
                 raise ParseError("'alphabet' must come before 'cell'", lineno, 1)
-            if len(tokens) != 4 or tokens[2] != "=" or _number(tokens[1], lineno, raw) is None:
+            idx = _number(tokens[1], lineno, raw) if len(tokens) == 4 and tokens[2] == "=" else None
+            if idx is None:
                 raise ParseError("cell line must read 'cell <i> = <value>'", lineno, 1)
-            idx, val = int(tokens[1]), tokens[3]
+            val = tokens[3]
             if val not in alphabet:
                 raise ParseError(f"unknown value {val!r}", lineno, _col(raw, val))
             if idx in cell_inits:
                 raise ParseError(f"cell {idx} initialized twice", lineno, 1)
             cell_inits[idx] = val
         elif head == "start":
-            if len(tokens) != 4 or tokens[2] != "fn" or _number(tokens[3], lineno, raw) is None:
+            if (
+                len(tokens) != 4
+                or tokens[2] != "fn"
+                or (start_fn := _number(tokens[3], lineno, raw)) is None
+            ):
                 raise ParseError("start line must read 'start read(...) fn <i>'", lineno, 1)
             start_sel = _parse_cells(tokens[1], "read", lineno, raw)
-            start_fn = int(tokens[3])
         elif head == "default":
             if tokens[1:] != ["halt"]:
                 raise ParseError("only 'default halt' is supported", lineno, 1)
             default_halt = True
         elif head == "fn":
-            if len(tokens) != 2 or _number(tokens[1], lineno, raw) is None:
+            if len(tokens) != 2 or (a := _number(tokens[1], lineno, raw)) is None:
                 raise ParseError("fn line must read 'fn <i>'", lineno, 1)
-            if int(tokens[1]) != len(families):
+            if a != len(families):
                 raise ParseError(
                     f"fn blocks must appear in order; expected fn {len(families)}", lineno, 1
                 )
@@ -464,7 +453,7 @@ def parse_mem(text: str) -> MemProgram:
                 or tokens[2] != "->"
                 or tokens[4] != "next"
                 or tokens[6] != "fn"
-                or _number(tokens[7], lineno, raw) is None
+                or (next_fn := _number(tokens[7], lineno, raw)) is None
             ):
                 raise ParseError(
                     "entry must read 'entry read(...)=(...) -> write(...)=(...) "
@@ -475,32 +464,19 @@ def parse_mem(text: str) -> MemProgram:
             rc, rv = _parse_cells_eq(tokens[1], "read", lineno, raw)
             wc, wv = _parse_cells_eq(tokens[3], "write", lineno, raw)
             nc = _parse_cells(tokens[5], "read", lineno, raw)
-            families[-1].append(
-                MemEntry(rc, rv, wc, wv, nc, int(tokens[7]))
-            )
+            families[-1].append(MemEntry(rc, rv, wc, wv, nc, next_fn))
         elif head == "final":
             at = _number(tokens[2], lineno, raw) if len(tokens) == 5 else None
             if at is None or tokens[1] != "cell" or tokens[3] != "=":
                 raise ParseError("final line must read 'final cell <i> = <value>'", lineno, 1)
             finals.append((at, tokens[4]))
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, head))
 
-    if name is None:
-        raise ParseError("missing 'mem <name>' header", last_line)
-    if alphabet is None:
-        raise ParseError("missing 'alphabet' line", last_line)
-    if not cell_inits:
-        raise ParseError("missing 'cell' lines", last_line)
+    _require(lineno, ("'mem <name>' header", name), ("'alphabet' line", alphabet),
+             ("'cell' lines", cell_inits or None))
     n = len(cell_inits)
     if sorted(cell_inits) != list(range(n)):
-        raise ParseError(
-            f"cell indices must be exactly 0..{n - 1}", last_line
-        )
-    if start_sel is None or start_fn is None:
-        raise ParseError("missing 'start' line", last_line)
-    if not families:
-        raise ParseError("missing 'fn' block", last_line)
+        raise ParseError(f"cell indices must be exactly 0..{n - 1}", lineno)
+    _require(lineno, ("'start' line", start_sel), ("'fn' block", families or None))
     return MemProgram(
         n_cells=n,
         alphabet=alphabet,

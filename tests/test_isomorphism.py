@@ -664,8 +664,17 @@ class TestVerify:
          "the reduced state set differs from the target"),
         (Certificate("submachine", kept_functions=(0,), kept_states=("off", "on")), "switch",
          "the reduced function set differs from the target"),
+        (Certificate("complete", (0, 1), (0, 1), ("0", "1"), ("off", "on")), "switch",
+         "g, h and kept_functions must be sequences of integers, kept_states a sequence"),
+        (Certificate("iso", (0, "1"), (0, 1)), "switch",
+         "g, h and kept_functions must be sequences of integers, kept_states a sequence"),
+        (Certificate("submachine", kept_functions=(-1, 0), kept_states=("off", "on")), "switch",
+         "an index in the certificate is out of range"),
+        (Certificate("submachine", kept_functions=(True, False), kept_states=("off", "on")),
+         "switch", "g, h and kept_functions must be sequences of integers, kept_states a sequence"),
     ], ids=["unknown-kind", "iso-commute", "iso-shape", "complete-morphism", "index",
-            "foreign-state", "state-set", "function-set"])
+            "foreign-state", "state-set", "function-set", "string-index", "string-state-map",
+            "negative-index", "bool-index"])
     def test_rejections(self, cert, b, reason):
         switch = parse_machine(self.SWITCH.read_text())
         target = {"switch": switch, "hold": state_reduction(switch, ["off"]).result}[b]

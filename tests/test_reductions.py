@@ -400,6 +400,13 @@ class TestSubMachine:
                 assert sr.result == b and sr.kept_states == b.states.labels
         assert answers.count(True) > 50 and answers.count(False) > 50
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_function_index_out_of_range(self, index):
+        ss = states("0", "1")
+        m = make_machine(ss, [identity_fn(ss), fn_from_map(ss, {"0": "1", "1": "0"})])
+        with pytest.raises(IndexError, match=r"function index out of range 0\.\.1"):
+            sub_machine(m, [index], ("0", "1"))
+
     def test_sub_machine_composite(self):
         ss = states("0", "1", "2")
         ident = identity_fn(ss)

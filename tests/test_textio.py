@@ -379,6 +379,66 @@ class TestMemFormat:
         assert e.value.message == f"second {repeat.split()[0]!r} line"
 
 
+BITFLIP_BODY = (
+    "symbols 0 1\nregisters q0 halt\ncells 1\nboundary clamp\nhalting halt\n"
+    "rule q0 0 -> halt 1 S\nrule q0 1 -> halt 0 S\ninit tape 0 head 0 register q0\n"
+)
+TOGGLE_BODY = (
+    "alphabet 0 1\ncell 0 = 0\nstart read(0) fn 0\nfn 0\n"
+    "entry read(0)=(0) -> write(0)=(1) next read(0) fn 0\nfinal cell 0 = 1\n"
+)
+PARSERS = {"mx": parse_machine, "tm": parse_turing, "mem": parse_mem}
+
+
+class TestSharedRules:
+    """The rules every ``<kind> <name>`` format applies alike, pinned by the
+    exact text of the error for each format."""
+
+    @pytest.mark.parametrize("fmt, text, error", [
+        pytest.param("mx", "", "line 1, column 1: empty input; expected 'machine <name>'",
+                     id="mx-empty"),
+        pytest.param("mx", "machine\n", "line 1, column 1: expected 'machine <name>'",
+                     id="mx-no-name"),
+        pytest.param("mx", "machine m\nmachine n\n", "line 2, column 1: second 'machine' line",
+                     id="mx-second-header"),
+        pytest.param("mx", "machine m\nstates a\n  states b\n",
+                     "line 3, column 3: second 'states' line", id="mx-second-once"),
+        pytest.param("mx", "machine m\nstates a\n  frobnicate a\n",
+                     "line 3, column 3: unknown directive 'frobnicate'", id="mx-unknown"),
+        pytest.param("mx", SWITCH.split("\n", 1)[1],
+                     "line 1, column 1: 'machine <name>' must come first", id="mx-no-header"),
+        pytest.param("mx", "# no header\noutput flip\n",
+                     "line 2, column 1: missing 'machine <name>' header", id="mx-header-last"),
+        pytest.param("tm", "", "line 1, column 1: empty input; expected 'tm <name>'",
+                     id="tm-empty"),
+        pytest.param("tm", "tm\n", "line 1, column 1: expected 'tm <name>'", id="tm-no-name"),
+        pytest.param("tm", "tm t\n  tm u\n", "line 2, column 3: second 'tm' line",
+                     id="tm-second-header"),
+        pytest.param("tm", "tm t\nsymbols 0\nsymbols 1\n",
+                     "line 3, column 1: second 'symbols' line", id="tm-second-once"),
+        pytest.param("tm", "tm t\nsymbols 0\n  frobnicate 0\n",
+                     "line 3, column 3: unknown directive 'frobnicate'", id="tm-unknown"),
+        pytest.param("tm", BITFLIP_BODY, "line 8, column 1: missing 'tm <name>' header",
+                     id="tm-no-header"),
+        pytest.param("mem", "", "line 1, column 1: empty input; expected 'mem <name>'",
+                     id="mem-empty"),
+        pytest.param("mem", "mem\n", "line 1, column 1: expected 'mem <name>'",
+                     id="mem-no-name"),
+        pytest.param("mem", "mem m\nmem n\n", "line 2, column 1: second 'mem' line",
+                     id="mem-second-header"),
+        pytest.param("mem", "mem m\nalphabet 0\nalphabet 1\n",
+                     "line 3, column 1: second 'alphabet' line", id="mem-second-once"),
+        pytest.param("mem", "mem m\nalphabet 0\n  frobnicate 0\n",
+                     "line 3, column 3: unknown directive 'frobnicate'", id="mem-unknown"),
+        pytest.param("mem", TOGGLE_BODY, "line 6, column 1: missing 'mem <name>' header",
+                     id="mem-no-header"),
+    ])
+    def test_error_text(self, fmt, text, error):
+        with pytest.raises(ParseError) as e:
+            PARSERS[fmt](text)
+        assert str(e.value) == error
+
+
 class TestCertificates:
     def test_iso_round_trip(self):
         c = Certificate("iso", g=(1, 0, 2), h=(0, 2, 1))
