@@ -62,6 +62,9 @@ def functional_reduction(m: Machine, keep: Iterable[TransitionFunction]) -> Redu
 
 def _keep_functions(m: Machine, indices: Iterable[int]) -> Reduction:
     """The functional reduction of ``m`` to the functions at ``indices``."""
+    indices = tuple(indices)
+    if any(type(i) is not int for i in indices):  # a bool is an int to isinstance
+        raise TypeError("function indices must be integers")
     kept = tuple(sorted(set(indices)))
     if not kept:
         raise InvalidMachineError("a machine cannot keep zero transition functions")

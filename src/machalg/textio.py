@@ -51,9 +51,9 @@ def _number(token: str, lineno: int, raw: str) -> int | None:
 def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tuple[int, str, list]]:
     """(line number, raw line, tokens) for every significant line of a
     ``<kind> <name>`` format, after the rules all such formats share: the
-    input is not empty, the header has exactly one name, no head in ``once``
-    (the header among them) comes twice, and every head is in ``once`` or
-    ``many``."""
+    input is not empty, the header has exactly one name and comes first, no
+    head in ``once`` (the header among them) comes twice, and every head is in
+    ``once`` or ``many``."""
     rows = _significant_lines(text)
     if not rows:
         raise ParseError(f"empty input; expected '{kind} <name>'", 1)
@@ -63,6 +63,8 @@ def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tupl
         if head in once:
             if head in seen:
                 raise ParseError(f"second {head!r} line", lineno, _col(raw, head))
+            if head == kind and lineno != rows[0][0]:
+                raise ParseError(f"'{kind} <name>' must come first", lineno, _col(raw, head))
             seen.add(head)
         elif head not in many:
             raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, head))
@@ -101,6 +103,26 @@ def _check_mx_token(token: str, what: str, lineno: int, raw: str) -> None:
         )
 
 
+def _all_mx_tokens(labels: list[str]) -> bool:
+    """``all(map(_is_mx_token, labels))``, checked on the joined labels."""
+    text = " ".join(labels)  # no "->" can form across the space
+    return text.split() == labels and not any(bad in text for bad in (",", ":", "->", "#"))
+
+
+def _clause_table(rest: str, state_set: StateSet) -> tuple[int, ...] | None:
+    """The table of fn clauses ``state->state`` naming every state once, or None
+    for any other clauses, which the per-clause loop then reads or rejects."""
+    at = state_set._positions
+    chunks = rest.split(",")
+    try:
+        mapping = dict(chunk.strip().split("->") for chunk in chunks)
+        if len(chunks) == len(mapping) == len(at) and mapping.keys() <= at.keys():
+            return tuple(map(at.__getitem__, map(mapping.__getitem__, state_set.labels)))
+    except (ValueError, KeyError):  # a clause without one arrow, an unknown target
+        pass
+    return None
+
+
 def parse_machine(text: str) -> Machine:
     """Read the ``machine`` block format.
 
@@ -124,13 +146,15 @@ def parse_machine(text: str) -> Machine:
                 raise ParseError("'machine <name>' must come first", lineno, 1)
             if len(tokens) < 2:
                 raise ParseError("'states' needs at least one state", lineno, 1)
-            seen = set()
-            for s in tokens[1:]:
-                _check_mx_token(s, "state", lineno, raw)
-                if s in seen:
-                    raise ParseError(f"duplicate state {s!r}", lineno, _col(raw, s))
-                seen.add(s)
-            state_set = StateSet(tuple(tokens[1:]))
+            labels = tokens[1:]
+            if not _all_mx_tokens(labels) or len(set(labels)) != len(labels):
+                seen = set()
+                for s in labels:
+                    _check_mx_token(s, "state", lineno, raw)
+                    if s in seen:
+                        raise ParseError(f"duplicate state {s!r}", lineno, _col(raw, s))
+                    seen.add(s)
+            state_set = StateSet(tuple(labels))
         elif head == "fn":
             if state_set is None:
                 raise ParseError("'states' must come before 'fn'", lineno, 1)
@@ -145,31 +169,33 @@ def parse_machine(text: str) -> Machine:
             _check_mx_token(fname, "function name", lineno, raw)
             if fname in fn_names:
                 raise ParseError(f"duplicate function name {fname!r}", lineno, _col(raw, fname))
-            mapping: dict[str, str] = {}
-            for chunk in rest.split(","):
-                clause = chunk.strip()
-                if not clause:
-                    raise ParseError("empty clause", lineno, _col(raw, chunk) if chunk else 1)
-                parts = clause.split("->")
-                if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            table = _clause_table(rest, state_set)
+            if table is None:
+                mapping: dict[str, str] = {}
+                for chunk in rest.split(","):
+                    clause = chunk.strip()
+                    if not clause:
+                        raise ParseError("empty clause", lineno, _col(raw, chunk) if chunk else 1)
+                    parts = clause.split("->")
+                    if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+                        raise ParseError(
+                            f"clause {clause!r} must read 'state->state'",
+                            lineno,
+                            _col(raw, clause),
+                        )
+                    src, dst = parts[0].strip(), parts[1].strip()
+                    for tok in (src, dst):
+                        if tok not in state_set:
+                            raise ParseError(f"unknown state {tok!r}", lineno, _col(raw, tok))
+                    if src in mapping:
+                        raise ParseError(f"duplicate clause for state {src!r}", lineno, _col(raw, clause))
+                    mapping[src] = dst
+                missing = [s for s in state_set.labels if s not in mapping]
+                if missing:
                     raise ParseError(
-                        f"clause {clause!r} must read 'state->state'",
-                        lineno,
-                        _col(raw, clause),
+                        f"fn {fname!r} missing clauses for: {' '.join(missing)}", lineno, 1
                     )
-                src, dst = parts[0].strip(), parts[1].strip()
-                for tok in (src, dst):
-                    if tok not in state_set:
-                        raise ParseError(f"unknown state {tok!r}", lineno, _col(raw, tok))
-                if src in mapping:
-                    raise ParseError(f"duplicate clause for state {src!r}", lineno, _col(raw, clause))
-                mapping[src] = dst
-            missing = [s for s in state_set.labels if s not in mapping]
-            if missing:
-                raise ParseError(
-                    f"fn {fname!r} missing clauses for: {' '.join(missing)}", lineno, 1
-                )
-            table = tuple(state_set.index(mapping[s]) for s in state_set.labels)
+                table = tuple(state_set.index(mapping[s]) for s in state_set.labels)
             fn_names[fname] = table
         elif head == "output":
             if len(tokens) < 2:
@@ -205,13 +231,14 @@ def render_machine(m: Machine) -> str:
     """Canonical machine block; inverse of parse_machine.  A function or
     machine name that is no ``.mx`` token is replaced; a state label is not."""
     labels = m.states.labels
-    for s in labels:
-        if not _is_mx_token(s):
-            raise InvalidMachineError(f"state label {s!r} is not representable in text")
+    if not _all_mx_tokens(list(labels)):
+        for s in labels:
+            if not _is_mx_token(s):
+                raise InvalidMachineError(f"state label {s!r} is not representable in text")
     lines = [f"machine {m.name if _is_mx_token(m.name) else 'm'}", "states " + " ".join(labels)]
     display = display_names(m)
     for t, dn in zip(m.tables, display):
-        clauses = ", ".join(f"{s}->{labels[j]}" for s, j in zip(labels, t))
+        clauses = ", ".join(map("->".join, zip(labels, map(labels.__getitem__, t))))
         lines.append(f"fn {dn}: {clauses}")
     if m.output_functions:
         lines.append("output " + " ".join(display[i] for i in sorted(m.output_functions)))

@@ -9,14 +9,16 @@ raw tables by hand, the compiler oracles step every compiled state through
 the direct interpreters ``simulate_tm`` and ``mem_step`` instead of the
 compilers' index arithmetic, and the expression oracle is the package's earlier
 recursive-descent evaluator, kept verbatim as the reference for the
-iterative one.
+iterative one.  Likewise the ``.mx`` oracle is the earlier parser that reads
+each token and clause on its own, kept verbatim as the reference for the
+bulk checks of ``parse_machine``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Optional
+from typing import Iterator, Optional
 
 from machalg import (
     ERROR_LABEL,
@@ -41,6 +43,7 @@ from machalg import (
     simulate_tm,
 )
 from machalg.cardinal import Trace
+from machalg.machine import _assemble
 
 
 def brute_force_isomorphism(
@@ -318,3 +321,165 @@ class _ExprParser:
 def reference_evaluate_expression(text: str, trace: Optional[Trace] = None) -> Cardinal:
     """The recursive-descent evaluator; recursion depth grows with nesting."""
     return _ExprParser(text, trace).parse()
+
+
+# ---------------------------------------------------------------------------
+# Reference .mx parser: the per-token, per-clause reader, with its helpers
+# ---------------------------------------------------------------------------
+#
+# It predates the rule that the header comes first, so it still accepts
+# ``output`` lines before ``machine <name>``; everything else it answers
+# exactly as ``parse_machine`` must.
+
+
+def _significant_lines(text: str) -> list[tuple[int, str, list[str]]]:
+    """(line number, raw line, tokens) for every non-blank non-comment line."""
+    rows = []
+    for i, raw in enumerate(text.splitlines(), 1):
+        body = raw.split("#", 1)[0]
+        if body.strip():
+            rows.append((i, raw, body.split()))
+    return rows
+
+
+def _col(raw: str, piece: str) -> int:
+    at = raw.find(piece)
+    return at + 1 if at >= 0 else 1
+
+
+def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tuple[int, str, list]]:
+    """(line number, raw line, tokens) for every significant line of a
+    ``<kind> <name>`` format, after the rules all such formats share: the
+    input is not empty, the header has exactly one name, no head in ``once``
+    (the header among them) comes twice, and every head is in ``once`` or
+    ``many``."""
+    rows = _significant_lines(text)
+    if not rows:
+        raise ParseError(f"empty input; expected '{kind} <name>'", 1)
+    seen = set()
+    for lineno, raw, tokens in rows:
+        head = tokens[0]
+        if head in once:
+            if head in seen:
+                raise ParseError(f"second {head!r} line", lineno, _col(raw, head))
+            seen.add(head)
+        elif head not in many:
+            raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, head))
+        if head == kind and len(tokens) != 2:
+            raise ParseError(f"expected '{kind} <name>'", lineno, 1)
+        yield lineno, raw, tokens
+
+
+def _require(lineno: int, *needed: tuple[str, object]) -> None:
+    """Raise ``missing <what>`` at ``lineno`` for the first ``(what, value)``
+    whose value is None.  The parsers call it after their loop over
+    :func:`_directives`, so ``lineno`` is the last significant line."""
+    for what, value in needed:
+        if value is None:
+            raise ParseError(f"missing {what}", lineno)
+
+
+def _is_mx_token(token: str | None) -> bool:
+    """True when ``token`` can stand as a name or state in ``.mx`` text: it is
+    non-empty, has no whitespace, and contains none of , : -> #."""
+    return bool(token) and token.split() == [token] and not any(
+        bad in token for bad in (",", ":", "->", "#")
+    )
+
+
+def _check_mx_token(token: str, what: str, lineno: int, raw: str) -> None:
+    if not _is_mx_token(token):
+        raise ParseError(
+            f"{what} {token!r} may not contain any of , : -> #",
+            lineno,
+            _col(raw, token),
+        )
+
+
+
+def reference_parse_machine(text: str) -> Machine:
+    """Read the ``machine`` block format.
+
+    Rejects missing clauses (every function must cover every state),
+    unknown state names, duplicate states, functions, or clauses, and
+    output lines naming undeclared functions.
+    """
+    name = None
+    state_set = None
+    fn_names: dict[str, tuple[int, ...]] = {}
+    output_names: list[tuple[str, int, str]] = []
+
+    once = ("machine", "states")
+    for lineno, raw, tokens in _directives(text, "machine", once, ("fn", "output")):
+        head = tokens[0]
+        if head == "machine":
+            name = tokens[1]
+            _check_mx_token(name, "machine name", lineno, raw)
+        elif head == "states":
+            if name is None:
+                raise ParseError("'machine <name>' must come first", lineno, 1)
+            if len(tokens) < 2:
+                raise ParseError("'states' needs at least one state", lineno, 1)
+            seen = set()
+            for s in tokens[1:]:
+                _check_mx_token(s, "state", lineno, raw)
+                if s in seen:
+                    raise ParseError(f"duplicate state {s!r}", lineno, _col(raw, s))
+                seen.add(s)
+            state_set = StateSet(tuple(tokens[1:]))
+        elif head == "fn":
+            if state_set is None:
+                raise ParseError("'states' must come before 'fn'", lineno, 1)
+            body = raw.split("#", 1)[0]
+            header, sep, rest = body.partition(":")
+            if not sep:
+                raise ParseError("fn line needs 'fn <name>: <clauses>'", lineno, 1)
+            htokens = header.split()
+            if len(htokens) != 2:
+                raise ParseError("fn line needs exactly one name", lineno, 1)
+            fname = htokens[1]
+            _check_mx_token(fname, "function name", lineno, raw)
+            if fname in fn_names:
+                raise ParseError(f"duplicate function name {fname!r}", lineno, _col(raw, fname))
+            mapping: dict[str, str] = {}
+            for chunk in rest.split(","):
+                clause = chunk.strip()
+                if not clause:
+                    raise ParseError("empty clause", lineno, _col(raw, chunk) if chunk else 1)
+                parts = clause.split("->")
+                if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+                    raise ParseError(
+                        f"clause {clause!r} must read 'state->state'",
+                        lineno,
+                        _col(raw, clause),
+                    )
+                src, dst = parts[0].strip(), parts[1].strip()
+                for tok in (src, dst):
+                    if tok not in state_set:
+                        raise ParseError(f"unknown state {tok!r}", lineno, _col(raw, tok))
+                if src in mapping:
+                    raise ParseError(f"duplicate clause for state {src!r}", lineno, _col(raw, clause))
+                mapping[src] = dst
+            missing = [s for s in state_set.labels if s not in mapping]
+            if missing:
+                raise ParseError(
+                    f"fn {fname!r} missing clauses for: {' '.join(missing)}", lineno, 1
+                )
+            table = tuple(state_set.index(mapping[s]) for s in state_set.labels)
+            fn_names[fname] = table
+        elif head == "output":
+            if len(tokens) < 2:
+                raise ParseError("'output' needs at least one function name", lineno, 1)
+            for tok in tokens[1:]:
+                output_names.append((tok, lineno, raw))
+
+    _require(lineno, ("'machine <name>' header", name), ("'states' line", state_set))
+    if not fn_names:
+        raise ParseError("a machine needs at least one fn", lineno)
+    outputs = []
+    for tok, lineno, raw in output_names:
+        if tok not in fn_names:
+            raise ParseError(f"output names unknown function {tok!r}", lineno, _col(raw, tok))
+        outputs.append(fn_names[tok])
+    return _assemble(state_set, [(t, f) for f, t in fn_names.items()], outputs, name)
+

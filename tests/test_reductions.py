@@ -407,6 +407,13 @@ class TestSubMachine:
         with pytest.raises(IndexError, match=r"function index out of range 0\.\.1"):
             sub_machine(m, [index], ("0", "1"))
 
+    @pytest.mark.parametrize("indices", [[True], [False, 1], [1, True], [1.0]])
+    def test_function_index_must_be_an_int(self, indices):
+        ss = states("0", "1")
+        m = make_machine(ss, [identity_fn(ss), fn_from_map(ss, {"0": "1", "1": "0"})])
+        with pytest.raises(TypeError, match="function indices must be integers"):
+            sub_machine(m, indices, ("0", "1"))
+
     def test_sub_machine_composite(self):
         ss = states("0", "1", "2")
         ident = identity_fn(ss)

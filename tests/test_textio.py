@@ -18,6 +18,7 @@ from machalg import (
     ParseError,
     StateSet,
     TransitionFunction,
+    compile_tm,
     make_machine,
     parse_certificate,
     parse_machine,
@@ -32,6 +33,7 @@ from machalg import (
 from machalg.lemmas import random_machine
 
 from conftest import random_turing_spec
+from oracles import reference_parse_machine
 
 SWITCH = """\
 machine switch
@@ -188,6 +190,15 @@ class TestMachineFormat:
     def test_unusable_label_rejected_on_render(self, label):
         with pytest.raises(InvalidMachineError):
             render_machine(_one_state(label=label))
+
+    @pytest.mark.parametrize("label", ["", "a,b", "a:b", "a->b", "a#b", "a b", "a\xa0b"])
+    def test_render_names_the_first_unusable_label(self, label):
+        later = tuple(bad for bad in ("", "z w", "v,u") if bad != label)
+        ss = StateSet(("x", label, "y") + later)  # the labels after "y" are no tokens either
+        m = make_machine(ss, [TransitionFunction(ss, tuple(range(len(ss))))])
+        with pytest.raises(InvalidMachineError) as e:
+            render_machine(m)
+        assert str(e.value) == f"state label {label!r} is not representable in text"
 
     def test_samples_parse(self):
         for path in ("samples/switch.mx", "samples/const0.mx", "samples/const1.mx"):
@@ -409,6 +420,8 @@ class TestSharedRules:
                      "line 1, column 1: 'machine <name>' must come first", id="mx-no-header"),
         pytest.param("mx", "# no header\noutput flip\n",
                      "line 2, column 1: missing 'machine <name>' header", id="mx-header-last"),
+        pytest.param("mx", "output flip\n  machine switch\n" + SWITCH.split("\n", 1)[1],
+                     "line 2, column 3: 'machine <name>' must come first", id="mx-late-header"),
         pytest.param("tm", "", "line 1, column 1: empty input; expected 'tm <name>'",
                      id="tm-empty"),
         pytest.param("tm", "tm\n", "line 1, column 1: expected 'tm <name>'", id="tm-no-name"),
@@ -420,6 +433,8 @@ class TestSharedRules:
                      "line 3, column 3: unknown directive 'frobnicate'", id="tm-unknown"),
         pytest.param("tm", BITFLIP_BODY, "line 8, column 1: missing 'tm <name>' header",
                      id="tm-no-header"),
+        pytest.param("tm", BITFLIP_BODY + "  tm bitflip\n",
+                     "line 9, column 3: 'tm <name>' must come first", id="tm-late-header"),
         pytest.param("mem", "", "line 1, column 1: empty input; expected 'mem <name>'",
                      id="mem-empty"),
         pytest.param("mem", "mem\n", "line 1, column 1: expected 'mem <name>'",
@@ -432,6 +447,8 @@ class TestSharedRules:
                      "line 3, column 3: unknown directive 'frobnicate'", id="mem-unknown"),
         pytest.param("mem", TOGGLE_BODY, "line 6, column 1: missing 'mem <name>' header",
                      id="mem-no-header"),
+        pytest.param("mem", "# toggle\n" + TOGGLE_BODY + "mem toggle\n",
+                     "line 8, column 1: 'mem <name>' must come first", id="mem-late-header"),
     ])
     def test_error_text(self, fmt, text, error):
         with pytest.raises(ParseError) as e:
@@ -585,10 +602,10 @@ DEBRIS = NOT_DIGITS + (
 
 
 @st.composite
-def mutated_inputs(draw):
+def mutated_inputs(draw, seeds=SEEDS):
     """A sample file or certificate with one to three pieces of debris, each
     in place of a whole word or of a span of up to eight characters."""
-    parse, render, text = draw(st.sampled_from(SEEDS))
+    parse, render, text = draw(st.sampled_from(seeds))
     for _ in range(draw(st.integers(1, 3))):
         piece = draw(st.sampled_from(DEBRIS))
         if draw(st.booleans()):
@@ -624,3 +641,48 @@ class TestMutatedInputs:
     def test_arbitrary_text(self, seed, text):
         parse, render, _ = seed
         self.check(parse, render, text)
+
+
+INCREMENT_MX = render_machine(compile_tm(parse_turing((SAMPLES / "increment.tm").read_text()))[0])
+MX_SEEDS = [seed for seed in SEEDS if seed[0] is parse_machine] + [
+    (parse_machine, render_machine, INCREMENT_MX)
+]
+
+
+def _outcome(parse, text):
+    """The machine ``parse`` reads from ``text`` with its names, or the type
+    and text (message, line and column) of the error it raises."""
+    try:
+        m = parse(text)
+    except MachalgError as e:
+        return type(e), str(e)
+    return m, m.function_names, m.name
+
+
+class TestReferenceParser:
+    """``parse_machine`` answers every ``.mx`` text as the reference parser
+    that checks each token and clause on its own does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_inputs(MX_SEEDS))
+    def test_mutated_machines(self, case):
+        _, _, text = case
+        assert _outcome(parse_machine, text) == _outcome(reference_parse_machine, text)
+
+    @pytest.mark.parametrize("text", [
+        "machine m\nstates a b\nfn f: a -> b, b ->a\n",
+        "machine m\nstates a b\nfn f: a->b, b->a,\n",
+        "machine m\nstates a b\nfn f: a->b, b->a, a->a\n",
+        "machine m\nstates a b c\nfn f: a->b->c, b->b, c->c\n",
+        "machine m\nstates a- >b\nfn f: a-->>b, >b->a-\n",
+        "machine m\nstates a\xa0b c\nfn f: a\xa0->b, b->c, c->a\n",
+        "machine m\nstates a\x1cb\nfn f: a->a\n",
+        "machine m\nstates a b\nfn f: b->a, a->b\n",
+        "machine m\nstates a b\nfn f: a->z, b->a\n",
+        "machine m\nstates a b\nfn f: a->b\n",
+        "machine m\nstates a b a\nfn f: a->a, b->b\n",
+    ], ids=["spaced-arrow", "trailing-comma", "duplicate-covers-all", "two-arrows",
+            "dash-then-angle", "nbsp", "file-separator", "out-of-order", "unknown-target",
+            "missing-clause", "duplicate-state"])
+    def test_pinned(self, text):
+        assert _outcome(parse_machine, text) == _outcome(reference_parse_machine, text)
