@@ -11,51 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cardinal import (
-    MachineTemplate,
-    TEMPLATE_KINDS,
-    TraceStep,
-    UniversalityReport,
-    build_universality_report,
-    evaluate_expression,
-    state_cardinality,
-    transition_space_cardinality,
-)
 from .errors import MachalgError
-from .isomorphism import Morphism, find_isomorphism, is_complete, verify
-from .lemmas import LEMMA_NAMES, run_lemma_suite
-from .machine import (
-    DEFAULT_ENUMERATION_CAP,
-    Cycled,
-    Halted,
-    Machine,
-    run_to_fixpoint,
-)
-from .models import (
-    compile_mem,
-    compile_tm,
-    mem_is_final,
-    mem_run,
-    simulate_tm,
-    tm_to_mem,
-    verify_lockstep,
-)
-from .reductions import is_sub_machine, sub_machine
-from .textio import (
-    Certificate,
-    _significant_lines,
-    display_names,
-    parse_certificate,
-    parse_machine,
-    parse_mem,
-    parse_turing,
-    render_certificate,
-    render_machine,
-    render_mem,
-)
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_STEPS = 50
+# cardinal.TEMPLATE_KINDS, written out so that build_parser need not load cardinal
+_TEMPLATE_KINDS = ("finite-turing", "infinite-tape-turing", "umm", "lsm", "quantum")
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +24,7 @@ DEFAULT_STEPS = 50
 # ---------------------------------------------------------------------------
 
 
-def _render_universality(report: UniversalityReport, show_trace: bool) -> list[str]:
+def _render_universality(report, show_trace: bool) -> list[str]:
     out = ["universality report"]
     rows = [("simulator", report.simulator)] + [("target", r) for r in report.targets]
     for role, row in rows:
@@ -99,8 +60,10 @@ def _emit(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _resolve_fn(m: Machine, token: str) -> int:
+def _resolve_fn(m, token: str) -> int:
     """Index of the function a display name or index refers to."""
+    from .textio import display_names
+
     display = display_names(m)
     if token in display:
         return display.index(token)
@@ -114,7 +77,9 @@ def _resolve_fn(m: Machine, token: str) -> int:
     )
 
 
-def _morphism_lines(b: Machine, sub: Machine, mor: Morphism) -> list[str]:
+def _morphism_lines(b, sub, mor) -> list[str]:
+    from .textio import display_names
+
     b_names = display_names(b)
     sub_names = display_names(sub)
     out = []
@@ -131,9 +96,16 @@ def _morphism_lines(b: Machine, sub: Machine, mor: Morphism) -> list[str]:
 
 
 def _cmd_card(args) -> int:
+    from .cardinal import (
+        MachineTemplate,
+        evaluate_expression,
+        state_cardinality,
+        transition_space_cardinality,
+    )
+
     out = []
-    trace: list[TraceStep] = []
-    if args.what in TEMPLATE_KINDS:
+    trace = []
+    if args.what in _TEMPLATE_KINDS:
         t = MachineTemplate(args.what, k=args.k, m=args.m, n=args.n)
         card = state_cardinality(t, trace)
         out.append(t.describe())
@@ -154,16 +126,20 @@ def _cmd_card(args) -> int:
 
 
 def _cmd_universality(args) -> int:
+    from .cardinal import build_universality_report
+
     report = build_universality_report(k=args.k, m=args.m, n=args.n)
     _emit(_render_universality(report, show_trace=not args.no_trace))
     return _definite(report.all_complete, args.expect)
 
 
-def _answer(args, word: str, cert: Certificate | None = None, morphism_lines=()) -> int:
+def _answer(args, word: str, cert=None, morphism_lines=()) -> int:
     """Print one answer of ``iso``, ``complete`` or ``submachine``: a bare
     ``word`` when there is no certificate; else the certificate under
     ``--format certificate``, or ``word``, the certificate's ``keep-`` lines
     and ``morphism_lines``."""
+    from .textio import render_certificate
+
     if cert is None:
         _emit([word])
         return _definite(False, args.expect)
@@ -177,6 +153,9 @@ def _answer(args, word: str, cert: Certificate | None = None, morphism_lines=())
 
 
 def _cmd_iso(args) -> int:
+    from .isomorphism import find_isomorphism
+    from .textio import Certificate, parse_machine
+
     a = parse_machine(_read(args.a))
     b = parse_machine(_read(args.b))
     mor = find_isomorphism(a, b, node_budget=args.node_budget)
@@ -187,6 +166,9 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_complete(args) -> int:
+    from .isomorphism import is_complete
+    from .textio import Certificate, parse_machine
+
     a = parse_machine(_read(args.a))
     b = parse_machine(_read(args.b))
     w = is_complete(a, b, method=args.method, node_budget=args.node_budget)
@@ -204,6 +186,9 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_submachine(args) -> int:
+    from .reductions import is_sub_machine
+    from .textio import Certificate, parse_machine
+
     witness = is_sub_machine(parse_machine(_read(args.a)), parse_machine(_read(args.b)))
     if witness is None:
         return _answer(args, "not a sub-machine")
@@ -213,6 +198,9 @@ def _cmd_submachine(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reductions import sub_machine
+    from .textio import parse_machine, render_machine
+
     m = parse_machine(_read(args.machine))
     if args.keep_fns is None and args.keep_states is None:
         raise MachalgError("nothing to do: pass --keep-fns and/or --keep-states")
@@ -228,6 +216,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_compile_tm(args) -> int:
+    from .models import compile_tm
+    from .textio import parse_turing, render_machine
+
     t = parse_turing(_read(args.tm))
     machine, codec = compile_tm(t, cap=args.cap)
     if args.summary:
@@ -245,6 +236,9 @@ def _cmd_compile_tm(args) -> int:
 
 
 def _cmd_compile_mem(args) -> int:
+    from .models import compile_mem
+    from .textio import parse_mem, render_machine
+
     p = parse_mem(_read(args.mem))
     machine, codec = compile_mem(p, cap=args.cap)
     if args.summary:
@@ -261,12 +255,18 @@ def _cmd_compile_mem(args) -> int:
 
 
 def _cmd_tm2mem(args) -> int:
+    from .models import tm_to_mem
+    from .textio import parse_turing, render_mem
+
     t = parse_turing(_read(args.tm))
     sys.stdout.write(render_mem(tm_to_mem(t)))
     return 0
 
 
 def _cmd_lockstep(args) -> int:
+    from .models import tm_to_mem, verify_lockstep
+    from .textio import parse_mem, parse_turing
+
     t = parse_turing(_read(args.tm))
     p = parse_mem(_read(args.mem)) if args.mem else tm_to_mem(t)
     report = verify_lockstep(t, p, args.steps)
@@ -289,6 +289,8 @@ def _cmd_lockstep(args) -> int:
 
 
 def _sniff(text: str) -> str:
+    from .textio import _significant_lines
+
     rows = _significant_lines(text)
     return rows[0][2][0] if rows else ""
 
@@ -298,6 +300,9 @@ def _cmd_sim(args) -> int:
     kind = _sniff(text)
     out = []
     if kind == "tm":
+        from .models import simulate_tm
+        from .textio import parse_turing
+
         t = parse_turing(text)
         trace = simulate_tm(t, args.steps)
         for i, c in enumerate(trace.configurations):
@@ -306,6 +311,9 @@ def _cmd_sim(args) -> int:
             )
         out.append(f"outcome: {trace.outcome} after {trace.steps} step(s)")
     elif kind == "mem":
+        from .models import mem_is_final, mem_run
+        from .textio import parse_mem
+
         p = parse_mem(text)
         done = False
         for i, s in enumerate(mem_run(p, args.steps)):
@@ -322,6 +330,9 @@ def _cmd_sim(args) -> int:
         if not done:
             out.append(f"outcome: step limit after {args.steps} step(s)")
     elif kind == "machine":
+        from .machine import Cycled, Halted, run_to_fixpoint
+        from .textio import parse_machine
+
         m = parse_machine(text)
         if args.fn is None or getattr(args, "from") is None:
             raise MachalgError("machine simulation needs --fn and --from")
@@ -346,6 +357,9 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .isomorphism import verify
+    from .textio import parse_certificate, parse_machine
+
     cert = parse_certificate(_read(args.certificate))
     a = parse_machine(_read(args.a))
     b = parse_machine(_read(args.b))
@@ -355,6 +369,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_lemmas(args) -> int:
+    from .lemmas import LEMMA_NAMES, run_lemma_suite
+
     report = run_lemma_suite(
         args.seed, args.iters, max_states=args.max_states, max_functions=args.max_fns
     )
@@ -395,6 +411,8 @@ def _add_format(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .machine import DEFAULT_ENUMERATION_CAP
+
     parser = argparse.ArgumentParser(
         prog="machalg",
         description="Workbench for finite machines as sets of self-maps: "
@@ -404,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("card", help="state-set cardinality of a template, or evaluate an expression")
-    p.add_argument("what", help=f"template ({', '.join(TEMPLATE_KINDS)}) or expression like '2 ^ beth(0)'")
+    p.add_argument("what", help=f"template ({', '.join(_TEMPLATE_KINDS)}) or expression like '2 ^ beth(0)'")
     p.add_argument("--k", type=int, default=None, help="register count (templates)")
     p.add_argument("--m", type=int, default=None, help="symbol count (templates)")
     p.add_argument("--n", type=int, default=None, help="cell count (templates)")

@@ -9,18 +9,13 @@ round-trips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import InvalidMachineError, ParseError
 from .machine import Machine, StateSet, _assemble
-from .models import (
-    BoundaryPolicy,
-    MemEntry,
-    MemProgram,
-    Move,
-    TmConfiguration,
-    TuringSpec,
-)
+
+if TYPE_CHECKING:  # parse_turing and parse_mem import models when called
+    from .models import MemProgram, TuringSpec
 
 
 def _significant_lines(text: str) -> list[tuple[int, str, list[str]]]:
@@ -251,6 +246,8 @@ def render_machine(m: Machine) -> str:
 
 
 def parse_turing(text: str) -> TuringSpec:
+    from .models import BoundaryPolicy, Move, TmConfiguration, TuringSpec
+
     name = None
     symbols: tuple[str, ...] | None = None
     registers: tuple[str, ...] | None = None
@@ -422,6 +419,8 @@ def _parse_cells_eq(
 
 
 def parse_mem(text: str) -> MemProgram:
+    from .models import MemEntry, MemProgram
+
     name = None
     alphabet: tuple[str, ...] | None = None
     cell_inits: dict[int, str] = {}

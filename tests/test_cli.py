@@ -837,7 +837,7 @@ class TestHostileInput:
         def fail(*args, **kwargs):
             raise RuntimeError("lemma suite fell over")
 
-        monkeypatch.setattr(cli, "run_lemma_suite", fail)
+        monkeypatch.setattr("machalg.lemmas.run_lemma_suite", fail)
         rc, out, err = run(capsys, "check-lemmas")
         assert (rc, out) == (2, "")
         assert err.splitlines() == ["error: internal error: RuntimeError: lemma suite fell over"]
