@@ -198,20 +198,19 @@ def _cmd_submachine(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from .reductions import sub_machine
+    from .reductions import _keep_functions, state_reduction
     from .textio import parse_machine, render_machine
 
     m = parse_machine(_read(args.machine))
     if args.keep_fns is None and args.keep_states is None:
         raise MachalgError("nothing to do: pass --keep-fns and/or --keep-states")
-    keep_fns = range(m.n_functions)
+    # Each reduction runs only when asked for, so keeping every function
+    # never lists the functions of a full container.
     if args.keep_fns is not None:
-        keep_fns = [_resolve_fn(m, tok) for tok in args.keep_fns.split(",") if tok]
-    keep_states = m.states.labels
+        m = _keep_functions(m, [_resolve_fn(m, tok) for tok in args.keep_fns.split(",") if tok]).result
     if args.keep_states is not None:
-        keep_states = [tok for tok in args.keep_states.split(",") if tok]
-    _, sr = sub_machine(m, keep_fns, keep_states)
-    sys.stdout.write(render_machine(sr.result))
+        m = state_reduction(m, [tok for tok in args.keep_states.split(",") if tok]).result
+    sys.stdout.write(render_machine(m))
     return 0
 
 

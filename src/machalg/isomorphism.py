@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .errors import IncompatibleShapesError, MachalgError, SearchBudgetExceededError
-from .machine import Machine
+from .machine import Machine, _listed, _numeral
 from .reductions import Reduction, _restrictions, sub_machine
 from .textio import Certificate
 
@@ -74,7 +74,7 @@ def verify_morphism(a: Machine, b: Machine, mor: Morphism) -> bool:
         return False
     if len(mor.h) != k or sorted(mor.h) != list(range(k)):
         return False
-    for j, table in enumerate(a.tables):
+    for j, table in enumerate(_listed(a)):
         image = b.tables[mor.h[j]]
         for s in range(n):
             if mor.g[table[s]] != image[mor.g[s]]:
@@ -310,9 +310,9 @@ def find_isomorphism(
     key_a, key_b = a.__dict__.get("_fingerprint_key"), b.__dict__.get("_fingerprint_key")
     if key_a is not None and key_b is not None and key_a != key_b:
         return None
-    for m in (a, b):
+    for m in (a, b):  # the first listing of each machine's functions
         if "_image_key" not in m.__dict__:
-            sizes = sorted(len(set(t)) for t in m.tables)
+            sizes = sorted(len(set(t)) for t in _listed(m))
             m.__dict__["_image_key"] = hash((m.n_states, tuple(sizes)))
     if a.__dict__["_image_key"] != b.__dict__["_image_key"]:
         return None
@@ -382,7 +382,7 @@ def _construct_embedding(a: Machine, b: Machine) -> CompletenessWitness:
         )
     n, first = a.n_states, range(b.n_states)
     rest = tuple(range(b.n_states, n))
-    chosen = [sum(image * n ** (n - 1 - s) for s, image in enumerate(t + rest)) for t in b.tables]
+    chosen = [_numeral(t + rest, n) for t in b.tables]
     return _witness(a, chosen, first, b.tables, first)
 
 

@@ -13,8 +13,8 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, abc
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
@@ -117,12 +117,16 @@ def identity_fn(domain: StateSet, name: Optional[str] = "id") -> TransitionFunct
     return TransitionFunction(domain, tuple(range(len(domain))), name)
 
 
-def _unwrap(state_set: StateSet, items: Iterable) -> tuple[tuple, tuple]:
-    """Tables and names of ``items``: bare tables (named None), or else
-    TransitionFunctions on ``state_set``.  The one place a function becomes a table."""
+def _unwrap(state_set: StateSet, items: Iterable, check: bool = True) -> tuple[tuple, tuple]:
+    """Tables and names of ``items``: bare tables (named None), checked when
+    ``check`` is set, or else TransitionFunctions on ``state_set``, which
+    checked their own.  The one place a function becomes a table."""
     items = tuple(items)
     if TransitionFunction not in set(map(type, items)):
-        return tuple(map(tuple, items)), (None,) * len(items)
+        tables = tuple(map(tuple, items))
+        if check:
+            _check_tables(tables, len(state_set.labels))
+        return tables, (None,) * len(items)
     tables, names = [], []
     for f in items:
         if f.domain is not state_set and f.domain != state_set:
@@ -132,30 +136,222 @@ def _unwrap(state_set: StateSet, items: Iterable) -> tuple[tuple, tuple]:
     return tuple(tables), tuple(names)
 
 
+def _function(domain: StateSet, table: tuple[int, ...], name: Optional[str]) -> TransitionFunction:
+    """A TransitionFunction on a table already checked against ``domain``."""
+    f = object.__new__(TransitionFunction)
+    f.__dict__.update(domain=domain, table=table, name=name)
+    return f
+
+
+def _numeral(table: Sequence[int], n: int) -> int:
+    """``table`` read as a base-n numeral: its index among all n**n tables in
+    lexicographic order."""
+    i = 0
+    for j in table:
+        i = i * n + j
+    return i
+
+
+# The read-only sequences below register as Sequences rather than inherit
+# from it, so that isinstance tests against them stay as fast as for any class.
+@abc.Sequence.register
+class _ImplicitTables:
+    """Every table of one kind on ``n`` states, in lexicographic order,
+    computed on demand: ``[i]`` decodes i, :meth:`index` encodes a table,
+    and ``==`` and ``hash`` are those of the explicit tuple.  ``form`` is the
+    kind's word in ``.mx`` text, ``what`` its name in EnumerationTooLargeError.
+    ``size`` is exact where ``len()`` overflows (above ``sys.maxsize``)."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._decode, range(self.size)[i]))
+        return self._decode(self.position(i))
+
+    def position(self, i) -> int:
+        """``i`` as an index in ``range(size)``, counting from the end if negative."""
+        i = operator.index(i)
+        if not -self.size <= i < self.size:
+            raise IndexError("table index out of range")
+        return i % self.size
+
+    def index(self, table) -> int:
+        n = self.n
+        if isinstance(table, tuple) and len(table) == n and all(
+            isinstance(j, int) and 0 <= j < n for j in table
+        ):
+            i = self._encode(table)
+            if i is not None:
+                return i
+        raise ValueError(f"{table!r} is not in the {self.what}")
+
+    def __contains__(self, table) -> bool:
+        try:
+            self.index(table)
+        except ValueError:
+            return False
+        return True
+
+    def __eq__(self, other):
+        if isinstance(other, _ImplicitTables):  # on one state, both kinds hold one table
+            return self.n == other.n and (type(self) is type(other) or self.n == 1)
+        if isinstance(other, tuple):
+            return len(other) == self.size and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n})"
+
+
+class _AllTables(_ImplicitTables):
+    """All n**n tables; a table's index is its base-n numeral."""
+
+    form, what = "all", "full transition set"
+
+    @cached_property
+    def size(self) -> int:
+        return self.n**self.n
+
+    def __iter__(self):
+        return itertools.product(range(self.n), repeat=self.n)
+
+    def _decode(self, i: int) -> tuple[int, ...]:
+        n, table = self.n, [0] * self.n
+        for s in reversed(range(n)):
+            i, table[s] = divmod(i, n)
+        return tuple(table)
+
+    def _encode(self, table: tuple[int, ...]) -> int:
+        return _numeral(table, self.n)
+
+
+class _Bijections(_ImplicitTables):
+    """All n! bijections; a bijection's index is its Lehmer code, the count
+    of smaller entries to the right of each position in mixed radix."""
+
+    form, what = "bijections", "bijection set"
+
+    @cached_property
+    def size(self) -> int:
+        return math.factorial(self.n)
+
+    def __iter__(self):
+        return itertools.permutations(range(self.n))
+
+    def _decode(self, i: int) -> tuple[int, ...]:
+        codes = []
+        for radix in range(1, self.n + 1):  # the last position first
+            i, c = divmod(i, radix)
+            codes.append(c)
+        rest = list(range(self.n))
+        return tuple(rest.pop(c) for c in reversed(codes))
+
+    def _encode(self, table: tuple[int, ...]) -> Optional[int]:
+        if len(set(table)) != self.n:
+            return None
+        rest, i = list(range(self.n)), 0
+        for radix, j in zip(range(self.n, 0, -1), table):
+            c = rest.index(j)
+            del rest[c]
+            i = i * radix + c
+        return i
+
+
+@abc.Sequence.register
+class _ImplicitNames:
+    """The function names of implicit tables: None throughout, or else
+    ``f<i>`` at index i when ``numbered``, as a ``.mx`` file that lists the
+    tables one ``fn`` line each names them."""
+
+    def __init__(self, tables: _ImplicitTables, numbered: bool):
+        self.tables, self.numbered = tables, numbered
+
+    def __len__(self) -> int:
+        return self.tables.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(self.tables.size)[i]))
+        i = self.tables.position(i)
+        try:
+            return f"f{i}" if self.numbered else None
+        except ValueError:  # an index with more digits than Python writes as text
+            return None
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.tables.size))
+
+    def __repr__(self) -> str:
+        return f"_ImplicitNames({self.tables!r}, {self.numbered})"
+
+
+@abc.Sequence.register
+class _Functions:
+    """``Machine.functions``: the TransitionFunction at each index, built only
+    when asked for and not checked again, since the tables are."""
+
+    def __init__(self, domain: StateSet, tables: Sequence, names: Sequence):
+        self.domain, self.tables, self.names = domain, tables, names
+
+    def __len__(self) -> int:
+        return len(self.tables)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return _function(self.domain, self.tables[i], self.names[i])
+
+    def __iter__(self):
+        return map(_function, itertools.repeat(self.domain), self.tables, self.names)
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, _Functions) else other)
+
+
 @dataclass(frozen=True)
 class Machine:
     """A state set with a realizable set of transition functions.
 
     ``tables`` holds one index table per function, sorted and duplicate-free
     (see :func:`make_machine`); TransitionFunctions on ``states`` may stand in.
+    The full and bijection machines hold their tables implicitly (see
+    :func:`full_machine`), with :class:`_ImplicitNames` and no outputs.
     ``function_names[i]``, never compared, names ``tables[i]``.  Reductions and
     isomorphism never consult ``output_functions``, the output decoders' indices.
     """
 
     states: StateSet
-    tables: tuple[tuple[int, ...], ...]
+    tables: Sequence[tuple[int, ...]]
     output_functions: frozenset[int] = frozenset()
     name: Optional[str] = field(default=None, compare=False)
-    function_names: tuple[Optional[str], ...] = field(default=(), compare=False)
+    function_names: Sequence[Optional[str]] = field(default=(), compare=False)
 
     def __post_init__(self):
+        if isinstance(self.tables, _ImplicitTables):
+            names = self.function_names
+            numbered = isinstance(names, _ImplicitNames) and names.numbered
+            if self.tables.n != len(self.states.labels) or self.output_functions or (
+                not isinstance(names, _ImplicitNames) and names
+            ):
+                raise InvalidMachineError(
+                    "implicit tables cover the machine's own states and carry no names or outputs"
+                )
+            object.__setattr__(self, "function_names", _ImplicitNames(self.tables, numbered))
+            return
         tables, names = _unwrap(self.states, self.tables)
         if not tables:
             raise InvalidMachineError("a machine needs at least one transition function")
         names = tuple(self.function_names) or names
         if len(names) != len(tables):
             raise InvalidMachineError(f"{len(names)} function names for {len(tables)} tables")
-        _check_tables(tables, len(self.states.labels))
         if any(map(operator.ge, tables, tables[1:])):
             raise InvalidMachineError(
                 "functions must be duplicate-free and in canonical table order; use make_machine"
@@ -167,13 +363,9 @@ class Machine:
         object.__setattr__(self, "function_names", names)
 
     @cached_property
-    def functions(self) -> tuple[TransitionFunction, ...]:
-        """The tables as TransitionFunctions, built once on first access and
-        not checked again: the tables are."""
-        fns = tuple(object.__new__(TransitionFunction) for _ in self.tables)
-        for f, t, nm in zip(fns, self.tables, self.function_names):
-            f.__dict__.update(domain=self.states, table=t, name=nm)
-        return fns
+    def functions(self) -> _Functions:
+        """The functions as a read-only sequence of TransitionFunctions."""
+        return _Functions(self.states, self.tables, self.function_names)
 
     @property
     def n_states(self) -> int:
@@ -181,35 +373,69 @@ class Machine:
 
     @property
     def n_functions(self) -> int:
-        return len(self.tables)
+        tables = self.tables
+        return tables.size if isinstance(tables, _ImplicitTables) else len(tables)
 
     def has_full_function_set(self) -> bool:
-        return self.n_functions == self.n_states**self.n_states
+        n = self.n_states  # n**n tables listed one by one need n < 16
+        return isinstance(self.tables, _AllTables) or n < 16 and self.n_functions == n**n
 
     def function_index(self, f: TransitionFunction) -> int:
-        """Position of ``f``, by bisection over the sorted tables."""
-        i = bisect_left(self.tables, f.table)
-        if i == len(self.tables) or self.tables[i] != f.table or f.domain != self.states:
-            raise KeyError("function is not part of this machine")
-        return i
+        """Position of ``f``: its encoding in implicit tables, else by
+        bisection over the sorted tables."""
+        tables = self.tables
+        if f.domain == self.states:
+            if isinstance(tables, _ImplicitTables):
+                try:
+                    return tables.index(f.table)
+                except ValueError:
+                    pass
+            else:
+                i = bisect_left(tables, f.table)
+                if i < len(tables) and tables[i] == f.table:
+                    return i
+        raise KeyError("function is not part of this machine")
+
+
+_MACHINE_FIELDS = tuple(f.name for f in fields(Machine))
+
+
+def _listed(m: Machine) -> Sequence[tuple[int, ...]]:
+    """``m.tables``, for a loop over every one of them: implicit tables
+    longer than DEFAULT_ENUMERATION_CAP raise EnumerationTooLargeError."""
+    tables = m.tables
+    if isinstance(tables, _ImplicitTables) and tables.size > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLargeError(tables.what, tables.size, DEFAULT_ENUMERATION_CAP)
+    return tables
 
 
 def _assemble(
     state_set: StateSet, pairs: Iterable, outputs: Iterable = (), name: Optional[str] = None
 ) -> Machine:
-    """The machine of the ``(table, name)`` pairs: extensional duplicates
-    collapse (first name wins), tables sort lexicographically, and each
-    output table resolves to its position."""
+    """The machine of the ``(table, name)`` pairs, whose tables are already
+    checked: extensional duplicates collapse (first name wins), tables sort
+    lexicographically, and each output table resolves to its position."""
     by_table: dict[tuple[int, ...], Optional[str]] = {}
     for t, nm in pairs:
         by_table.setdefault(t, nm)
+    if not by_table:
+        raise InvalidMachineError("a machine needs at least one transition function")
     tables = sorted(by_table)
     outputs = set(outputs)
     position = {t: i for i, t in enumerate(tables)} if outputs else {}
     if not outputs <= position.keys():
         raise InvalidMachineError("output designation is not one of the machine's functions")
-    names = tuple(map(by_table.get, tables))
-    return Machine(state_set, tuple(tables), frozenset(map(position.get, outputs)), name, names)
+    m = object.__new__(Machine)  # canonical by construction: no second check
+    values = (
+        state_set,
+        tuple(tables),
+        frozenset(map(position.get, outputs)),
+        name,
+        tuple(map(by_table.get, tables)),
+    )
+    for f, value in zip(_MACHINE_FIELDS, values):  # as __init__ sets them, so as compact
+        object.__setattr__(m, f, value)
+    return m
 
 
 def make_machine(
@@ -220,31 +446,33 @@ def make_machine(
 ) -> Machine:
     """Canonical Machine constructor: extensional duplicates collapse (first
     name wins), tables sort lexicographically, and output designations resolve
-    against the collapsed set.  Functions and outputs must be on ``state_set``."""
+    against the collapsed set.  Functions and outputs must be on ``state_set``;
+    bare tables in ``fns`` are checked here, functions were when built."""
     tables, names = _unwrap(state_set, fns)
-    return _assemble(state_set, zip(tables, names), _unwrap(state_set, outputs)[0], name)
+    outputs = _unwrap(state_set, outputs, check=False)[0]
+    return _assemble(state_set, zip(tables, names), outputs, name)
 
 
-def full_machine(state_set: StateSet) -> Machine:
-    """The machine carrying all ``n**n`` transition functions on ``state_set``."""
-    n = len(state_set)
-    if n**n > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationTooLargeError("full transition set", n**n, DEFAULT_ENUMERATION_CAP)
-    # Lexicographic table order is already canonical and duplicate-free.
-    return Machine(state_set, tuple(itertools.product(range(n), repeat=n)))
+def full_machine(state_set: StateSet, name: Optional[str] = None) -> Machine:
+    """The machine carrying all ``n**n`` transition functions on ``state_set``.
+
+    Built in O(1): its tables are computed on demand, and a table's index
+    is its base-n numeral.  Loops over every function (isomorphism search,
+    search-path completeness, state reduction) refuse more than
+    DEFAULT_ENUMERATION_CAP of them.
+    """
+    return Machine(state_set, _AllTables(len(state_set)), name=name)
 
 
-def full_bijection_machine(state_set: StateSet) -> Machine:
+def full_bijection_machine(state_set: StateSet, name: Optional[str] = None) -> Machine:
     """The machine whose realizable set is exactly all bijections on S.
 
     A strict subset of the full function set for |S| >= 2, and closed under
     conjugation by any state bijection, which is what blocks isomorphisms
-    to machines holding any non-invertible function.
+    to machines holding any non-invertible function.  Built in O(1) like
+    :func:`full_machine`; a bijection's index is its Lehmer code.
     """
-    size = math.factorial(len(state_set))
-    if size > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationTooLargeError("bijection set", size, DEFAULT_ENUMERATION_CAP)
-    return Machine(state_set, tuple(itertools.permutations(range(len(state_set)))))
+    return Machine(state_set, _Bijections(len(state_set)), name=name)
 
 
 # ---------------------------------------------------------------------------

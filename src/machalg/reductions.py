@@ -22,7 +22,7 @@ from .errors import (
     InvalidMachineError,
     InvalidReductionError,
 )
-from .machine import Machine, StateSet, TransitionFunction, _assemble
+from .machine import Machine, StateSet, TransitionFunction, _assemble, _listed
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def _restrictions(m: Machine, kept: Sequence[int]) -> Iterator[tuple[int, tuple[
     indices ``kept`` into themselves, ``table`` re-indexed by position in
     ``kept``: the one place a table is restricted to a state subset."""
     position = {s: p for p, s in enumerate(kept)}.get
-    for i, table in enumerate(m.tables):
+    for i, table in enumerate(_listed(m)):
         image = tuple(map(position, map(table.__getitem__, kept)))
         if None not in image:
             yield i, image

@@ -8,11 +8,22 @@ round-trips.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import InvalidMachineError, ParseError
-from .machine import Machine, StateSet, _assemble
+from .errors import InvalidMachineError, MachalgError, ParseError
+from .machine import (
+    Machine,
+    StateSet,
+    _AllTables,
+    _assemble,
+    _Bijections,
+    _ImplicitNames,
+    _ImplicitTables,
+    _listed,
+)
 
 if TYPE_CHECKING:  # parse_turing and parse_mem import models when called
     from .models import MemProgram, TuringSpec
@@ -28,19 +39,25 @@ def _significant_lines(text: str) -> list[tuple[int, str, list[str]]]:
     return rows
 
 
-def _col(raw: str, piece: str) -> int:
-    at = raw.find(piece)
-    return at + 1 if at >= 0 else 1
+def _col(raw: str, k: int, skip: int = 0) -> int:
+    """The column ``skip`` characters into the k-th whitespace-separated
+    token of ``raw`` (both counted from 0): where an error's token stands."""
+    end = 0
+    for token in raw.split()[: k + 1]:
+        start = raw.find(token, end)
+        end = start + len(token)
+    return start + skip + 1
 
 
-def _number(token: str, lineno: int, raw: str) -> int | None:
-    """The value of a numeral of ASCII digits, or None for any other token."""
+def _number(token: str, lineno: int, raw: str, k: int, skip: int = 0) -> int | None:
+    """The value of a numeral of ASCII digits, or None for any other token;
+    ``token`` stands ``skip`` characters into token ``k`` of ``raw``."""
     if not (token.isascii() and token.isdigit()):
         return None
     try:
         return int(token)
     except ValueError:  # more digits than int() converts
-        raise ParseError(f"{len(token)}-digit number is too long", lineno, _col(raw, token)) from None
+        raise ParseError(f"{len(token)}-digit number is too long", lineno, _col(raw, k, skip)) from None
 
 
 def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tuple[int, str, list]]:
@@ -57,12 +74,12 @@ def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tupl
         head = tokens[0]
         if head in once:
             if head in seen:
-                raise ParseError(f"second {head!r} line", lineno, _col(raw, head))
+                raise ParseError(f"second {head!r} line", lineno, _col(raw, 0))
             if head == kind and lineno != rows[0][0]:
-                raise ParseError(f"'{kind} <name>' must come first", lineno, _col(raw, head))
+                raise ParseError(f"'{kind} <name>' must come first", lineno, _col(raw, 0))
             seen.add(head)
         elif head not in many:
-            raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, head))
+            raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, 0))
         if head == kind and len(tokens) != 2:
             raise ParseError(f"expected '{kind} <name>'", lineno, 1)
         yield lineno, raw, tokens
@@ -89,13 +106,10 @@ def _is_mx_token(token: str | None) -> bool:
     )
 
 
-def _check_mx_token(token: str, what: str, lineno: int, raw: str) -> None:
+def _check_mx_token(token: str, what: str, lineno: int, raw: str, k: int) -> None:
+    """Reject ``token``, token ``k`` of ``raw``, unless it is an ``.mx`` token."""
     if not _is_mx_token(token):
-        raise ParseError(
-            f"{what} {token!r} may not contain any of , : -> #",
-            lineno,
-            _col(raw, token),
-        )
+        raise ParseError(f"{what} {token!r} may not contain any of , : -> #", lineno, _col(raw, k))
 
 
 def _all_mx_tokens(labels: list[str]) -> bool:
@@ -118,24 +132,34 @@ def _clause_table(rest: str, state_set: StateSet) -> tuple[int, ...] | None:
     return None
 
 
+# The word after ``functions`` and the tables it stands for.
+_IMPLICIT = {"all": _AllTables, "bijections": _Bijections}
+
+
 def parse_machine(text: str) -> Machine:
     """Read the ``machine`` block format.
 
     Rejects missing clauses (every function must cover every state),
     unknown state names, duplicate states, functions, or clauses, and
-    output lines naming undeclared functions.
+    output lines naming undeclared functions.  ``functions all`` or
+    ``functions bijections`` stands for every map or every bijection on the
+    states, in place of ``fn`` and ``output`` lines; the functions are named
+    ``f<i>``, as when each has its own ``fn`` line.
     """
     name = None
     state_set = None
+    implicit = None
     fn_names: dict[str, tuple[int, ...]] = {}
-    output_names: list[tuple[str, int, str]] = []
+    output_names: list[tuple[str, int, str, int]] = []
 
-    once = ("machine", "states")
+    once = ("machine", "states", "functions")
     for lineno, raw, tokens in _directives(text, "machine", once, ("fn", "output")):
         head = tokens[0]
+        if implicit and head in ("fn", "output") or head == "functions" and (fn_names or output_names):
+            raise ParseError("a 'functions' line excludes 'fn' and 'output' lines", lineno, 1)
         if head == "machine":
             name = tokens[1]
-            _check_mx_token(name, "machine name", lineno, raw)
+            _check_mx_token(name, "machine name", lineno, raw, 1)
         elif head == "states":
             if name is None:
                 raise ParseError("'machine <name>' must come first", lineno, 1)
@@ -144,12 +168,18 @@ def parse_machine(text: str) -> Machine:
             labels = tokens[1:]
             if not _all_mx_tokens(labels) or len(set(labels)) != len(labels):
                 seen = set()
-                for s in labels:
-                    _check_mx_token(s, "state", lineno, raw)
+                for k, s in enumerate(labels, 1):
+                    _check_mx_token(s, "state", lineno, raw, k)
                     if s in seen:
-                        raise ParseError(f"duplicate state {s!r}", lineno, _col(raw, s))
+                        raise ParseError(f"duplicate state {s!r}", lineno, _col(raw, k))
                     seen.add(s)
             state_set = StateSet(tuple(labels))
+        elif head == "functions":
+            if state_set is None:
+                raise ParseError("'states' must come before 'functions'", lineno, 1)
+            if len(tokens) != 2 or tokens[1] not in _IMPLICIT:
+                raise ParseError("'functions' must be 'all' or 'bijections'", lineno, 1)
+            implicit = _IMPLICIT[tokens[1]]
         elif head == "fn":
             if state_set is None:
                 raise ParseError("'states' must come before 'fn'", lineno, 1)
@@ -161,29 +191,29 @@ def parse_machine(text: str) -> Machine:
             if len(htokens) != 2:
                 raise ParseError("fn line needs exactly one name", lineno, 1)
             fname = htokens[1]
-            _check_mx_token(fname, "function name", lineno, raw)
+            _check_mx_token(fname, "function name", lineno, raw, 1)
             if fname in fn_names:
-                raise ParseError(f"duplicate function name {fname!r}", lineno, _col(raw, fname))
+                raise ParseError(f"duplicate function name {fname!r}", lineno, _col(raw, 1))
             table = _clause_table(rest, state_set)
             if table is None:
                 mapping: dict[str, str] = {}
+                at = len(header) + 1  # where the chunk starts in raw
                 for chunk in rest.split(","):
                     clause = chunk.strip()
+                    col = at + chunk.find(clause) + 1
+                    at += len(chunk) + 1
                     if not clause:
-                        raise ParseError("empty clause", lineno, _col(raw, chunk) if chunk else 1)
+                        raise ParseError("empty clause", lineno, col if chunk else 1)
                     parts = clause.split("->")
                     if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                        raise ParseError(
-                            f"clause {clause!r} must read 'state->state'",
-                            lineno,
-                            _col(raw, clause),
-                        )
+                        raise ParseError(f"clause {clause!r} must read 'state->state'", lineno, col)
                     src, dst = parts[0].strip(), parts[1].strip()
-                    for tok in (src, dst):
+                    for tok, skip in ((src, 0), (dst, len(parts[0]) + 2)):
                         if tok not in state_set:
-                            raise ParseError(f"unknown state {tok!r}", lineno, _col(raw, tok))
+                            col_tok = raw.find(tok, col - 1 + skip) + 1
+                            raise ParseError(f"unknown state {tok!r}", lineno, col_tok)
                     if src in mapping:
-                        raise ParseError(f"duplicate clause for state {src!r}", lineno, _col(raw, clause))
+                        raise ParseError(f"duplicate clause for state {src!r}", lineno, col)
                     mapping[src] = dst
                 missing = [s for s in state_set.labels if s not in mapping]
                 if missing:
@@ -195,16 +225,19 @@ def parse_machine(text: str) -> Machine:
         elif head == "output":
             if len(tokens) < 2:
                 raise ParseError("'output' needs at least one function name", lineno, 1)
-            for tok in tokens[1:]:
-                output_names.append((tok, lineno, raw))
+            for k, tok in enumerate(tokens[1:], 1):
+                output_names.append((tok, lineno, raw, k))
 
     _require(lineno, ("'machine <name>' header", name), ("'states' line", state_set))
+    if implicit:
+        tables = implicit(len(state_set))
+        return Machine(state_set, tables, name=name, function_names=_ImplicitNames(tables, True))
     if not fn_names:
         raise ParseError("a machine needs at least one fn", lineno)
     outputs = []
-    for tok, lineno, raw in output_names:
+    for tok, lineno, raw, k in output_names:
         if tok not in fn_names:
-            raise ParseError(f"output names unknown function {tok!r}", lineno, _col(raw, tok))
+            raise ParseError(f"output names unknown function {tok!r}", lineno, _col(raw, k))
         outputs.append(fn_names[tok])
     return _assemble(state_set, [(t, f) for f, t in fn_names.items()], outputs, name)
 
@@ -212,6 +245,7 @@ def parse_machine(text: str) -> Machine:
 def display_names(m: Machine) -> list[str]:
     names = []
     used = set()
+    _listed(m)  # implicit tables are named f0, f1, ... one by one
     for i, cand in enumerate(m.function_names):
         if cand in used or not _is_mx_token(cand):
             cand = f"f{i}"
@@ -224,13 +258,16 @@ def display_names(m: Machine) -> list[str]:
 
 def render_machine(m: Machine) -> str:
     """Canonical machine block; inverse of parse_machine.  A function or
-    machine name that is no ``.mx`` token is replaced; a state label is not."""
+    machine name that is no ``.mx`` token is replaced; a state label is not.
+    Implicit tables are written as one ``functions`` line."""
     labels = m.states.labels
     if not _all_mx_tokens(list(labels)):
         for s in labels:
             if not _is_mx_token(s):
                 raise InvalidMachineError(f"state label {s!r} is not representable in text")
     lines = [f"machine {m.name if _is_mx_token(m.name) else 'm'}", "states " + " ".join(labels)]
+    if isinstance(m.tables, _ImplicitTables):
+        return "\n".join(lines + [f"functions {m.tables.form}"]) + "\n"
     display = display_names(m)
     for t, dn in zip(m.tables, display):
         clauses = ", ".join(map("->".join, zip(labels, map(labels.__getitem__, t))))
@@ -277,9 +314,9 @@ def parse_turing(text: str) -> TuringSpec:
                 raise ParseError("'registers' needs at least one register", lineno, 1)
             registers = tuple(tokens[1:])
         elif head == "cells":
-            cells = _number(tokens[1], lineno, raw) if len(tokens) == 2 else None
+            cells = _number(tokens[1], lineno, raw, 1) if len(tokens) == 2 else None
             if cells is None or cells < 1:
-                col = _col(raw, tokens[1]) if len(tokens) > 1 else 1
+                col = _col(raw, 1) if len(tokens) > 1 else 1
                 raise ParseError("'cells' needs one positive integer", lineno, col)
         elif head == "boundary":
             if len(tokens) != 2 or tokens[1] not in ("reject", "clamp"):
@@ -289,9 +326,9 @@ def parse_turing(text: str) -> TuringSpec:
             if rules_seen:
                 raise ParseError("'halting' must come before the rules", lineno, 1)
             regs = need(registers, "'registers'", lineno)
-            for r in tokens[1:]:
+            for k, r in enumerate(tokens[1:], 1):
                 if r not in regs:
-                    raise ParseError(f"unknown halting register {r!r}", lineno, _col(raw, r))
+                    raise ParseError(f"unknown halting register {r!r}", lineno, _col(raw, k))
             halting = frozenset(tokens[1:])
         elif head == "rule":
             syms = need(symbols, "'symbols'", lineno)
@@ -302,18 +339,18 @@ def parse_turing(text: str) -> TuringSpec:
                     "rule must read 'rule <reg> <sym> -> <reg> <sym> <L|R|S>'", lineno, 1
                 )
             r, s, _, r2, s2, mv = tokens[1:]
-            for reg in (r, r2):
+            for reg, k in ((r, 1), (r2, 4)):
                 if reg not in regs:
-                    raise ParseError(f"unknown register {reg!r}", lineno, _col(raw, reg))
-            for sym in (s, s2):
+                    raise ParseError(f"unknown register {reg!r}", lineno, _col(raw, k))
+            for sym, k in ((s, 2), (s2, 5)):
                 if sym not in syms:
-                    raise ParseError(f"unknown symbol {sym!r}", lineno, _col(raw, sym))
+                    raise ParseError(f"unknown symbol {sym!r}", lineno, _col(raw, k))
             if halting and r in halting:
                 raise ParseError(
-                    f"halting register {r!r} cannot have outgoing rules", lineno, _col(raw, r)
+                    f"halting register {r!r} cannot have outgoing rules", lineno, _col(raw, 1)
                 )
             if mv not in ("L", "R", "S"):
-                raise ParseError(f"move must be L, R or S, not {mv!r}", lineno, _col(raw, mv))
+                raise ParseError(f"move must be L, R or S, not {mv!r}", lineno, _col(raw, 6))
             if (r, s) in rules:
                 raise ParseError(f"duplicate rule for ({r}, {s})", lineno, 1)
             rules[(r, s)] = (r2, s2, Move(mv))
@@ -334,16 +371,15 @@ def parse_turing(text: str) -> TuringSpec:
                     1,
                 )
             tape = tuple(tokens[2 : 2 + n])
-            for sym in tape:
+            for k, sym in enumerate(tape, 2):
                 if sym not in syms:
-                    raise ParseError(f"unknown symbol {sym!r}", lineno, _col(raw, sym))
-            head_tok = tokens[3 + n]
-            at = _number(head_tok, lineno, raw)
+                    raise ParseError(f"unknown symbol {sym!r}", lineno, _col(raw, k))
+            at = _number(tokens[3 + n], lineno, raw, 3 + n)
             if at is None or at >= n:
-                raise ParseError(f"head must be in 0..{n - 1}", lineno, _col(raw, head_tok))
+                raise ParseError(f"head must be in 0..{n - 1}", lineno, _col(raw, 3 + n))
             reg = tokens[5 + n]
             if reg not in regs:
-                raise ParseError(f"unknown register {reg!r}", lineno, _col(raw, reg))
+                raise ParseError(f"unknown register {reg!r}", lineno, _col(raw, 5 + n))
             initial = TmConfiguration(reg, tape, at)
 
     _require(lineno, ("'tm <name>' header", name), ("'symbols' line", symbols),
@@ -388,33 +424,37 @@ def render_turing(t: TuringSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_paren(piece: str, prefix: str, lineno: int, raw: str) -> list[str]:
+# Each helper reads ``piece``, which stands ``skip`` characters into token
+# ``k`` of ``raw``, and reports errors at the column of the offending part.
+
+
+def _parse_paren(piece: str, prefix: str, lineno: int, raw: str, k: int, skip: int = 0) -> list[str]:
     if not piece.startswith(prefix + "(") or not piece.endswith(")"):
-        raise ParseError(
-            f"expected '{prefix}(...)', got {piece!r}", lineno, _col(raw, piece)
-        )
+        raise ParseError(f"expected '{prefix}(...)', got {piece!r}", lineno, _col(raw, k, skip))
     inner = piece[len(prefix) + 1 : -1]
     return inner.split(",") if inner else []
 
 
-def _parse_cells(piece: str, prefix: str, lineno: int, raw: str) -> tuple[int, ...]:
+def _parse_cells(piece: str, prefix: str, lineno: int, raw: str, k: int) -> tuple[int, ...]:
     out = []
-    for p in _parse_paren(piece, prefix, lineno, raw):
-        i = _number(p, lineno, raw)
+    skip = len(prefix) + 1
+    for p in _parse_paren(piece, prefix, lineno, raw, k):
+        i = _number(p, lineno, raw, k, skip)
         if i is None:
-            raise ParseError(f"cell index {p!r} is not a number", lineno, _col(raw, p))
+            raise ParseError(f"cell index {p!r} is not a number", lineno, _col(raw, k, skip))
         out.append(i)
+        skip += len(p) + 1
     return tuple(out)
 
 
 def _parse_cells_eq(
-    piece: str, prefix: str, lineno: int, raw: str
+    piece: str, prefix: str, lineno: int, raw: str, k: int
 ) -> tuple[tuple[int, ...], tuple[str, ...]]:
     left, sep, right = piece.partition("=")
     if not sep:
-        raise ParseError(f"expected '{prefix}(...)=(...)', got {piece!r}", lineno, _col(raw, piece))
-    cells = _parse_cells(left, prefix, lineno, raw)
-    values = tuple(_parse_paren(right, "", lineno, raw))
+        raise ParseError(f"expected '{prefix}(...)=(...)', got {piece!r}", lineno, _col(raw, k))
+    cells = _parse_cells(left, prefix, lineno, raw, k)
+    values = tuple(_parse_paren(right, "", lineno, raw, k, len(left) + 1))
     return cells, values
 
 
@@ -442,12 +482,12 @@ def parse_mem(text: str) -> MemProgram:
         elif head == "cell":
             if alphabet is None:
                 raise ParseError("'alphabet' must come before 'cell'", lineno, 1)
-            idx = _number(tokens[1], lineno, raw) if len(tokens) == 4 and tokens[2] == "=" else None
+            idx = _number(tokens[1], lineno, raw, 1) if len(tokens) == 4 and tokens[2] == "=" else None
             if idx is None:
                 raise ParseError("cell line must read 'cell <i> = <value>'", lineno, 1)
             val = tokens[3]
             if val not in alphabet:
-                raise ParseError(f"unknown value {val!r}", lineno, _col(raw, val))
+                raise ParseError(f"unknown value {val!r}", lineno, _col(raw, 3))
             if idx in cell_inits:
                 raise ParseError(f"cell {idx} initialized twice", lineno, 1)
             cell_inits[idx] = val
@@ -455,16 +495,16 @@ def parse_mem(text: str) -> MemProgram:
             if (
                 len(tokens) != 4
                 or tokens[2] != "fn"
-                or (start_fn := _number(tokens[3], lineno, raw)) is None
+                or (start_fn := _number(tokens[3], lineno, raw, 3)) is None
             ):
                 raise ParseError("start line must read 'start read(...) fn <i>'", lineno, 1)
-            start_sel = _parse_cells(tokens[1], "read", lineno, raw)
+            start_sel = _parse_cells(tokens[1], "read", lineno, raw, 1)
         elif head == "default":
             if tokens[1:] != ["halt"]:
                 raise ParseError("only 'default halt' is supported", lineno, 1)
             default_halt = True
         elif head == "fn":
-            if len(tokens) != 2 or (a := _number(tokens[1], lineno, raw)) is None:
+            if len(tokens) != 2 or (a := _number(tokens[1], lineno, raw, 1)) is None:
                 raise ParseError("fn line must read 'fn <i>'", lineno, 1)
             if a != len(families):
                 raise ParseError(
@@ -479,7 +519,7 @@ def parse_mem(text: str) -> MemProgram:
                 or tokens[2] != "->"
                 or tokens[4] != "next"
                 or tokens[6] != "fn"
-                or (next_fn := _number(tokens[7], lineno, raw)) is None
+                or (next_fn := _number(tokens[7], lineno, raw, 7)) is None
             ):
                 raise ParseError(
                     "entry must read 'entry read(...)=(...) -> write(...)=(...) "
@@ -487,12 +527,12 @@ def parse_mem(text: str) -> MemProgram:
                     lineno,
                     1,
                 )
-            rc, rv = _parse_cells_eq(tokens[1], "read", lineno, raw)
-            wc, wv = _parse_cells_eq(tokens[3], "write", lineno, raw)
-            nc = _parse_cells(tokens[5], "read", lineno, raw)
+            rc, rv = _parse_cells_eq(tokens[1], "read", lineno, raw, 1)
+            wc, wv = _parse_cells_eq(tokens[3], "write", lineno, raw, 3)
+            nc = _parse_cells(tokens[5], "read", lineno, raw, 5)
             families[-1].append(MemEntry(rc, rv, wc, wv, nc, next_fn))
         elif head == "final":
-            at = _number(tokens[2], lineno, raw) if len(tokens) == 5 else None
+            at = _number(tokens[2], lineno, raw, 2) if len(tokens) == 5 else None
             if at is None or tokens[1] != "cell" or tokens[3] != "=":
                 raise ParseError("final line must read 'final cell <i> = <value>'", lineno, 1)
             finals.append((at, tokens[4]))
@@ -581,25 +621,23 @@ def parse_certificate(text: str) -> Certificate:
         raise ParseError("expected 'certificate <kind>'", lineno, 1)
     kind = tokens[1]
     if kind not in _CERT_REQUIRED:
-        raise ParseError(
-            f"unknown certificate kind {kind!r}", lineno, _col(raw, kind)
-        )
+        raise ParseError(f"unknown certificate kind {kind!r}", lineno, _col(raw, 1))
     fields: dict[str, tuple] = {}
     for lineno, raw, tokens in rows[1:]:
         key = tokens[0]
         if key not in _CERT_FIELD:
-            raise ParseError(f"unknown certificate key {key!r}", lineno, _col(raw, key))
+            raise ParseError(f"unknown certificate key {key!r}", lineno, _col(raw, 0))
         if key in fields:
             raise ParseError(f"duplicate certificate key {key!r}", lineno, 1)
         if key == "keep-states":
             fields[key] = tuple(tokens[1:])
         else:
             vals = []
-            for tok in tokens[1:]:
-                v = _number(tok, lineno, raw)
+            for k, tok in enumerate(tokens[1:], 1):
+                v = _number(tok, lineno, raw, k)
                 if v is None:
                     raise ParseError(
-                        f"{key} entries must be numbers, got {tok!r}", lineno, _col(raw, tok)
+                        f"{key} entries must be numbers, got {tok!r}", lineno, _col(raw, k)
                     )
                 vals.append(v)
             fields[key] = tuple(vals)
@@ -613,9 +651,23 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def render_certificate(c: Certificate) -> str:
+    """Canonical certificate text; inverse of parse_certificate.  An entry
+    with more digits than Python converts to text raises MachalgError."""
     if c.kind not in _CERT_REQUIRED:
         raise InvalidMachineError(f"unknown certificate kind {c.kind!r}")
     lines = [f"certificate {c.kind}"]
     for key in _CERT_REQUIRED[c.kind]:
-        lines.append(f"{key} " + " ".join(map(str, getattr(c, _CERT_FIELD[key]))))
+        values = getattr(c, _CERT_FIELD[key])
+        try:
+            lines.append(f"{key} " + " ".join(map(str, values)))
+        except ValueError:  # the digit limit of int-to-text conversion
+            limit = sys.get_int_max_str_digits()
+            big = abs(max(values, key=abs))
+            digits = int((big.bit_length() - 1) * math.log10(2)) + 1  # at most the count
+            while big >= 10**digits:
+                digits += 1
+            raise MachalgError(
+                f"{key} entry has {digits} digits, above Python's limit of {limit} "
+                "for writing an integer as text"
+            ) from None
     return "\n".join(lines) + "\n"

@@ -11,13 +11,17 @@ compilers' index arithmetic, and the expression oracle is the package's earlier
 recursive-descent evaluator, kept verbatim as the reference for the
 iterative one.  Likewise the ``.mx`` oracle is the earlier parser that reads
 each token and clause on its own, kept verbatim as the reference for the
-bulk checks of ``parse_machine``.
+bulk checks of ``parse_machine`` but for its columns, which it finds by
+matching tokens and clauses with regular expressions.  The enumerated
+full and bijection machines list every table, as ``full_machine`` and
+``full_bijection_machine`` did before they computed tables on demand.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import re
 from typing import Iterator, Optional
 
 from machalg import (
@@ -44,6 +48,16 @@ from machalg import (
 )
 from machalg.cardinal import Trace
 from machalg.machine import _assemble
+
+
+def enumerated_full_machine(state_set: StateSet) -> Machine:
+    """The machine holding all ``n**n`` tables on ``state_set``, listed."""
+    return Machine(state_set, tuple(itertools.product(range(len(state_set)), repeat=len(state_set))))
+
+
+def enumerated_full_bijection_machine(state_set: StateSet) -> Machine:
+    """The machine holding all ``n!`` bijections on ``state_set``, listed."""
+    return Machine(state_set, tuple(itertools.permutations(range(len(state_set)))))
 
 
 def brute_force_isomorphism(
@@ -342,9 +356,9 @@ def _significant_lines(text: str) -> list[tuple[int, str, list[str]]]:
     return rows
 
 
-def _col(raw: str, piece: str) -> int:
-    at = raw.find(piece)
-    return at + 1 if at >= 0 else 1
+def _col(raw: str, k: int) -> int:
+    """Column of the k-th (from 0) whitespace-separated token of ``raw``."""
+    return [m.start() for m in re.finditer(r"\S+", raw)][k] + 1
 
 
 def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tuple[int, str, list]]:
@@ -361,10 +375,10 @@ def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tupl
         head = tokens[0]
         if head in once:
             if head in seen:
-                raise ParseError(f"second {head!r} line", lineno, _col(raw, head))
+                raise ParseError(f"second {head!r} line", lineno, _col(raw, 0))
             seen.add(head)
         elif head not in many:
-            raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, head))
+            raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, 0))
         if head == kind and len(tokens) != 2:
             raise ParseError(f"expected '{kind} <name>'", lineno, 1)
         yield lineno, raw, tokens
@@ -387,12 +401,12 @@ def _is_mx_token(token: str | None) -> bool:
     )
 
 
-def _check_mx_token(token: str, what: str, lineno: int, raw: str) -> None:
+def _check_mx_token(token: str, what: str, lineno: int, raw: str, k: int) -> None:
     if not _is_mx_token(token):
         raise ParseError(
             f"{what} {token!r} may not contain any of , : -> #",
             lineno,
-            _col(raw, token),
+            _col(raw, k),
         )
 
 
@@ -414,17 +428,17 @@ def reference_parse_machine(text: str) -> Machine:
         head = tokens[0]
         if head == "machine":
             name = tokens[1]
-            _check_mx_token(name, "machine name", lineno, raw)
+            _check_mx_token(name, "machine name", lineno, raw, 1)
         elif head == "states":
             if name is None:
                 raise ParseError("'machine <name>' must come first", lineno, 1)
             if len(tokens) < 2:
                 raise ParseError("'states' needs at least one state", lineno, 1)
             seen = set()
-            for s in tokens[1:]:
-                _check_mx_token(s, "state", lineno, raw)
+            for k, s in enumerate(tokens[1:], 1):
+                _check_mx_token(s, "state", lineno, raw, k)
                 if s in seen:
-                    raise ParseError(f"duplicate state {s!r}", lineno, _col(raw, s))
+                    raise ParseError(f"duplicate state {s!r}", lineno, _col(raw, k))
                 seen.add(s)
             state_set = StateSet(tuple(tokens[1:]))
         elif head == "fn":
@@ -438,27 +452,32 @@ def reference_parse_machine(text: str) -> Machine:
             if len(htokens) != 2:
                 raise ParseError("fn line needs exactly one name", lineno, 1)
             fname = htokens[1]
-            _check_mx_token(fname, "function name", lineno, raw)
+            _check_mx_token(fname, "function name", lineno, raw, 1)
             if fname in fn_names:
-                raise ParseError(f"duplicate function name {fname!r}", lineno, _col(raw, fname))
+                raise ParseError(f"duplicate function name {fname!r}", lineno, _col(raw, 1))
             mapping: dict[str, str] = {}
-            for chunk in rest.split(","):
+            # Each chunk between commas after the colon, with where it starts.
+            chunks = re.finditer(r"(?:^|,)([^,]*)", rest)
+            for chunk, at in ((m.group(1), len(header) + 1 + m.start(1)) for m in chunks):
                 clause = chunk.strip()
+                lead = len(re.match(r"\s*", chunk).group())
                 if not clause:
-                    raise ParseError("empty clause", lineno, _col(raw, chunk) if chunk else 1)
+                    raise ParseError("empty clause", lineno, at + 1 if chunk else 1)
                 parts = clause.split("->")
                 if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
                     raise ParseError(
                         f"clause {clause!r} must read 'state->state'",
                         lineno,
-                        _col(raw, clause),
+                        at + lead + 1,
                     )
                 src, dst = parts[0].strip(), parts[1].strip()
-                for tok in (src, dst):
+                arrow = at + lead + len(parts[0]) + 2
+                dst_at = arrow + len(re.match(r"\s*", parts[1]).group())
+                for tok, col in ((src, at + lead + 1), (dst, dst_at + 1)):
                     if tok not in state_set:
-                        raise ParseError(f"unknown state {tok!r}", lineno, _col(raw, tok))
+                        raise ParseError(f"unknown state {tok!r}", lineno, col)
                 if src in mapping:
-                    raise ParseError(f"duplicate clause for state {src!r}", lineno, _col(raw, clause))
+                    raise ParseError(f"duplicate clause for state {src!r}", lineno, at + lead + 1)
                 mapping[src] = dst
             missing = [s for s in state_set.labels if s not in mapping]
             if missing:
@@ -470,16 +489,16 @@ def reference_parse_machine(text: str) -> Machine:
         elif head == "output":
             if len(tokens) < 2:
                 raise ParseError("'output' needs at least one function name", lineno, 1)
-            for tok in tokens[1:]:
-                output_names.append((tok, lineno, raw))
+            for k, tok in enumerate(tokens[1:], 1):
+                output_names.append((tok, lineno, raw, k))
 
     _require(lineno, ("'machine <name>' header", name), ("'states' line", state_set))
     if not fn_names:
         raise ParseError("a machine needs at least one fn", lineno)
     outputs = []
-    for tok, lineno, raw in output_names:
+    for tok, lineno, raw, k in output_names:
         if tok not in fn_names:
-            raise ParseError(f"output names unknown function {tok!r}", lineno, _col(raw, tok))
+            raise ParseError(f"output names unknown function {tok!r}", lineno, _col(raw, k))
         outputs.append(fn_names[tok])
     return _assemble(state_set, [(t, f) for f, t in fn_names.items()], outputs, name)
 

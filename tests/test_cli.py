@@ -217,6 +217,61 @@ class TestComplete:
         assert rc == 2
         assert "full function set" in err
 
+    def test_tape_machine_into_the_full_machine_on_its_states(self, capsys, tmp_path):
+        tm = tmp_path / "clamp.tm"
+        tm.write_text(CLAMP_TM)
+        rc, compiled, _ = run(capsys, "compile-tm", str(tm))
+        assert rc == 0 and compiled.startswith("machine clamp\nstates ")
+        target = tmp_path / "clamp.mx"
+        target.write_text(compiled)
+        full = write_full(tmp_path, 1152)
+        rc, cert, err = run(capsys, "complete", full, str(target), "--format", "certificate")
+        assert (rc, err) == (0, "")
+        path = tmp_path / "complete.cert"
+        path.write_text(cert)
+        rc, out, _ = run(capsys, "verify", str(path), full, str(target), "--expect", "yes")
+        assert (rc, out) == (0, "certificate verifies\n")
+
+    def test_keep_fns_past_the_digit_limit(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer text conversion is unlimited here")
+        n = 1500  # const0's one table, extended by the identity, read in base n
+        index = sum(j * n ** (n - 1 - s) for s, j in enumerate((0, 0, *range(2, n))))
+        digits = next(d for d in itertools.count(1) if index < 10**d)
+        assert digits > limit
+        rc, out, err = run(capsys, "complete", write_full(tmp_path, n), CONST0)
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: keep-fns entry has {digits} digits, above Python's limit of {limit} "
+            "for writing an integer as text\n"
+        )
+
+
+# 3 registers, 2 symbols and 6 cells, clamped: 3 * 2**6 * 6 = 1152 states.
+CLAMP_TM = """\
+tm clamp
+symbols 0 1
+registers a b c
+cells 6
+boundary clamp
+rule a 0 -> b 1 R
+rule a 1 -> c 0 R
+rule b 0 -> a 1 L
+rule b 1 -> c 1 R
+rule c 0 -> a 0 R
+rule c 1 -> b 0 L
+init tape 0 0 0 0 0 0 head 0 register a
+"""
+
+
+def write_full(tmp_path, n) -> str:
+    """Write the full machine on n states as a ``functions all`` container."""
+    path = tmp_path / f"full{n}.mx"
+    path.write_text(render_machine(full_machine(StateSet(tuple(f"s{i}" for i in range(n))))))
+    assert path.read_text().endswith(f" s{n - 1}\nfunctions all\n")
+    return str(path)
+
 
 class TestSubmachineAndReduce:
     def test_reduce_emits_parseable_machine(self, capsys):

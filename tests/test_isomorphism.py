@@ -38,6 +38,8 @@ from machalg import (
     state_reduction,
     states,
     TotalityViolationError,
+    parse_certificate,
+    render_certificate,
     verify,
     verify_completeness,
     verify_morphism,
@@ -46,7 +48,7 @@ from machalg import isomorphism
 from machalg.lemmas import random_machine
 
 from conftest import conjugated
-from oracles import brute_force_embedding, brute_force_isomorphism
+from oracles import brute_force_embedding, brute_force_isomorphism, enumerated_full_machine
 
 
 def table_machine(tables, prefix="s"):
@@ -565,6 +567,33 @@ class TestConstructFullEmbedding:
             assert witness.reductions[1].result.states.labels == big.states.labels[: probe.n_states]
             assert witness.morphism.g == tuple(range(probe.n_states))
             assert verify_completeness(big, probe, witness)
+
+    @pytest.mark.parametrize("n, method", [(n, "construct") for n in range(1, 7)]
+                             + [(3, "search"), (3, "auto")])
+    def test_certificates_match_the_enumerated_container(self, n, method):
+        # The implicit container answers byte for byte as the listing does.
+        rng = random.Random(100 + n)
+        labels = tuple(f"s{i}" for i in range(n))
+        implicit, listed = full_machine(StateSet(labels)), enumerated_full_machine(StateSet(labels))
+        for _ in range(20):
+            probe = random_machine(rng, max_states=n, max_functions=4)
+            texts = [certificate_text(is_complete(a, probe, method=method)) for a in (implicit, listed)]
+            assert texts[0] == texts[1]
+
+    def test_past_the_enumeration_cap(self):
+        big = full_machine(StateSet(tuple(f"s{i}" for i in range(8))))
+        probe = random_machine(random.Random(8), max_states=6, max_functions=5)
+        witness = is_complete(big, probe, method="construct")
+        assert verify_completeness(big, probe, witness)
+        cert = parse_certificate(certificate_text(witness))
+        assert verify(cert, big, probe) == (True, "")
+
+
+def certificate_text(w) -> str:
+    fr, sr = w.reductions
+    return render_certificate(
+        Certificate("complete", w.morphism.g, w.morphism.h, fr.kept_functions, sr.kept_states)
+    )
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 """States, transition functions, machine construction, fixpoint runs."""
 
 import dataclasses
+import math
 import pickle
 import random
 import tracemalloc
@@ -23,14 +24,18 @@ from machalg import (
     TransitionFunction,
     find_isomorphism,
     fn_from_map,
+    full_bijection_machine,
     full_machine,
     identity_fn,
     make_machine,
     parse_machine,
     run_to_fixpoint,
+    state_reduction,
     states,
 )
-from machalg.textio import display_names
+from machalg import machine as machine_module
+from machalg.textio import display_names, render_machine
+from oracles import enumerated_full_bijection_machine, enumerated_full_machine
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -304,17 +309,118 @@ class TestFullEnumeration:
         assert [f.table for f in fns] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_cap(self):
+        # Building costs nothing; the cap stops loops over every function.
         ss = StateSet(tuple(f"s{i}" for i in range(8)))
-        with pytest.raises(EnumerationTooLargeError) as e:
-            full_machine(ss)
-        assert e.value.size == 8**8
-        assert e.value.cap == DEFAULT_ENUMERATION_CAP
+        m = full_machine(ss)
+        assert m.n_functions == 8**8
+        for listing in (lambda: find_isomorphism(m, m), lambda: state_reduction(m, ["s0"]),
+                        lambda: display_names(m)):
+            with pytest.raises(EnumerationTooLargeError) as e:
+                listing()
+            assert e.value.size == 8**8
+            assert e.value.cap == DEFAULT_ENUMERATION_CAP
 
     def test_full_machine_flag(self):
         m = full_machine(states("x", "y"))
         assert m.has_full_function_set()
         reduced = Machine(m.states, m.functions[:3], frozenset())
         assert not reduced.has_full_function_set()
+
+
+def _ss(n):
+    return StateSet(tuple(f"s{i}" for i in range(n)))
+
+
+IMPLICIT_CASES = [
+    pytest.param(full_machine, enumerated_full_machine, n, id=f"full-{n}") for n in range(1, 7)
+] + [
+    pytest.param(full_bijection_machine, enumerated_full_bijection_machine, n, id=f"bijections-{n}")
+    for n in range(1, 8)
+]
+
+
+class TestImplicitTables:
+    """The full and bijection machines compute their tables on demand and
+    answer as the machines listing every table do."""
+
+    @pytest.mark.parametrize("build, listed, n", IMPLICIT_CASES)
+    def test_matches_the_listing(self, build, listed, n):
+        m, ref = build(_ss(n)), listed(_ss(n))
+        assert len(m.tables) == m.n_functions == len(ref.tables)
+        assert list(m.tables) == list(ref.tables)  # iteration order
+        assert all(m.tables[i] == t for i, t in enumerate(ref.tables))
+        assert all(m.tables.index(t) == i for i, t in enumerate(ref.tables))
+        assert all(m.function_index(f) == i for i, f in enumerate(ref.functions))
+        assert m.tables[-1] == ref.tables[-1] and m.tables[1::2] == ref.tables[1::2]
+        assert m.tables == ref.tables and ref.tables == m.tables
+        assert hash(m.tables) == hash(ref.tables)
+        assert m == ref and ref == m and hash(m) == hash(ref)
+        assert m.has_full_function_set() == ref.has_full_function_set()
+        assert m.functions == ref.functions and ref.functions == m.functions
+
+    def test_kinds_differ_except_on_one_state(self):
+        assert full_machine(_ss(1)) == full_bijection_machine(_ss(1))
+        assert full_machine(_ss(2)) != full_bijection_machine(_ss(2))
+        assert full_machine(_ss(2)) != full_machine(_ss(3))
+        assert full_machine(_ss(2)) != make_machine(_ss(2), [(0, 0), (0, 1), (1, 0)])
+
+    def test_absent_tables(self):
+        full, bij = full_machine(_ss(3)).tables, full_bijection_machine(_ss(3)).tables
+        for tables, absent in ((full, (0, 3, 0)), (full, (0, 0)), (full, [0, 0, 0]),
+                               (full, (0, -1, 0)), (bij, (0, 0, 1)), (bij, (0, 1, 3))):
+            assert absent not in tables
+            with pytest.raises(ValueError):
+                tables.index(absent)
+        with pytest.raises(IndexError):
+            full[27]
+        with pytest.raises(IndexError):
+            bij[-7]
+        with pytest.raises(KeyError):
+            full_machine(_ss(3)).function_index(identity_fn(states("a", "b", "c")))
+
+    def test_built_without_listing(self):
+        m = full_machine(_ss(8))  # 16.7M tables, past the enumeration cap
+        assert m.has_full_function_set() and m.n_functions == 8**8
+        assert m.tables[8**8 - 2] == (7, 7, 7, 7, 7, 7, 7, 6)
+        assert m.tables.index((0, 0, 0, 0, 0, 0, 1, 0)) == 8
+        big = full_machine(_ss(16))  # more tables than len() reports
+        assert big.n_functions == 16**16 and big.has_full_function_set()
+        assert big.tables[16**16 - 1] == (15,) * 16
+        with pytest.raises(OverflowError):
+            len(big.tables)
+        bij = full_bijection_machine(_ss(20))
+        assert bij.n_functions == math.factorial(20) and not bij.has_full_function_set()
+        assert bij.tables[math.factorial(20) - 1] == tuple(range(19, -1, -1))
+
+    def test_invariants_copies_and_view(self):
+        m = full_machine(states("a", "b", "c"), name="full")
+        assert m.name == "full" and m.function_names[5] is None and len(m.function_names) == 27
+        assert parse_machine(render_machine(m)).function_names[-2:] == ("f25", "f26")
+        for bad in (dict(output_functions=frozenset({0})), dict(function_names=("f",) * 27),
+                    dict(states=states("a", "b"))):
+            with pytest.raises(InvalidMachineError, match="implicit tables"):
+                dataclasses.replace(m, **bad)
+        for copy in (pickle.loads(pickle.dumps(m)), dataclasses.replace(m)):
+            assert copy == m and hash(copy) == hash(m) and copy.name == "full"
+        assert m.functions[-1].table == (2, 2, 2) and m.functions[-1]("a") == "c"
+        assert [f.table for f in m.functions[:2]] == [(0, 0, 0), (0, 0, 1)]
+        assert len(m.functions) == 27 and m.functions is m.functions
+
+    def test_each_table_is_checked_once(self, monkeypatch):
+        calls = []
+        check = machine_module._check_tables
+        monkeypatch.setattr(machine_module, "_check_tables", lambda t, n: calls.append(n) or check(t, n))
+        ss = states("a", "b")
+        fns = [TransitionFunction(ss, (0, 0)), TransitionFunction(ss, (1, 0))]
+        assert len(calls) == 2  # once per function, as it is built
+        make_machine(ss, fns, outputs=fns[:1])
+        assert len(calls) == 2
+        make_machine(ss, [(0, 0), (1, 0)], outputs=[(0, 0)])
+        assert len(calls) == 3  # the bare tables, once
+        Machine(ss, ((0, 0), (1, 0)))
+        assert len(calls) == 4
+        full_machine(ss)
+        assert len(calls) == 4  # generated, never checked
 
 
 class TestRunToFixpoint:

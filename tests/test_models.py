@@ -813,7 +813,10 @@ class TestFullBijectionMachine:
         assert find_isomorphism(bij, probe) is None
 
     def test_enumeration_cap(self):
+        # Building costs nothing; the cap stops loops over every function.
+        m = full_bijection_machine(StateSet(tuple(f"s{i}" for i in range(10))))
+        assert m.n_functions == math.factorial(10)
         with pytest.raises(EnumerationTooLargeError) as e:
-            full_bijection_machine(StateSet(tuple(f"s{i}" for i in range(10))))
+            find_isomorphism(m, m)
         assert e.value.size == math.factorial(10)
         assert e.value.cap == DEFAULT_ENUMERATION_CAP

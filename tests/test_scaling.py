@@ -7,8 +7,13 @@ registers for ``compile_tm``, and a memory-cell program with 11 and with 14
 cells for ``compile_mem``.  Eight times the states should cost about eight
 times as much; a quadratic path costs about 64 times as much.  The bound of
 24 sits between the two.
+
+The full machine is built and reduced to 48 of its functions on 6 and on
+600 states: it is never listed, so both cost about the same per entry of
+the kept tables.
 """
 
+import random
 import time
 
 import pytest
@@ -24,6 +29,8 @@ from machalg import (
     TuringSpec,
     compile_mem,
     compile_tm,
+    full_machine,
+    functional_reduction,
     make_machine,
     parse_machine,
     render_machine,
@@ -132,4 +139,27 @@ def test_compiler_growth_is_linear(compile_fn, small_source, large_source):
     assert ratio < MAX_RATIO, (
         f"{compile_fn.__name__}: {small * 1e3:.2f} ms at {SMALL} states, "
         f"{large * 1e3:.2f} ms at {LARGE} states, ratio {ratio:.1f}"
+    )
+
+
+def keep_from_full_machine(n, picks):
+    start = time.perf_counter()
+    fm = full_machine(StateSet(tuple(f"s{i}" for i in range(n))))
+    red = functional_reduction(fm, [fm.functions[i] for i in picks])
+    elapsed = time.perf_counter() - start
+    assert red.kept_functions == tuple(picks) and red.result.n_functions == len(picks)
+    return elapsed
+
+
+def test_full_machine_costs_only_what_it_keeps():
+    # Listing the 6**6 tables took about 150 ms; 600**600 would never end.
+    per_entry = {}
+    for n in (6, 600):
+        rng = random.Random(n)
+        picks = sorted({rng.randrange(n**n) for _ in range(48)})
+        per_entry[n] = min(keep_from_full_machine(n, picks) for _ in range(3)) / (len(picks) * n)
+    ratio = per_entry[600] / per_entry[6]
+    assert ratio < 8, (
+        f"{per_entry[6] * 1e6:.2f} us per kept table entry at 6 states, "
+        f"{per_entry[600] * 1e6:.2f} us at 600, ratio {ratio:.1f}"
     )

@@ -19,6 +19,8 @@ from machalg import (
     StateSet,
     TransitionFunction,
     compile_tm,
+    full_bijection_machine,
+    full_machine,
     make_machine,
     parse_certificate,
     parse_machine,
@@ -33,7 +35,7 @@ from machalg import (
 from machalg.lemmas import random_machine
 
 from conftest import random_turing_spec
-from oracles import reference_parse_machine
+from oracles import enumerated_full_machine, reference_parse_machine
 
 SWITCH = """\
 machine switch
@@ -204,6 +206,48 @@ class TestMachineFormat:
         for path in ("samples/switch.mx", "samples/const0.mx", "samples/const1.mx"):
             with open(path) as fh:
                 parse_machine(fh.read())
+
+
+class TestImplicitFunctions:
+    """``functions all`` and ``functions bijections`` stand for the full and
+    the bijection machine; only those machines are written so."""
+
+    @pytest.mark.parametrize("build, word", [(full_machine, "all"),
+                                             (full_bijection_machine, "bijections")])
+    def test_round_trip(self, build, word):
+        m = build(StateSet(("a", "b", "c")), "big")
+        text = render_machine(m)
+        assert text == f"machine big\nstates a b c\nfunctions {word}\n"
+        back = parse_machine(text)
+        assert back == m and back.name == "big" and type(back.tables) is type(m.tables)
+        assert render_machine(build(StateSet(("a",)))) == f"machine m\nstates a\nfunctions {word}\n"
+
+    def test_a_listing_keeps_its_fn_lines(self):
+        listed = enumerated_full_machine(StateSet(("a", "b")))
+        text = render_machine(listed)
+        assert "functions" not in text and text.count("\nfn ") == 4
+        assert parse_machine(text) == listed == full_machine(StateSet(("a", "b")))
+        assert parse_machine("machine m\nstates a b\nfunctions all\n") == listed
+
+    @pytest.mark.parametrize("text, error", [
+        ("machine m\nfunctions all\nstates a\n", "line 2, column 1: 'states' must come before 'functions'"),
+        ("machine m\nstates a\nfunctions some\n", "line 3, column 1: 'functions' must be 'all' or 'bijections'"),
+        ("machine m\nstates a\nfunctions\n", "line 3, column 1: 'functions' must be 'all' or 'bijections'"),
+        ("machine m\nstates a\nfunctions all all\n", "line 3, column 1: 'functions' must be 'all' or 'bijections'"),
+        ("machine m\nstates a\nfunctions all\n  functions all\n", "line 4, column 3: second 'functions' line"),
+        ("machine m\nstates a\nfunctions all\nfn f: a->a\n",
+         "line 4, column 1: a 'functions' line excludes 'fn' and 'output' lines"),
+        ("machine m\nstates a\nfn f: a->a\nfunctions all\n",
+         "line 4, column 1: a 'functions' line excludes 'fn' and 'output' lines"),
+        ("machine m\nstates a\noutput f\nfunctions bijections\n",
+         "line 4, column 1: a 'functions' line excludes 'fn' and 'output' lines"),
+        ("machine m\nstates a\nfunctions bijections\noutput f\n",
+         "line 4, column 1: a 'functions' line excludes 'fn' and 'output' lines"),
+    ])
+    def test_errors(self, text, error):
+        with pytest.raises(ParseError) as e:
+            parse_machine(text)
+        assert str(e.value) == error
 
 
 class TestTuringFormat:
@@ -449,6 +493,14 @@ class TestSharedRules:
                      id="mem-no-header"),
         pytest.param("mem", "# toggle\n" + TOGGLE_BODY + "mem toggle\n",
                      "line 8, column 1: 'mem <name>' must come first", id="mem-late-header"),
+        # An error stands at its own token, even where the same text came
+        # earlier on the line, and at the repeat of a duplicate.
+        pytest.param("mx", "machine m\nstates a b a\nfn f: a->a, b->b\n",
+                     "line 2, column 12: duplicate state 'a'", id="mx-token-column"),
+        pytest.param("tm", "tm t\nsymbols 0\nregisters a\nhalting a l\n",
+                     "line 4, column 11: unknown halting register 'l'", id="tm-token-column"),
+        pytest.param("mem", "mem m\nalphabet 0\ncell 0 = l\n",
+                     "line 3, column 10: unknown value 'l'", id="mem-token-column"),
     ])
     def test_error_text(self, fmt, text, error):
         with pytest.raises(ParseError) as e:
@@ -457,6 +509,25 @@ class TestSharedRules:
 
 
 class TestCertificates:
+    def test_error_at_its_own_token(self):
+        with pytest.raises(ParseError) as e:
+            parse_certificate("certificate submachine\nkeep-fns 1 e\nkeep-states a\n")
+        assert str(e.value) == "line 2, column 12: keep-fns entries must be numbers, got 'e'"
+
+    def test_entry_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            c = Certificate("complete", (0,), (0,), (1, 10**640), ("a",))
+            with pytest.raises(MachalgError) as e:
+                render_certificate(c)
+            assert str(e.value) == (
+                "keep-fns entry has 641 digits, above Python's limit of 640 for writing an integer as text"
+            )
+            assert render_certificate(Certificate("submachine", (), (), (10**640 - 1,), ("a",)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_iso_round_trip(self):
         c = Certificate("iso", g=(1, 0, 2), h=(0, 2, 1))
         assert parse_certificate(render_certificate(c)) == c
