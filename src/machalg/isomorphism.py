@@ -380,10 +380,10 @@ def _construct_embedding(a: Machine, b: Machine) -> CompletenessWitness:
         raise IncompatibleShapesError(
             "the constructive path needs the full function set on the container"
         )
-    n, first = a.n_states, range(b.n_states)
+    n, first, tables_b = a.n_states, range(b.n_states), _listed(b)
     rest = tuple(range(b.n_states, n))
-    chosen = [_numeral(t + rest, n) for t in b.tables]
-    return _witness(a, chosen, first, b.tables, first)
+    chosen = [_numeral(t + rest, n) for t in tables_b]
+    return _witness(a, chosen, first, tables_b, first)
 
 
 def _witness(
@@ -429,10 +429,11 @@ def _search_completeness(
     bijections onto each subset, with sub-multiset pruning, all on the
     shared search loop with one node budget.
     """
-    n_b = b.n_states
-    sig_b = _state_signatures(b.tables, n_b)
+    _listed(a)  # before any work, as every subset lists a's functions
+    n_b, tables_b = b.n_states, _listed(b)
+    sig_b = _state_signatures(tables_b, n_b)
     problems = (
-        _subset_problem(a, b.tables, subset, sig_b)
+        _subset_problem(a, tables_b, subset, sig_b)
         for subset in itertools.combinations(range(a.n_states), n_b)
     )
     return _search((p for p in problems if p), n_b, "completeness search", node_budget)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
+import sys
 from bisect import bisect_left
 from collections import Counter, abc
 from dataclasses import dataclass, field, fields
@@ -117,15 +119,14 @@ def identity_fn(domain: StateSet, name: Optional[str] = "id") -> TransitionFunct
     return TransitionFunction(domain, tuple(range(len(domain))), name)
 
 
-def _unwrap(state_set: StateSet, items: Iterable, check: bool = True) -> tuple[tuple, tuple]:
-    """Tables and names of ``items``: bare tables (named None), checked when
-    ``check`` is set, or else TransitionFunctions on ``state_set``, which
-    checked their own.  The one place a function becomes a table."""
+def _unwrap(state_set: StateSet, items: Iterable) -> tuple[tuple, tuple]:
+    """Tables and names of ``items``: bare tables (named None), checked here,
+    or else TransitionFunctions on ``state_set``, which checked their own.
+    The one place a function becomes a table."""
     items = tuple(items)
     if TransitionFunction not in set(map(type, items)):
         tables = tuple(map(tuple, items))
-        if check:
-            _check_tables(tables, len(state_set.labels))
+        _check_tables(tables, len(state_set.labels))
         return tables, (None,) * len(items)
     tables, names = [], []
     for f in items:
@@ -150,6 +151,15 @@ def _numeral(table: Sequence[int], n: int) -> int:
     for j in table:
         i = i * n + j
     return i
+
+
+def _holds(seq, x) -> bool:
+    """``x in seq`` for the sequences below, through their ``index``."""
+    try:
+        seq.index(x)
+    except ValueError:
+        return False
+    return True
 
 
 # The read-only sequences below register as Sequences rather than inherit
@@ -191,11 +201,20 @@ class _ImplicitTables:
         raise ValueError(f"{table!r} is not in the {self.what}")
 
     def __contains__(self, table) -> bool:
-        try:
-            self.index(table)
-        except ValueError:
-            return False
-        return True
+        return _holds(self, table)
+
+    def count(self, table) -> int:
+        return int(table in self)  # each table appears once
+
+    def __reversed__(self):
+        return map(self._decode, reversed(range(self.size)))
+
+    def listed(self) -> _ImplicitTables:
+        """``self``, for a loop over every table: more than
+        DEFAULT_ENUMERATION_CAP of them raise EnumerationTooLargeError."""
+        if self.size > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationTooLargeError(self.what, self.size, DEFAULT_ENUMERATION_CAP)
+        return self
 
     def __eq__(self, other):
         if isinstance(other, _ImplicitTables):  # on one state, both kinds hold one table
@@ -205,7 +224,7 @@ class _ImplicitTables:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash(tuple(self.listed()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.n})"
@@ -286,8 +305,40 @@ class _ImplicitNames:
         except ValueError:  # an index with more digits than Python writes as text
             return None
 
+    def _first_unnamed(self) -> int:
+        """The least index named None, or ``size`` if there is none."""
+        if not self.numbered:
+            return 0
+        size, limit = self.tables.size, sys.get_int_max_str_digits()
+        return min(size, 10**limit) if limit else size
+
+    def index(self, name) -> int:
+        first = self._first_unnamed()
+        if name is None and first < self.tables.size:
+            return first
+        if self.numbered and isinstance(name, str) and re.fullmatch("f(0|[1-9][0-9]*)", name):
+            try:
+                i = int(name[1:])
+            except ValueError:  # more digits than any name has
+                pass
+            else:
+                if i < first:
+                    return i
+        raise ValueError(f"{name!r} is not a function name of the {self.tables.what}")
+
+    def __contains__(self, name) -> bool:
+        return _holds(self, name)
+
+    def count(self, name) -> int:
+        if name is None:
+            return self.tables.size - self._first_unnamed()
+        return int(name in self)
+
     def __iter__(self):
         return map(self.__getitem__, range(self.tables.size))
+
+    def __reversed__(self):
+        return map(self.__getitem__, reversed(range(self.tables.size)))
 
     def __repr__(self) -> str:
         return f"_ImplicitNames({self.tables!r}, {self.numbered})"
@@ -306,11 +357,32 @@ class _Functions:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
+            return tuple(map(_function, itertools.repeat(self.domain), self.tables[i], self.names[i]))
         return _function(self.domain, self.tables[i], self.names[i])
 
     def __iter__(self):
         return map(_function, itertools.repeat(self.domain), self.tables, self.names)
+
+    def __reversed__(self):
+        return map(_function, itertools.repeat(self.domain), reversed(self.tables), reversed(self.names))
+
+    def index(self, f) -> int:
+        """Position of ``f``: its encoding in implicit tables, else by
+        bisection over the sorted tables."""
+        tables = self.tables
+        if isinstance(f, TransitionFunction) and f.domain == self.domain:
+            if isinstance(tables, _ImplicitTables):
+                return tables.index(f.table)
+            i = bisect_left(tables, f.table)
+            if i < len(tables) and tables[i] == f.table:
+                return i
+        raise ValueError("function is not part of this machine")
+
+    def __contains__(self, f) -> bool:
+        return _holds(self, f)
+
+    def count(self, f) -> int:
+        return int(f in self)  # the tables are duplicate-free
 
     def __eq__(self, other):
         return tuple(self) == (tuple(other) if isinstance(other, _Functions) else other)
@@ -381,20 +453,11 @@ class Machine:
         return isinstance(self.tables, _AllTables) or n < 16 and self.n_functions == n**n
 
     def function_index(self, f: TransitionFunction) -> int:
-        """Position of ``f``: its encoding in implicit tables, else by
-        bisection over the sorted tables."""
-        tables = self.tables
-        if f.domain == self.states:
-            if isinstance(tables, _ImplicitTables):
-                try:
-                    return tables.index(f.table)
-                except ValueError:
-                    pass
-            else:
-                i = bisect_left(tables, f.table)
-                if i < len(tables) and tables[i] == f.table:
-                    return i
-        raise KeyError("function is not part of this machine")
+        """Position of ``f`` among :attr:`functions`; KeyError if absent."""
+        try:
+            return self.functions.index(f)
+        except ValueError:
+            raise KeyError("function is not part of this machine") from None
 
 
 _MACHINE_FIELDS = tuple(f.name for f in fields(Machine))
@@ -404,9 +467,7 @@ def _listed(m: Machine) -> Sequence[tuple[int, ...]]:
     """``m.tables``, for a loop over every one of them: implicit tables
     longer than DEFAULT_ENUMERATION_CAP raise EnumerationTooLargeError."""
     tables = m.tables
-    if isinstance(tables, _ImplicitTables) and tables.size > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationTooLargeError(tables.what, tables.size, DEFAULT_ENUMERATION_CAP)
-    return tables
+    return tables.listed() if isinstance(tables, _ImplicitTables) else tables
 
 
 def _assemble(
@@ -449,11 +510,11 @@ def make_machine(
     against the collapsed set.  Functions and outputs must be on ``state_set``;
     bare tables in ``fns`` are checked here, functions were when built."""
     tables, names = _unwrap(state_set, fns)
-    outputs = _unwrap(state_set, outputs, check=False)[0]
+    outputs = _unwrap(state_set, outputs)[0]
     return _assemble(state_set, zip(tables, names), outputs, name)
 
 
-def full_machine(state_set: StateSet, name: Optional[str] = None) -> Machine:
+def full_machine(state_set: StateSet) -> Machine:
     """The machine carrying all ``n**n`` transition functions on ``state_set``.
 
     Built in O(1): its tables are computed on demand, and a table's index
@@ -461,10 +522,10 @@ def full_machine(state_set: StateSet, name: Optional[str] = None) -> Machine:
     search-path completeness, state reduction) refuse more than
     DEFAULT_ENUMERATION_CAP of them.
     """
-    return Machine(state_set, _AllTables(len(state_set)), name=name)
+    return Machine(state_set, _AllTables(len(state_set)))
 
 
-def full_bijection_machine(state_set: StateSet, name: Optional[str] = None) -> Machine:
+def full_bijection_machine(state_set: StateSet) -> Machine:
     """The machine whose realizable set is exactly all bijections on S.
 
     A strict subset of the full function set for |S| >= 2, and closed under
@@ -472,7 +533,7 @@ def full_bijection_machine(state_set: StateSet, name: Optional[str] = None) -> M
     to machines holding any non-invertible function.  Built in O(1) like
     :func:`full_machine`; a bijection's index is its Lehmer code.
     """
-    return Machine(state_set, _Bijections(len(state_set)), name=name)
+    return Machine(state_set, _Bijections(len(state_set)))
 
 
 # ---------------------------------------------------------------------------

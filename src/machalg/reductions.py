@@ -134,7 +134,7 @@ def is_sub_machine(a: Machine, b: Machine) -> Optional[tuple[Reduction, Reductio
     labels = b.states.labels
     if not all(s in a.states for s in labels):
         return None
-    wanted = set(b.tables)
+    wanted = set(_listed(b))
     positions = [a.states.index(s) for s in labels]
     hits = [(i, t) for i, t in _restrictions(a, positions) if t in wanted]
     if {t for _, t in hits} != wanted:

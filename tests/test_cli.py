@@ -232,6 +232,13 @@ class TestComplete:
         rc, out, _ = run(capsys, "verify", str(path), full, str(target), "--expect", "yes")
         assert (rc, out) == (0, "certificate verifies\n")
 
+    @pytest.mark.parametrize("command", ["complete", "submachine"])
+    def test_a_target_past_the_cap_is_refused(self, capsys, tmp_path, command):
+        full = write_full(tmp_path, 8)
+        rc, out, err = run(capsys, command, full, full, "--format", "certificate")
+        assert (rc, out) == (2, "")
+        assert err == f"error: full transition set would enumerate {8**8} items, above the cap of 1000000\n"
+
     def test_keep_fns_past_the_digit_limit(self, capsys, tmp_path):
         limit = sys.get_int_max_str_digits()
         if not limit:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -392,8 +393,48 @@ class TestImplicitTables:
         assert bij.n_functions == math.factorial(20) and not bij.has_full_function_set()
         assert bij.tables[math.factorial(20) - 1] == tuple(range(19, -1, -1))
 
+    def test_hashing_past_the_cap_refuses(self):
+        m = full_machine(_ss(8))
+        for value in (m.tables, m):
+            with pytest.raises(EnumerationTooLargeError) as e:
+                hash(value)
+            assert (e.value.what, e.value.size) == ("full transition set", 8**8)
+
+    @pytest.mark.parametrize("build", [full_machine, full_bijection_machine])
+    def test_views_are_whole_sequences(self, build):
+        m, ss = build(_ss(4)), _ss(4)
+        ref = tuple(m.functions)
+        f = ref[5]
+        assert m.functions.index(f) == ref.index(f) == 5 and m.function_index(f) == 5
+        assert f in m.functions and m.functions.count(f) == 1
+        assert list(reversed(m.functions)) == list(reversed(ref))
+        assert list(reversed(m.tables)) == list(reversed(tuple(m.tables)))
+        assert m.tables.count(f.table) == 1 and m.tables.count((9, 9, 9, 9)) == 0
+        absent = TransitionFunction(ss, (0, 0, 0, 0)) if build is full_bijection_machine else identity_fn(_ss(3))
+        assert absent not in m.functions and m.functions.count(absent) == 0 and "f" not in m.functions
+        with pytest.raises(ValueError):
+            m.functions.index(absent)
+        assert m.function_names.count(None) == m.n_functions and m.function_names.index(None) == 0
+        named = parse_machine(render_machine(m)).function_names
+        assert named.index("f5") == 5 and named.count("f5") == 1 and "f5" in named
+        assert list(reversed(named))[:2] == [f"f{m.n_functions - 1}", f"f{m.n_functions - 2}"]
+        for absent in (f"f{m.n_functions}", "f05", "f-1", "g1", None, 5):
+            assert absent not in named and named.count(absent) == 0
+            with pytest.raises(ValueError):
+                named.index(absent)
+
+    def test_names_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer text conversion is unlimited here")
+        names = parse_machine(render_machine(full_machine(_ss(1500)))).function_names
+        first, last_name = 10**limit, "f" + "9" * limit  # the first index with limit + 1 digits
+        assert names[first - 1] == last_name and names[first] is None
+        assert names.index(last_name) == first - 1 and names.index(None) == first
+        assert names.count(None) == 1500**1500 - first and "f1" + "0" * limit not in names
+
     def test_invariants_copies_and_view(self):
-        m = full_machine(states("a", "b", "c"), name="full")
+        m = dataclasses.replace(full_machine(states("a", "b", "c")), name="full")
         assert m.name == "full" and m.function_names[5] is None and len(m.function_names) == 27
         assert parse_machine(render_machine(m)).function_names[-2:] == ("f25", "f26")
         for bad in (dict(output_functions=frozenset({0})), dict(function_names=("f",) * 27),
@@ -416,11 +457,11 @@ class TestImplicitTables:
         make_machine(ss, fns, outputs=fns[:1])
         assert len(calls) == 2
         make_machine(ss, [(0, 0), (1, 0)], outputs=[(0, 0)])
-        assert len(calls) == 3  # the bare tables, once
+        assert len(calls) == 4  # the bare tables, then the bare outputs, once each
         Machine(ss, ((0, 0), (1, 0)))
-        assert len(calls) == 4
+        assert len(calls) == 5
         full_machine(ss)
-        assert len(calls) == 4  # generated, never checked
+        assert len(calls) == 5  # generated, never checked
 
 
 class TestRunToFixpoint:

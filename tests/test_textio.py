@@ -1,5 +1,6 @@
 """Round-trips and error positions for every text format."""
 
+import dataclasses
 import random
 import re
 import sys
@@ -215,7 +216,7 @@ class TestImplicitFunctions:
     @pytest.mark.parametrize("build, word", [(full_machine, "all"),
                                              (full_bijection_machine, "bijections")])
     def test_round_trip(self, build, word):
-        m = build(StateSet(("a", "b", "c")), "big")
+        m = dataclasses.replace(build(StateSet(("a", "b", "c"))), name="big")
         text = render_machine(m)
         assert text == f"machine big\nstates a b c\nfunctions {word}\n"
         back = parse_machine(text)
