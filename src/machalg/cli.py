@@ -60,23 +60,6 @@ def _emit(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _resolve_fn(m, token: str) -> int:
-    """Index of the function a display name or index refers to."""
-    from .textio import display_names
-
-    display = display_names(m)
-    if token in display:
-        return display.index(token)
-    # The length test keeps int() off numerals longer than it will convert.
-    digits = token.lstrip("0") or "0"
-    if token.isascii() and token.isdigit() and len(digits) <= len(str(m.n_functions)):
-        if int(digits) < m.n_functions:
-            return int(digits)
-    raise MachalgError(
-        f"unknown function {token!r}; known names: {' '.join(display)}"
-    )
-
-
 def _morphism_lines(b, sub, mor) -> list[str]:
     from .textio import display_names
 
@@ -199,7 +182,7 @@ def _cmd_submachine(args) -> int:
 
 def _cmd_reduce(args) -> int:
     from .reductions import _keep_functions, state_reduction
-    from .textio import parse_machine, render_machine
+    from .textio import parse_machine, render_machine, resolve_function
 
     m = parse_machine(_read(args.machine))
     if args.keep_fns is None and args.keep_states is None:
@@ -207,7 +190,7 @@ def _cmd_reduce(args) -> int:
     # Each reduction runs only when asked for, so keeping every function
     # never lists the functions of a full container.
     if args.keep_fns is not None:
-        m = _keep_functions(m, [_resolve_fn(m, tok) for tok in args.keep_fns.split(",") if tok]).result
+        m = _keep_functions(m, [resolve_function(m, tok) for tok in args.keep_fns.split(",") if tok]).result
     if args.keep_states is not None:
         m = state_reduction(m, [tok for tok in args.keep_states.split(",") if tok]).result
     sys.stdout.write(render_machine(m))
@@ -330,12 +313,12 @@ def _cmd_sim(args) -> int:
             out.append(f"outcome: step limit after {args.steps} step(s)")
     elif kind == "machine":
         from .machine import Cycled, Halted, run_to_fixpoint
-        from .textio import parse_machine
+        from .textio import parse_machine, resolve_function
 
         m = parse_machine(text)
         if args.fn is None or getattr(args, "from") is None:
             raise MachalgError("machine simulation needs --fn and --from")
-        f = m.functions[_resolve_fn(m, args.fn)]
+        f = m.functions[resolve_function(m, args.fn)]
         result = run_to_fixpoint(f, getattr(args, "from"), args.steps, record_trajectory=True)
         out.append("trajectory: " + " -> ".join(result.trajectory))
         if isinstance(result, Halted):

@@ -6,6 +6,16 @@ callers (notably the CLI) can separate deliberate failures from bugs.
 
 from __future__ import annotations
 
+import math
+
+
+def decimal_digits(x: int) -> int:
+    """The digit count of ``x``, found without writing it as text."""
+    digits = int((abs(x).bit_length() - 1) * math.log10(2)) + 1  # at most the count
+    while abs(x) >= 10**digits:
+        digits += 1
+    return digits
+
 
 class MachalgError(Exception):
     """Base class for all errors raised by machalg."""
@@ -38,7 +48,11 @@ class EnumerationTooLargeError(MachalgError, ValueError):
     """An exhaustive enumeration would exceed the configured cap."""
 
     def __init__(self, what: str, size: int, cap: int):
-        super().__init__(f"{what} would enumerate {size} items, above the cap of {cap}")
+        try:
+            count = str(size)
+        except ValueError:  # more digits than Python writes as text
+            count = f"a {decimal_digits(size)}-digit number of"
+        super().__init__(f"{what} would enumerate {count} items, above the cap of {cap}")
         self.what = what
         self.size = size
         self.cap = cap

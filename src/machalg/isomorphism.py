@@ -74,7 +74,7 @@ def verify_morphism(a: Machine, b: Machine, mor: Morphism) -> bool:
         return False
     if len(mor.h) != k or sorted(mor.h) != list(range(k)):
         return False
-    for j, table in enumerate(_listed(a)):
+    for j, table in enumerate(_listed(a.tables)):
         image = b.tables[mor.h[j]]
         for s in range(n):
             if mor.g[table[s]] != image[mor.g[s]]:
@@ -312,7 +312,7 @@ def find_isomorphism(
         return None
     for m in (a, b):  # the first listing of each machine's functions
         if "_image_key" not in m.__dict__:
-            sizes = sorted(len(set(t)) for t in _listed(m))
+            sizes = sorted(len(set(t)) for t in _listed(m.tables))
             m.__dict__["_image_key"] = hash((m.n_states, tuple(sizes)))
     if a.__dict__["_image_key"] != b.__dict__["_image_key"]:
         return None
@@ -380,7 +380,7 @@ def _construct_embedding(a: Machine, b: Machine) -> CompletenessWitness:
         raise IncompatibleShapesError(
             "the constructive path needs the full function set on the container"
         )
-    n, first, tables_b = a.n_states, range(b.n_states), _listed(b)
+    n, first, tables_b = a.n_states, range(b.n_states), _listed(b.tables)
     rest = tuple(range(b.n_states, n))
     chosen = [_numeral(t + rest, n) for t in tables_b]
     return _witness(a, chosen, first, tables_b, first)
@@ -429,8 +429,8 @@ def _search_completeness(
     bijections onto each subset, with sub-multiset pruning, all on the
     shared search loop with one node budget.
     """
-    _listed(a)  # before any work, as every subset lists a's functions
-    n_b, tables_b = b.n_states, _listed(b)
+    _listed(a.tables)  # before any work, as every subset lists a's functions
+    n_b, tables_b = b.n_states, _listed(b.tables)
     sig_b = _state_signatures(tables_b, n_b)
     problems = (
         _subset_problem(a, tables_b, subset, sig_b)

@@ -12,13 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import re
-import sys
 from bisect import bisect_left
 from collections import Counter, abc
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
     DomainMismatchError,
@@ -153,19 +151,31 @@ def _numeral(table: Sequence[int], n: int) -> int:
     return i
 
 
-def _holds(seq, x) -> bool:
-    """``x in seq`` for the sequences below, through their ``index``."""
-    try:
-        seq.index(x)
-    except ValueError:
-        return False
-    return True
-
-
 # The read-only sequences below register as Sequences rather than inherit
 # from it, so that isinstance tests against them stay as fast as for any class.
 @abc.Sequence.register
-class _ImplicitTables:
+class _Lookup:
+    """The sequence methods that follow from ``size``, ``[i]`` and ``index``,
+    for sequences that hold each item at most once."""
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __contains__(self, x) -> bool:
+        try:
+            self.index(x)
+        except ValueError:
+            return False
+        return True
+
+    def count(self, x) -> int:
+        return int(x in self)
+
+    def __reversed__(self):
+        return map(self.__getitem__, reversed(range(self.size)))
+
+
+class _ImplicitTables(_Lookup):
     """Every table of one kind on ``n`` states, in lexicographic order,
     computed on demand: ``[i]`` decodes i, :meth:`index` encodes a table,
     and ``==`` and ``hash`` are those of the explicit tuple.  ``form`` is the
@@ -174,9 +184,6 @@ class _ImplicitTables:
 
     def __init__(self, n: int):
         self.n = n
-
-    def __len__(self) -> int:
-        return self.size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -200,21 +207,12 @@ class _ImplicitTables:
                 return i
         raise ValueError(f"{table!r} is not in the {self.what}")
 
-    def __contains__(self, table) -> bool:
-        return _holds(self, table)
-
-    def count(self, table) -> int:
-        return int(table in self)  # each table appears once
-
-    def __reversed__(self):
-        return map(self._decode, reversed(range(self.size)))
-
-    def listed(self) -> _ImplicitTables:
-        """``self``, for a loop over every table: more than
-        DEFAULT_ENUMERATION_CAP of them raise EnumerationTooLargeError."""
-        if self.size > DEFAULT_ENUMERATION_CAP:
-            raise EnumerationTooLargeError(self.what, self.size, DEFAULT_ENUMERATION_CAP)
-        return self
+    def name(self, i) -> Optional[str]:
+        """``f<i>``, or None where i has more digits than Python writes as text."""
+        try:
+            return f"f{self.position(i)}"
+        except ValueError:
+            return None
 
     def __eq__(self, other):
         if isinstance(other, _ImplicitTables):  # on one state, both kinds hold one table
@@ -224,7 +222,7 @@ class _ImplicitTables:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self.listed()))
+        return hash(tuple(_listed(self)))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.n})"
@@ -284,87 +282,23 @@ class _Bijections(_ImplicitTables):
         return i
 
 
-@abc.Sequence.register
-class _ImplicitNames:
-    """The function names of implicit tables: None throughout, or else
-    ``f<i>`` at index i when ``numbered``, as a ``.mx`` file that lists the
-    tables one ``fn`` line each names them."""
-
-    def __init__(self, tables: _ImplicitTables, numbered: bool):
-        self.tables, self.numbered = tables, numbered
-
-    def __len__(self) -> int:
-        return self.tables.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(self.tables.size)[i]))
-        i = self.tables.position(i)
-        try:
-            return f"f{i}" if self.numbered else None
-        except ValueError:  # an index with more digits than Python writes as text
-            return None
-
-    def _first_unnamed(self) -> int:
-        """The least index named None, or ``size`` if there is none."""
-        if not self.numbered:
-            return 0
-        size, limit = self.tables.size, sys.get_int_max_str_digits()
-        return min(size, 10**limit) if limit else size
-
-    def index(self, name) -> int:
-        first = self._first_unnamed()
-        if name is None and first < self.tables.size:
-            return first
-        if self.numbered and isinstance(name, str) and re.fullmatch("f(0|[1-9][0-9]*)", name):
-            try:
-                i = int(name[1:])
-            except ValueError:  # more digits than any name has
-                pass
-            else:
-                if i < first:
-                    return i
-        raise ValueError(f"{name!r} is not a function name of the {self.tables.what}")
-
-    def __contains__(self, name) -> bool:
-        return _holds(self, name)
-
-    def count(self, name) -> int:
-        if name is None:
-            return self.tables.size - self._first_unnamed()
-        return int(name in self)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self.tables.size))
-
-    def __reversed__(self):
-        return map(self.__getitem__, reversed(range(self.tables.size)))
-
-    def __repr__(self) -> str:
-        return f"_ImplicitNames({self.tables!r}, {self.numbered})"
-
-
-@abc.Sequence.register
-class _Functions:
+class _Functions(_Lookup):
     """``Machine.functions``: the TransitionFunction at each index, built only
-    when asked for and not checked again, since the tables are."""
+    when asked for and not checked again, since the tables are.  ``name_at(i)``
+    names function i without building it: a listed name, or else ``f<i>``."""
 
-    def __init__(self, domain: StateSet, tables: Sequence, names: Sequence):
-        self.domain, self.tables, self.names = domain, tables, names
-
-    def __len__(self) -> int:
-        return len(self.tables)
+    def __init__(self, m: Machine):  # no reference to m, which caches this view
+        self.domain, self.tables, self.size = m.states, m.tables, m.n_functions
+        self.name_at = _names(m)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(_function, itertools.repeat(self.domain), self.tables[i], self.names[i]))
-        return _function(self.domain, self.tables[i], self.names[i])
+            return tuple(map(self.__getitem__, range(self.size)[i]))
+        return _function(self.domain, self.tables[i], self.name_at(i))
 
     def __iter__(self):
-        return map(_function, itertools.repeat(self.domain), self.tables, self.names)
-
-    def __reversed__(self):
-        return map(_function, itertools.repeat(self.domain), reversed(self.tables), reversed(self.names))
+        names = map(self.name_at, range(self.size))
+        return map(_function, itertools.repeat(self.domain), self.tables, names)
 
     def index(self, f) -> int:
         """Position of ``f``: its encoding in implicit tables, else by
@@ -378,14 +312,12 @@ class _Functions:
                 return i
         raise ValueError("function is not part of this machine")
 
-    def __contains__(self, f) -> bool:
-        return _holds(self, f)
-
-    def count(self, f) -> int:
-        return int(f in self)  # the tables are duplicate-free
-
     def __eq__(self, other):
-        return tuple(self) == (tuple(other) if isinstance(other, _Functions) else other)
+        if isinstance(other, _Functions):  # O(1) for implicit tables
+            return self.domain == other.domain and self.tables == other.tables
+        if isinstance(other, tuple):
+            return len(other) == self.size and all(map(operator.eq, self, other))
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -394,10 +326,11 @@ class Machine:
 
     ``tables`` holds one index table per function, sorted and duplicate-free
     (see :func:`make_machine`); TransitionFunctions on ``states`` may stand in.
-    The full and bijection machines hold their tables implicitly (see
-    :func:`full_machine`), with :class:`_ImplicitNames` and no outputs.
-    ``function_names[i]``, never compared, names ``tables[i]``.  Reductions and
-    isomorphism never consult ``output_functions``, the output decoders' indices.
+    ``function_names[i]``, never compared, names ``tables[i]``.  The full and
+    bijection machines hold their tables implicitly (see :func:`full_machine`),
+    with no outputs and no listed names: their function i is ``f<i>``.
+    Reductions and isomorphism never consult ``output_functions``, the output
+    decoders' indices.
     """
 
     states: StateSet
@@ -408,15 +341,10 @@ class Machine:
 
     def __post_init__(self):
         if isinstance(self.tables, _ImplicitTables):
-            names = self.function_names
-            numbered = isinstance(names, _ImplicitNames) and names.numbered
-            if self.tables.n != len(self.states.labels) or self.output_functions or (
-                not isinstance(names, _ImplicitNames) and names
-            ):
+            if self.tables.n != len(self.states.labels) or self.output_functions or self.function_names:
                 raise InvalidMachineError(
                     "implicit tables cover the machine's own states and carry no names or outputs"
                 )
-            object.__setattr__(self, "function_names", _ImplicitNames(self.tables, numbered))
             return
         tables, names = _unwrap(self.states, self.tables)
         if not tables:
@@ -437,7 +365,7 @@ class Machine:
     @cached_property
     def functions(self) -> _Functions:
         """The functions as a read-only sequence of TransitionFunctions."""
-        return _Functions(self.states, self.tables, self.function_names)
+        return _Functions(self)
 
     @property
     def n_states(self) -> int:
@@ -463,11 +391,17 @@ class Machine:
 _MACHINE_FIELDS = tuple(f.name for f in fields(Machine))
 
 
-def _listed(m: Machine) -> Sequence[tuple[int, ...]]:
-    """``m.tables``, for a loop over every one of them: implicit tables
+def _names(m: Machine) -> Callable[[int], Optional[str]]:
+    """The name of each function of ``m`` by index: listed, or else ``f<i>``."""
+    return m.function_names.__getitem__ if m.function_names else m.tables.name
+
+
+def _listed(tables: Sequence[tuple[int, ...]]) -> Sequence[tuple[int, ...]]:
+    """``tables``, for a loop over every one of them: implicit tables
     longer than DEFAULT_ENUMERATION_CAP raise EnumerationTooLargeError."""
-    tables = m.tables
-    return tables.listed() if isinstance(tables, _ImplicitTables) else tables
+    if isinstance(tables, _ImplicitTables) and tables.size > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLargeError(tables.what, tables.size, DEFAULT_ENUMERATION_CAP)
+    return tables
 
 
 def _assemble(

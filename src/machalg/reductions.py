@@ -22,7 +22,7 @@ from .errors import (
     InvalidMachineError,
     InvalidReductionError,
 )
-from .machine import Machine, StateSet, TransitionFunction, _assemble, _listed
+from .machine import Machine, StateSet, TransitionFunction, _assemble, _listed, _names
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ def _keep_functions(m: Machine, indices: Iterable[int]) -> Reduction:
         raise InvalidMachineError("a machine cannot keep zero transition functions")
     if not 0 <= kept[0] <= kept[-1] < m.n_functions:
         raise IndexError(f"function index out of range 0..{m.n_functions - 1}")
-    pairs = [(m.tables[i], m.function_names[i]) for i in kept]
+    name = _names(m)
+    pairs = [(m.tables[i], name(i)) for i in kept]
     return Reduction("functional", m, _assemble(m.states, pairs, name=m.name), kept_functions=kept)
 
 
@@ -79,7 +80,7 @@ def _restrictions(m: Machine, kept: Sequence[int]) -> Iterator[tuple[int, tuple[
     indices ``kept`` into themselves, ``table`` re-indexed by position in
     ``kept``: the one place a table is restricted to a state subset."""
     position = {s: p for p, s in enumerate(kept)}.get
-    for i, table in enumerate(_listed(m)):
+    for i, table in enumerate(_listed(m.tables)):
         image = tuple(map(position, map(table.__getitem__, kept)))
         if None not in image:
             yield i, image
@@ -100,7 +101,8 @@ def state_reduction(m: Machine, keep_states: Sequence[str]) -> Reduction:
         raise InvalidReductionError(f"states not in the machine: {foreign}")
     sub = StateSet(keep_states)  # validates distinctness
     kept = [m.states.index(s) for s in keep_states]
-    restricted = [(t, m.function_names[i]) for i, t in _restrictions(m, kept)]
+    name = _names(m)
+    restricted = [(t, name(i)) for i, t in _restrictions(m, kept)]
     if not restricted:
         raise EmptyReductionError(
             f"no transition function preserves {list(keep_states)}; "
@@ -134,7 +136,7 @@ def is_sub_machine(a: Machine, b: Machine) -> Optional[tuple[Reduction, Reductio
     labels = b.states.labels
     if not all(s in a.states for s in labels):
         return None
-    wanted = set(_listed(b))
+    wanted = set(_listed(b.tables))
     positions = [a.states.index(s) for s in labels]
     hits = [(i, t) for i, t in _restrictions(a, positions) if t in wanted]
     if {t for _, t in hits} != wanted:

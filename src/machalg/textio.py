@@ -8,21 +8,21 @@ round-trips.
 
 from __future__ import annotations
 
-import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import InvalidMachineError, MachalgError, ParseError
+from .errors import InvalidMachineError, MachalgError, ParseError, decimal_digits
 from .machine import (
     Machine,
     StateSet,
     _AllTables,
     _assemble,
     _Bijections,
-    _ImplicitNames,
     _ImplicitTables,
     _listed,
+    _names,
 )
 
 if TYPE_CHECKING:  # parse_turing and parse_mem import models when called
@@ -230,8 +230,7 @@ def parse_machine(text: str) -> Machine:
 
     _require(lineno, ("'machine <name>' header", name), ("'states' line", state_set))
     if implicit:
-        tables = implicit(len(state_set))
-        return Machine(state_set, tables, name=name, function_names=_ImplicitNames(tables, True))
+        return Machine(state_set, implicit(len(state_set)), name=name)
     if not fn_names:
         raise ParseError("a machine needs at least one fn", lineno)
     outputs = []
@@ -245,8 +244,7 @@ def parse_machine(text: str) -> Machine:
 def display_names(m: Machine) -> list[str]:
     names = []
     used = set()
-    _listed(m)  # implicit tables are named f0, f1, ... one by one
-    for i, cand in enumerate(m.function_names):
+    for i, cand in enumerate(map(_names(m), range(len(_listed(m.tables))))):
         if cand in used or not _is_mx_token(cand):
             cand = f"f{i}"
             while cand in used:
@@ -254,6 +252,28 @@ def display_names(m: Machine) -> list[str]:
         names.append(cand)
         used.add(cand)
     return names
+
+
+def resolve_function(m: Machine, token: str) -> int:
+    """Index of the function that ``token`` names: a display name, ``f<i>``
+    for implicit tables, or an index numeral, zero-padded or not.  Implicit
+    tables are read in O(1) and never list their names."""
+    names = m.function_names and display_names(m)  # () for implicit tables
+    if token in names:
+        return names.index(token)
+    digits = token[1:] if not names and re.fullmatch("f(0|[1-9][0-9]*)", token) else token
+    if digits.isascii() and digits.isdigit():
+        try:
+            i = int(digits.lstrip("0") or "0")
+        except ValueError:  # more digits than int() converts: no index that long is read
+            i = m.n_functions
+        if i < m.n_functions:
+            return i
+    try:
+        known = " ".join(names) or f"f0 to f{m.n_functions - 1}"
+    except ValueError:  # more digits than Python writes as text
+        known = f"f<i> for any i of at most {sys.get_int_max_str_digits()} digits"
+    raise MachalgError(f"unknown function {token!r}; known names: {known}")
 
 
 def render_machine(m: Machine) -> str:
@@ -661,13 +681,8 @@ def render_certificate(c: Certificate) -> str:
         try:
             lines.append(f"{key} " + " ".join(map(str, values)))
         except ValueError:  # the digit limit of int-to-text conversion
-            limit = sys.get_int_max_str_digits()
-            big = abs(max(values, key=abs))
-            digits = int((big.bit_length() - 1) * math.log10(2)) + 1  # at most the count
-            while big >= 10**digits:
-                digits += 1
             raise MachalgError(
-                f"{key} entry has {digits} digits, above Python's limit of {limit} "
-                "for writing an integer as text"
+                f"{key} entry has {decimal_digits(max(values, key=abs))} digits, above "
+                f"Python's limit of {sys.get_int_max_str_digits()} for writing an integer as text"
             ) from None
     return "\n".join(lines) + "\n"

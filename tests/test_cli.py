@@ -362,6 +362,39 @@ class TestSubmachineAndReduce:
         assert "out of range" in out
 
 
+class TestImplicitContainerNames:
+    """--fn and --keep-fns read f<i> and <i> on a ``functions all`` file at
+    any size, without listing its names."""
+
+    def test_eight_states(self, capsys, tmp_path):
+        full = write_full(tmp_path, 8)  # 16.7M functions, past the enumeration cap
+        rc, out, err = run(capsys, "reduce", full, "--keep-fns", "f5")
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[-1] == "fn f5: " + ", ".join(
+            f"s{i}->s{j}" for i, j in enumerate((0, 0, 0, 0, 0, 0, 0, 5))
+        )
+        rc, out, err = run(capsys, "sim", full, "--fn", "5", "--from", "s7")
+        assert (rc, err) == (0, "")
+        assert out == "trajectory: s7 -> s5 -> s0\noutcome: halted at s0 after 2 step(s)\n"
+        assert run(capsys, "reduce", full, "--keep-fns", "f05") == (
+            2, "", "error: unknown function 'f05'; known names: f0 to f16777215\n"
+        )
+
+    def test_past_the_digit_limit(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer text conversion is unlimited here")
+        full = write_full(tmp_path, 1500)
+        answers = [run(capsys, "reduce", full, "--keep-fns", tok) for tok in ("3", "f3")]
+        assert answers[0] == answers[1] and answers[0][0] == 0
+        assert answers[0][1].splitlines()[-1].startswith("fn f3: s0->s0, s1->s0, ")
+        for tok in ("9" * 5000, "f05"):
+            assert run(capsys, "reduce", full, "--keep-fns", tok) == (
+                2, "", f"error: unknown function {tok!r}; known names: "
+                f"f<i> for any i of at most {limit} digits\n"
+            )
+
+
 class TestAnswerGolden:
     """Exact stdout and exit code of every answer of iso, complete and
     submachine in both formats, and of verify on each certificate and on

@@ -6,6 +6,7 @@ import pickle
 import random
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,13 @@ class TestTables:
         assert m.functions is m.functions
         assert all(f.domain is m.states for f in m.functions)
 
+    def test_view_keeps_no_machine_alive(self):
+        m = make_machine(states("a", "b"), [(0, 0), (1, 0)])
+        gone = weakref.ref(m)
+        assert m.functions.name_at(1) is None  # the view is now cached on m
+        del m
+        assert gone() is None  # freed at once, with no cycle left for the collector
+
     def test_pickle_and_replace_keep_tables_and_names(self):
         ss = states("a", "b", "c")
         sink = fn_from_map(ss, dict.fromkeys(ss, "c"), "sink")
@@ -414,29 +422,77 @@ class TestImplicitTables:
         assert absent not in m.functions and m.functions.count(absent) == 0 and "f" not in m.functions
         with pytest.raises(ValueError):
             m.functions.index(absent)
-        assert m.function_names.count(None) == m.n_functions and m.function_names.index(None) == 0
-        named = parse_machine(render_machine(m)).function_names
-        assert named.index("f5") == 5 and named.count("f5") == 1 and "f5" in named
-        assert list(reversed(named))[:2] == [f"f{m.n_functions - 1}", f"f{m.n_functions - 2}"]
-        for absent in (f"f{m.n_functions}", "f05", "f-1", "g1", None, 5):
-            assert absent not in named and named.count(absent) == 0
-            with pytest.raises(ValueError):
-                named.index(absent)
+        # No names are listed: function i is f<i>, counted from the end too.
+        assert m.function_names == () == parse_machine(render_machine(m)).function_names
+        assert [g.name for g in ref] == [f"f{i}" for i in range(m.n_functions)]
+        size = m.n_functions
+        assert m.functions[-1].name == m.functions.name_at(-1) == f"f{size - 1}"
+        assert [g.name for g in reversed(m.functions)][:2] == [f"f{size - 1}", f"f{size - 2}"]
+        assert [g.name for g in m.functions[-3::2]] == [f"f{size - 3}", f"f{size - 1}"]
+
+    @pytest.mark.parametrize("build, n", [
+        pytest.param(build, n, id=f"{build.__name__}-{n}")
+        for build in (full_machine, full_bijection_machine) for n in range(1, 5)
+    ])
+    def test_views_answer_as_their_tuples(self, build, n):
+        m = build(_ss(n))
+        listed = make_machine(m.states, list(m.tables))
+        absent = ((n,) * n, [0] * n, (0,) * n, TransitionFunction(m.states, (0,) * n),
+                  identity_fn(_ss(n + 1)), "f0", None)
+        for view in (m.tables, m.functions, listed.functions):
+            ref = tuple(view)
+            for x in ref + absent:
+                assert (x in view) == (x in ref) and view.count(x) == ref.count(x)
+                if x in ref:
+                    assert view.index(x) == ref.index(x)
+                else:
+                    with pytest.raises(ValueError):
+                        view.index(x)
+            assert tuple(reversed(view)) == ref[::-1]
+            for cut in (slice(None), slice(1, None, 2), slice(None, None, -1), slice(-3, -1),
+                        slice(5, 2, -2), slice(100, None)):
+                assert view[cut] == ref[cut]
+                if view is not m.tables:
+                    assert [g.name for g in view[cut]] == [g.name for g in ref[cut]]
+
+    def test_function_views_compare_without_listing(self):
+        a, b = full_machine(_ss(8)), full_machine(_ss(8))  # 16.7M functions each
+        assert a.functions == b.functions
+        assert a.functions != full_bijection_machine(_ss(8)).functions
+        assert a.functions != full_machine(states(*"abcdefgh")).functions
+        small = full_machine(_ss(2))
+        assert small.functions == tuple(small.functions) and small.functions != (small.functions[0],)
 
     def test_names_past_the_digit_limit(self):
         limit = sys.get_int_max_str_digits()
         if not limit:
             pytest.skip("integer text conversion is unlimited here")
-        names = parse_machine(render_machine(full_machine(_ss(1500)))).function_names
+        m = parse_machine(render_machine(full_machine(_ss(1500))))
         first, last_name = 10**limit, "f" + "9" * limit  # the first index with limit + 1 digits
-        assert names[first - 1] == last_name and names[first] is None
-        assert names.index(last_name) == first - 1 and names.index(None) == first
-        assert names.count(None) == 1500**1500 - first and "f1" + "0" * limit not in names
+        assert m.function_names == ()
+        assert m.functions.name_at(first - 1) == m.functions[first - 1].name == last_name
+        assert m.functions.name_at(first) is None and m.functions[first].name is None
+        assert m.functions.name_at(-1) is None and m.functions.name_at(0) == "f0"
+
+    def test_cap_message_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer text conversion is unlimited here")
+        size = 1500**1500
+        digits = next(d for d in range(limit, 2 * limit) if size < 10**d)
+        with pytest.raises(EnumerationTooLargeError) as e:
+            state_reduction(full_machine(_ss(1500)), ["s0"])
+        assert (e.value.size, e.value.cap) == (size, DEFAULT_ENUMERATION_CAP)
+        assert str(e.value) == (
+            f"full transition set would enumerate a {digits}-digit number of items, "
+            f"above the cap of {DEFAULT_ENUMERATION_CAP}"
+        )
 
     def test_invariants_copies_and_view(self):
         m = dataclasses.replace(full_machine(states("a", "b", "c")), name="full")
-        assert m.name == "full" and m.function_names[5] is None and len(m.function_names) == 27
-        assert parse_machine(render_machine(m)).function_names[-2:] == ("f25", "f26")
+        assert m.name == "full" and m.function_names == () and m.functions.name_at(5) == "f5"
+        parsed = parse_machine(render_machine(m))
+        assert parsed == m and parsed.function_names == () and parsed.functions[-2].name == "f25"
         for bad in (dict(output_functions=frozenset({0})), dict(function_names=("f",) * 27),
                     dict(states=states("a", "b"))):
             with pytest.raises(InvalidMachineError, match="implicit tables"):
@@ -444,6 +500,7 @@ class TestImplicitTables:
         for copy in (pickle.loads(pickle.dumps(m)), dataclasses.replace(m)):
             assert copy == m and hash(copy) == hash(m) and copy.name == "full"
         assert m.functions[-1].table == (2, 2, 2) and m.functions[-1]("a") == "c"
+        assert m.functions[-1].name == "f26"
         assert [f.table for f in m.functions[:2]] == [(0, 0, 0), (0, 0, 1)]
         assert len(m.functions) == 27 and m.functions is m.functions
 
