@@ -141,6 +141,17 @@ def _state_signatures(
     ]
 
 
+def _profile(m: Machine) -> tuple[int, tuple, list[tuple]]:
+    """(key, invariants, state signatures) of ``m``, caching the key on it:
+    the invariants are its sorted function fingerprints and state signatures,
+    the key their hash, alike under every PYTHONHASHSEED (ints, bools, tuples)."""
+    profiles = [_function_profile(t) for t in m.tables]
+    sigs = _state_signatures(m.tables, m.n_states, profiles)
+    invariants = (tuple(sorted(p[0] for p in profiles)), tuple(sorted(sigs)))
+    key = m.__dict__["_fingerprint_key"] = hash(invariants)
+    return key, invariants, sigs
+
+
 def _conjugate(table: tuple[int, ...], g: Sequence[int]) -> tuple[int, ...]:
     """The table g . f . g^-1 of a self-map f under an injection g onto 0..n-1."""
     conj = [0] * len(table)
@@ -304,9 +315,11 @@ def find_isomorphism(
     if node_budget is not None and node_budget < 0:
         raise MachalgError(f"node_budget must be at least 0, got {node_budget}")
     # Each machine caches two ints, and unequal ones prove non-isomorphism:
-    # a hash of its sorted fingerprints, set by the first call that profiles
-    # it, and a hash of its state count and image-size multiset, set by its
-    # first call (bijections never pair with non-bijections).
+    # a hash of its sorted fingerprints and state signatures, set by the
+    # first call that profiles it, and a hash of its state count and
+    # image-size multiset, set by its first call (bijections never pair with
+    # non-bijections).  A side with no key is profiled first, so a keyed
+    # side whose key differs from the new one is never profiled.
     key_a, key_b = a.__dict__.get("_fingerprint_key"), b.__dict__.get("_fingerprint_key")
     if key_a is not None and key_b is not None and key_a != key_b:
         return None
@@ -319,16 +332,14 @@ def find_isomorphism(
     if a.n_states != b.n_states or a.n_functions != b.n_functions:
         return None
     n = a.n_states
-    prof_a, prof_b = ([_function_profile(t) for t in ts] for ts in (a.tables, b.tables))
-    fps_a, fps_b = sorted(p[0] for p in prof_a), sorted(p[0] for p in prof_b)
-    # Ints and tuples of them hash alike under every PYTHONHASHSEED.
-    a.__dict__["_fingerprint_key"] = hash(tuple(fps_a))
-    b.__dict__["_fingerprint_key"] = hash(tuple(fps_b))
-    if fps_a != fps_b:
+    first, second = (b, a) if key_a is not None else (a, b)
+    key, invariants, sigs = _profile(first)
+    if second.__dict__.get("_fingerprint_key", key) != key:
         return None
-    sigs = _state_signatures(a.tables, n, prof_a) + _state_signatures(b.tables, n, prof_b)
-    if sorted(sigs[:n]) != sorted(sigs[n:]):
+    _, second_invariants, second_sigs = _profile(second)
+    if invariants != second_invariants:  # equal keys are no proof
         return None
+    sigs = sigs + second_sigs if first is a else second_sigs + sigs
     # b's states are shifted up by n in the union.
     out = [list(ts) for ts in zip(*a.tables)] + [[n + t for t in ts] for ts in zip(*b.tables)]
     part = _Partition(sigs, out, n)

@@ -21,6 +21,7 @@ from .errors import (
     EmptyReductionError,
     InvalidMachineError,
     InvalidReductionError,
+    decimal_digits,
 )
 from .machine import Machine, StateSet, TransitionFunction, _assemble, _listed, _names
 
@@ -69,7 +70,11 @@ def _keep_functions(m: Machine, indices: Iterable[int]) -> Reduction:
     if not kept:
         raise InvalidMachineError("a machine cannot keep zero transition functions")
     if not 0 <= kept[0] <= kept[-1] < m.n_functions:
-        raise IndexError(f"function index out of range 0..{m.n_functions - 1}")
+        try:
+            bound = f"0..{m.n_functions - 1}"
+        except ValueError:  # more digits than Python writes as text
+            bound = f"0..(a {decimal_digits(m.n_functions - 1)}-digit number)"
+        raise IndexError(f"function index out of range {bound}")
     name = _names(m)
     pairs = [(m.tables[i], name(i)) for i in kept]
     return Reduction("functional", m, _assemble(m.states, pairs, name=m.name), kept_functions=kept)

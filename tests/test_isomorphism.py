@@ -19,6 +19,7 @@ from machalg import (
     DomainMismatchError,
     IncompatibleShapesError,
     MachalgError,
+    Machine,
     Morphism,
     Move,
     SearchBudgetExceededError,
@@ -306,9 +307,10 @@ print(m.__dict__["_fingerprint_key"], m.__dict__["_image_key"])
 
 
 class TestFingerprintKey:
-    """Each machine caches a hash of its sorted function fingerprints and one
-    of its image sizes; two unequal keys end a call at once, and nothing else
-    may change."""
+    """Each machine caches a hash of its sorted function fingerprints and
+    state signatures, and one of its image sizes; two unequal keys end a call
+    at once.  A side with no key is profiled first, and a keyed side is
+    profiled only when its key equals the new one.  Nothing else may change."""
 
     @pytest.mark.parametrize("keyed", sorted(KEY_PRESETS))
     def test_agrees_with_brute_force_whichever_keys_are_set(self, keyed):
@@ -355,6 +357,43 @@ class TestFingerprintKey:
 
         monkeypatch.setattr(isomorphism, "_function_profile", fail)
         assert find_isomorphism(a, b) is None and find_isomorphism(b, a) is None
+
+    # Equal fingerprints (a constant map, and a map with image size 2 and one
+    # fixed point), but the two functions fix the same state only in a.
+    SAME_FINGERPRINTS = ([(0, 0, 0), (0, 0, 1)], [(0, 0, 0), (1, 1, 0)])
+
+    def test_key_covers_state_signatures(self, monkeypatch):
+        a, b = (table_machine(t) for t in self.SAME_FINGERPRINTS)
+        find_isomorphism(a, a)
+        find_isomorphism(b, b)
+        assert fingerprint_key(a) != fingerprint_key(b)
+
+        def fail(table):
+            raise AssertionError("profiled a machine whose key was set")
+
+        monkeypatch.setattr(isomorphism, "_function_profile", fail)
+        assert find_isomorphism(a, b) is None and find_isomorphism(b, a) is None
+
+    @pytest.mark.parametrize("keyed_side", ["a", "b"])
+    def test_a_differing_keyed_side_is_not_profiled(self, monkeypatch, keyed_side):
+        keyed, fresh = (table_machine(t) for t in self.SAME_FINGERPRINTS)
+        find_isomorphism(keyed, keyed)
+        profiled = []
+        real = isomorphism._function_profile
+        monkeypatch.setattr(isomorphism, "_function_profile", lambda t: profiled.append(t) or real(t))
+        pair = (keyed, fresh) if keyed_side == "a" else (fresh, keyed)
+        assert find_isomorphism(*pair) is None
+        assert profiled == [f.table for f in fresh.functions]
+        assert fingerprint_key(fresh) not in (None, fingerprint_key(keyed))
+
+    def test_equal_keys_are_no_proof(self):
+        pairs = [self.SAME_FINGERPRINTS]
+        pairs += [p for p in key_cases(33, 120) if brute_force_isomorphism(*map(table_machine, p)) is None]
+        assert len(pairs) > 40
+        for tables_a, tables_b in pairs:
+            a, b = table_machine(tables_a), table_machine(tables_b, "t")
+            a.__dict__["_fingerprint_key"] = b.__dict__["_fingerprint_key"] = 12345
+            assert find_isomorphism(a, b) is None
 
     def test_image_size_rejection_sets_no_key(self):
         a = table_machine([(0, 1)])
@@ -665,6 +704,13 @@ class TestVerify:
         assert verify(cert, big, three) == (False, "the reductions or the morphism do not check out")
         assert verify_completeness(big, three, w) is False
 
+    def test_index_past_the_digit_limit(self):
+        # 1500**1500 functions: their count has more digits than Python writes as text
+        big = full_machine(StateSet(tuple(f"s{i}" for i in range(1500))))
+        hold = table_machine([(0,)])
+        cert = Certificate("complete", (0,), (0,), (1500**1500,), ("s0",))
+        assert verify(cert, big, hold) == (False, "an index in the certificate is out of range")
+
     def test_accepts_each_kind(self):
         m = parse_machine(self.SWITCH.read_text())
         everything = dict(kept_functions=(0, 1), kept_states=("off", "on"))
@@ -771,3 +817,28 @@ class TestEmbeddingCensus:
         witness = is_complete(big, sub)
         assert witness is not None
         assert verify_completeness(big, sub, witness)
+
+
+class TestClassCensus:
+    """Every machine on a small state set, classified pairwise against the
+    class representatives found so far, each witness re-checked."""
+
+    @pytest.mark.parametrize("n, k, classes", [
+        (3, 1, 7),  # OEIS A001372, self-maps up to conjugation
+        (4, 1, 19),  # OEIS A001372
+        (3, 2, 67),
+        (3, 3, 509),
+    ])
+    def test_class_counts(self, n, k, classes):
+        ss = StateSet(tuple(f"s{i}" for i in range(n)))
+        reps = []
+        for combo in itertools.combinations(sorted(itertools.product(range(n), repeat=n)), k):
+            m = Machine(ss, combo)
+            for r in reps:
+                witness = find_isomorphism(r, m)
+                if witness is not None:
+                    assert verify_morphism(r, m, witness)
+                    break
+            else:
+                reps.append(m)
+        assert len(reps) == classes

@@ -407,6 +407,12 @@ class TestSubMachine:
         with pytest.raises(IndexError, match=r"function index out of range 0\.\.1"):
             sub_machine(m, [index], ("0", "1"))
 
+    def test_index_out_of_range_past_the_digit_limit(self):
+        # 1500**1500 functions: their count has more digits than Python writes as text
+        m = full_machine(StateSet(tuple(f"s{i}" for i in range(1500))))
+        with pytest.raises(IndexError, match=r"^function index out of range 0\.\.\(a 4765-digit number\)$"):
+            sub_machine(m, [1500**1500], ["s0"])
+
     @pytest.mark.parametrize("indices", [[True], [False, 1], [1, True], [1.0]])
     def test_function_index_must_be_an_int(self, indices):
         ss = states("0", "1")
