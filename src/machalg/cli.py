@@ -181,7 +181,7 @@ def _cmd_submachine(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from .reductions import _keep_functions, state_reduction
+    from .reductions import functional_reduction, state_reduction
     from .textio import parse_machine, render_machine, resolve_function
 
     m = parse_machine(_read(args.machine))
@@ -190,7 +190,7 @@ def _cmd_reduce(args) -> int:
     # Each reduction runs only when asked for, so keeping every function
     # never lists the functions of a full container.
     if args.keep_fns is not None:
-        m = _keep_functions(m, [resolve_function(m, tok) for tok in args.keep_fns.split(",") if tok]).result
+        m = functional_reduction(m, [resolve_function(m, tok) for tok in args.keep_fns.split(",") if tok]).result
     if args.keep_states is not None:
         m = state_reduction(m, [tok for tok in args.keep_states.split(",") if tok]).result
     sys.stdout.write(render_machine(m))

@@ -15,21 +15,20 @@ function by the identity); otherwise subsets are searched exhaustively.
 Both searches run on one explicit-stack loop, :func:`_search`, so no input
 depth meets the recursion limit.  Isomorphism prunes by colour refinement
 of the disjoint union of the two machines (McKay & Piperno, "Practical
-graph isomorphism II", 2014), completeness by state signatures compared as
-sub-multisets.
+graph isomorphism II", 2014), completeness by checking the embedding's own
+equations as soon as both of their states are placed (Ullmann, 1976).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .errors import IncompatibleShapesError, MachalgError, SearchBudgetExceededError
 from .machine import Machine, _listed, _numeral
 from .reductions import Reduction, _restrictions, sub_machine
-from .textio import Certificate
+from .textio import _CERT_REQUIRED, Certificate
 
 
 @dataclass(frozen=True)
@@ -122,18 +121,14 @@ def _function_profile(table: tuple[int, ...]) -> tuple[tuple, list[int], frozens
     return fingerprint, indeg, cyclic
 
 
-def _state_signatures(
-    tables: Sequence[tuple[int, ...]], n: int, profiles: Optional[list] = None
-) -> list[tuple]:
+def _state_signatures(tables: Sequence[tuple[int, ...]], n: int, profiles: list) -> list[tuple]:
     """Per-state fingerprints invariant under isomorphism.
 
     For each of the ``n`` states, the multiset over ``tables`` of (indegree
     here, fixes here, lies on a cycle here).  Conjugation matches functions
     one to one and transports all three quantities, so signatures must agree
-    between g-paired states.  ``profiles`` may pass in the tables' profiles.
+    between g-paired states.  ``profiles`` are the tables' profiles.
     """
-    if profiles is None:
-        profiles = [_function_profile(t) for t in tables]
     per_fn = [(indeg, table, cyclic) for table, (_, indeg, cyclic) in zip(tables, profiles)]
     return [
         tuple(sorted((indeg[s], table[s] == s, s in cyclic) for indeg, table, cyclic in per_fn))
@@ -329,8 +324,6 @@ def find_isomorphism(
             m.__dict__["_image_key"] = hash((m.n_states, tuple(sizes)))
     if a.__dict__["_image_key"] != b.__dict__["_image_key"]:
         return None
-    if a.n_states != b.n_states or a.n_functions != b.n_functions:
-        return None
     n = a.n_states
     first, second = (b, a) if key_a is not None else (a, b)
     key, invariants, sigs = _profile(first)
@@ -436,27 +429,29 @@ def is_complete(
 def _search_completeness(
     a: Machine, b: Machine, node_budget: Optional[int]
 ) -> Optional[CompletenessWitness]:
-    """Exhaustive completeness search: subsets in lexicographic order, then
-    bijections onto each subset, with sub-multiset pruning, all on the
-    shared search loop with one node budget.
-    """
+    """Exhaustive completeness search: state subsets in lexicographic order,
+    then bijections onto each, on the shared search loop with one node budget.
+    Equation (j, s, b_j(s)) is checked at the level placing the later of s and b_j(s)."""
     _listed(a.tables)  # before any work, as every subset lists a's functions
     n_b, tables_b = b.n_states, _listed(b.tables)
-    sig_b = _state_signatures(tables_b, n_b)
+    levels: list[list] = [[] for _ in range(n_b)]
+    for j, s, u in ((j, s, u) for j, t in enumerate(tables_b) for s, u in enumerate(t)):
+        levels[max(s, u)].append((j, s, u))
     problems = (
-        _subset_problem(a, tables_b, subset, sig_b)
+        _subset_problem(a, tables_b, subset, levels)
         for subset in itertools.combinations(range(a.n_states), n_b)
     )
     return _search((p for p in problems if p), n_b, "completeness search", node_budget)
 
 
-def _subset_problem(a: Machine, tables_b: Sequence, subset: tuple[int, ...], sig_b):
+def _subset_problem(a: Machine, tables_b: Sequence, subset: tuple[int, ...], levels: list):
     """Candidates and leaf for embedding b onto one state subset of a, or None.
 
-    The reachable tables are the restrictions of a's subset-preserving
-    functions; b embeds iff some bijection g sends every b-function's
-    conjugate into them.  The functional reduction keeps, for each needed
-    table, the least-index function of a realizing it.
+    b embeds iff some bijection g conjugates each b-function into the
+    reachable tables, the restrictions of a's subset-preserving functions.
+    Forward checking (Ullmann, J. ACM 23, 1976) keeps, per b-function, the
+    tables that meet its equations placed so far, and prunes when none do.
+    The leaf keeps, per conjugate, the least-index function of a realizing it.
     """
     n_b = len(subset)
     # Restrictions of preserving functions, each with its least origin.
@@ -465,29 +460,26 @@ def _subset_problem(a: Machine, tables_b: Sequence, subset: tuple[int, ...], sig
         reachable.setdefault(t, idx)
     if len(reachable) < len(tables_b):
         return None
-    # Signatures of the reduced machine, for pruning g.
-    sigs_r = _state_signatures(list(reachable), n_b)
+    alive = [[list(reachable)] * len(tables_b)] + [None] * n_b  # per level, per b-function
 
     def candidates(i: int, g: list) -> Iterator[int]:
         used = g[:i]
         for t in range(n_b):
-            if t not in used and _sub_multiset(sig_b[i], sigs_r[t]):
-                yield t
+            if t not in used:
+                g[i], left = t, alive[i][:]
+                for j, s, u in levels[i]:
+                    left[j] = [r for r in left[j] if r[g[s]] == g[u]]
+                    if not left[j]:
+                        break
+                else:
+                    alive[i + 1] = left
+                    yield t
 
-    def leaf(g: list) -> Optional[CompletenessWitness]:
+    def leaf(g: list) -> CompletenessWitness:  # every conjugate met its equations
         conj_tables = [_conjugate(t, g) for t in tables_b]
-        if any(t not in reachable for t in conj_tables):
-            return None
         return _witness(a, [reachable[t] for t in conj_tables], subset, conj_tables, g)
 
     return candidates, leaf
-
-
-def _sub_multiset(smaller: tuple, larger: tuple) -> bool:
-    """True when the first sorted row tuple embeds into the second."""
-    need = Counter(smaller)
-    have = Counter(larger)
-    return all(have[k] >= v for k, v in need.items())
 
 
 def verify_completeness(a: Machine, b: Machine, w: CompletenessWitness) -> bool:
@@ -516,7 +508,7 @@ def verify(cert: Certificate, a: Machine, b: Machine) -> tuple[bool, str]:
     the sub-machine of ``a`` they keep: ``complete`` maps ``b`` onto it,
     and for ``submachine`` it must equal ``b``, labels included.
     """
-    if cert.kind not in ("iso", "complete", "submachine"):
+    if cert.kind not in _CERT_REQUIRED:
         return False, f"unknown certificate kind {cert.kind!r}"
     numbers = cert.g, cert.h, cert.kept_functions
     if not all(isinstance(f, (tuple, list)) for f in (*numbers, cert.kept_states)) or not all(

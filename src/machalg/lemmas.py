@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyReductionError, MachalgError
 from .machine import Machine, StateSet, _assemble
-from .reductions import _keep_functions, is_sub_machine, state_reduction
+from .reductions import functional_reduction, is_sub_machine, state_reduction
 
 LEMMA_NAMES = {
     1: "nested functional reductions collapse",
@@ -92,10 +92,10 @@ def _try_state_reduce(m: Machine, labels) -> Machine | None:
 def check_lemma_1(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
     """(1, violations) for one random nested pair of functional keeps."""
     k1 = _subset(rng, range(m.n_functions))
-    inner = _keep_functions(m, k1).result
+    inner = functional_reduction(m, k1).result
     k2 = _subset(rng, range(inner.n_functions))
-    left = _keep_functions(inner, k2).result
-    right = _keep_functions(m, [k1[j] for j in k2]).result  # inner's function j is m's k1[j]
+    left = functional_reduction(inner, k2).result
+    right = functional_reduction(m, [k1[j] for j in k2]).result  # inner's function j is m's k1[j]
     if left == right:
         return 1, []
     return 1, [
@@ -136,7 +136,7 @@ def check_lemma_3(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
 
     picks = _subset(rng, range(m.n_functions))
     s1 = _subset(rng, m.states.labels)
-    b = _try_state_reduce(_keep_functions(m, picks).result, s1)
+    b = _try_state_reduce(functional_reduction(m, picks).result, s1)
     if b is not None:
         checked += 1
         sr = _try_state_reduce(m, s1)
@@ -152,7 +152,7 @@ def check_lemma_3(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
     sr2 = _try_state_reduce(m, s2)
     if sr2 is not None:
         checked += 1
-        b2 = _keep_functions(sr2, _subset(rng, range(sr2.n_functions))).result
+        b2 = functional_reduction(sr2, _subset(rng, range(sr2.n_functions))).result
         if is_sub_machine(m, b2) is None:
             problems.append(f"{_describe(m)} subset={s2}: {_describe(b2)} is not a sub-machine")
     return checked, problems

@@ -122,10 +122,13 @@ def _unwrap(state_set: StateSet, items: Iterable) -> tuple[tuple, tuple]:
     or else TransitionFunctions on ``state_set``, which checked their own.
     The one place a function becomes a table."""
     items = tuple(items)
-    if TransitionFunction not in set(map(type, items)):
+    kinds = set(map(type, items))
+    if TransitionFunction not in kinds:
         tables = tuple(map(tuple, items))
         _check_tables(tables, len(state_set.labels))
         return tables, (None,) * len(items)
+    if len(kinds) > 1:
+        raise InvalidMachineError("functions must be all TransitionFunctions or all bare tables")
     tables, names = [], []
     for f in items:
         if f.domain is not state_set and f.domain != state_set:
@@ -379,13 +382,6 @@ class Machine:
     def has_full_function_set(self) -> bool:
         n = self.n_states  # n**n tables listed one by one need n < 16
         return isinstance(self.tables, _AllTables) or n < 16 and self.n_functions == n**n
-
-    def function_index(self, f: TransitionFunction) -> int:
-        """Position of ``f`` among :attr:`functions`; KeyError if absent."""
-        try:
-            return self.functions.index(f)
-        except ValueError:
-            raise KeyError("function is not part of this machine") from None
 
 
 _MACHINE_FIELDS = tuple(f.name for f in fields(Machine))

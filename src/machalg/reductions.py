@@ -15,7 +15,7 @@ designations are bookkeeping and are not consulted by these operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     EmptyReductionError,
@@ -50,23 +50,24 @@ class Reduction:
             raise InvalidReductionError("state reduction witness lists no states")
 
 
-def functional_reduction(m: Machine, keep: Iterable[TransitionFunction]) -> Reduction:
-    """Keep only the listed functions; the state set is untouched."""
-    try:
-        indices = [m.function_index(f) for f in keep]
-    except KeyError:
-        raise InvalidReductionError(
-            "functional reduction may only keep functions the machine already has"
-        ) from None
-    return _keep_functions(m, indices)
-
-
-def _keep_functions(m: Machine, indices: Iterable[int]) -> Reduction:
-    """The functional reduction of ``m`` to the functions at ``indices``."""
-    indices = tuple(indices)
-    if any(type(i) is not int for i in indices):  # a bool is an int to isinstance
-        raise TypeError("function indices must be integers")
-    kept = tuple(sorted(set(indices)))
+def functional_reduction(m: Machine, keep: Iterable[Union[int, TransitionFunction]]) -> Reduction:
+    """Keep only the functions at the indices ``keep``; the state set is
+    untouched.  An item may also be one of ``m``'s own functions, which
+    keeps its table rather than decoding it again."""
+    given: dict[int, Optional[tuple[int, ...]]] = {}  # index -> the table given with it
+    for f in keep:
+        if isinstance(f, TransitionFunction):
+            try:
+                given[m.functions.index(f)] = f.table
+            except ValueError:
+                raise InvalidReductionError(
+                    "functional reduction may only keep functions the machine already has"
+                ) from None
+        elif type(f) is int:  # a bool is an int to isinstance
+            given.setdefault(f, None)
+        else:
+            raise TypeError("function indices must be integers")
+    kept = tuple(sorted(given))
     if not kept:
         raise InvalidMachineError("a machine cannot keep zero transition functions")
     if not 0 <= kept[0] <= kept[-1] < m.n_functions:
@@ -76,7 +77,7 @@ def _keep_functions(m: Machine, indices: Iterable[int]) -> Reduction:
             bound = f"0..(a {decimal_digits(m.n_functions - 1)}-digit number)"
         raise IndexError(f"function index out of range {bound}")
     name = _names(m)
-    pairs = [(m.tables[i], name(i)) for i in kept]
+    pairs = [(given[i] or m.tables[i], name(i)) for i in kept]
     return Reduction("functional", m, _assemble(m.states, pairs, name=m.name), kept_functions=kept)
 
 
@@ -124,7 +125,7 @@ def sub_machine(
     states ``kept_states``; returns both witnesses, the second one's
     ``result`` being the sub-machine.  Every witness builder and checker
     replays a sub-machine through here."""
-    fr = _keep_functions(m, kept_functions)
+    fr = functional_reduction(m, kept_functions)
     return fr, state_reduction(fr.result, kept_states)
 
 

@@ -263,12 +263,16 @@ def resolve_function(m: Machine, token: str) -> int:
         return names.index(token)
     digits = token[1:] if not names and re.fullmatch("f(0|[1-9][0-9]*)", token) else token
     if digits.isascii() and digits.isdigit():
-        try:
-            i = int(digits.lstrip("0") or "0")
-        except ValueError:  # more digits than int() converts: no index that long is read
-            i = m.n_functions
-        if i < m.n_functions:
-            return i
+        digits = digits.lstrip("0") or "0"
+        if len(digits) <= decimal_digits(m.n_functions):  # a longer one is never converted
+            try:
+                i = int(digits)
+            except ValueError:  # more digits than int() converts from text
+                from decimal import Decimal
+
+                i = int(Decimal(digits))
+            if i < m.n_functions:
+                return i
     try:
         known = " ".join(names) or f"f0 to f{m.n_functions - 1}"
     except ValueError:  # more digits than Python writes as text

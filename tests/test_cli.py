@@ -394,6 +394,37 @@ class TestImplicitContainerNames:
                 f"f<i> for any i of at most {limit} digits\n"
             )
 
+    def test_indices_with_more_digits_than_python_converts(self, capsys, tmp_path, monkeypatch):
+        # 1500**1500 functions, a 4765-digit count: a 4500-digit index names
+        # one, and a 4766-digit numeral is refused without being converted.
+        limit = sys.get_int_max_str_digits()
+        if not limit or limit >= 4500:
+            pytest.skip("integer text conversion reaches 4500 digits here")
+        full = write_full(tmp_path, 1500)
+        index = "1" + "0" * 4499
+        table = ["s0"] * 1500  # 10**4499 in base 1500, last digit first
+        i, s = 10**4499, 1499
+        while i:
+            i, table[s] = i // 1500, f"s{i % 1500}"
+            s -= 1
+        for tok in (index, "f" + index, "000" + index):
+            rc, out, err = run(capsys, "reduce", full, "--keep-fns", tok)
+            assert (rc, err) == (0, "")
+            assert out.splitlines()[-1] == "fn f0: " + ", ".join(
+                f"s{s}->{t}" for s, t in enumerate(table)
+            )
+        rc, out, err = run(capsys, "sim", full, "--fn", index, "--from", "s1499", "--steps", "1")
+        assert (rc, err) == (0, "")
+        assert out.startswith(f"trajectory: s1499 -> {table[1499]}")
+        too_long = "1" + "0" * 4765
+        monkeypatch.setattr("decimal.Decimal", None)  # any conversion would raise TypeError
+        for argv in (("reduce", full, "--keep-fns", too_long),
+                     ("sim", full, "--fn", too_long, "--from", "s0")):
+            assert run(capsys, *argv) == (
+                2, "", f"error: unknown function {too_long!r}; known names: "
+                f"f<i> for any i of at most {limit} digits\n"
+            )
+
 
 class TestAnswerGolden:
     """Exact stdout and exit code of every answer of iso, complete and
@@ -603,6 +634,11 @@ class TestSim:
         )
         assert rc == 0
         assert "halted at 0" in out
+
+    def test_machine_step_limit(self, capsys):
+        assert run(capsys, "sim", SWITCH, "--fn", "flip", "--from", "off", "--steps", "0") == (
+            0, "trajectory: off\noutcome: step limit after 0 step(s)\n", ""
+        )
 
     def test_tm_route(self, capsys):
         rc, out, _ = run(capsys, "sim", BITFLIP)

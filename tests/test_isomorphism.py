@@ -75,6 +75,19 @@ def perturbed(rng, m):
     return table_machine([tuple(t) for t in tables], "t")
 
 
+def log_refinements(monkeypatch):
+    """The results of every ``_Partition.refine`` call from now on, in order."""
+    results = []
+    refine = isomorphism._Partition.refine
+
+    def logged(part, queue):
+        results.append(refine(part, queue))
+        return results[-1]
+
+    monkeypatch.setattr(isomorphism._Partition, "refine", logged)
+    return results
+
+
 def switch_pair():
     a_ss = states("0", "1")
     a = make_machine(
@@ -243,6 +256,34 @@ class TestFindIsomorphism:
             b = relabelled(rng, a)
             got = find_isomorphism(a, b)
             assert (got.g, got.h) == brute_force_isomorphism(a, b)
+
+    @pytest.mark.parametrize("tables_a, tables_b, isomorphic", [
+        ([(1, 0, 4, 3, 5, 2)], [(0, 4, 3, 2, 5, 1)], True),
+        ([(1, 0, 3, 4, 2), (2, 3, 0, 4, 1)], [(4, 3, 0, 1, 2), (4, 3, 1, 2, 0)], False),
+    ])
+    def test_refinement_fails_below_the_root(self, monkeypatch, tables_a, tables_b, isomorphic):
+        # Equal invariants and a balanced root partition, but some
+        # individualised pair unbalances a cell, which ends that branch.
+        results = log_refinements(monkeypatch)
+        a, b = table_machine(tables_a), table_machine(tables_b, "t")
+        got = find_isomorphism(a, b)
+        assert (None if got is None else (got.g, got.h)) == brute_force_isomorphism(a, b)
+        assert (got is not None) == isomorphic
+        assert results[0] and False in results[1:]
+
+    def test_refinement_fails_below_the_root_on_seeded_pairs(self, monkeypatch):
+        # Random permutations often share their invariants.
+        results = log_refinements(monkeypatch)
+        rng = random.Random(31)
+        hits = 0
+        for _ in range(300):
+            n = rng.randint(4, 6)
+            a, b = (table_machine([tuple(rng.sample(range(n), n))], p) for p in "st")
+            results.clear()
+            got = find_isomorphism(a, b)
+            assert (None if got is None else (got.g, got.h)) == brute_force_isomorphism(a, b)
+            hits += False in results[1:]
+        assert hits >= 3
 
     def test_fast_rejection_on_profiles(self):
         # same counts but different fixed-point structure: no search needed
@@ -554,6 +595,37 @@ class TestIsComplete:
             kept = tuple(a.states.index(label) for label in w.reductions[1].kept_states)
             assert (kept, w.morphism.g) == expected
         assert found >= 30
+
+    def test_search_matches_oracle_on_seeded_questions(self):
+        # 1-8 functions on at most 5 states; b is a relabelled restriction of
+        # a, one table of it redrawn a third of the time, or a fresh draw.
+        rng = random.Random(24)
+        answers = []
+        for _ in range(300):
+            n_a = rng.randint(2, 5)
+            a = table_machine(random_tables(rng, n_a, rng.randint(1, 8)))
+            n_b = rng.randint(1, n_a)
+            subset = sorted(rng.sample(range(n_a), n_b))
+            pos = {s: p for p, s in enumerate(subset)}
+            inside = [t for t in a.tables if all(t[s] in pos for s in subset)]
+            if inside and rng.random() < 0.7:
+                tables = [tuple(pos[t[s]] for s in subset) for t in inside]
+                tables = rng.sample(tables, rng.randint(1, len(tables)))
+                if rng.random() < 0.3:
+                    tables[0] = tuple(rng.randrange(n_b) for _ in range(n_b))
+                b = relabelled(rng, table_machine(tables, "t"))
+            else:
+                b = table_machine(random_tables(rng, n_b, rng.randint(1, 3)), "t")
+            w = is_complete(a, b, method="search")
+            expected = brute_force_embedding(a, b)
+            answers.append(w is not None)
+            if w is None:
+                assert expected is None
+                continue
+            assert verify_completeness(a, b, w)
+            kept = tuple(a.states.index(label) for label in w.reductions[1].kept_states)
+            assert (kept, w.morphism.g) == expected
+        assert answers.count(True) > 100 and answers.count(False) > 50
 
     def test_search_budget_error_reports_depth(self):
         ss = states("p", "q", "r")

@@ -28,6 +28,7 @@ from machalg import (
     fn_from_map,
     full_bijection_machine,
     full_machine,
+    functional_reduction,
     identity_fn,
     make_machine,
     parse_machine,
@@ -80,7 +81,7 @@ class TestLookupCaches:
         fns = [fn_from_map(ss, dict.fromkeys(ss, "a"), "ca"), identity_fn(ss)]
         fresh, queried = make_machine(ss, fns), make_machine(ss, fns)
         before = (hash(queried), repr(queried))
-        assert [queried.function_index(f) for f in fns] == [0, 1]
+        assert [queried.functions.index(f) for f in fns] == [0, 1]
         assert queried == fresh
         assert (hash(queried), repr(queried)) == before == (hash(fresh), repr(fresh))
 
@@ -88,10 +89,10 @@ class TestLookupCaches:
         ss = states("a", "b", "c")
         m = make_machine(ss, [fn_from_map(ss, dict.fromkeys(ss, "c")), identity_fn(ss)])
         ss.index("a")
-        m.function_index(m.functions[1])
+        m.functions.index(m.functions[1])
         for copy in (pickle.loads(pickle.dumps(m)), dataclasses.replace(m)):
             assert copy == m and hash(copy) == hash(m) and repr(copy) == repr(m)
-            assert copy.function_index(m.functions[1]) == 1
+            assert copy.functions.index(m.functions[1]) == 1
             assert copy.states.index("c") == 2
         renamed = dataclasses.replace(ss, labels=("x", "y", "z"))
         assert renamed.index("z") == 2 and "a" not in renamed
@@ -131,9 +132,9 @@ class TestLookupCaches:
         m = make_machine(states("a", "b"), [identity_fn(states("a", "b"))])
         foreign = identity_fn(states("x", "y"))
         assert foreign.table == m.functions[0].table
-        with pytest.raises(KeyError):
-            m.function_index(foreign)
-        assert m.function_index(identity_fn(states("a", "b"))) == 0
+        with pytest.raises(ValueError):
+            m.functions.index(foreign)
+        assert m.functions.index(identity_fn(states("a", "b"))) == 0
 
     @pytest.mark.parametrize("table", [(0, 0, 0), (1, 0, 2), (2, 2, 2)])
     def test_function_index_rejects_absent_tables(self, table):
@@ -141,8 +142,8 @@ class TestLookupCaches:
         ss = states("a", "b", "c")
         m = make_machine(ss, [identity_fn(ss), fn_from_map(ss, dict.fromkeys(ss, "b"))])
         assert [f.table for f in m.functions] == [(0, 1, 2), (1, 1, 1)]
-        with pytest.raises(KeyError):
-            m.function_index(TransitionFunction(ss, table))
+        with pytest.raises(ValueError):
+            m.functions.index(TransitionFunction(ss, table))
 
 
 class TestTransitionFunction:
@@ -284,6 +285,20 @@ class TestTables:
         with pytest.raises(InvalidMachineError, match="3 function names for 2 tables"):
             Machine(ss, ((0, 0), (1, 0)), function_names=("x", "y", "z"))
 
+    @pytest.mark.parametrize("build", [make_machine, Machine])
+    @pytest.mark.parametrize("function_first", [True, False])
+    def test_functions_and_bare_tables_do_not_mix(self, build, function_first):
+        ss = states("a", "b")
+        items = [TransitionFunction(ss, (1, 0)), (0, 1)]
+        with pytest.raises(
+            InvalidMachineError, match="^functions must be all TransitionFunctions or all bare tables$"
+        ):
+            build(ss, items if function_first else items[::-1])
+
+    def test_output_designation_out_of_range(self):
+        with pytest.raises(InvalidMachineError, match="^output designation 5 is out of range$"):
+            Machine(states("a", "b"), ((0, 0), (1, 0)), frozenset({5}))
+
     @pytest.mark.parametrize("table", [(0, 5), (0,), (0, 1, 1), (-1, 0), (1, 2)])
     def test_bad_tables_fail_as_functions_do(self, table):
         ss = states("a", "b")
@@ -359,7 +374,7 @@ class TestImplicitTables:
         assert list(m.tables) == list(ref.tables)  # iteration order
         assert all(m.tables[i] == t for i, t in enumerate(ref.tables))
         assert all(m.tables.index(t) == i for i, t in enumerate(ref.tables))
-        assert all(m.function_index(f) == i for i, f in enumerate(ref.functions))
+        assert all(m.functions.index(f) == i for i, f in enumerate(ref.functions))
         assert m.tables[-1] == ref.tables[-1] and m.tables[1::2] == ref.tables[1::2]
         assert m.tables == ref.tables and ref.tables == m.tables
         assert hash(m.tables) == hash(ref.tables)
@@ -384,8 +399,8 @@ class TestImplicitTables:
             full[27]
         with pytest.raises(IndexError):
             bij[-7]
-        with pytest.raises(KeyError):
-            full_machine(_ss(3)).function_index(identity_fn(states("a", "b", "c")))
+        with pytest.raises(ValueError):
+            full_machine(_ss(3)).functions.index(identity_fn(states("a", "b", "c")))
 
     def test_built_without_listing(self):
         m = full_machine(_ss(8))  # 16.7M tables, past the enumeration cap
@@ -413,7 +428,8 @@ class TestImplicitTables:
         m, ss = build(_ss(4)), _ss(4)
         ref = tuple(m.functions)
         f = ref[5]
-        assert m.functions.index(f) == ref.index(f) == 5 and m.function_index(f) == 5
+        assert m.functions.index(f) == ref.index(f) == 5
+        assert functional_reduction(m, [f]).kept_functions == (5,)
         assert f in m.functions and m.functions.count(f) == 1
         assert list(reversed(m.functions)) == list(reversed(ref))
         assert list(reversed(m.tables)) == list(reversed(tuple(m.tables)))

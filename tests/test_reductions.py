@@ -70,6 +70,22 @@ class TestFunctionalReduce:
         assert r.source == m
         assert [m.functions[i] for i in r.kept_functions] == [neg]
 
+    def test_indices_and_functions_keep_alike(self):
+        ss, ident, neg = switchlike()
+        m = make_machine(ss, [ident, neg])
+        by_index = functional_reduction(m, [1])
+        assert by_index.kept_functions == (1,)
+        assert by_index == functional_reduction(m, [neg]) == functional_reduction(m, [neg, 1])
+
+    def test_kept_functions_are_not_decoded_again(self, monkeypatch):
+        m = full_machine(StateSet(tuple(f"s{i}" for i in range(4))))
+        picks = [m.functions[i] for i in (3, 100, 255)]
+        decoded, decode = [], type(m.tables)._decode
+        monkeypatch.setattr(type(m.tables), "_decode", lambda t, i: decoded.append(i) or decode(t, i))
+        kept = functional_reduction(m, picks)
+        assert kept.kept_functions == (3, 100, 255) and decoded == []
+        assert functional_reduction(m, [3, 100, 255]) == kept and decoded == [3, 100, 255]
+
 
 class TestStateReduce:
     def setup_method(self):
@@ -249,7 +265,7 @@ class TestCompositionLaws:
     ])
     def test_each_check_fires_on_a_planted_fault(self, monkeypatch, fault, fires):
         keep, restrictions, state_red = (
-            lemmas._keep_functions, reductions._restrictions, reductions.state_reduction
+            lemmas.functional_reduction, reductions._restrictions, reductions.state_reduction
         )
 
         def drop_first(m, indices):
@@ -267,7 +283,7 @@ class TestCompositionLaws:
             return dataclasses.replace(r, result=make_machine(ss, shift))
 
         planted = {
-            "keep drops its first index": (lemmas, "_keep_functions", drop_first),
+            "keep drops its first index": (lemmas, "functional_reduction", drop_first),
             "restrictions lose the last preserving function":
                 (reductions, "_restrictions", drop_last),
             "state reduction rotates every table": (lemmas, "state_reduction", rotated),
@@ -425,7 +441,7 @@ class TestSubMachine:
         ident = identity_fn(ss)
         const0 = fn_from_map(ss, dict.fromkeys(ss, "0"), "c0")
         m = make_machine(ss, [ident, const0])
-        fr, sr = sub_machine(m, [m.function_index(const0)], ("0", "1"))
+        fr, sr = sub_machine(m, [m.functions.index(const0)], ("0", "1"))
         result = sr.result
         sub = states("0", "1")
         assert result == make_machine(sub, [fn_from_map(sub, dict.fromkeys(sub, "0"), "c0")])

@@ -14,6 +14,7 @@ from machalg import (
     Certificate,
     InvalidMachineError,
     MachalgError,
+    Machine,
     MemEntry,
     MemProgram,
     ParseError,
@@ -34,6 +35,7 @@ from machalg import (
     tm_to_mem,
 )
 from machalg.lemmas import random_machine
+from machalg.textio import display_names
 
 from conftest import random_turing_spec
 from oracles import enumerated_full_machine, reference_parse_machine
@@ -92,6 +94,13 @@ class TestMachineFormat:
             m = random_machine(rng, max_states=4, max_functions=6)
             again = parse_machine(render_machine(m))
             assert again == m
+
+    def test_a_taken_display_name_gains_a_suffix(self):
+        # function 1 has no name, and its fallback f1 is function 0's name
+        m = Machine(StateSet(("a", "b")), ((0, 0), (1, 0)), function_names=("f1", None))
+        assert display_names(m) == ["f1", "f1_"]
+        again = parse_machine(render_machine(m))
+        assert again == m and again.function_names == ("f1", "f1_")
 
     def test_render_stable(self):
         m = parse_machine(SWITCH)
