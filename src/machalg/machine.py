@@ -34,15 +34,16 @@ class StateSet:
 
     The construction order is fixed and drives every deterministic
     enumeration and witness in the package.  Lookups use a label-to-index
-    dict built on first use, so sets never queried cost only their tuple.
+    dict built on first use, so sets never queried cost only their labels: a
+    tuple, or a compiled machine's :class:`_ProductLabels`, which ``tuple()`` lists.
     """
 
-    labels: tuple[str, ...]
+    labels: Sequence[str]
 
     def __post_init__(self):
         if len(self.labels) == 0:
             raise InvalidMachineError("a state set needs at least one state")
-        if len(set(self.labels)) != len(self.labels):
+        if not isinstance(self.labels, _ProductLabels) and len(set(self.labels)) != len(self.labels):
             dupes = sorted(s for s, c in Counter(self.labels).items() if c > 1)
             raise InvalidMachineError(f"duplicate state labels: {dupes}")
 
@@ -158,11 +159,23 @@ def _numeral(table: Sequence[int], n: int) -> int:
 # from it, so that isinstance tests against them stay as fast as for any class.
 @abc.Sequence.register
 class _Lookup:
-    """The sequence methods that follow from ``size``, ``[i]`` and ``index``,
-    for sequences that hold each item at most once."""
+    """The sequence methods that follow from ``size``, ``_decode(i)`` and
+    ``index``, for sequences that hold each item at most once."""
 
     def __len__(self) -> int:
         return self.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._decode, range(self.size)[i]))
+        return self._decode(self.position(i))
+
+    def position(self, i) -> int:
+        """``i`` as an index in ``range(size)``, counting from the end if negative."""
+        i = operator.index(i)
+        if not -self.size <= i < self.size:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return i % self.size
 
     def __contains__(self, x) -> bool:
         try:
@@ -187,18 +200,6 @@ class _ImplicitTables(_Lookup):
 
     def __init__(self, n: int):
         self.n = n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._decode, range(self.size)[i]))
-        return self._decode(self.position(i))
-
-    def position(self, i) -> int:
-        """``i`` as an index in ``range(size)``, counting from the end if negative."""
-        i = operator.index(i)
-        if not -self.size <= i < self.size:
-            raise IndexError("table index out of range")
-        return i % self.size
 
     def index(self, table) -> int:
         n = self.n
@@ -285,6 +286,79 @@ class _Bijections(_ImplicitTables):
         return i
 
 
+class _ProductLabels(_Lookup):
+    """State labels of one token per axis, joined, decoded on demand.
+
+    Label i reads i in mixed radix, the first axis most significant, in
+    ``itertools.product`` order; the ``extra`` labels follow.  Each token of
+    an axis but the last ends in the axis's separator and holds it nowhere
+    else, so a label splits into tokens one way only, and the labels are
+    distinct once each axis's tokens are: the constructor checks both in
+    O(total tokens).  ``[i]`` decodes i, :meth:`index` parses a label, and
+    the first whole read lists the labels once and keeps the tuple, whose
+    ``==`` and ``hash`` these are.
+    """
+
+    def __init__(self, axes: Iterable[Sequence[str]], extra: Sequence[str] = ()):
+        self.axes, self.extra = tuple(map(tuple, axes)), ()  # no extras until checked below
+        self._ranks = [{t: r for r, t in enumerate(axis)} for axis in self.axes]
+        self._seps = [axis[0][-1:] if axis else "" for axis in self.axes[:-1]] + [None]
+        self._product = math.prod(map(len, self.axes))
+        if any(map(operator.ne, map(len, self._ranks), map(len, self.axes))) or not all(
+            t.find(sep) == len(t) - 1 >= 0 for axis, sep in zip(self.axes, self._seps[:-1]) for t in axis
+        ) or len(set(extra)) != len(extra) or any(x in self for x in extra):
+            raise InvalidMachineError(f"label axes {self.axes!r} and extras {tuple(extra)!r} repeat"
+                                      " a label, or a token does not end in its axis's one separator")
+        self.extra, self.size = tuple(extra), self._product + len(extra)
+
+    def _decode(self, i: int) -> str:
+        if i >= self._product:
+            return self.extra[i - self._product]
+        parts = []
+        for axis in reversed(self.axes):
+            i, r = divmod(i, len(axis))
+            parts.append(axis[r])
+        return "".join(reversed(parts))
+
+    def index(self, label) -> int:
+        if label in self.extra:  # never a product label, as checked when built
+            return self._product + self.extra.index(label)
+        if not isinstance(label, str):
+            raise ValueError(f"{label!r} is not a label")
+        i = start = 0
+        for ranks, sep in zip(self._ranks, self._seps):
+            end = label.find(sep, start) + 1 if sep is not None else None
+            r = ranks.get(label[start:end]) if end != 0 else None
+            if r is None:
+                raise ValueError(f"{label!r} is not one of these labels")
+            i, start = i * len(ranks) + r, end
+        return i
+
+    @cached_property
+    def _listing(self) -> tuple[str, ...]:
+        # Each half's labels first, so that a label costs one concatenation.
+        mid = len(self.axes) // 2
+        halves = (self.axes[:mid], self.axes[mid:])
+        left, right = (list(map("".join, itertools.product(*half))) for half in halves)
+        return (*[a + b for a in left for b in right], *self.extra)
+
+    def __iter__(self):
+        return iter(self._listing)
+
+    def __eq__(self, other):
+        if isinstance(other, _ProductLabels) and (self.axes, self.extra) == (other.axes, other.extra):
+            return True
+        if not isinstance(other, (tuple, _ProductLabels)):
+            return NotImplemented
+        return len(other) == self.size and self._listing == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._listing)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.axes!r}, {self.extra!r})"
+
+
 class _Functions(_Lookup):
     """``Machine.functions``: the TransitionFunction at each index, built only
     when asked for and not checked again, since the tables are.  ``name_at(i)``
@@ -294,9 +368,7 @@ class _Functions(_Lookup):
         self.domain, self.tables, self.size = m.states, m.tables, m.n_functions
         self.name_at = _names(m)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(self.size)[i]))
+    def _decode(self, i: int) -> TransitionFunction:
         return _function(self.domain, self.tables[i], self.name_at(i))
 
     def __iter__(self):
@@ -513,30 +585,21 @@ def run_to_fixpoint(
     """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
-    try:  # one scan, so a state set never queried builds no label dict
+    try:  # a scan, or a parse, so a state set never queried builds no label dict
         current = f.domain.labels.index(start)
     except ValueError:
         current = f.domain.index(start)  # raises the usual DomainMismatchError
-    first_seen = {current: 0}
-    path = [current] if record_trajectory else None
-    steps = 0
-    while True:
-        nxt = f.table[current]
-        if nxt == current:
-            traj = _labels(f.domain, path) if path is not None else None
-            return Halted(f.domain.labels[current], steps, traj)
-        if steps == max_steps:
-            traj = _labels(f.domain, path) if path is not None else None
-            return StepLimit(steps, traj)
+    first_seen = {current: 0}  # the states visited, in order
+    table, steps, label = f.table, 0, f.domain.labels.__getitem__
+    while table[current] != current and steps < max_steps:
         steps += 1
-        current = nxt
-        if path is not None:
-            path.append(current)
+        current = table[current]
         if current in first_seen:
-            traj = _labels(f.domain, path) if path is not None else None
-            return Cycled(steps - first_seen[current], first_seen[current], traj)
+            entry = first_seen[current]
+            traj = tuple(map(label, [*first_seen, current])) if record_trajectory else None
+            return Cycled(steps - entry, entry, traj)
         first_seen[current] = steps
-
-
-def _labels(domain: StateSet, path: Sequence[int]) -> tuple[str, ...]:
-    return tuple(domain.labels[i] for i in path)
+    traj = tuple(map(label, first_seen)) if record_trajectory else None
+    if table[current] == current:
+        return Halted(label(current), steps, traj)
+    return StepLimit(steps, traj)

@@ -12,7 +12,6 @@ original step for step, checked by verify_lockstep.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -27,6 +26,7 @@ from .machine import (
     DEFAULT_ENUMERATION_CAP,
     Machine,
     StateSet,
+    _ProductLabels,
 )
 
 # Characters reserved by the compiled-state label codecs plus the text
@@ -223,7 +223,8 @@ def compile_tm(
     States are all (register, tape contents, head) triples in declaration
     order (register-major, then tape lexicographic, then head), k*m^n*n of
     them, plus one absorbing error state under the reject policy.  Halting
-    registers and missing rules yield fixed points.
+    registers and missing rules yield fixed points.  The state set decodes
+    its ``TmStateCodec`` labels on demand: compiling builds none of them.
     """
     k, m, n = t.k, t.m, t.n
     reject = t.boundary_policy is BoundaryPolicy.REJECT
@@ -231,27 +232,21 @@ def compile_tm(
     if size > cap:
         raise EnumerationTooLargeError("compiled state set", size, cap)
 
-    heads = [f"|{h}" for h in range(n)]
-    tapes = list(map(".".join, itertools.product(t.symbols, repeat=n)))
-    labels = [
-        prefix + head
-        for r in t.registers
-        for prefix in [f"{r}|{tape}" for tape in tapes]
-        for head in heads
-    ]
-    error_index = len(labels)
-    if reject:
-        labels.append(ERROR_LABEL)
-
     # State (register r, tape, head h) has index (rank(r)*m^n + rank(tape))*n + h,
-    # rank(tape) in base m with cell 0 most significant.  Halting registers and
-    # missing rules are fixed points.  Cell h holds symbol d exactly on the tape
-    # ranks (hi*m + d)*w + lo, w = m^(n-1-h), and a rule moves all of them alike.
-    n_tapes = len(tapes)
-    table = list(range(size))
+    # rank(tape) in base m with cell 0 most significant, as its label's parts rank.
+    # Halting registers and missing rules are fixed points.  Cell h holds symbol d
+    # on the tape ranks (hi*m + d)*w + lo, w = m^(n-1-h): a rule moves them alike.
+    cell, last = (tuple(s + sep for s in t.symbols) for sep in ".|")
+    labels = _ProductLabels(
+        ([r + "|" for r in t.registers], *[cell] * (n - 1), last, map(str, range(n))),
+        (ERROR_LABEL,) if reject else (),
+    )
+    n_tapes, error_index = m**n, size - 1
+    table = [size - 1] * size  # the error state's own entry; the loop writes every other
     reg_rank = {r: i for i, r in enumerate(t.registers)}
     sym_rank = {s: i for i, s in enumerate(t.symbols)}
-    for (r, s), (r2, s2, mv) in t.rules.items():
+    for r, s in itertools.product(t.registers, t.symbols):
+        r2, s2, mv = t.rules.get((r, s), (r, s, Move.STAY))  # no rule: a fixed point
         d, d2 = sym_rank[s], sym_rank[s2]
         for h in range(n):
             w = m ** (n - 1 - h)
@@ -264,11 +259,8 @@ def compile_tm(
                 moved = range(a + shift, b + shift, stride)
                 table[a:b:stride] = [error_index] * count if error else moved
 
-    domain = StateSet(tuple(labels))
-    codec = TmStateCodec(
-        t.symbols, t.registers, n, ERROR_LABEL if reject else None
-    )
-    return Machine(domain, (tuple(table),), frozenset(), t.name, ("step",)), codec
+    codec = TmStateCodec(t.symbols, t.registers, n, ERROR_LABEL if reject else None)
+    return Machine(StateSet(labels), (tuple(table),), frozenset(), t.name, ("step",)), codec
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +452,8 @@ def compile_mem(
     family); folding the selector and family into the state makes the whole
     program a single stationary step function.  Final states are fixed
     points.  Raises if some reachable combination has no entry and the
-    program declares no default.
+    program declares no default.  The state set decodes its
+    ``MemStateCodec`` labels on demand: compiling builds none of them.
     """
     selectors = _selector_universe(p)
     n_fns = len(p.functions)
@@ -469,35 +462,39 @@ def compile_mem(
         raise EnumerationTooLargeError("aggregate state set", size, cap)
 
     # State (cells, selector i, family a) has index (rank(cells)*|sel| + i)*F + a,
-    # rank(cells) in base m with cell 0 most significant: declaration order.
+    # rank(cells) in base m with cell 0 most significant, as its label's parts rank.
     codec = MemStateCodec(p.n_cells, p.alphabet, selectors)
     m, n, n_sel = len(p.alphabet), p.n_cells, len(selectors)
     value_rank = {v: i for i, v in enumerate(p.alphabet)}
     sel_rank = {sel: i for i, sel in enumerate(selectors)}
     weight = [m ** (n - 1 - c) for c in range(n)]
     block = n_sel * n_fns
-    suffixes = [
-        f"|{'.'.join(str(c) for c in sel)}|{fn}" for sel in selectors for fn in range(n_fns)
-    ]
-    labels = [
-        prefix + suffix
-        for prefix in map(";".join, itertools.product(p.alphabet, repeat=n))
-        for suffix in suffixes
-    ]
+    cell, last = (tuple(v + sep for v in p.alphabet) for sep in ";|")
+    suffixes = [f"{'.'.join(map(str, sel))}|{fn}" for sel in selectors for fn in range(n_fns)]
+    labels = _ProductLabels((*[cell] * (n - 1), last, suffixes))
     # With default_halt, states no entry matches are fixed points; -1 marks
-    # a state that still waits for its entry.
+    # a state that still waits for its entry.  An entry's unread cells hold
+    # anything; the longest run of adjacent ones it does not write moves as one
+    # strided slice, and the loop visits the contents of the other unread cells.
     table = list(range(size)) if p.default_halt else [-1] * size
     for fn, entries in enumerate(p.functions):
         for e in entries:
             me = sel_rank[e.read_cells] * n_fns + fn
             nxt = sel_rank[e.next_read_cells] * n_fns + e.next_function
-            read = dict(zip(e.read_cells, e.read_values))
-            cell_digits = [(value_rank[read[c]],) if c in read else range(m) for c in range(n)]
+            read = {c: value_rank[v] for c, v in zip(e.read_cells, e.read_values)}
             writes = [(c, value_rank[v]) for c, v in zip(e.write_cells, e.write_values)]
-            for digits in itertools.product(*cell_digits):
-                rank = sum(map(operator.mul, digits, weight))
-                rank2 = rank + sum((v - digits[c]) * weight[c] for c, v in writes)
-                table[rank * block + me] = rank2 * block + nxt
+            kept = {c for c in range(n) if c not in read and c not in e.write_cells}
+            run = max((list(g) for k, g in itertools.groupby(range(n), kept.__contains__) if k),
+                      key=len, default=[])
+            step = (weight[run[-1]] if run else 1) * block
+            stop = m ** len(run) * step
+            loop = [c for c in range(n) if c not in read and c not in run]
+            for digits in itertools.product(range(m), repeat=len(loop)):
+                cells = {**read, **dict(zip(loop, digits))}
+                rank = sum(d * weight[c] for c, d in cells.items())
+                a = rank * block + me
+                a2 = (rank + sum((v - cells[c]) * weight[c] for c, v in writes)) * block + nxt
+                table[a : a + stop : step] = range(a2, a2 + stop, step)
     # Final states are fixed points, whatever an entry wrote there.  Cell c
     # holds value v exactly on the ranks (hi*m + v)*w + lo, w = weight[c].
     for c, v in p.finals:
@@ -510,8 +507,7 @@ def compile_mem(
         si, fn = divmod(rest, n_fns)
         cells = [p.alphabet[rank // w % m] for w in weight]
         raise _missing_entry(fn, selectors[si], tuple(cells[c] for c in selectors[si]))
-    domain = StateSet(tuple(labels))
-    return Machine(domain, (tuple(table),), frozenset(), p.name, ("step",)), codec
+    return Machine(StateSet(labels), (tuple(table),), frozenset(), p.name, ("step",)), codec
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def resolve_function(m: Machine, token: str) -> int:
     try:
         known = " ".join(names) or f"f0 to f{m.n_functions - 1}"
     except ValueError:  # more digits than Python writes as text
-        known = f"f<i> for any i of at most {sys.get_int_max_str_digits()} digits"
+        known = f"f0 to f(a {decimal_digits(m.n_functions - 1)}-digit number)"
     raise MachalgError(f"unknown function {token!r}; known names: {known}")
 
 
@@ -284,7 +284,7 @@ def render_machine(m: Machine) -> str:
     """Canonical machine block; inverse of parse_machine.  A function or
     machine name that is no ``.mx`` token is replaced; a state label is not.
     Implicit tables are written as one ``functions`` line."""
-    labels = m.states.labels
+    labels = tuple(m.states.labels)
     if not _all_mx_tokens(list(labels)):
         for s in labels:
             if not _is_mx_token(s):

@@ -391,7 +391,7 @@ class TestImplicitContainerNames:
         for tok in ("9" * 5000, "f05"):
             assert run(capsys, "reduce", full, "--keep-fns", tok) == (
                 2, "", f"error: unknown function {tok!r}; known names: "
-                f"f<i> for any i of at most {limit} digits\n"
+                "f0 to f(a 4765-digit number)\n"
             )
 
     def test_indices_with_more_digits_than_python_converts(self, capsys, tmp_path, monkeypatch):
@@ -422,7 +422,7 @@ class TestImplicitContainerNames:
                      ("sim", full, "--fn", too_long, "--from", "s0")):
             assert run(capsys, *argv) == (
                 2, "", f"error: unknown function {too_long!r}; known names: "
-                f"f<i> for any i of at most {limit} digits\n"
+                "f0 to f(a 4765-digit number)\n"
             )
 
 

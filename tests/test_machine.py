@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from machalg import (
     DEFAULT_ENUMERATION_CAP,
+    BoundaryPolicy,
     Cycled,
     DomainMismatchError,
     EnumerationTooLargeError,
@@ -24,6 +25,8 @@ from machalg import (
     StepLimit,
     TotalityViolationError,
     TransitionFunction,
+    compile_mem,
+    compile_tm,
     find_isomorphism,
     fn_from_map,
     full_bijection_machine,
@@ -32,9 +35,11 @@ from machalg import (
     identity_fn,
     make_machine,
     parse_machine,
+    parse_turing,
     run_to_fixpoint,
     state_reduction,
     states,
+    tm_to_mem,
 )
 from machalg import machine as machine_module
 from machalg.textio import display_names, render_machine
@@ -535,6 +540,104 @@ class TestImplicitTables:
         assert len(calls) == 5
         full_machine(ss)
         assert len(calls) == 5  # generated, never checked
+
+
+def _compiled(kind, policy):
+    """``increment.tm`` compiled, or ``bitflip.tm`` through ``tm_to_mem`` and
+    compiled, under ``policy``: 128 to 432 states."""
+    sample = "increment.tm" if kind == "tm" else "bitflip.tm"
+    t = parse_turing((SAMPLES / sample).read_text())
+    t = dataclasses.replace(t, boundary_policy=policy)
+    return compile_tm(t)[0] if kind == "tm" else compile_mem(tm_to_mem(t))[0]
+
+
+COMPILED = [
+    pytest.param(kind, policy, id=f"{kind}-{policy.value}")
+    for kind in ("tm", "mem")
+    for policy in BoundaryPolicy
+]
+
+
+class TestProductLabels:
+    """A compiled state set decodes its labels on demand and answers as the
+    state set listing the same labels does."""
+
+    @pytest.mark.parametrize("kind, policy", COMPILED)
+    def test_equals_its_listing(self, kind, policy):
+        ss = _compiled(kind, policy).states
+        listed = StateSet(tuple(_compiled(kind, policy).states.labels))
+        assert isinstance(ss.labels, machine_module._ProductLabels)
+        assert ss.labels == listed.labels and listed.labels == ss.labels
+        assert ss == listed and listed == ss and not ss != listed
+        assert hash(ss.labels) == hash(listed.labels) and hash(ss) == hash(listed)
+        assert ss.labels == _compiled(kind, policy).states.labels  # by axes
+        for copy in (pickle.loads(pickle.dumps(ss)), dataclasses.replace(ss)):
+            assert isinstance(copy.labels, machine_module._ProductLabels)
+            assert copy == ss == listed and hash(copy) == hash(listed)
+            assert copy.labels.index(listed.labels[-1]) == len(listed) - 1
+        assert ss.labels != listed.labels[:-1] and ss.labels != list(listed.labels)
+
+    @pytest.mark.parametrize("kind, policy", COMPILED)
+    def test_indexing_decodes(self, kind, policy):
+        labels = tuple(_compiled(kind, policy).states.labels)
+        view, n = _compiled(kind, policy).states.labels, len(labels)
+        assert len(view) == n
+        assert [view[i] for i in range(n)] == list(labels)
+        assert [view[i] for i in range(-n, 0)] == list(labels)
+        assert view[1::3] == labels[1::3] and view[::-1] == labels[::-1] and view[n:] == ()
+        assert list(reversed(view)) == list(reversed(labels))
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        assert "_listing" not in view.__dict__  # nothing above listed the labels
+
+    @pytest.mark.parametrize("kind, policy", COMPILED)
+    def test_index_parses(self, kind, policy):
+        labels = tuple(_compiled(kind, policy).states.labels)
+        view = _compiled(kind, policy).states.labels
+        assert [view.index(s) for s in labels] == list(range(len(labels)))
+        assert all(s in view and view.count(s) == 1 for s in labels)
+        label = labels[len(labels) // 2]
+        absent = [
+            label.rsplit("|", 1)[0],  # truncated: the last token is gone
+            label + "|",  # an extra separator
+            label.replace(";" if kind == "mem" else ".", "||", 1),
+            "zz" + label[1:],  # a foreign first token
+            labels[-1][:-1],
+            0, None, label.encode(), [label],
+        ]
+        for bad in absent:
+            assert bad not in view and view.count(bad) == 0
+            with pytest.raises(ValueError):
+                view.index(bad)
+        assert "_listing" not in view.__dict__
+
+    def test_bad_axes_raise(self):
+        product = machine_module._ProductLabels
+        for axes, extra in [
+            ((("a|", "a|"), ("0",)), ()),  # a repeated token
+            ((("a|",), ("0", "0")), ()),  # repeated in the last axis
+            ((("a|", "b."), ("0",)), ()),  # two separators
+            ((("a|", "b"), ("0",)), ()),  # a token without one
+            ((("a|", "b||"), ("0",)), ()),  # the separator inside a token
+            ((("a|", ""), ("0",)), ()),
+            ((("a|",), ("0",)), ("x", "x")),  # a repeated extra label
+            ((("a|",), ("0",)), ("a|0",)),  # an extra label in the product
+        ]:
+            with pytest.raises(InvalidMachineError):
+                product(axes, extra)
+        labels = product((("a|", "b|"), ("0", "1")), ("!e",))
+        assert labels == ("a|0", "a|1", "b|0", "b|1", "!e") and labels.index("!e") == 4
+        one_axis = product((("a|0", "a|1", "b|0", "b|1"),), ("!e",))
+        assert labels == one_axis and hash(labels) == hash(one_axis)
+        assert labels != product((("a|", "b|"), ("0", "1")))
+
+    @pytest.mark.parametrize("kind, policy", COMPILED)
+    def test_text_round_trip(self, kind, policy):
+        m = _compiled(kind, policy)
+        text = render_machine(m)
+        assert parse_machine(text) == m and m == parse_machine(text)
+        assert render_machine(parse_machine(text)) == text
 
 
 class TestRunToFixpoint:

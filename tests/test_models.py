@@ -551,10 +551,10 @@ class TestCompileMem:
             compile_mem(toggle_program(), cap=2)
 
 
-def random_mem_program(rng, total, default_halt, n_families=None, with_finals=None):
+def random_mem_program(rng, total, default_halt, n_families=None, with_finals=None, max_cells=3):
     """A seeded MemProgram; ``total`` gives every family an entry for every
     (selector, values) pair its selectors can produce."""
-    n = rng.randint(1, 3)
+    n = rng.randint(1, max_cells)
     alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
     n_fns = n_families or rng.randint(1, 3)
 
@@ -624,6 +624,14 @@ class TestCompileMemMatchesOracle:
         rng = random.Random(47)
         for _ in range(40):
             p = random_mem_program(rng, False, True, n_families=rng.randint(2, 3))
+            assert compiled_labels_and_table(p) == brute_force_compile_mem(p)
+
+    def test_wide_programs(self):
+        # Up to five cells: the unread cells an entry does not write may
+        # form runs on both sides of the cells it reads or writes.
+        rng = random.Random(67)
+        for _ in range(20):
+            p = random_mem_program(rng, False, True, max_cells=5)
             assert compiled_labels_and_table(p) == brute_force_compile_mem(p)
 
     @pytest.mark.parametrize("policy", list(BoundaryPolicy))

@@ -10,7 +10,8 @@ times as much; a quadratic path costs about 64 times as much.  The bound of
 
 The full machine is built and reduced to 48 of its functions on 6 and on
 600 states: it is never listed, so both cost about the same per entry of
-the kept tables.
+the kept tables.  A compiled tape machine of 917,504 states is walked from
+its initial state without listing its labels.
 """
 
 import random
@@ -19,7 +20,9 @@ import time
 import pytest
 
 from machalg import (
+    DEFAULT_ENUMERATION_CAP,
     BoundaryPolicy,
+    Cycled,
     MemEntry,
     MemProgram,
     Move,
@@ -34,8 +37,10 @@ from machalg import (
     make_machine,
     parse_machine,
     render_machine,
+    run_to_fixpoint,
     state_reduction,
 )
+from oracles import brute_force_compile_tm
 
 SMALL, LARGE = 2048, 16384
 MAX_RATIO = 24
@@ -77,8 +82,8 @@ def test_growth_is_linear(op):
     )
 
 
-def tape_spec(k):
-    """k registers on 2 symbols x 8 cells, clamped: k * 2**8 * 8 states."""
+def tape_spec(k, cells=8):
+    """k registers on 2 symbols x ``cells`` cells, clamped: k * 2**cells * cells states."""
     registers = tuple(f"q{i}" for i in range(k))
     rules = {
         (r, s): (registers[(i + 1) % k], "1" if s == "0" else "0", Move.RIGHT)
@@ -88,11 +93,11 @@ def tape_spec(k):
     return TuringSpec(
         symbols=("0", "1"),
         registers=registers,
-        cells=8,
+        cells=cells,
         rules=rules,
         halting=frozenset(),
         boundary_policy=BoundaryPolicy.CLAMP,
-        initial=TmConfiguration("q0", ("0",) * 8, 0),
+        initial=TmConfiguration("q0", ("0",) * cells, 0),
     )
 
 
@@ -140,6 +145,31 @@ def test_compiler_growth_is_linear(compile_fn, small_source, large_source):
         f"{compile_fn.__name__}: {small * 1e3:.2f} ms at {SMALL} states, "
         f"{large * 1e3:.2f} ms at {LARGE} states, ratio {ratio:.1f}"
     )
+
+
+def walk_from_the_start(t):
+    m, codec = compile_tm(t)
+    walk = run_to_fixpoint(m.functions[0], codec.encode(t.initial), m.n_states, True)
+    # Neither the label tuple nor the label dict was built.
+    assert "_listing" not in m.states.labels.__dict__
+    assert "_positions" not in m.states.__dict__
+    return m, walk
+
+
+def test_a_walk_decodes_only_the_states_it_visits():
+    # 4 registers on 2 symbols x 14 cells: 917,504 states, under the cap.
+    m, walk = walk_from_the_start(tape_spec(4, cells=14))
+    assert m.n_states == 4 * 2**14 * 14 <= DEFAULT_ENUMERATION_CAP
+    assert isinstance(walk, Cycled) and walk.trajectory[0] == "q0|" + ".".join("0" * 14) + "|0"
+    # On 2048 states, the walk reads the oracle's labels along the oracle's table.
+    t = tape_spec(1)
+    _, walk = walk_from_the_start(t)
+    labels, table = brute_force_compile_tm(t)
+    i, want = 0, []
+    for _ in walk.trajectory:
+        want.append(labels[i])
+        i = table[i]
+    assert walk.trajectory == tuple(want) and len(want) > 8
 
 
 def keep_from_full_machine(n, picks):
