@@ -24,41 +24,45 @@ from machalg import (
 from machalg.lemmas import run_lemma_suite
 
 
-def iso_classes(n_states: int, n_functions: int, sample_cap: int, rng) -> tuple[int, int]:
-    """(machines, classes) for |S|=n_states and exactly n_functions maps."""
+def iso_classes(n_states: int, n_functions: int, sample_cap: int, rng) -> tuple[int, int, bool]:
+    """(machines, classes, sampled) for |S|=n_states and exactly n_functions
+    maps; a sampled cell counts only sample_cap machines, so its classes are
+    a lower bound."""
     ss = StateSet(tuple(f"s{i}" for i in range(n_states)))
     tables = sorted(itertools.product(range(n_states), repeat=n_states))
     combos = list(itertools.combinations(tables, n_functions))
-    if len(combos) > sample_cap:
+    sampled = len(combos) > sample_cap
+    if sampled:
         combos = rng.sample(combos, sample_cap)
     reps: list[Machine] = []
     for combo in combos:
         m = Machine(ss, combo)
         if not any(find_isomorphism(r, m) for r in reps):
             reps.append(m)
-    return len(combos), len(reps)
+    return len(combos), len(reps), sampled
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-states", type=int, default=3)
     ap.add_argument("--max-fns", type=int, default=3)
-    ap.add_argument("--sample-cap", type=int, default=400,
+    ap.add_argument("--sample-cap", type=int, default=3000,
                     help="per cell, sample when the raw count exceeds this")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--law-iters", type=int, default=2000)
     args = ap.parse_args()
     rng = random.Random(args.seed)
 
-    print("isomorphism classes (machines counted / classes found):")
+    print("isomorphism classes (machines counted / classes found; + marks a sampled"
+          " cell, whose class count is a lower bound):")
     for n in range(1, args.max_states + 1):
         row = []
         for k in range(1, args.max_fns + 1):
             if k > n**n:
                 row.append("-")
                 continue
-            total, classes = iso_classes(n, k, args.sample_cap, rng)
-            row.append(f"{total}/{classes}")
+            total, classes, sampled = iso_classes(n, k, args.sample_cap, rng)
+            row.append(f"{total}/{classes}" + "+" * sampled)
         print(f"  |S|={n}: " + "  ".join(f"k={k}: {cell}"
               for k, cell in enumerate(row, start=1)))
 

@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import EmptyReductionError, MachalgError
-from .machine import Machine, StateSet, _assemble
+from .machine import Machine, StateSet, _AllTables, _assemble
 from .reductions import functional_reduction, is_sub_machine, state_reduction
 
 LEMMA_NAMES = {
@@ -65,9 +65,9 @@ def random_machine(
     n = rng.randint(1, max_states)
     states = StateSet(tuple(f"s{i}" for i in range(n)))
     k = rng.randint(1, min(max_functions, n**n))
-    chosen = rng.sample(range(n**n), k)
-    tables = [tuple(c // n**p % n for p in range(n - 1, -1, -1)) for c in chosen]
-    return _assemble(states, [(t, None) for t in tables])
+    every = _AllTables(n)
+    chosen = rng.sample(range(every.size), k)
+    return _assemble(states, [(every[c], None) for c in chosen])
 
 
 def _subset(rng: random.Random, items: Sequence) -> list:

@@ -159,8 +159,8 @@ def _numeral(table: Sequence[int], n: int) -> int:
 # from it, so that isinstance tests against them stay as fast as for any class.
 @abc.Sequence.register
 class _Lookup:
-    """The sequence methods that follow from ``size``, ``_decode(i)`` and
-    ``index``, for sequences that hold each item at most once."""
+    """The sequence methods that follow from ``size``, ``_decode(i)``,
+    ``index`` and ``__iter__``, for sequences that hold each item at most once."""
 
     def __len__(self) -> int:
         return self.size
@@ -188,15 +188,18 @@ class _Lookup:
         return int(x in self)
 
     def __reversed__(self):
-        return map(self.__getitem__, reversed(range(self.size)))
+        return reversed(tuple(self))
 
 
 class _ImplicitTables(_Lookup):
     """Every table of one kind on ``n`` states, in lexicographic order,
     computed on demand: ``[i]`` decodes i, :meth:`index` encodes a table,
-    and ``==`` and ``hash`` are those of the explicit tuple.  ``form`` is the
-    kind's word in ``.mx`` text, ``what`` its name in EnumerationTooLargeError.
-    ``size`` is exact where ``len()`` overflows (above ``sys.maxsize``)."""
+    and ``==`` and ``hash`` are those of the explicit tuple.  Any whole read
+    (iteration, reversal, ``tuple``, ``set``, ``hash``) of more than
+    DEFAULT_ENUMERATION_CAP tables raises EnumerationTooLargeError at the
+    call.  ``form`` is the kind's word in ``.mx`` text, ``what`` its name in
+    that error.  ``size`` is exact where ``len()`` overflows (above
+    ``sys.maxsize``)."""
 
     def __init__(self, n: int):
         self.n = n
@@ -225,8 +228,13 @@ class _ImplicitTables(_Lookup):
             return len(other) == self.size and all(map(operator.eq, self, other))
         return NotImplemented
 
+    def __iter__(self):
+        if self.size > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationTooLargeError(self.what, self.size, DEFAULT_ENUMERATION_CAP)
+        return self._unlisted()
+
     def __hash__(self) -> int:
-        return hash(tuple(_listed(self)))
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.n})"
@@ -241,7 +249,7 @@ class _AllTables(_ImplicitTables):
     def size(self) -> int:
         return self.n**self.n
 
-    def __iter__(self):
+    def _unlisted(self):
         return itertools.product(range(self.n), repeat=self.n)
 
     def _decode(self, i: int) -> tuple[int, ...]:
@@ -264,7 +272,7 @@ class _Bijections(_ImplicitTables):
     def size(self) -> int:
         return math.factorial(self.n)
 
-    def __iter__(self):
+    def _unlisted(self):
         return itertools.permutations(range(self.n))
 
     def _decode(self, i: int) -> tuple[int, ...]:
@@ -294,9 +302,9 @@ class _ProductLabels(_Lookup):
     an axis but the last ends in the axis's separator and holds it nowhere
     else, so a label splits into tokens one way only, and the labels are
     distinct once each axis's tokens are: the constructor checks both in
-    O(total tokens).  ``[i]`` decodes i, :meth:`index` parses a label, and
-    the first whole read lists the labels once and keeps the tuple, whose
-    ``==`` and ``hash`` these are.
+    O(total tokens).  ``[i]`` and reversal decode, :meth:`index` parses a
+    label, and the first whole read lists the labels once and keeps the
+    tuple, whose ``==`` and ``hash`` these are.
     """
 
     def __init__(self, axes: Iterable[Sequence[str]], extra: Sequence[str] = ()):
@@ -344,6 +352,9 @@ class _ProductLabels(_Lookup):
 
     def __iter__(self):
         return iter(self._listing)
+
+    def __reversed__(self):
+        return map(self._decode, reversed(range(self.size)))
 
     def __eq__(self, other):
         if isinstance(other, _ProductLabels) and (self.axes, self.extra) == (other.axes, other.extra):
@@ -464,14 +475,6 @@ def _names(m: Machine) -> Callable[[int], Optional[str]]:
     return m.function_names.__getitem__ if m.function_names else m.tables.name
 
 
-def _listed(tables: Sequence[tuple[int, ...]]) -> Sequence[tuple[int, ...]]:
-    """``tables``, for a loop over every one of them: implicit tables
-    longer than DEFAULT_ENUMERATION_CAP raise EnumerationTooLargeError."""
-    if isinstance(tables, _ImplicitTables) and tables.size > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationTooLargeError(tables.what, tables.size, DEFAULT_ENUMERATION_CAP)
-    return tables
-
-
 def _assemble(
     state_set: StateSet, pairs: Iterable, outputs: Iterable = (), name: Optional[str] = None
 ) -> Machine:
@@ -520,9 +523,9 @@ def full_machine(state_set: StateSet) -> Machine:
     """The machine carrying all ``n**n`` transition functions on ``state_set``.
 
     Built in O(1): its tables are computed on demand, and a table's index
-    is its base-n numeral.  Loops over every function (isomorphism search,
-    search-path completeness, state reduction) refuse more than
-    DEFAULT_ENUMERATION_CAP of them.
+    is its base-n numeral.  Any whole read of its tables or functions
+    (isomorphism search, search-path completeness, state reduction) refuses
+    more than DEFAULT_ENUMERATION_CAP of them.
     """
     return Machine(state_set, _AllTables(len(state_set)))
 

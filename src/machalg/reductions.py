@@ -23,7 +23,7 @@ from .errors import (
     InvalidReductionError,
     decimal_digits,
 )
-from .machine import Machine, StateSet, TransitionFunction, _assemble, _listed, _names
+from .machine import Machine, StateSet, TransitionFunction, _assemble, _names
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _restrictions(m: Machine, kept: Sequence[int]) -> Iterator[tuple[int, tuple[
     indices ``kept`` into themselves, ``table`` re-indexed by position in
     ``kept``: the one place a table is restricted to a state subset."""
     position = {s: p for p, s in enumerate(kept)}.get
-    for i, table in enumerate(_listed(m.tables)):
+    for i, table in enumerate(m.tables):
         image = tuple(map(position, map(table.__getitem__, kept)))
         if None not in image:
             yield i, image
@@ -142,7 +142,7 @@ def is_sub_machine(a: Machine, b: Machine) -> Optional[tuple[Reduction, Reductio
     labels = b.states.labels
     if not all(s in a.states for s in labels):
         return None
-    wanted = set(_listed(b.tables))
+    wanted = set(b.tables)
     positions = [a.states.index(s) for s in labels]
     hits = [(i, t) for i, t in _restrictions(a, positions) if t in wanted]
     if {t for _, t in hits} != wanted:

@@ -21,7 +21,6 @@ from .machine import (
     _assemble,
     _Bijections,
     _ImplicitTables,
-    _listed,
     _names,
 )
 
@@ -242,9 +241,9 @@ def parse_machine(text: str) -> Machine:
 
 
 def display_names(m: Machine) -> list[str]:
-    names = []
-    used = set()
-    for i, cand in enumerate(map(_names(m), range(len(_listed(m.tables))))):
+    names, used, name = [], set(), _names(m)
+    for i, _ in enumerate(m.tables):  # implicit tables past the cap refuse here
+        cand = name(i)
         if cand in used or not _is_mx_token(cand):
             cand = f"f{i}"
             while cand in used:

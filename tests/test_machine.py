@@ -33,6 +33,7 @@ from machalg import (
     full_machine,
     functional_reduction,
     identity_fn,
+    is_complete,
     make_machine,
     parse_machine,
     parse_turing,
@@ -427,6 +428,32 @@ class TestImplicitTables:
             with pytest.raises(EnumerationTooLargeError) as e:
                 hash(value)
             assert (e.value.what, e.value.size) == ("full transition set", 8**8)
+
+    @pytest.mark.parametrize("build, n, what, size", [
+        (full_machine, 8, "full transition set", 8**8),
+        (full_bijection_machine, 10, "bijection set", math.factorial(10)),
+    ])
+    def test_whole_reads_past_the_cap_refuse_at_the_call(self, monkeypatch, build, n, what, size):
+        m = build(_ss(n))
+
+        def unreachable(*args):
+            raise AssertionError("a table was decoded or listed")
+
+        monkeypatch.setattr(type(m.tables), "_decode", unreachable)
+        monkeypatch.setattr(type(m.tables), "_unlisted", unreachable)
+        reads = [(read, m.tables) for read in (iter, reversed, tuple, set, hash)]
+        for read, view in reads + [(iter, m.functions), (reversed, m.functions)]:
+            with pytest.raises(EnumerationTooLargeError) as e:
+                read(view)
+            assert str(e.value) == (
+                f"{what} would enumerate {size} items, above the cap of {DEFAULT_ENUMERATION_CAP}"
+            )
+
+    def test_search_refuses_the_container_first(self):
+        # Both sides are past the cap: the error names the container.
+        with pytest.raises(EnumerationTooLargeError) as e:
+            is_complete(full_bijection_machine(_ss(10)), full_machine(_ss(8)), method="search")
+        assert (e.value.what, e.value.size) == ("bijection set", math.factorial(10))
 
     @pytest.mark.parametrize("build", [full_machine, full_bijection_machine])
     def test_views_are_whole_sequences(self, build):
