@@ -8,6 +8,7 @@ bijection-closure obstruction exhaustively.  Everything is seeded.
 
 import argparse
 import itertools
+import math
 import os
 import random
 import sys
@@ -24,22 +25,33 @@ from machalg import (
 from machalg.lemmas import run_lemma_suite
 
 
+def unrank_combination(rank: int, n: int, k: int) -> list[int]:
+    """The k-subset of range(n) at ``rank`` in itertools.combinations order."""
+    chosen, x = [], 0
+    for slots in range(k, 0, -1):
+        while rank >= (below := math.comb(n - x - 1, slots - 1)):  # subsets that skip x
+            rank -= below
+            x += 1
+        chosen.append(x)
+        x += 1
+    return chosen
+
+
 def iso_classes(n_states: int, n_functions: int, sample_cap: int, rng) -> tuple[int, int, bool]:
     """(machines, classes, sampled) for |S|=n_states and exactly n_functions
-    maps; a sampled cell counts only sample_cap machines, so its classes are
-    a lower bound."""
+    maps; a sampled cell counts only sample_cap machines, drawn by rank
+    without listing the cell, so its classes are a lower bound."""
     ss = StateSet(tuple(f"s{i}" for i in range(n_states)))
     tables = sorted(itertools.product(range(n_states), repeat=n_states))
-    combos = list(itertools.combinations(tables, n_functions))
-    sampled = len(combos) > sample_cap
-    if sampled:
-        combos = rng.sample(combos, sample_cap)
+    total = math.comb(len(tables), n_functions)
+    sampled = total > sample_cap
+    ranks = rng.sample(range(total), sample_cap) if sampled else range(total)
     reps: list[Machine] = []
-    for combo in combos:
-        m = Machine(ss, combo)
+    for rank in ranks:
+        m = Machine(ss, [tables[i] for i in unrank_combination(rank, len(tables), n_functions)])
         if not any(find_isomorphism(r, m) for r in reps):
             reps.append(m)
-    return len(combos), len(reps), sampled
+    return len(ranks), len(reps), sampled
 
 
 def main() -> int:

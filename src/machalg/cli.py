@@ -271,10 +271,10 @@ def _cmd_lockstep(args) -> int:
 
 
 def _sniff(text: str) -> str:
+    """The first word of the first significant line, read alone."""
     from .textio import _significant_lines
 
-    rows = _significant_lines(text)
-    return rows[0][2][0] if rows else ""
+    return next((body.split(None, 1)[0] for _, _, body in _significant_lines(text)), "")
 
 
 def _cmd_sim(args) -> int:

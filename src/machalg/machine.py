@@ -55,7 +55,7 @@ class StateSet:
 
     @cached_property
     def _positions(self) -> dict:
-        return {s: i for i, s in enumerate(self.labels)}
+        return dict(zip(self.labels, range(len(self.labels))))
 
     def __contains__(self, label):
         try:

@@ -26,6 +26,7 @@ from .machine import (
     DEFAULT_ENUMERATION_CAP,
     Machine,
     StateSet,
+    _assemble,
     _ProductLabels,
 )
 
@@ -260,7 +261,7 @@ def compile_tm(
                 table[a:b:stride] = [error_index] * count if error else moved
 
     codec = TmStateCodec(t.symbols, t.registers, n, ERROR_LABEL if reject else None)
-    return Machine(StateSet(labels), (tuple(table),), frozenset(), t.name, ("step",)), codec
+    return _assemble(StateSet(labels), [(tuple(table), "step")], name=t.name), codec
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +508,7 @@ def compile_mem(
         si, fn = divmod(rest, n_fns)
         cells = [p.alphabet[rank // w % m] for w in weight]
         raise _missing_entry(fn, selectors[si], tuple(cells[c] for c in selectors[si]))
-    return Machine(StateSet(labels), (tuple(table),), frozenset(), p.name, ("step",)), codec
+    return _assemble(StateSet(labels), [(tuple(table), "step")], name=p.name), codec
 
 
 # ---------------------------------------------------------------------------

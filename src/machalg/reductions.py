@@ -102,20 +102,26 @@ def state_reduction(m: Machine, keep_states: Sequence[str]) -> Reduction:
     keep_states = tuple(keep_states)
     if not keep_states:
         raise InvalidReductionError("a state reduction must keep at least one state")
-    foreign = [s for s in keep_states if s not in m.states]
-    if foreign:
-        raise InvalidReductionError(f"states not in the machine: {foreign}")
+    try:
+        kept = list(map(m.states._positions.__getitem__, keep_states))
+    except (KeyError, TypeError):  # a label not in the machine, hashable or not
+        foreign = [s for s in keep_states if s not in m.states]
+        raise InvalidReductionError(f"states not in the machine: {foreign}") from None
     sub = StateSet(keep_states)  # validates distinctness
-    kept = [m.states.index(s) for s in keep_states]
     name = _names(m)
-    restricted = [(t, name(i)) for i, t in _restrictions(m, kept)]
+    return _state_witness(m, sub, [(t, name(i)) for i, t in _restrictions(m, kept)])
+
+
+def _state_witness(m: Machine, sub: StateSet, restricted: list) -> Reduction:
+    """The state reduction of ``m`` to ``sub`` whose restricted ``(table,
+    name)`` pairs, in ``m``'s function order, are already found."""
     if not restricted:
         raise EmptyReductionError(
-            f"no transition function preserves {list(keep_states)}; "
+            f"no transition function preserves {list(sub.labels)}; "
             "the reduction would leave an empty function set"
         )
     reduced = _assemble(sub, restricted, name=m.name)
-    return Reduction("state", m, reduced, kept_states=keep_states)
+    return Reduction("state", m, reduced, kept_states=sub.labels)
 
 
 def sub_machine(
@@ -123,8 +129,9 @@ def sub_machine(
 ) -> tuple[Reduction, Reduction]:
     """Keep ``m``'s functions at the indices ``kept_functions``, then the
     states ``kept_states``; returns both witnesses, the second one's
-    ``result`` being the sub-machine.  Every witness builder and checker
-    replays a sub-machine through here."""
+    ``result`` being the sub-machine.  Every checker replays a witness through
+    here; :func:`is_sub_machine` builds the same pair from the restrictions
+    its test already found."""
     fr = functional_reduction(m, kept_functions)
     return fr, state_reduction(fr.result, kept_states)
 
@@ -139,12 +146,14 @@ def is_sub_machine(a: Machine, b: Machine) -> Optional[tuple[Reduction, Reductio
     restriction lands in ``b``'s function set, which makes the witness
     canonical (it is the same for every run).
     """
-    labels = b.states.labels
-    if not all(s in a.states for s in labels):
+    labels = tuple(b.states.labels)
+    positions = list(map(a.states._positions.get, labels))
+    if None in positions:
         return None
     wanted = set(b.tables)
-    positions = [a.states.index(s) for s in labels]
     hits = [(i, t) for i, t in _restrictions(a, positions) if t in wanted]
     if {t for _, t in hits} != wanted:
         return None
-    return sub_machine(a, [i for i, _ in hits], labels)
+    fr, name = functional_reduction(a, [i for i, _ in hits]), _names(a)
+    # fr.result keeps a's sorted tables in a's order, so hits are in its order too
+    return fr, _state_witness(fr.result, StateSet(labels), [(t, name(i)) for i, t in hits])

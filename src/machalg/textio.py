@@ -28,14 +28,13 @@ if TYPE_CHECKING:  # parse_turing and parse_mem import models when called
     from .models import MemProgram, TuringSpec
 
 
-def _significant_lines(text: str) -> list[tuple[int, str, list[str]]]:
-    """(line number, raw line, tokens) for every non-blank non-comment line."""
-    rows = []
+def _significant_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, raw line, body) for every non-blank non-comment line,
+    ``body`` being the line before any ``#``, split by each reader as it needs."""
     for i, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0]
         if body.strip():
-            rows.append((i, raw, body.split()))
-    return rows
+            yield i, raw, body
 
 
 def _col(raw: str, k: int, skip: int = 0) -> int:
@@ -59,18 +58,18 @@ def _number(token: str, lineno: int, raw: str, k: int, skip: int = 0) -> int | N
         raise ParseError(f"{len(token)}-digit number is too long", lineno, _col(raw, k, skip)) from None
 
 
-def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tuple[int, str, list]]:
-    """(line number, raw line, tokens) for every significant line of a
+def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tuple[int, str, str, str]]:
+    """(line number, raw line, head, body) for every significant line of a
     ``<kind> <name>`` format, after the rules all such formats share: the
     input is not empty, the header has exactly one name and comes first, no
     head in ``once`` (the header among them) comes twice, and every head is in
     ``once`` or ``many``."""
-    rows = _significant_lines(text)
+    rows = list(_significant_lines(text))
     if not rows:
         raise ParseError(f"empty input; expected '{kind} <name>'", 1)
     seen = set()
-    for lineno, raw, tokens in rows:
-        head = tokens[0]
+    for lineno, raw, body in rows:
+        head = body.split(None, 1)[0]
         if head in once:
             if head in seen:
                 raise ParseError(f"second {head!r} line", lineno, _col(raw, 0))
@@ -79,9 +78,9 @@ def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tupl
             seen.add(head)
         elif head not in many:
             raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, 0))
-        if head == kind and len(tokens) != 2:
+        if head == kind and len(body.split()) != 2:
             raise ParseError(f"expected '{kind} <name>'", lineno, 1)
-        yield lineno, raw, tokens
+        yield lineno, raw, head, body
 
 
 def _require(lineno: int, *needed: tuple[str, object]) -> None:
@@ -118,16 +117,18 @@ def _all_mx_tokens(labels: list[str]) -> bool:
 
 
 def _clause_table(rest: str, state_set: StateSet) -> tuple[int, ...] | None:
-    """The table of fn clauses ``state->state`` naming every state once, or None
-    for any other clauses, which the per-clause loop then reads or rejects."""
-    at = state_set._positions
-    chunks = rest.split(",")
-    try:
-        mapping = dict(chunk.strip().split("->") for chunk in chunks)
-        if len(chunks) == len(mapping) == len(at) and mapping.keys() <= at.keys():
-            return tuple(map(at.__getitem__, map(mapping.__getitem__, state_set.labels)))
-    except (ValueError, KeyError):  # a clause without one arrow, an unknown target
-        pass
+    """The table of canonical fn clauses (``s->t`` in state order, joined by
+    ``, ``), or None for any other text, which the per-clause loop then reads
+    or rejects.  No label holds , -> or whitespace, so a split that joins
+    back to the text is its parse."""
+    body = rest.strip()
+    words = body.replace("->", ", ").split(", ")
+    srcs, dsts = words[0::2], words[1::2]
+    if tuple(srcs) == state_set.labels and ", ".join(map("->".join, zip(srcs, dsts))) == body:
+        try:
+            return tuple(map(state_set._positions.__getitem__, dsts))
+        except KeyError:  # an unknown target
+            pass
     return None
 
 
@@ -152,8 +153,8 @@ def parse_machine(text: str) -> Machine:
     output_names: list[tuple[str, int, str, int]] = []
 
     once = ("machine", "states", "functions")
-    for lineno, raw, tokens in _directives(text, "machine", once, ("fn", "output")):
-        head = tokens[0]
+    for lineno, raw, head, body in _directives(text, "machine", once, ("fn", "output")):
+        tokens = body.split() if head != "fn" else None  # a fn line is read from its body
         if implicit and head in ("fn", "output") or head == "functions" and (fn_names or output_names):
             raise ParseError("a 'functions' line excludes 'fn' and 'output' lines", lineno, 1)
         if head == "machine":
@@ -165,14 +166,17 @@ def parse_machine(text: str) -> Machine:
             if len(tokens) < 2:
                 raise ParseError("'states' needs at least one state", lineno, 1)
             labels = tokens[1:]
-            if not _all_mx_tokens(labels) or len(set(labels)) != len(labels):
+            try:
+                state_set = StateSet(tuple(labels))
+            except InvalidMachineError:  # a repeat, which the loop below places
+                pass
+            if state_set is None or not _all_mx_tokens(labels):
                 seen = set()
                 for k, s in enumerate(labels, 1):
                     _check_mx_token(s, "state", lineno, raw, k)
                     if s in seen:
                         raise ParseError(f"duplicate state {s!r}", lineno, _col(raw, k))
                     seen.add(s)
-            state_set = StateSet(tuple(labels))
         elif head == "functions":
             if state_set is None:
                 raise ParseError("'states' must come before 'functions'", lineno, 1)
@@ -182,7 +186,6 @@ def parse_machine(text: str) -> Machine:
         elif head == "fn":
             if state_set is None:
                 raise ParseError("'states' must come before 'fn'", lineno, 1)
-            body = raw.split("#", 1)[0]
             header, sep, rest = body.partition(":")
             if not sep:
                 raise ParseError("fn line needs 'fn <name>: <clauses>'", lineno, 1)
@@ -324,8 +327,8 @@ def parse_turing(text: str) -> TuringSpec:
         return value
 
     once = ("tm", "symbols", "registers", "cells", "boundary", "halting", "init")
-    for lineno, raw, tokens in _directives(text, "tm", once, ("rule",)):
-        head = tokens[0]
+    for lineno, raw, head, body in _directives(text, "tm", once, ("rule",)):
+        tokens = body.split()
         if head == "tm":
             name = tokens[1]
         elif head == "symbols":
@@ -494,8 +497,8 @@ def parse_mem(text: str) -> MemProgram:
     finals: list[tuple[int, str]] = []
 
     once = ("mem", "alphabet", "start", "default")
-    for lineno, raw, tokens in _directives(text, "mem", once, ("cell", "fn", "entry", "final")):
-        head = tokens[0]
+    for lineno, raw, head, body in _directives(text, "mem", once, ("cell", "fn", "entry", "final")):
+        tokens = body.split()
         if head == "mem":
             name = tokens[1]
         elif head == "alphabet":
@@ -636,7 +639,7 @@ _CERT_FIELD = {"g": "g", "h": "h", "keep-fns": "kept_functions", "keep-states": 
 
 
 def parse_certificate(text: str) -> Certificate:
-    rows = _significant_lines(text)
+    rows = [(lineno, raw, body.split()) for lineno, raw, body in _significant_lines(text)]
     if not rows:
         raise ParseError("empty input; expected 'certificate <kind>'", 1)
     lineno, raw, tokens = rows[0]

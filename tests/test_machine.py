@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+import re
 import sys
 import tracemalloc
 import weakref
@@ -313,6 +314,20 @@ class TestTables:
         with pytest.raises(TotalityViolationError) as got:
             Machine(ss, ((0, 0), table))
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("table, message", [
+        ((0, 5), "entry 1 maps to index 5, outside the 2-state domain"),
+        ((-1, 0), "entry 0 maps to index -1, outside the 2-state domain"),
+        ((1, 2), "entry 1 maps to index 2, outside the 2-state domain"),
+        ((0,), "table has 1 entries for 2 states"),
+        ((0, 1, 1), "table has 3 entries for 2 states"),
+    ])
+    def test_bare_tables_are_range_checked(self, table, message):
+        # Tables from outside are checked where they enter; compiled ones are not.
+        ss = states("a", "b")
+        for build in (lambda: Machine(ss, ((0, 0), table)), lambda: make_machine(ss, [table])):
+            with pytest.raises(TotalityViolationError, match=f"^{re.escape(message)}$"):
+                build()
 
     def test_full_machine_holds_its_tables_only(self):
         ss = StateSet(tuple(f"s{i}" for i in range(6)))

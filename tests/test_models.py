@@ -38,6 +38,9 @@ from machalg import (
     verify_lockstep,
 )
 
+from machalg.machine import _check_tables
+from machalg.textio import parse_mem
+
 from conftest import random_tm_config, random_turing_spec
 from oracles import brute_force_compile_mem, brute_force_compile_tm
 
@@ -675,6 +678,38 @@ class TestCompileMemMatchesOracle:
         assert compiled_labels_and_table(p) == brute_force_compile_mem(p)
         with pytest.raises(TotalityViolationError, match=r"read\(0,\)=\('b',\)"):
             compile_mem(dataclasses.replace(p, finals=()))
+
+
+class TestCompiledTablesInRange:
+    """The compilers build every entry in range, so their machines skip the
+    entry-by-entry check that tables from outside get: check it here."""
+
+    @staticmethod
+    def assert_in_range(m):
+        _check_tables(m.tables, m.n_states)  # raises TotalityViolationError otherwise
+
+    def test_samples(self):
+        samples = BITFLIP_TM.parent
+        for name in ("bitflip.tm", "increment.tm"):
+            self.assert_in_range(compile_tm(parse_turing((samples / name).read_text()))[0])
+        # increment.tm's memory-cell program has 2,657,205 states, past the cap
+        self.assert_in_range(compile_mem(tm_to_mem(parse_turing(BITFLIP_TM.read_text())))[0])
+        self.assert_in_range(compile_mem(parse_mem((samples / "toggle.mem").read_text()))[0])
+
+    @pytest.mark.parametrize("policy", list(BoundaryPolicy))
+    def test_random_specs(self, policy):
+        rng = random.Random(f"in-range-{policy.value}")
+        for _ in range(200):
+            t = dataclasses.replace(random_turing_spec(rng, max_cells=3), boundary_policy=policy)
+            self.assert_in_range(compile_tm(t)[0])
+            self.assert_in_range(compile_mem(tm_to_mem(t))[0])
+
+    @pytest.mark.parametrize("default_halt", [False, True])
+    def test_random_mem_programs(self, default_halt):
+        rng = random.Random(f"in-range-mem-{default_halt}")
+        for _ in range(100):
+            p = random_mem_program(rng, not default_halt, default_halt)
+            self.assert_in_range(compile_mem(p)[0])
 
 
 class TestTmToMem:

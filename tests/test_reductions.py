@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -124,6 +125,16 @@ class TestStateReduce:
     def test_foreign_label_rejected(self):
         with pytest.raises(InvalidReductionError):
             state_reduction(self.m, ("0", "x"))
+
+    @pytest.mark.parametrize("keep, foreign", [
+        (("0", "x"), "['x']"),
+        (("x", "1", "y"), "['x', 'y']"),
+        (("0", ["1"]), "[['1']]"),  # an unhashable label is foreign too
+        (("0", "0", "z"), "['z']"),  # named before the repeat
+    ])
+    def test_foreign_labels_are_named(self, keep, foreign):
+        with pytest.raises(InvalidReductionError, match=f"^states not in the machine: {re.escape(foreign)}$"):
+            state_reduction(self.m, keep)
 
     def test_restrictions_are_exact(self):
         rng = random.Random(2)
@@ -415,6 +426,43 @@ class TestSubMachine:
                 assert fr.kept_functions == want
                 assert sr.result == b and sr.kept_states == b.states.labels
         assert answers.count(True) > 50 and answers.count(False) > 50
+
+    def test_witness_is_the_replay(self):
+        # is_sub_machine builds its witness from the restrictions it found;
+        # it must be the pair sub_machine replays, with the function names
+        # that == does not compare, when two kept functions restrict to one
+        # table (the first name wins) too.
+        rng = random.Random(12)
+        tally = {"hit": 0, "miss": 0, "collapse": 0}
+        for i in range(400):
+            if i % 10:
+                a = random_machine(rng)
+                names = rng.sample([f"g{j}" for j in range(3 * a.n_functions)], a.n_functions)
+                a = dataclasses.replace(a, name=f"m{i}", function_names=tuple(names))
+            else:  # implicit tables, whose names are f<i>
+                a = full_machine(StateSet(tuple(f"s{j}" for j in range(rng.randint(1, 3)))))
+            labels = rng.sample(a.states.labels, rng.randint(1, a.n_states))
+            keep = rng.sample(range(a.n_functions), rng.randint(1, min(a.n_functions, 6)))
+            try:
+                b = sub_machine(a, keep, labels)[1].result
+            except EmptyReductionError:
+                continue
+            if rng.random() < 0.3:
+                extra = tuple(rng.randrange(b.n_states) for _ in range(b.n_states))
+                b = make_machine(b.states, [*b.functions[1:], TransitionFunction(b.states, extra)])
+            witness = is_sub_machine(a, b)
+            if witness is None:
+                tally["miss"] += 1
+                continue
+            tally["hit"] += 1
+            replay = sub_machine(a, witness[0].kept_functions, b.states.labels)
+            for got, want in zip(witness, replay):
+                assert got == want
+                for m, n in ((got.source, want.source), (got.result, want.result)):
+                    assert (m.name, m.function_names) == (n.name, n.function_names)
+            fr, sr = witness
+            tally["collapse"] += sr.result.n_functions < fr.result.n_functions
+        assert tally["hit"] > 150 and tally["miss"] > 20 and tally["collapse"] > 20, tally
 
     @pytest.mark.parametrize("index", [-1, 2])
     def test_function_index_out_of_range(self, index):

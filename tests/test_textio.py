@@ -740,6 +740,23 @@ def _outcome(parse, text):
     return m, m.function_names, m.name
 
 
+def _unknown_target(text: str) -> str:
+    """``text`` with the target of the middle clause of its first fn line
+    changed to a label no state has."""
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("fn "))
+    head, clauses = lines[k].split(": ", 1)
+    clauses = clauses.split(", ")
+    middle = len(clauses) // 2
+    clauses[middle] = clauses[middle].split("->")[0] + "->nowhere"
+    lines[k] = f"{head}: {', '.join(clauses)}"
+    return "\n".join(lines) + "\n"
+
+
+# The compiled machine of samples/increment.tm, as render_machine writes it.
+INCREMENT_MX = render_machine(compile_tm(parse_turing((SAMPLES / "increment.tm").read_text()))[0])
+
+
 class TestReferenceParser:
     """``parse_machine`` answers every ``.mx`` text as the reference parser
     that checks each token and clause on its own does."""
@@ -762,8 +779,17 @@ class TestReferenceParser:
         "machine m\nstates a b\nfn f: a->z, b->a\n",
         "machine m\nstates a b\nfn f: a->b\n",
         "machine m\nstates a b a\nfn f: a->a, b->b\n",
+        # As many arrows and commas as a canonical line, but not one clause per state.
+        "machine m\nstates a b\nfn f: a->b->b, a\n",
+        "machine m\nstates a b c\nfn f: c->a, a->b, b->c\n",
+        "machine m\nstates a b\nfn f: a->b,b->a\n",
+        "machine m\nstates a b\nfn f: a->b,c, b->a\n",
+        INCREMENT_MX,
+        _unknown_target(INCREMENT_MX),
     ], ids=["spaced-arrow", "trailing-comma", "duplicate-covers-all", "two-arrows",
             "dash-then-angle", "nbsp", "file-separator", "out-of-order", "unknown-target",
-            "missing-clause", "duplicate-state"])
+            "missing-clause", "duplicate-state", "two-arrows-beside-none",
+            "canonical-out-of-order", "no-space-after-comma", "comma-inside-target",
+            "compiled", "compiled-unknown-target"])
     def test_pinned(self, text):
         assert _outcome(parse_machine, text) == _outcome(reference_parse_machine, text)
