@@ -197,43 +197,35 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _cmd_compile_tm(args) -> int:
-    from .models import compile_tm
-    from .textio import parse_turing, render_machine
+def _emit_compiled(args, machine, facts) -> int:
+    """Print a compiled machine: under ``--summary`` its state count, its one
+    function and ``facts``, else its text."""
+    from .textio import render_machine
 
-    t = parse_turing(_read(args.tm))
-    machine, codec = compile_tm(t, cap=args.cap)
     if args.summary:
-        _emit(
-            [
-                f"states {machine.n_states}",
-                "functions 1",
-                f"initial {codec.encode(t.initial)}",
-                f"boundary {t.boundary_policy.value}",
-            ]
-        )
+        _emit([f"states {machine.n_states}", "functions 1", *facts])
     else:
         sys.stdout.write(render_machine(machine))
     return 0
+
+
+def _cmd_compile_tm(args) -> int:
+    from .models import compile_tm
+    from .textio import parse_turing
+
+    t = parse_turing(_read(args.tm))
+    machine, codec = compile_tm(t, cap=args.cap)
+    facts = [f"initial {codec.encode(t.initial)}", f"boundary {t.boundary_policy.value}"]
+    return _emit_compiled(args, machine, facts)
 
 
 def _cmd_compile_mem(args) -> int:
     from .models import compile_mem
-    from .textio import parse_mem, render_machine
+    from .textio import parse_mem
 
     p = parse_mem(_read(args.mem))
     machine, codec = compile_mem(p, cap=args.cap)
-    if args.summary:
-        _emit(
-            [
-                f"states {machine.n_states}",
-                "functions 1",
-                f"initial {codec.encode(p.initial_state)}",
-            ]
-        )
-    else:
-        sys.stdout.write(render_machine(machine))
-    return 0
+    return _emit_compiled(args, machine, [f"initial {codec.encode(p.initial_state)}"])
 
 
 def _cmd_tm2mem(args) -> int:
@@ -252,21 +244,13 @@ def _cmd_lockstep(args) -> int:
     t = parse_turing(_read(args.tm))
     p = parse_mem(_read(args.mem)) if args.mem else tm_to_mem(t)
     report = verify_lockstep(t, p, args.steps)
+    line = f"verified {report.steps_verified} step(s), {report.tm_outcome}, "
     if report.ok:
-        _emit(
-            [
-                f"verified {report.steps_verified} step(s), "
-                f"{report.tm_outcome}, no divergence"
-            ]
-        )
+        line += "no divergence"
     else:
         step, detail = report.divergence
-        _emit(
-            [
-                f"verified {report.steps_verified} step(s), {report.tm_outcome}, "
-                f"divergence at step {step}: {detail}"
-            ]
-        )
+        line += f"divergence at step {step}: {detail}"
+    _emit([line])
     return _definite(report.ok, args.expect)
 
 

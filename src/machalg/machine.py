@@ -486,7 +486,7 @@ def _assemble(
         by_table.setdefault(t, nm)
     if not by_table:
         raise InvalidMachineError("a machine needs at least one transition function")
-    tables = sorted(by_table)
+    tables, names = zip(*sorted(by_table.items()))  # distinct tables: names never compared
     outputs = set(outputs)
     position = {t: i for i, t in enumerate(tables)} if outputs else {}
     if not outputs <= position.keys():
@@ -494,10 +494,10 @@ def _assemble(
     m = object.__new__(Machine)  # canonical by construction: no second check
     values = (
         state_set,
-        tuple(tables),
+        tables,
         frozenset(map(position.get, outputs)),
         name,
-        tuple(map(by_table.get, tables)),
+        names,
     )
     for f, value in zip(_MACHINE_FIELDS, values):  # as __init__ sets them, so as compact
         object.__setattr__(m, f, value)

@@ -603,46 +603,26 @@ def verify_lockstep(t: TuringSpec, p: MemProgram, steps: int) -> LockstepReport:
     """
     n = t.cells
     trace = simulate_tm(t, steps)
+    last = trace.steps
+    verified, divergence = last, None
     if p.n_cells < n + 2:
-        detail = f"program has {p.n_cells} cell(s), the tape machine needs {n + 2}"
-        return LockstepReport(0, (0, detail), trace.outcome)
-    state = p.initial_state
-    verified = 0
-    for i, c in enumerate(trace.configurations):
-        want = (
-            tuple(_sym(s) for s in c.tape),
-            _reg(c.register),
-            _pos(c.head),
-        )
-        got = (state.cells[:n], state.cells[n], state.cells[n + 1])
-        if got != want:
-            return LockstepReport(
-                verified,
-                (i, f"expected {want}, program shows {got}"),
-                trace.outcome,
-            )
-        if i > 0:
-            verified += 1
-        if i + 1 < len(trace.configurations):
-            state = mem_step(p, state)
-    if trace.outcome == "halted":
-        nxt = mem_step(p, state)
-        if nxt != state:
-            return LockstepReport(
-                verified,
-                (len(trace.configurations) - 1, "machine halted but program still moves"),
-                trace.outcome,
-            )
-    elif trace.outcome == "boundary-error":
-        state = mem_step(p, state)
-        if state.cells[n + 1] != _pos("err"):
-            return LockstepReport(
-                verified,
-                (
-                    len(trace.configurations) - 1,
-                    "rejected boundary move not mirrored by pos.err",
-                ),
-                trace.outcome,
-            )
-        verified += 1
-    return LockstepReport(verified, None, trace.outcome)
+        verified, divergence = 0, (0, f"program has {p.n_cells} cell(s), the tape machine needs {n + 2}")
+    else:
+        state = p.initial_state
+        for i, c in enumerate(trace.configurations):
+            if i:
+                state = mem_step(p, state)
+            want = (tuple(map(_sym, c.tape)), _reg(c.register), _pos(c.head))
+            got = (state.cells[:n], state.cells[n], state.cells[n + 1])
+            if got != want:
+                verified, divergence = max(i - 1, 0), (i, f"expected {want}, program shows {got}")
+                break
+        else:
+            if trace.outcome == "halted" and mem_step(p, state) != state:
+                divergence = (last, "machine halted but program still moves")
+            elif trace.outcome == "boundary-error":
+                if mem_step(p, state).cells[n + 1] == _pos("err"):
+                    verified += 1
+                else:
+                    divergence = (last, "rejected boundary move not mirrored by pos.err")
+    return LockstepReport(verified, divergence, trace.outcome)

@@ -96,10 +96,10 @@ def _require(lineno: int, *needed: tuple[str, object]) -> None:
 # Machine format (.mx)
 # ---------------------------------------------------------------------------
 
-def _is_mx_token(token: str | None) -> bool:
+def _is_mx_token(token) -> bool:
     """True when ``token`` can stand as a name or state in ``.mx`` text: it is
-    non-empty, has no whitespace, and contains none of , : -> #."""
-    return bool(token) and token.split() == [token] and not any(
+    a non-empty string, has no whitespace, and contains none of , : -> #."""
+    return isinstance(token, str) and token.split() == [token] and not any(
         bad in token for bad in (",", ":", "->", "#")
     )
 
@@ -110,9 +110,12 @@ def _check_mx_token(token: str, what: str, lineno: int, raw: str, k: int) -> Non
         raise ParseError(f"{what} {token!r} may not contain any of , : -> #", lineno, _col(raw, k))
 
 
-def _all_mx_tokens(labels: list[str]) -> bool:
+def _all_mx_tokens(labels: list) -> bool:
     """``all(map(_is_mx_token, labels))``, checked on the joined labels."""
-    text = " ".join(labels)  # no "->" can form across the space
+    try:
+        text = " ".join(labels)  # no "->" can form across the space
+    except TypeError:  # a label that is not a string
+        return False
     return text.split() == labels and not any(bad in text for bad in (",", ":", "->", "#"))
 
 

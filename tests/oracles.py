@@ -9,9 +9,12 @@ raw tables by hand, the compiler oracles step every compiled state through
 the direct interpreters ``simulate_tm`` and ``mem_step`` instead of the
 compilers' index arithmetic, and the expression oracle is the package's earlier
 recursive-descent evaluator, kept verbatim as the reference for the
-iterative one.  Likewise the ``.mx`` oracle is the earlier parser that reads
-each token and clause on its own, kept verbatim as the reference for the
-bulk checks of ``parse_machine`` but for its columns, which it finds by
+iterative one.  The lockstep oracle is the package's earlier
+``verify_lockstep``, which counts verified steps as it goes and builds its
+report at each exit, kept verbatim as the reference for the one-report walk.
+Likewise the ``.mx`` oracle is the earlier parser that reads each token and
+clause on its own, kept verbatim as the reference for the bulk checks of
+``parse_machine`` but for its columns, which it finds by
 matching tokens and clauses with regular expressions.  The enumerated
 full and bijection machines list every table, as ``full_machine`` and
 ``full_bijection_machine`` did before they computed tables on demand.
@@ -48,6 +51,7 @@ from machalg import (
 )
 from machalg.cardinal import Trace
 from machalg.machine import _assemble
+from machalg.models import LockstepReport, _pos, _reg, _sym
 
 
 def enumerated_full_machine(state_set: StateSet) -> Machine:
@@ -181,6 +185,61 @@ def brute_force_compile_mem(p: MemProgram) -> tuple[tuple[str, ...], tuple[int, 
     position = {label: i for i, label in enumerate(labels)}
     table = tuple(position[codec.encode(mem_step(p, s))] for s in aggregate)
     return labels, table
+
+
+def reference_lockstep(t: TuringSpec, p: MemProgram, steps: int) -> LockstepReport:
+    """Check tape<->cells, register<->cell n, head<->cell n+1 every step.
+
+    Follows the Turing trace for at most ``steps`` transitions, advancing
+    the program in lockstep.  After a halt the program must sit on a fixed
+    point; after a rejected boundary move it must show pos.err in the
+    address cell one step later.
+    """
+    n = t.cells
+    trace = simulate_tm(t, steps)
+    if p.n_cells < n + 2:
+        detail = f"program has {p.n_cells} cell(s), the tape machine needs {n + 2}"
+        return LockstepReport(0, (0, detail), trace.outcome)
+    state = p.initial_state
+    verified = 0
+    for i, c in enumerate(trace.configurations):
+        want = (
+            tuple(_sym(s) for s in c.tape),
+            _reg(c.register),
+            _pos(c.head),
+        )
+        got = (state.cells[:n], state.cells[n], state.cells[n + 1])
+        if got != want:
+            return LockstepReport(
+                verified,
+                (i, f"expected {want}, program shows {got}"),
+                trace.outcome,
+            )
+        if i > 0:
+            verified += 1
+        if i + 1 < len(trace.configurations):
+            state = mem_step(p, state)
+    if trace.outcome == "halted":
+        nxt = mem_step(p, state)
+        if nxt != state:
+            return LockstepReport(
+                verified,
+                (len(trace.configurations) - 1, "machine halted but program still moves"),
+                trace.outcome,
+            )
+    elif trace.outcome == "boundary-error":
+        state = mem_step(p, state)
+        if state.cells[n + 1] != _pos("err"):
+            return LockstepReport(
+                verified,
+                (
+                    len(trace.configurations) - 1,
+                    "rejected boundary move not mirrored by pos.err",
+                ),
+                trace.outcome,
+            )
+        verified += 1
+    return LockstepReport(verified, None, trace.outcome)
 
 
 def brute_force_embedding(

@@ -28,6 +28,21 @@ beths = st.integers(min_value=0, max_value=12).map(Beth)
 cardinals = st.one_of(finites, beths)
 
 
+class TestConstructorChecks:
+    @pytest.mark.parametrize("cls, value, error, message", [
+        (Finite, 1.0, TypeError, "Finite value must be an int, got 1.0"),
+        (Finite, True, TypeError, "Finite value must be an int, got True"),
+        (Finite, -1, ValueError, "Finite value must be non-negative, got -1"),
+        (Beth, "0", TypeError, "Beth index must be an int, got '0'"),
+        (Beth, False, TypeError, "Beth index must be an int, got False"),
+        (Beth, -2, ValueError, "Beth index must be non-negative, got -2"),
+    ])
+    def test_bad_value_refused(self, cls, value, error, message):
+        with pytest.raises(error) as e:
+            cls(value)
+        assert type(e.value) is error and str(e.value) == message
+
+
 class TestFiniteArithmetic:
     def test_spot_values(self):
         assert card_add(Finite(2), Finite(3)) == Finite(5)

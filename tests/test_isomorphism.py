@@ -486,6 +486,13 @@ class TestIsComplete:
         probe = make_machine(ss, [identity_fn(ss)])
         assert is_complete(small, probe, method=method) is None
 
+    def test_unknown_method_rejected(self):
+        ss = states("a")
+        m = make_machine(ss, [identity_fn(ss)])
+        with pytest.raises(ValueError) as e:
+            is_complete(m, m, method="bogus")
+        assert type(e.value) is ValueError and str(e.value) == "unknown method 'bogus'"
+
     @pytest.mark.parametrize("method", ["auto", "construct", "search"])
     def test_negative_budget_rejected_before_any_work(self, method):
         ss = states("0", "1", "2")

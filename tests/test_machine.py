@@ -190,6 +190,17 @@ class TestMachine:
         with pytest.raises(InvalidMachineError):
             make_machine(states("a"), [])
 
+    def test_bare_constructor_requires_functions(self):
+        with pytest.raises(InvalidMachineError) as e:
+            Machine(states("a"), ())
+        assert str(e.value) == "a machine needs at least one transition function"
+
+    def test_output_must_be_one_of_the_functions(self):
+        ss = states("a", "b")
+        with pytest.raises(InvalidMachineError) as e:
+            make_machine(ss, [identity_fn(ss)], outputs=[fn_from_map(ss, {"a": "b", "b": "a"})])
+        assert str(e.value) == "output designation is not one of the machine's functions"
+
     def test_shared_domain(self):
         f = identity_fn(states("a", "b"))
         with pytest.raises(InvalidMachineError):

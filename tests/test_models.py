@@ -1,5 +1,6 @@
 """Turing and memory-cell frontends: interpreters, compilers, translation."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -42,7 +43,7 @@ from machalg.machine import _check_tables
 from machalg.textio import parse_mem
 
 from conftest import random_tm_config, random_turing_spec
-from oracles import brute_force_compile_mem, brute_force_compile_tm
+from oracles import brute_force_compile_mem, brute_force_compile_tm, reference_lockstep
 
 
 BITFLIP_TM = Path(__file__).resolve().parent.parent / "samples" / "bitflip.tm"
@@ -116,6 +117,11 @@ class TestTuringSpecValidation:
     def test_duplicate_symbols(self):
         with pytest.raises(InvalidMachineError):
             self.base(symbols=("0", "0"))
+
+    def test_repeated_register(self):
+        with pytest.raises(InvalidMachineError) as e:
+            self.base(registers=("a", "b", "a"))
+        assert str(e.value) == "registers must be non-empty and distinct"
 
     def test_reserved_character_in_symbol(self):
         with pytest.raises(InvalidMachineError):
@@ -823,6 +829,67 @@ class TestTmToMem:
             t = random_turing_spec(rng)
             report = verify_lockstep(t, tm_to_mem(t), 50)
             assert report.ok, report.divergence
+
+
+
+def lockstep_mutants(rng, t, p):
+    """Three copies of ``p = tm_to_mem(t)`` that may diverge from ``t``: one
+    entry's written value or next selector changed (most often the entry that
+    fires first), fewer than n + 2 cells, and every halted state stepping on."""
+    n = t.cells
+    entries = p.functions[0]
+    changed = p
+    if entries:
+        fires = (p.initial_selector, tuple(p.initial_cells[c] for c in p.initial_selector))
+        first = [i for i, e in enumerate(entries) if (e.read_cells, e.read_values) == fires]
+        i = first[0] if first and rng.random() < 0.7 else rng.randrange(len(entries))
+        e = entries[i]
+        if rng.random() < 0.5:
+            k = rng.randrange(len(e.write_values))
+            values = list(e.write_values)
+            values[k] = rng.choice([v for v in p.alphabet if v != values[k]])
+            e = dataclasses.replace(e, write_values=tuple(values))
+        else:
+            sel = e.next_read_cells
+            while sel == e.next_read_cells:
+                sel = tuple(rng.sample(range(n + 2), rng.randint(1, min(3, n + 2))))
+            e = dataclasses.replace(e, next_read_cells=sel)
+        changed = dataclasses.replace(p, functions=(entries[:i] + (e,) + entries[i + 1:],))
+    k = rng.randint(1, n + 1)
+    short = MemProgram(k, p.alphabet, ((),), p.initial_cells[:k], (), 0, default_halt=True)
+    onward = []
+    for r, s, j in itertools.product(t.registers, t.symbols, range(n)):
+        if r in t.halting or (r, s) not in t.rules:
+            read = ((n, n + 1, j), (f"reg.{r}", f"pos.{j}", f"sym.{s}"))
+            if len(t.symbols) > 1:  # write another symbol where the head stands
+                s2 = rng.choice([x for x in t.symbols if x != s])
+                onward.append(MemEntry(*read, (j,), (f"sym.{s2}",), (n, n + 1, j), 0))
+            else:  # the same cells, the selector's order changed
+                onward.append(MemEntry(*read, (), (), (n + 1, n, j), 0))
+    moving = dataclasses.replace(p, finals=(), functions=(entries + tuple(onward),))
+    return changed, short, moving
+
+
+class TestLockstepMatchesOracle:
+    def test_seeded_reports_equal_the_reference(self):
+        rng = random.Random(27)
+        kinds = collections.Counter()
+        for case in range(200):
+            spec = random_turing_spec(rng, max_registers=3, max_symbols=3, max_cells=5)
+            for policy in BoundaryPolicy:
+                t = dataclasses.replace(spec, boundary_policy=policy)
+                p = tm_to_mem(t)
+                steps = rng.randint(0, 60)
+                for q in (p, *lockstep_mutants(rng, t, p)):
+                    got, want = verify_lockstep(t, q, steps), reference_lockstep(t, q, steps)
+                    assert (got.steps_verified, got.divergence, got.tm_outcome) == (
+                        want.steps_verified, want.divergence, want.tm_outcome
+                    ), (case, policy, steps, q)
+                    assert got.ok or q is not p
+                    kinds[got.divergence[1].split()[0] if got.divergence else "ok"] += 1
+        # every exit of the walk is reached: agreement, the four divergences
+        assert kinds.keys() == {"ok", "expected", "program", "machine", "rejected"}, kinds
+        assert min(kinds.values()) >= 15, kinds
 
 
 class TestFullBijectionMachine:

@@ -38,6 +38,19 @@ def switchlike():
     return ss, ident, neg
 
 
+class TestReductionWitness:
+    @pytest.mark.parametrize("kind, message", [
+        ("bogus", "unknown reduction kind 'bogus'"),
+        ("functional", "functional reduction witness lists no functions"),
+        ("state", "state reduction witness lists no states"),
+    ])
+    def test_malformed_witness_refused(self, kind, message):
+        m = make_machine(states("a"), [identity_fn(states("a"))])
+        with pytest.raises(InvalidReductionError) as e:
+            reductions.Reduction(kind, m, m)
+        assert str(e.value) == message
+
+
 class TestFunctionalReduce:
     def test_keep_identity_drops_switching(self):
         ss, ident, neg = switchlike()
@@ -235,6 +248,10 @@ class TestCompositionLaws:
         assert report.violations_for(1) == ()
         assert report.violations_for(3) == ()
         assert report.checked_for(1) == 300
+
+    def test_a_law_not_checked_counts_zero(self):
+        report = lemmas.LemmaRunReport(seed=0, iterations=1, checked=((1, 1),), violations=())
+        assert (report.checked_for(1), report.checked_for(2)) == (1, 0)
 
     @pytest.mark.parametrize(
         "kwargs", [{"iterations": -1}, {"max_states": 0}, {"max_functions": 0}]

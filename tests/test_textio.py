@@ -35,7 +35,7 @@ from machalg import (
     tm_to_mem,
 )
 from machalg.lemmas import random_machine
-from machalg.textio import display_names
+from machalg.textio import display_names, resolve_function
 
 from conftest import random_turing_spec
 from oracles import enumerated_full_machine, reference_parse_machine
@@ -194,9 +194,13 @@ class TestMachineFormat:
         ({"name": "x y"}, "machine m"),
         ({"name": ""}, "machine m"),
         ({"name": "a,b"}, "machine m"),
+        ({"fn_name": 5}, "fn f0: a->a"),  # names that are not strings
+        ({"name": 7}, "machine m"),
     ])
     def test_unusable_names_fall_back(self, kwargs, line):
-        assert line in render_machine(_one_state(**kwargs)).splitlines()
+        m = _one_state(**kwargs)
+        assert line in render_machine(m).splitlines()
+        assert resolve_function(m, display_names(m)[0]) == 0
 
     @pytest.mark.parametrize("label", ["", "a b", "a\u2028b", "a->b", "a:b", "a#b"])
     def test_unusable_label_rejected_on_render(self, label):
@@ -211,6 +215,14 @@ class TestMachineFormat:
         with pytest.raises(InvalidMachineError) as e:
             render_machine(m)
         assert str(e.value) == f"state label {label!r} is not representable in text"
+
+    def test_non_string_labels_are_refused(self):
+        ss = StateSet((1, 2))
+        m = make_machine(ss, [TransitionFunction(ss, (1, 0), "swap")])
+        assert display_names(m) == ["swap"] and resolve_function(m, "swap") == 0
+        with pytest.raises(InvalidMachineError) as e:
+            render_machine(m)
+        assert str(e.value) == "state label 1 is not representable in text"
 
     def test_samples_parse(self):
         for path in ("samples/switch.mx", "samples/const0.mx", "samples/const1.mx"):
@@ -519,6 +531,11 @@ class TestSharedRules:
 
 
 class TestCertificates:
+    def test_unknown_kind_refused_on_render(self):
+        with pytest.raises(InvalidMachineError) as e:
+            render_certificate(Certificate("bogus"))
+        assert str(e.value) == "unknown certificate kind 'bogus'"
+
     def test_error_at_its_own_token(self):
         with pytest.raises(ParseError) as e:
             parse_certificate("certificate submachine\nkeep-fns 1 e\nkeep-states a\n")
