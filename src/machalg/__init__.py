@@ -38,7 +38,7 @@ _EXPORTS = {
     "models": (
         "ERROR_LABEL", "BoundaryPolicy", "LockstepReport", "MemEntry", "MemProgram", "MemState",
         "MemStateCodec", "Move", "TmConfiguration", "TmStateCodec", "TmTrace", "TuringSpec",
-        "compile_mem", "compile_tm", "mem_is_final", "mem_run", "mem_step", "simulate_tm",
+        "compile_mem", "compile_tm", "mem_is_final", "mem_step", "simulate_tm",
         "tm_to_mem", "verify_lockstep",
     ),
     "reductions": (

@@ -277,24 +277,25 @@ def _cmd_sim(args) -> int:
             )
         out.append(f"outcome: {trace.outcome} after {trace.steps} step(s)")
     elif kind == "mem":
-        from .models import mem_is_final, mem_run
+        from .models import mem_is_final, mem_step
         from .textio import parse_mem
 
         p = parse_mem(text)
-        done = False
-        for i, s in enumerate(mem_run(p, args.steps)):
+        if args.steps < 0:
+            raise ValueError("max_steps must be non-negative")
+        s, i = p.initial_state, 0
+        while True:
             fin = mem_is_final(p, s)
             sel = ",".join(str(c) for c in s.selector)
             out.append(
                 f"step {i}: cells={' '.join(s.cells)} selector={sel} fn={s.fn}"
                 f"{' (final)' if fin else ''}"
             )
-            if fin:
-                out.append(f"outcome: final condition met after {i} step(s)")
-                done = True
+            if fin or i == args.steps:
                 break
-        if not done:
-            out.append(f"outcome: step limit after {args.steps} step(s)")
+            s, i = mem_step(p, s), i + 1
+        out.append(f"outcome: final condition met after {i} step(s)" if fin
+                   else f"outcome: step limit after {args.steps} step(s)")
     elif kind == "machine":
         from .machine import Cycled, Halted, run_to_fixpoint
         from .textio import parse_machine, resolve_function

@@ -153,8 +153,21 @@ class TmTrace:
         return len(self.configurations) - 1
 
 
-def _tm_halts_at(t: TuringSpec, c: TmConfiguration) -> bool:
-    return c.register in t.halting or (c.register, c.tape[c.head]) not in t.rules
+def _tm_next(t: TuringSpec, c: TmConfiguration) -> TmConfiguration | str:
+    """The configuration after ``c``, or how a run ends at ``c``: "halted"
+    (a halting register or no rule) or "boundary-error" (the reject policy
+    refuses the move).  A run at its step cap ends "step-limit" unless
+    ``c`` halts."""
+    rule = None if c.register in t.halting else t.rules.get((c.register, c.tape[c.head]))
+    if rule is None:
+        return "halted"
+    r2, s2, mv = rule
+    head = c.head + _HEAD_SHIFT[mv]
+    if not 0 <= head < t.cells:
+        if t.boundary_policy is BoundaryPolicy.REJECT:
+            return "boundary-error"
+        head = c.head
+    return TmConfiguration(r2, c.tape[: c.head] + (s2,) + c.tape[c.head + 1 :], head)
 
 
 def simulate_tm(t: TuringSpec, max_steps: int) -> TmTrace:
@@ -162,22 +175,10 @@ def simulate_tm(t: TuringSpec, max_steps: int) -> TmTrace:
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
     configs = [t.initial]
-    while True:
-        c = configs[-1]
-        if _tm_halts_at(t, c):
-            return TmTrace(tuple(configs), "halted")
-        if len(configs) == max_steps + 1:
-            return TmTrace(tuple(configs), "step-limit")
-        r2, s2, mv = t.rules[(c.register, c.tape[c.head])]
-        tape = list(c.tape)
-        tape[c.head] = s2
-        head = c.head + _HEAD_SHIFT[mv]
-        if not 0 <= head < t.cells:
-            if t.boundary_policy is BoundaryPolicy.CLAMP:
-                head = c.head
-            else:
-                return TmTrace(tuple(configs), "boundary-error")
-        configs.append(TmConfiguration(r2, tuple(tape), head))
+    while not isinstance(nxt := _tm_next(t, configs[-1]), str) and len(configs) != max_steps + 1:
+        configs.append(nxt)
+    capped = len(configs) == max_steps + 1 and nxt != "halted"
+    return TmTrace(tuple(configs), "step-limit" if capped else nxt)
 
 
 ERROR_LABEL = "!boundary-error"
@@ -407,16 +408,6 @@ def mem_step(p: MemProgram, state: MemState) -> MemState:
     return MemState(tuple(cells), e.next_read_cells, e.next_function)
 
 
-def mem_run(p: MemProgram, steps: int) -> list[MemState]:
-    """States visited from the initial state, inclusive; length steps+1."""
-    if steps < 0:
-        raise ValueError("max_steps must be non-negative")
-    out = [p.initial_state]
-    for _ in range(steps):
-        out.append(mem_step(p, out[-1]))
-    return out
-
-
 @dataclass(frozen=True)
 class MemStateCodec:
     """Labels aggregate states as ``v;v;...|selector cells|family index``."""
@@ -596,33 +587,39 @@ class LockstepReport:
 def verify_lockstep(t: TuringSpec, p: MemProgram, steps: int) -> LockstepReport:
     """Check tape<->cells, register<->cell n, head<->cell n+1 every step.
 
-    Follows the Turing trace for at most ``steps`` transitions, advancing
-    the program in lockstep.  After a halt the program must sit on a fixed
-    point; after a rejected boundary move it must show pos.err in the
-    address cell one step later.
+    Follows the Turing run for at most ``steps`` transitions, advancing
+    the program in lockstep and holding one configuration of each.  After
+    a divergence only the Turing run goes on, to name its outcome.  After a
+    halt the program must sit on a fixed point; after a rejected boundary
+    move it must show pos.err in the address cell one step later.
     """
+    if steps < 0:
+        raise ValueError("max_steps must be non-negative")
     n = t.cells
-    trace = simulate_tm(t, steps)
-    last = trace.steps
-    verified, divergence = last, None
+    verified, divergence = 0, None
     if p.n_cells < n + 2:
-        verified, divergence = 0, (0, f"program has {p.n_cells} cell(s), the tape machine needs {n + 2}")
-    else:
-        state = p.initial_state
-        for i, c in enumerate(trace.configurations):
-            if i:
-                state = mem_step(p, state)
+        divergence = (0, f"program has {p.n_cells} cell(s), the tape machine needs {n + 2}")
+    c, state, i = t.initial, p.initial_state, 0
+    while True:
+        if divergence is None:
             want = (tuple(map(_sym, c.tape)), _reg(c.register), _pos(c.head))
             got = (state.cells[:n], state.cells[n], state.cells[n + 1])
             if got != want:
                 verified, divergence = max(i - 1, 0), (i, f"expected {want}, program shows {got}")
-                break
-        else:
-            if trace.outcome == "halted" and mem_step(p, state) != state:
-                divergence = (last, "machine halted but program still moves")
-            elif trace.outcome == "boundary-error":
-                if mem_step(p, state).cells[n + 1] == _pos("err"):
-                    verified += 1
-                else:
-                    divergence = (last, "rejected boundary move not mirrored by pos.err")
-    return LockstepReport(verified, divergence, trace.outcome)
+        nxt = _tm_next(t, c)
+        if isinstance(nxt, str) or i == steps:
+            break
+        c, i = nxt, i + 1
+        if divergence is None:
+            state = mem_step(p, state)
+    outcome = "step-limit" if i == steps and nxt != "halted" else nxt
+    if divergence is None:
+        verified = i
+        if outcome == "halted" and mem_step(p, state) != state:
+            divergence = (i, "machine halted but program still moves")
+        elif outcome == "boundary-error":
+            if mem_step(p, state).cells[n + 1] == _pos("err"):
+                verified += 1
+            else:
+                divergence = (i, "rejected boundary move not mirrored by pos.err")
+    return LockstepReport(verified, divergence, outcome)

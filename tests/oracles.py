@@ -6,12 +6,16 @@ function bijection with no pruning, no induced mapping, no ordering tricks,
 the embedding oracle tries every subset and bijection on raw tables with no
 invariants, the state-reduction and sub-machine oracles filter and re-index
 raw tables by hand, the compiler oracles step every compiled state through
-the direct interpreters ``simulate_tm`` and ``mem_step`` instead of the
-compilers' index arithmetic, and the expression oracle is the package's earlier
+the direct interpreters ``reference_simulate_tm`` and ``mem_step`` instead of
+the compilers' index arithmetic, and the expression oracle is the package's earlier
 recursive-descent evaluator, kept verbatim as the reference for the
-iterative one.  The lockstep oracle is the package's earlier
+iterative one.  The tape-machine interpreter is the package's earlier
+``simulate_tm``, which tests each configuration for a halt before it
+applies a rule, kept verbatim as the reference for the one-stepper walk.
+The lockstep oracle is the package's earlier
 ``verify_lockstep``, which counts verified steps as it goes and builds its
-report at each exit, kept verbatim as the reference for the one-report walk.
+report at each exit, kept verbatim as the reference for the one-report walk;
+it reads the whole trace of ``reference_simulate_tm`` before it checks.
 Likewise the ``.mx`` oracle is the earlier parser that reads each token and
 clause on its own, kept verbatim as the reference for the bulk checks of
 ``parse_machine`` but for its columns, which it finds by
@@ -47,11 +51,10 @@ from machalg import (
     card_mul,
     card_pow,
     mem_step,
-    simulate_tm,
 )
 from machalg.cardinal import Trace
 from machalg.machine import _assemble
-from machalg.models import LockstepReport, _pos, _reg, _sym
+from machalg.models import _HEAD_SHIFT, LockstepReport, TmTrace, _pos, _reg, _sym
 
 
 def enumerated_full_machine(state_set: StateSet) -> Machine:
@@ -129,11 +132,38 @@ def brute_force_sub_machine(a: Machine, b: Machine) -> Optional[tuple[int, ...]]
     return tuple(kept) if reached == b_tabs else None
 
 
+def _tm_halts_at(t: TuringSpec, c: TmConfiguration) -> bool:
+    return c.register in t.halting or (c.register, c.tape[c.head]) not in t.rules
+
+
+def reference_simulate_tm(t: TuringSpec, max_steps: int) -> TmTrace:
+    """Direct rule interpretation; the oracle that compile_tm must match."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
+    configs = [t.initial]
+    while True:
+        c = configs[-1]
+        if _tm_halts_at(t, c):
+            return TmTrace(tuple(configs), "halted")
+        if len(configs) == max_steps + 1:
+            return TmTrace(tuple(configs), "step-limit")
+        r2, s2, mv = t.rules[(c.register, c.tape[c.head])]
+        tape = list(c.tape)
+        tape[c.head] = s2
+        head = c.head + _HEAD_SHIFT[mv]
+        if not 0 <= head < t.cells:
+            if t.boundary_policy is BoundaryPolicy.CLAMP:
+                head = c.head
+            else:
+                return TmTrace(tuple(configs), "boundary-error")
+        configs.append(TmConfiguration(r2, tuple(tape), head))
+
+
 def brute_force_compile_tm(t: TuringSpec) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Labels and step table of ``t``'s compiled machine, state by state.
 
     Enumerates every (register, tape, head) in declaration order, runs
-    ``simulate_tm`` one step from each and encodes the result with
+    ``reference_simulate_tm`` one step from each and encodes the result with
     ``TmStateCodec``: a state that halts where it stands maps to itself, a
     rejected boundary move to ``ERROR_LABEL``, which the reject policy
     appends as an absorbing last state.
@@ -148,7 +178,7 @@ def brute_force_compile_tm(t: TuringSpec) -> tuple[tuple[str, ...], tuple[int, .
     labels = [codec.encode(c) for c in configurations]
     targets = []
     for c in configurations:
-        trace = simulate_tm(dataclasses.replace(t, initial=c), 1)
+        trace = reference_simulate_tm(dataclasses.replace(t, initial=c), 1)
         if trace.steps:  # "step-limit", or "halted" one step later
             targets.append(codec.encode(trace.configurations[1]))
         elif trace.outcome == "boundary-error":
@@ -196,7 +226,7 @@ def reference_lockstep(t: TuringSpec, p: MemProgram, steps: int) -> LockstepRepo
     address cell one step later.
     """
     n = t.cells
-    trace = simulate_tm(t, steps)
+    trace = reference_simulate_tm(t, steps)
     if p.n_cells < n + 2:
         detail = f"program has {p.n_cells} cell(s), the tape machine needs {n + 2}"
         return LockstepReport(0, (0, detail), trace.outcome)

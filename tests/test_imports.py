@@ -42,7 +42,7 @@ PUBLIC = {
     "models": (
         "BoundaryPolicy", "ERROR_LABEL", "LockstepReport", "MemEntry", "MemProgram", "MemState",
         "MemStateCodec", "Move", "TmConfiguration", "TmStateCodec", "TmTrace", "TuringSpec",
-        "compile_mem", "compile_tm", "mem_is_final", "mem_run", "mem_step", "simulate_tm",
+        "compile_mem", "compile_tm", "mem_is_final", "mem_step", "simulate_tm",
         "tm_to_mem", "verify_lockstep",
     ),
     "reductions": (
@@ -71,7 +71,7 @@ def fresh(code: str, *args: str) -> dict:
 
 class TestPublicApi:
     def test_all_is_pinned(self):
-        assert len(NAMES) == 96
+        assert len(NAMES) == 95
         assert sorted(machalg.__all__) == NAMES
         assert "cli" not in machalg.__all__
 

@@ -30,7 +30,6 @@ from machalg import (
     full_bijection_machine,
     make_machine,
     mem_is_final,
-    mem_run,
     mem_step,
     parse_turing,
     simulate_tm,
@@ -43,7 +42,12 @@ from machalg.machine import _check_tables
 from machalg.textio import parse_mem
 
 from conftest import random_tm_config, random_turing_spec
-from oracles import brute_force_compile_mem, brute_force_compile_tm, reference_lockstep
+from oracles import (
+    brute_force_compile_mem,
+    brute_force_compile_tm,
+    reference_lockstep,
+    reference_simulate_tm,
+)
 
 
 BITFLIP_TM = Path(__file__).resolve().parent.parent / "samples" / "bitflip.tm"
@@ -240,6 +244,34 @@ class TestSimulateTm:
         trace = simulate_tm(t, 10)
         assert trace.outcome == "halted"  # no rule for ("a","1")
         assert trace.steps == 1
+
+
+class TestSimulateTmMatchesOracle:
+    def test_seeded_traces_equal_the_reference(self):
+        rng = random.Random(28)
+        seen = collections.Counter()
+        for case in range(250):
+            spec = random_turing_spec(rng, max_registers=3, max_symbols=3, max_cells=5)
+            for policy in BoundaryPolicy:
+                t = dataclasses.replace(spec, boundary_policy=policy)
+                # Half the caps land on the step where the uncapped run ends.
+                end = reference_simulate_tm(t, 60).steps
+                cap = end if rng.random() < 0.5 else rng.randint(0, 60)
+                got, want = simulate_tm(t, cap), reference_simulate_tm(t, cap)
+                assert (got.configurations, got.outcome, got.steps) == (
+                    want.configurations, want.outcome, want.steps
+                ), (case, policy, cap)
+                seen[want.outcome] += 1
+                if want.steps == cap and want.outcome == "halted":
+                    seen["halted at the cap"] += 1
+                elif want.steps == cap and reference_simulate_tm(t, cap + 1).outcome == "boundary-error":
+                    assert want.outcome == "step-limit"
+                    seen["refused move at the cap"] += 1
+        assert sum(seen[o] for o in ("halted", "boundary-error", "step-limit")) >= 400
+        assert seen.keys() == {
+            "halted", "boundary-error", "step-limit", "halted at the cap", "refused move at the cap"
+        }, seen
+        assert min(seen.values()) >= 15, seen
 
 
 class TestCompileTm:
@@ -450,12 +482,8 @@ class TestMemValidation:
 class TestMemStep:
     def test_toggle_run(self):
         p = toggle_program()
-        cells = [s.cells[0] for s in mem_run(p, 4)]
-        assert cells == ["0", "1", "2", "2", "2"]
-
-    def test_negative_step_count_rejected(self):
-        with pytest.raises(ValueError, match="max_steps must be non-negative"):
-            mem_run(toggle_program(), -1)
+        run = itertools.accumulate(range(4), lambda s, _: mem_step(p, s), initial=p.initial_state)
+        assert [s.cells[0] for s in run] == ["0", "1", "2", "2", "2"]
 
     def test_final_wins_over_entries(self):
         # an entry matching the final state must not fire
@@ -490,7 +518,7 @@ class TestMemStep:
             initial_selector=(),
             initial_function=0,
         )
-        run = mem_run(p, 4)
+        run = list(itertools.accumulate(range(4), lambda s, _: mem_step(p, s), initial=p.initial_state))
         assert [s.cells[0] for s in run] == ["a", "b", "a", "b", "a"]
         assert [s.fn for s in run] == [0, 1, 0, 1, 0]
 
@@ -781,6 +809,31 @@ class TestTmToMem:
         assert not report.ok
         assert report.divergence[0] == 1
         assert report.steps_verified == 0
+
+    def test_program_is_not_stepped_past_a_divergence(self):
+        # A one-cell loop whose program writes a symbol into the register
+        # cell: it diverges at step 1, where no entry applies and the
+        # program declares no default, so one more step would raise.
+        t = TuringSpec(
+            symbols=("0",),
+            registers=("a",),
+            cells=1,
+            rules={("a", "0"): ("a", "0", Move.STAY)},
+            halting=frozenset(),
+            boundary_policy=BoundaryPolicy.CLAMP,
+            initial=TmConfiguration("a", ("0",), 0),
+        )
+        p = tm_to_mem(t)
+        (e,) = p.functions[0]
+        wrong = dataclasses.replace(e, write_values=("sym.0", "sym.0", "sym.0"))
+        strict = dataclasses.replace(p, functions=((wrong,),), default_halt=False)
+        with pytest.raises(TotalityViolationError):
+            mem_step(strict, mem_step(strict, strict.initial_state))
+        report = verify_lockstep(t, strict, 10)
+        assert report.divergence == (
+            1, "expected (('sym.0',), 'reg.a', 'pos.0'), program shows (('sym.0',), 'sym.0', 'sym.0')"
+        )
+        assert (report.steps_verified, report.tm_outcome) == (0, "step-limit")
 
     def test_too_few_cells_diverge_at_step_0(self):
         # one cell cannot hold the tape cell, the register and the head

@@ -12,13 +12,21 @@ The full machine is built and reduced to 48 of its functions on 6 and on
 600 states: it is never listed, so both cost about the same per entry of
 the kept tables.  A compiled tape machine of 917,504 states is walked from
 its initial state without listing its labels.
+
+A lockstep check of a tape machine that loops forever holds one
+configuration of each side, so its traced peak is the same at 1,000 and
+at 20,000 steps; and ``sim`` stops a program at its first final state,
+however large ``--steps`` is.
 """
 
 import random
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import machalg.models
 from machalg import (
     DEFAULT_ENUMERATION_CAP,
     BoundaryPolicy,
@@ -36,10 +44,14 @@ from machalg import (
     functional_reduction,
     make_machine,
     parse_machine,
+    parse_mem,
     render_machine,
     run_to_fixpoint,
     state_reduction,
+    tm_to_mem,
+    verify_lockstep,
 )
+from machalg.cli import main
 from oracles import brute_force_compile_tm
 
 SMALL, LARGE = 2048, 16384
@@ -193,3 +205,64 @@ def test_full_machine_costs_only_what_it_keeps():
         f"{per_entry[6] * 1e6:.2f} us per kept table entry at 6 states, "
         f"{per_entry[600] * 1e6:.2f} us at 600, ratio {ratio:.1f}"
     )
+
+
+TOGGLE_MEM = Path(__file__).resolve().parent.parent / "samples" / "toggle.mem"
+
+# One cell, one symbol, one register whose rule rewrites the cell in place.
+LOOP = TuringSpec(
+    symbols=("0",),
+    registers=("a",),
+    cells=1,
+    rules={("a", "0"): ("a", "0", Move.STAY)},
+    halting=frozenset(),
+    boundary_policy=BoundaryPolicy.CLAMP,
+    initial=TmConfiguration("a", ("0",), 0),
+)
+
+
+def lockstep_peak(program, steps):
+    """Bytes traced at the peak of one ``verify_lockstep`` call, and its report."""
+    tracemalloc.start()
+    try:
+        report = verify_lockstep(LOOP, program, steps)
+        return tracemalloc.get_traced_memory()[1], report
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "program, detail",
+    [
+        (tm_to_mem(LOOP), None),
+        (parse_mem(TOGGLE_MEM.read_text()), (0, "program has 1 cell(s), the tape machine needs 3")),
+    ],
+    ids=["own-translation", "toggle"],
+)
+def test_lockstep_memory_stays_flat(program, detail):
+    # A walk that kept every configuration would grow by about 2.7 MiB from
+    # 1,000 to 20,000 steps; the bound is a tenth of that.
+    small, report = lockstep_peak(program, 1000)
+    assert (report.steps_verified, report.divergence, report.tm_outcome) == (
+        0 if detail else 1000, detail, "step-limit"
+    )
+    large, report = lockstep_peak(program, 20000)
+    assert report.tm_outcome == "step-limit" and report.divergence == detail
+    assert large - small < 256 * 1024, (
+        f"peak {small / 2**20:.2f} MiB at 1,000 steps, {large / 2**20:.2f} MiB at 20,000"
+    )
+
+
+def test_sim_stops_a_program_at_its_first_final_state(monkeypatch, capsys):
+    calls = []
+
+    def counted(p, state):
+        calls.append(state)
+        return step(p, state)
+
+    step = machalg.models.mem_step
+    monkeypatch.setattr(machalg.models, "mem_step", counted)
+    assert main(["sim", str(TOGGLE_MEM), "--steps", "1000000"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "outcome: final condition met after 2 step(s)"
+    assert len(calls) <= 3
