@@ -9,6 +9,7 @@ definite answer that matches ``--expect`` (or any definite answer when
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import MachalgError
@@ -264,18 +265,16 @@ def _sniff(text: str) -> str:
 def _cmd_sim(args) -> int:
     text = _read(args.file)
     kind = _sniff(text)
-    out = []
+    write = sys.stdout.write  # each line as it is made: memory stays flat however long the run
     if kind == "tm":
-        from .models import simulate_tm
+        from .models import _tm_run
         from .textio import parse_turing
 
-        t = parse_turing(text)
-        trace = simulate_tm(t, args.steps)
-        for i, c in enumerate(trace.configurations):
-            out.append(
-                f"step {i}: register={c.register} tape={' '.join(c.tape)} head={c.head}"
-            )
-        out.append(f"outcome: {trace.outcome} after {trace.steps} step(s)")
+        for i, c in enumerate(_tm_run(parse_turing(text), args.steps)):
+            if isinstance(c, str):
+                write(f"outcome: {c} after {i - 1} step(s)\n")
+            else:
+                write(f"step {i}: register={c.register} tape={' '.join(c.tape)} head={c.head}\n")
     elif kind == "mem":
         from .models import mem_is_final, mem_step
         from .textio import parse_mem
@@ -287,15 +286,13 @@ def _cmd_sim(args) -> int:
         while True:
             fin = mem_is_final(p, s)
             sel = ",".join(str(c) for c in s.selector)
-            out.append(
-                f"step {i}: cells={' '.join(s.cells)} selector={sel} fn={s.fn}"
-                f"{' (final)' if fin else ''}"
-            )
+            write(f"step {i}: cells={' '.join(s.cells)} selector={sel} fn={s.fn}"
+                  f"{' (final)' if fin else ''}\n")
             if fin or i == args.steps:
                 break
             s, i = mem_step(p, s), i + 1
-        out.append(f"outcome: final condition met after {i} step(s)" if fin
-                   else f"outcome: step limit after {args.steps} step(s)")
+        write(f"outcome: final condition met after {i} step(s)\n" if fin
+              else f"outcome: step limit after {args.steps} step(s)\n")
     elif kind == "machine":
         from .machine import Cycled, Halted, run_to_fixpoint
         from .textio import parse_machine, resolve_function
@@ -305,21 +302,18 @@ def _cmd_sim(args) -> int:
             raise MachalgError("machine simulation needs --fn and --from")
         f = m.functions[resolve_function(m, args.fn)]
         result = run_to_fixpoint(f, getattr(args, "from"), args.steps, record_trajectory=True)
-        out.append("trajectory: " + " -> ".join(result.trajectory))
+        write("trajectory: " + " -> ".join(result.trajectory) + "\n")
         if isinstance(result, Halted):
-            out.append(f"outcome: halted at {result.state} after {result.steps} step(s)")
+            write(f"outcome: halted at {result.state} after {result.steps} step(s)\n")
         elif isinstance(result, Cycled):
-            out.append(
-                f"outcome: cycled, length {result.cycle_length}, "
-                f"entered at step {result.entry_step}"
-            )
+            write(f"outcome: cycled, length {result.cycle_length}, "
+                  f"entered at step {result.entry_step}\n")
         else:
-            out.append(f"outcome: step limit after {result.steps} step(s)")
+            write(f"outcome: step limit after {result.steps} step(s)\n")
     else:
         raise MachalgError(
             f"cannot tell what {args.file!r} contains; expected a machine, tm or mem block"
         )
-    _emit(out)
     return 0
 
 
@@ -493,7 +487,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        try:
+            return args.run(args)
+        finally:
+            sys.stdout.flush()  # a late error follows the lines already written
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (MachalgError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

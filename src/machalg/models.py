@@ -153,32 +153,35 @@ class TmTrace:
         return len(self.configurations) - 1
 
 
-def _tm_next(t: TuringSpec, c: TmConfiguration) -> TmConfiguration | str:
-    """The configuration after ``c``, or how a run ends at ``c``: "halted"
-    (a halting register or no rule) or "boundary-error" (the reject policy
-    refuses the move).  A run at its step cap ends "step-limit" unless
-    ``c`` halts."""
-    rule = None if c.register in t.halting else t.rules.get((c.register, c.tape[c.head]))
-    if rule is None:
-        return "halted"
-    r2, s2, mv = rule
-    head = c.head + _HEAD_SHIFT[mv]
-    if not 0 <= head < t.cells:
-        if t.boundary_policy is BoundaryPolicy.REJECT:
-            return "boundary-error"
-        head = c.head
-    return TmConfiguration(r2, c.tape[: c.head] + (s2,) + c.tape[c.head + 1 :], head)
+def _tm_run(t: TuringSpec, max_steps: int):
+    """Yield the configurations of ``t``'s run, at most ``max_steps``
+    transitions, then how it ends: "halted" (a halting register or no rule),
+    "boundary-error" (the reject policy refuses the move) or "step-limit".
+    At the cap a halt wins over the step limit, and the step limit over a
+    refused move."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
+    c = t.initial
+    for i in itertools.count():
+        yield c
+        rule = None if c.register in t.halting else t.rules.get((c.register, c.tape[c.head]))
+        if rule is None or i == max_steps:
+            yield "halted" if rule is None else "step-limit"
+            return
+        r2, s2, mv = rule
+        head = c.head + _HEAD_SHIFT[mv]
+        if not 0 <= head < t.cells:
+            if t.boundary_policy is BoundaryPolicy.REJECT:
+                yield "boundary-error"
+                return
+            head = c.head
+        c = TmConfiguration(r2, c.tape[: c.head] + (s2,) + c.tape[c.head + 1 :], head)
 
 
 def simulate_tm(t: TuringSpec, max_steps: int) -> TmTrace:
     """Direct rule interpretation; the oracle that compile_tm must match."""
-    if max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
-    configs = [t.initial]
-    while not isinstance(nxt := _tm_next(t, configs[-1]), str) and len(configs) != max_steps + 1:
-        configs.append(nxt)
-    capped = len(configs) == max_steps + 1 and nxt != "halted"
-    return TmTrace(tuple(configs), "step-limit" if capped else nxt)
+    *configs, outcome = _tm_run(t, max_steps)
+    return TmTrace(tuple(configs), outcome)
 
 
 ERROR_LABEL = "!boundary-error"
@@ -588,38 +591,38 @@ def verify_lockstep(t: TuringSpec, p: MemProgram, steps: int) -> LockstepReport:
     """Check tape<->cells, register<->cell n, head<->cell n+1 every step.
 
     Follows the Turing run for at most ``steps`` transitions, advancing
-    the program in lockstep and holding one configuration of each.  After
-    a divergence only the Turing run goes on, to name its outcome.  After a
+    the program in lockstep and holding one configuration of each.  A
+    program with no entry for the step it must take has diverged.  After a
+    divergence only the Turing run goes on, to name its outcome.  After a
     halt the program must sit on a fixed point; after a rejected boundary
     move it must show pos.err in the address cell one step later.
     """
-    if steps < 0:
-        raise ValueError("max_steps must be non-negative")
     n = t.cells
-    verified, divergence = 0, None
+    state, verified, divergence = p.initial_state, 0, None
     if p.n_cells < n + 2:
         divergence = (0, f"program has {p.n_cells} cell(s), the tape machine needs {n + 2}")
-    c, state, i = t.initial, p.initial_state, 0
-    while True:
-        if divergence is None:
+    for i, c in enumerate(_tm_run(t, steps)):
+        end = isinstance(c, str)  # the outcome, checked on configuration i - 1
+        if divergence is not None or end and c == "step-limit":
+            continue
+        at = i - 1 if end else i
+        try:
+            after = mem_step(p, state) if i else state
+        except TotalityViolationError as e:
+            divergence = (at, str(e))
+            continue
+        if not end:
             want = (tuple(map(_sym, c.tape)), _reg(c.register), _pos(c.head))
-            got = (state.cells[:n], state.cells[n], state.cells[n + 1])
+            got = (after.cells[:n], after.cells[n], after.cells[n + 1])
             if got != want:
-                verified, divergence = max(i - 1, 0), (i, f"expected {want}, program shows {got}")
-        nxt = _tm_next(t, c)
-        if isinstance(nxt, str) or i == steps:
-            break
-        c, i = nxt, i + 1
-        if divergence is None:
-            state = mem_step(p, state)
-    outcome = "step-limit" if i == steps and nxt != "halted" else nxt
-    if divergence is None:
-        verified = i
-        if outcome == "halted" and mem_step(p, state) != state:
-            divergence = (i, "machine halted but program still moves")
-        elif outcome == "boundary-error":
-            if mem_step(p, state).cells[n + 1] == _pos("err"):
-                verified += 1
+                divergence = (i, f"expected {want}, program shows {got}")
             else:
-                divergence = (i, "rejected boundary move not mirrored by pos.err")
-    return LockstepReport(verified, divergence, outcome)
+                state, verified = after, i
+        elif c == "halted" and after != state:
+            divergence = (at, "machine halted but program still moves")
+        elif c == "boundary-error":
+            if after.cells[n + 1] == _pos("err"):
+                verified = i
+            else:
+                divergence = (at, "rejected boundary move not mirrored by pos.err")
+    return LockstepReport(verified, divergence, c)

@@ -664,6 +664,37 @@ class TestSim:
             2, "", "error: max_steps must be non-negative\n"
         )
 
+    def test_late_program_error_follows_the_steps_made(self, capsys, tmp_path):
+        # no default and no entry for 1: the program stops after one step
+        path = tmp_path / "gap.mem"
+        path.write_text("mem gap\nalphabet 0 1 2\ncell 0 = 0\nstart read(0) fn 0\nfn 0\n"
+                        "entry read(0)=(0) -> write(0)=(1) next read(0) fn 0\n")
+        assert run(capsys, "sim", str(path)) == (
+            2,
+            "step 0: cells=0 selector=0 fn=0\nstep 1: cells=1 selector=0 fn=0\n",
+            "error: family 0 has no entry for read(0,)=('1',) and the program declares no default\n",
+        )
+        # on one pipe for both streams, the error still comes after the steps
+        proc = subprocess.run([sys.executable, "-m", "machalg", "sim", str(path)], env=module_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=60)
+        assert proc.stdout.decode().splitlines() == [
+            "step 0: cells=0 selector=0 fn=0",
+            "step 1: cells=1 selector=0 fn=0",
+            "error: family 0 has no entry for read(0,)=('1',) and the program declares no default",
+        ]
+
+    def test_closed_pipe_ends_quietly(self, tmp_path):
+        path = tmp_path / "loop.tm"
+        path.write_text("tm loop\nsymbols 0\nregisters a\ncells 1\nboundary clamp\n"
+                        "rule a 0 -> a 0 S\ninit tape 0 head 0 register a\n")
+        with subprocess.Popen(
+            [sys.executable, "-m", "machalg", "sim", str(path), "--steps", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+        ) as proc:
+            assert proc.stdout.readline() == b"step 0: register=a tape=0 head=0\n"
+            proc.stdout.close()  # as `| head -1` does
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
+
     def test_unknown_file_shape(self, capsys, tmp_path):
         path = tmp_path / "mystery.txt"
         path.write_text("gibberish here\n")
@@ -740,17 +771,23 @@ class TestCheckLemmas:
                 assert "0 violation(s)" in line
 
 
-def run_module(*argv, module="machalg"):
-    """Run ``python -m machalg`` (or another module) as its own process on this checkout."""
-    env = dict(os.environ)
+def module_env():
+    """The environment that runs ``python -m machalg`` on this checkout, with
+    stdout buffered as it is on a pipe by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def run_module(*argv, module="machalg"):
+    """Run ``python -m machalg`` (or another module) as its own process on this checkout."""
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=module_env(),
         timeout=60,
     )
 

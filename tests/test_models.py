@@ -876,6 +876,31 @@ class TestTmToMem:
         assert report.divergence == (0, "rejected boundary move not mirrored by pos.err")
         assert (report.steps_verified, report.tm_outcome) == (0, "boundary-error")
 
+    def test_missing_entry_is_a_divergence(self):
+        # Copies of bitflip's translation without the default: the step the
+        # program cannot take is reported, where the parent raised.
+        no_entry = "family 0 has no entry for read(1, 2, 0)=({}) and the program declares no default"
+        t = parse_turing(BITFLIP_TM.read_text())
+        p = dataclasses.replace(tm_to_mem(t), default_halt=False)
+        first, second = p.functions[0]
+        assert first.read_values == ("reg.q0", "pos.0", "sym.0")  # the entry that fires first
+        report = verify_lockstep(t, dataclasses.replace(p, functions=((second,),)), 10)
+        assert report.divergence == (1, no_entry.format("'reg.q0', 'pos.0', 'sym.0'"))
+        assert (report.steps_verified, report.tm_outcome) == (0, "halted")
+        # halted without its final condition, the program has no entry to stay put
+        report = verify_lockstep(t, dataclasses.replace(p, finals=()), 10)
+        assert report.divergence == (1, no_entry.format("'reg.halt', 'pos.0', 'sym.1'"))
+        assert (report.steps_verified, report.tm_outcome) == (1, "halted")
+        # a rejected move with no entry to write pos.err
+        text = BITFLIP_TM.read_text().replace("boundary clamp", "boundary reject")
+        t = parse_turing(text.replace("halt 1 S", "halt 1 L"))
+        p = tm_to_mem(t)
+        entries = tuple(e for e in p.functions[0] if e.write_values != ("pos.err",))
+        assert len(entries) == 1
+        report = verify_lockstep(t, dataclasses.replace(p, functions=(entries,), default_halt=False), 10)
+        assert report.divergence == (0, no_entry.format("'reg.q0', 'pos.0', 'sym.0'"))
+        assert (report.steps_verified, report.tm_outcome) == (0, "boundary-error")
+
     def test_random_specs_lockstep(self):
         rng = random.Random(24)
         for _ in range(30):
@@ -943,6 +968,34 @@ class TestLockstepMatchesOracle:
         # every exit of the walk is reached: agreement, the four divergences
         assert kinds.keys() == {"ok", "expected", "program", "machine", "rejected"}, kinds
         assert min(kinds.values()) >= 15, kinds
+
+    def test_a_missing_entry_diverges_where_the_reference_raises(self):
+        # Translations with entries dropped and no default: where the
+        # reference stops on the missing entry, the report names its error.
+        rng = random.Random(29)
+        kinds = collections.Counter()
+        for case in range(200):
+            spec = random_turing_spec(rng, max_registers=3, max_symbols=3, max_cells=5)
+            for policy in BoundaryPolicy:
+                t = dataclasses.replace(spec, boundary_policy=policy)
+                p = tm_to_mem(t)
+                entries = tuple(e for e in p.functions[0] if rng.random() < 0.7)
+                q = dataclasses.replace(p, functions=(entries,), default_halt=False)
+                steps = rng.randint(0, 60)
+                got = verify_lockstep(t, q, steps)
+                try:
+                    want = reference_lockstep(t, q, steps)
+                except TotalityViolationError as e:
+                    assert got.divergence[1] == str(e), (case, policy, steps)
+                    assert got.steps_verified in (got.divergence[0] - 1, got.divergence[0])
+                    assert got.tm_outcome == reference_simulate_tm(t, steps).outcome
+                    kinds["raised"] += 1
+                else:
+                    assert (got.steps_verified, got.divergence, got.tm_outcome) == (
+                        want.steps_verified, want.divergence, want.tm_outcome
+                    ), (case, policy, steps)
+                    kinds["agreed"] += 1
+        assert min(kinds["raised"], kinds["agreed"]) >= 15, kinds
 
 
 class TestFullBijectionMachine:

@@ -14,11 +14,14 @@ the kept tables.  A compiled tape machine of 917,504 states is walked from
 its initial state without listing its labels.
 
 A lockstep check of a tape machine that loops forever holds one
-configuration of each side, so its traced peak is the same at 1,000 and
-at 20,000 steps; and ``sim`` stops a program at its first final state,
-however large ``--steps`` is.
+configuration of each side, and ``sim`` writes each step of that machine
+and of its translation as it is made, so their traced peaks are the same
+at 1,000 and at 20,000 steps; and ``sim`` stops a program at its first
+final state, however large ``--steps`` is.
 """
 
+import contextlib
+import os
 import random
 import time
 import tracemalloc
@@ -46,6 +49,8 @@ from machalg import (
     parse_machine,
     parse_mem,
     render_machine,
+    render_mem,
+    render_turing,
     run_to_fixpoint,
     state_reduction,
     tm_to_mem,
@@ -248,6 +253,27 @@ def test_lockstep_memory_stays_flat(program, detail):
     )
     large, report = lockstep_peak(program, 20000)
     assert report.tm_outcome == "step-limit" and report.divergence == detail
+    assert large - small < 256 * 1024, (
+        f"peak {small / 2**20:.2f} MiB at 1,000 steps, {large / 2**20:.2f} MiB at 20,000"
+    )
+
+
+@pytest.mark.parametrize("render", [render_turing, lambda t: render_mem(tm_to_mem(t))], ids=["tm", "mem"])
+def test_sim_memory_stays_flat(tmp_path, render):
+    # Output kept until the run ends grows by 4 to 6 MiB from 1,000 to
+    # 20,000 steps; the bound is the same as for the lockstep check.
+    path = tmp_path / "loop"
+    path.write_text(render(LOOP))
+    peaks = []
+    for steps in (1000, 20000):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["sim", str(path), "--steps", str(steps)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    small, large = peaks
     assert large - small < 256 * 1024, (
         f"peak {small / 2**20:.2f} MiB at 1,000 steps, {large / 2**20:.2f} MiB at 20,000"
     )
