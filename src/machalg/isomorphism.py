@@ -13,9 +13,9 @@ directly (place the target on the container's first states and extend each
 function by the identity); otherwise subsets are searched exhaustively.
 
 Both searches run on one explicit-stack loop, :func:`_search`, so no input
-depth meets the recursion limit.  Isomorphism prunes by colour refinement
-of the disjoint union of the two machines (McKay & Piperno, "Practical
-graph isomorphism II", 2014), completeness by checking the embedding's own
+depth meets the recursion limit.  Isomorphism prunes by colour refinement of
+the disjoint union (McKay & Piperno, 2014), and one-function machines need
+no search at all (in-tree codes); completeness checks the embedding's own
 equations as soon as both of their states are placed (Ullmann, 1976).
 """
 
@@ -293,6 +293,93 @@ class _Partition:
         return True
 
 
+def _least_rotation(seq: list[int]) -> tuple[int, int]:
+    """(start, least period) of the least rotation of a cyclic sequence, in O(len).
+    Each start below j but i is beaten, so i's and j's agreeing in full make j - i the period."""
+    n, i, j, k = len(seq), 0, 1, 0
+    while j < n and k < n:
+        x, y = seq[(i + k) % n], seq[(j + k) % n]
+        if x == y:
+            k += 1
+        else:
+            i, j, k = (j, max(j, i + k) + 1, 0) if x > y else (i, j + k + 1, 0)
+    return i, j - i if k == n else n
+
+
+def _in_tree_keys(table: tuple[int, ...], codes: dict, keys: dict) -> tuple[list, list]:
+    """(key, on-cycle flag) per state of one self-map.  A tree state's key is its
+    code, the interned sorted tuple of its tree children's codes (Aho, Hopcroft &
+    Ullman, 1974), and its image's key; a cycle state's, its cycle's least rotation
+    of codes (Booth, 1980) and its offset from it modulo the period.  With ``codes``
+    and ``keys`` shared, states of two machines can correspond iff their keys are equal."""
+    n = len(table)
+    deg, code, key, kids = [0] * n, [0] * n, [-1] * n, [[] for _ in range(n)]
+    for j in table:
+        deg[j] += 1
+    peeled = [i for i, d in enumerate(deg) if not d]  # children before parents
+    for i in peeled:
+        j = table[i]
+        deg[j] -= 1
+        if not deg[j]:
+            peeled.append(j)
+        code[i] = codes.setdefault(tuple(sorted(kids[i])), len(codes))
+        kids[j].append(code[i])
+    for i in range(n):
+        if deg[i] and key[i] < 0:  # in-degree left: the least state of a new cycle
+            ring = [i]
+            while table[ring[-1]] != i:
+                ring.append(table[ring[-1]])
+            seq = [codes.setdefault(tuple(sorted(kids[c])), len(codes)) for c in ring]
+            r, p = _least_rotation(seq)
+            kind = codes.setdefault((tuple(seq[r:] + seq[:r]),), len(codes))  # no tree's code
+            for pos, c in enumerate(ring):
+                key[c] = keys.setdefault((kind, (pos - r) % p), len(keys))
+    for i in reversed(peeled):
+        key[i] = keys.setdefault((code[i], key[table[i]]), len(keys))
+    return key, deg
+
+
+def _single_function_isomorphism(ta: tuple[int, ...], tb: tuple[int, ...]) -> Optional[Morphism]:
+    """The lexicographically least g with g . ta = tb . g, h = (0,), or None, in near-linear time.
+
+    Cycle states hang under a root n that maps to itself.  The least unplaced
+    a-state s walks forward to a placed state x; its candidates are the
+    b-states with its key at its depth under g(x) whose ancestor there is
+    unplaced, and the least is placed with s's path (and cycle).  Placed
+    parts stay closed and matched states keep equal multisets of unplaced
+    child keys, so every candidate extends to an isomorphism: nothing is undone.
+    """
+    n, codes, keys = len(ta), {}, {}
+    key_a, cyc_a = _in_tree_keys(ta, codes, keys)
+    key_b, cyc_b = _in_tree_keys(tb, codes, keys)
+    if sorted(key_a) != sorted(key_b):
+        return None
+    g, used, kids, below = [-1] * n + [n], [False] * n, {}, {}
+    for y in range(n):
+        kids.setdefault((n if cyc_b[y] else tb[y], key_b[y]), []).append(y)
+    for s in range(n):
+        path, x = [], s
+        while g[x] < 0:
+            path.append(x)
+            x = n if cyc_a[x] else ta[x]
+        if not path:
+            continue
+        cands = below.get((g[x], key_a[s]))  # (candidate, its ancestor under g(x)), cached
+        if cands is None:
+            level = [(c, c) for c in kids.get((g[x], key_a[path[-1]]), ()) if not used[c]]
+            for u in reversed(path[:-1]):
+                level = [(v, top) for w, top in level for v in kids.get((w, key_a[u]), ())]
+            cands = below[g[x], key_a[s]] = sorted(level, reverse=True)
+        while used[cands[-1][1]]:
+            cands.pop()
+        y, entry = cands[-1][0], path[-1]
+        while x == n and ta[path[-1]] != entry:  # s reached a fresh cycle
+            path.append(ta[path[-1]])
+        for u in path:
+            g[u], used[y], y = y, True, tb[y]
+    return Morphism(tuple(g[:n]), (0,))
+
+
 def find_isomorphism(
     a: Machine, b: Machine, *, node_budget: Optional[int] = None
 ) -> Optional[Morphism]:
@@ -305,7 +392,8 @@ def find_isomorphism(
     isomorphism extends, so the first solution is the lexicographically
     least g.  h is never searched: each conjugate g.f.g^-1 must literally be
     one of b's functions, found by table lookup.  ``node_budget`` caps the
-    candidates tried; exceeding it raises rather than guessing.
+    candidates tried; exceeding it raises rather than guessing.  One-function
+    machines get the same least g from :func:`_single_function_isomorphism`.
     """
     if node_budget is not None and node_budget < 0:
         raise MachalgError(f"node_budget must be at least 0, got {node_budget}")
@@ -332,6 +420,8 @@ def find_isomorphism(
     _, second_invariants, second_sigs = _profile(second)
     if invariants != second_invariants:  # equal keys are no proof
         return None
+    if a.n_functions == 1:  # no search, so no nodes spent
+        return _single_function_isomorphism(a.tables[0], b.tables[0])
     sigs = sigs + second_sigs if first is a else second_sigs + sigs
     # b's states are shifted up by n in the union.
     out = [list(ts) for ts in zip(*a.tables)] + [[n + t for t in ts] for ts in zip(*b.tables)]

@@ -88,6 +88,15 @@ def log_refinements(monkeypatch):
     return results
 
 
+def with_identity(tables_a, tables_b):
+    """Both single-function machines with the identity added as a second
+    function.  Conjugation fixes the identity, so the pair has the same
+    isomorphisms and the same least g, and it takes the refinement search.
+    (Where a map is the identity itself, the machine keeps one function.)"""
+    identity = tuple(range(len(tables_a[0])))
+    return table_machine(tables_a + [identity]), table_machine(tables_b + [identity], "t")
+
+
 def switch_pair():
     a_ss = states("0", "1")
     a = make_machine(
@@ -264,25 +273,34 @@ class TestFindIsomorphism:
     def test_refinement_fails_below_the_root(self, monkeypatch, tables_a, tables_b, isomorphic):
         # Equal invariants and a balanced root partition, but some
         # individualised pair unbalances a cell, which ends that branch.
-        results = log_refinements(monkeypatch)
+        # One-function pairs are not refined, so a single permutation is
+        # refined with the identity added (see with_identity).
         a, b = table_machine(tables_a), table_machine(tables_b, "t")
         got = find_isomorphism(a, b)
         assert (None if got is None else (got.g, got.h)) == brute_force_isomorphism(a, b)
         assert (got is not None) == isomorphic
+        results = log_refinements(monkeypatch)
+        refined = find_isomorphism(*with_identity(tables_a, tables_b))
+        assert (None if refined is None else refined.g) == (None if got is None else got.g)
         assert results[0] and False in results[1:]
 
     def test_refinement_fails_below_the_root_on_seeded_pairs(self, monkeypatch):
-        # Random permutations often share their invariants.
+        # Random permutations often share their invariants; each pair is
+        # refined with the identity added.
         results = log_refinements(monkeypatch)
         rng = random.Random(31)
         hits = 0
         for _ in range(300):
             n = rng.randint(4, 6)
-            a, b = (table_machine([tuple(rng.sample(range(n), n))], p) for p in "st")
-            results.clear()
+            tables_a, tables_b = ([tuple(rng.sample(range(n), n))] for _ in "st")
+            a, b = table_machine(tables_a), table_machine(tables_b, "t")
             got = find_isomorphism(a, b)
             assert (None if got is None else (got.g, got.h)) == brute_force_isomorphism(a, b)
+            assert not results  # one function: no refinement
+            refined = find_isomorphism(*with_identity(tables_a, tables_b))
+            assert (None if refined is None else refined.g) == (None if got is None else got.g)
             hits += False in results[1:]
+            results.clear()
         assert hits >= 3
 
     def test_fast_rejection_on_profiles(self):
@@ -292,6 +310,143 @@ class TestFindIsomorphism:
         b = make_machine(ss, [constantish(ss)])
         mor = find_isomorphism(a, b, node_budget=0)
         assert mor is None
+
+
+def single_function_shape(rng, n):
+    """One self-map on n states: random, into three hubs, cycles of one
+    length (the rest fixed), a binary in-tree on a cycle, leaves hung on every
+    q-th state of a cycle, constant, or the identity."""
+    kind = rng.randrange(7)
+    if kind == 0:
+        return tuple(rng.randrange(n) for _ in range(n))
+    if kind == 1:
+        return tuple(rng.randrange(min(3, n)) for _ in range(n))
+    if kind == 2:
+        length = rng.randint(1, max(1, n // 3))
+        return tuple(
+            s - s % length + (s % length + 1) % length if s - s % length + length <= n else s
+            for s in range(n)
+        )
+    if kind in (3, 4):
+        length = rng.randint(1, min(3, n) if kind == 3 else n)
+        cycle = tuple((s + 1) % length for s in range(length))
+        q = rng.randint(1, 3)
+        hang = (lambda s: (s - length) // 2) if kind == 3 else (lambda s: q * (s - length) % length)
+        return cycle + tuple(hang(s) for s in range(length, n))
+    if kind == 5:
+        return (rng.randrange(n),) * n
+    return tuple(range(n))
+
+
+def relabelled_table(rng, table):
+    return relabelled(rng, table_machine([table])).tables[0]
+
+
+def single_function_pairs(seed, count, max_states):
+    """Relabelled positives, perturbed negatives and unrelated pairs of
+    ``single_function_shape`` maps.  A pair with exactly one identity map
+    stays at 7 states or fewer, where brute force judges it."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        n = rng.randint(1, max_states)
+        ta = single_function_shape(rng, n)
+        tb = relabelled_table(rng, ta)
+        if made % 3 == 1:
+            tb = perturbed(rng, table_machine([tb])).tables[0]
+        elif made % 3 == 2:
+            tb = relabelled_table(rng, single_function_shape(rng, n))
+        if tuple(range(n)) in (ta, tb) and ta != tb and n > 7:
+            continue
+        made += 1
+        yield ta, tb
+
+
+def least_witness_by_refinement(ta, tb):
+    """g from the refinement search on ``with_identity``, or from brute force
+    where a map is the identity and the added function would merge with it."""
+    if tuple(range(len(ta))) in (ta, tb):
+        found = brute_force_isomorphism(table_machine([ta]), table_machine([tb], "t"))
+        return None if found is None else found[0]
+    got = find_isomorphism(*with_identity([ta], [tb]))
+    return None if got is None else got.g
+
+
+def random_tape_spec(rng, policy):
+    registers = tuple(f"q{i}" for i in range(rng.randint(2, 3)))
+    symbols = ("0", "1")[: rng.randint(1, 2)]
+    cells = rng.randint(1, 3)
+    rules = {
+        (r, s): (rng.choice(registers), rng.choice(symbols), rng.choice(list(Move)))
+        for r in registers[:-1]
+        for s in symbols
+    }
+    return TuringSpec(
+        symbols=symbols,
+        registers=registers,
+        cells=cells,
+        rules=rules,
+        halting=frozenset(registers[-1:]),
+        boundary_policy=policy,
+        initial=TmConfiguration("q0", (symbols[0],) * cells, 0),
+    )
+
+
+class TestSingleFunction:
+    """One-function pairs are decided from in-tree codes, with no search; the
+    refinement search, run on the same pair with the identity added, judges
+    each witness."""
+
+    def test_witness_matches_the_refinement_search(self):
+        positives = 0
+        for ta, tb in single_function_pairs(41, 3000, 40):
+            a, b = table_machine([ta]), table_machine([tb], "t")
+            got = find_isomorphism(a, b)
+            assert (None if got is None else got.g) == least_witness_by_refinement(ta, tb), (ta, tb)
+            assert got is None or got.h == (0,)
+            if len(ta) <= 7:
+                assert (None if got is None else (got.g, got.h)) == brute_force_isomorphism(a, b)
+            positives += got is not None
+        assert positives >= 1000
+
+    @pytest.mark.parametrize("policy", list(BoundaryPolicy))
+    def test_compiled_tape_machines_match_the_refinement_search(self, policy):
+        rng = random.Random(f"compiled {policy.value}")
+        for _ in range(100):
+            m, _ = compile_tm(random_tape_spec(rng, policy))
+            b = relabelled(rng, m)
+            got = find_isomorphism(m, b)
+            assert got.g == least_witness_by_refinement(m.tables[0], b.tables[0])
+
+    def test_no_candidate_fails_where_the_refinement_search_backtracks(self, monkeypatch):
+        # With the identity added, 7 states take 9 nodes: two candidates fail.
+        ta, tb = (0, 2, 1, 5, 3, 4, 0), (1, 5, 6, 3, 3, 0, 2)
+        with pytest.raises(SearchBudgetExceededError):
+            find_isomorphism(*with_identity([ta], [tb]), node_budget=8)
+        assert find_isomorphism(*with_identity([ta], [tb]), node_budget=9) is not None
+
+        def fail(*args):
+            raise AssertionError("searched a one-function pair")
+
+        monkeypatch.setattr(isomorphism, "_search", fail)
+        a, b = table_machine([ta]), table_machine([tb], "t")
+        got = find_isomorphism(a, b, node_budget=0)
+        assert (got.g, got.h) == brute_force_isomorphism(a, b) == ((3, 2, 6, 0, 5, 1, 4), (0,))
+
+    def test_periodic_cycles(self):
+        # A 12-cycle with a leaf on every third state has period 3, so four
+        # rotations map it onto itself; the least g is the identity, and a
+        # relabelled copy gets the least of the four.
+        ta = tuple((s + 1) % 12 for s in range(12)) + (0, 3, 6, 9)
+        assert find_isomorphism(table_machine([ta]), table_machine([ta])).g == tuple(range(16))
+        rng = random.Random(42)
+        for _ in range(20):
+            tb = relabelled_table(rng, ta)
+            a, b = table_machine([ta]), table_machine([tb], "t")
+            assert find_isomorphism(a, b).g == least_witness_by_refinement(ta, tb)
+        # Leaves on states 0 and 3 only: no rotation but the identity.
+        tc = ta[:12] + (0, 3, 0, 3)
+        assert find_isomorphism(table_machine([ta]), table_machine([tc])) is None
 
 
 def fingerprint_key(m):

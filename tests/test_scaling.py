@@ -13,6 +13,11 @@ The full machine is built and reduced to 48 of its functions on 6 and on
 the kept tables.  A compiled tape machine of 917,504 states is walked from
 its initial state without listing its labels.
 
+Isomorphism of two one-function machines, a random map against a relabelled
+copy, is timed on 2000 and on 16,000 states under the same bound of 24, and
+a compiled tape machine of 30,720 states against a relabelled copy must
+answer in under 1.5 s.
+
 A lockstep check of a tape machine that loops forever holds one
 configuration of each side, and ``sim`` writes each step of that machine
 and of its translation as it is made, so their traced peaks are the same
@@ -43,6 +48,7 @@ from machalg import (
     TuringSpec,
     compile_mem,
     compile_tm,
+    find_isomorphism,
     full_machine,
     functional_reduction,
     make_machine,
@@ -55,6 +61,7 @@ from machalg import (
     state_reduction,
     tm_to_mem,
     verify_lockstep,
+    verify_morphism,
 )
 from machalg.cli import main
 from oracles import brute_force_compile_tm
@@ -162,6 +169,53 @@ def test_compiler_growth_is_linear(compile_fn, small_source, large_source):
         f"{compile_fn.__name__}: {small * 1e3:.2f} ms at {SMALL} states, "
         f"{large * 1e3:.2f} ms at {LARGE} states, ratio {ratio:.1f}"
     )
+
+
+def relabelled_pair(table, seed):
+    """Machines of ``table`` and of its conjugate by a seeded permutation."""
+    n = len(table)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    image = [0] * n
+    for s, t in enumerate(table):
+        image[perm[s]] = perm[t]
+    domain = StateSet(tuple(f"s{i}" for i in range(n)))
+    return tuple(make_machine(domain, [TransitionFunction(domain, tuple(t))]) for t in (table, image))
+
+
+def best_of_three_isomorphisms(n):
+    rng = random.Random(n)
+    table = [rng.randrange(n) for _ in range(n)]
+    times = []
+    for _ in range(3):
+        a, b = relabelled_pair(table, n)  # fresh, so no cached key
+        start = time.perf_counter()
+        assert find_isomorphism(a, b) is not None
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_single_function_isomorphism_is_linear():
+    # The refinement search this replaced grew about 3.4 times per doubling
+    # (a ratio near 40 over these three doublings).
+    small, large = best_of_three_isomorphisms(2000), best_of_three_isomorphisms(16000)
+    ratio = large / small
+    assert ratio < MAX_RATIO, (
+        f"find_isomorphism: {small * 1e3:.2f} ms at 2000 states, "
+        f"{large * 1e3:.2f} ms at 16000 states, ratio {ratio:.1f}"
+    )
+
+
+def test_compiled_tape_machine_isomorphism_answers_at_once():
+    # 3 registers, 2 symbols, 10 clamped cells: 30,720 states.
+    m, _ = compile_tm(tape_spec(3, cells=10))
+    assert m.n_states == 30720
+    a, b = relabelled_pair(m.tables[0], 1)
+    start = time.perf_counter()
+    mor = find_isomorphism(a, b)
+    elapsed = time.perf_counter() - start
+    assert mor is not None and verify_morphism(a, b, mor)
+    assert elapsed < 1.5, f"{elapsed:.2f} s for 30,720 states"
 
 
 def walk_from_the_start(t):
