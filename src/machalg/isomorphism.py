@@ -16,7 +16,9 @@ Both searches run on one explicit-stack loop, :func:`_search`, so no input
 depth meets the recursion limit.  Isomorphism prunes by colour refinement of
 the disjoint union (McKay & Piperno, 2014), and one-function machines need
 no search at all (in-tree codes); completeness checks the embedding's own
-equations as soon as both of their states are placed (Ullmann, 1976).
+equations as soon as both of their states are placed (Ullmann, 1976).  Each
+self-map is peeled and its cycles walked once, by :func:`_function_profile`;
+fingerprints, state signatures and in-tree codes all read that decomposition.
 """
 
 from __future__ import annotations
@@ -86,12 +88,14 @@ def verify_morphism(a: Machine, b: Machine, mor: Morphism) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _function_profile(table: tuple[int, ...]) -> tuple[tuple, list[int], frozenset]:
-    """(invariant fingerprint, indegrees, set of on-cycle states) for one self-map.
+def _function_profile(table: tuple[int, ...]) -> tuple[tuple, list[int], list[bool], list, list]:
+    """(fingerprint, indegrees, on-cycle flags, tree states, cycles): one self-map's decomposition.
 
-    The fingerprint (image size, indegree multiset, cycle-length multiset)
-    is preserved by conjugation with any state bijection, so mismatched
-    fingerprint multisets rule an isomorphism out before any search.
+    Tree states are peeled children before parents; each cycle is listed
+    along the map from its least state.  The fingerprint (image size,
+    indegree multiset, cycle-length multiset) is preserved by conjugation
+    with any state bijection, so mismatched fingerprint multisets rule an
+    isomorphism out before any search.
     """
     n = len(table)
     indeg = [0] * n
@@ -105,20 +109,17 @@ def _function_profile(table: tuple[int, ...]) -> tuple[tuple, list[int], frozens
         deg[j] -= 1
         if not deg[j]:
             peeled.append(j)
-    cyclic = frozenset(range(n)).difference(peeled)
-    lengths = []
-    todo = set(cyclic)
-    while todo:
-        i = todo.pop()
-        length = 1
-        j = table[i]
-        while j != i:
-            todo.discard(j)
-            j = table[j]
-            length += 1
-        lengths.append(length)
-    fingerprint = (n - indeg.count(0), tuple(sorted(indeg)), tuple(sorted(lengths)))
-    return fingerprint, indeg, cyclic
+    cyclic, rings = [False] * n, []
+    for i in range(n):
+        if deg[i] and not cyclic[i]:  # in-degree left: the least state of a cycle not yet walked
+            ring, j = [], i
+            while not cyclic[j]:
+                cyclic[j] = True
+                ring.append(j)
+                j = table[j]
+            rings.append(ring)
+    fingerprint = (n - indeg.count(0), tuple(sorted(indeg)), tuple(sorted(map(len, rings))))
+    return fingerprint, indeg, cyclic, peeled, rings
 
 
 def _state_signatures(tables: Sequence[tuple[int, ...]], n: int, profiles: list) -> list[tuple]:
@@ -129,22 +130,22 @@ def _state_signatures(tables: Sequence[tuple[int, ...]], n: int, profiles: list)
     one to one and transports all three quantities, so signatures must agree
     between g-paired states.  ``profiles`` are the tables' profiles.
     """
-    per_fn = [(indeg, table, cyclic) for table, (_, indeg, cyclic) in zip(tables, profiles)]
+    per_fn = [(indeg, table, cyclic) for table, (_, indeg, cyclic, _, _) in zip(tables, profiles)]
     return [
-        tuple(sorted((indeg[s], table[s] == s, s in cyclic) for indeg, table, cyclic in per_fn))
+        tuple(sorted((indeg[s], table[s] == s, cyclic[s]) for indeg, table, cyclic in per_fn))
         for s in range(n)
     ]
 
 
-def _profile(m: Machine) -> tuple[int, tuple, list[tuple]]:
-    """(key, invariants, state signatures) of ``m``, caching the key on it:
-    the invariants are its sorted function fingerprints and state signatures,
-    the key their hash, alike under every PYTHONHASHSEED (ints, bools, tuples)."""
+def _profile(m: Machine) -> tuple[int, tuple, list[tuple], list[tuple]]:
+    """(key, invariants, state signatures, function profiles) of ``m``, caching
+    the key on it: the invariants are its sorted function fingerprints and state
+    signatures, the key their hash, alike under every PYTHONHASHSEED (ints, bools, tuples)."""
     profiles = [_function_profile(t) for t in m.tables]
     sigs = _state_signatures(m.tables, m.n_states, profiles)
     invariants = (tuple(sorted(p[0] for p in profiles)), tuple(sorted(sigs)))
     key = m.__dict__["_fingerprint_key"] = hash(invariants)
-    return key, invariants, sigs
+    return key, invariants, sigs, profiles
 
 
 def _conjugate(table: tuple[int, ...], g: Sequence[int]) -> tuple[int, ...]:
@@ -306,41 +307,32 @@ def _least_rotation(seq: list[int]) -> tuple[int, int]:
     return i, j - i if k == n else n
 
 
-def _in_tree_keys(table: tuple[int, ...], codes: dict, keys: dict) -> tuple[list, list]:
-    """(key, on-cycle flag) per state of one self-map.  A tree state's key is its
-    code, the interned sorted tuple of its tree children's codes (Aho, Hopcroft &
-    Ullman, 1974), and its image's key; a cycle state's, its cycle's least rotation
-    of codes (Booth, 1980) and its offset from it modulo the period.  With ``codes``
-    and ``keys`` shared, states of two machines can correspond iff their keys are equal."""
+def _in_tree_keys(table: tuple, profile: tuple, codes: dict, keys: dict) -> tuple[list, list]:
+    """(key, on-cycle flag) per state of one self-map, read off its ``profile``.  A tree
+    state's key is its code, the interned sorted tuple of its tree children's codes (Aho,
+    Hopcroft & Ullman, 1974), and its image's key; a cycle state's, its cycle's least rotation
+    of codes (Booth, 1980) and its offset from it modulo the period.  With ``codes`` and
+    ``keys`` shared, states of two machines can correspond iff their keys are equal."""
+    _, _, cyclic, peeled, rings = profile
     n = len(table)
-    deg, code, key, kids = [0] * n, [0] * n, [-1] * n, [[] for _ in range(n)]
-    for j in table:
-        deg[j] += 1
-    peeled = [i for i, d in enumerate(deg) if not d]  # children before parents
-    for i in peeled:
-        j = table[i]
-        deg[j] -= 1
-        if not deg[j]:
-            peeled.append(j)
+    code, key, kids = [0] * n, [0] * n, [[] for _ in range(n)]
+    for i in peeled:  # children before parents
         code[i] = codes.setdefault(tuple(sorted(kids[i])), len(codes))
-        kids[j].append(code[i])
-    for i in range(n):
-        if deg[i] and key[i] < 0:  # in-degree left: the least state of a new cycle
-            ring = [i]
-            while table[ring[-1]] != i:
-                ring.append(table[ring[-1]])
-            seq = [codes.setdefault(tuple(sorted(kids[c])), len(codes)) for c in ring]
-            r, p = _least_rotation(seq)
-            kind = codes.setdefault((tuple(seq[r:] + seq[:r]),), len(codes))  # no tree's code
-            for pos, c in enumerate(ring):
-                key[c] = keys.setdefault((kind, (pos - r) % p), len(keys))
+        kids[table[i]].append(code[i])
+    for ring in rings:
+        seq = [codes.setdefault(tuple(sorted(kids[c])), len(codes)) for c in ring]
+        r, p = _least_rotation(seq)
+        kind = codes.setdefault((tuple(seq[r:] + seq[:r]),), len(codes))  # no tree's code
+        for pos, c in enumerate(ring):
+            key[c] = keys.setdefault((kind, (pos - r) % p), len(keys))
     for i in reversed(peeled):
         key[i] = keys.setdefault((code[i], key[table[i]]), len(keys))
-    return key, deg
+    return key, cyclic
 
 
-def _single_function_isomorphism(ta: tuple[int, ...], tb: tuple[int, ...]) -> Optional[Morphism]:
-    """The lexicographically least g with g . ta = tb . g, h = (0,), or None, in near-linear time.
+def _single_function_isomorphism(ta: tuple, tb: tuple, pa: tuple, pb: tuple) -> Optional[Morphism]:
+    """The lexicographically least g with g . ta = tb . g, h = (0,), or None, in near-linear
+    time, given the tables' profiles ``pa`` and ``pb``.
 
     Cycle states hang under a root n that maps to itself.  The least unplaced
     a-state s walks forward to a placed state x; its candidates are the
@@ -350,8 +342,8 @@ def _single_function_isomorphism(ta: tuple[int, ...], tb: tuple[int, ...]) -> Op
     child keys, so every candidate extends to an isomorphism: nothing is undone.
     """
     n, codes, keys = len(ta), {}, {}
-    key_a, cyc_a = _in_tree_keys(ta, codes, keys)
-    key_b, cyc_b = _in_tree_keys(tb, codes, keys)
+    key_a, cyc_a = _in_tree_keys(ta, pa, codes, keys)
+    key_b, cyc_b = _in_tree_keys(tb, pb, codes, keys)
     if sorted(key_a) != sorted(key_b):
         return None
     g, used, kids, below = [-1] * n + [n], [False] * n, {}, {}
@@ -414,14 +406,16 @@ def find_isomorphism(
         return None
     n = a.n_states
     first, second = (b, a) if key_a is not None else (a, b)
-    key, invariants, sigs = _profile(first)
+    key, invariants, sigs, profiles = _profile(first)
     if second.__dict__.get("_fingerprint_key", key) != key:
         return None
-    _, second_invariants, second_sigs = _profile(second)
+    _, second_invariants, second_sigs, second_profiles = _profile(second)
     if invariants != second_invariants:  # equal keys are no proof
         return None
     if a.n_functions == 1:  # no search, so no nodes spent
-        return _single_function_isomorphism(a.tables[0], b.tables[0])
+        pa, pb = (profiles, second_profiles) if first is a else (second_profiles, profiles)
+        return _single_function_isomorphism(a.tables[0], b.tables[0], pa[0], pb[0])
+    del profiles, second_profiles  # the search keeps only the state signatures
     sigs = sigs + second_sigs if first is a else second_sigs + sigs
     # b's states are shifted up by n in the union.
     out = [list(ts) for ts in zip(*a.tables)] + [[n + t for t in ts] for ts in zip(*b.tables)]

@@ -21,7 +21,9 @@ clause on its own, kept verbatim as the reference for the bulk checks of
 ``parse_machine`` but for its columns, which it finds by
 matching tokens and clauses with regular expressions.  The enumerated
 full and bijection machines list every table, as ``full_machine`` and
-``full_bijection_machine`` did before they computed tables on demand.
+``full_bijection_machine`` did before they computed tables on demand.  The
+decomposition oracle finds a self-map's cycles by iterating the map from
+each state, with no peeling.
 """
 
 from __future__ import annotations
@@ -86,6 +88,38 @@ def brute_force_isomorphism(
             ):
                 return g, h
     return None
+
+
+def brute_force_decomposition(
+    table: tuple[int, ...]
+) -> tuple[list[int], list[bool], list[list[int]]]:
+    """(indegrees, on-cycle flags, cycles) of one self-map, by definition.
+
+    Indegrees are counted; s lies on a cycle iff f^m(s) = s for some
+    1 <= m <= n; each cycle is its orbit listed from its least state, and
+    the cycles are sorted by that state.
+    """
+    n = len(table)
+    indeg = [sum(1 for t in table if t == s) for s in range(n)]
+    cyclic = []
+    for s in range(n):
+        t, returns = s, False
+        for _ in range(n):
+            t = table[t]
+            returns = returns or t == s
+        cyclic.append(returns)
+    rings = set()
+    for s in range(n):
+        if cyclic[s]:
+            orbit, t = {s}, table[s]
+            while t != s:
+                orbit.add(t)
+                t = table[t]
+            ring = [min(orbit)]
+            while len(ring) < len(orbit):
+                ring.append(table[ring[-1]])
+            rings.add(tuple(ring))
+    return indeg, cyclic, [list(r) for r in sorted(rings)]
 
 
 def brute_force_state_reduction(m: Machine, labels) -> Optional[Machine]:

@@ -14,6 +14,7 @@ from machalg import (
     MachineTemplate,
     ParseError,
     UndefinedFormError,
+    build_universality_report,
     card_add,
     card_mul,
     card_pow,
@@ -21,6 +22,7 @@ from machalg import (
     state_cardinality,
     transition_space_cardinality,
 )
+from machalg import cardinal
 from oracles import reference_evaluate_expression
 
 finites = st.integers(min_value=0, max_value=10**6).map(Finite)
@@ -208,6 +210,37 @@ class TestTransitionSpace:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             transition_space_cardinality(Finite(0))
+
+
+class TestUniversalityVerdicts:
+    """The two "not shown" verdicts, which no default template reaches."""
+
+    COMPLETE = "|T| = Beth(1) <= |S| = Beth(1) and the simulator's transition set is full"
+
+    def test_simulator_without_the_full_transition_set(self, monkeypatch):
+        monkeypatch.setattr(MachineTemplate, "has_full_transition_set", property(lambda self: False))
+        report = build_universality_report()
+        reason = "the simulator lacks the full transition set"
+        assert report.verdicts == (
+            ("infinite-tape-turing(k=2, m=2)", "not shown", reason),
+            ("lsm", "not shown", reason),
+            ("quantum(m=2, n=2)", "not shown", reason),
+        )
+        assert report.all_complete is False
+
+    def test_target_larger_than_the_simulator(self, monkeypatch):
+        real = cardinal.state_cardinality
+        monkeypatch.setattr(
+            cardinal, "state_cardinality",
+            lambda t, trace=None: Beth(2) if t.kind == "lsm" else real(t, trace),
+        )
+        report = build_universality_report()
+        assert report.verdicts == (
+            ("infinite-tape-turing(k=2, m=2)", "UMM-complete", self.COMPLETE),
+            ("lsm", "not shown", "|T| = Beth(2) > |S| = Beth(1)"),
+            ("quantum(m=2, n=2)", "UMM-complete", self.COMPLETE),
+        )
+        assert report.all_complete is False
 
 
 class TestExpressions:

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from machalg import (
+    Beth,
+    MachineTemplate,
     StateSet,
     full_machine,
     parse_certificate,
@@ -17,7 +19,7 @@ from machalg import (
     parse_mem,
     render_machine,
 )
-from machalg import cli
+from machalg import cardinal, cli
 from machalg.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +108,22 @@ class TestUniversality:
         _, without, _ = run(capsys, "universality", "--no-trace")
         assert len(without) < len(with_trace)
         assert "verdict" in without
+
+    def test_expect_yes_contradicted_without_the_full_transition_set(self, capsys, monkeypatch):
+        monkeypatch.setattr(MachineTemplate, "has_full_transition_set", property(lambda self: False))
+        rc, out, _ = run(capsys, "universality", "--expect", "yes")
+        assert rc == 1
+        assert out.count("not shown") == 3
+
+    def test_expect_yes_contradicted_by_a_larger_target(self, capsys, monkeypatch):
+        real = cardinal.state_cardinality
+        monkeypatch.setattr(
+            cardinal, "state_cardinality",
+            lambda t, trace=None: Beth(2) if t.kind == "lsm" else real(t, trace),
+        )
+        rc, out, _ = run(capsys, "universality", "--expect", "yes")
+        assert rc == 1
+        assert out.count("not shown") == 1 and "|T| = Beth(2) > |S| = Beth(1)" in out
 
 
 class TestIso:

@@ -49,7 +49,12 @@ from machalg import isomorphism
 from machalg.lemmas import random_machine
 
 from conftest import conjugated
-from oracles import brute_force_embedding, brute_force_isomorphism, enumerated_full_machine
+from oracles import (
+    brute_force_decomposition,
+    brute_force_embedding,
+    brute_force_isomorphism,
+    enumerated_full_machine,
+)
 
 
 def table_machine(tables, prefix="s"):
@@ -447,6 +452,26 @@ class TestSingleFunction:
         # Leaves on states 0 and 3 only: no rotation but the identity.
         tc = ta[:12] + (0, 3, 0, 3)
         assert find_isomorphism(table_machine([ta]), table_machine([tc])) is None
+
+
+class TestDecomposition:
+    """``_function_profile``, the one decomposition of a self-map, against
+    the definition on every map of at most 5 states."""
+
+    def test_every_map_up_to_five_states(self):
+        maps = 0
+        for n in range(1, 6):
+            for table in itertools.product(range(n), repeat=n):
+                fingerprint, indeg, cyclic, peeled, rings = isomorphism._function_profile(table)
+                assert (indeg, cyclic, rings) == brute_force_decomposition(table), table
+                lengths = tuple(sorted(len(r) for r in rings))
+                assert fingerprint == (len(set(table)), tuple(sorted(indeg)), lengths)
+                # Each off-cycle state once, after all of its preimages.
+                assert sorted(peeled) == [s for s in range(n) if not cyclic[s]]
+                place = {s: i for i, s in enumerate(peeled)}
+                assert all(place[t] < place[s] for t, s in enumerate(table) if s in place)
+                maps += 1
+        assert maps == 3413
 
 
 def fingerprint_key(m):
