@@ -8,9 +8,9 @@ least valid g under the source state order, so identical inputs always
 produce identical certificates.
 
 Completeness asks for a sub-machine of one machine isomorphic to another.
-When the container carries the full function set the witness is constructed
-directly (place the target on the container's first states and extend each
-function by the identity); otherwise subsets are searched exhaustively.
+A full container takes the target on its first states, each function extended
+by the identity, unsearched; otherwise subsets are searched exhaustively.
+Either way the witness is built from what was found; only checkers replay it.
 
 Both searches run on one explicit-stack loop, :func:`_search`, so no input
 depth meets the recursion limit.  Isomorphism prunes by colour refinement of
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .errors import IncompatibleShapesError, MachalgError, SearchBudgetExceededError
-from .machine import Machine, _numeral
-from .reductions import Reduction, _restrictions, sub_machine
+from .machine import Machine, StateSet, _names, _numeral
+from .reductions import Reduction, _restrictions, _state_witness, functional_reduction, sub_machine
 from .textio import _CERT_REQUIRED, Certificate
 
 
@@ -477,10 +477,12 @@ def _construct_embedding(a: Machine, b: Machine) -> CompletenessWitness:
 def _witness(
     a: Machine, chosen: list[int], subset: Sequence[int], conj_tables: Sequence, g: Sequence[int]
 ) -> CompletenessWitness:
-    """The witness that keeps ``a``'s functions at ``chosen`` and its states
-    at ``subset``, where b's state i goes to subset position ``g[i]`` and
-    b's function j to the sub-machine function with table ``conj_tables[j]``."""
-    fr, sr = sub_machine(a, chosen, [a.states.labels[i] for i in subset])
+    """The witness keeping ``a``'s functions at ``chosen`` and states at ``subset``, assembled
+    with no replay and no label lookup in ``a``: b's state i goes to subset position ``g[i]``,
+    b's function j to ``chosen[j]``, whose restriction (all distinct) is ``conj_tables[j]``."""
+    fr, name = functional_reduction(a, chosen), _names(a)
+    kept = StateSet(tuple(map(a.states.labels.__getitem__, subset)))
+    sr = _state_witness(fr.result, kept, [(t, name(i)) for t, i in zip(conj_tables, chosen)])
     sub_index = {t: j for j, t in enumerate(sr.result.tables)}
     mor = Morphism(tuple(g), tuple(sub_index[t] for t in conj_tables))
     return CompletenessWitness((fr, sr), mor)

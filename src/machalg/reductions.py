@@ -114,7 +114,7 @@ def state_reduction(m: Machine, keep_states: Sequence[str]) -> Reduction:
 
 def _state_witness(m: Machine, sub: StateSet, restricted: list) -> Reduction:
     """The state reduction of ``m`` to ``sub`` whose restricted ``(table,
-    name)`` pairs, in ``m``'s function order, are already found."""
+    name)`` pairs, in ``m``'s order where two share a table, are found."""
     if not restricted:
         raise EmptyReductionError(
             f"no transition function preserves {list(sub.labels)}; "
@@ -130,8 +130,8 @@ def sub_machine(
     """Keep ``m``'s functions at the indices ``kept_functions``, then the
     states ``kept_states``; returns both witnesses, the second one's
     ``result`` being the sub-machine.  Every checker replays a witness through
-    here; :func:`is_sub_machine` builds the same pair from the restrictions
-    its test already found."""
+    here; the searches (:func:`is_sub_machine`, ``is_complete``) assemble the
+    same pair from the restrictions they already found."""
     fr = functional_reduction(m, kept_functions)
     return fr, state_reduction(fr.result, kept_states)
 

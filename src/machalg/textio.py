@@ -96,22 +96,15 @@ def _require(lineno: int, *needed: tuple[str, object]) -> None:
 # Machine format (.mx)
 # ---------------------------------------------------------------------------
 
-def _is_mx_token(token) -> bool:
-    """True when ``token`` can stand as a name or state in ``.mx`` text: it is
-    a non-empty string, has no whitespace, and contains none of , : -> #."""
-    return isinstance(token, str) and token.split() == [token] and not any(
-        bad in token for bad in (",", ":", "->", "#")
-    )
-
-
 def _check_mx_token(token: str, what: str, lineno: int, raw: str, k: int) -> None:
     """Reject ``token``, token ``k`` of ``raw``, unless it is an ``.mx`` token."""
-    if not _is_mx_token(token):
+    if not _all_mx_tokens([token]):
         raise ParseError(f"{what} {token!r} may not contain any of , : -> #", lineno, _col(raw, k))
 
 
 def _all_mx_tokens(labels: list) -> bool:
-    """``all(map(_is_mx_token, labels))``, checked on the joined labels."""
+    """True when each of ``labels`` can stand as a name or state in ``.mx`` text: a
+    non-empty string with no whitespace and none of , : -> #, checked joined."""
     try:
         text = " ".join(labels)  # no "->" can form across the space
     except TypeError:  # a label that is not a string
@@ -250,7 +243,7 @@ def display_names(m: Machine) -> list[str]:
     names, used, name = [], set(), _names(m)
     for i, _ in enumerate(m.tables):  # implicit tables past the cap refuse here
         cand = name(i)
-        if cand in used or not _is_mx_token(cand):
+        if cand in used or not _all_mx_tokens([cand]):
             cand = f"f{i}"
             while cand in used:
                 cand += "_"
@@ -292,9 +285,9 @@ def render_machine(m: Machine) -> str:
     labels = tuple(m.states.labels)
     if not _all_mx_tokens(list(labels)):
         for s in labels:
-            if not _is_mx_token(s):
+            if not _all_mx_tokens([s]):
                 raise InvalidMachineError(f"state label {s!r} is not representable in text")
-    lines = [f"machine {m.name if _is_mx_token(m.name) else 'm'}", "states " + " ".join(labels)]
+    lines = [f"machine {m.name if _all_mx_tokens([m.name]) else 'm'}", "states " + " ".join(labels)]
     if isinstance(m.tables, _ImplicitTables):
         return "\n".join(lines + [f"functions {m.tables.form}"]) + "\n"
     display = display_names(m)

@@ -23,7 +23,9 @@ matching tokens and clauses with regular expressions.  The enumerated
 full and bijection machines list every table, as ``full_machine`` and
 ``full_bijection_machine`` did before they computed tables on demand.  The
 decomposition oracle finds a self-map's cycles by iterating the map from
-each state, with no peeling.
+each state, with no peeling.  The certificate checker applies a
+certificate's keeps by definition on raw tables and labels, then checks the
+morphism equations, with no call into the package beyond reading machines.
 """
 
 from __future__ import annotations
@@ -164,6 +166,65 @@ def brute_force_sub_machine(a: Machine, b: Machine) -> Optional[tuple[int, ...]]
                 kept.append(j)
                 reached.add(r)
     return tuple(kept) if reached == b_tabs else None
+
+
+def reference_sub_machine(
+    a: Machine, kept_functions, kept_states
+) -> Optional[tuple[tuple[str, ...], list[tuple[int, ...]]]]:
+    """(labels, sorted tables) of the sub-machine of ``a`` that the keeps
+    name, from raw tables, or None where the keeps name none.
+
+    Functional, then state: the kept indices (repeats collapse) must be
+    ``a``'s, the kept labels ``a``'s and distinct, both non-empty; the
+    result holds the restriction of each kept table that maps the kept
+    states into themselves, re-indexed in the given label order, with
+    duplicates collapsed, and at least one of them.
+    """
+    labels, count = list(a.states.labels), len(a.tables)
+    if not kept_functions or not all(0 <= i < count for i in kept_functions):
+        return None
+    if not kept_states or len(set(kept_states)) != len(kept_states):
+        return None
+    if not all(s in labels for s in kept_states):
+        return None
+    positions = [labels.index(s) for s in kept_states]
+    restricted = set()
+    for t in {a.tables[i] for i in kept_functions}:
+        if all(t[p] in positions for p in positions):
+            restricted.add(tuple(positions.index(t[p]) for p in positions))
+    if not restricted:
+        return None
+    return tuple(kept_states), sorted(restricted)
+
+
+def _commutes(src: list, dst: list, g, h) -> bool:
+    """g is a bijection of states and h of functions, from the tables
+    ``src`` to the tables ``dst``, with g(f(s)) = h(f)(g(s)) throughout."""
+    n, k = len(src[0]), len(src)
+    if len(dst[0]) != n or len(dst) != k:
+        return False
+    if sorted(g) != list(range(n)) or sorted(h) != list(range(k)):
+        return False
+    return all(g[f[s]] == dst[h[j]][g[s]] for j, f in enumerate(src) for s in range(n))
+
+
+def reference_verify(kind: str, a: Machine, b: Machine, fields: dict) -> bool:
+    """Whether a certificate of ``kind`` whose ``fields`` (``g``, ``h``,
+    ``kept_functions``, ``kept_states``) are given holds for ``a`` and ``b``.
+
+    ``iso`` maps ``a`` onto ``b``; ``complete`` maps ``b`` onto the
+    sub-machine of ``a`` that its keeps name; for ``submachine`` that
+    sub-machine is ``b``, labels in order included.
+    """
+    if kind == "iso":
+        return _commutes(list(a.tables), list(b.tables), fields["g"], fields["h"])
+    sub = reference_sub_machine(a, fields["kept_functions"], fields["kept_states"])
+    if sub is None:
+        return False
+    labels, tables = sub
+    if kind == "complete":
+        return _commutes(list(b.tables), tables, fields["g"], fields["h"])
+    return labels == tuple(b.states.labels) and tables == list(b.tables)
 
 
 def _tm_halts_at(t: TuringSpec, c: TmConfiguration) -> bool:

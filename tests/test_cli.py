@@ -21,6 +21,7 @@ from machalg import (
 )
 from machalg import cardinal, cli
 from machalg.cli import build_parser, main
+from mutants import check_cli_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -748,6 +749,15 @@ class TestEverySample:
             if rc not in (0, 1, 2) or "internal error" in err:
                 faults.append((argv, rc, err))
         assert faults == []
+
+
+class TestMutatedInputs:
+    """Mutated copies of the samples and of certificates, through every
+    file-taking subcommand: each call ends in an answer, an ``--expect``
+    mismatch or one ``error: `` line, within 2 s; CI runs more seeds."""
+
+    def test_no_call_faults(self):
+        assert check_cli_corpus(range(100)) == 1000
 
 
 class TestErrorPaths:

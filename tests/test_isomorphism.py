@@ -46,15 +46,20 @@ from machalg import (
     verify_morphism,
 )
 from machalg import isomorphism
+from machalg.errors import EmptyReductionError
 from machalg.lemmas import random_machine
+from machalg.reductions import is_sub_machine, sub_machine
 
 from conftest import conjugated
+from mutants import mutated_fields
 from oracles import (
     brute_force_decomposition,
     brute_force_embedding,
     brute_force_isomorphism,
     enumerated_full_machine,
+    reference_verify,
 )
+from test_scaling import tape_spec
 
 
 def table_machine(tables, prefix="s"):
@@ -1013,6 +1018,124 @@ class TestVerify:
         switch = parse_machine(self.SWITCH.read_text())
         target = {"switch": switch, "hold": state_reduction(switch, ["off"]).result}[b]
         assert verify(cert, switch, target) == (False, reason)
+
+
+def drawn(rng, n, k, prefix="s"):
+    """n states, at most k tables; half the time named, with named functions."""
+    m = table_machine(random_tables(rng, n, k), prefix)
+    if rng.random() < 0.5:
+        names = rng.sample([f"g{j}" for j in range(3 * m.n_functions)], m.n_functions)
+        m = dataclasses.replace(m, name=f"m{rng.randrange(100)}", function_names=tuple(names))
+    return m
+
+
+def kept_sub_machine(rng, a):
+    """A random sub-machine of ``a``, or None where the keeps leave no function."""
+    labels = rng.sample(a.states.labels, rng.randint(1, a.n_states))
+    keep = rng.sample(range(a.n_functions), rng.randint(1, min(a.n_functions, 4)))
+    try:
+        return sub_machine(a, keep, labels)[1].result
+    except EmptyReductionError:
+        return None
+
+
+def full(n, prefix="s"):
+    return full_machine(StateSet(tuple(f"{prefix}{i}" for i in range(n))))
+
+
+def certificate_cases(rng):
+    """(kind, a, b, fields, limits): one certificate from find_isomorphism, each
+    is_complete path and is_sub_machine, on machines of 2-5 states and 1-4
+    functions, named or not, with ``functions all`` containers among them.
+    ``limits`` bound the indices a mutant draws for each numeric field."""
+    n = rng.randint(2, 5)
+    a = drawn(rng, n, rng.randint(1, 4)) if rng.random() < 0.8 else full(rng.randint(2, 3))
+    b = relabelled(rng, a) if isinstance(a.tables, tuple) else full(a.n_states, "t")
+    mor = find_isomorphism(a, b)
+    yield "iso", a, b, dict(g=mor.g, h=mor.h), dict(g=a.n_states, h=a.n_functions)
+    questions = [(full(n), drawn(rng, rng.randint(1, n), rng.randint(1, 4), "t"), "construct")]
+    a = drawn(rng, n, rng.randint(1, 4))
+    b = kept_sub_machine(rng, a)
+    if b is not None:
+        questions.append((a, relabelled(rng, b), "search"))
+    if n <= 3:
+        questions.append((full(n), drawn(rng, rng.randint(1, n), rng.randint(1, 3), "t"), "search"))
+    for a, b, method in questions:
+        w = is_complete(a, b, method=method)
+        fr, sr = w.reductions
+        fields = dict(g=w.morphism.g, h=w.morphism.h, kept_functions=fr.kept_functions,
+                      kept_states=sr.kept_states)
+        limits = dict(g=b.n_states, h=b.n_functions, kept_functions=a.n_functions)
+        yield "complete", a, b, fields, limits
+    a = drawn(rng, n, rng.randint(1, 4))
+    b = kept_sub_machine(rng, a)
+    if b is not None:
+        fr, sr = is_sub_machine(a, b)
+        fields = dict(kept_functions=fr.kept_functions, kept_states=sr.kept_states)
+        yield "submachine", a, b, fields, dict(kept_functions=a.n_functions)
+
+
+class TestVerifyAgainstReference:
+    def test_mutated_certificates(self):
+        # verify's verdict on every mutant equals the definitional checker's
+        rng = random.Random(32)
+        tally = {(kind, ok): 0 for kind in ("iso", "complete", "submachine") for ok in (True, False)}
+        for _ in range(60):
+            for kind, a, b, fields, limits in certificate_cases(rng):
+                labels = list(a.states.labels)
+                for i in range(41):
+                    mutant = mutated_fields(rng, kind, fields, labels, limits) if i else fields
+                    ok = reference_verify(kind, a, b, mutant)
+                    assert verify(Certificate(kind, **mutant), a, b)[0] is ok, (kind, a, b, mutant)
+                    tally[kind, ok] += 1
+        accepted, total = sum(n for (_, ok), n in tally.items() if ok), sum(tally.values())
+        assert min(tally.values()) >= 100 and total / 10 < accepted < total * 0.9, tally
+
+
+class TestWitnessAssembly:
+    """is_complete builds its witness from what it found: the pair a replay
+    of its keeps gives, and no label of the container is looked up."""
+
+    def test_witness_is_the_replay(self):
+        rng = random.Random(33)
+        tally = {"named search": 0, "full construct": 0, "full search": 0}
+        for i in range(400):
+            n = rng.randint(1, 5)
+            if i % 2:  # a relabelled sub-machine of a listed container, named or not
+                a = drawn(rng, n, rng.randint(1, 6))
+                b, method, kind = kept_sub_machine(rng, a), "search", "named search"
+                if b is None:
+                    continue
+                b = relabelled(rng, b)
+            else:  # a functions all container, on the construct path or the search path
+                method = "construct" if n > 3 or rng.random() < 0.5 else "search"
+                a, kind = full(n), f"full {method}"
+                b = drawn(rng, rng.randint(1, n), rng.randint(1, 4), "t")
+            w = is_complete(a, b, method=method)
+            fr, sr = w.reductions
+            replay = sub_machine(a, fr.kept_functions, sr.kept_states)
+            for got, want in zip(w.reductions, replay):
+                assert got == want
+                for m, r in ((got.source, want.source), (got.result, want.result)):
+                    assert (m.name, m.function_names) == (r.name, r.function_names)
+            assert verify_completeness(a, b, w)
+            tally[kind] += 1
+        assert sum(tally.values()) >= 300 and min(tally.values()) >= 40, tally
+
+    @pytest.mark.parametrize("method", ["search", "construct"])
+    def test_compiled_container_is_not_listed(self, method):
+        m, _ = compile_tm(tape_spec(2, cells=4))  # 128 states, labels decoded on demand
+        ss = states("x", "y")
+        if method == "search":  # a 2-cycle: where the head is clamped on the last cell
+            a, b = m, make_machine(ss, [fn_from_map(ss, {"x": "y", "y": "x"})])
+        else:
+            a, b = full_machine(m.states), m
+        assert "_listing" not in m.states.labels.__dict__
+        w = is_complete(a, b, method=method)
+        assert w is not None
+        assert "_listing" not in m.states.labels.__dict__
+        assert "_positions" not in m.states.__dict__
+        assert verify_completeness(a, b, w)
 
 
 class TestSearchScale:
