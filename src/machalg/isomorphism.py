@@ -14,9 +14,9 @@ Either way the witness is built from what was found; only checkers replay it.
 
 Both searches run on one explicit-stack loop, :func:`_search`, so no input
 depth meets the recursion limit.  Isomorphism prunes by colour refinement of
-the disjoint union (McKay & Piperno, 2014), and one-function machines need
-no search at all (in-tree codes); completeness checks the embedding's own
-equations as soon as both of their states are placed (Ullmann, 1976).  Each
+the disjoint union (hashed rounds, then McKay & Piperno, 2014), and one-function
+machines need no search at all (in-tree codes); completeness checks the embedding's
+own equations as soon as both of their states are placed (Ullmann, 1976).  Each
 self-map is peeled and its cycles walked once, by :func:`_function_profile`;
 fingerprints, state signatures and in-tree codes all read that decomposition.
 """
@@ -122,27 +122,27 @@ def _function_profile(table: tuple[int, ...]) -> tuple[tuple, list[int], list[bo
     return fingerprint, indeg, cyclic, peeled, rings
 
 
-def _state_signatures(tables: Sequence[tuple[int, ...]], n: int, profiles: list) -> list[tuple]:
-    """Per-state fingerprints invariant under isomorphism.
+def _state_signatures(tables: Sequence[tuple[int, ...]], profiles: list) -> list:
+    """Per-state fingerprints invariant under isomorphism, read off ``profiles``.
 
-    For each of the ``n`` states, the multiset over ``tables`` of (indegree
-    here, fixes here, lies on a cycle here).  Conjugation matches functions
-    one to one and transports all three quantities, so signatures must agree
-    between g-paired states.  ``profiles`` are the tables' profiles.
+    Each state gets one int per function, 4·indegree + 2·fixes + on a cycle,
+    and, with several functions, the sorted tuple of them.  Conjugation
+    matches functions one to one and transports all three quantities, so
+    signatures must agree between g-paired states.
     """
-    per_fn = [(indeg, table, cyclic) for table, (_, indeg, cyclic, _, _) in zip(tables, profiles)]
-    return [
-        tuple(sorted((indeg[s], table[s] == s, cyclic[s]) for indeg, table, cyclic in per_fn))
-        for s in range(n)
+    codes = [
+        [4 * d + 2 * (u == s) + c for s, (u, d, c) in enumerate(zip(table, indeg, cyclic))]
+        for table, (_, indeg, cyclic, _, _) in zip(tables, profiles)
     ]
+    return codes[0] if len(codes) == 1 else [tuple(sorted(z)) for z in zip(*codes)]
 
 
-def _profile(m: Machine) -> tuple[int, tuple, list[tuple], list[tuple]]:
+def _profile(m: Machine) -> tuple[int, tuple, list, list[tuple]]:
     """(key, invariants, state signatures, function profiles) of ``m``, caching
     the key on it: the invariants are its sorted function fingerprints and state
-    signatures, the key their hash, alike under every PYTHONHASHSEED (ints, bools, tuples)."""
+    signatures, the key their hash, alike under every PYTHONHASHSEED (ints and tuples)."""
     profiles = [_function_profile(t) for t in m.tables]
-    sigs = _state_signatures(m.tables, m.n_states, profiles)
+    sigs = _state_signatures(m.tables, profiles)
     invariants = (tuple(sorted(p[0] for p in profiles)), tuple(sorted(sigs)))
     key = m.__dict__["_fingerprint_key"] = hash(invariants)
     return key, invariants, sigs, profiles
@@ -192,6 +192,34 @@ def _search(problems: Iterable[tuple], n: int, what: str, node_budget: Optional[
     return None
 
 
+def _colour_rounds(sigs: list, tables: list[tuple[int, ...]], n: int) -> Optional[list[int]]:
+    """Colours of the 2n states of a ⊔ b (functions ``tables``) from ``sigs`` by whole rounds of
+    colour refinement (Berkholz, Bonsma & Grohe, 2017), or None if a colour is unbalanced.  A
+    round adds to a state's colour the sums of hashed weights of its out- and in-neighbours'
+    colours: a function of their multisets, so never finer than the coarsest equitable partition.
+    Rounds stop when one adds no colour, after (2n).bit_length() (a path needs n), or when none
+    can help: one colour never splits (k out-arcs each, in-arcs fixed by the signature), and n
+    colours are discrete or unbalanced."""
+    ids: dict = {}
+    colours = [ids.setdefault(s, len(ids)) for s in sigs]
+    for r in range((2 * n).bit_length()):
+        count = len(ids)
+        if not 1 < count < n:
+            break
+        w = [hash((r, c)) for c in range(count)]
+        weight = [w[c] for c in colours]
+        outs, ins = [0] * (2 * n), [0] * (2 * n)
+        for t in tables:
+            outs = [x + weight[u] for x, u in zip(outs, t)]
+            for s, u in enumerate(t):
+                ins[u] += weight[s]
+        ids = {}
+        colours = [ids.setdefault(key, len(ids)) for key in zip(colours, outs, ins)]
+        if len(ids) == count:
+            break
+    return colours if sorted(colours[:n]) == sorted(colours[n:]) else None
+
+
 class _Partition:
     """An ordered partition of the 2n states of a ⊔ b (a's below n), refined in place.
 
@@ -201,18 +229,18 @@ class _Partition:
     one restores ``end`` and ``cell`` only: the state is linear in n.
     """
 
-    def __init__(self, sigs: list[tuple], out: list[list[int]], n: int):
+    def __init__(self, colours: list[int], out: Sequence[Sequence[int]], n: int):
         self.n, self.out, self.trail = n, out, []
         self.inn: list[list[int]] = [[] for _ in out]
         for s, ts in enumerate(out):
             for t in ts:
                 self.inn[t].append(s)
-        self.lab = sorted(range(2 * n), key=sigs.__getitem__)
+        self.lab = sorted(range(2 * n), key=colours.__getitem__)
         self.cell = [0] * (2 * n)
         self.end = [2 * n] * (2 * n)
-        c = 0  # the first cells are the runs of equal signature
+        c = 0  # the first cells are the runs of equal colour
         for i, v in enumerate(self.lab):
-            if sigs[v] != sigs[self.lab[c]]:
+            if colours[v] != colours[self.lab[c]]:
                 self.end[c], c = i, i
             self.cell[v] = c
 
@@ -372,17 +400,71 @@ def _single_function_isomorphism(ta: tuple, tb: tuple, pa: tuple, pb: tuple) -> 
     return Morphism(tuple(g[:n]), (0,))
 
 
+def _multi_function_isomorphism(
+    a: Machine, b: Machine, sigs: list, node_budget: Optional[int]
+) -> Optional[Morphism]:
+    """:func:`find_isomorphism` for machines with two or more functions, past the invariant
+    checks; ``sigs`` are the state signatures of a ⊔ b, a's states first."""
+    n = a.n_states
+    # b's states are shifted up by n in the union.
+    tables = [ta + tuple(n + t for t in tb) for ta, tb in zip(a.tables, b.tables)]
+    colours = _colour_rounds(sigs, tables, n)
+    if colours is None:
+        return None
+    b_index = {t: j for j, t in enumerate(b.tables)}
+
+    def leaf(g: list) -> Optional[Morphism]:
+        h = [b_index.get(_conjugate(t, g)) for t in a.tables]
+        # Conjugation by a bijection is injective, and counts match, so h
+        # here is always a bijection once every conjugate is found.
+        return None if None in h else Morphism(tuple(g), tuple(h))
+
+    if max(colours) == n - 1:  # discrete: each colour is one a-state and one b-state
+        b_state = dict(zip(colours[n:], range(n)))
+        pairing = [b_state[c] for c in colours[:n]]
+        # Equitable iff paired states see the same out-neighbour colours (in-arcs follow).
+        sees = [sorted(z) for z in zip(*([colours[u] for u in t] for t in tables))]
+        if [sees[n + j] for j in pairing] != sees[:n]:
+            return None
+        return _search([(lambda i, g: iter(pairing[i : i + 1]), leaf)], n, "isomorphism search", node_budget)
+    part = _Partition(colours, list(zip(*tables)), n)
+    # Every state has k out-arcs and its signature fixes its in-arc total,
+    # so counts into the largest cell follow from the others'.
+    cells = sorted(set(part.cell))
+    largest = max(cells, key=lambda c: part.end[c] - c)
+    if not part.refine([c for c in cells if c != largest]):
+        return None
+
+    def candidates(i: int, g: list) -> Iterator[int]:
+        if i:  # individualise the pair chosen one level up, then refine
+            d = part.cell[i - 1]
+            if part.end[d] - d > 2 and not part.refine(part.carve(d, [[i - 1, n + g[i - 1]]])[1:]):
+                return
+        # The b-states of i's cell in increasing order, one at a time (no lists on the stack).
+        c, t, mark = part.cell[i], n - 1, len(part.trail)
+        while True:
+            part.undo(mark)
+            t = min((v for v in part.lab[c : part.end[c]] if v > t), default=None)
+            if t is None:
+                return
+            yield t - n
+
+    return _search([(candidates, leaf)], n, "isomorphism search", node_budget)
+
+
 def find_isomorphism(
     a: Machine, b: Machine, *, node_budget: Optional[int] = None
 ) -> Optional[Morphism]:
     """Canonical isomorphism witness or None.
 
-    Colours the 2n states of a ⊔ b by their signatures and refines to the
-    coarsest equitable partition.  The search assigns a's states in order,
-    each to the b-states of its cell in increasing order, individualising
+    Colours the 2n states of a ⊔ b by their signatures and at most
+    (2n).bit_length() rounds of colour refinement.  A discrete colouring pairs
+    each a-state with one b-state and is checked directly; any other is refined
+    to the coarsest equitable partition.  The search assigns a's states in
+    order, each to the b-states of its cell in increasing order, individualising
     the pair and refining again.  Refinement only drops assignments that no
-    isomorphism extends, so the first solution is the lexicographically
-    least g.  h is never searched: each conjugate g.f.g^-1 must literally be
+    isomorphism extends, so the first solution is the lexicographically least
+    g.  h is never searched: each conjugate g.f.g^-1 must literally be
     one of b's functions, found by table lookup.  ``node_budget`` caps the
     candidates tried; exceeding it raises rather than guessing.  One-function
     machines get the same least g from :func:`_single_function_isomorphism`.
@@ -404,7 +486,6 @@ def find_isomorphism(
             m.__dict__["_image_key"] = hash((m.n_states, tuple(sizes)))
     if a.__dict__["_image_key"] != b.__dict__["_image_key"]:
         return None
-    n = a.n_states
     first, second = (b, a) if key_a is not None else (a, b)
     key, invariants, sigs, profiles = _profile(first)
     if second.__dict__.get("_fingerprint_key", key) != key:
@@ -417,38 +498,7 @@ def find_isomorphism(
         return _single_function_isomorphism(a.tables[0], b.tables[0], pa[0], pb[0])
     del profiles, second_profiles  # the search keeps only the state signatures
     sigs = sigs + second_sigs if first is a else second_sigs + sigs
-    # b's states are shifted up by n in the union.
-    out = [list(ts) for ts in zip(*a.tables)] + [[n + t for t in ts] for ts in zip(*b.tables)]
-    part = _Partition(sigs, out, n)
-    # Every state has k out-arcs and its signature fixes its in-arc total,
-    # so counts into the largest cell follow from the others'.
-    cells = sorted(set(part.cell))
-    largest = max(cells, key=lambda c: part.end[c] - c)
-    if not part.refine([c for c in cells if c != largest]):
-        return None
-    b_index = {t: j for j, t in enumerate(b.tables)}
-
-    def candidates(i: int, g: list) -> Iterator[int]:
-        if i:  # individualise the pair chosen one level up, then refine
-            d = part.cell[i - 1]
-            if part.end[d] - d > 2 and not part.refine(part.carve(d, [[i - 1, n + g[i - 1]]])[1:]):
-                return
-        # The b-states of i's cell in increasing order, one at a time (no lists on the stack).
-        c, t, mark = part.cell[i], n - 1, len(part.trail)
-        while True:
-            part.undo(mark)
-            t = min((v for v in part.lab[c : part.end[c]] if v > t), default=None)
-            if t is None:
-                return
-            yield t - n
-
-    def leaf(g: list) -> Optional[Morphism]:
-        h = [b_index.get(_conjugate(t, g)) for t in a.tables]
-        # Conjugation by a bijection is injective, and counts match, so h
-        # here is always a bijection once every conjugate is found.
-        return None if None in h else Morphism(tuple(g), tuple(h))
-
-    return _search([(candidates, leaf)], n, "isomorphism search", node_budget)
+    return _multi_function_isomorphism(a, b, sigs, node_budget)
 
 
 # ---------------------------------------------------------------------------

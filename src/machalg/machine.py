@@ -26,6 +26,7 @@ from .errors import (
 )
 
 DEFAULT_ENUMERATION_CAP = 10**6
+_NO_OUTPUTS: frozenset[int] = frozenset()  # one object for every machine without outputs
 
 
 @dataclass(frozen=True)
@@ -421,7 +422,7 @@ class Machine:
 
     states: StateSet
     tables: Sequence[tuple[int, ...]]
-    output_functions: frozenset[int] = frozenset()
+    output_functions: frozenset[int] = _NO_OUTPUTS
     name: Optional[str] = field(default=None, compare=False)
     function_names: Sequence[Optional[str]] = field(default=(), compare=False)
 
@@ -495,7 +496,7 @@ def _assemble(
     values = (
         state_set,
         tables,
-        frozenset(map(position.get, outputs)),
+        frozenset(map(position.get, outputs)) if outputs else _NO_OUTPUTS,
         name,
         names,
     )

@@ -23,9 +23,12 @@ matching tokens and clauses with regular expressions.  The enumerated
 full and bijection machines list every table, as ``full_machine`` and
 ``full_bijection_machine`` did before they computed tables on demand.  The
 decomposition oracle finds a self-map's cycles by iterating the map from
-each state, with no peeling.  The certificate checker applies a
-certificate's keeps by definition on raw tables and labels, then checks the
-morphism equations, with no call into the package beyond reading machines.
+each state, with no peeling.  The equitable-partition oracle refines the
+disjoint union of two machines by sorted tuples of neighbour colours, with
+no hashed weights, no splitter queue and no round cap.  The certificate
+checker applies a certificate's keeps by definition on raw tables and
+labels, then checks the morphism equations, with no call into the package
+beyond reading machines.
 """
 
 from __future__ import annotations
@@ -396,6 +399,39 @@ def brute_force_embedding(
             if all(c in restrictions for c in conjugates):
                 return subset, g
     return None
+
+
+def reference_equitable_partition(a: Machine, b: Machine) -> list[int]:
+    """Colour per state of a ⊔ b (a's states first, then b's) in the coarsest
+    equitable partition below the per-state signatures, by exact colour refinement.
+
+    A state's signature is the sorted tuple, over the functions, of (indegree,
+    fixes, lies on a cycle), from :func:`brute_force_decomposition`.  Each round
+    recolours a state by its colour and the sorted tuples of its out- and
+    in-neighbours' colours, function j of ``a`` beside function j of ``b``, and
+    rounds run until one adds no colour.  Needs equal state and function counts.
+    """
+    n = a.n_states
+    union = [list(ta) + [n + u for u in tb] for ta, tb in zip(a.tables, b.tables)]
+    flags = [[], []]
+    for side, m in enumerate((a, b)):
+        for t in m.tables:
+            indeg, cyclic, _ = brute_force_decomposition(t)
+            flags[side].append([(indeg[s], t[s] == s, cyclic[s]) for s in range(n)])
+    keys = [tuple(sorted(f[s] for f in side)) for side in flags for s in range(n)]
+    while True:
+        order = sorted(set(keys))
+        colour = [order.index(k) for k in keys]
+        inn = [[] for _ in colour]
+        for t in union:
+            for s, u in enumerate(t):
+                inn[u].append(colour[s])
+        keys = [
+            (colour[s], tuple(sorted(colour[t[s]] for t in union)), tuple(sorted(inn[s])))
+            for s in range(2 * n)
+        ]
+        if len(set(keys)) == len(order):
+            return colour
 
 
 # ---------------------------------------------------------------------------

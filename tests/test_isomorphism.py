@@ -57,6 +57,7 @@ from oracles import (
     brute_force_embedding,
     brute_force_isomorphism,
     enumerated_full_machine,
+    reference_equitable_partition,
     reference_verify,
 )
 from test_scaling import tape_spec
@@ -320,6 +321,164 @@ class TestFindIsomorphism:
         b = make_machine(ss, [constantish(ss)])
         mor = find_isomorphism(a, b, node_budget=0)
         assert mor is None
+
+
+def colouring_pairs(seed, count):
+    """Pairs of machines with equal state counts and two or more functions each:
+    random maps, maps into at most three hubs, permutations and near-paths with
+    the identity added, each against a relabelled copy, a copy with one entry
+    changed, or an unrelated machine of its kind."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        kind = made % 4
+        n = rng.randint(2, 12) if kind < 3 else rng.randint(8, 16)  # long paths meet the round cap
+        k, targets = rng.randint(2, 3), n if kind == 0 else min(n, rng.randint(1, 3))
+
+        def draw(prefix):
+            if kind < 2:
+                return table_machine(random_tables(rng, n, k, targets), prefix)
+            if kind == 2:
+                step = tuple(rng.sample(range(n), n))
+            else:
+                step = tuple(min(s + 1, n - 1) if rng.random() < 0.95 else s for s in range(n))
+            return table_machine([step, tuple(range(n))], prefix)
+
+        a = draw("s")
+        if made % 3 == 0:
+            b = relabelled(rng, a)
+        elif made % 3 == 1:
+            b = perturbed(rng, a)
+        else:
+            b = draw("t")
+        if a.n_functions == b.n_functions > 1:
+            made += 1
+            yield a, b
+
+
+def union_tables(a, b):
+    n = a.n_states
+    return [ta + tuple(n + u for u in tb) for ta, tb in zip(a.tables, b.tables)]
+
+
+def is_finer(finer, coarser):
+    """Each colour class of ``finer`` lies inside one class of ``coarser``."""
+    return len(set(zip(finer, coarser))) == len(set(finer))
+
+
+def same_partition(x, y):
+    return is_finer(x, y) and is_finer(y, x)
+
+
+def balanced(colours, n):
+    return sorted(colours[:n]) == sorted(colours[n:])
+
+
+def outcome(a, b, budget=20000):
+    try:
+        got = find_isomorphism(a, b, node_budget=budget)
+    except SearchBudgetExceededError as e:
+        return str(e)
+    return None if got is None else (got.g, got.h)
+
+
+class TestRootColouring:
+    """Multi-function pairs are coloured at the root by hashed rounds of colour
+    refinement, then refined exactly unless the colouring is discrete; the
+    oracle refines by sorted neighbour colours to the coarsest equitable partition."""
+
+    def test_rounds_and_refinement_against_the_oracle(self, monkeypatch):
+        hashed, roots = [], []
+        monkeypatch.setattr(isomorphism, "hash", lambda x: hashed.append(x) or hash(x), raising=False)
+        refine = isomorphism._Partition.refine
+        monkeypatch.setattr(
+            isomorphism._Partition, "refine",
+            lambda part, queue: roots.append((refine(part, queue), part.cell[:])) or roots[-1][0],
+        )
+        seen = dict.fromkeys(["unbalanced", "discrete", "capped", "stable", "refined"], 0)
+        for a, b in colouring_pairs(36, 3000):
+            n = a.n_states
+            sigs = isomorphism._profile(a)[2] + isomorphism._profile(b)[2]
+            hashed.clear()
+            colours = isomorphism._colour_rounds(sigs, union_tables(a, b), n)
+            rounds = len({r for r, _ in hashed})
+            oracle = reference_equitable_partition(a, b)
+            if colours is None:
+                assert not balanced(oracle, n)
+                seen["unbalanced"] += 1
+            else:
+                assert is_finer(oracle, colours)  # never finer than the oracle
+                if max(colours) == n - 1:  # discrete: it is the oracle's iff that is balanced
+                    assert same_partition(oracle, colours) == balanced(oracle, n)
+                    # and a search starts (and meets a zero budget) iff it is
+                    assert (outcome(a, b, 0) is None) == (not balanced(oracle, n))
+                    seen["discrete"] += 1
+                elif rounds < (2 * n).bit_length():
+                    assert same_partition(oracle, colours)
+                    seen["stable"] += 1
+                else:
+                    seen["capped"] += 1
+            roots.clear()
+            outcome(a, b)  # a give-up ends the search, not the root refinement
+            if roots:  # the first refinement is the root's
+                ok, cells = roots[0]
+                assert ok == balanced(oracle, n)
+                assert not ok or same_partition(oracle, cells)
+                seen["refined"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("tables_a, tables_b", [
+        ([(0, 2, 2), (1, 2, 0)], [(0, 0, 2), (1, 2, 0)]),
+        ([(2, 0, 1), (2, 0, 2)], [(0, 0, 1), (1, 2, 0)]),
+        ([(1, 1, 1, 0), (2, 2, 0, 2)], [(2, 0, 0, 0), (2, 1, 1, 1)]),
+    ])
+    def test_a_discrete_colouring_that_is_not_equitable_ends_at_the_root(self, tables_a, tables_b):
+        # Rounds stop once colours pair every a-state with one b-state; the
+        # pairing check stands in for the round that would unbalance a pair.
+        a, b = table_machine(tables_a), table_machine(tables_b, "t")
+        n = a.n_states
+        sigs = isomorphism._profile(a)[2] + isomorphism._profile(b)[2]
+        colours = isomorphism._colour_rounds(sigs, union_tables(a, b), n)
+        assert max(colours) == n - 1 and not balanced(reference_equitable_partition(a, b), n)
+        assert find_isomorphism(a, b, node_budget=0) is None
+        assert brute_force_isomorphism(a, b) is None
+
+    def test_answers_do_not_depend_on_the_hash(self, monkeypatch):
+        # With every weight 0 no round adds a colour, and refinement does it all.
+        expected = [
+            brute_force_isomorphism(a, b) if a.n_states <= 6 else outcome(a, b)
+            for a, b in colouring_pairs(37, 400)
+        ]
+        monkeypatch.setattr(isomorphism, "hash", lambda x: 0, raising=False)
+        got = [outcome(a, b) for a, b in colouring_pairs(37, 400)]
+        assert got == expected
+        assert sum(x is None for x in got) >= 100 and sum(type(x) is tuple for x in got) >= 100
+
+    def test_rounds_stop_at_the_cap(self, monkeypatch):
+        # A path needs about n rounds; the cap leaves the rest to refinement.
+        n = 4000
+        a = table_machine([tuple(min(s + 1, n - 1) for s in range(n)), tuple(range(n))])
+        b = relabelled(random.Random(38), a)
+        hashed = []
+        monkeypatch.setattr(isomorphism, "hash", lambda x: hashed.append(x) or hash(x), raising=False)
+        mor = find_isomorphism(a, b)
+        assert mor is not None and verify_morphism(a, b, mor)
+        rounds = {x[0] for x in hashed if type(x[1]) is int}  # not the two keys' hashes
+        assert len(rounds) == (2 * n).bit_length() == 13
+
+    def test_a_discrete_colouring_costs_one_node_per_level(self, monkeypatch):
+        rng = random.Random(39)
+        a = table_machine(random_tables(rng, 12, 2))
+        b = relabelled(rng, a)
+
+        def fail(*args):
+            raise AssertionError("refined a discrete colouring")
+
+        monkeypatch.setattr(isomorphism, "_Partition", fail)
+        with pytest.raises(SearchBudgetExceededError, match="deepest level 11 of 12"):
+            find_isomorphism(a, b, node_budget=11)
+        mor = find_isomorphism(a, b, node_budget=12)
+        assert mor is not None and verify_morphism(a, b, mor)
 
 
 def single_function_shape(rng, n):

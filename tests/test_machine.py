@@ -226,6 +226,17 @@ class TestMachine:
         swapped_index = [f.table for f in m.functions].index((1, 0))
         assert m.output_functions == frozenset({swapped_index})
 
+    def test_machines_without_outputs_share_one_empty_set(self):
+        # A census builds millions of machines; each empty set would cost 216 bytes.
+        ss = states("a", "b")
+        built = [
+            make_machine(ss, [identity_fn(ss)]),
+            make_machine(ss, [fn_from_map(ss, {"a": "b", "b": "a"})], outputs=[]),
+            Machine(ss, [(0, 0)]),
+            parse_machine("machine m\nstates a b\nfn f: a->a, b->a\n"),
+        ]
+        assert all(m.output_functions is built[0].output_functions == frozenset() for m in built)
+
     def test_outputs_must_share_the_state_set(self):
         a = states("a", "b")
         foreign = identity_fn(states("x", "y"))
