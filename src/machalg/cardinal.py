@@ -37,42 +37,40 @@ FINITE_MAX = 2**63 - 1
 
 
 @total_ordering
+class _Ordered:
+    """What Finite and Beth share: one natural-number field, checked alike,
+    and one order, in which every Finite sorts below every Beth."""
+
+    def __post_init__(self):
+        rank, value = _order_key(self)
+        what = ("Finite value", "Beth index")[rank]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{what} must be an int, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{what} must be non-negative, got {value}")
+
+    def __lt__(self, other):
+        if not isinstance(other, _Ordered):
+            return NotImplemented
+        return _order_key(self) < _order_key(other)
+
+
 @dataclass(frozen=True)
-class Finite:
+class Finite(_Ordered):
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise TypeError(f"Finite value must be an int, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError(f"Finite value must be non-negative, got {self.n}")
+        super().__post_init__()
         if self.n > FINITE_MAX:
             raise CardinalOverflowError(f"Finite({self.n}) exceeds the checked 64-bit range")
-
-    def __lt__(self, other):
-        if not isinstance(other, (Finite, Beth)):
-            return NotImplemented
-        return _order_key(self) < _order_key(other)
 
     def __repr__(self):
         return f"Finite({self.n})"
 
 
-@total_ordering
 @dataclass(frozen=True)
-class Beth:
+class Beth(_Ordered):
     alpha: int
-
-    def __post_init__(self):
-        if not isinstance(self.alpha, int) or isinstance(self.alpha, bool):
-            raise TypeError(f"Beth index must be an int, got {self.alpha!r}")
-        if self.alpha < 0:
-            raise ValueError(f"Beth index must be non-negative, got {self.alpha}")
-
-    def __lt__(self, other):
-        if not isinstance(other, (Finite, Beth)):
-            return NotImplemented
-        return _order_key(self) < _order_key(other)
 
     def __repr__(self):
         return f"Beth({self.alpha})"
@@ -113,19 +111,21 @@ def _checked_finite(value: int, what: str) -> Finite:
     return Finite(value)
 
 
+def _absorb(a: Cardinal, b: Cardinal, op: str, rule: str, trace: Optional[Trace]) -> Cardinal:
+    # Once either operand is infinite, the larger absorbs the other under + and *.
+    result = max(a, b, key=_order_key)
+    text = f"mu {op} kappa = max(mu, kappa) when either is infinite"
+    _note(trace, rule, f"{a!r} {op} {b!r} = {result!r} ({text})")
+    return result
+
+
 def card_add(a: Cardinal, b: Cardinal, trace: Optional[Trace] = None) -> Cardinal:
     """Cardinal sum: exact on finites, max once either operand is infinite."""
     if isinstance(a, Finite) and isinstance(b, Finite):
         result = _checked_finite(a.n + b.n, f"{a!r} + {b!r}")
         _note(trace, "finite-add", f"{a!r} + {b!r} = {result!r} (exact integer sum)")
         return result
-    result = max(a, b, key=_order_key)
-    _note(
-        trace,
-        "infinite-max-add",
-        f"{a!r} + {b!r} = {result!r} (mu + kappa = max(mu, kappa) when either is infinite)",
-    )
-    return result
+    return _absorb(a, b, "+", "infinite-max-add", trace)
 
 
 def card_mul(a: Cardinal, b: Cardinal, trace: Optional[Trace] = None) -> Cardinal:
@@ -140,13 +140,7 @@ def card_mul(a: Cardinal, b: Cardinal, trace: Optional[Trace] = None) -> Cardina
         result = _checked_finite(a.n * b.n, f"{a!r} * {b!r}")
         _note(trace, "finite-mul", f"{a!r} * {b!r} = {result!r} (exact integer product)")
         return result
-    result = max(a, b, key=_order_key)
-    _note(
-        trace,
-        "infinite-max-mul",
-        f"{a!r} * {b!r} = {result!r} (mu * kappa = max(mu, kappa) when either is infinite)",
-    )
-    return result
+    return _absorb(a, b, "*", "infinite-max-mul", trace)
 
 
 def card_pow(base: Cardinal, exp: Cardinal, trace: Optional[Trace] = None) -> Cardinal:

@@ -9,6 +9,7 @@ definite answer that matches ``--expect`` (or any definite answer when
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -371,6 +372,7 @@ def _add_format(sub) -> None:
     )
 
 
+@functools.cache  # one parser per process: each main() call reads it, none changes it
 def build_parser() -> argparse.ArgumentParser:
     from .machine import DEFAULT_ENUMERATION_CAP
 

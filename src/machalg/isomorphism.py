@@ -10,7 +10,8 @@ produce identical certificates.
 Completeness asks for a sub-machine of one machine isomorphic to another.
 A full container takes the target on its first states, each function extended
 by the identity, unsearched; otherwise subsets are searched exhaustively.
-Either way the witness is built from what was found; only checkers replay it.
+Either way the witness is built from what was found, its state reduction by
+``reductions._state_witness`` from (index, restriction) hits; only checkers replay it.
 
 Both searches run on one explicit-stack loop, :func:`_search`, so no input
 depth meets the recursion limit.  Isomorphism prunes by colour refinement of
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .errors import IncompatibleShapesError, MachalgError, SearchBudgetExceededError
-from .machine import Machine, StateSet, _names, _numeral
+from .machine import Machine, _numeral
 from .reductions import Reduction, _restrictions, _state_witness, functional_reduction, sub_machine
 from .textio import _CERT_REQUIRED, Certificate
 
@@ -530,9 +531,8 @@ def _witness(
     """The witness keeping ``a``'s functions at ``chosen`` and states at ``subset``, assembled
     with no replay and no label lookup in ``a``: b's state i goes to subset position ``g[i]``,
     b's function j to ``chosen[j]``, whose restriction (all distinct) is ``conj_tables[j]``."""
-    fr, name = functional_reduction(a, chosen), _names(a)
-    kept = StateSet(tuple(map(a.states.labels.__getitem__, subset)))
-    sr = _state_witness(fr.result, kept, [(t, name(i)) for t, i in zip(conj_tables, chosen)])
+    fr, kept = functional_reduction(a, chosen), tuple(map(a.states.labels.__getitem__, subset))
+    sr = _state_witness(fr.result, kept, zip(chosen, conj_tables), a)
     sub_index = {t: j for j, t in enumerate(sr.result.tables)}
     mor = Morphism(tuple(g), tuple(sub_index[t] for t in conj_tables))
     return CompletenessWitness((fr, sr), mor)

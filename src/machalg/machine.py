@@ -76,15 +76,16 @@ def states(*labels: str) -> StateSet:
 
 
 def _check_tables(tables: Iterable[tuple[int, ...]], n: int) -> None:
-    """Raise TotalityViolationError unless every table maps range(n) into itself."""
+    """Raise TotalityViolationError unless every table maps range(n) into
+    itself by int entries (a float 1.0 equals 1 but indexes nothing)."""
     for table in tables:
         if len(table) != n:
             raise TotalityViolationError(f"table has {len(table)} entries for {n} states")
-        for j in table:
-            if not 0 <= j < n:  # all entries before it are in range, so none equals j
-                raise TotalityViolationError(
-                    f"entry {table.index(j)} maps to index {j}, outside the {n}-state domain"
-                )
+        for k, j in enumerate(table):
+            if not isinstance(j, int):
+                raise TotalityViolationError(f"entry {k} is {j!r}, not an integer state index")
+            if not 0 <= j < n:
+                raise TotalityViolationError(f"entry {k} maps to index {j}, outside the {n}-state domain")
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ Two primitive moves:
   restrictions of those functions that map the subset into itself.
 
 A sub-machine is the result of a functional reduction followed by a state
-reduction.  State labels are matched literally here; matching up to
-renaming is isomorphism territory and lives elsewhere.  Output
-designations are bookkeeping and are not consulted by these operations.
+reduction.  Every state reduction, whether replayed, searched or literal,
+is assembled by :func:`_state_witness` from (index, restriction) hits.
+State labels are matched literally here; matching up to renaming is
+isomorphism territory.  Output designations are not consulted here.
 """
 
 from __future__ import annotations
@@ -107,21 +108,21 @@ def state_reduction(m: Machine, keep_states: Sequence[str]) -> Reduction:
     except (KeyError, TypeError):  # a label not in the machine, hashable or not
         foreign = [s for s in keep_states if s not in m.states]
         raise InvalidReductionError(f"states not in the machine: {foreign}") from None
-    sub = StateSet(keep_states)  # validates distinctness
-    name = _names(m)
-    return _state_witness(m, sub, [(t, name(i)) for i, t in _restrictions(m, kept)])
+    return _state_witness(m, keep_states, _restrictions(m, kept), m)
 
 
-def _state_witness(m: Machine, sub: StateSet, restricted: list) -> Reduction:
-    """The state reduction of ``m`` to ``sub`` whose restricted ``(table,
-    name)`` pairs, in ``m``'s order where two share a table, are found."""
+def _state_witness(m: Machine, labels: tuple, hits: Iterable, origin: Machine) -> Reduction:
+    """The state reduction of ``m`` to ``labels`` keeping the restrictions in
+    ``hits``, ``(i, table)`` pairs named by ``origin``'s function ``i`` (the
+    first wins where two share a table): the one state-reduction assembler."""
+    sub, name = StateSet(labels), _names(origin)  # validates distinctness
+    restricted = [(t, name(i)) for i, t in hits]
     if not restricted:
         raise EmptyReductionError(
-            f"no transition function preserves {list(sub.labels)}; "
+            f"no transition function preserves {list(labels)}; "
             "the reduction would leave an empty function set"
         )
-    reduced = _assemble(sub, restricted, name=m.name)
-    return Reduction("state", m, reduced, kept_states=sub.labels)
+    return Reduction("state", m, _assemble(sub, restricted, name=m.name), kept_states=labels)
 
 
 def sub_machine(
@@ -154,6 +155,6 @@ def is_sub_machine(a: Machine, b: Machine) -> Optional[tuple[Reduction, Reductio
     hits = [(i, t) for i, t in _restrictions(a, positions) if t in wanted]
     if {t for _, t in hits} != wanted:
         return None
-    fr, name = functional_reduction(a, [i for i, _ in hits]), _names(a)
+    fr = functional_reduction(a, [i for i, _ in hits])
     # fr.result keeps a's sorted tables in a's order, so hits are in its order too
-    return fr, _state_witness(fr.result, StateSet(labels), [(t, name(i)) for i, t in hits])
+    return fr, _state_witness(fr.result, labels, hits, a)

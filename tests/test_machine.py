@@ -343,13 +343,25 @@ class TestTables:
         ((1, 2), "entry 1 maps to index 2, outside the 2-state domain"),
         ((0,), "table has 1 entries for 2 states"),
         ((0, 1, 1), "table has 3 entries for 2 states"),
+        ((1.0, 0), "entry 0 is 1.0, not an integer state index"),
+        ((1, 1.0), "entry 1 is 1.0, not an integer state index"),
+        ((0, "b"), "entry 1 is 'b', not an integer state index"),
     ])
     def test_bare_tables_are_range_checked(self, table, message):
         # Tables from outside are checked where they enter; compiled ones are not.
         ss = states("a", "b")
-        for build in (lambda: Machine(ss, ((0, 0), table)), lambda: make_machine(ss, [table])):
+        for build in (
+            lambda: TransitionFunction(ss, table),
+            lambda: Machine(ss, ((0, 0), table)),
+            lambda: make_machine(ss, [table]),
+        ):
             with pytest.raises(TotalityViolationError, match=f"^{re.escape(message)}$"):
                 build()
+
+    def test_bool_entries_stay_accepted(self):
+        ss = states("a", "b")
+        assert make_machine(ss, [(True, False)]) == make_machine(ss, [(1, 0)])
+        assert TransitionFunction(ss, (True, 0))("a") == "b"
 
     def test_full_machine_holds_its_tables_only(self):
         ss = StateSet(tuple(f"s{i}" for i in range(6)))
