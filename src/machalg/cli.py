@@ -17,7 +17,7 @@ from .errors import MachalgError
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_STEPS = 50
-# cardinal.TEMPLATE_KINDS, written out so that build_parser need not load cardinal
+# cardinal.TEMPLATE_KINDS, written out so that build_parser loads no library module
 _TEMPLATE_KINDS = ("finite-turing", "infinite-tape-turing", "umm", "lsm", "quantum")
 
 
@@ -216,7 +216,7 @@ def _cmd_compile_tm(args) -> int:
     from .textio import parse_turing
 
     t = parse_turing(_read(args.tm))
-    machine, codec = compile_tm(t, cap=args.cap)
+    machine, codec = compile_tm(t)
     facts = [f"initial {codec.encode(t.initial)}", f"boundary {t.boundary_policy.value}"]
     return _emit_compiled(args, machine, facts)
 
@@ -226,7 +226,7 @@ def _cmd_compile_mem(args) -> int:
     from .textio import parse_mem
 
     p = parse_mem(_read(args.mem))
-    machine, codec = compile_mem(p, cap=args.cap)
+    machine, codec = compile_mem(p)
     return _emit_compiled(args, machine, [f"initial {codec.encode(p.initial_state)}"])
 
 
@@ -372,11 +372,14 @@ def _add_format(sub) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, no usage text, even for an argument holding "\n"
+        raise MachalgError(" ".join(message.splitlines()))
+
+
 @functools.cache  # one parser per process: each main() call reads it, none changes it
 def build_parser() -> argparse.ArgumentParser:
-    from .machine import DEFAULT_ENUMERATION_CAP
-
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="machalg",
         description="Workbench for finite machines as sets of self-maps: "
         "cardinal bookkeeping, isomorphism and completeness certificates, "
@@ -435,15 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("compile-tm", help="expand a tape machine into a one-function machine")
     p.add_argument("tm")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                   help=f"state enumeration cap (default {DEFAULT_ENUMERATION_CAP})")
     p.add_argument("--summary", action="store_true", help="print counts instead of the machine")
     p.set_defaults(run=_cmd_compile_tm)
 
     p = subs.add_parser("compile-mem", help="expand a memory-cell program into a one-function machine")
     p.add_argument("mem")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                   help=f"state enumeration cap (default {DEFAULT_ENUMERATION_CAP})")
     p.add_argument("--summary", action="store_true", help="print counts instead of the machine")
     p.set_defaults(run=_cmd_compile_mem)
 
@@ -486,10 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
         try:
+            args = build_parser().parse_args(argv)
             return args.run(args)
         finally:
             sys.stdout.flush()  # a late error follows the lines already written

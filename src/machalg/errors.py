@@ -45,7 +45,7 @@ class DomainMismatchError(MachalgError, KeyError):
 
 
 class EnumerationTooLargeError(MachalgError, ValueError):
-    """An exhaustive enumeration would exceed the configured cap."""
+    """An exhaustive enumeration would exceed DEFAULT_ENUMERATION_CAP."""
 
     def __init__(self, what: str, size: int, cap: int):
         try:

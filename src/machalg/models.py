@@ -220,9 +220,7 @@ def _grid_runs(first: int, inner: int, n_inner: int, outer: int, n_outer: int):
         yield a, a + n_inner * inner, inner, n_inner
 
 
-def compile_tm(
-    t: TuringSpec, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[Machine, TmStateCodec]:
+def compile_tm(t: TuringSpec) -> tuple[Machine, TmStateCodec]:
     """Expand a TuringSpec into a Machine with one step function.
 
     States are all (register, tape contents, head) triples in declaration
@@ -230,12 +228,13 @@ def compile_tm(
     them, plus one absorbing error state under the reject policy.  Halting
     registers and missing rules yield fixed points.  The state set decodes
     its ``TmStateCodec`` labels on demand: compiling builds none of them.
+    More than DEFAULT_ENUMERATION_CAP states raise EnumerationTooLargeError.
     """
     k, m, n = t.k, t.m, t.n
     reject = t.boundary_policy is BoundaryPolicy.REJECT
     size = k * m**n * n + (1 if reject else 0)
-    if size > cap:
-        raise EnumerationTooLargeError("compiled state set", size, cap)
+    if size > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLargeError("compiled state set", size, DEFAULT_ENUMERATION_CAP)
 
     # State (register r, tape, head h) has index (rank(r)*m^n + rank(tape))*n + h,
     # rank(tape) in base m with cell 0 most significant, as its label's parts rank.
@@ -438,9 +437,7 @@ def _selector_universe(p: MemProgram) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(sels))
 
 
-def compile_mem(
-    p: MemProgram, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[Machine, MemStateCodec]:
+def compile_mem(p: MemProgram) -> tuple[Machine, MemStateCodec]:
     """Expand a MemProgram into a Machine over aggregate states.
 
     An aggregate state is (cell contents, current selector, current rule
@@ -449,12 +446,13 @@ def compile_mem(
     points.  Raises if some reachable combination has no entry and the
     program declares no default.  The state set decodes its
     ``MemStateCodec`` labels on demand: compiling builds none of them.
+    More than DEFAULT_ENUMERATION_CAP states raise EnumerationTooLargeError.
     """
     selectors = _selector_universe(p)
     n_fns = len(p.functions)
     size = len(p.alphabet) ** p.n_cells * len(selectors) * n_fns
-    if size > cap:
-        raise EnumerationTooLargeError("aggregate state set", size, cap)
+    if size > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLargeError("aggregate state set", size, DEFAULT_ENUMERATION_CAP)
 
     # State (cells, selector i, family a) has index (rank(cells)*|sel| + i)*F + a,
     # rank(cells) in base m with cell 0 most significant, as its label's parts rank.

@@ -564,10 +564,15 @@ class TestCompilers:
         assert any(line.startswith("initial q0|") for line in lines)
         assert "boundary clamp" in lines
 
-    def test_compile_tm_cap(self, capsys):
-        rc, _, err = run(capsys, "compile-tm", INCREMENT, "--cap", "3")
-        assert rc == 2
-        assert "error:" in err
+    def test_compile_tm_cap(self, capsys, tmp_path):
+        # 1 register, 2 symbols, 62 cells: refused before any table is allocated
+        wide = tmp_path / "wide.tm"
+        wide.write_text("tm wide\nsymbols 0 1\nregisters q\ncells 62\nboundary clamp\n"
+                        "init tape" + " 0" * 62 + " head 0 register q\n")
+        assert run(capsys, "compile-tm", str(wide)) == (2, "", (
+            "error: compiled state set would enumerate 285924533142498050048 items, "
+            "above the cap of 1000000\n"
+        ))
 
     def test_compile_mem_summary(self, capsys):
         rc, out, _ = run(capsys, "compile-mem", TOGGLE, "--summary")
@@ -1028,6 +1033,16 @@ class TestHostileInput:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", "error: line 7, column 1: second 'boundary' line\n"
         )
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frob"], ["compile-tm"], ["lockstep", "--tm", BITFLIP, "--steps", "x"],
+        ["compile-tm", BITFLIP, "--cap", "5"], ["card", "1", "a\nb\rc"],
+    ], ids=["none", "unknown-subcommand", "missing-positional", "non-integer", "cap", "newline"])
+    def test_bad_command_line_is_one_line(self, argv):
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "internal error" not in line, line
 
     def test_internal_error_is_one_line(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -117,7 +117,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("machalg."))]))
 """
 
-UNUSED_BY_CARD = {"models", "textio", "reductions", "isomorphism", "lemmas"}
+UNUSED_BY_CARD = {"machine", "models", "textio", "reductions", "isomorphism", "lemmas"}
 UNUSED_BY_SEARCH = {"cardinal", "models", "lemmas"}
 UNUSED_BY_MODELS = {"cardinal", "isomorphism", "lemmas"}
 UNUSED_BY_LEMMAS = {"cardinal", "models", "textio", "isomorphism"}

@@ -339,9 +339,16 @@ class TestCompileTm:
                     assert step(label) == ERROR_LABEL
 
     def test_enumeration_cap(self):
+        # 1 register, 2 symbols, 62 cells: refused before any table is allocated
+        t = TuringSpec(("0", "1"), ("q",), 62, {}, frozenset(), BoundaryPolicy.CLAMP,
+                       TmConfiguration("q", ("0",) * 62, 0))
         with pytest.raises(EnumerationTooLargeError) as err:
-            compile_tm(increment_spec(), cap=10)
-        assert "cap" in str(err.value) or "10" in str(err.value)
+            compile_tm(t)
+        assert (err.value.size, err.value.cap) == (2**62 * 62, DEFAULT_ENUMERATION_CAP)
+        assert str(err.value) == (
+            "compiled state set would enumerate 285924533142498050048 items, "
+            "above the cap of 1000000"
+        )
 
 
 class TestCompileTmMatchesOracle:
@@ -584,8 +591,11 @@ class TestCompileMem:
             compile_mem(p)
 
     def test_enumeration_cap(self):
-        with pytest.raises(EnumerationTooLargeError):
-            compile_mem(toggle_program(), cap=2)
+        # 64 two-valued cells: refused before any table is allocated
+        p = MemProgram(64, ("a", "b"), ((),), ("a",) * 64, (0,), 0, default_halt=True)
+        with pytest.raises(EnumerationTooLargeError) as err:
+            compile_mem(p)
+        assert (err.value.size, err.value.cap) == (2**64, DEFAULT_ENUMERATION_CAP)
 
 
 def random_mem_program(rng, total, default_halt, n_families=None, with_finals=None, max_cells=3):
