@@ -26,11 +26,10 @@ follow the order of the text and nesting depth is limited only by memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Optional, Union
 
-from .errors import CardinalOverflowError, ParseError, UndefinedFormError
+from .errors import CardinalOverflowError, ParseError, UndefinedFormError, _Value
 
 # Checked bound for Finite values: non-negative signed-64-bit range.
 FINITE_MAX = 2**63 - 1
@@ -41,13 +40,12 @@ class _Ordered:
     """What Finite and Beth share: one natural-number field, checked alike,
     and one order, in which every Finite sorts below every Beth."""
 
-    def __post_init__(self):
-        rank, value = _order_key(self)
-        what = ("Finite value", "Beth index")[rank]
+    def _store_natural(self, value, what: str) -> None:
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"{what} must be an int, got {value!r}")
         if value < 0:
             raise ValueError(f"{what} must be non-negative, got {value}")
+        self._store(value)
 
     def __lt__(self, other):
         if not isinstance(other, _Ordered):
@@ -55,22 +53,23 @@ class _Ordered:
         return _order_key(self) < _order_key(other)
 
 
-@dataclass(frozen=True)
-class Finite(_Ordered):
+class Finite(_Ordered, _Value):
     n: int
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n > FINITE_MAX:
-            raise CardinalOverflowError(f"Finite({self.n}) exceeds the checked 64-bit range")
+    def __init__(self, n):
+        self._store_natural(n, "Finite value")
+        if n > FINITE_MAX:
+            raise CardinalOverflowError(f"Finite({n}) exceeds the checked 64-bit range")
 
     def __repr__(self):
         return f"Finite({self.n})"
 
 
-@dataclass(frozen=True)
-class Beth(_Ordered):
+class Beth(_Ordered, _Value):
     alpha: int
+
+    def __init__(self, alpha):
+        self._store_natural(alpha, "Beth index")
 
     def __repr__(self):
         return f"Beth({self.alpha})"
@@ -86,12 +85,14 @@ def _order_key(c: Cardinal) -> tuple[int, int]:
     return (1, c.alpha)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(_Value):
     """One rewrite applied during a cardinal computation."""
 
     rule: str
     text: str
+
+    def __init__(self, rule, text):
+        self._store(rule, text)
 
     def __str__(self):
         return f"[{self.rule}] {self.text}"
@@ -212,8 +213,7 @@ _TEMPLATE_PARAMS = {
 TEMPLATE_KINDS = tuple(_TEMPLATE_PARAMS)
 
 
-@dataclass(frozen=True)
-class MachineTemplate:
+class MachineTemplate(_Value):
     """A named machine family whose state-set size is computed symbolically.
 
     ``finite-turing(k, m, n)``: k control registers, m tape symbols, n tape
@@ -225,11 +225,12 @@ class MachineTemplate:
     """
 
     kind: str
-    k: Optional[int] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
+    k: Optional[int]
+    m: Optional[int]
+    n: Optional[int]
 
-    def __post_init__(self):
+    def __init__(self, kind, k=None, m=None, n=None):
+        self._store(kind, k, m, n)
         if self.kind not in TEMPLATE_KINDS:
             raise ValueError(f"unknown template kind {self.kind!r}; expected one of {TEMPLATE_KINDS}")
         required = _TEMPLATE_PARAMS[self.kind]
@@ -313,16 +314,17 @@ def transition_space_cardinality(state_card: Cardinal, trace: Optional[Trace] = 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniversalityRow:
+class UniversalityRow(_Value):
     template: MachineTemplate
     states: Cardinal
     transitions: Cardinal
     trace: tuple[TraceStep, ...]
 
+    def __init__(self, template, states, transitions, trace):
+        self._store(template, states, transitions, trace)
 
-@dataclass(frozen=True)
-class UniversalityReport:
+
+class UniversalityReport(_Value):
     """Cardinality table plus simulate-everything verdicts.
 
     A target is marked "UMM-complete" exactly when its state cardinality is
@@ -333,6 +335,9 @@ class UniversalityReport:
     simulator: UniversalityRow
     targets: tuple[UniversalityRow, ...]
     verdicts: tuple[tuple[str, str, str], ...]
+
+    def __init__(self, simulator, targets, verdicts):
+        self._store(simulator, targets, verdicts)
 
     @property
     def all_complete(self) -> bool:

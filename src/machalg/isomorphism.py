@@ -25,17 +25,15 @@ fingerprints, state signatures and in-tree codes all read that decomposition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .errors import IncompatibleShapesError, MachalgError, SearchBudgetExceededError
+from .errors import IncompatibleShapesError, MachalgError, SearchBudgetExceededError, _Value
 from .machine import Machine, _numeral
 from .reductions import Reduction, _restrictions, _state_witness, functional_reduction, sub_machine
 from .textio import _CERT_REQUIRED, Certificate
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(_Value):
     """State and function mappings as index tables.
 
     ``g[i]`` is the target state index for source state ``i``; ``h[j]`` is
@@ -46,9 +44,11 @@ class Morphism:
     g: tuple[int, ...]
     h: tuple[int, ...]
 
+    def __init__(self, g, h):
+        self._store(g, h)
 
-@dataclass(frozen=True)
-class CompletenessWitness:
+
+class CompletenessWitness(_Value):
     """Sub-machine location plus the isomorphism onto it.
 
     ``reductions`` is the functional-then-state pair applied to the
@@ -57,6 +57,9 @@ class CompletenessWitness:
 
     reductions: tuple[Reduction, Reduction]
     morphism: Morphism
+
+    def __init__(self, reductions, morphism):
+        self._store(reductions, morphism)
 
 
 def verify_morphism(a: Machine, b: Machine, mor: Morphism) -> bool:

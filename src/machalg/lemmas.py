@@ -26,9 +26,8 @@ from __future__ import annotations
 import random
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .errors import EmptyReductionError, MachalgError
+from .errors import EmptyReductionError, MachalgError, _Value
 from .machine import Machine, StateSet, _AllTables, _assemble
 from .reductions import functional_reduction, is_sub_machine, state_reduction
 
@@ -158,20 +157,24 @@ def check_lemma_3(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
     return checked, problems
 
 
-@dataclass(frozen=True)
-class LemmaViolation:
+class LemmaViolation(_Value):
     lemma: int
     description: str
 
+    def __init__(self, lemma, description):
+        self._store(lemma, description)
 
-@dataclass(frozen=True)
-class LemmaRunReport:
+
+class LemmaRunReport(_Value):
     """Outcome of a seeded randomized run over all three laws."""
 
     seed: int
     iterations: int
     checked: tuple[tuple[int, int], ...]
     violations: tuple[LemmaViolation, ...]
+
+    def __init__(self, seed, iterations, checked, violations):
+        self._store(seed, iterations, checked, violations)
 
     @property
     def ok(self) -> bool:

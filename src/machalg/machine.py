@@ -14,23 +14,22 @@ import math
 import operator
 from bisect import bisect_left
 from collections import Counter, abc
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
+    DEFAULT_ENUMERATION_CAP,
     DomainMismatchError,
     EnumerationTooLargeError,
     InvalidMachineError,
     TotalityViolationError,
+    _Value,
 )
 
-DEFAULT_ENUMERATION_CAP = 10**6
 _NO_OUTPUTS: frozenset[int] = frozenset()  # one object for every machine without outputs
 
 
-@dataclass(frozen=True)
-class StateSet:
+class StateSet(_Value):
     """Ordered collection of distinct state labels.
 
     The construction order is fixed and drives every deterministic
@@ -41,12 +40,13 @@ class StateSet:
 
     labels: Sequence[str]
 
-    def __post_init__(self):
-        if len(self.labels) == 0:
+    def __init__(self, labels):
+        if len(labels) == 0:
             raise InvalidMachineError("a state set needs at least one state")
-        if not isinstance(self.labels, _ProductLabels) and len(set(self.labels)) != len(self.labels):
-            dupes = sorted(s for s, c in Counter(self.labels).items() if c > 1)
+        if not isinstance(labels, _ProductLabels) and len(set(labels)) != len(labels):
+            dupes = sorted(s for s, c in Counter(labels).items() if c > 1)
             raise InvalidMachineError(f"duplicate state labels: {dupes}")
+        self._store(labels)
 
     def __len__(self):
         return len(self.labels)
@@ -88,8 +88,7 @@ def _check_tables(tables: Iterable[tuple[int, ...]], n: int) -> None:
                 raise TotalityViolationError(f"entry {k} maps to index {j}, outside the {n}-state domain")
 
 
-@dataclass(frozen=True)
-class TransitionFunction:
+class TransitionFunction(_Value):
     """A total self-map on a state set, stored as an index table.
 
     ``table[i]`` is the index of the image of state ``i``.  Equality and
@@ -98,10 +97,11 @@ class TransitionFunction:
 
     domain: StateSet
     table: tuple[int, ...]
-    name: Optional[str] = field(default=None, compare=False)
+    name: Optional[str]
 
-    def __post_init__(self):
-        _check_tables((self.table,), len(self.domain))
+    def __init__(self, domain, table, name=None):
+        _check_tables((table,), len(domain))
+        self._store(domain, table, name)
 
     def __call__(self, label: str) -> str:
         return self.domain.labels[self.table[self.domain.index(label)]]
@@ -232,7 +232,7 @@ class _ImplicitTables(_Lookup):
 
     def __iter__(self):
         if self.size > DEFAULT_ENUMERATION_CAP:
-            raise EnumerationTooLargeError(self.what, self.size, DEFAULT_ENUMERATION_CAP)
+            raise EnumerationTooLargeError(self.what, self.size)
         return self._unlisted()
 
     def __hash__(self) -> int:
@@ -408,8 +408,7 @@ class _Functions(_Lookup):
         return NotImplemented
 
 
-@dataclass(frozen=True)
-class Machine:
+class Machine(_Value):
     """A state set with a realizable set of transition functions.
 
     ``tables`` holds one index table per function, sorted and duplicate-free
@@ -423,32 +422,32 @@ class Machine:
 
     states: StateSet
     tables: Sequence[tuple[int, ...]]
-    output_functions: frozenset[int] = _NO_OUTPUTS
-    name: Optional[str] = field(default=None, compare=False)
-    function_names: Sequence[Optional[str]] = field(default=(), compare=False)
+    output_functions: frozenset[int]
+    name: Optional[str]
+    function_names: Sequence[Optional[str]]
 
-    def __post_init__(self):
-        if isinstance(self.tables, _ImplicitTables):
-            if self.tables.n != len(self.states.labels) or self.output_functions or self.function_names:
+    def __init__(self, states, tables, output_functions=_NO_OUTPUTS, name=None, function_names=()):
+        if isinstance(tables, _ImplicitTables):
+            if tables.n != len(states.labels) or output_functions or function_names:
                 raise InvalidMachineError(
                     "implicit tables cover the machine's own states and carry no names or outputs"
                 )
+            self._store(states, tables, output_functions, name, function_names)
             return
-        tables, names = _unwrap(self.states, self.tables)
+        tables, names = _unwrap(states, tables)
         if not tables:
             raise InvalidMachineError("a machine needs at least one transition function")
-        names = tuple(self.function_names) or names
+        names = tuple(function_names) or names
         if len(names) != len(tables):
             raise InvalidMachineError(f"{len(names)} function names for {len(tables)} tables")
         if any(map(operator.ge, tables, tables[1:])):
             raise InvalidMachineError(
                 "functions must be duplicate-free and in canonical table order; use make_machine"
             )
-        for i in self.output_functions:
+        for i in output_functions:
             if not 0 <= i < len(tables):
                 raise InvalidMachineError(f"output designation {i} is out of range")
-        object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "function_names", names)
+        self._store(states, tables, output_functions, name, names)
 
     @cached_property
     def functions(self) -> _Functions:
@@ -467,9 +466,6 @@ class Machine:
     def has_full_function_set(self) -> bool:
         n = self.n_states  # n**n tables listed one by one need n < 16
         return isinstance(self.tables, _AllTables) or n < 16 and self.n_functions == n**n
-
-
-_MACHINE_FIELDS = tuple(f.name for f in fields(Machine))
 
 
 def _names(m: Machine) -> Callable[[int], Optional[str]]:
@@ -494,15 +490,8 @@ def _assemble(
     if not outputs <= position.keys():
         raise InvalidMachineError("output designation is not one of the machine's functions")
     m = object.__new__(Machine)  # canonical by construction: no second check
-    values = (
-        state_set,
-        tables,
-        frozenset(map(position.get, outputs)) if outputs else _NO_OUTPUTS,
-        name,
-        names,
-    )
-    for f, value in zip(_MACHINE_FIELDS, values):  # as __init__ sets them, so as compact
-        object.__setattr__(m, f, value)
+    outputs = frozenset(map(position.get, outputs)) if outputs else _NO_OUTPUTS
+    m._store(state_set, tables, outputs, name, names)  # as __init__ stores them
     return m
 
 
@@ -548,30 +537,36 @@ def full_bijection_machine(state_set: StateSet) -> Machine:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Halted:
+class Halted(_Value):
     """Reached a state fixed by the function: the machine's halt condition."""
 
     state: str
     steps: int
-    trajectory: Optional[tuple[str, ...]] = None
+    trajectory: Optional[tuple[str, ...]]
+
+    def __init__(self, state, steps, trajectory=None):
+        self._store(state, steps, trajectory)
 
 
-@dataclass(frozen=True)
-class Cycled:
+class Cycled(_Value):
     """Entered a cycle of length > 1; no fixed point is reachable from here."""
 
     cycle_length: int
     entry_step: int
-    trajectory: Optional[tuple[str, ...]] = None
+    trajectory: Optional[tuple[str, ...]]
+
+    def __init__(self, cycle_length, entry_step, trajectory=None):
+        self._store(cycle_length, entry_step, trajectory)
 
 
-@dataclass(frozen=True)
-class StepLimit:
+class StepLimit(_Value):
     """Neither halted nor provably cycling within the allowed steps."""
 
     steps: int
-    trajectory: Optional[tuple[str, ...]] = None
+    trajectory: Optional[tuple[str, ...]]
+
+    def __init__(self, steps, trajectory=None):
+        self._store(steps, trajectory)
 
 
 RunResult = Union[Halted, Cycled, StepLimit]

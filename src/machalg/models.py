@@ -12,7 +12,6 @@ original step for step, checked by verify_lockstep.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Optional
@@ -21,6 +20,7 @@ from .errors import (
     EnumerationTooLargeError,
     InvalidMachineError,
     TotalityViolationError,
+    _Value,
 )
 from .machine import (
     DEFAULT_ENUMERATION_CAP,
@@ -58,15 +58,16 @@ class BoundaryPolicy(str, Enum):
     CLAMP = "clamp"
 
 
-@dataclass(frozen=True)
-class TmConfiguration:
+class TmConfiguration(_Value):
     register: str
     tape: tuple[str, ...]
     head: int
 
+    def __init__(self, register, tape, head):
+        self._store(register, tape, head)
 
-@dataclass(frozen=True)
-class TuringSpec:
+
+class TuringSpec(_Value):
     """A Turing machine on a fixed-length tape.
 
     ``rules`` maps (register, read symbol) to (register, written symbol,
@@ -84,9 +85,10 @@ class TuringSpec:
     halting: frozenset
     boundary_policy: BoundaryPolicy
     initial: TmConfiguration
-    name: Optional[str] = field(default=None, compare=False)
+    name: Optional[str]
 
-    def __post_init__(self):
+    def __init__(self, symbols, registers, cells, rules, halting, boundary_policy, initial, name=None):
+        self._store(symbols, registers, cells, rules, halting, boundary_policy, initial, name)
         if not self.symbols or len(set(self.symbols)) != len(self.symbols):
             raise InvalidMachineError("symbols must be non-empty and distinct")
         if not self.registers or len(set(self.registers)) != len(self.registers):
@@ -135,8 +137,7 @@ class TuringSpec:
         return self.cells
 
 
-@dataclass(frozen=True)
-class TmTrace:
+class TmTrace(_Value):
     """Configuration sequence plus how it ended.
 
     outcome "halted": the final configuration is a fixed point (halting
@@ -147,6 +148,9 @@ class TmTrace:
 
     configurations: tuple[TmConfiguration, ...]
     outcome: str
+
+    def __init__(self, configurations, outcome):
+        self._store(configurations, outcome)
 
     @property
     def steps(self) -> int:
@@ -187,8 +191,7 @@ def simulate_tm(t: TuringSpec, max_steps: int) -> TmTrace:
 ERROR_LABEL = "!boundary-error"
 
 
-@dataclass(frozen=True)
-class TmStateCodec:
+class TmStateCodec(_Value):
     """Bijection between compiled state labels and (register, tape, head).
 
     Labels read ``register|sym.sym...|head``.  Under the reject policy one
@@ -199,7 +202,10 @@ class TmStateCodec:
     symbols: tuple[str, ...]
     registers: tuple[str, ...]
     cells: int
-    error_label: Optional[str] = None
+    error_label: Optional[str]
+
+    def __init__(self, symbols, registers, cells, error_label=None):
+        self._store(symbols, registers, cells, error_label)
 
     def encode(self, c: TmConfiguration) -> str:
         return f"{c.register}|{'.'.join(c.tape)}|{c.head}"
@@ -234,7 +240,7 @@ def compile_tm(t: TuringSpec) -> tuple[Machine, TmStateCodec]:
     reject = t.boundary_policy is BoundaryPolicy.REJECT
     size = k * m**n * n + (1 if reject else 0)
     if size > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationTooLargeError("compiled state set", size, DEFAULT_ENUMERATION_CAP)
+        raise EnumerationTooLargeError("compiled state set", size)
 
     # State (register r, tape, head h) has index (rank(r)*m^n + rank(tape))*n + h,
     # rank(tape) in base m with cell 0 most significant, as its label's parts rank.
@@ -272,8 +278,7 @@ def compile_tm(t: TuringSpec) -> tuple[Machine, TmStateCodec]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MemEntry:
+class MemEntry(_Value):
     """One rule of one indexed transition family.
 
     Applies when the current selector equals ``read_cells`` and those cells
@@ -289,16 +294,20 @@ class MemEntry:
     next_read_cells: tuple[int, ...]
     next_function: int
 
+    def __init__(self, read_cells, read_values, write_cells, write_values, next_read_cells, next_function):
+        self._store(read_cells, read_values, write_cells, write_values, next_read_cells, next_function)
 
-@dataclass(frozen=True)
-class MemState:
+
+class MemState(_Value):
     cells: tuple[str, ...]
     selector: tuple[int, ...]
     fn: int
 
+    def __init__(self, cells, selector, fn):
+        self._store(cells, selector, fn)
 
-@dataclass(frozen=True)
-class MemProgram:
+
+class MemProgram(_Value):
     """Finite program over n memory cells sharing one alphabet.
 
     ``functions[a]`` is the entry list of family a.  ``finals`` lists
@@ -313,11 +322,14 @@ class MemProgram:
     initial_cells: tuple[str, ...]
     initial_selector: tuple[int, ...]
     initial_function: int
-    finals: tuple[tuple[int, str], ...] = ()
-    default_halt: bool = False
-    name: Optional[str] = field(default=None, compare=False)
+    finals: tuple[tuple[int, str], ...]
+    default_halt: bool
+    name: Optional[str]
 
-    def __post_init__(self):
+    def __init__(self, n_cells, alphabet, functions, initial_cells, initial_selector,
+                 initial_function, finals=(), default_halt=False, name=None):
+        self._store(n_cells, alphabet, functions, initial_cells, initial_selector,
+                    initial_function, finals, default_halt, name)
         if self.n_cells < 1:
             raise InvalidMachineError("a program needs at least one cell")
         if not self.alphabet or len(set(self.alphabet)) != len(self.alphabet):
@@ -410,13 +422,15 @@ def mem_step(p: MemProgram, state: MemState) -> MemState:
     return MemState(tuple(cells), e.next_read_cells, e.next_function)
 
 
-@dataclass(frozen=True)
-class MemStateCodec:
+class MemStateCodec(_Value):
     """Labels aggregate states as ``v;v;...|selector cells|family index``."""
 
     n_cells: int
     alphabet: tuple[str, ...]
     selectors: tuple[tuple[int, ...], ...]
+
+    def __init__(self, n_cells, alphabet, selectors):
+        self._store(n_cells, alphabet, selectors)
 
     def encode(self, s: MemState) -> str:
         sel = ".".join(str(c) for c in s.selector)
@@ -452,7 +466,7 @@ def compile_mem(p: MemProgram) -> tuple[Machine, MemStateCodec]:
     n_fns = len(p.functions)
     size = len(p.alphabet) ** p.n_cells * len(selectors) * n_fns
     if size > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationTooLargeError("aggregate state set", size, DEFAULT_ENUMERATION_CAP)
+        raise EnumerationTooLargeError("aggregate state set", size)
 
     # State (cells, selector i, family a) has index (rank(cells)*|sel| + i)*F + a,
     # rank(cells) in base m with cell 0 most significant, as its label's parts rank.
@@ -572,13 +586,15 @@ def tm_to_mem(t: TuringSpec) -> MemProgram:
     )
 
 
-@dataclass(frozen=True)
-class LockstepReport:
+class LockstepReport(_Value):
     """Outcome of running a TuringSpec and a MemProgram side by side."""
 
     steps_verified: int
     divergence: Optional[tuple[int, str]]
     tm_outcome: str
+
+    def __init__(self, steps_verified, divergence, tm_outcome):
+        self._store(steps_verified, divergence, tm_outcome)
 
     @property
     def ok(self) -> bool:

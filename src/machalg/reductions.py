@@ -15,20 +15,19 @@ isomorphism territory.  Output designations are not consulted here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     EmptyReductionError,
     InvalidMachineError,
     InvalidReductionError,
+    _Value,
     decimal_digits,
 )
 from .machine import Machine, StateSet, TransitionFunction, _assemble, _names
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(_Value):
     """Witness for one reduction step.
 
     kind "functional": ``kept_functions`` holds indices into
@@ -39,16 +38,17 @@ class Reduction:
     kind: str
     source: Machine
     result: Machine
-    kept_functions: tuple[int, ...] = ()
-    kept_states: tuple[str, ...] = ()
+    kept_functions: tuple[int, ...]
+    kept_states: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.kind not in ("functional", "state"):
-            raise InvalidReductionError(f"unknown reduction kind {self.kind!r}")
-        if self.kind == "functional" and not self.kept_functions:
+    def __init__(self, kind, source, result, kept_functions=(), kept_states=()):
+        if kind not in ("functional", "state"):
+            raise InvalidReductionError(f"unknown reduction kind {kind!r}")
+        if kind == "functional" and not kept_functions:
             raise InvalidReductionError("functional reduction witness lists no functions")
-        if self.kind == "state" and not self.kept_states:
+        if kind == "state" and not kept_states:
             raise InvalidReductionError("state reduction witness lists no states")
+        self._store(kind, source, result, kept_functions, kept_states)
 
 
 def functional_reduction(m: Machine, keep: Iterable[Union[int, TransitionFunction]]) -> Reduction:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import InvalidMachineError, MachalgError, ParseError, decimal_digits
+from .errors import InvalidMachineError, MachalgError, ParseError, _Value, decimal_digits
 from .machine import (
     Machine,
     StateSet,
@@ -608,8 +607,7 @@ def render_mem(p: MemProgram) -> str:
 # Certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Value):
     """Machine-readable witness: what to keep and where states/functions go.
 
     kind "iso": g and h only.  kind "complete": the functional keep (indices
@@ -618,10 +616,13 @@ class Certificate:
     """
 
     kind: str
-    g: tuple[int, ...] = ()
-    h: tuple[int, ...] = ()
-    kept_functions: tuple[int, ...] = ()
-    kept_states: tuple[str, ...] = ()
+    g: tuple[int, ...]
+    h: tuple[int, ...]
+    kept_functions: tuple[int, ...]
+    kept_states: tuple[str, ...]
+
+    def __init__(self, kind, g=(), h=(), kept_functions=(), kept_states=()):
+        self._store(kind, g, h, kept_functions, kept_states)
 
 
 # The lines of each certificate kind in the order they are written, and the

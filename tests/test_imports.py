@@ -109,12 +109,16 @@ class TestPublicApi:
         assert cli._TEMPLATE_KINDS == cardinal.TEMPLATE_KINDS
 
 
+# The exit code, the machalg modules loaded, and which of the standard
+# library's heavy introspection modules were loaded (-I -S: nothing loads
+# them before the call).
 CALL = """
 import contextlib, io, json
 from machalg.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("machalg."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("machalg.")),
+                  sorted({"dataclasses", "inspect"} & set(sys.modules))]))
 """
 
 UNUSED_BY_CARD = {"machine", "models", "textio", "reductions", "isomorphism", "lemmas"}
@@ -144,7 +148,8 @@ def test_each_call_loads_only_its_own_modules(tmp_path, argv, unused):
     cert = tmp_path / "iso.cert"
     cert.write_text("certificate iso\ng 1 0\nh 0\n", encoding="utf-8")
     files = {p.name: str(p) for p in SAMPLES.iterdir()} | {"CERT": str(cert)}
-    code, loaded = fresh(CALL, *(files.get(a, a) for a in argv))
+    code, loaded, heavy = fresh(CALL, *(files.get(a, a) for a in argv))
     assert code == 0
     assert "machalg.cli" in loaded
     assert not {f"machalg.{name}" for name in unused} & set(loaded), loaded
+    assert heavy == [], heavy

@@ -303,6 +303,16 @@ class TestTuringFormat:
         assert e.value.line == 6
         assert "unknown symbol '2'" in str(e.value)
 
+    def test_unknown_symbol_on_init_tape(self):
+        text = (
+            "tm t\nsymbols 0 1\nregisters q\ncells 1\nboundary clamp\n"
+            "init tape 2 head 0 register q\n"
+        )
+        with pytest.raises(ParseError) as e:
+            parse_turing(text)
+        assert (e.value.line, e.value.column) == (6, 11)
+        assert "unknown symbol '2'" in str(e.value)
+
     def test_duplicate_rule(self):
         text = (
             "tm t\nsymbols 0\nregisters q\ncells 1\nboundary clamp\n"
