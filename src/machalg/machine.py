@@ -26,8 +26,6 @@ from .errors import (
     _Value,
 )
 
-_NO_OUTPUTS: frozenset[int] = frozenset()  # one object for every machine without outputs
-
 
 class StateSet(_Value):
     """Ordered collection of distinct state labels.
@@ -413,26 +411,22 @@ class Machine(_Value):
 
     ``tables`` holds one index table per function, sorted and duplicate-free
     (see :func:`make_machine`); TransitionFunctions on ``states`` may stand in.
-    ``function_names[i]``, never compared, names ``tables[i]``.  The full and
-    bijection machines hold their tables implicitly (see :func:`full_machine`),
-    with no outputs and no listed names: their function i is ``f<i>``.
-    Reductions and isomorphism never consult ``output_functions``, the output
-    decoders' indices.
+    ``function_names[i]``, a string or None and never compared, names
+    ``tables[i]``.  The full and bijection machines hold their tables
+    implicitly (see :func:`full_machine`), with no listed names: their
+    function i is ``f<i>``.
     """
 
     states: StateSet
     tables: Sequence[tuple[int, ...]]
-    output_functions: frozenset[int]
-    name: Optional[str]
     function_names: Sequence[Optional[str]]
+    name: Optional[str]
 
-    def __init__(self, states, tables, output_functions=_NO_OUTPUTS, name=None, function_names=()):
+    def __init__(self, states, tables, function_names=(), name=None):
         if isinstance(tables, _ImplicitTables):
-            if tables.n != len(states.labels) or output_functions or function_names:
-                raise InvalidMachineError(
-                    "implicit tables cover the machine's own states and carry no names or outputs"
-                )
-            self._store(states, tables, output_functions, name, function_names)
+            if tables.n != len(states.labels) or function_names:
+                raise InvalidMachineError("implicit tables cover the machine's own states and carry no names")
+            self._store(states, tables, (), name)
             return
         tables, names = _unwrap(states, tables)
         if not tables:
@@ -440,14 +434,14 @@ class Machine(_Value):
         names = tuple(function_names) or names
         if len(names) != len(tables):
             raise InvalidMachineError(f"{len(names)} function names for {len(tables)} tables")
+        for nm in names:
+            if nm is not None and not isinstance(nm, str):
+                raise InvalidMachineError(f"function name {nm!r} is not a string or None")
         if any(map(operator.ge, tables, tables[1:])):
             raise InvalidMachineError(
                 "functions must be duplicate-free and in canonical table order; use make_machine"
             )
-        for i in output_functions:
-            if not 0 <= i < len(tables):
-                raise InvalidMachineError(f"output designation {i} is out of range")
-        self._store(states, tables, output_functions, name, names)
+        self._store(states, tables, names, name)
 
     @cached_property
     def functions(self) -> _Functions:
@@ -473,41 +467,30 @@ def _names(m: Machine) -> Callable[[int], Optional[str]]:
     return m.function_names.__getitem__ if m.function_names else m.tables.name
 
 
-def _assemble(
-    state_set: StateSet, pairs: Iterable, outputs: Iterable = (), name: Optional[str] = None
-) -> Machine:
+def _assemble(state_set: StateSet, pairs: Iterable, name: Optional[str] = None) -> Machine:
     """The machine of the ``(table, name)`` pairs, whose tables are already
-    checked: extensional duplicates collapse (first name wins), tables sort
-    lexicographically, and each output table resolves to its position."""
+    checked: extensional duplicates collapse (first name wins) and tables
+    sort lexicographically."""
     by_table: dict[tuple[int, ...], Optional[str]] = {}
     for t, nm in pairs:
         by_table.setdefault(t, nm)
     if not by_table:
         raise InvalidMachineError("a machine needs at least one transition function")
     tables, names = zip(*sorted(by_table.items()))  # distinct tables: names never compared
-    outputs = set(outputs)
-    position = {t: i for i, t in enumerate(tables)} if outputs else {}
-    if not outputs <= position.keys():
-        raise InvalidMachineError("output designation is not one of the machine's functions")
     m = object.__new__(Machine)  # canonical by construction: no second check
-    outputs = frozenset(map(position.get, outputs)) if outputs else _NO_OUTPUTS
-    m._store(state_set, tables, outputs, name, names)  # as __init__ stores them
+    m._store(state_set, tables, names, name)  # as __init__ stores them
     return m
 
 
 def make_machine(
-    state_set: StateSet,
-    fns: Iterable[TransitionFunction],
-    outputs: Iterable[TransitionFunction] = (),
-    name: Optional[str] = None,
+    state_set: StateSet, fns: Iterable[TransitionFunction], *, name: Optional[str] = None
 ) -> Machine:
     """Canonical Machine constructor: extensional duplicates collapse (first
-    name wins), tables sort lexicographically, and output designations resolve
-    against the collapsed set.  Functions and outputs must be on ``state_set``;
-    bare tables in ``fns`` are checked here, functions were when built."""
+    name wins) and tables sort lexicographically.  Functions must be on
+    ``state_set``; bare tables in ``fns`` are checked here, functions were
+    when built."""
     tables, names = _unwrap(state_set, fns)
-    outputs = _unwrap(state_set, outputs)[0]
-    return _assemble(state_set, zip(tables, names), outputs, name)
+    return _assemble(state_set, zip(tables, names), name)
 
 
 def full_machine(state_set: StateSet) -> Machine:

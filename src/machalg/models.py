@@ -88,7 +88,7 @@ class TuringSpec(_Value):
     name: Optional[str]
 
     def __init__(self, symbols, registers, cells, rules, halting, boundary_policy, initial, name=None):
-        self._store(symbols, registers, cells, rules, halting, boundary_policy, initial, name)
+        self._store(symbols, registers, cells, dict(rules), halting, boundary_policy, initial, name)
         if not self.symbols or len(set(self.symbols)) != len(self.symbols):
             raise InvalidMachineError("symbols must be non-empty and distinct")
         if not self.registers or len(set(self.registers)) != len(self.registers):
@@ -123,6 +123,10 @@ class TuringSpec(_Value):
             raise InvalidMachineError(f"initial head {c.head} is off the tape")
         if c.register not in self.registers:
             raise InvalidMachineError(f"initial register {c.register!r} is unknown")
+
+    def __hash__(self):  # the rules dict hashes as the set of its items
+        symbols, registers, cells, rules, *rest = self._key(self)
+        return hash((symbols, registers, cells, frozenset(rules.items()), *rest))
 
     @property
     def k(self) -> int:

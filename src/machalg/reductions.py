@@ -10,7 +10,7 @@ A sub-machine is the result of a functional reduction followed by a state
 reduction.  Every state reduction, whether replayed, searched or literal,
 is assembled by :func:`_state_witness` from (index, restriction) hits.
 State labels are matched literally here; matching up to renaming is
-isomorphism territory.  Output designations are not consulted here.
+isomorphism territory.
 """
 
 from __future__ import annotations

@@ -135,23 +135,21 @@ def parse_machine(text: str) -> Machine:
     """Read the ``machine`` block format.
 
     Rejects missing clauses (every function must cover every state),
-    unknown state names, duplicate states, functions, or clauses, and
-    output lines naming undeclared functions.  ``functions all`` or
-    ``functions bijections`` stands for every map or every bijection on the
-    states, in place of ``fn`` and ``output`` lines; the functions are named
-    ``f<i>``, as when each has its own ``fn`` line.
+    unknown state names, and duplicate states, functions, or clauses.
+    ``functions all`` or ``functions bijections`` stands for every map or
+    every bijection on the states, in place of ``fn`` lines; the functions
+    are named ``f<i>``, as when each has its own ``fn`` line.
     """
     name = None
     state_set = None
     implicit = None
     fn_names: dict[str, tuple[int, ...]] = {}
-    output_names: list[tuple[str, int, str, int]] = []
 
     once = ("machine", "states", "functions")
-    for lineno, raw, head, body in _directives(text, "machine", once, ("fn", "output")):
+    for lineno, raw, head, body in _directives(text, "machine", once, ("fn",)):
         tokens = body.split() if head != "fn" else None  # a fn line is read from its body
-        if implicit and head in ("fn", "output") or head == "functions" and (fn_names or output_names):
-            raise ParseError("a 'functions' line excludes 'fn' and 'output' lines", lineno, 1)
+        if implicit and head == "fn" or head == "functions" and fn_names:
+            raise ParseError("a 'functions' line excludes 'fn' lines", lineno, 1)
         if head == "machine":
             name = tokens[1]
             _check_mx_token(name, "machine name", lineno, raw, 1)
@@ -219,23 +217,13 @@ def parse_machine(text: str) -> Machine:
                     )
                 table = tuple(state_set.index(mapping[s]) for s in state_set.labels)
             fn_names[fname] = table
-        elif head == "output":
-            if len(tokens) < 2:
-                raise ParseError("'output' needs at least one function name", lineno, 1)
-            for k, tok in enumerate(tokens[1:], 1):
-                output_names.append((tok, lineno, raw, k))
 
-    _require(lineno, ("'machine <name>' header", name), ("'states' line", state_set))
+    _require(lineno, ("'states' line", state_set))  # the states line needs the header before it
     if implicit:
         return Machine(state_set, implicit(len(state_set)), name=name)
     if not fn_names:
         raise ParseError("a machine needs at least one fn", lineno)
-    outputs = []
-    for tok, lineno, raw, k in output_names:
-        if tok not in fn_names:
-            raise ParseError(f"output names unknown function {tok!r}", lineno, _col(raw, k))
-        outputs.append(fn_names[tok])
-    return _assemble(state_set, [(t, f) for f, t in fn_names.items()], outputs, name)
+    return _assemble(state_set, [(t, f) for f, t in fn_names.items()], name)
 
 
 def display_names(m: Machine) -> list[str]:
@@ -289,12 +277,9 @@ def render_machine(m: Machine) -> str:
     lines = [f"machine {m.name if _all_mx_tokens([m.name]) else 'm'}", "states " + " ".join(labels)]
     if isinstance(m.tables, _ImplicitTables):
         return "\n".join(lines + [f"functions {m.tables.form}"]) + "\n"
-    display = display_names(m)
-    for t, dn in zip(m.tables, display):
+    for t, dn in zip(m.tables, display_names(m)):
         clauses = ", ".join(map("->".join, zip(labels, map(labels.__getitem__, t))))
         lines.append(f"fn {dn}: {clauses}")
-    if m.output_functions:
-        lines.append("output " + " ".join(display[i] for i in sorted(m.output_functions)))
     return "\n".join(lines) + "\n"
 
 

@@ -561,9 +561,8 @@ def reference_evaluate_expression(text: str, trace: Optional[Trace] = None) -> C
 # Reference .mx parser: the per-token, per-clause reader, with its helpers
 # ---------------------------------------------------------------------------
 #
-# It predates the rule that the header comes first, so it still accepts
-# ``output`` lines before ``machine <name>``; everything else it answers
-# exactly as ``parse_machine`` must.
+# It has no ``functions`` line; everything else it answers exactly as
+# ``parse_machine`` must.
 
 
 def _significant_lines(text: str) -> list[tuple[int, str, list[str]]]:
@@ -635,16 +634,14 @@ def reference_parse_machine(text: str) -> Machine:
     """Read the ``machine`` block format.
 
     Rejects missing clauses (every function must cover every state),
-    unknown state names, duplicate states, functions, or clauses, and
-    output lines naming undeclared functions.
+    unknown state names, and duplicate states, functions, or clauses.
     """
     name = None
     state_set = None
     fn_names: dict[str, tuple[int, ...]] = {}
-    output_names: list[tuple[str, int, str]] = []
 
     once = ("machine", "states")
-    for lineno, raw, tokens in _directives(text, "machine", once, ("fn", "output")):
+    for lineno, raw, tokens in _directives(text, "machine", once, ("fn",)):
         head = tokens[0]
         if head == "machine":
             name = tokens[1]
@@ -706,19 +703,9 @@ def reference_parse_machine(text: str) -> Machine:
                 )
             table = tuple(state_set.index(mapping[s]) for s in state_set.labels)
             fn_names[fname] = table
-        elif head == "output":
-            if len(tokens) < 2:
-                raise ParseError("'output' needs at least one function name", lineno, 1)
-            for k, tok in enumerate(tokens[1:], 1):
-                output_names.append((tok, lineno, raw, k))
 
     _require(lineno, ("'machine <name>' header", name), ("'states' line", state_set))
     if not fn_names:
         raise ParseError("a machine needs at least one fn", lineno)
-    outputs = []
-    for tok, lineno, raw, k in output_names:
-        if tok not in fn_names:
-            raise ParseError(f"output names unknown function {tok!r}", lineno, _col(raw, k))
-        outputs.append(fn_names[tok])
-    return _assemble(state_set, [(t, f) for f, t in fn_names.items()], outputs, name)
+    return _assemble(state_set, [(t, f) for f, t in fn_names.items()], name)
 

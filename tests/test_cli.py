@@ -912,8 +912,9 @@ MALFORMED = [
     _malformed("mx", "machine m\nstates a\nfn f: a\n",
                "line 3, column 7: clause 'a' must read 'state->state'"),
     _malformed("mx", "machine m\nstates a\nfn f: a->a\noutput\n",
-               "line 4, column 1: 'output' needs at least one function name"),
-    _malformed("mx", "# no header\noutput f\n", "line 2, column 1: missing 'machine <name>' header"),
+               "line 4, column 1: unknown directive 'output'"),
+    _malformed("mx", "# no header\nstates a\nfn f: a->a\n",
+               "line 2, column 1: 'machine <name>' must come first"),
     _malformed("tm", "# nothing\n", "line 1, column 1: empty input; expected 'tm <name>'"),
     _malformed("tm", "tm\n", "line 1, column 1: expected 'tm <name>'"),
     _malformed("tm", "tm t\nsymbols\n", "line 2, column 1: 'symbols' needs at least one symbol"),

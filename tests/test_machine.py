@@ -195,12 +195,6 @@ class TestMachine:
             Machine(states("a"), ())
         assert str(e.value) == "a machine needs at least one transition function"
 
-    def test_output_must_be_one_of_the_functions(self):
-        ss = states("a", "b")
-        with pytest.raises(InvalidMachineError) as e:
-            make_machine(ss, [identity_fn(ss)], outputs=[fn_from_map(ss, {"a": "b", "b": "a"})])
-        assert str(e.value) == "output designation is not one of the machine's functions"
-
     def test_shared_domain(self):
         f = identity_fn(states("a", "b"))
         with pytest.raises(InvalidMachineError):
@@ -218,35 +212,18 @@ class TestMachine:
         # first name wins on the deduped entry
         assert {f.name for f in m.functions} == {"swap", "id"}
 
-    def test_output_functions(self):
-        ss = states("a", "b")
-        swap = fn_from_map(ss, {"a": "b", "b": "a"}, "swap")
-        ident = identity_fn(ss)
-        m = make_machine(ss, [swap, ident], outputs=[swap])
-        swapped_index = [f.table for f in m.functions].index((1, 0))
-        assert m.output_functions == frozenset({swapped_index})
-
-    def test_machines_without_outputs_share_one_empty_set(self):
-        # A census builds millions of machines; each empty set would cost 216 bytes.
-        ss = states("a", "b")
-        built = [
-            make_machine(ss, [identity_fn(ss)]),
-            make_machine(ss, [fn_from_map(ss, {"a": "b", "b": "a"})], outputs=[]),
-            Machine(ss, [(0, 0)]),
-            parse_machine("machine m\nstates a b\nfn f: a->a, b->a\n"),
-        ]
-        assert all(m.output_functions is built[0].output_functions == frozenset() for m in built)
-
-    def test_outputs_must_share_the_state_set(self):
-        a = states("a", "b")
-        foreign = identity_fn(states("x", "y"))
-        assert foreign.table == identity_fn(a).table
-        with pytest.raises(InvalidMachineError, match="share the machine's state set"):
-            make_machine(a, [identity_fn(a)], outputs=[foreign])
+    def test_the_positional_form_of_the_benchmark(self):
+        # Machine(states, tables, function_names, name): an empty name set and
+        # no machine name, as perfbench's census builds its bijection machine.
+        ss = states("a", "b", "c")
+        fns = [TransitionFunction(ss, t, f"p{i}") for i, t in enumerate([(0, 1, 2), (1, 2, 0)])]
+        m = Machine(ss, tuple(fns), frozenset(), None)
+        assert m == make_machine(ss, fns)
+        assert m.function_names == ("p0", "p1") and m.name is None
 
 
 def _named_machines():
-    """Seeded machines with names, duplicates and outputs, plus every sample."""
+    """Seeded machines with names and duplicates, plus every sample."""
     rng = random.Random(5)
     out = [parse_machine(p.read_text()) for p in sorted(SAMPLES.glob("*.mx"))]
     for _ in range(40):
@@ -258,8 +235,8 @@ def _named_machines():
             )
             for _ in range(rng.randint(1, 5))
         ]
-        outs = rng.sample(fns, rng.randint(0, len(fns)))
-        out.append(make_machine(ss, fns, outputs=outs, name=rng.choice([None, "m"])))
+        rng.sample(fns, rng.randint(0, len(fns)))  # a draw kept so the seeded machines stay the same
+        out.append(make_machine(ss, fns, name=rng.choice([None, "m"])))
     return out
 
 
@@ -268,14 +245,19 @@ class TestTables:
 
     @pytest.mark.parametrize("m", _named_machines(), ids=lambda m: f"{m.name}-{m.n_functions}")
     def test_view_rebuilds_the_machine(self, m):
-        rebuilt = make_machine(
-            m.states, m.functions, outputs=[m.functions[i] for i in m.output_functions], name=m.name
-        )
-        assert rebuilt == m and rebuilt.output_functions == m.output_functions
+        rebuilt = make_machine(m.states, m.functions, name=m.name)
+        assert rebuilt == m
         assert rebuilt.function_names == m.function_names
         assert display_names(rebuilt) == display_names(m)
         assert [f.table for f in m.functions] == list(m.tables)
         assert [f.name for f in m.functions] == list(m.function_names)
+
+    @pytest.mark.parametrize("m", _named_machines(), ids=lambda m: f"{m.name}-{m.n_functions}")
+    def test_identity_reductions_give_back_the_machine(self, m):
+        for kept in (functional_reduction(m, range(m.n_functions)).result,
+                     state_reduction(m, m.states.labels).result):
+            assert kept == m
+            assert (kept.function_names, kept.name) == (m.function_names, m.name)
 
     def test_view_is_built_once(self):
         m = full_machine(states("a", "b", "c"))
@@ -325,8 +307,15 @@ class TestTables:
             build(ss, items if function_first else items[::-1])
 
     def test_output_designation_out_of_range(self):
-        with pytest.raises(InvalidMachineError, match="^output designation 5 is out of range$"):
-            Machine(states("a", "b"), ((0, 0), (1, 0)), frozenset({5}))
+        # The third slot, once output designations, holds function names: a
+        # set of indices there is refused, never read as names.
+        ss = states("a", "b")
+        with pytest.raises(InvalidMachineError, match="^1 function names for 2 tables$"):
+            Machine(ss, ((0, 0), (1, 0)), frozenset({5}))
+        with pytest.raises(InvalidMachineError, match="^function name 0 is not a string or None$"):
+            Machine(ss, ((0, 0), (1, 0)), frozenset({0, 1}))
+        with pytest.raises(InvalidMachineError, match="^function name b'f' is not a string or None$"):
+            Machine(ss, ((0, 0), (1, 0)), ("f", b"f"))
 
     @pytest.mark.parametrize("table", [(0, 5), (0,), (0, 1, 1), (-1, 0), (1, 2)])
     def test_bad_tables_fail_as_functions_do(self, table):
@@ -590,8 +579,7 @@ class TestImplicitTables:
         assert m.name == "full" and m.function_names == () and m.functions.name_at(5) == "f5"
         parsed = parse_machine(render_machine(m))
         assert parsed == m and parsed.function_names == () and parsed.functions[-2].name == "f25"
-        for bad in (dict(output_functions=frozenset({0})), dict(function_names=("f",) * 27),
-                    dict(states=states("a", "b"))):
+        for bad in (dict(function_names=("f",) * 27), dict(states=states("a", "b"))):
             with pytest.raises(InvalidMachineError, match="implicit tables"):
                 dataclasses.replace(m, **bad)
         for copy in (pickle.loads(pickle.dumps(m)), dataclasses.replace(m)):
@@ -608,14 +596,14 @@ class TestImplicitTables:
         ss = states("a", "b")
         fns = [TransitionFunction(ss, (0, 0)), TransitionFunction(ss, (1, 0))]
         assert len(calls) == 2  # once per function, as it is built
-        make_machine(ss, fns, outputs=fns[:1])
+        make_machine(ss, fns)
         assert len(calls) == 2
-        make_machine(ss, [(0, 0), (1, 0)], outputs=[(0, 0)])
-        assert len(calls) == 4  # the bare tables, then the bare outputs, once each
+        make_machine(ss, [(0, 0), (1, 0)])
+        assert len(calls) == 3  # the bare tables, once
         Machine(ss, ((0, 0), (1, 0)))
-        assert len(calls) == 5
+        assert len(calls) == 4
         full_machine(ss)
-        assert len(calls) == 5  # generated, never checked
+        assert len(calls) == 4  # generated, never checked
 
 
 def _compiled(kind, policy):

@@ -45,7 +45,6 @@ machine switch
 states off on
 fn flip: off->on, on->off
 fn hold: off->off, on->on
-output flip
 """
 
 # Arbitrary text, and text built from the characters the .mx format reserves.
@@ -61,8 +60,7 @@ def labelled_machines(draw):
         st.builds(TransitionFunction, st.just(ss), tables, st.none() | MX_TEXT),
         min_size=1, max_size=3,
     ))
-    outputs = draw(st.lists(st.sampled_from(fns), max_size=2))
-    return make_machine(ss, fns, outputs, draw(st.none() | MX_TEXT))
+    return make_machine(ss, fns, name=draw(st.none() | MX_TEXT))
 
 
 def _one_state(label="a", fn_name="f", name="m"):
@@ -77,7 +75,6 @@ class TestMachineFormat:
         assert m.n_functions == 2
         flip = m.function_names.index("flip")
         assert m.tables[flip] == (1, 0)
-        assert m.output_functions == frozenset({flip})
 
     def test_comments_and_blanks(self):
         text = "# top note\nmachine m\n\nstates a b  # trailing\nfn f: a->b, b->b\n"
@@ -148,9 +145,10 @@ class TestMachineFormat:
         assert e.value.line == 3
 
     def test_output_unknown_fn(self):
+        # output designations are gone: an old file's output line is refused whole
         with pytest.raises(ParseError) as e:
             parse_machine("machine m\nstates a\nfn f: a->a\noutput g\n")
-        assert "unknown function 'g'" in str(e.value)
+        assert str(e.value) == "line 4, column 1: unknown directive 'output'"
 
     def test_bad_label_rejected_on_render(self):
         import machalg
@@ -258,13 +256,13 @@ class TestImplicitFunctions:
         ("machine m\nstates a\nfunctions all all\n", "line 3, column 1: 'functions' must be 'all' or 'bijections'"),
         ("machine m\nstates a\nfunctions all\n  functions all\n", "line 4, column 3: second 'functions' line"),
         ("machine m\nstates a\nfunctions all\nfn f: a->a\n",
-         "line 4, column 1: a 'functions' line excludes 'fn' and 'output' lines"),
+         "line 4, column 1: a 'functions' line excludes 'fn' lines"),
         ("machine m\nstates a\nfn f: a->a\nfunctions all\n",
-         "line 4, column 1: a 'functions' line excludes 'fn' and 'output' lines"),
-        ("machine m\nstates a\noutput f\nfunctions bijections\n",
-         "line 4, column 1: a 'functions' line excludes 'fn' and 'output' lines"),
-        ("machine m\nstates a\nfunctions bijections\noutput f\n",
-         "line 4, column 1: a 'functions' line excludes 'fn' and 'output' lines"),
+         "line 4, column 1: a 'functions' line excludes 'fn' lines"),
+        ("machine m\nstates a\nfn f: a->a\nfunctions bijections\n",
+         "line 4, column 1: a 'functions' line excludes 'fn' lines"),
+        ("machine m\nstates a\nfunctions bijections\nfn f: a->a\n",
+         "line 4, column 1: a 'functions' line excludes 'fn' lines"),
     ])
     def test_errors(self, text, error):
         with pytest.raises(ParseError) as e:
@@ -494,10 +492,12 @@ class TestSharedRules:
                      "line 3, column 3: unknown directive 'frobnicate'", id="mx-unknown"),
         pytest.param("mx", SWITCH.split("\n", 1)[1],
                      "line 1, column 1: 'machine <name>' must come first", id="mx-no-header"),
-        pytest.param("mx", "# no header\noutput flip\n",
-                     "line 2, column 1: missing 'machine <name>' header", id="mx-header-last"),
-        pytest.param("mx", "output flip\n  machine switch\n" + SWITCH.split("\n", 1)[1],
-                     "line 2, column 3: 'machine <name>' must come first", id="mx-late-header"),
+        # Each .mx line but the header needs the states line, which needs the
+        # header: a missing or late header is refused at the first line.
+        pytest.param("mx", "# no header\nfn flip: off->on, on->off\n",
+                     "line 2, column 1: 'states' must come before 'fn'", id="mx-header-last"),
+        pytest.param("mx", "fn flip: off->on, on->off\n  machine switch\n" + SWITCH.split("\n", 1)[1],
+                     "line 1, column 1: 'states' must come before 'fn'", id="mx-late-header"),
         pytest.param("tm", "", "line 1, column 1: empty input; expected 'tm <name>'",
                      id="tm-empty"),
         pytest.param("tm", "tm\n", "line 1, column 1: expected 'tm <name>'", id="tm-no-name"),
