@@ -266,6 +266,8 @@ def _sniff(text: str) -> str:
 def _cmd_sim(args) -> int:
     text = _read(args.file)
     kind = _sniff(text)
+    if kind in ("tm", "mem") and (args.fn is not None or getattr(args, "from") is not None):
+        raise MachalgError("--fn and --from apply to machine files only")
     write = sys.stdout.write  # each line as it is made: memory stays flat however long the run
     if kind == "tm":
         from .models import _tm_run

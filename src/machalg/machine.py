@@ -99,6 +99,8 @@ class TransitionFunction(_Value):
 
     def __init__(self, domain, table, name=None):
         _check_tables((table,), len(domain))
+        if name is not None and not isinstance(name, str):
+            raise InvalidMachineError(f"function name {name!r} is not a string or None")
         self._store(domain, table, name)
 
     def __call__(self, label: str) -> str:

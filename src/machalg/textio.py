@@ -57,38 +57,36 @@ def _number(token: str, lineno: int, raw: str, k: int, skip: int = 0) -> int | N
         raise ParseError(f"{len(token)}-digit number is too long", lineno, _col(raw, k, skip)) from None
 
 
-def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tuple[int, str, str, str]]:
+def _directives(text: str, kind: str, once: tuple, many: tuple, after: dict,
+                required: tuple) -> Iterator[tuple[int, str, str, str]]:
     """(line number, raw line, head, body) for every significant line of a
     ``<kind> <name>`` format, after the rules all such formats share: the
-    input is not empty, the header has exactly one name and comes first, no
-    head in ``once`` (the header among them) comes twice, and every head is in
-    ``once`` or ``many``."""
+    input is not empty, every head is in ``once`` or ``many``, the first line
+    is the header, no head in ``once`` (the header among them) comes twice,
+    each head in ``after`` comes after every head it lists, the header has
+    exactly one name, and every head in ``required`` comes at all."""
     rows = list(_significant_lines(text))
     if not rows:
         raise ParseError(f"empty input; expected '{kind} <name>'", 1)
     seen = set()
     for lineno, raw, body in rows:
         head = body.split(None, 1)[0]
-        if head in once:
-            if head in seen:
-                raise ParseError(f"second {head!r} line", lineno, _col(raw, 0))
-            if head == kind and lineno != rows[0][0]:
-                raise ParseError(f"'{kind} <name>' must come first", lineno, _col(raw, 0))
-            seen.add(head)
-        elif head not in many:
+        if head not in once and head not in many:
             raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, 0))
+        if not seen and head != kind:
+            raise ParseError(f"'{kind} <name>' must come first", lineno, 1)
+        if head in seen and head in once:
+            raise ParseError(f"second {head!r} line", lineno, _col(raw, 0))
+        for first in after.get(head, ()):
+            if first not in seen:
+                raise ParseError(f"'{first}' must come before '{head}'", lineno, 1)
         if head == kind and len(body.split()) != 2:
             raise ParseError(f"expected '{kind} <name>'", lineno, 1)
+        seen.add(head)
         yield lineno, raw, head, body
-
-
-def _require(lineno: int, *needed: tuple[str, object]) -> None:
-    """Raise ``missing <what>`` at ``lineno`` for the first ``(what, value)``
-    whose value is None.  The parsers call it after their loop over
-    :func:`_directives`, so ``lineno`` is the last significant line."""
-    for what, value in needed:
-        if value is None:
-            raise ParseError(f"missing {what}", lineno)
+    for head in required:
+        if head not in seen:
+            raise ParseError(f"missing '{head}' line", lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +144,8 @@ def parse_machine(text: str) -> Machine:
     fn_names: dict[str, tuple[int, ...]] = {}
 
     once = ("machine", "states", "functions")
-    for lineno, raw, head, body in _directives(text, "machine", once, ("fn",)):
+    after = {"fn": ("states",), "functions": ("states",)}
+    for lineno, raw, head, body in _directives(text, "machine", once, ("fn",), after, ("states",)):
         tokens = body.split() if head != "fn" else None  # a fn line is read from its body
         if implicit and head == "fn" or head == "functions" and fn_names:
             raise ParseError("a 'functions' line excludes 'fn' lines", lineno, 1)
@@ -154,8 +153,6 @@ def parse_machine(text: str) -> Machine:
             name = tokens[1]
             _check_mx_token(name, "machine name", lineno, raw, 1)
         elif head == "states":
-            if name is None:
-                raise ParseError("'machine <name>' must come first", lineno, 1)
             if len(tokens) < 2:
                 raise ParseError("'states' needs at least one state", lineno, 1)
             labels = tokens[1:]
@@ -171,14 +168,10 @@ def parse_machine(text: str) -> Machine:
                         raise ParseError(f"duplicate state {s!r}", lineno, _col(raw, k))
                     seen.add(s)
         elif head == "functions":
-            if state_set is None:
-                raise ParseError("'states' must come before 'functions'", lineno, 1)
             if len(tokens) != 2 or tokens[1] not in _IMPLICIT:
                 raise ParseError("'functions' must be 'all' or 'bijections'", lineno, 1)
             implicit = _IMPLICIT[tokens[1]]
         elif head == "fn":
-            if state_set is None:
-                raise ParseError("'states' must come before 'fn'", lineno, 1)
             header, sep, rest = body.partition(":")
             if not sep:
                 raise ParseError("fn line needs 'fn <name>: <clauses>'", lineno, 1)
@@ -218,7 +211,6 @@ def parse_machine(text: str) -> Machine:
                 table = tuple(state_set.index(mapping[s]) for s in state_set.labels)
             fn_names[fname] = table
 
-    _require(lineno, ("'states' line", state_set))  # the states line needs the header before it
     if implicit:
         return Machine(state_set, implicit(len(state_set)), name=name)
     if not fn_names:
@@ -301,13 +293,11 @@ def parse_turing(text: str) -> TuringSpec:
     rules_seen = False
     initial: TmConfiguration | None = None
 
-    def need(value, what, lineno):
-        if value is None:
-            raise ParseError(f"{what} must be declared before this line", lineno)
-        return value
-
     once = ("tm", "symbols", "registers", "cells", "boundary", "halting", "init")
-    for lineno, raw, head, body in _directives(text, "tm", once, ("rule",)):
+    after = {"halting": ("registers",), "rule": ("symbols", "registers"),
+             "init": ("symbols", "registers", "cells")}
+    required = ("symbols", "registers", "cells", "boundary", "init")
+    for lineno, raw, head, body in _directives(text, "tm", once, ("rule",), after, required):
         tokens = body.split()
         if head == "tm":
             name = tokens[1]
@@ -331,14 +321,11 @@ def parse_turing(text: str) -> TuringSpec:
         elif head == "halting":
             if rules_seen:
                 raise ParseError("'halting' must come before the rules", lineno, 1)
-            regs = need(registers, "'registers'", lineno)
             for k, r in enumerate(tokens[1:], 1):
-                if r not in regs:
+                if r not in registers:
                     raise ParseError(f"unknown halting register {r!r}", lineno, _col(raw, k))
             halting = frozenset(tokens[1:])
         elif head == "rule":
-            syms = need(symbols, "'symbols'", lineno)
-            regs = need(registers, "'registers'", lineno)
             rules_seen = True
             if len(tokens) != 7 or tokens[3] != "->":
                 raise ParseError(
@@ -346,10 +333,10 @@ def parse_turing(text: str) -> TuringSpec:
                 )
             r, s, _, r2, s2, mv = tokens[1:]
             for reg, k in ((r, 1), (r2, 4)):
-                if reg not in regs:
+                if reg not in registers:
                     raise ParseError(f"unknown register {reg!r}", lineno, _col(raw, k))
             for sym, k in ((s, 2), (s2, 5)):
-                if sym not in syms:
+                if sym not in symbols:
                     raise ParseError(f"unknown symbol {sym!r}", lineno, _col(raw, k))
             if halting and r in halting:
                 raise ParseError(
@@ -361,9 +348,7 @@ def parse_turing(text: str) -> TuringSpec:
                 raise ParseError(f"duplicate rule for ({r}, {s})", lineno, 1)
             rules[(r, s)] = (r2, s2, Move(mv))
         elif head == "init":
-            syms = need(symbols, "'symbols'", lineno)
-            regs = need(registers, "'registers'", lineno)
-            n = need(cells, "'cells'", lineno)
+            n = cells
             want = 2 + n + 2 + 2
             if (
                 len(tokens) != want
@@ -378,19 +363,16 @@ def parse_turing(text: str) -> TuringSpec:
                 )
             tape = tuple(tokens[2 : 2 + n])
             for k, sym in enumerate(tape, 2):
-                if sym not in syms:
+                if sym not in symbols:
                     raise ParseError(f"unknown symbol {sym!r}", lineno, _col(raw, k))
             at = _number(tokens[3 + n], lineno, raw, 3 + n)
             if at is None or at >= n:
                 raise ParseError(f"head must be in 0..{n - 1}", lineno, _col(raw, 3 + n))
             reg = tokens[5 + n]
-            if reg not in regs:
+            if reg not in registers:
                 raise ParseError(f"unknown register {reg!r}", lineno, _col(raw, 5 + n))
             initial = TmConfiguration(reg, tape, at)
 
-    _require(lineno, ("'tm <name>' header", name), ("'symbols' line", symbols),
-             ("'registers' line", registers), ("'cells' line", cells),
-             ("'boundary' line", boundary), ("'init' line", initial))
     return TuringSpec(
         symbols=symbols,
         registers=registers,
@@ -476,8 +458,10 @@ def parse_mem(text: str) -> MemProgram:
     families: list[list[MemEntry]] = []
     finals: list[tuple[int, str]] = []
 
-    once = ("mem", "alphabet", "start", "default")
-    for lineno, raw, head, body in _directives(text, "mem", once, ("cell", "fn", "entry", "final")):
+    once, many = ("mem", "alphabet", "start", "default"), ("cell", "fn", "entry", "final")
+    after = {"cell": ("alphabet",), "entry": ("fn",)}
+    required = ("alphabet", "cell", "start", "fn")
+    for lineno, raw, head, body in _directives(text, "mem", once, many, after, required):
         tokens = body.split()
         if head == "mem":
             name = tokens[1]
@@ -486,8 +470,6 @@ def parse_mem(text: str) -> MemProgram:
                 raise ParseError("'alphabet' needs at least one value", lineno, 1)
             alphabet = tuple(tokens[1:])
         elif head == "cell":
-            if alphabet is None:
-                raise ParseError("'alphabet' must come before 'cell'", lineno, 1)
             idx = _number(tokens[1], lineno, raw, 1) if len(tokens) == 4 and tokens[2] == "=" else None
             if idx is None:
                 raise ParseError("cell line must read 'cell <i> = <value>'", lineno, 1)
@@ -518,8 +500,6 @@ def parse_mem(text: str) -> MemProgram:
                 )
             families.append([])
         elif head == "entry":
-            if not families:
-                raise ParseError("'entry' must follow a 'fn' header", lineno, 1)
             if (
                 len(tokens) != 8
                 or tokens[2] != "->"
@@ -543,12 +523,9 @@ def parse_mem(text: str) -> MemProgram:
                 raise ParseError("final line must read 'final cell <i> = <value>'", lineno, 1)
             finals.append((at, tokens[4]))
 
-    _require(lineno, ("'mem <name>' header", name), ("'alphabet' line", alphabet),
-             ("'cell' lines", cell_inits or None))
     n = len(cell_inits)
     if sorted(cell_inits) != list(range(n)):
         raise ParseError(f"cell indices must be exactly 0..{n - 1}", lineno)
-    _require(lineno, ("'start' line", start_sel), ("'fn' block", families or None))
     return MemProgram(
         n_cells=n,
         alphabet=alphabet,

@@ -583,21 +583,23 @@ def _col(raw: str, k: int) -> int:
 def _directives(text: str, kind: str, once: tuple, many: tuple) -> Iterator[tuple[int, str, list]]:
     """(line number, raw line, tokens) for every significant line of a
     ``<kind> <name>`` format, after the rules all such formats share: the
-    input is not empty, the header has exactly one name, no head in ``once``
-    (the header among them) comes twice, and every head is in ``once`` or
-    ``many``."""
+    input is not empty, every head is in ``once`` or ``many``, the first line
+    is the header, which has exactly one name, and no head in ``once`` (the
+    header among them) comes twice."""
     rows = _significant_lines(text)
     if not rows:
         raise ParseError(f"empty input; expected '{kind} <name>'", 1)
     seen = set()
     for lineno, raw, tokens in rows:
         head = tokens[0]
+        if head not in once and head not in many:
+            raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, 0))
+        if lineno == rows[0][0] and head != kind:
+            raise ParseError(f"'{kind} <name>' must come first", lineno, 1)
         if head in once:
             if head in seen:
                 raise ParseError(f"second {head!r} line", lineno, _col(raw, 0))
             seen.add(head)
-        elif head not in many:
-            raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, 0))
         if head == kind and len(tokens) != 2:
             raise ParseError(f"expected '{kind} <name>'", lineno, 1)
         yield lineno, raw, tokens
@@ -647,8 +649,6 @@ def reference_parse_machine(text: str) -> Machine:
             name = tokens[1]
             _check_mx_token(name, "machine name", lineno, raw, 1)
         elif head == "states":
-            if name is None:
-                raise ParseError("'machine <name>' must come first", lineno, 1)
             if len(tokens) < 2:
                 raise ParseError("'states' needs at least one state", lineno, 1)
             seen = set()
@@ -704,7 +704,7 @@ def reference_parse_machine(text: str) -> Machine:
             table = tuple(state_set.index(mapping[s]) for s in state_set.labels)
             fn_names[fname] = table
 
-    _require(lineno, ("'machine <name>' header", name), ("'states' line", state_set))
+    _require(lineno, ("'states' line", state_set))
     if not fn_names:
         raise ParseError("a machine needs at least one fn", lineno)
     return _assemble(state_set, [(t, f) for f, t in fn_names.items()], name)

@@ -677,6 +677,13 @@ class TestSim:
         assert "outcome: final condition met after 2 step(s)" in out
         assert "step 3" not in out
 
+    @pytest.mark.parametrize("path", [BITFLIP, TOGGLE], ids=["tm", "mem"])
+    @pytest.mark.parametrize("flag, value", [("--fn", "step"), ("--from", "q0")])
+    def test_machine_flags_refused(self, capsys, path, flag, value):
+        assert run(capsys, "sim", path, flag, value) == (
+            2, "", "error: --fn and --from apply to machine files only\n"
+        )
+
     def test_mem_route_step_limit(self, capsys):
         rc, out, _ = run(capsys, "sim", TOGGLE, "--steps", "1")
         assert rc == 0
@@ -923,7 +930,7 @@ MALFORMED = [
     _malformed("tm", "tm t\nboundary wrap\n",
                "line 2, column 1: 'boundary' must be 'reject' or 'clamp'"),
     _malformed("tm", "tm t\nrule q0 0 -> q0 0 S\n",
-               "line 2, column 1: 'symbols' must be declared before this line"),
+               "line 2, column 1: 'symbols' must come before 'rule'"),
     _malformed("tm", "tm t\nsymbols 0\nregisters q0 h\nrule q0 0 -> h 0 S\nhalting h\n",
                "line 5, column 1: 'halting' must come before the rules"),
     _malformed("tm", "tm t\nregisters q0\nhalting z\n",
@@ -948,11 +955,11 @@ MALFORMED = [
     _malformed("mem", "mem m\nalphabet 0\ncell 0 = 0\nstart read(0) fn 0\nfn 0\n"
                "entry read(0) -> write(0)=(0) next read(0) fn 0\n",
                "line 6, column 7: expected 'read(...)=(...)', got 'read(0)'"),
-    _malformed("mem", "alphabet 0\n", "line 1, column 1: missing 'mem <name>' header"),
+    _malformed("mem", "alphabet 0\n", "line 1, column 1: 'mem <name>' must come first"),
     _malformed("mem", "mem m\n", "line 1, column 1: missing 'alphabet' line"),
-    _malformed("mem", "mem m\nalphabet 0\n", "line 2, column 1: missing 'cell' lines"),
+    _malformed("mem", "mem m\nalphabet 0\n", "line 2, column 1: missing 'cell' line"),
     _malformed("mem", "mem m\nalphabet 0\ncell 0 = 0\nstart read(0) fn 0\n",
-               "line 4, column 1: missing 'fn' block"),
+               "line 4, column 1: missing 'fn' line"),
     _malformed("cert", "# nothing\n",
                "line 1, column 1: empty input; expected 'certificate <kind>'"),
     _malformed("cert", "certificate iso\nk 0\n", "line 2, column 1: unknown certificate key 'k'"),

@@ -184,6 +184,19 @@ class TestTransitionFunction:
         ss = states("a",)
         assert identity_fn(ss, "x") == identity_fn(ss, "y")
 
+    # A name is checked where a function is built, so no machine holds one
+    # that Machine(...) would refuse.
+    @pytest.mark.parametrize("build", [
+        lambda ss: TransitionFunction(ss, (0,), 5),
+        lambda ss: make_machine(ss, [TransitionFunction(ss, (0,), 5)]),
+        lambda ss: fn_from_map(ss, {"a": "a"}, 5),
+        lambda ss: identity_fn(ss, 5),
+    ], ids=["TransitionFunction", "make_machine", "fn_from_map", "identity_fn"])
+    def test_name_must_be_a_string_or_none(self, build):
+        with pytest.raises(InvalidMachineError) as e:
+            build(states("a"))
+        assert str(e.value) == "function name 5 is not a string or None"
+
 
 class TestMachine:
     def test_requires_functions(self):

@@ -192,7 +192,7 @@ class TestMachineFormat:
         ({"name": "x y"}, "machine m"),
         ({"name": ""}, "machine m"),
         ({"name": "a,b"}, "machine m"),
-        ({"fn_name": 5}, "fn f0: a->a"),  # names that are not strings
+        ({"fn_name": "a:b"}, "fn f0: a->a"),
         ({"name": 7}, "machine m"),
     ])
     def test_unusable_names_fall_back(self, kwargs, line):
@@ -420,7 +420,7 @@ class TestMemFormat:
         )
         with pytest.raises(ParseError) as e:
             parse_mem(text)
-        assert "must follow" in str(e.value)
+        assert str(e.value) == "line 5, column 1: 'fn' must come before 'entry'"
 
     def test_fn_order_enforced(self):
         text = "mem m\nalphabet 0\ncell 0 = 0\nstart read(0) fn 0\nfn 1\n"
@@ -492,12 +492,11 @@ class TestSharedRules:
                      "line 3, column 3: unknown directive 'frobnicate'", id="mx-unknown"),
         pytest.param("mx", SWITCH.split("\n", 1)[1],
                      "line 1, column 1: 'machine <name>' must come first", id="mx-no-header"),
-        # Each .mx line but the header needs the states line, which needs the
-        # header: a missing or late header is refused at the first line.
+        # A missing or late header is refused at the first significant line.
         pytest.param("mx", "# no header\nfn flip: off->on, on->off\n",
-                     "line 2, column 1: 'states' must come before 'fn'", id="mx-header-last"),
+                     "line 2, column 1: 'machine <name>' must come first", id="mx-header-last"),
         pytest.param("mx", "fn flip: off->on, on->off\n  machine switch\n" + SWITCH.split("\n", 1)[1],
-                     "line 1, column 1: 'states' must come before 'fn'", id="mx-late-header"),
+                     "line 1, column 1: 'machine <name>' must come first", id="mx-late-header"),
         pytest.param("tm", "", "line 1, column 1: empty input; expected 'tm <name>'",
                      id="tm-empty"),
         pytest.param("tm", "tm\n", "line 1, column 1: expected 'tm <name>'", id="tm-no-name"),
@@ -507,10 +506,10 @@ class TestSharedRules:
                      "line 3, column 1: second 'symbols' line", id="tm-second-once"),
         pytest.param("tm", "tm t\nsymbols 0\n  frobnicate 0\n",
                      "line 3, column 3: unknown directive 'frobnicate'", id="tm-unknown"),
-        pytest.param("tm", BITFLIP_BODY, "line 8, column 1: missing 'tm <name>' header",
+        pytest.param("tm", BITFLIP_BODY, "line 1, column 1: 'tm <name>' must come first",
                      id="tm-no-header"),
         pytest.param("tm", BITFLIP_BODY + "  tm bitflip\n",
-                     "line 9, column 3: 'tm <name>' must come first", id="tm-late-header"),
+                     "line 1, column 1: 'tm <name>' must come first", id="tm-late-header"),
         pytest.param("mem", "", "line 1, column 1: empty input; expected 'mem <name>'",
                      id="mem-empty"),
         pytest.param("mem", "mem\n", "line 1, column 1: expected 'mem <name>'",
@@ -521,10 +520,56 @@ class TestSharedRules:
                      "line 3, column 1: second 'alphabet' line", id="mem-second-once"),
         pytest.param("mem", "mem m\nalphabet 0\n  frobnicate 0\n",
                      "line 3, column 3: unknown directive 'frobnicate'", id="mem-unknown"),
-        pytest.param("mem", TOGGLE_BODY, "line 6, column 1: missing 'mem <name>' header",
+        pytest.param("mem", TOGGLE_BODY, "line 1, column 1: 'mem <name>' must come first",
                      id="mem-no-header"),
         pytest.param("mem", "# toggle\n" + TOGGLE_BODY + "mem toggle\n",
-                     "line 8, column 1: 'mem <name>' must come first", id="mem-late-header"),
+                     "line 2, column 1: 'mem <name>' must come first", id="mem-late-header"),
+        # Each declared order pair: the later directive before the earlier one.
+        pytest.param("mx", "machine m\nfn f: a->a\n",
+                     "line 2, column 1: 'states' must come before 'fn'", id="mx-order-fn"),
+        pytest.param("mx", "machine m\nfunctions all\n",
+                     "line 2, column 1: 'states' must come before 'functions'", id="mx-order-functions"),
+        pytest.param("tm", "tm t\nhalting q0\n",
+                     "line 2, column 1: 'registers' must come before 'halting'", id="tm-order-halting"),
+        pytest.param("tm", "tm t\nregisters q0\nrule q0 0 -> q0 0 S\n",
+                     "line 3, column 1: 'symbols' must come before 'rule'", id="tm-order-rule-symbols"),
+        pytest.param("tm", "tm t\nsymbols 0\nrule q0 0 -> q0 0 S\n",
+                     "line 3, column 1: 'registers' must come before 'rule'",
+                     id="tm-order-rule-registers"),
+        pytest.param("tm", "tm t\nregisters q0\ncells 1\ninit tape 0 head 0 register q0\n",
+                     "line 4, column 1: 'symbols' must come before 'init'", id="tm-order-init-symbols"),
+        pytest.param("tm", "tm t\nsymbols 0\ncells 1\ninit tape 0 head 0 register q0\n",
+                     "line 4, column 1: 'registers' must come before 'init'",
+                     id="tm-order-init-registers"),
+        pytest.param("tm", "tm t\nsymbols 0\nregisters q0\ninit tape 0 head 0 register q0\n",
+                     "line 4, column 1: 'cells' must come before 'init'", id="tm-order-init-cells"),
+        pytest.param("mem", "mem m\ncell 0 = 0\n",
+                     "line 2, column 1: 'alphabet' must come before 'cell'", id="mem-order-cell"),
+        pytest.param("mem", "mem m\nalphabet 0\ncell 0 = 0\nstart read(0) fn 0\n"
+                     "entry read(0)=(0) -> write()=() next read(0) fn 0\nfn 0\n",
+                     "line 5, column 1: 'fn' must come before 'entry'", id="mem-order-entry"),
+        # Each required directive, missing: refused at the last significant line.
+        pytest.param("mx", "machine m\n", "line 1, column 1: missing 'states' line",
+                     id="mx-required-states"),
+        pytest.param("tm", "tm t\n# nothing else\n", "line 1, column 1: missing 'symbols' line",
+                     id="tm-required-symbols"),
+        pytest.param("tm", "tm t\nsymbols 0\n", "line 2, column 1: missing 'registers' line",
+                     id="tm-required-registers"),
+        pytest.param("tm", "tm t\nsymbols 0\nregisters q0\nboundary clamp\n",
+                     "line 4, column 1: missing 'cells' line", id="tm-required-cells"),
+        pytest.param("tm", "tm bitflip\n" + BITFLIP_BODY.replace("boundary clamp\n", ""),
+                     "line 8, column 1: missing 'boundary' line", id="tm-required-boundary"),
+        pytest.param("tm", "tm bitflip\n" + BITFLIP_BODY.rsplit("init", 1)[0],
+                     "line 8, column 1: missing 'init' line", id="tm-required-init"),
+        pytest.param("mem", "mem m\n", "line 1, column 1: missing 'alphabet' line",
+                     id="mem-required-alphabet"),
+        pytest.param("mem", "mem m\nalphabet 0\nstart read(0) fn 0\nfn 0\n",
+                     "line 4, column 1: missing 'cell' line", id="mem-required-cell"),
+        pytest.param("mem", "mem toggle\n" + TOGGLE_BODY.replace("start read(0) fn 0\n", ""),
+                     "line 6, column 1: missing 'start' line", id="mem-required-start"),
+        # fn is checked before the cell indices, which skip 1 here
+        pytest.param("mem", "mem m\nalphabet 0\ncell 0 = 0\ncell 2 = 0\nstart read(0) fn 0\n",
+                     "line 5, column 1: missing 'fn' line", id="mem-required-fn"),
         # An error stands at its own token, even where the same text came
         # earlier on the line, and at the repeat of a duplicate.
         pytest.param("mx", "machine m\nstates a b a\nfn f: a->a, b->b\n",
