@@ -1,0 +1,233 @@
+#!/usr/bin/env python3
+"""Answer equivalence: one digest of what the command line answers.
+
+The ``cli`` corpus is a fixed list of calls of ``machalg.cli.main``, made in
+process: every subcommand on the samples and on one certificate of each kind
+(``tests/mutants.py::base_texts``), with both ``--format`` values and
+``--expect`` both ways, certificates the CLI prints fed back to ``verify``,
+tampered copies of each certificate, and ``tests/mutants.py::cli_calls`` over
+seeds 100 to 399.  Each call's stdout, stderr and exit code are recorded,
+with the corpus directory written as ``<tmp>``::
+
+    python scripts/answers.py                   # the digest of this checkout's src
+    python scripts/answers.py --against HEAD~1  # "equal", or each call that differs
+
+``--against REV`` exports the ``src`` of REV with ``git archive`` into a
+fresh directory and runs the same corpus on it in the same process.  It
+prints "equal" last and exits 0, or prints the count of differing calls and
+each one with both outputs and exits 1.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+for path in (SRC, ROOT / "tests"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+from mutants import base_texts, cli_calls, mutated_text  # noqa: E402
+
+SEEDS = range(100, 400)
+# A call that names this file reads the stdout of the last call that does not.
+PRINTED = "printed"
+
+
+def _tampered(cert: str) -> dict[str, str]:
+    """Copies of the certificate text ``cert``, by what is wrong with each."""
+    lines = cert.splitlines(keepends=True)
+    kind = lines[0].split()[1]
+    out = {
+        "empty": "",
+        "headerless": "".join(lines[1:]),
+        "header-repeated": lines[0] + cert,
+        "last-repeated": cert + lines[-1],
+        "other-kind": cert.replace(kind, "iso" if kind != "iso" else "submachine", 1),
+        "unknown-kind": cert.replace(kind, "bogus", 1),
+        "foreign-line": cert + ("keep-fns 0\n" if kind == "iso" else "g 0\n"),
+        "unknown-line": cert + "k 0\n",
+    }
+    for i, line in enumerate(lines[1:], 1):
+        key = line.split()[0]
+        out[f"no-{key}"] = "".join(lines[:i] + lines[i + 1:])
+        out[f"bad-{key}"] = cert.replace(line, f"{key} 0 x 0\n")
+    return out
+
+
+# Name lines of the tape and cell samples, each broken: (sample, line, broken line).
+NAME_LINES = (
+    ("bitflip.tm", "symbols 0 1", "symbols 0 1 0"),
+    ("bitflip.tm", "symbols 0 1", "symbols 0 1|x"),
+    ("bitflip.tm", "registers q0 halt", "registers q0 halt q0"),
+    ("bitflip.tm", "registers q0 halt", "registers q0 ha(t"),
+    ("toggle.mem", "alphabet 0 1 2", "alphabet 0 1 2 2"),
+    ("toggle.mem", "alphabet 0 1 2", "alphabet 0 1 2|"),
+)
+
+
+def write_corpus(tmp: Path) -> list[list[str]]:
+    """Write the corpus files into ``tmp`` and return the calls, in order."""
+    base = base_texts()
+    texts = dict(base)
+    for cert in [name for name in base if name.endswith(".cert")]:
+        for edit, text in _tampered(base[cert]).items():
+            texts[f"{cert[:-5]}-{edit}.cert"] = text
+    for i, (name, line, broken) in enumerate(NAME_LINES):
+        texts[f"name-line-{i}-{name}"] = base[name].replace(line + "\n", broken + "\n")
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = str(tmp / name)
+        Path(paths[name]).write_text(text)
+    printed = str(tmp / PRINTED)
+    mx = [paths[n] for n in ("const0.mx", "const1.mx", "switch.mx")]
+    switch, toggle = paths["switch.mx"], paths["toggle.mem"]
+    calls = []
+    for a in mx:
+        for b in mx:
+            for question in ("iso", "complete", "submachine"):
+                calls += [
+                    [question, a, b],
+                    [question, a, b, "--expect", "yes"],
+                    [question, a, b, "--expect", "no"],
+                    [question, a, b, "--format", "certificate"],
+                    ["verify", printed, a, b],  # the certificate just printed
+                    ["verify", printed, a, b, "--expect", "no"],
+                ]
+            calls += [["complete", a, b, "--method", method, "--format", fmt]
+                      for method in ("construct", "search") for fmt in ("text", "certificate")]
+            calls += [["iso", a, b, "--node-budget", "1"],
+                      ["complete", a, b, "--method", "search", "--node-budget", "1"]]
+    for name in sorted(n for n in texts if n.endswith(".cert")):
+        calls += [["verify", paths[name], switch, switch, "--expect", "yes"],
+                  ["verify", paths[name], switch, switch, "--expect", "no"],
+                  ["verify", paths[name], mx[0], mx[1]]]
+    for keep in ("--keep-fns=flip", "--keep-fns=hold,flip", "--keep-fns=0", "--keep-fns=nope",
+                 "--keep-states=off", "--keep-states=on,off", "--keep-states=nope"):
+        calls += [["reduce", switch, keep], ["reduce", switch, keep, "--keep-states=on"]]
+    broken = [name for name in texts if name.startswith("name-line")]
+    for tm in [paths[n] for n in ("bitflip.tm", "increment.tm", *broken) if n.endswith(".tm")]:
+        calls += [
+            ["compile-tm", tm, "--summary"], ["compile-tm", tm],
+            ["sim", printed, "--fn", "step", "--from", "q0|0|0"],  # the machine just compiled
+            ["tm2mem", tm], ["compile-mem", printed, "--summary"], ["sim", printed, "--steps", "3"],
+            ["sim", tm, "--steps", "3"], ["compile-mem", tm],
+            ["lockstep", "--tm", tm, "--expect", "yes"], ["lockstep", "--tm", tm, "--expect", "no"],
+            ["lockstep", "--tm", tm, "--mem", toggle],
+        ]
+    for mem in [paths[n] for n in ("toggle.mem", *broken) if n.endswith(".mem")]:
+        calls += [["compile-mem", mem], ["compile-mem", mem, "--summary"], ["sim", mem],
+                  ["sim", mem, "--fn", "0"], ["compile-tm", mem]]
+    calls += [["sim", switch], ["sim", switch, "--fn", "flip", "--from", "off"],
+              ["sim", switch, "--fn=hold", "--from=on", "--steps", "0"], ["reduce", switch],
+              ["iso", str(tmp / "missing.mx"), switch], ["verify", switch, switch, switch]]
+    for template in ("finite-turing", "infinite-tape-turing", "umm", "lsm", "quantum"):
+        calls += [["card", template],
+                  ["card", template, "--k", "2", "--m", "3", "--n", "2", "--transition-space", "--no-trace"]]
+    calls += [["card", expr] for expr in ("2 ^ beth(0)", "beth(1) + 3 * beth(0)", "16 ^ 16", "(2")]
+    calls += [["universality"], ["universality", "--no-trace", "--expect", "yes"],
+              ["universality", "--no-trace", "--n", "3", "--expect", "no"],
+              ["check-lemmas", "--iters", "40", "--seed", "7"],
+              ["check-lemmas", "--iters", "40", "--seed", "7", "--expect", "no"],
+              ["check-lemmas", "--max-states", "0"], ["bogus"], ["iso", switch]]
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        name = rng.choice(sorted(base))
+        path = tmp / f"mutant-{seed}-{name}"
+        path.write_text(mutated_text(rng, base[name]))
+        calls += cli_calls(rng, name, str(path), paths)
+    return calls
+
+
+def run_corpus(calls: list[list[str]], src: Path, tmp: Path) -> list[tuple[str, str, int]]:
+    """(stdout, stderr, exit code) of each call, made with the ``machalg``
+    package in ``src``, with ``tmp`` written as ``<tmp>``.  The package is
+    imported afresh, and the modules it replaces are restored afterwards."""
+    def ours(name):
+        return name == "machalg" or name.startswith("machalg.")
+
+    saved = {name: sys.modules.pop(name) for name in list(sys.modules) if ours(name)}
+    sys.path.insert(0, str(src))
+    try:
+        from machalg.cli import main
+
+        records, out = [], ""
+        for argv in calls:
+            reads = str(tmp / PRINTED) in argv
+            if reads:
+                (tmp / PRINTED).write_text(out)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main(argv)
+            if not reads:
+                out = stdout.getvalue()
+            records.append((stdout.getvalue().replace(str(tmp), "<tmp>"),
+                            stderr.getvalue().replace(str(tmp), "<tmp>"), rc))
+        return records
+    finally:
+        sys.path.remove(str(src))
+        for name in [name for name in sys.modules if ours(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def digest(records) -> str:
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def differing(a, b) -> list[int]:
+    """The indices of the calls whose records differ."""
+    return [i for i, (x, y) in enumerate(zip(a, b, strict=True)) if x != y]
+
+
+def _show(label: str, record) -> list[str]:
+    out, err, rc = record
+    return [f"  {label}: exit {rc}", *(f"    stdout| {line}" for line in out.splitlines()),
+            *(f"    stderr| {line}" for line in err.splitlines())]
+
+
+def export(rev: str, dest: Path) -> Path:
+    """The ``src`` directory of ``rev``, unpacked by ``git archive`` under ``dest``."""
+    tar = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV", help="also run the corpus on REV's src and compare")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "corpus").mkdir()
+        calls = write_corpus(tmp / "corpus")
+        records = run_corpus(calls, SRC, tmp / "corpus")
+        print(f"cli: {len(calls)} calls, sha256 {digest(records)}")
+        if args.against is None:
+            return 0
+        try:
+            theirs = run_corpus(calls, export(args.against, tmp / "rev"), tmp / "corpus")
+        except subprocess.CalledProcessError as e:
+            print(f"error: git archive {args.against}: {e.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+    print(f"cli at {args.against}: {len(calls)} calls, sha256 {digest(theirs)}")
+    diff = differing(theirs, records)
+    for i in diff:
+        print(f"call {i}: machalg {' '.join(calls[i]).replace(str(tmp / 'corpus'), '<tmp>')}")
+        print("\n".join(_show(args.against, theirs[i]) + _show("src", records[i])))
+    print(f"{len(diff)} of {len(calls)} calls differ" if diff else "equal")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

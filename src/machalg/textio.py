@@ -57,31 +57,33 @@ def _number(token: str, lineno: int, raw: str, k: int, skip: int = 0) -> int | N
         raise ParseError(f"{len(token)}-digit number is too long", lineno, _col(raw, k, skip)) from None
 
 
-def _directives(text: str, kind: str, once: tuple, many: tuple, after: dict,
+def _directives(text: str, header: str, once: tuple, many: tuple, after: dict,
                 required: tuple) -> Iterator[tuple[int, str, str, str]]:
     """(line number, raw line, head, body) for every significant line of a
-    ``<kind> <name>`` format, after the rules all such formats share: the
-    input is not empty, every head is in ``once`` or ``many``, the first line
-    is the header, no head in ``once`` (the header among them) comes twice,
-    each head in ``after`` comes after every head it lists, the header has
-    exactly one name, and every head in ``required`` comes at all."""
+    format whose ``header`` reads ``<kind> <word>``, after the rules all the
+    formats share: the input is not empty, every head is in ``once`` or
+    ``many``, the first line is the header, no head in ``once`` (the header
+    among them) comes twice, each head in ``after`` comes after every head it
+    lists, the header has exactly one word after its kind, and every head in
+    ``required`` comes at all."""
     rows = list(_significant_lines(text))
     if not rows:
-        raise ParseError(f"empty input; expected '{kind} <name>'", 1)
+        raise ParseError(f"empty input; expected '{header}'", 1)
+    kind = header.split()[0]
     seen = set()
     for lineno, raw, body in rows:
         head = body.split(None, 1)[0]
         if head not in once and head not in many:
             raise ParseError(f"unknown directive {head!r}", lineno, _col(raw, 0))
         if not seen and head != kind:
-            raise ParseError(f"'{kind} <name>' must come first", lineno, 1)
+            raise ParseError(f"'{header}' must come first", lineno, 1)
         if head in seen and head in once:
             raise ParseError(f"second {head!r} line", lineno, _col(raw, 0))
         for first in after.get(head, ()):
             if first not in seen:
                 raise ParseError(f"'{first}' must come before '{head}'", lineno, 1)
         if head == kind and len(body.split()) != 2:
-            raise ParseError(f"expected '{kind} <name>'", lineno, 1)
+            raise ParseError(f"expected '{header}'", lineno, 1)
         seen.add(head)
         yield lineno, raw, head, body
     for head in required:
@@ -89,14 +91,32 @@ def _directives(text: str, kind: str, once: tuple, many: tuple, after: dict,
             raise ParseError(f"missing '{head}' line", lineno)
 
 
+def _distinct_names(tokens: list, what: str, lineno: int, raw: str, check, *extra) -> tuple[str, ...]:
+    """``tokens[1:]``, the names on a line, after the rules every name line
+    shares: there is one at least, each is refused at its column if
+    ``check(name, what, *extra)`` raises InvalidMachineError, and none repeats."""
+    if len(tokens) < 2:  # a noun of one word: "'alphabet' needs at least one value"
+        raise ParseError(f"'{tokens[0]}' needs at least one {what.split()[-1]}", lineno, 1)
+    seen = set()
+    for k, name in enumerate(tokens[1:], 1):
+        try:
+            check(name, what, *extra)
+        except InvalidMachineError as e:
+            raise ParseError(str(e), lineno, _col(raw, k)) from None
+        if name in seen:
+            raise ParseError(f"duplicate {what} {name!r}", lineno, _col(raw, k))
+        seen.add(name)
+    return tuple(tokens[1:])
+
+
 # ---------------------------------------------------------------------------
 # Machine format (.mx)
 # ---------------------------------------------------------------------------
 
-def _check_mx_token(token: str, what: str, lineno: int, raw: str, k: int) -> None:
-    """Reject ``token``, token ``k`` of ``raw``, unless it is an ``.mx`` token."""
+def _check_mx_token(token: str, what: str) -> None:
+    """Reject ``token`` unless it is an ``.mx`` token."""
     if not _all_mx_tokens([token]):
-        raise ParseError(f"{what} {token!r} may not contain any of , : -> #", lineno, _col(raw, k))
+        raise InvalidMachineError(f"{what} {token!r} may not contain any of , : -> #")
 
 
 def _all_mx_tokens(labels: list) -> bool:
@@ -145,28 +165,19 @@ def parse_machine(text: str) -> Machine:
 
     once = ("machine", "states", "functions")
     after = {"fn": ("states",), "functions": ("states",)}
-    for lineno, raw, head, body in _directives(text, "machine", once, ("fn",), after, ("states",)):
+    for lineno, raw, head, body in _directives(text, "machine <name>", once, ("fn",), after, ("states",)):
         tokens = body.split() if head != "fn" else None  # a fn line is read from its body
         if implicit and head == "fn" or head == "functions" and fn_names:
             raise ParseError("a 'functions' line excludes 'fn' lines", lineno, 1)
         if head == "machine":
-            name = tokens[1]
-            _check_mx_token(name, "machine name", lineno, raw, 1)
+            (name,) = _distinct_names(tokens, "machine name", lineno, raw, _check_mx_token)
         elif head == "states":
-            if len(tokens) < 2:
-                raise ParseError("'states' needs at least one state", lineno, 1)
-            labels = tokens[1:]
             try:
-                state_set = StateSet(tuple(labels))
-            except InvalidMachineError:  # a repeat, which the loop below places
+                state_set = StateSet(tuple(tokens[1:]))
+            except InvalidMachineError:  # no state or a repeat, placed below
                 pass
-            if state_set is None or not _all_mx_tokens(labels):
-                seen = set()
-                for k, s in enumerate(labels, 1):
-                    _check_mx_token(s, "state", lineno, raw, k)
-                    if s in seen:
-                        raise ParseError(f"duplicate state {s!r}", lineno, _col(raw, k))
-                    seen.add(s)
+            if state_set is None or not _all_mx_tokens(tokens[1:]):
+                _distinct_names(tokens, "state", lineno, raw, _check_mx_token)
         elif head == "functions":
             if len(tokens) != 2 or tokens[1] not in _IMPLICIT:
                 raise ParseError("'functions' must be 'all' or 'bijections'", lineno, 1)
@@ -178,8 +189,7 @@ def parse_machine(text: str) -> Machine:
             htokens = header.split()
             if len(htokens) != 2:
                 raise ParseError("fn line needs exactly one name", lineno, 1)
-            fname = htokens[1]
-            _check_mx_token(fname, "function name", lineno, raw, 1)
+            (fname,) = _distinct_names(htokens, "function name", lineno, raw, _check_mx_token)
             if fname in fn_names:
                 raise ParseError(f"duplicate function name {fname!r}", lineno, _col(raw, 1))
             table = _clause_table(rest, state_set)
@@ -281,7 +291,7 @@ def render_machine(m: Machine) -> str:
 
 
 def parse_turing(text: str) -> TuringSpec:
-    from .models import BoundaryPolicy, Move, TmConfiguration, TuringSpec
+    from .models import _TM_RESERVED, BoundaryPolicy, Move, TmConfiguration, TuringSpec, _check_token
 
     name = None
     symbols: tuple[str, ...] | None = None
@@ -297,18 +307,14 @@ def parse_turing(text: str) -> TuringSpec:
     after = {"halting": ("registers",), "rule": ("symbols", "registers"),
              "init": ("symbols", "registers", "cells")}
     required = ("symbols", "registers", "cells", "boundary", "init")
-    for lineno, raw, head, body in _directives(text, "tm", once, ("rule",), after, required):
+    for lineno, raw, head, body in _directives(text, "tm <name>", once, ("rule",), after, required):
         tokens = body.split()
         if head == "tm":
             name = tokens[1]
         elif head == "symbols":
-            if len(tokens) < 2:
-                raise ParseError("'symbols' needs at least one symbol", lineno, 1)
-            symbols = tuple(tokens[1:])
+            symbols = _distinct_names(tokens, "symbol", lineno, raw, _check_token, _TM_RESERVED)
         elif head == "registers":
-            if len(tokens) < 2:
-                raise ParseError("'registers' needs at least one register", lineno, 1)
-            registers = tuple(tokens[1:])
+            registers = _distinct_names(tokens, "register", lineno, raw, _check_token, _TM_RESERVED)
         elif head == "cells":
             cells = _number(tokens[1], lineno, raw, 1) if len(tokens) == 2 else None
             if cells is None or cells < 1:
@@ -447,7 +453,7 @@ def _parse_cells_eq(
 
 
 def parse_mem(text: str) -> MemProgram:
-    from .models import MemEntry, MemProgram
+    from .models import _MEM_RESERVED, MemEntry, MemProgram, _check_token
 
     name = None
     alphabet: tuple[str, ...] | None = None
@@ -461,14 +467,12 @@ def parse_mem(text: str) -> MemProgram:
     once, many = ("mem", "alphabet", "start", "default"), ("cell", "fn", "entry", "final")
     after = {"cell": ("alphabet",), "entry": ("fn",)}
     required = ("alphabet", "cell", "start", "fn")
-    for lineno, raw, head, body in _directives(text, "mem", once, many, after, required):
+    for lineno, raw, head, body in _directives(text, "mem <name>", once, many, after, required):
         tokens = body.split()
         if head == "mem":
             name = tokens[1]
         elif head == "alphabet":
-            if len(tokens) < 2:
-                raise ParseError("'alphabet' needs at least one value", lineno, 1)
-            alphabet = tuple(tokens[1:])
+            alphabet = _distinct_names(tokens, "alphabet value", lineno, raw, _check_token, _MEM_RESERVED)
         elif head == "cell":
             idx = _number(tokens[1], lineno, raw, 1) if len(tokens) == 4 and tokens[2] == "=" else None
             if idx is None:
@@ -598,40 +602,28 @@ _CERT_FIELD = {"g": "g", "h": "h", "keep-fns": "kept_functions", "keep-states": 
 
 
 def parse_certificate(text: str) -> Certificate:
-    rows = [(lineno, raw, body.split()) for lineno, raw, body in _significant_lines(text)]
-    if not rows:
-        raise ParseError("empty input; expected 'certificate <kind>'", 1)
-    lineno, raw, tokens = rows[0]
-    if tokens[0] != "certificate" or len(tokens) != 2:
-        raise ParseError("expected 'certificate <kind>'", lineno, 1)
-    kind = tokens[1]
-    if kind not in _CERT_REQUIRED:
-        raise ParseError(f"unknown certificate kind {kind!r}", lineno, _col(raw, 1))
     fields: dict[str, tuple] = {}
-    for lineno, raw, tokens in rows[1:]:
-        key = tokens[0]
-        if key not in _CERT_FIELD:
-            raise ParseError(f"unknown certificate key {key!r}", lineno, _col(raw, 0))
-        if key in fields:
-            raise ParseError(f"duplicate certificate key {key!r}", lineno, 1)
-        if key == "keep-states":
+    once = ("certificate", *_CERT_FIELD)
+    for lineno, raw, key, body in _directives(text, "certificate <kind>", once, (), {}, ()):
+        tokens = body.split()
+        if key == "certificate":
+            kind = tokens[1]
+            if kind not in _CERT_REQUIRED:
+                raise ParseError(f"unknown certificate kind {kind!r}", lineno, _col(raw, 1))
+        elif key not in _CERT_REQUIRED[kind]:
+            raise ParseError(f"{key!r} does not belong in a {kind} certificate", lineno, _col(raw, 0))
+        elif key == "keep-states":
             fields[key] = tuple(tokens[1:])
         else:
             vals = []
             for k, tok in enumerate(tokens[1:], 1):
-                v = _number(tok, lineno, raw, k)
-                if v is None:
-                    raise ParseError(
-                        f"{key} entries must be numbers, got {tok!r}", lineno, _col(raw, k)
-                    )
+                if (v := _number(tok, lineno, raw, k)) is None:
+                    raise ParseError(f"{key} entries must be numbers, got {tok!r}", lineno, _col(raw, k))
                 vals.append(v)
             fields[key] = tuple(vals)
     for key in _CERT_REQUIRED[kind]:
         if key not in fields:
-            raise ParseError(f"certificate is missing the {key!r} line", rows[-1][0])
-    for key in fields:
-        if key not in _CERT_REQUIRED[kind]:
-            raise ParseError(f"{key!r} does not belong in a {kind} certificate", rows[-1][0])
+            raise ParseError(f"missing {key!r} line", lineno)
     return Certificate(kind, **{_CERT_FIELD[key]: value for key, value in fields.items()})
 
 

@@ -962,9 +962,8 @@ MALFORMED = [
                "line 4, column 1: missing 'fn' line"),
     _malformed("cert", "# nothing\n",
                "line 1, column 1: empty input; expected 'certificate <kind>'"),
-    _malformed("cert", "certificate iso\nk 0\n", "line 2, column 1: unknown certificate key 'k'"),
-    _malformed("cert", "certificate iso\ng 1 0\ng 1 0\nh 0\n",
-               "line 3, column 1: duplicate certificate key 'g'"),
+    _malformed("cert", "certificate iso\nk 0\n", "line 2, column 1: unknown directive 'k'"),
+    _malformed("cert", "certificate iso\ng 1 0\ng 1 0\nh 0\n", "line 3, column 1: second 'g' line"),
 ]
 
 

@@ -472,12 +472,21 @@ TOGGLE_BODY = (
     "alphabet 0 1\ncell 0 = 0\nstart read(0) fn 0\nfn 0\n"
     "entry read(0)=(0) -> write(0)=(1) next read(0) fn 0\nfinal cell 0 = 1\n"
 )
-PARSERS = {"mx": parse_machine, "tm": parse_turing, "mem": parse_mem}
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+PARSERS = {"mx": parse_machine, "tm": parse_turing, "mem": parse_mem, "cert": parse_certificate}
+ISO_CERT = "certificate iso\ng 1 0\nh 0\n"
+COMPLETE_CERT = "certificate complete\nkeep-fns 0 3\nkeep-states x y\ng 1 0\nh 0 1\n"
+SUBMACHINE_CERT = "certificate submachine\nkeep-fns 1\nkeep-states off\n"
+
+
+def _without(cert: str, key: str) -> str:
+    """``cert`` with its ``key`` line dropped."""
+    return "".join(line for line in cert.splitlines(keepends=True) if not line.startswith(key + " "))
 
 
 class TestSharedRules:
-    """The rules every ``<kind> <name>`` format applies alike, pinned by the
-    exact text of the error for each format."""
+    """The rules every format applies alike, ``<kind> <name>`` and
+    ``certificate <kind>``, pinned by the exact text of the error for each."""
 
     @pytest.mark.parametrize("fmt, text, error", [
         pytest.param("mx", "", "line 1, column 1: empty input; expected 'machine <name>'",
@@ -578,10 +587,69 @@ class TestSharedRules:
                      "line 4, column 11: unknown halting register 'l'", id="tm-token-column"),
         pytest.param("mem", "mem m\nalphabet 0\ncell 0 = l\n",
                      "line 3, column 10: unknown value 'l'", id="mem-token-column"),
+        # Certificates: the header names a kind, which decides the required lines.
+        pytest.param("cert", "", "line 1, column 1: empty input; expected 'certificate <kind>'",
+                     id="cert-empty"),
+        pytest.param("cert", "certificate\n", "line 1, column 1: expected 'certificate <kind>'",
+                     id="cert-no-kind"),
+        pytest.param("cert", "certificate iso h\ng 0\nh 0\n",
+                     "line 1, column 1: expected 'certificate <kind>'", id="cert-two-words"),
+        pytest.param("cert", "# no header\ng 1 0\nh 0\n",
+                     "line 2, column 1: 'certificate <kind>' must come first", id="cert-no-header"),
+        pytest.param("cert", "g 1 0\n  certificate iso\nh 0\n",
+                     "line 1, column 1: 'certificate <kind>' must come first", id="cert-late-header"),
+        pytest.param("cert", "k 0\ncertificate iso\n",
+                     "line 1, column 1: unknown directive 'k'", id="cert-unknown-first"),
+        pytest.param("cert", "certificate iso\n  certificate iso\ng 1 0\nh 0\n",
+                     "line 2, column 3: second 'certificate' line", id="cert-second-header"),
+        pytest.param("cert", ISO_CERT + "  g 1 0\n", "line 4, column 3: second 'g' line",
+                     id="cert-second-once"),
+        pytest.param("cert", "certificate iso\n  frobnicate 0\n",
+                     "line 2, column 3: unknown directive 'frobnicate'", id="cert-unknown"),
+        *[pytest.param("cert", _without(cert, key), f"line {line}, column 1: missing {key!r} line",
+                       id=f"cert-required-{cert.split()[1]}-{key}")
+          for cert, key, line in (
+              (ISO_CERT, "g", 2), (ISO_CERT, "h", 2),
+              (COMPLETE_CERT, "keep-fns", 4), (COMPLETE_CERT, "keep-states", 4),
+              (COMPLETE_CERT, "g", 4), (COMPLETE_CERT, "h", 4),
+              (SUBMACHINE_CERT, "keep-fns", 2), (SUBMACHINE_CERT, "keep-states", 2),
+          )],
+        # A line of another kind stands at its own line, ahead of a missing
+        # line and of a malformed entry on it.
+        pytest.param("cert", "certificate iso\n  keep-fns 0 x\ng 1 0\n",
+                     "line 2, column 3: 'keep-fns' does not belong in a iso certificate",
+                     id="cert-other-kind"),
+        pytest.param("cert", SUBMACHINE_CERT + "g 0\n",
+                     "line 4, column 1: 'g' does not belong in a submachine certificate",
+                     id="cert-other-kind-last"),
     ])
     def test_error_text(self, fmt, text, error):
         with pytest.raises(ParseError) as e:
             PARSERS[fmt](text)
+        assert str(e.value) == error
+
+    # A name line refuses an unusable or repeated name at its own column, as
+    # the .mx ``states`` line does, not where a later line first uses it.
+    @pytest.mark.parametrize("sample, line, error", [
+        ("bitflip.tm", "symbols 0 1|x", "line 3, column 11: symbol '1|x' is empty, has whitespace, "
+         "or uses a reserved character (#(),.:;=>|)"),
+        ("bitflip.tm", "symbols 0 1 0", "line 3, column 13: duplicate symbol '0'"),
+        ("bitflip.tm", "registers q0 ha(t", "line 4, column 14: register 'ha(t' is empty, has "
+         "whitespace, or uses a reserved character (#(),.:;=>|)"),
+        ("bitflip.tm", "registers q0 halt q0", "line 4, column 19: duplicate register 'q0'"),
+        ("toggle.mem", "alphabet 0 1 2|", "line 3, column 14: alphabet value '2|' is empty, has "
+         "whitespace, or uses a reserved character (#(),:;=>|)"),
+        ("toggle.mem", "alphabet 0 1 2 2", "line 3, column 16: duplicate alphabet value '2'"),
+        ("switch.mx", "states off o:n", "line 3, column 12: state 'o:n' may not contain any of , : -> #"),
+        ("switch.mx", "states off on off", "line 3, column 15: duplicate state 'off'"),
+    ], ids=["symbol-unusable", "symbol-repeat", "register-unusable", "register-repeat",
+            "alphabet-unusable", "alphabet-repeat", "state-unusable", "state-repeat"])
+    def test_name_line(self, sample, line, error):
+        text = (SAMPLES / sample).read_text()
+        head = line.split()[0]
+        (old,) = [old for old in text.splitlines() if old.startswith(head + " ")]
+        with pytest.raises(ParseError) as e:
+            PARSERS[sample.rsplit(".", 1)[1]](text.replace(old, line))
         assert str(e.value) == error
 
 
@@ -633,22 +701,32 @@ class TestCertificates:
         assert render_certificate(c) == render_certificate(c)
 
     def test_unknown_kind(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as e:
             parse_certificate("certificate wat\ng 0\nh 0\n")
+        assert str(e.value) == "line 1, column 13: unknown certificate kind 'wat'"
 
     def test_missing_key(self):
         with pytest.raises(ParseError) as e:
             parse_certificate("certificate iso\ng 0\n")
-        assert "'h'" in str(e.value)
+        assert str(e.value) == "line 2, column 1: missing 'h' line"
 
     def test_stray_key(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as e:
             parse_certificate("certificate iso\ng 0\nh 0\nkeep-fns 0\n")
+        assert str(e.value) == "line 4, column 1: 'keep-fns' does not belong in a iso certificate"
 
     def test_non_numeric(self):
         with pytest.raises(ParseError) as e:
             parse_certificate("certificate iso\ng zero\nh 0\n")
-        assert "numbers" in str(e.value)
+        assert str(e.value) == "line 2, column 3: g entries must be numbers, got 'zero'"
+
+    def test_every_accepted_form_parses_as_before(self):
+        # comments, blank lines, indentation and any order of the key lines
+        text = "# witness\n  certificate complete\n\nh 0 1  # h\ng 1 0\nkeep-states x y\nkeep-fns 0 3\n"
+        assert parse_certificate(text) == parse_certificate(COMPLETE_CERT) == Certificate(
+            "complete", (1, 0), (0, 1), (0, 3), ("x", "y"))
+        assert parse_certificate("certificate submachine\nkeep-fns\nkeep-states\n") == Certificate(
+            "submachine")
 
 
 TINY_TM = """\
@@ -733,12 +811,7 @@ class TestNumerals:
         assert e.value.message == "5000-digit number is too long"
 
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
-CERTIFICATES = (
-    "certificate iso\ng 1 0\nh 0\n",
-    "certificate complete\nkeep-fns 0 3\nkeep-states x y\ng 1 0\nh 0 1\n",
-    "certificate submachine\nkeep-fns 1\nkeep-states off\n",
-)
+CERTIFICATES = (ISO_CERT, COMPLETE_CERT, SUBMACHINE_CERT)
 FORMATS = (
     (parse_machine, render_machine, ("switch.mx", "const0.mx", "const1.mx")),
     (parse_turing, render_turing, ("bitflip.tm", "increment.tm")),
