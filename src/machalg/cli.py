@@ -8,16 +8,16 @@ definite answer that matches ``--expect`` (or any definite answer when
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import MachalgError
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_STEPS = 50
-# cardinal.TEMPLATE_KINDS, written out so that build_parser loads no library module
+# cardinal.TEMPLATE_KINDS, written out so that the command table loads no library module
 _TEMPLATE_KINDS = ("finite-turing", "infinite-tape-turing", "umm", "lsm", "quantum")
 
 
@@ -352,35 +352,108 @@ def _cmd_check_lemmas(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command line
 # ---------------------------------------------------------------------------
 
+# A flag is (name, kind, default, help): kind is bool for a switch, int, str,
+# or the tuple of its choices, and a default of ... marks a required flag.
+_EXPECT = ("--expect", ("yes", "no"), None, "exit 1 unless the definite answer matches")
+_FORMAT = ("--format", ("text", "certificate"), "text",
+           "certificate emits the stable machine-readable witness")
+_BUDGET = ("--node-budget", int, DEFAULT_NODE_BUDGET, f"search node cap (default {DEFAULT_NODE_BUDGET})")
+_NO_TRACE = ("--no-trace", bool, False, "suppress derivation steps")
+_SUMMARY = ("--summary", bool, False, "print counts instead of the machine")
+_AB = (("a", None), ("b", None))
 
-def _add_expect(sub) -> None:
-    sub.add_argument(
-        "--expect",
-        choices=("yes", "no"),
-        default=None,
-        help="exit 1 unless the definite answer matches",
-    )
+# The one grammar of the command line, read by _read_argv and by build_parser:
+# subcommand -> (handler, help, positionals as (name, help), flags).
+_COMMANDS = {
+    "card": (_cmd_card, "state-set cardinality of a template, or evaluate an expression",
+             (("what", f"template ({', '.join(_TEMPLATE_KINDS)}) or expression like '2 ^ beth(0)'"),),
+             (("--k", int, None, "register count (templates)"),
+              ("--m", int, None, "symbol count (templates)"),
+              ("--n", int, None, "cell count (templates)"),
+              ("--transition-space", bool, False, "also compute |S|^|S|"), _NO_TRACE)),
+    "universality": (_cmd_universality, "cardinality table plus simulate-everything verdicts", (),
+                     (("--k", int, 2, "registers for the tape target (default 2)"),
+                      ("--m", int, 2, "symbols / basis size (default 2)"),
+                      ("--n", int, 2, "cells / unit count (default 2)"), _NO_TRACE, _EXPECT)),
+    "iso": (_cmd_iso, "find an isomorphism between two machines", _AB, (_BUDGET, _FORMAT, _EXPECT)),
+    "complete": (_cmd_complete, "embed the second machine into a sub-machine of the first", _AB,
+                 (("--method", ("auto", "construct", "search"), "auto", None),
+                  _BUDGET, _FORMAT, _EXPECT)),
+    "submachine": (_cmd_submachine, "is the second machine a reduction of the first, labels literal",
+                   _AB, (_FORMAT, _EXPECT)),
+    "reduce": (_cmd_reduce, "apply functional and/or state reductions", (("machine", None),),
+               (("--keep-fns", str, None, "comma-separated function names to keep"),
+                ("--keep-states", str, None, "comma-separated states to keep"))),
+    "compile-tm": (_cmd_compile_tm, "expand a tape machine into a one-function machine",
+                   (("tm", None),), (_SUMMARY,)),
+    "compile-mem": (_cmd_compile_mem, "expand a memory-cell program into a one-function machine",
+                    (("mem", None),), (_SUMMARY,)),
+    "tm2mem": (_cmd_tm2mem, "rebuild a tape machine as a memory-cell program", (("tm", None),), ()),
+    "lockstep": (_cmd_lockstep, "run a tape machine and a program side by side", (),
+                 (("--tm", str, ..., None),
+                  ("--mem", str, None, "program file (default: translate the tape machine)"),
+                  ("--steps", int, DEFAULT_STEPS, f"transitions to follow (default {DEFAULT_STEPS})"),
+                  _EXPECT)),
+    "sim": (_cmd_sim, "print the step-by-step run of a machine, tape machine, or program",
+            (("file", None),),
+            (("--steps", int, DEFAULT_STEPS, f"step cap (default {DEFAULT_STEPS})"),
+             ("--fn", str, None, "function to iterate (machine files)"),
+             ("--from", str, None, "start state (machine files)"))),
+    "verify": (_cmd_verify, "re-check a certificate against two machine files, no search",
+               (("certificate", None), *_AB), (_EXPECT,)),
+    "check-lemmas": (_cmd_check_lemmas, "randomized reduction-law suite", (),
+                     (("--seed", int, 0, None), ("--iters", int, 1000, None),
+                      ("--max-states", int, 4, None), ("--max-fns", int, 6, None), _EXPECT)),
+}
 
 
-def _add_format(sub) -> None:
-    sub.add_argument(
-        "--format",
-        choices=("text", "certificate"),
-        default="text",
-        help="certificate emits the stable machine-readable witness",
-    )
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives ``argv``, read from _COMMANDS alone; None
+    where argparse must answer: help, a refusal, an abbreviated flag, ``--``,
+    a value that starts with ``-``, or a switch written ``--name=value``."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    run, _, positionals, flags = _COMMANDS[argv[0]]
+    known = {flag[0]: flag for flag in flags}
+    values = {name: None if default is ... else default for name, _, default, _ in flags}
+    given, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            given.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        flag = known.get(name if eq else token)
+        if flag is None or flag[1] is bool and eq:
+            return None
+        name, kind = flag[:2]
+        if kind is not bool and not eq and (value := next(tokens, "-"))[:1] == "-":
+            return None
+        try:  # each value is checked as argparse checks it, the last one kept
+            values[name] = True if kind is bool else int(value) if kind is int else value
+        except ValueError:
+            return None
+        if isinstance(kind, tuple) and value not in kind:
+            return None
+    if len(given) != len(positionals) or any(
+        default is ... and values[name] is None for name, _, default, _ in flags
+    ):
+        return None
+    return SimpleNamespace(command=argv[0], **dict(zip((name for name, _ in positionals), given)),
+                           **{name[2:].replace("-", "_"): v for name, v in values.items()}, run=run)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # one line, no usage text, even for an argument holding "\n"
-        raise MachalgError(" ".join(message.splitlines()))
+@functools.cache  # one parser per process: only help and refusals need it
+def build_parser():
+    """The argparse parser of _COMMANDS, which prints help and refusals."""
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # one line, no usage text, even for an argument holding "\n"
+            raise MachalgError(" ".join(message.splitlines()))
 
-@functools.cache  # one parser per process: each main() call reads it, none changes it
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="machalg",
         description="Workbench for finite machines as sets of self-maps: "
@@ -388,108 +461,26 @@ def build_parser() -> argparse.ArgumentParser:
         "reductions, and compilers from tape and memory-cell models.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("card", help="state-set cardinality of a template, or evaluate an expression")
-    p.add_argument("what", help=f"template ({', '.join(_TEMPLATE_KINDS)}) or expression like '2 ^ beth(0)'")
-    p.add_argument("--k", type=int, default=None, help="register count (templates)")
-    p.add_argument("--m", type=int, default=None, help="symbol count (templates)")
-    p.add_argument("--n", type=int, default=None, help="cell count (templates)")
-    p.add_argument("--transition-space", action="store_true", help="also compute |S|^|S|")
-    p.add_argument("--no-trace", action="store_true", help="suppress derivation steps")
-    p.set_defaults(run=_cmd_card)
-
-    p = subs.add_parser("universality", help="cardinality table plus simulate-everything verdicts")
-    p.add_argument("--k", type=int, default=2, help="registers for the tape target (default 2)")
-    p.add_argument("--m", type=int, default=2, help="symbols / basis size (default 2)")
-    p.add_argument("--n", type=int, default=2, help="cells / unit count (default 2)")
-    p.add_argument("--no-trace", action="store_true", help="suppress derivation steps")
-    _add_expect(p)
-    p.set_defaults(run=_cmd_universality)
-
-    p = subs.add_parser("iso", help="find an isomorphism between two machines")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
-                   help=f"search node cap (default {DEFAULT_NODE_BUDGET})")
-    _add_format(p)
-    _add_expect(p)
-    p.set_defaults(run=_cmd_iso)
-
-    p = subs.add_parser("complete", help="embed the second machine into a sub-machine of the first")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--method", choices=("auto", "construct", "search"), default="auto")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
-                   help=f"search node cap (default {DEFAULT_NODE_BUDGET})")
-    _add_format(p)
-    _add_expect(p)
-    p.set_defaults(run=_cmd_complete)
-
-    p = subs.add_parser("submachine", help="is the second machine a reduction of the first, labels literal")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_format(p)
-    _add_expect(p)
-    p.set_defaults(run=_cmd_submachine)
-
-    p = subs.add_parser("reduce", help="apply functional and/or state reductions")
-    p.add_argument("machine")
-    p.add_argument("--keep-fns", default=None, help="comma-separated function names to keep")
-    p.add_argument("--keep-states", default=None, help="comma-separated states to keep")
-    p.set_defaults(run=_cmd_reduce)
-
-    p = subs.add_parser("compile-tm", help="expand a tape machine into a one-function machine")
-    p.add_argument("tm")
-    p.add_argument("--summary", action="store_true", help="print counts instead of the machine")
-    p.set_defaults(run=_cmd_compile_tm)
-
-    p = subs.add_parser("compile-mem", help="expand a memory-cell program into a one-function machine")
-    p.add_argument("mem")
-    p.add_argument("--summary", action="store_true", help="print counts instead of the machine")
-    p.set_defaults(run=_cmd_compile_mem)
-
-    p = subs.add_parser("tm2mem", help="rebuild a tape machine as a memory-cell program")
-    p.add_argument("tm")
-    p.set_defaults(run=_cmd_tm2mem)
-
-    p = subs.add_parser("lockstep", help="run a tape machine and a program side by side")
-    p.add_argument("--tm", required=True)
-    p.add_argument("--mem", default=None, help="program file (default: translate the tape machine)")
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
-                   help=f"transitions to follow (default {DEFAULT_STEPS})")
-    _add_expect(p)
-    p.set_defaults(run=_cmd_lockstep)
-
-    p = subs.add_parser("sim", help="print the step-by-step run of a machine, tape machine, or program")
-    p.add_argument("file")
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
-                   help=f"step cap (default {DEFAULT_STEPS})")
-    p.add_argument("--fn", default=None, help="function to iterate (machine files)")
-    p.add_argument("--from", default=None, help="start state (machine files)")
-    p.set_defaults(run=_cmd_sim)
-
-    p = subs.add_parser("verify", help="re-check a certificate against two machine files, no search")
-    p.add_argument("certificate")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_expect(p)
-    p.set_defaults(run=_cmd_verify)
-
-    p = subs.add_parser("check-lemmas", help="randomized reduction-law suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--max-states", type=int, default=4)
-    p.add_argument("--max-fns", type=int, default=6)
-    _add_expect(p)
-    p.set_defaults(run=_cmd_check_lemmas)
-
+    for command, (run, summary, positionals, flags) in _COMMANDS.items():
+        p = subs.add_parser(command, help=summary)
+        for name, text in positionals:
+            p.add_argument(name, help=text)
+        for name, kind, default, text in flags:
+            if kind is bool:
+                p.add_argument(name, action="store_true", help=text)
+            else:
+                p.add_argument(name, type=int if kind is int else None, required=default is ...,
+                               default=None if default is ... else default, help=text,
+                               choices=kind if isinstance(kind, tuple) else None)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
+            argv = sys.argv[1:] if argv is None else argv
+            args = _read_argv(argv) or build_parser().parse_args(argv)
             return args.run(args)
         finally:
             sys.stdout.flush()  # a late error follows the lines already written

@@ -348,38 +348,10 @@ class MemProgram(_Value):
             )
         if any(v not in self.alphabet for v in self.initial_cells):
             raise InvalidMachineError("initial contents use unknown values")
-        self._check_selector(self.initial_selector, "initial selector")
-        if not 0 <= self.initial_function < len(self.functions):
-            raise InvalidMachineError("initial rule-family index out of range")
-        for c, v in self.finals:
-            if not 0 <= c < self.n_cells or v not in self.alphabet:
-                raise InvalidMachineError(f"final condition ({c},{v!r}) is invalid")
-        for a, entries in enumerate(self.functions):
-            seen = set()
-            for e in entries:
-                self._check_selector(e.read_cells, f"family {a} read selector")
-                self._check_selector(e.write_cells, f"family {a} write selector")
-                self._check_selector(e.next_read_cells, f"family {a} next selector")
-                if len(e.read_values) != len(e.read_cells):
-                    raise InvalidMachineError(f"family {a}: read arity mismatch")
-                if len(e.write_values) != len(e.write_cells):
-                    raise InvalidMachineError(f"family {a}: write arity mismatch")
-                if any(v not in self.alphabet for v in e.read_values + e.write_values):
-                    raise InvalidMachineError(f"family {a}: unknown value in entry")
-                if not 0 <= e.next_function < len(self.functions):
-                    raise InvalidMachineError(f"family {a}: next family index out of range")
-                key = (e.read_cells, e.read_values)
-                if key in seen:
-                    raise InvalidMachineError(
-                        f"family {a}: duplicate entry for read{key[0]}={key[1]}"
-                    )
-                seen.add(key)
-
-    def _check_selector(self, sel: tuple, what: str) -> None:
-        if len(set(sel)) != len(sel):
-            raise InvalidMachineError(f"{what} repeats a cell")
-        if any(not 0 <= c < self.n_cells for c in sel):
-            raise InvalidMachineError(f"{what} references a cell out of range")
+        fault = _mem_fault(self.n_cells, self.alphabet, self.functions, self.initial_selector,
+                           self.initial_function, self.finals)
+        if fault:
+            raise InvalidMachineError(fault[2])
 
     @property
     def initial_state(self) -> MemState:
@@ -392,6 +364,45 @@ class MemProgram(_Value):
             {(e.read_cells, e.read_values): e for e in entries}
             for entries in self.functions
         )
+
+
+def _mem_fault(n_cells, alphabet, functions, selector, fn, finals) -> tuple | None:
+    """The first rule that a program's start, final conditions or entries
+    break, as (place, token, message), or None: ``place`` is "start",
+    ("final", j) or (a, i) for entry i of family a, and ``token`` counts the
+    words of that line in ``.mem`` text, where the fault stands."""
+    def cells(sel):  # what is wrong with a selector, or ""
+        if len(set(sel)) != len(sel):
+            return " repeats a cell"
+        return " references a cell out of range" if any(not 0 <= c < n_cells for c in sel) else ""
+
+    if bad := cells(selector):
+        return "start", 1, "initial selector" + bad
+    if not 0 <= fn < len(functions):
+        return "start", 3, "initial rule-family index out of range"
+    for j, (c, v) in enumerate(finals):
+        if not 0 <= c < n_cells or v not in alphabet:
+            return ("final", j), 2 if not 0 <= c < n_cells else 4, f"final condition ({c},{v!r}) is invalid"
+    for a, entries in enumerate(functions):
+        seen = set()
+        for i, e in enumerate(entries):
+            for k, what, sel in ((1, "read", e.read_cells), (3, "write", e.write_cells),
+                                 (5, "next", e.next_read_cells)):
+                if bad := cells(sel):
+                    return (a, i), k, f"family {a} {what} selector{bad}"
+            if len(e.read_values) != len(e.read_cells):
+                return (a, i), 1, f"family {a}: read arity mismatch"
+            if len(e.write_values) != len(e.write_cells):
+                return (a, i), 3, f"family {a}: write arity mismatch"
+            if any(v not in alphabet for v in e.read_values + e.write_values):
+                k = 1 if any(v not in alphabet for v in e.read_values) else 3
+                return (a, i), k, f"family {a}: unknown value in entry"
+            if not 0 <= e.next_function < len(functions):
+                return (a, i), 7, f"family {a}: next family index out of range"
+            if (key := (e.read_cells, e.read_values)) in seen:
+                return (a, i), 1, f"family {a}: duplicate entry for read{key[0]}={key[1]}"
+            seen.add(key)
+    return None
 
 
 def mem_is_final(p: MemProgram, state: MemState) -> bool:

@@ -453,7 +453,7 @@ def _parse_cells_eq(
 
 
 def parse_mem(text: str) -> MemProgram:
-    from .models import _MEM_RESERVED, MemEntry, MemProgram, _check_token
+    from .models import _MEM_RESERVED, MemEntry, MemProgram, _check_token, _mem_fault
 
     name = None
     alphabet: tuple[str, ...] | None = None
@@ -463,6 +463,7 @@ def parse_mem(text: str) -> MemProgram:
     default_halt = False
     families: list[list[MemEntry]] = []
     finals: list[tuple[int, str]] = []
+    places = {}  # (line number, raw line) of the start line, each final and each entry
 
     once, many = ("mem", "alphabet", "start", "default"), ("cell", "fn", "entry", "final")
     after = {"cell": ("alphabet",), "entry": ("fn",)}
@@ -491,6 +492,7 @@ def parse_mem(text: str) -> MemProgram:
             ):
                 raise ParseError("start line must read 'start read(...) fn <i>'", lineno, 1)
             start_sel = _parse_cells(tokens[1], "read", lineno, raw, 1)
+            places["start"] = lineno, raw
         elif head == "default":
             if tokens[1:] != ["halt"]:
                 raise ParseError("only 'default halt' is supported", lineno, 1)
@@ -520,27 +522,26 @@ def parse_mem(text: str) -> MemProgram:
             rc, rv = _parse_cells_eq(tokens[1], "read", lineno, raw, 1)
             wc, wv = _parse_cells_eq(tokens[3], "write", lineno, raw, 3)
             nc = _parse_cells(tokens[5], "read", lineno, raw, 5)
+            places[len(families) - 1, len(families[-1])] = lineno, raw
             families[-1].append(MemEntry(rc, rv, wc, wv, nc, next_fn))
         elif head == "final":
             at = _number(tokens[2], lineno, raw, 2) if len(tokens) == 5 else None
             if at is None or tokens[1] != "cell" or tokens[3] != "=":
                 raise ParseError("final line must read 'final cell <i> = <value>'", lineno, 1)
+            places["final", len(finals)] = lineno, raw
             finals.append((at, tokens[4]))
 
     n = len(cell_inits)
     if sorted(cell_inits) != list(range(n)):
         raise ParseError(f"cell indices must be exactly 0..{n - 1}", lineno)
-    return MemProgram(
-        n_cells=n,
-        alphabet=alphabet,
-        functions=tuple(tuple(entries) for entries in families),
-        initial_cells=tuple(cell_inits[i] for i in range(n)),
-        initial_selector=start_sel,
-        initial_function=start_fn,
-        finals=tuple(finals),
-        default_halt=default_halt,
-        name=name,
-    )
+    functions = tuple(tuple(entries) for entries in families)
+    try:
+        return MemProgram(n, alphabet, functions, tuple(cell_inits[i] for i in range(n)),
+                          start_sel, start_fn, tuple(finals), default_halt, name)
+    except InvalidMachineError:  # the lines above leave only the rules of _mem_fault unchecked
+        place, k, message = _mem_fault(n, alphabet, functions, start_sel, start_fn, finals)
+        lineno, raw = places[place]
+        raise ParseError(message, lineno, _col(raw, k)) from None
 
 
 def render_mem(p: MemProgram) -> str:
@@ -611,7 +612,8 @@ def parse_certificate(text: str) -> Certificate:
             if kind not in _CERT_REQUIRED:
                 raise ParseError(f"unknown certificate kind {kind!r}", lineno, _col(raw, 1))
         elif key not in _CERT_REQUIRED[kind]:
-            raise ParseError(f"{key!r} does not belong in a {kind} certificate", lineno, _col(raw, 0))
+            a = "an" if kind[0] in "aeiou" else "a"
+            raise ParseError(f"{key!r} does not belong in {a} {kind} certificate", lineno, _col(raw, 0))
         elif key == "keep-states":
             fields[key] = tuple(tokens[1:])
         else:

@@ -28,12 +28,16 @@ disjoint union of two machines by sorted tuples of neighbour colours, with
 no hashed weights, no splitter queue and no round cap.  The certificate
 checker applies a certificate's keeps by definition on raw tables and
 labels, then checks the morphism equations, with no call into the package
-beyond reading machines.
+beyond reading machines.  The command-line oracle is the package's earlier
+``argparse`` parser, written out call by call, kept verbatim as the reference
+for the command table and the reader that answers without ``argparse``.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import functools
 import itertools
 import re
 from typing import Iterator, Optional
@@ -44,6 +48,7 @@ from machalg import (
     BoundaryPolicy,
     Cardinal,
     Finite,
+    MachalgError,
     Machine,
     MemProgram,
     MemState,
@@ -60,6 +65,24 @@ from machalg import (
     mem_step,
 )
 from machalg.cardinal import Trace
+from machalg.cli import (
+    _TEMPLATE_KINDS,
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_STEPS,
+    _cmd_card,
+    _cmd_check_lemmas,
+    _cmd_compile_mem,
+    _cmd_compile_tm,
+    _cmd_complete,
+    _cmd_iso,
+    _cmd_lockstep,
+    _cmd_reduce,
+    _cmd_sim,
+    _cmd_submachine,
+    _cmd_tm2mem,
+    _cmd_universality,
+    _cmd_verify,
+)
 from machalg.machine import _assemble
 from machalg.models import _HEAD_SHIFT, LockstepReport, TmTrace, _pos, _reg, _sym
 
@@ -709,3 +732,141 @@ def reference_parse_machine(text: str) -> Machine:
         raise ParseError("a machine needs at least one fn", lineno)
     return _assemble(state_set, [(t, f) for f, t in fn_names.items()], name)
 
+
+# ---------------------------------------------------------------------------
+# Reference command line: the argparse parser written out by hand
+# ---------------------------------------------------------------------------
+#
+# The command-line parser as it was before ``cli._COMMANDS`` declared the
+# grammar once, kept verbatim but for its name.  ``main``'s own reader and
+# the parser built from the table must answer every argv exactly as it does.
+
+
+def _add_expect(sub) -> None:
+    sub.add_argument(
+        "--expect",
+        choices=("yes", "no"),
+        default=None,
+        help="exit 1 unless the definite answer matches",
+    )
+
+
+def _add_format(sub) -> None:
+    sub.add_argument(
+        "--format",
+        choices=("text", "certificate"),
+        default="text",
+        help="certificate emits the stable machine-readable witness",
+    )
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, no usage text, even for an argument holding "\n"
+        raise MachalgError(" ".join(message.splitlines()))
+
+
+@functools.cache  # one parser per process: each main() call reads it, none changes it
+def reference_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="machalg",
+        description="Workbench for finite machines as sets of self-maps: "
+        "cardinal bookkeeping, isomorphism and completeness certificates, "
+        "reductions, and compilers from tape and memory-cell models.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    p = subs.add_parser("card", help="state-set cardinality of a template, or evaluate an expression")
+    p.add_argument("what", help=f"template ({', '.join(_TEMPLATE_KINDS)}) or expression like '2 ^ beth(0)'")
+    p.add_argument("--k", type=int, default=None, help="register count (templates)")
+    p.add_argument("--m", type=int, default=None, help="symbol count (templates)")
+    p.add_argument("--n", type=int, default=None, help="cell count (templates)")
+    p.add_argument("--transition-space", action="store_true", help="also compute |S|^|S|")
+    p.add_argument("--no-trace", action="store_true", help="suppress derivation steps")
+    p.set_defaults(run=_cmd_card)
+
+    p = subs.add_parser("universality", help="cardinality table plus simulate-everything verdicts")
+    p.add_argument("--k", type=int, default=2, help="registers for the tape target (default 2)")
+    p.add_argument("--m", type=int, default=2, help="symbols / basis size (default 2)")
+    p.add_argument("--n", type=int, default=2, help="cells / unit count (default 2)")
+    p.add_argument("--no-trace", action="store_true", help="suppress derivation steps")
+    _add_expect(p)
+    p.set_defaults(run=_cmd_universality)
+
+    p = subs.add_parser("iso", help="find an isomorphism between two machines")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help=f"search node cap (default {DEFAULT_NODE_BUDGET})")
+    _add_format(p)
+    _add_expect(p)
+    p.set_defaults(run=_cmd_iso)
+
+    p = subs.add_parser("complete", help="embed the second machine into a sub-machine of the first")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.add_argument("--method", choices=("auto", "construct", "search"), default="auto")
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help=f"search node cap (default {DEFAULT_NODE_BUDGET})")
+    _add_format(p)
+    _add_expect(p)
+    p.set_defaults(run=_cmd_complete)
+
+    p = subs.add_parser("submachine", help="is the second machine a reduction of the first, labels literal")
+    p.add_argument("a")
+    p.add_argument("b")
+    _add_format(p)
+    _add_expect(p)
+    p.set_defaults(run=_cmd_submachine)
+
+    p = subs.add_parser("reduce", help="apply functional and/or state reductions")
+    p.add_argument("machine")
+    p.add_argument("--keep-fns", default=None, help="comma-separated function names to keep")
+    p.add_argument("--keep-states", default=None, help="comma-separated states to keep")
+    p.set_defaults(run=_cmd_reduce)
+
+    p = subs.add_parser("compile-tm", help="expand a tape machine into a one-function machine")
+    p.add_argument("tm")
+    p.add_argument("--summary", action="store_true", help="print counts instead of the machine")
+    p.set_defaults(run=_cmd_compile_tm)
+
+    p = subs.add_parser("compile-mem", help="expand a memory-cell program into a one-function machine")
+    p.add_argument("mem")
+    p.add_argument("--summary", action="store_true", help="print counts instead of the machine")
+    p.set_defaults(run=_cmd_compile_mem)
+
+    p = subs.add_parser("tm2mem", help="rebuild a tape machine as a memory-cell program")
+    p.add_argument("tm")
+    p.set_defaults(run=_cmd_tm2mem)
+
+    p = subs.add_parser("lockstep", help="run a tape machine and a program side by side")
+    p.add_argument("--tm", required=True)
+    p.add_argument("--mem", default=None, help="program file (default: translate the tape machine)")
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+                   help=f"transitions to follow (default {DEFAULT_STEPS})")
+    _add_expect(p)
+    p.set_defaults(run=_cmd_lockstep)
+
+    p = subs.add_parser("sim", help="print the step-by-step run of a machine, tape machine, or program")
+    p.add_argument("file")
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+                   help=f"step cap (default {DEFAULT_STEPS})")
+    p.add_argument("--fn", default=None, help="function to iterate (machine files)")
+    p.add_argument("--from", default=None, help="start state (machine files)")
+    p.set_defaults(run=_cmd_sim)
+
+    p = subs.add_parser("verify", help="re-check a certificate against two machine files, no search")
+    p.add_argument("certificate")
+    p.add_argument("a")
+    p.add_argument("b")
+    _add_expect(p)
+    p.set_defaults(run=_cmd_verify)
+
+    p = subs.add_parser("check-lemmas", help="randomized reduction-law suite")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=int, default=1000)
+    p.add_argument("--max-states", type=int, default=4)
+    p.add_argument("--max-fns", type=int, default=6)
+    _add_expect(p)
+    p.set_defaults(run=_cmd_check_lemmas)
+
+    return parser

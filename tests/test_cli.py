@@ -20,7 +20,7 @@ from machalg import (
     render_machine,
 )
 from machalg import cardinal, cli
-from machalg.cli import build_parser, main
+from machalg.cli import main
 from mutants import check_cli_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -988,8 +988,7 @@ class TestHostileInput:
     one line on stderr, never a traceback."""
 
     def test_every_subcommand_is_covered(self):
-        (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
-        assert set(HOSTILE) == set(subparsers.choices)
+        assert set(HOSTILE) == set(cli._COMMANDS)
 
     @pytest.mark.parametrize("sub", sorted(HOSTILE))
     def test_no_traceback(self, sub, hostile_files):

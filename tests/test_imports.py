@@ -110,15 +110,16 @@ class TestPublicApi:
 
 
 # The exit code, the machalg modules loaded, and which of the standard
-# library's heavy introspection modules were loaded (-I -S: nothing loads
-# them before the call).
+# library's heavy modules were loaded (-I -S: nothing loads them before the
+# call): the introspection modules, and argparse with the gettext and locale
+# modules it loads, which only help and refusals need.
 CALL = """
 import contextlib, io, json
 from machalg.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("machalg.")),
-                  sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+                  sorted({"dataclasses", "inspect", "argparse", "gettext", "locale"} & set(sys.modules))]))
 """
 
 UNUSED_BY_CARD = {"machine", "models", "textio", "reductions", "isomorphism", "lemmas"}

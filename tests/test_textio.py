@@ -38,6 +38,7 @@ from machalg.lemmas import random_machine
 from machalg.textio import display_names, resolve_function
 
 from conftest import random_turing_spec
+from mutants import mutated_text
 from oracles import enumerated_full_machine, reference_parse_machine
 
 SWITCH = """\
@@ -617,7 +618,7 @@ class TestSharedRules:
         # A line of another kind stands at its own line, ahead of a missing
         # line and of a malformed entry on it.
         pytest.param("cert", "certificate iso\n  keep-fns 0 x\ng 1 0\n",
-                     "line 2, column 3: 'keep-fns' does not belong in a iso certificate",
+                     "line 2, column 3: 'keep-fns' does not belong in an iso certificate",
                      id="cert-other-kind"),
         pytest.param("cert", SUBMACHINE_CERT + "g 0\n",
                      "line 4, column 1: 'g' does not belong in a submachine certificate",
@@ -713,7 +714,7 @@ class TestCertificates:
     def test_stray_key(self):
         with pytest.raises(ParseError) as e:
             parse_certificate("certificate iso\ng 0\nh 0\nkeep-fns 0\n")
-        assert str(e.value) == "line 4, column 1: 'keep-fns' does not belong in a iso certificate"
+        assert str(e.value) == "line 4, column 1: 'keep-fns' does not belong in an iso certificate"
 
     def test_non_numeric(self):
         with pytest.raises(ParseError) as e:
@@ -727,6 +728,76 @@ class TestCertificates:
             "complete", (1, 0), (0, 1), (0, 3), ("x", "y"))
         assert parse_certificate("certificate submachine\nkeep-fns\nkeep-states\n") == Certificate(
             "submachine")
+
+
+# One edit of samples/toggle.mem per rule of models._mem_fault: (line, its
+# replacement, the error), each at the line and the token at fault.
+TOGGLE_FAULTS = [
+    ("start read(0) fn 0", "start read(1) fn 0",
+     "line 5, column 7: initial selector references a cell out of range"),
+    ("start read(0) fn 0", "start read(0,0) fn 0", "line 5, column 7: initial selector repeats a cell"),
+    ("start read(0) fn 0", "start read(0) fn 3",
+     "line 5, column 18: initial rule-family index out of range"),
+    ("final cell 0 = 2", "final cell 9 = 0", "line 10, column 12: final condition (9,'0') is invalid"),
+    ("final cell 0 = 2", "final cell 0 = 7", "line 10, column 16: final condition (0,'7') is invalid"),
+    ("entry read(0)=(1) -> write(0)=(2)", "entry read(0,0)=(1,1) -> write(0)=(2)",
+     "line 8, column 7: family 0 read selector repeats a cell"),
+    ("entry read(0)=(1) -> write(0)=(2)", "entry read(0)=(1) -> write(1)=(2)",
+     "line 8, column 22: family 0 write selector references a cell out of range"),
+    ("(2) next read(0) fn 0\nentry read(0)=(2)", "(2) next read(4) fn 0\nentry read(0)=(2)",
+     "line 8, column 40: family 0 next selector references a cell out of range"),
+    ("entry read(0)=(1) -> write(0)=(2)", "entry read(0)=(1,1) -> write(0)=(2)",
+     "line 8, column 7: family 0: read arity mismatch"),
+    ("entry read(0)=(1) -> write(0)=(2)", "entry read(0)=(1) -> write(0)=(2,2)",
+     "line 8, column 22: family 0: write arity mismatch"),
+    ("entry read(0)=(1) -> write(0)=(2)", "entry read(0)=(7) -> write(0)=(2)",
+     "line 8, column 7: family 0: unknown value in entry"),
+    ("entry read(0)=(1) -> write(0)=(2)", "entry read(0)=(1) -> write(0)=(9)",
+     "line 8, column 22: family 0: unknown value in entry"),
+    ("(2) next read(0) fn 0\nentry read(0)=(2)", "(2) next read(0) fn 5\nentry read(0)=(2)",
+     "line 8, column 51: family 0: next family index out of range"),
+    ("entry read(0)=(1) -> write(0)=(2)", "entry read(0)=(0) -> write(0)=(2)",
+     "line 8, column 7: family 0: duplicate entry for read(0,)=('0',)"),
+]
+MEM_TEXTS = [(SAMPLES / "toggle.mem").read_text()] + [
+    render_mem(tm_to_mem(parse_turing((SAMPLES / name).read_text())))
+    for name in ("bitflip.tm", "increment.tm")
+]
+
+
+class TestMemFaults:
+    """A program's own rules, broken in its text, are refused at the line
+    and token at fault, with the message MemProgram gives without a place."""
+
+    @pytest.mark.parametrize("old, new, error", TOGGLE_FAULTS,
+                             ids=["-".join(re.findall(r"\w+", e)) for _, _, e in TOGGLE_FAULTS])
+    def test_fault_is_placed(self, old, new, error):
+        text = MEM_TEXTS[0]
+        assert text.count(old) == 1
+        with pytest.raises(ParseError) as e:
+            parse_mem(text.replace(old, new))
+        assert str(e.value) == error
+
+    def test_entries_before_the_alphabet(self):
+        lines = MEM_TEXTS[0].splitlines(keepends=True)
+        moved = "".join(lines[:2] + lines[5:9] + lines[2:5] + lines[9:])
+        assert moved.index("entry") < moved.index("alphabet")
+        assert parse_mem(moved) == parse_mem(MEM_TEXTS[0])
+        with pytest.raises(ParseError) as e:
+            parse_mem(moved.replace("write(0)=(1)", "write(0)=(5)"))
+        assert str(e.value) == "line 4, column 22: family 0: unknown value in entry"
+
+    def test_no_mutant_error_is_positionless(self):
+        faults = 0
+        for seed in range(2000):
+            rng = random.Random(seed)
+            text = mutated_text(rng, rng.choice(MEM_TEXTS))
+            try:
+                parse_mem(text)
+            except MachalgError as e:
+                assert re.match(r"line \d+, column \d+: ", str(e)), (seed, str(e))
+                faults += any(word in str(e) for word in ("family", "final condition", "initial"))
+        assert faults >= 50
 
 
 TINY_TM = """\
