@@ -622,12 +622,15 @@ def _subset_problem(a: Machine, tables_b: Sequence, subset: tuple[int, ...], lev
 
 
 def verify_completeness(a: Machine, b: Machine, w: CompletenessWitness) -> bool:
-    """The witness-object form of :func:`verify`: True only if ``verify``
-    accepts the certificate the witness records, and replaying its kept
-    functions and states on ``a`` gives exactly its two reductions."""
+    """The witness-object form of :func:`verify`: True only if replaying its
+    kept functions and states on ``a`` gives exactly its two reductions, and
+    its morphism maps ``b`` onto the replayed sub-machine."""
     fr, sr = w.reductions
-    cert = Certificate("complete", w.morphism.g, w.morphism.h, fr.kept_functions, sr.kept_states)
-    return verify(cert, a, b)[0] and (fr, sr) == sub_machine(a, fr.kept_functions, sr.kept_states)
+    try:
+        replay = sub_machine(a, fr.kept_functions, sr.kept_states)
+    except (IndexError, TypeError, MachalgError):
+        return False
+    return replay == (fr, sr) and verify(Certificate("iso", w.morphism.g, w.morphism.h), b, sr.result)[0]
 
 
 def verify(cert: Certificate, a: Machine, b: Machine) -> tuple[bool, str]:

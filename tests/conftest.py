@@ -77,6 +77,22 @@ def random_tm_config(
     )
 
 
+# Two rule sets of a tape machine on symbols 0 and 1 that never halts.
+THREE_REGISTERS = ("a 0 -> b 1 R", "a 1 -> c 0 R", "b 0 -> a 1 L", "b 1 -> c 1 R",
+                   "c 0 -> a 0 R", "c 1 -> b 0 L")
+FOUR_REGISTERS = ("a 0 -> b 1 R", "a 1 -> c 0 R", "b 0 -> d 1 L", "b 1 -> c 1 R",
+                  "c 0 -> a 0 R", "c 1 -> d 0 L", "d 0 -> a 1 R", "d 1 -> b 0 S")
+
+
+def clamp_tm(cells: int, rules=THREE_REGISTERS) -> str:
+    """The ``.tm`` text of ``rules`` on a clamped tape of ``cells`` zeros, in
+    register a at cell 0: r registers give r * 2**cells * cells states."""
+    registers = " ".join(sorted({rule[0] for rule in rules}))
+    return "\n".join(["tm clamp", "symbols 0 1", f"registers {registers}", f"cells {cells}",
+                      "boundary clamp", *(f"rule {rule}" for rule in rules),
+                      f"init tape {' '.join('0' * cells)} head 0 register a", ""])
+
+
 def conjugated(m: Machine, perm: tuple[int, ...], labels=None) -> Machine:
     """Relabel a machine through a state permutation; isomorphic by design."""
     n = m.n_states

@@ -21,6 +21,7 @@ from machalg import (
 )
 from machalg import cardinal, cli
 from machalg.cli import main
+from conftest import clamp_tm
 from mutants import check_cli_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -275,20 +276,7 @@ class TestComplete:
 
 
 # 3 registers, 2 symbols and 6 cells, clamped: 3 * 2**6 * 6 = 1152 states.
-CLAMP_TM = """\
-tm clamp
-symbols 0 1
-registers a b c
-cells 6
-boundary clamp
-rule a 0 -> b 1 R
-rule a 1 -> c 0 R
-rule b 0 -> a 1 L
-rule b 1 -> c 1 R
-rule c 0 -> a 0 R
-rule c 1 -> b 0 L
-init tape 0 0 0 0 0 0 head 0 register a
-"""
+CLAMP_TM = clamp_tm(6)
 
 
 def write_full(tmp_path, n) -> str:
@@ -509,6 +497,8 @@ class TestAnswerGolden:
          "certificate rejected: the reductions or the morphism do not check out\n"),
         ("certificate submachine\nkeep-fns 2\nkeep-states off\n", "switch sub",
          "certificate rejected: an index in the certificate is out of range\n"),
+        ("certificate submachine\nkeep-fns 0\nkeep-states on\n", "switch sub",
+         "certificate rejected: the reduced state set differs from the target\n"),
     ]
 
     @pytest.fixture
@@ -766,10 +756,10 @@ class TestEverySample:
 class TestMutatedInputs:
     """Mutated copies of the samples and of certificates, through every
     file-taking subcommand: each call ends in an answer, an ``--expect``
-    mismatch or one ``error: `` line, within 2 s; CI runs more seeds."""
+    mismatch or one ``error: `` line, within 2 s."""
 
     def test_no_call_faults(self):
-        assert check_cli_corpus(range(100)) == 1000
+        assert check_cli_corpus(range(3300)) == 33000
 
 
 class TestErrorPaths:

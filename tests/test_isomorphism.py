@@ -1127,6 +1127,17 @@ class TestVerify:
         assert verify(cert, big, three) == (False, "the reductions or the morphism do not check out")
         assert verify_completeness(big, three, w) is False
 
+    def test_witness_replays_once(self, case, monkeypatch):
+        big, probe, w = case
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sub_machine(*args)
+
+        monkeypatch.setattr(isomorphism, "sub_machine", counted)
+        assert verify_completeness(big, probe, w) and len(calls) == 1
+
     def test_index_past_the_digit_limit(self):
         # 1500**1500 functions: their count has more digits than Python writes as text
         big = full_machine(StateSet(tuple(f"s{i}" for i in range(1500))))
