@@ -372,6 +372,56 @@ class _ProductLabels(_Lookup):
         return f"{type(self).__name__}({self.axes!r}, {self.extra!r})"
 
 
+def _as_listed(op):
+    """``op`` on the tuple a step table lists and ``other``, or the tuple
+    ``other`` lists if it is a step table too."""
+    def on_listings(self, other):
+        return op(self._listing, other._listing if isinstance(other, _StepTable) else other)
+    return on_listings
+
+
+class _StepTable(_Lookup):
+    """A compiled machine's one table, computed on demand from plain data.
+
+    A subclass gives ``size``, ``_decode(i)``, entry i alone, and
+    ``_write()``, every entry as a list.  ``[i]`` decodes; the first whole
+    read (iteration, ``tuple``, ``hash``, ``==``, ordering, ``+``) writes
+    the table once and keeps the tuple, whose ``==``, ``hash`` and order
+    these are.  From then on ``[i]`` reads the tuple, and
+    ``table.__getitem__`` is the tuple's own, so a reader that binds it
+    once, as ``map(table.__getitem__, ...)``, pays what a tuple does.
+    """
+
+    @cached_property
+    def _listing(self) -> tuple[int, ...]:
+        listing = tuple(self._write())
+        self.__getitem__ = listing.__getitem__  # found before the class's by t.__getitem__
+        return listing
+
+    def __getitem__(self, i):  # t[i], which finds the class's method, not the tuple's
+        listing = self.__dict__.get("_listing")
+        return _Lookup.__getitem__(self, i) if listing is None else listing[i]
+
+    def __iter__(self):
+        return iter(self._listing)
+
+    def index(self, j) -> int:
+        return self._listing.index(j)
+
+    def count(self, j) -> int:  # entries repeat, unlike _Lookup's items
+        return self._listing.count(j)
+
+    def __hash__(self) -> int:
+        return hash(self._listing)
+
+    __eq__, __lt__, __le__, __gt__, __ge__, __add__ = map(
+        _as_listed, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge, operator.add)
+    )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(size={self.size})"
+
+
 class _Functions(_Lookup):
     """``Machine.functions``: the TransitionFunction at each index, built only
     when asked for and not checked again, since the tables are.  ``name_at(i)``
@@ -416,7 +466,8 @@ class Machine(_Value):
     ``function_names[i]``, a string or None and never compared, names
     ``tables[i]``.  The full and bijection machines hold their tables
     implicitly (see :func:`full_machine`), with no listed names: their
-    function i is ``f<i>``.
+    function i is ``f<i>``.  A compiled machine's one table is a
+    :class:`_StepTable`, computed on demand.
     """
 
     states: StateSet
@@ -575,16 +626,18 @@ def run_to_fixpoint(
     except ValueError:
         current = f.domain.index(start)  # raises the usual DomainMismatchError
     first_seen = {current: 0}  # the states visited, in order
-    table, steps, label = f.table, 0, f.domain.labels.__getitem__
-    while table[current] != current and steps < max_steps:
+    step, steps, label = f.table.__getitem__, 0, f.domain.labels.__getitem__
+    after = step(current)  # each entry is read once: a compiled table computes it
+    while after != current and steps < max_steps:
         steps += 1
-        current = table[current]
+        current = after
         if current in first_seen:
             entry = first_seen[current]
             traj = tuple(map(label, [*first_seen, current])) if record_trajectory else None
             return Cycled(steps - entry, entry, traj)
         first_seen[current] = steps
+        after = step(current)
     traj = tuple(map(label, first_seen)) if record_trajectory else None
-    if table[current] == current:
+    if after == current:
         return Halted(label(current), steps, traj)
     return StepLimit(steps, traj)

@@ -26,8 +26,8 @@ from .machine import (
     DEFAULT_ENUMERATION_CAP,
     Machine,
     StateSet,
-    _assemble,
     _ProductLabels,
+    _StepTable,
 )
 
 # Characters reserved by the compiled-state label codecs plus the text
@@ -230,6 +230,48 @@ def _grid_runs(first: int, inner: int, n_inner: int, outer: int, n_outer: int):
         yield a, a + n_inner * inner, inner, n_inner
 
 
+class _TmTable(_StepTable):
+    """compile_tm's table.  State (register r, tape, head h) has index
+    (rank(r)*m^n + rank(tape))*n + h, rank(tape) in base m with cell 0 most
+    significant, as its label's parts rank.  Its entry adds the shift of
+    (r, the symbol d under the head, h), ``shifts[(r*m + d)*n + h]``, or is
+    the error state, the last, where that is None."""
+
+    def __init__(self, m: int, n: int, shifts: tuple, size: int):
+        self.m, self.n, self.shifts, self.size = m, n, shifts, size
+        self.n_tapes, self.weights = m**n, tuple(m ** (n - 1 - h) for h in range(n))
+        self.configurations = len(shifts) // m * m**n  # k*m^n*n
+
+    def _decode(self, i: int) -> int:
+        m, n = self.m, self.n
+        if i >= self.configurations:  # the error state
+            return i
+        rest, h = divmod(i, n)
+        r, tape = divmod(rest, self.n_tapes)
+        shift = self.shifts[(r * m + tape // self.weights[h] % m) * n + h]
+        return self.size - 1 if shift is None else i + shift
+
+    def _write(self) -> list[int]:
+        # Cell h holds symbol d on the tape ranks (hi*m + d)*w + lo, w = m^(n-1-h):
+        # a rule moves them alike, in strided runs.
+        m, n, error = self.m, self.n, self.size - 1
+        table = [error] * self.size  # the error state's own entry; the loop writes every other
+        keys = itertools.product(range(len(self.shifts) // (m * n)), range(m), range(n))
+        for (r, d, h), shift in zip(keys, self.shifts):
+            w = self.weights[h]
+            first = (r * self.n_tapes + d * w) * n + h
+            for a, b, stride, count in _grid_runs(first, n, w, m * w * n, m**h):
+                table[a:b:stride] = [error] * count if shift is None else range(a + shift, b + shift, stride)
+        return table
+
+
+def _step_machine(labels: _ProductLabels, table: _StepTable, name: Optional[str]) -> Machine:
+    """The machine of one table, stored as it stands, unhashed and so unwritten."""
+    m = object.__new__(Machine)
+    m._store(StateSet(labels), (table,), ("step",), name)
+    return m
+
+
 def compile_tm(t: TuringSpec) -> tuple[Machine, TmStateCodec]:
     """Expand a TuringSpec into a Machine with one step function.
 
@@ -237,8 +279,10 @@ def compile_tm(t: TuringSpec) -> tuple[Machine, TmStateCodec]:
     order (register-major, then tape lexicographic, then head), k*m^n*n of
     them, plus one absorbing error state under the reject policy.  Halting
     registers and missing rules yield fixed points.  The state set decodes
-    its ``TmStateCodec`` labels on demand: compiling builds none of them.
-    More than DEFAULT_ENUMERATION_CAP states raise EnumerationTooLargeError.
+    its ``TmStateCodec`` labels on demand, and the step table computes an
+    entry when it is asked for and is written once, on its first whole
+    read: compiling builds neither.  More than DEFAULT_ENUMERATION_CAP
+    states raise EnumerationTooLargeError.
     """
     k, m, n = t.k, t.m, t.n
     reject = t.boundary_policy is BoundaryPolicy.REJECT
@@ -246,35 +290,26 @@ def compile_tm(t: TuringSpec) -> tuple[Machine, TmStateCodec]:
     if size > DEFAULT_ENUMERATION_CAP:
         raise EnumerationTooLargeError("compiled state set", size)
 
-    # State (register r, tape, head h) has index (rank(r)*m^n + rank(tape))*n + h,
-    # rank(tape) in base m with cell 0 most significant, as its label's parts rank.
-    # Halting registers and missing rules are fixed points.  Cell h holds symbol d
-    # on the tape ranks (hi*m + d)*w + lo, w = m^(n-1-h): a rule moves them alike.
     cell, last = (tuple(s + sep for s in t.symbols) for sep in ".|")
     labels = _ProductLabels(
         ([r + "|" for r in t.registers], *[cell] * (n - 1), last, map(str, range(n))),
         (ERROR_LABEL,) if reject else (),
     )
-    n_tapes, error_index = m**n, size - 1
-    table = [size - 1] * size  # the error state's own entry; the loop writes every other
     reg_rank = {r: i for i, r in enumerate(t.registers)}
     sym_rank = {s: i for i, s in enumerate(t.symbols)}
+    shifts = []
     for r, s in itertools.product(t.registers, t.symbols):
         r2, s2, mv = t.rules.get((r, s), (r, s, Move.STAY))  # no rule: a fixed point
         d, d2 = sym_rank[s], sym_rank[s2]
         for h in range(n):
-            w = m ** (n - 1 - h)
             h2 = h + _HEAD_SHIFT[mv]
             error = reject and not 0 <= h2 < n
             h2 = min(max(h2, 0), n - 1)
-            shift = ((reg_rank[r2] - reg_rank[r]) * n_tapes + (d2 - d) * w) * n + h2 - h
-            first = (reg_rank[r] * n_tapes + d * w) * n + h
-            for a, b, stride, count in _grid_runs(first, n, w, m * w * n, m**h):
-                moved = range(a + shift, b + shift, stride)
-                table[a:b:stride] = [error_index] * count if error else moved
+            move = ((reg_rank[r2] - reg_rank[r]) * m**n + (d2 - d) * m ** (n - 1 - h)) * n + h2 - h
+            shifts.append(None if error else move)
 
     codec = TmStateCodec(t.symbols, t.registers, n, ERROR_LABEL if reject else None)
-    return _assemble(StateSet(labels), [(tuple(table), "step")], name=t.name), codec
+    return _step_machine(labels, _TmTable(m, n, tuple(shifts), size), t.name), codec
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +501,70 @@ def _selector_universe(p: MemProgram) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(sels))
 
 
+class _MemTable(_StepTable):
+    """compile_mem's table.  State (cells, selector i, family a) has index
+    (rank(cells)*|sel| + i)*F + a, rank(cells) in base m with cell 0 most
+    significant, as its label's parts rank.  Its entry decodes the state,
+    steps it with ``mem_step`` and encodes the result."""
+
+    def __init__(self, p: MemProgram, selectors: tuple, size: int):
+        self.p, self.selectors, self.size = p, selectors, size
+        self.value_rank = {v: i for i, v in enumerate(p.alphabet)}
+        self.sel_rank = {sel: i for i, sel in enumerate(selectors)}
+        self.weights = tuple(len(p.alphabet) ** (p.n_cells - 1 - c) for c in range(p.n_cells))
+
+    def _decode(self, i: int) -> int:
+        p, n_fns = self.p, len(self.p.functions)
+        rank, rest = divmod(i, len(self.selectors) * n_fns)
+        si, fn = divmod(rest, n_fns)
+        cells = tuple(p.alphabet[rank // w % len(p.alphabet)] for w in self.weights)
+        s = mem_step(p, MemState(cells, self.selectors[si], fn))  # final or without entry: itself
+        rank = sum(self.value_rank[v] * w for v, w in zip(s.cells, self.weights))
+        return (rank * len(self.selectors) + self.sel_rank[s.selector]) * n_fns + s.fn
+
+    def _write(self) -> list[int]:
+        p, size, weight, selectors = self.p, self.size, self.weights, self.selectors
+        value_rank, sel_rank = self.value_rank, self.sel_rank
+        m, n, n_fns = len(p.alphabet), p.n_cells, len(p.functions)
+        block = len(selectors) * n_fns
+        # With default_halt, states no entry matches are fixed points; -1 marks
+        # a state that still waits for its entry.  An entry's unread cells hold
+        # anything; the longest run of adjacent ones it does not write moves as one
+        # strided slice, and the loop visits the contents of the other unread cells.
+        table = list(range(size)) if p.default_halt else [-1] * size
+        for fn, entries in enumerate(p.functions):
+            for e in entries:
+                me = sel_rank[e.read_cells] * n_fns + fn
+                nxt = sel_rank[e.next_read_cells] * n_fns + e.next_function
+                read = {c: value_rank[v] for c, v in zip(e.read_cells, e.read_values)}
+                writes = [(c, value_rank[v]) for c, v in zip(e.write_cells, e.write_values)]
+                kept = {c for c in range(n) if c not in read and c not in e.write_cells}
+                run = max((list(g) for k, g in itertools.groupby(range(n), kept.__contains__) if k),
+                          key=len, default=[])
+                step = (weight[run[-1]] if run else 1) * block
+                stop = m ** len(run) * step
+                loop = [c for c in range(n) if c not in read and c not in run]
+                for digits in itertools.product(range(m), repeat=len(loop)):
+                    cells = {**read, **dict(zip(loop, digits))}
+                    rank = sum(d * weight[c] for c, d in cells.items())
+                    a = rank * block + me
+                    a2 = (rank + sum((v - cells[c]) * weight[c] for c, v in writes)) * block + nxt
+                    table[a : a + stop : step] = range(a2, a2 + stop, step)
+        # Final states are fixed points, whatever an entry wrote there.  Cell c
+        # holds value v exactly on the ranks (hi*m + v)*w + lo, w = weight[c].
+        for c, v in p.finals:
+            w = weight[c] * block
+            for a, b, stride, _ in _grid_runs(value_rank[v] * w, 1, w, m * w, size // (m * w)):
+                table[a:b:stride] = range(a, b, stride)
+        if not p.default_halt and -1 in table:
+            # The first unfilled index is the first state the program leaves open.
+            rank, rest = divmod(table.index(-1), block)
+            si, fn = divmod(rest, n_fns)
+            cells = [p.alphabet[rank // w % m] for w in weight]
+            raise _missing_entry(fn, selectors[si], tuple(cells[c] for c in selectors[si]))
+        return table
+
+
 def compile_mem(p: MemProgram) -> tuple[Machine, MemStateCodec]:
     """Expand a MemProgram into a Machine over aggregate states.
 
@@ -474,7 +573,10 @@ def compile_mem(p: MemProgram) -> tuple[Machine, MemStateCodec]:
     program a single stationary step function.  Final states are fixed
     points.  Raises if some reachable combination has no entry and the
     program declares no default.  The state set decodes its
-    ``MemStateCodec`` labels on demand: compiling builds none of them.
+    ``MemStateCodec`` labels on demand, and the step table computes an
+    entry when it is asked for and is written once, on its first whole
+    read: compiling builds neither, except for a program without a
+    default, whose table is written here to find a missing entry.
     More than DEFAULT_ENUMERATION_CAP states raise EnumerationTooLargeError.
     """
     selectors = _selector_universe(p)
@@ -483,53 +585,13 @@ def compile_mem(p: MemProgram) -> tuple[Machine, MemStateCodec]:
     if size > DEFAULT_ENUMERATION_CAP:
         raise EnumerationTooLargeError("aggregate state set", size)
 
-    # State (cells, selector i, family a) has index (rank(cells)*|sel| + i)*F + a,
-    # rank(cells) in base m with cell 0 most significant, as its label's parts rank.
-    codec = MemStateCodec(p.n_cells, p.alphabet, selectors)
-    m, n, n_sel = len(p.alphabet), p.n_cells, len(selectors)
-    value_rank = {v: i for i, v in enumerate(p.alphabet)}
-    sel_rank = {sel: i for i, sel in enumerate(selectors)}
-    weight = [m ** (n - 1 - c) for c in range(n)]
-    block = n_sel * n_fns
     cell, last = (tuple(v + sep for v in p.alphabet) for sep in ";|")
     suffixes = [f"{'.'.join(map(str, sel))}|{fn}" for sel in selectors for fn in range(n_fns)]
-    labels = _ProductLabels((*[cell] * (n - 1), last, suffixes))
-    # With default_halt, states no entry matches are fixed points; -1 marks
-    # a state that still waits for its entry.  An entry's unread cells hold
-    # anything; the longest run of adjacent ones it does not write moves as one
-    # strided slice, and the loop visits the contents of the other unread cells.
-    table = list(range(size)) if p.default_halt else [-1] * size
-    for fn, entries in enumerate(p.functions):
-        for e in entries:
-            me = sel_rank[e.read_cells] * n_fns + fn
-            nxt = sel_rank[e.next_read_cells] * n_fns + e.next_function
-            read = {c: value_rank[v] for c, v in zip(e.read_cells, e.read_values)}
-            writes = [(c, value_rank[v]) for c, v in zip(e.write_cells, e.write_values)]
-            kept = {c for c in range(n) if c not in read and c not in e.write_cells}
-            run = max((list(g) for k, g in itertools.groupby(range(n), kept.__contains__) if k),
-                      key=len, default=[])
-            step = (weight[run[-1]] if run else 1) * block
-            stop = m ** len(run) * step
-            loop = [c for c in range(n) if c not in read and c not in run]
-            for digits in itertools.product(range(m), repeat=len(loop)):
-                cells = {**read, **dict(zip(loop, digits))}
-                rank = sum(d * weight[c] for c, d in cells.items())
-                a = rank * block + me
-                a2 = (rank + sum((v - cells[c]) * weight[c] for c, v in writes)) * block + nxt
-                table[a : a + stop : step] = range(a2, a2 + stop, step)
-    # Final states are fixed points, whatever an entry wrote there.  Cell c
-    # holds value v exactly on the ranks (hi*m + v)*w + lo, w = weight[c].
-    for c, v in p.finals:
-        w = weight[c] * block
-        for a, b, stride, _ in _grid_runs(value_rank[v] * w, 1, w, m * w, size // (m * w)):
-            table[a:b:stride] = range(a, b, stride)
-    if not p.default_halt and -1 in table:
-        # The first unfilled index is the first state the program leaves open.
-        rank, rest = divmod(table.index(-1), block)
-        si, fn = divmod(rest, n_fns)
-        cells = [p.alphabet[rank // w % m] for w in weight]
-        raise _missing_entry(fn, selectors[si], tuple(cells[c] for c in selectors[si]))
-    return _assemble(StateSet(labels), [(tuple(table), "step")], name=p.name), codec
+    labels = _ProductLabels((*[cell] * (p.n_cells - 1), last, suffixes))
+    table = _MemTable(p, selectors, size)
+    if not p.default_halt:
+        table._listing  # raises on the first state no entry fills
+    return _step_machine(labels, table, p.name), MemStateCodec(p.n_cells, p.alphabet, selectors)
 
 
 # ---------------------------------------------------------------------------

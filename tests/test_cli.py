@@ -17,9 +17,12 @@ from machalg import (
     parse_certificate,
     parse_machine,
     parse_mem,
+    parse_turing,
     render_machine,
+    render_mem,
+    tm_to_mem,
 )
-from machalg import cardinal, cli
+from machalg import cardinal, cli, models
 from machalg.cli import main
 from conftest import clamp_tm
 from mutants import check_cli_corpus
@@ -568,6 +571,25 @@ class TestCompilers:
         rc, out, _ = run(capsys, "compile-mem", TOGGLE, "--summary")
         assert rc == 0
         assert "states 3" in out.splitlines()
+
+    @pytest.mark.parametrize("command, compiler", [("compile-tm", "compile_tm"),
+                                                   ("compile-mem", "compile_mem")])
+    def test_summary_builds_no_table(self, capsys, monkeypatch, tmp_path, command, compiler):
+        # toggle.mem declares no default, so its table is written to find a gap:
+        # the translation of bitflip.tm, which halts by default, stands in for it.
+        path = tmp_path / "bitflip.mem"
+        path.write_text(render_mem(tm_to_mem(parse_turing(Path(BITFLIP).read_text()))))
+        compiled, compile_fn = [], getattr(models, compiler)
+
+        def recording(source):
+            compiled.append(compile_fn(source))
+            return compiled[-1]
+
+        monkeypatch.setattr(models, compiler, recording)
+        rc, out, _ = run(capsys, command, BITFLIP if command == "compile-tm" else str(path), "--summary")
+        assert rc == 0 and "functions 1" in out.splitlines()
+        [(machine, _)] = compiled
+        assert "_listing" not in machine.tables[0].__dict__
 
     def test_compile_mem_parseable(self, capsys):
         rc, out, _ = run(capsys, "compile-mem", TOGGLE)

@@ -655,6 +655,18 @@ class TestProductLabels:
         assert ss.labels != listed.labels[:-1] and ss.labels != list(listed.labels)
 
     @pytest.mark.parametrize("kind, policy", COMPILED)
+    @pytest.mark.parametrize("listed", [False, True], ids=["unlisted", "listed"])
+    def test_machine_copies_equal_it(self, kind, policy, listed):
+        m = _compiled(kind, policy)
+        if listed:
+            tuple(m.tables[0])
+        pickled = pickle.loads(pickle.dumps(m))
+        assert ("_listing" in pickled.tables[0].__dict__) == listed
+        for copy in (pickled, dataclasses.replace(m)):
+            assert copy == m and m == copy and hash(copy) == hash(m)
+            assert copy.tables[0] == tuple(m.tables[0])
+
+    @pytest.mark.parametrize("kind, policy", COMPILED)
     def test_indexing_decodes(self, kind, policy):
         labels = tuple(_compiled(kind, policy).states.labels)
         view, n = _compiled(kind, policy).states.labels, len(labels)
@@ -763,6 +775,24 @@ class TestRunToFixpoint:
             run_to_fixpoint(f, "z", 10)
         with pytest.raises(DomainMismatchError):
             run_to_fixpoint(TransitionFunction(StateSet(("a",)), (0,)), ["a"], 10)
+
+    def test_each_entry_is_read_once_per_step(self):
+        # A compiled table computes each entry it is asked for, so a run asks once.
+        reads = []
+
+        class Counted(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return tuple.__getitem__(self, i)
+
+        f = TransitionFunction(states("a", "b", "c", "d"), Counted((1, 2, 3, 1)))
+        for max_steps, want, visited in ((10, Cycled(3, 1, None), [0, 1, 2, 3]),
+                                         (2, StepLimit(2, None), [0, 1, 2])):
+            reads.clear()
+            assert run_to_fixpoint(f, "a", max_steps) == want and reads == visited
+        reads.clear()
+        f = TransitionFunction(states("a", "b"), Counted((1, 1)))
+        assert run_to_fixpoint(f, "a", 5) == Halted("b", 1, None) and reads == [0, 1]
 
     @given(st.data())
     def test_enough_steps_always_definite(self, data):

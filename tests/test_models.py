@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import operator
 import random
 from pathlib import Path
 
@@ -754,6 +755,67 @@ class TestCompiledTablesInRange:
         for _ in range(100):
             p = random_mem_program(rng, not default_halt, default_halt)
             self.assert_in_range(compile_mem(p)[0])
+
+
+def assert_entry_for_entry(m, want, listed_at_compile=False):
+    """``m``'s table, freshly compiled, read entry by entry before any whole
+    read, then read whole, compared and hashed, against ``want``."""
+    table = m.tables[0]
+    assert ("_listing" in table.__dict__) == listed_at_compile
+    n = len(want)
+    assert len(table) == n and [table[i] for i in range(n)] == list(want)
+    assert [table[i] for i in range(-n, 0)] == list(want)
+    assert ("_listing" in table.__dict__) == listed_at_compile
+    assert tuple(table) == want and table == want and want == table and not table != want
+    assert hash(table) == hash(want)
+    for other in (want[:-1], want + (0,), want[:-1] + (want[-1] + 1,), (n,), want):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq):
+            assert op(table, other) == op(want, other) and op(other, table) == op(other, want)
+    assert table[n // 2 :] == want[n // 2 :] and table + (0,) == want + (0,)
+    # Read whole, the table answers [i] and a bound __getitem__ from its tuple.
+    assert [table[i] for i in range(-n, n)] == list(want + want)
+    assert list(map(table.__getitem__, range(n))) == list(want)
+    assert table.index(want[-1]) == want.index(want[-1])
+    assert table.count(want[0]) == want.count(want[0])
+
+
+class TestCompiledTablesEntryForEntry:
+    """A compiled table computes entry i alone, and answers its whole reads
+    as the tuple the oracles build state by state does."""
+
+    def test_samples(self):
+        samples = BITFLIP_TM.parent
+        for name, policy in itertools.product(("bitflip.tm", "increment.tm"), BoundaryPolicy):
+            t = dataclasses.replace(parse_turing((samples / name).read_text()), boundary_policy=policy)
+            assert_entry_for_entry(compile_tm(t)[0], brute_force_compile_tm(t)[1])
+            if name == "bitflip.tm":  # increment.tm's program is past the cap
+                p = tm_to_mem(t)
+                assert_entry_for_entry(compile_mem(p)[0], brute_force_compile_mem(p)[1])
+        p = parse_mem((samples / "toggle.mem").read_text())
+        assert_entry_for_entry(compile_mem(p)[0], brute_force_compile_mem(p)[1], listed_at_compile=True)
+
+    def test_random_specs(self):
+        rng = random.Random(7)
+        policies = collections.Counter()
+        for _ in range(300):
+            t = random_turing_spec(rng, max_cells=3)
+            policies[t.boundary_policy] += 1
+            assert_entry_for_entry(compile_tm(t)[0], brute_force_compile_tm(t)[1])
+        assert min(policies[p] for p in BoundaryPolicy) > 100
+
+    def test_random_mem_programs(self):
+        rng = random.Random(7)
+        kinds = collections.Counter()
+        for total, default_halt, with_finals in itertools.product((False, True), repeat=3):
+            for _ in range(26):
+                p = random_mem_program(rng, total, default_halt, with_finals=with_finals)
+                try:
+                    want = brute_force_compile_mem(p)[1]
+                except TotalityViolationError:
+                    continue  # compile_mem raises the same error: see TestCompileMemMatchesOracle
+                assert_entry_for_entry(compile_mem(p)[0], want, listed_at_compile=not default_halt)
+                kinds[default_halt, bool(p.finals)] += 1
+        assert sum(kinds.values()) >= 100 and min(kinds.values()) >= 20, kinds
 
 
 class TestTmToMem:
