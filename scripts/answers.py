@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Answer equivalence: one digest of what the command line answers.
+"""Answer equivalence: one digest per corpus of what the package answers.
 
 The ``cli`` corpus is a fixed list of calls of ``machalg.cli.main``, made in
 process: every subcommand on the samples and on one certificate of each kind
@@ -7,19 +7,30 @@ process: every subcommand on the samples and on one certificate of each kind
 ``--expect`` both ways, certificates the CLI prints fed back to ``verify``,
 tampered copies of each certificate, and ``tests/mutants.py::cli_calls`` over
 seeds 100 to 399.  Each call's stdout, stderr and exit code are recorded,
-with the corpus directory written as ``<tmp>``::
+with the corpus directory written as ``<tmp>``.
 
-    python scripts/answers.py                   # the digest of this checkout's src
-    python scripts/answers.py --against HEAD~1  # "equal", or each call that differs
+The ``compile`` corpus runs ``compile_tm``, ``compile_mem(tm_to_mem(t))``
+and ``compile_mem`` on the tape samples under both boundary policies, on
+``toggle.mem``, and on seeded tape machines and memory-cell programs (with
+and without ``default halt``, some reads without an entry), each parsed from
+its text.  Each compile is recorded as its ``render_machine`` text or its
+error's type and text, with its state count and its walk from the initial
+state, which reads the entries it visits one by one before the text reads
+the table whole::
+
+    python scripts/answers.py                   # the digests of this checkout's src
+    python scripts/answers.py --against HEAD~1  # "equal", or each answer that differs
 
 ``--against REV`` exports the ``src`` of REV with ``git archive`` into a
-fresh directory and runs the same corpus on it in the same process.  It
-prints "equal" last and exits 0, or prints the count of differing calls and
-each one with both outputs and exits 1.
+fresh directory and runs the same corpora on it in the same process.  It
+prints "equal" last and exits 0, or prints each differing call or compile
+with both answers, the count per corpus, and exits 1.
 """
 
 import argparse
 import contextlib
+import dataclasses
+import difflib
 import hashlib
 import io
 import json
@@ -36,9 +47,12 @@ for path in (SRC, ROOT / "tests"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from mutants import base_texts, cli_calls, mutated_text  # noqa: E402
+from conftest import random_mem_program, random_turing_spec  # noqa: E402
+from mutants import SAMPLES, base_texts, cli_calls, mutated_text  # noqa: E402
 
 SEEDS = range(100, 400)
+# Seeded inputs of the compile corpus: tape machines, then programs.
+COMPILE_SEED, N_SPECS, N_PROGRAMS = 26, 100, 100
 # A call that names this file reads the stdout of the last call that does not.
 PRINTED = "printed"
 
@@ -148,16 +162,78 @@ def write_corpus(tmp: Path) -> list[list[str]]:
     return calls
 
 
-def run_corpus(calls: list[list[str]], src: Path, tmp: Path) -> list[tuple[str, str, int]]:
-    """(stdout, stderr, exit code) of each call, made with the ``machalg``
-    package in ``src``, with ``tmp`` written as ``<tmp>``.  The package is
-    imported afresh, and the modules it replaces are restored afterwards."""
+def compile_corpus() -> list[tuple[str, str, str]]:
+    """The compiles, in order, as (job, input name, input text)."""
+    from machalg import BoundaryPolicy, parse_turing, render_mem, render_turing
+
+    tapes = []
+    for sample in ("bitflip.tm", "increment.tm"):
+        t = parse_turing((SAMPLES / sample).read_text())
+        for policy in BoundaryPolicy:
+            tapes.append((f"{sample} {policy.value}", render_turing(dataclasses.replace(t, boundary_policy=policy))))
+    rng = random.Random(COMPILE_SEED)
+    # Every fifth spec has up to 3 cells, whose translation can compile to 236,196 states.
+    tapes += [(f"spec {i}", render_turing(random_turing_spec(rng, max_cells=2 + (i % 5 == 0))))
+              for i in range(N_SPECS)]
+    programs = [("toggle.mem", (SAMPLES / "toggle.mem").read_text())]
+    programs += [(f"program {i}", render_mem(random_mem_program(rng, total=False, default_halt=i % 2 == 0)))
+                 for i in range(N_PROGRAMS)]
+    return [(job, name, text) for name, text in tapes for job in ("compile_tm", "compile_mem(tm_to_mem)")] + [
+        ("compile_mem", name, text) for name, text in programs]
+
+
+@contextlib.contextmanager
+def _package(src: Path):
+    """Import the ``machalg`` package in ``src`` afresh for the block, and
+    restore the modules it replaces afterwards."""
     def ours(name):
         return name == "machalg" or name.startswith("machalg.")
 
     saved = {name: sys.modules.pop(name) for name in list(sys.modules) if ours(name)}
     sys.path.insert(0, str(src))
     try:
+        yield
+    finally:
+        sys.path.remove(str(src))
+        for name in [name for name in sys.modules if ours(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def run_compiles(compiles: list[tuple[str, str, str]], src: Path) -> list[tuple]:
+    """(rendered text, error, state count, walk) of each compile, made with
+    the ``machalg`` package in ``src``: the text and the error are "" where
+    there is none, the count and the walk None where the compile failed."""
+    with _package(src):
+        from machalg import (
+            compile_mem, compile_tm, parse_mem, parse_turing, render_machine, run_to_fixpoint, tm_to_mem,
+        )
+
+        def compiled(job, text):  # the machine, its codec and its initial state
+            if job == "compile_mem":
+                p = parse_mem(text)
+            else:
+                t = parse_turing(text)
+                if job == "compile_tm":
+                    return (*compile_tm(t), t.initial)
+                p = tm_to_mem(t)
+            return (*compile_mem(p), p.initial_state)
+
+        records = []
+        for job, _, text in compiles:
+            try:
+                m, codec, initial = compiled(job, text)
+                walk = run_to_fixpoint(m.functions[0], codec.encode(initial), m.n_states, True)
+                records.append((render_machine(m), "", m.n_states, [type(walk).__name__, *walk.trajectory]))
+            except Exception as e:  # any error is an answer to record, a planted one too
+                records.append(("", f"{type(e).__name__}: {e}", None, None))
+        return records
+
+
+def run_corpus(calls: list[list[str]], src: Path, tmp: Path) -> list[tuple[str, str, int]]:
+    """(stdout, stderr, exit code) of each call, made with the ``machalg``
+    package in ``src``, with ``tmp`` written as ``<tmp>``."""
+    with _package(src):
         from machalg.cli import main
 
         records, out = [], ""
@@ -173,11 +249,6 @@ def run_corpus(calls: list[list[str]], src: Path, tmp: Path) -> list[tuple[str, 
             records.append((stdout.getvalue().replace(str(tmp), "<tmp>"),
                             stderr.getvalue().replace(str(tmp), "<tmp>"), rc))
         return records
-    finally:
-        sys.path.remove(str(src))
-        for name in [name for name in sys.modules if ours(name)]:
-            del sys.modules[name]
-        sys.modules.update(saved)
 
 
 def digest(records) -> str:
@@ -195,6 +266,14 @@ def _show(label: str, record) -> list[str]:
             *(f"    stderr| {line}" for line in err.splitlines())]
 
 
+def _compile_diff(rev: str, theirs, ours) -> list[str]:
+    """The lines in which two compile records differ, as a unified diff."""
+    def lines(record):
+        text, err, n_states, walk = record
+        return [*text.splitlines(), f"error: {err}", f"n_states: {n_states}", f"walk: {walk}"]
+    return ["  " + line for line in difflib.unified_diff(lines(theirs), lines(ours), rev, "src", n=0, lineterm="")]
+
+
 def export(rev: str, dest: Path) -> Path:
     """The ``src`` directory of ``rev``, unpacked by ``git archive`` under ``dest``."""
     tar = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True, check=True).stdout
@@ -205,28 +284,39 @@ def export(rev: str, dest: Path) -> Path:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", metavar="REV", help="also run the corpus on REV's src and compare")
+    parser.add_argument("--against", metavar="REV", help="also run the corpora on REV's src and compare")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "corpus").mkdir()
-        calls = write_corpus(tmp / "corpus")
-        records = run_corpus(calls, SRC, tmp / "corpus")
+        calls, compiles = write_corpus(tmp / "corpus"), compile_corpus()
+        records, compiled = run_corpus(calls, SRC, tmp / "corpus"), run_compiles(compiles, SRC)
         print(f"cli: {len(calls)} calls, sha256 {digest(records)}")
+        print(f"compile: {len(compiles)} compiles, sha256 {digest(compiled)}")
         if args.against is None:
             return 0
         try:
-            theirs = run_corpus(calls, export(args.against, tmp / "rev"), tmp / "corpus")
+            rev = export(args.against, tmp / "rev")
         except subprocess.CalledProcessError as e:
             print(f"error: git archive {args.against}: {e.stderr.decode().strip()}", file=sys.stderr)
             return 2
+        theirs, their_compiled = run_corpus(calls, rev, tmp / "corpus"), run_compiles(compiles, rev)
     print(f"cli at {args.against}: {len(calls)} calls, sha256 {digest(theirs)}")
+    print(f"compile at {args.against}: {len(compiles)} compiles, sha256 {digest(their_compiled)}")
     diff = differing(theirs, records)
     for i in diff:
         print(f"call {i}: machalg {' '.join(calls[i]).replace(str(tmp / 'corpus'), '<tmp>')}")
         print("\n".join(_show(args.against, theirs[i]) + _show("src", records[i])))
-    print(f"{len(diff)} of {len(calls)} calls differ" if diff else "equal")
-    return 1 if diff else 0
+    print(f"cli: {len(diff)} of {len(calls)} calls differ" if diff else "cli: equal")
+    compile_diff = differing(their_compiled, compiled)
+    for i in compile_diff:
+        print(f"compile {i}: {compiles[i][0]} on {compiles[i][1]}")
+        print("\n".join(_compile_diff(args.against, their_compiled[i], compiled[i])))
+    print(f"compile: {len(compile_diff)} of {len(compiles)} compiles differ" if compile_diff else "compile: equal")
+    if diff or compile_diff:
+        return 1
+    print("equal")
+    return 0
 
 
 if __name__ == "__main__":

@@ -296,7 +296,48 @@ class _Bijections(_ImplicitTables):
         return i
 
 
-class _ProductLabels(_Lookup):
+def _as_listed(op):
+    """``op`` on the tuple a listed view lists and ``other``, or the tuple
+    ``other`` lists if it is a listed view too."""
+    def on_listings(self, other):
+        return op(self._listing, other._listing if isinstance(other, _Listed) else other)
+    return on_listings
+
+
+class _Listed(_Lookup):
+    """A sequence computed item by item, and listed once when read whole.
+
+    A subclass gives ``size``, ``_decode(i)``, item i alone, and
+    ``_write()``, every item in order.  ``[i]`` decodes; the first whole
+    read (iteration, ``tuple``, ``hash``, ``==``, ordering, ``+``) writes
+    the items once and keeps the tuple, whose ``==``, ``hash`` and order
+    these are.  From then on ``[i]`` reads the tuple, and
+    ``view.__getitem__`` is the tuple's own, so a reader that binds it
+    once, as ``map(view.__getitem__, ...)``, pays what a tuple does.
+    """
+
+    @cached_property
+    def _listing(self) -> tuple:
+        listing = tuple(self._write())
+        self.__getitem__ = listing.__getitem__  # found before the class's by v.__getitem__
+        return listing
+
+    def __getitem__(self, i):  # v[i], which finds the class's method, not the tuple's
+        listing = self.__dict__.get("_listing")
+        return _Lookup.__getitem__(self, i) if listing is None else listing[i]
+
+    def __iter__(self):
+        return iter(self._listing)
+
+    def __hash__(self) -> int:
+        return hash(self._listing)
+
+    __eq__, __lt__, __le__, __gt__, __ge__, __add__ = map(
+        _as_listed, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge, operator.add)
+    )
+
+
+class _ProductLabels(_Listed):
     """State labels of one token per axis, joined, decoded on demand.
 
     Label i reads i in mixed radix, the first axis most significant, in
@@ -304,9 +345,8 @@ class _ProductLabels(_Lookup):
     an axis but the last ends in the axis's separator and holds it nowhere
     else, so a label splits into tokens one way only, and the labels are
     distinct once each axis's tokens are: the constructor checks both in
-    O(total tokens).  ``[i]`` and reversal decode, :meth:`index` parses a
-    label, and the first whole read lists the labels once and keeps the
-    tuple, whose ``==`` and ``hash`` these are.
+    O(total tokens).  :meth:`index` parses a label and reversal decodes;
+    ``==`` is O(1) on the same axes or another length (see :class:`_Listed`).
     """
 
     def __init__(self, axes: Iterable[Sequence[str]], extra: Sequence[str] = ()):
@@ -344,79 +384,37 @@ class _ProductLabels(_Lookup):
             i, start = i * len(ranks) + r, end
         return i
 
-    @cached_property
-    def _listing(self) -> tuple[str, ...]:
+    def _write(self) -> tuple[str, ...]:
         # Each half's labels first, so that a label costs one concatenation.
         mid = len(self.axes) // 2
         halves = (self.axes[:mid], self.axes[mid:])
         left, right = (list(map("".join, itertools.product(*half))) for half in halves)
         return (*[a + b for a in left for b in right], *self.extra)
 
-    def __iter__(self):
-        return iter(self._listing)
-
     def __reversed__(self):
         return map(self._decode, reversed(range(self.size)))
 
     def __eq__(self, other):
-        if isinstance(other, _ProductLabels) and (self.axes, self.extra) == (other.axes, other.extra):
-            return True
-        if not isinstance(other, (tuple, _ProductLabels)):
-            return NotImplemented
-        return len(other) == self.size and self._listing == tuple(other)
+        if isinstance(other, (tuple, _ProductLabels)) and len(other) != self.size:
+            return False
+        same_axes = isinstance(other, _ProductLabels) and (self.axes, self.extra) == (other.axes, other.extra)
+        return same_axes or _Listed.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._listing)
+    __hash__ = _Listed.__hash__  # which defining __eq__ would unset
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.axes!r}, {self.extra!r})"
 
 
-def _as_listed(op):
-    """``op`` on the tuple a step table lists and ``other``, or the tuple
-    ``other`` lists if it is a step table too."""
-    def on_listings(self, other):
-        return op(self._listing, other._listing if isinstance(other, _StepTable) else other)
-    return on_listings
-
-
-class _StepTable(_Lookup):
-    """A compiled machine's one table, computed on demand from plain data.
-
-    A subclass gives ``size``, ``_decode(i)``, entry i alone, and
-    ``_write()``, every entry as a list.  ``[i]`` decodes; the first whole
-    read (iteration, ``tuple``, ``hash``, ``==``, ordering, ``+``) writes
-    the table once and keeps the tuple, whose ``==``, ``hash`` and order
-    these are.  From then on ``[i]`` reads the tuple, and
-    ``table.__getitem__`` is the tuple's own, so a reader that binds it
-    once, as ``map(table.__getitem__, ...)``, pays what a tuple does.
-    """
-
-    @cached_property
-    def _listing(self) -> tuple[int, ...]:
-        listing = tuple(self._write())
-        self.__getitem__ = listing.__getitem__  # found before the class's by t.__getitem__
-        return listing
-
-    def __getitem__(self, i):  # t[i], which finds the class's method, not the tuple's
-        listing = self.__dict__.get("_listing")
-        return _Lookup.__getitem__(self, i) if listing is None else listing[i]
-
-    def __iter__(self):
-        return iter(self._listing)
+class _StepTable(_Listed):
+    """A compiled machine's one table, computed on demand from plain data:
+    a :class:`_Listed` view of int entries, which repeat."""
 
     def index(self, j) -> int:
         return self._listing.index(j)
 
     def count(self, j) -> int:  # entries repeat, unlike _Lookup's items
         return self._listing.count(j)
-
-    def __hash__(self) -> int:
-        return hash(self._listing)
-
-    __eq__, __lt__, __le__, __gt__, __ge__, __add__ = map(
-        _as_listed, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge, operator.add)
-    )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(size={self.size})"
@@ -524,12 +522,12 @@ def _assemble(state_set: StateSet, pairs: Iterable, name: Optional[str] = None) 
     """The machine of the ``(table, name)`` pairs, whose tables are already
     checked: extensional duplicates collapse (first name wins) and tables
     sort lexicographically."""
-    by_table: dict[tuple[int, ...], Optional[str]] = {}
-    for t, nm in pairs:
-        by_table.setdefault(t, nm)
-    if not by_table:
+    pairs = list(pairs)  # one pair is stored as it stands: unhashed, a step table stays unwritten
+    if len(pairs) > 1:  # reversed, so a table's first name wins; distinct tables: names never compared
+        pairs = sorted(dict(reversed(pairs)).items())
+    if not pairs:
         raise InvalidMachineError("a machine needs at least one transition function")
-    tables, names = zip(*sorted(by_table.items()))  # distinct tables: names never compared
+    tables, names = zip(*pairs)
     m = object.__new__(Machine)  # canonical by construction: no second check
     m._store(state_set, tables, names, name)  # as __init__ stores them
     return m

@@ -26,6 +26,7 @@ from .machine import (
     DEFAULT_ENUMERATION_CAP,
     Machine,
     StateSet,
+    _assemble,
     _ProductLabels,
     _StepTable,
 )
@@ -265,13 +266,6 @@ class _TmTable(_StepTable):
         return table
 
 
-def _step_machine(labels: _ProductLabels, table: _StepTable, name: Optional[str]) -> Machine:
-    """The machine of one table, stored as it stands, unhashed and so unwritten."""
-    m = object.__new__(Machine)
-    m._store(StateSet(labels), (table,), ("step",), name)
-    return m
-
-
 def compile_tm(t: TuringSpec) -> tuple[Machine, TmStateCodec]:
     """Expand a TuringSpec into a Machine with one step function.
 
@@ -308,8 +302,9 @@ def compile_tm(t: TuringSpec) -> tuple[Machine, TmStateCodec]:
             move = ((reg_rank[r2] - reg_rank[r]) * m**n + (d2 - d) * m ** (n - 1 - h)) * n + h2 - h
             shifts.append(None if error else move)
 
+    table = _TmTable(m, n, tuple(shifts), size)
     codec = TmStateCodec(t.symbols, t.registers, n, ERROR_LABEL if reject else None)
-    return _step_machine(labels, _TmTable(m, n, tuple(shifts), size), t.name), codec
+    return _assemble(StateSet(labels), [(table, "step")], t.name), codec
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +444,6 @@ def _find_entry(p: MemProgram, state: MemState) -> Optional[MemEntry]:
     return p._entry_index[state.fn].get((state.selector, values))
 
 
-def _missing_entry(fn: int, selector: tuple, values: tuple) -> TotalityViolationError:
-    return TotalityViolationError(
-        f"family {fn} has no entry for read{selector}={values} "
-        "and the program declares no default"
-    )
-
-
 def mem_step(p: MemProgram, state: MemState) -> MemState:
     """One aggregate step; total by construction or by explicit default."""
     if mem_is_final(p, state):
@@ -465,7 +453,10 @@ def mem_step(p: MemProgram, state: MemState) -> MemState:
         if p.default_halt:
             return state
         values = tuple(state.cells[c] for c in state.selector)
-        raise _missing_entry(state.fn, state.selector, values)
+        raise TotalityViolationError(
+            f"family {state.fn} has no entry for read{state.selector}={values} "
+            "and the program declares no default"
+        )
     cells = list(state.cells)
     for c, v in zip(e.write_cells, e.write_values):
         cells[c] = v
@@ -557,11 +548,7 @@ class _MemTable(_StepTable):
             for a, b, stride, _ in _grid_runs(value_rank[v] * w, 1, w, m * w, size // (m * w)):
                 table[a:b:stride] = range(a, b, stride)
         if not p.default_halt and -1 in table:
-            # The first unfilled index is the first state the program leaves open.
-            rank, rest = divmod(table.index(-1), block)
-            si, fn = divmod(rest, n_fns)
-            cells = [p.alphabet[rank // w % m] for w in weight]
-            raise _missing_entry(fn, selectors[si], tuple(cells[c] for c in selectors[si]))
+            self._decode(table.index(-1))  # mem_step raises on the first state the program leaves open
         return table
 
 
@@ -571,8 +558,9 @@ def compile_mem(p: MemProgram) -> tuple[Machine, MemStateCodec]:
     An aggregate state is (cell contents, current selector, current rule
     family); folding the selector and family into the state makes the whole
     program a single stationary step function.  Final states are fixed
-    points.  Raises if some reachable combination has no entry and the
-    program declares no default.  The state set decodes its
+    points.  A program without a default raises TotalityViolationError
+    on the first state in index order that no entry fills, reachable or
+    not, as ``mem_step`` would on it.  The state set decodes its
     ``MemStateCodec`` labels on demand, and the step table computes an
     entry when it is asked for and is written once, on its first whole
     read: compiling builds neither, except for a program without a
@@ -591,7 +579,8 @@ def compile_mem(p: MemProgram) -> tuple[Machine, MemStateCodec]:
     table = _MemTable(p, selectors, size)
     if not p.default_halt:
         table._listing  # raises on the first state no entry fills
-    return _step_machine(labels, table, p.name), MemStateCodec(p.n_cells, p.alphabet, selectors)
+    codec = MemStateCodec(p.n_cells, p.alphabet, selectors)
+    return _assemble(StateSet(labels), [(table, "step")], p.name), codec
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 
@@ -19,6 +20,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 from machalg import (
     BoundaryPolicy,
     Machine,
+    MemEntry,
+    MemProgram,
     Move,
     StateSet,
     TmConfiguration,
@@ -64,6 +67,55 @@ def random_turing_spec(
         halting=halting,
         boundary_policy=policy,
         initial=initial,
+    )
+
+
+def random_mem_program(rng, total, default_halt, n_families=None, with_finals=None, max_cells=3):
+    """A seeded MemProgram; ``total`` gives every family an entry for every
+    (selector, values) pair its selectors can produce."""
+    n = rng.randint(1, max_cells)
+    alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+    n_fns = n_families or rng.randint(1, 3)
+
+    def selector():
+        return tuple(rng.sample(range(n), rng.randint(0, min(n, 2))))
+
+    pool = sorted({selector() for _ in range(3)})
+    families = []
+    for _ in range(n_fns):
+        entries = []
+        for sel in pool:
+            for values in itertools.product(alphabet, repeat=len(sel)):
+                if not total and rng.random() < 0.3:
+                    continue
+                writes = tuple(rng.sample(range(n), rng.randint(0, n)))
+                entries.append(
+                    MemEntry(
+                        sel,
+                        values,
+                        writes,
+                        tuple(rng.choice(alphabet) for _ in writes),
+                        rng.choice(pool),
+                        rng.randrange(n_fns),
+                    )
+                )
+        families.append(tuple(entries))
+    if with_finals is None:
+        with_finals = rng.random() < 0.5
+    finals = (
+        tuple((rng.randrange(n), rng.choice(alphabet)) for _ in range(rng.randint(1, 2)))
+        if with_finals
+        else ()
+    )
+    return MemProgram(
+        n_cells=n,
+        alphabet=alphabet,
+        functions=tuple(families),
+        initial_cells=tuple(rng.choice(alphabet) for _ in range(n)),
+        initial_selector=rng.choice(pool),
+        initial_function=rng.randrange(n_fns),
+        finals=finals,
+        default_halt=default_halt,
     )
 
 

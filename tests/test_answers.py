@@ -40,3 +40,22 @@ def test_a_planted_answer_word_is_reported_where_it_shows(tmp_path):
     import machalg.cli
 
     assert Path(machalg.cli.__file__).resolve().parent.parent == answers.SRC
+
+
+def test_a_planted_wrong_entry_is_reported_by_the_compile_corpus(tmp_path):
+    planted = tmp_path / "src"
+    shutil.copytree(ROOT / "src", planted, ignore=shutil.ignore_patterns("__pycache__"))
+    models = planted / "machalg" / "models.py"
+    text = models.read_text()
+    writer_end = "        return table\n\n\ndef compile_tm("
+    assert text.count(writer_end) == 1
+    # compile_tm's whole table gets a wrong last entry; the entries it decodes one by one stay right
+    models.write_text(text.replace(writer_end, "        table[-1] = 0\n" + writer_end))
+    compiles = answers.compile_corpus()
+    ours = answers.run_compiles(compiles, answers.SRC)
+    theirs = answers.run_compiles(compiles, planted)
+    diff = answers.differing(ours, theirs)
+    assert len(diff) > 50 and {compiles[i][0] for i in diff} == {"compile_tm"}
+    for i in diff:  # the rendered text differs; the state count and the walk do not
+        assert ours[i][0] != theirs[i][0] and ours[i][1:] == theirs[i][1:]
+    assert answers.run_compiles(compiles, answers.SRC) == ours

@@ -681,6 +681,18 @@ class TestProductLabels:
         assert "_listing" not in view.__dict__  # nothing above listed the labels
 
     @pytest.mark.parametrize("kind, policy", COMPILED)
+    def test_listed_labels_read_as_their_tuple(self, kind, policy):
+        view = _compiled(kind, policy).states.labels
+        assert view != () and view != ("~",) and "_listing" not in view.__dict__  # another length
+        listing = tuple(view)
+        kept = view.__dict__["_listing"]
+        assert kept == listing and view.__getitem__.__self__ is kept
+        assert view.__getitem__ == kept.__getitem__
+        assert all(view[i] is listing[i] for i in range(-len(listing), len(listing)))
+        for t in ((), listing[:1], listing[:-1], listing, listing + ("~",), ("~",)):
+            assert (view < t, view <= t, view + t) == (listing < t, listing <= t, listing + t)
+
+    @pytest.mark.parametrize("kind, policy", COMPILED)
     def test_index_parses(self, kind, policy):
         labels = tuple(_compiled(kind, policy).states.labels)
         view = _compiled(kind, policy).states.labels

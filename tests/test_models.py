@@ -42,7 +42,7 @@ from machalg import (
 from machalg.machine import _check_tables
 from machalg.textio import parse_mem
 
-from conftest import random_tm_config, random_turing_spec
+from conftest import random_mem_program, random_tm_config, random_turing_spec
 from oracles import (
     brute_force_compile_mem,
     brute_force_compile_tm,
@@ -591,61 +591,23 @@ class TestCompileMem:
         with pytest.raises(TotalityViolationError, match=r"read\(0,\)=\('2',\)"):
             compile_mem(p)
 
+    def test_an_unreached_gap_is_refused(self):
+        # Flipping 0 and 1 from 0 never reaches 2, which no entry reads: the
+        # compiler refuses the first state in index order that no entry fills.
+        flip = (MemEntry((0,), ("0",), (0,), ("1",), (0,), 0), MemEntry((0,), ("1",), (0,), ("0",), (0,), 0))
+        p = toggle_program(functions=(flip,), finals=())
+        run = itertools.accumulate(range(4), lambda s, _: mem_step(p, s), initial=p.initial_state)
+        assert [s.cells[0] for s in run] == ["0", "1", "0", "1", "0"]
+        with pytest.raises(TotalityViolationError) as err:
+            compile_mem(p)
+        assert str(err.value) == "family 0 has no entry for read(0,)=('2',) and the program declares no default"
+
     def test_enumeration_cap(self):
         # 64 two-valued cells: refused before any table is allocated
         p = MemProgram(64, ("a", "b"), ((),), ("a",) * 64, (0,), 0, default_halt=True)
         with pytest.raises(EnumerationTooLargeError) as err:
             compile_mem(p)
         assert (err.value.size, err.value.cap) == (2**64, DEFAULT_ENUMERATION_CAP)
-
-
-def random_mem_program(rng, total, default_halt, n_families=None, with_finals=None, max_cells=3):
-    """A seeded MemProgram; ``total`` gives every family an entry for every
-    (selector, values) pair its selectors can produce."""
-    n = rng.randint(1, max_cells)
-    alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
-    n_fns = n_families or rng.randint(1, 3)
-
-    def selector():
-        return tuple(rng.sample(range(n), rng.randint(0, min(n, 2))))
-
-    pool = sorted({selector() for _ in range(3)})
-    families = []
-    for _ in range(n_fns):
-        entries = []
-        for sel in pool:
-            for values in itertools.product(alphabet, repeat=len(sel)):
-                if not total and rng.random() < 0.3:
-                    continue
-                writes = tuple(rng.sample(range(n), rng.randint(0, n)))
-                entries.append(
-                    MemEntry(
-                        sel,
-                        values,
-                        writes,
-                        tuple(rng.choice(alphabet) for _ in writes),
-                        rng.choice(pool),
-                        rng.randrange(n_fns),
-                    )
-                )
-        families.append(tuple(entries))
-    if with_finals is None:
-        with_finals = rng.random() < 0.5
-    finals = (
-        tuple((rng.randrange(n), rng.choice(alphabet)) for _ in range(rng.randint(1, 2)))
-        if with_finals
-        else ()
-    )
-    return MemProgram(
-        n_cells=n,
-        alphabet=alphabet,
-        functions=tuple(families),
-        initial_cells=tuple(rng.choice(alphabet) for _ in range(n)),
-        initial_selector=rng.choice(pool),
-        initial_function=rng.randrange(n_fns),
-        finals=finals,
-        default_halt=default_halt,
-    )
 
 
 def compiled_labels_and_table(p):

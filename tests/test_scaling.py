@@ -272,6 +272,23 @@ def test_a_walk_decodes_only_the_states_it_visits():
     assert walk.trajectory == tuple(want) and len(want) > 8
 
 
+def test_one_kept_table_is_stored_as_it_stands():
+    # 917,504 states again.  Keeping the one step table, by index or as a
+    # function, stores it unhashed: a dict of tables wrote all its entries.
+    tracemalloc.start()
+    try:
+        m, _ = compile_tm(tape_spec(4, cells=14))
+        kept = functional_reduction(m, [0]).result
+        made = make_machine(m.states, [m.functions[0]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert "_listing" not in m.tables[0].__dict__
+    assert kept.tables[0] is made.tables[0] is m.tables[0]
+    assert kept.function_names == made.function_names == ("step",)
+
+
 def keep_from_full_machine(n, picks):
     start = time.perf_counter()
     fm = full_machine(StateSet(tuple(f"s{i}" for i in range(n))))
