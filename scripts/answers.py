@@ -14,17 +14,25 @@ and ``compile_mem`` on the tape samples under both boundary policies, on
 ``toggle.mem``, and on seeded tape machines and memory-cell programs (with
 and without ``default halt``, some reads without an entry), each parsed from
 its text.  Each compile is recorded as its ``render_machine`` text or its
-error's type and text, with its state count and its walk from the initial
-state, which reads the entries it visits one by one before the text reads
-the table whole::
+error's type and text, with its state count and its walks from the initial
+state and from three seeded states, which read the entries they visit one by
+one before the text reads the table whole.
+
+The ``iso`` corpus asks ``find_isomorphism`` about every one-function pair on
+1 to 4 states (each map against each of its relabellings) and seeded 2- and
+3-function pairs on 2 to 4 states, at no budget, 0, and one below and at the
+most nodes a search on them can spend; seeded one- and multi-function pairs
+on 5 to 40 states, path forests and compiled tape machines, each against a
+relabelled or perturbed copy.  Each question is asked on fresh machines and
+recorded as its witness, None or the error's type and text::
 
     python scripts/answers.py                   # the digests of this checkout's src
     python scripts/answers.py --against HEAD~1  # "equal", or each answer that differs
 
 ``--against REV`` exports the ``src`` of REV with ``git archive`` into a
 fresh directory and runs the same corpora on it in the same process.  It
-prints "equal" last and exits 0, or prints each differing call or compile
-with both answers, the count per corpus, and exits 1.
+prints "equal" last and exits 0, or prints each differing call, compile or
+question with both answers, the count per corpus, and exits 1.
 """
 
 import argparse
@@ -33,6 +41,7 @@ import dataclasses
 import difflib
 import hashlib
 import io
+import itertools
 import json
 import random
 import subprocess
@@ -47,12 +56,16 @@ for path in (SRC, ROOT / "tests"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from conftest import random_mem_program, random_turing_spec  # noqa: E402
+from conftest import conjugated_table, random_mem_program, random_turing_spec  # noqa: E402
 from mutants import SAMPLES, base_texts, cli_calls, mutated_text  # noqa: E402
 
 SEEDS = range(100, 400)
-# Seeded inputs of the compile corpus: tape machines, then programs.
-COMPILE_SEED, N_SPECS, N_PROGRAMS = 26, 100, 100
+# Seeded inputs of the compile corpus: tape machines, then programs; and the
+# seeded states each compile is also walked from.
+COMPILE_SEED, N_SPECS, N_PROGRAMS, N_WALKS = 26, 100, 100, 3
+# Seeded inputs of the iso corpus; the most candidates a search on n <= 4
+# states can try, n + n(n-1) + ... + n!.
+ISO_SEED, TINY_BOUND = 44, (0, 1, 4, 15, 64)
 # A call that names this file reads the stdout of the last call that does not.
 PRINTED = "printed"
 
@@ -182,6 +195,97 @@ def compile_corpus() -> list[tuple[str, str, str]]:
         ("compile_mem", name, text) for name, text in programs]
 
 
+def path_forest(k: int) -> tuple:
+    """The table of a fixed point 0 with k paths of k states hung under it.  Each path is
+    numbered from one depth down, then up, that depth one level higher in each next path,
+    so the least unplaced state climbs as paths are placed."""
+    table = [0] * (1 + k * k)
+    for p in range(k):
+        depths = [*range(k - p, k + 1), *range(k - p - 1, 0, -1)]
+        at = {d: 1 + p * k + i for i, d in enumerate(depths)}
+        for d, s in at.items():
+            table[s] = at[d - 1] if d > 1 else 0
+    return tuple(table)
+
+
+def iso_corpus() -> list[tuple[str, tuple, tuple, object]]:
+    """The questions, in order, as (name, a, b, node budget).  A machine is its tables, or
+    ("tape", text, seed): the compile of a tape machine, relabelled by the seed unless None."""
+    from machalg import render_turing
+
+    questions = []
+
+    def ask(name, a, b, budgets):
+        questions.extend((name, a, b, budget) for budget in budgets)
+
+    def around_the_bound(n):  # no budget, 0, and one below and at the most a search can spend
+        return (None, *sorted({0, TINY_BOUND[n] - 1, TINY_BOUND[n]}))
+
+    def relabelled(rng, tables):
+        g = list(range(len(tables[0])))
+        rng.shuffle(g)
+        return tuple(conjugated_table(t, g) for t in tables)
+
+    def perturbed(rng, tables):
+        tables, n = [list(t) for t in tables], len(tables[0])
+        tables[rng.randrange(len(tables))][rng.randrange(n)] = rng.randrange(n)
+        return tuple(map(tuple, tables))
+
+    for n in range(1, 5):  # every one-function pair on at most 4 states
+        for ta in itertools.product(range(n), repeat=n):
+            for g in itertools.permutations(range(n)):
+                ask("one function", (ta,), (conjugated_table(ta, g),), around_the_bound(n))
+    rng = random.Random(ISO_SEED)
+    for i in range(600):
+        n = rng.randint(2, 4)
+        a = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.randint(2, 3)))
+        b = relabelled(rng, a)
+        ask("functions", a, perturbed(rng, b) if i % 2 else b, around_the_bound(n))
+    for i in range(300):
+        n, k = rng.randint(5, 40), 1 + i % 3
+        targets = rng.choice((3, n))  # into three hubs, or anywhere
+        a = tuple(tuple(rng.randrange(targets) for _ in range(n)) for _ in range(k))
+        b = relabelled(rng, a)
+        # Refinement does not tell one function's arcs from another's, so several
+        # functions into three hubs can exhaust any budget: these stop at 2000 nodes.
+        ask("functions", a, perturbed(rng, b) if i % 2 else b, (None, 0) if k == 1 else (0, 10, 100, 2000))
+    for k in range(2, 17):
+        a = (path_forest(k),)
+        ask(f"path forest {k}", a, relabelled(rng, a), (None,))
+    tapes = [(sample, (SAMPLES / sample).read_text()) for sample in ("bitflip.tm", "increment.tm")]
+    tapes += [(f"spec {i}", render_turing(random_turing_spec(rng, max_cells=2 + i % 4))) for i in range(12)]
+    for name, text in tapes:
+        ask(f"tape {name}", ("tape", text, None), ("tape", text, rng.randrange(2**32)), (None, 0))
+    return questions
+
+
+def run_isos(questions: list[tuple[str, tuple, tuple, object]], src: Path) -> list:
+    """The answer to each question, asked of the ``machalg`` package in ``src`` on fresh
+    machines: the witness as [g, h], None, or the error's type and text (a give-up among them)."""
+    with _package(src):
+        from machalg import StateSet, TransitionFunction, compile_tm, find_isomorphism, make_machine, parse_turing
+
+        def machine(spec, prefix):
+            if spec[0] != "tape":
+                ss = StateSet(tuple(f"{prefix}{i}" for i in range(len(spec[0]))))
+                return make_machine(ss, [TransitionFunction(ss, t) for t in spec])
+            m = compile_tm(parse_turing(spec[1]))[0]
+            if spec[2] is None:
+                return m
+            g = list(range(m.n_states))
+            random.Random(spec[2]).shuffle(g)
+            return machine((conjugated_table(m.tables[0], g),), prefix)
+
+        records = []
+        for _, a, b, budget in questions:
+            try:
+                got = find_isomorphism(machine(a, "s"), machine(b, "t"), node_budget=budget)
+                records.append(None if got is None else [got.g, got.h])
+            except Exception as e:  # any error is an answer to record, a give-up too
+                records.append(f"{type(e).__name__}: {e}")
+        return records
+
+
 @contextlib.contextmanager
 def _package(src: Path):
     """Import the ``machalg`` package in ``src`` afresh for the block, and
@@ -201,9 +305,9 @@ def _package(src: Path):
 
 
 def run_compiles(compiles: list[tuple[str, str, str]], src: Path) -> list[tuple]:
-    """(rendered text, error, state count, walk) of each compile, made with
+    """(rendered text, error, state count, walks) of each compile, made with
     the ``machalg`` package in ``src``: the text and the error are "" where
-    there is none, the count and the walk None where the compile failed."""
+    there is none, the count and the walks None where the compile failed."""
     with _package(src):
         from machalg import (
             compile_mem, compile_tm, parse_mem, parse_turing, render_machine, run_to_fixpoint, tm_to_mem,
@@ -220,11 +324,13 @@ def run_compiles(compiles: list[tuple[str, str, str]], src: Path) -> list[tuple]
             return (*compile_mem(p), p.initial_state)
 
         records = []
-        for job, _, text in compiles:
+        for i, (job, _, text) in enumerate(compiles):
             try:
                 m, codec, initial = compiled(job, text)
-                walk = run_to_fixpoint(m.functions[0], codec.encode(initial), m.n_states, True)
-                records.append((render_machine(m), "", m.n_states, [type(walk).__name__, *walk.trajectory]))
+                rng, step = random.Random(i), m.functions[0]
+                starts = [codec.encode(initial)] + [m.states.labels[rng.randrange(m.n_states)] for _ in range(N_WALKS)]
+                walks = [run_to_fixpoint(step, start, m.n_states, True) for start in starts]
+                records.append((render_machine(m), "", m.n_states, [[type(w).__name__, *w.trajectory] for w in walks]))
             except Exception as e:  # any error is an answer to record, a planted one too
                 records.append(("", f"{type(e).__name__}: {e}", None, None))
         return records
@@ -269,8 +375,8 @@ def _show(label: str, record) -> list[str]:
 def _compile_diff(rev: str, theirs, ours) -> list[str]:
     """The lines in which two compile records differ, as a unified diff."""
     def lines(record):
-        text, err, n_states, walk = record
-        return [*text.splitlines(), f"error: {err}", f"n_states: {n_states}", f"walk: {walk}"]
+        text, err, n_states, walks = record
+        return [*text.splitlines(), f"error: {err}", f"n_states: {n_states}", *(f"walk: {w}" for w in walks or [None])]
     return ["  " + line for line in difflib.unified_diff(lines(theirs), lines(ours), rev, "src", n=0, lineterm="")]
 
 
@@ -282,6 +388,12 @@ def export(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
+def _show_iso(question, rev: str, theirs, ours) -> list[str]:
+    name, a, b, _ = question
+    inputs = [f"  {x}: {'compile of ' + name if spec[0] == 'tape' else spec}" for x, spec in (("a", a), ("b", b))]
+    return [*inputs, f"  {rev}: {theirs}", f"  src: {ours}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", help="also run the corpora on REV's src and compare")
@@ -289,10 +401,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "corpus").mkdir()
-        calls, compiles = write_corpus(tmp / "corpus"), compile_corpus()
+        calls, compiles, questions = write_corpus(tmp / "corpus"), compile_corpus(), iso_corpus()
         records, compiled = run_corpus(calls, SRC, tmp / "corpus"), run_compiles(compiles, SRC)
+        answered = run_isos(questions, SRC)
         print(f"cli: {len(calls)} calls, sha256 {digest(records)}")
         print(f"compile: {len(compiles)} compiles, sha256 {digest(compiled)}")
+        print(f"iso: {len(questions)} questions, sha256 {digest(answered)}")
         if args.against is None:
             return 0
         try:
@@ -301,8 +415,10 @@ def main(argv=None) -> int:
             print(f"error: git archive {args.against}: {e.stderr.decode().strip()}", file=sys.stderr)
             return 2
         theirs, their_compiled = run_corpus(calls, rev, tmp / "corpus"), run_compiles(compiles, rev)
+        their_answers = run_isos(questions, rev)
     print(f"cli at {args.against}: {len(calls)} calls, sha256 {digest(theirs)}")
     print(f"compile at {args.against}: {len(compiles)} compiles, sha256 {digest(their_compiled)}")
+    print(f"iso at {args.against}: {len(questions)} questions, sha256 {digest(their_answers)}")
     diff = differing(theirs, records)
     for i in diff:
         print(f"call {i}: machalg {' '.join(calls[i]).replace(str(tmp / 'corpus'), '<tmp>')}")
@@ -313,7 +429,12 @@ def main(argv=None) -> int:
         print(f"compile {i}: {compiles[i][0]} on {compiles[i][1]}")
         print("\n".join(_compile_diff(args.against, their_compiled[i], compiled[i])))
     print(f"compile: {len(compile_diff)} of {len(compiles)} compiles differ" if compile_diff else "compile: equal")
-    if diff or compile_diff:
+    iso_diff = differing(their_answers, answered)
+    for i in iso_diff:
+        print(f"question {i}: {questions[i][0]}, node budget {questions[i][3]}")
+        print("\n".join(_show_iso(questions[i], args.against, their_answers[i], answered[i])))
+    print(f"iso: {len(iso_diff)} of {len(questions)} questions differ" if iso_diff else "iso: equal")
+    if diff or compile_diff or iso_diff:
         return 1
     print("equal")
     return 0

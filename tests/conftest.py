@@ -145,15 +145,16 @@ def clamp_tm(cells: int, rules=THREE_REGISTERS) -> str:
                       f"init tape {' '.join('0' * cells)} head 0 register a", ""])
 
 
+def conjugated_table(table: tuple[int, ...], perm) -> tuple[int, ...]:
+    """The table perm . f . perm^-1 of the self-map ``table`` under a state permutation."""
+    out = [0] * len(table)
+    for s, t in enumerate(table):
+        out[perm[s]] = perm[t]
+    return tuple(out)
+
+
 def conjugated(m: Machine, perm: tuple[int, ...], labels=None) -> Machine:
     """Relabel a machine through a state permutation; isomorphic by design."""
-    n = m.n_states
-    new_labels = tuple(labels) if labels else tuple(f"t{i}" for i in range(n))
+    new_labels = tuple(labels) if labels else tuple(f"t{i}" for i in range(m.n_states))
     domain = StateSet(new_labels)
-    fns = []
-    for f in m.functions:
-        table = [0] * n
-        for s in range(n):
-            table[perm[s]] = perm[f.table[s]]
-        fns.append(TransitionFunction(domain, tuple(table)))
-    return make_machine(domain, fns)
+    return make_machine(domain, [TransitionFunction(domain, conjugated_table(f.table, perm)) for f in m.functions])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import os
 import pickle
 import random
@@ -50,7 +51,7 @@ from machalg.errors import EmptyReductionError
 from machalg.lemmas import random_machine
 from machalg.reductions import is_sub_machine, sub_machine
 
-from conftest import conjugated
+from conftest import conjugated, conjugated_table
 from mutants import mutated_fields
 from oracles import (
     brute_force_decomposition,
@@ -807,6 +808,117 @@ class TestFingerprintKey:
             )
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.split() == [str(fingerprint_key(m)), str(image_key(m))]
+
+
+# The most candidates a search on n states can try: n + n(n-1) + ... + n!.
+TINY_BOUND = {n: sum(math.perm(n, i) for i in range(1, n + 1)) for n in range(1, 5)}
+
+
+def tiny_one_function_pairs():
+    """Every self-map on 1-4 states against each of its relabellings: 6,315 pairs."""
+    for n in TINY_BOUND:
+        for ta in itertools.product(range(n), repeat=n):
+            for g in itertools.permutations(range(n)):
+                yield [ta], [conjugated_table(ta, g)]
+
+
+def tiny_multi_function_pairs(seed, count):
+    """2- and 3-function pairs on 2-4 states: relabelled positives, perturbed negatives."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        a = table_machine(random_tables(rng, rng.randint(2, 4), rng.randint(2, 3)))
+        b = relabelled(rng, a)
+        if trial % 2:
+            b = perturbed(rng, b)
+        yield [f.table for f in a.functions], [f.table for f in b.functions]
+
+
+class TestRelabellings:
+    """On at most 4 states, at a budget no search there can exhaust, the n! relabellings are
+    tried in lexicographic order instead of searching: the same least g, and no node spent."""
+
+    def test_the_bound_counts_every_partial_assignment(self):
+        assert TINY_BOUND == {1: 1, 2: 4, 3: 15, 4: 64}
+        assert isomorphism._TINY_NODES[1:] == tuple(TINY_BOUND.values())
+
+    def test_every_tiny_one_function_pair_gets_the_oracle_witness(self):
+        count = 0
+        for tables_a, tables_b in tiny_one_function_pairs():
+            a, b = table_machine(tables_a), table_machine(tables_b, "t")
+            got = find_isomorphism(a, b)
+            assert (got.g, got.h) == brute_force_isomorphism(a, b), tables_a
+            count += 1
+        assert count == 6315
+
+    def test_seeded_multi_function_pairs_get_the_oracle_witness(self):
+        answers = []
+        for tables_a, tables_b in tiny_multi_function_pairs(44, 600):
+            a, b = table_machine(tables_a), table_machine(tables_b, "t")
+            got = find_isomorphism(a, b)
+            answers.append(None if got is None else (got.g, got.h))
+            assert answers[-1] == brute_force_isomorphism(a, b), (tables_a, tables_b)
+        assert 150 < answers.count(None) <= 300  # the positives all answer
+
+    def test_the_refinement_search_never_exhausts_the_bound(self):
+        # What makes the two paths agree: at the bound, the search on the same pair ends
+        # with the same least g, whatever the colouring does.
+        pairs = [(table_machine(ta), table_machine(tb, "t")) for ta, tb in tiny_multi_function_pairs(45, 300)]
+        pairs += [with_identity(ta, tb) for ta, tb in itertools.islice(tiny_one_function_pairs(), 0, None, 41)]
+        pairs += [(full_machine(states(*"abc")), full_machine(states(*"xyz")))]
+        searched = 0
+        for a, b in pairs:
+            pa, pb = isomorphism._profile(a), isomorphism._profile(b)
+            if a.n_functions < 2 or pa[1] != pb[1]:
+                continue
+            got = isomorphism._multi_function_isomorphism(a, b, pa[2] + pb[2], TINY_BOUND[a.n_states])
+            assert (None if got is None else (got.g, got.h)) == brute_force_isomorphism(a, b)
+            searched += 1
+        assert searched > 100
+
+    def test_no_search_runs_at_or_above_the_bound(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("searched a pair on at most 4 states")
+
+        for name in ("_search", "_single_function_isomorphism", "_multi_function_isomorphism"):
+            monkeypatch.setattr(isomorphism, name, fail)
+        pairs = [*itertools.islice(tiny_one_function_pairs(), 0, None, 7), *tiny_multi_function_pairs(46, 200)]
+        for tables_a, tables_b in pairs:
+            n = len(tables_a[0])
+            for budget in (None, TINY_BOUND[n], TINY_BOUND[n] + 1):
+                a, b = table_machine(tables_a), table_machine(tables_b, "t")
+                got = find_isomorphism(a, b, node_budget=budget)
+                assert (None if got is None else (got.g, got.h)) == brute_force_isomorphism(a, b)
+
+    def test_below_the_bound_the_refinement_path_runs(self, monkeypatch):
+        reached = []
+        for name in ("_single_function_isomorphism", "_multi_function_isomorphism"):
+            real = getattr(isomorphism, name)
+            monkeypatch.setattr(isomorphism, name, lambda *args, real=real: reached.append(real) or real(*args))
+        pairs = [*itertools.islice(tiny_one_function_pairs(), 0, None, 7),
+                 *itertools.islice(tiny_multi_function_pairs(47, 200), 0, None, 2)]  # relabelled positives
+        for tables_a, tables_b in pairs:
+            a, b = table_machine(tables_a), table_machine(tables_b, "t")
+            reached.clear()
+            try:
+                got = find_isomorphism(a, b, node_budget=TINY_BOUND[a.n_states] - 1)
+            except SearchBudgetExceededError:
+                pass
+            else:
+                assert (got.g, got.h) == brute_force_isomorphism(a, b)
+            assert len(reached) == 1
+
+    def test_both_sides_carry_the_fingerprint_key_after_a_tiny_call(self):
+        keyed = 0
+        pairs = [*itertools.islice(tiny_one_function_pairs(), 0, None, 5), *tiny_multi_function_pairs(48, 200)]
+        for tables_a, tables_b in pairs:
+            a, b = table_machine(tables_a), table_machine(tables_b, "t")
+            find_isomorphism(a, b)
+            if image_key(a) == image_key(b):  # past the image key: the tiny path ran
+                assert fingerprint_key(a) is not None and fingerprint_key(b) is not None
+                keyed += 1
+            else:
+                assert fingerprint_key(a) is None and fingerprint_key(b) is None
+        assert keyed > 1000
 
 
 def constantish(ss):
