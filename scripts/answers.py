@@ -16,7 +16,9 @@ and without ``default halt``, some reads without an entry), each parsed from
 its text.  Each compile is recorded as its ``render_machine`` text or its
 error's type and text, with its state count and its walks from the initial
 state and from three seeded states, which read the entries they visit one by
-one before the text reads the table whole.
+one before the text reads the table whole.  The text is hashed as soon as it
+is rendered, so the script holds one at a time; under ``--against`` only the
+compiles that differ are rendered again, to show how.
 
 The ``iso`` corpus asks ``find_isomorphism`` about every one-function pair on
 1 to 4 states (each map against each of its relabellings) and seeded 2- and
@@ -46,9 +48,9 @@ import json
 import random
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+from typing import Iterable, Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -56,6 +58,7 @@ for path in (SRC, ROOT / "tests"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
+from checkout import export  # noqa: E402
 from conftest import conjugated_table, random_mem_program, random_turing_spec  # noqa: E402
 from mutants import SAMPLES, base_texts, cli_calls, mutated_text  # noqa: E402
 
@@ -304,9 +307,9 @@ def _package(src: Path):
         sys.modules.update(saved)
 
 
-def run_compiles(compiles: list[tuple[str, str, str]], src: Path) -> list[tuple]:
-    """(rendered text, error, state count, walks) of each compile, made with
-    the ``machalg`` package in ``src``: the text and the error are "" where
+def _compile_records(compiles: list[tuple[str, str, str]], src: Path, indices: Iterable[int]) -> Iterator[tuple]:
+    """(rendered text, error, state count, walks) of the compiles at ``indices``, one at a
+    time, made with the ``machalg`` package in ``src``: the text and the error are "" where
     there is none, the count and the walks None where the compile failed."""
     with _package(src):
         from machalg import (
@@ -323,17 +326,33 @@ def run_compiles(compiles: list[tuple[str, str, str]], src: Path) -> list[tuple]
                 p = tm_to_mem(t)
             return (*compile_mem(p), p.initial_state)
 
-        records = []
-        for i, (job, _, text) in enumerate(compiles):
+        def record(i, job, text):  # the machine is dropped on return, before the next is built
             try:
                 m, codec, initial = compiled(job, text)
                 rng, step = random.Random(i), m.functions[0]
                 starts = [codec.encode(initial)] + [m.states.labels[rng.randrange(m.n_states)] for _ in range(N_WALKS)]
                 walks = [run_to_fixpoint(step, start, m.n_states, True) for start in starts]
-                records.append((render_machine(m), "", m.n_states, [[type(w).__name__, *w.trajectory] for w in walks]))
+                return render_machine(m), "", m.n_states, [[type(w).__name__, *w.trajectory] for w in walks]
             except Exception as e:  # any error is an answer to record, a planted one too
-                records.append(("", f"{type(e).__name__}: {e}", None, None))
-        return records
+                return "", f"{type(e).__name__}: {e}", None, None
+
+        for i in indices:
+            job, _, text = compiles[i]
+            yield record(i, job, text)
+
+
+def run_compiles(compiles: list[tuple[str, str, str]], src: Path) -> tuple[list[tuple], str]:
+    """(records, digest) of every compile, made with the ``machalg`` package in ``src``.
+    Each record is :func:`_compile_records`' with the sha256 of its text in place of the
+    text, and the digest is :func:`digest` of the records with their texts.  Each text is
+    hashed as soon as it is rendered and then dropped, so only one is ever held."""
+    sha, records = hashlib.sha256(b"["), []
+    for i, record in enumerate(_compile_records(compiles, src, range(len(compiles)))):
+        sha.update(b", " if i else b"")  # json.dumps of a list, one item at a time
+        sha.update(json.dumps(record).encode())
+        records.append((hashlib.sha256(record[0].encode()).hexdigest(), *record[1:]))
+    sha.update(b"]")
+    return records, sha.hexdigest()
 
 
 def run_corpus(calls: list[list[str]], src: Path, tmp: Path) -> list[tuple[str, str, int]]:
@@ -380,14 +399,6 @@ def _compile_diff(rev: str, theirs, ours) -> list[str]:
     return ["  " + line for line in difflib.unified_diff(lines(theirs), lines(ours), rev, "src", n=0, lineterm="")]
 
 
-def export(rev: str, dest: Path) -> Path:
-    """The ``src`` directory of ``rev``, unpacked by ``git archive`` under ``dest``."""
-    tar = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
-    return dest / "src"
-
-
 def _show_iso(question, rev: str, theirs, ours) -> list[str]:
     name, a, b, _ = question
     inputs = [f"  {x}: {'compile of ' + name if spec[0] == 'tape' else spec}" for x, spec in (("a", a), ("b", b))]
@@ -402,32 +413,34 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         (tmp / "corpus").mkdir()
         calls, compiles, questions = write_corpus(tmp / "corpus"), compile_corpus(), iso_corpus()
-        records, compiled = run_corpus(calls, SRC, tmp / "corpus"), run_compiles(compiles, SRC)
+        records, (compiled, compile_sha) = run_corpus(calls, SRC, tmp / "corpus"), run_compiles(compiles, SRC)
         answered = run_isos(questions, SRC)
         print(f"cli: {len(calls)} calls, sha256 {digest(records)}")
-        print(f"compile: {len(compiles)} compiles, sha256 {digest(compiled)}")
+        print(f"compile: {len(compiles)} compiles, sha256 {compile_sha}")
         print(f"iso: {len(questions)} questions, sha256 {digest(answered)}")
         if args.against is None:
             return 0
         try:
-            rev = export(args.against, tmp / "rev")
+            rev = export(args.against, tmp / "rev", "src") / "src"
         except subprocess.CalledProcessError as e:
             print(f"error: git archive {args.against}: {e.stderr.decode().strip()}", file=sys.stderr)
             return 2
-        theirs, their_compiled = run_corpus(calls, rev, tmp / "corpus"), run_compiles(compiles, rev)
+        theirs, (their_compiled, their_compile_sha) = run_corpus(calls, rev, tmp / "corpus"), run_compiles(compiles, rev)
         their_answers = run_isos(questions, rev)
+        compile_diff = differing(their_compiled, compiled)
+        # Only the compiles that differ are rendered again, to show how.
+        their_texts, our_texts = (list(_compile_records(compiles, s, compile_diff)) for s in (rev, SRC))
     print(f"cli at {args.against}: {len(calls)} calls, sha256 {digest(theirs)}")
-    print(f"compile at {args.against}: {len(compiles)} compiles, sha256 {digest(their_compiled)}")
+    print(f"compile at {args.against}: {len(compiles)} compiles, sha256 {their_compile_sha}")
     print(f"iso at {args.against}: {len(questions)} questions, sha256 {digest(their_answers)}")
     diff = differing(theirs, records)
     for i in diff:
         print(f"call {i}: machalg {' '.join(calls[i]).replace(str(tmp / 'corpus'), '<tmp>')}")
         print("\n".join(_show(args.against, theirs[i]) + _show("src", records[i])))
     print(f"cli: {len(diff)} of {len(calls)} calls differ" if diff else "cli: equal")
-    compile_diff = differing(their_compiled, compiled)
-    for i in compile_diff:
+    for i, theirs_i, ours_i in zip(compile_diff, their_texts, our_texts):
         print(f"compile {i}: {compiles[i][0]} on {compiles[i][1]}")
-        print("\n".join(_compile_diff(args.against, their_compiled[i], compiled[i])))
+        print("\n".join(_compile_diff(args.against, theirs_i, ours_i)))
     print(f"compile: {len(compile_diff)} of {len(compiles)} compiles differ" if compile_diff else "compile: equal")
     iso_diff = differing(their_answers, answered)
     for i in iso_diff:

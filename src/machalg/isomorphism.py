@@ -126,27 +126,48 @@ def _function_profile(table: tuple[int, ...]) -> tuple[tuple, list[int], list[bo
     return fingerprint, indeg, cyclic, peeled, rings
 
 
-def _state_signatures(tables: Sequence[tuple[int, ...]], profiles: list) -> list:
-    """Per-state fingerprints invariant under isomorphism, read off ``profiles``.
+def _facts(table: tuple[int, ...]) -> tuple[tuple, list[int]]:
+    """(profile, state codes) of one self-map: each state's code is 4·indegree + 2·fixes + on a
+    cycle.  Conjugation transports all three, so codes must agree between g-paired states."""
+    profile = _function_profile(table)
+    _, indeg, cyclic, _, _ = profile
+    return profile, [4 * d + 2 * (u == s) + c for s, (u, d, c) in enumerate(zip(table, indeg, cyclic))]
 
-    Each state gets one int per function, 4·indegree + 2·fixes + on a cycle,
-    and, with several functions, the sorted tuple of them.  Conjugation
-    matches functions one to one and transports all three quantities, so
-    signatures must agree between g-paired states.
-    """
-    codes = [
-        [4 * d + 2 * (u == s) + c for s, (u, d, c) in enumerate(zip(table, indeg, cyclic))]
-        for table, (_, indeg, cyclic, _, _) in zip(tables, profiles)
-    ]
+
+def _state_signatures(codes: list[list[int]]) -> list:
+    """Per-state fingerprints invariant under isomorphism, from each function's state codes:
+    with one function its codes, with several the sorted tuple of them.  Conjugation matches
+    functions one to one, so signatures must agree between g-paired states."""
     return codes[0] if len(codes) == 1 else [tuple(sorted(z)) for z in zip(*codes)]
+
+
+# For each self-map on at most 4 states: [its table, (its profile, its state codes), its
+# conjugates in relabelling order], each fact worked out on first use.  Every table held is
+# a plain tuple key (a conjugate is its own entry's key), and there are 1 + 4 + 27 + 256 = 288
+# such maps, so nothing is evicted.  No reader may mutate what the dict hands out.
+_TINY: dict[tuple[int, ...], list] = {}
+
+
+def _tiny(table: Sequence[int], i: int) -> Any:
+    """Fact ``i`` (0, 1 or 2) of ``_TINY``'s entry for ``table``, worked out if it is not yet."""
+    facts = _TINY.get(table)
+    if facts is None:
+        table = tuple(table)  # a compiled machine's step table is neither a key nor kept
+        facts = _TINY[table] = [table, None, None]
+    if facts[i] is None:
+        t = facts[0]
+        facts[i] = _facts(t) if i == 1 else tuple(_tiny(_conjugate(t, g), 0) for g in _relabellings(len(t)))
+    return facts[i]
 
 
 def _profile(m: Machine) -> tuple[int, tuple, list, list[tuple]]:
     """(key, invariants, state signatures, function profiles) of ``m``, caching
     the key on it: the invariants are its sorted function fingerprints and state
-    signatures, the key their hash, alike under every PYTHONHASHSEED (ints and tuples)."""
-    profiles = [_function_profile(t) for t in m.tables]
-    sigs = _state_signatures(m.tables, profiles)
+    signatures, the key their hash, alike under every PYTHONHASHSEED (ints and tuples).
+    On at most 4 states the profiles and codes come from ``_TINY``, shared by every caller."""
+    facts = [_tiny(t, 1) if m.n_states <= 4 else _facts(t) for t in m.tables]
+    profiles = [p for p, _ in facts]
+    sigs = _state_signatures([c for _, c in facts])
     invariants = (tuple(sorted(p[0] for p in profiles)), tuple(sorted(sigs)))
     key = m.__dict__["_fingerprint_key"] = hash(invariants)
     return key, invariants, sigs, profiles
@@ -158,6 +179,11 @@ def _conjugate(table: tuple[int, ...], g: Sequence[int]) -> tuple[int, ...]:
     for s, t in enumerate(table):
         conj[g[s]] = g[t]
     return tuple(conj)
+
+
+def _relabellings(n: int) -> Iterator[tuple[int, ...]]:
+    """The n! bijections of n states, in the order every relabelling is tried: lexicographic."""
+    return itertools.permutations(range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +488,19 @@ _TINY_NODES = (0, 1, 4, 15, 64)
 
 def _relabelling_isomorphism(a: Machine, b: Machine) -> Optional[Morphism]:
     """:func:`find_isomorphism` on at most 4 states, past the cached-key checks: the first g
-    of ``itertools.permutations`` whose conjugates all lie in b's tables, or None.  A side
-    is profiled only for its missing fingerprint key, which later rejections compare."""
+    of :func:`_relabellings` whose conjugates, read from ``_TINY``, all lie in b's tables, or
+    None.  A side is profiled only for its missing fingerprint key, which later rejections compare."""
     for m in (a, b):
         if "_fingerprint_key" not in m.__dict__:
             _profile(m)
-    n, tables, key = a.n_states, a.tables, a.__dict__["_fingerprint_key"]
+    n, key = a.n_states, a.__dict__["_fingerprint_key"]
     if (key, n, a.n_functions) != (b.__dict__["_fingerprint_key"], b.n_states, b.n_functions):
         return None
     b_index = {t: j for j, t in enumerate(b.tables)}
-    for g in itertools.permutations(range(n)):
-        h = [b_index.get(_conjugate(t, g)) for t in tables]
+    for g, conjugates in zip(_relabellings(n), zip(*(_tiny(t, 2) for t in a.tables))):
+        h = tuple(map(b_index.get, conjugates))
         if None not in h:  # conjugation is injective and counts match: h is a bijection
-            return Morphism(g, tuple(h))
+            return Morphism(g, h)
     return None
 
 
@@ -497,7 +523,10 @@ def find_isomorphism(
     On n <= 4 states, with no budget or one of at least n + n(n-1) + ... + n!
     (1, 4, 15, 64), which no search there can exhaust, the n! relabellings are
     tried in order instead: about four times faster than the search on keyed
-    4-state pairs, and slower from 5 states on.
+    4-state pairs, and slower from 5 states on.  There each table's profile, state codes
+    and conjugates are worked out once per process, in ``_TINY`` (at most 288 entries,
+    each fact filled on first use; 0.35 MB in all): a 3-function call on 4 states takes
+    about 31 µs on known tables, 110 µs on new ones, and 64 µs before the cache.
     """
     if node_budget is not None and node_budget < 0:
         raise MachalgError(f"node_budget must be at least 0, got {node_budget}")

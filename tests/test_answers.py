@@ -57,13 +57,13 @@ def test_a_planted_wrong_entry_is_reported_by_the_compile_corpus(tmp_path):
     # compile_tm's whole table gets a wrong last entry; the entries it decodes one by one stay right
     models.write_text(text.replace(writer_end, "        table[-1] = 0\n" + writer_end))
     compiles = answers.compile_corpus()
-    ours = answers.run_compiles(compiles, answers.SRC)
-    theirs = answers.run_compiles(compiles, planted)
+    ours, _ = answers.run_compiles(compiles, answers.SRC)
+    theirs, _ = answers.run_compiles(compiles, planted)
     diff = answers.differing(ours, theirs)
     assert len(diff) > 50 and {compiles[i][0] for i in diff} == {"compile_tm"}
     for i in diff:  # the rendered text differs; the state count and the walk do not
         assert ours[i][0] != theirs[i][0] and ours[i][1:] == theirs[i][1:]
-    assert answers.run_compiles(compiles, answers.SRC) == ours
+    assert answers.run_compiles(compiles, answers.SRC)[0] == ours
 
 
 
@@ -89,8 +89,8 @@ def test_a_planted_wrong_decode_entry_is_reported_by_the_compile_corpus(tmp_path
     planted = planted_copy(tmp_path, "models.py", signature + first_line,
                            signature + "        if i % 7 == 3:\n            return i\n" + first_line)
     compiles = answers.compile_corpus()
-    ours = answers.run_compiles(compiles, answers.SRC)
-    theirs = answers.run_compiles(compiles, planted)
+    ours, _ = answers.run_compiles(compiles, answers.SRC)
+    theirs, _ = answers.run_compiles(compiles, planted)
     diff = answers.differing(ours, theirs)
     assert len(diff) > 10 and {compiles[i][0] for i in diff} == jobs
     assert all(ours[i][3] != theirs[i][3] for i in diff)  # a walk differs, or one of them fails

@@ -59,6 +59,18 @@ class TestScripts:
     def test_census_lists_every_default_cell(self):
         assert "k=3: 2925/509" in python(str(ROOT / "scripts" / "census_small_machines.py"))
 
+    def test_bench_ab_finds_the_working_tree_within_bound_of_head(self):
+        if not (ROOT / ".git").exists():
+            pytest.skip("compares against HEAD, so it needs a git checkout")
+        start = time.monotonic()
+        out = python(str(ROOT / "scripts" / "bench_ab.py"), "--against", "HEAD", "--workload", "census",
+                     "--pairs", "1", "--seconds", "1", timeout=60)
+        verdicts = {line.split()[0]: line.split("  ")[-1] for line in out.splitlines()[2:] if "/1  " in line}
+        names = ["setup_s", "ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb", "decided_ratio"]
+        assert verdicts == dict.fromkeys(names, "within bound"), out
+        assert out.endswith("digests: equal in every pair\n")
+        assert time.monotonic() - start < 20
+
     def test_cli_module_raises_no_runtime_warning(self):
         python("-W", "error::RuntimeWarning", "-m", "machalg.cli", "universality", "--no-trace")
 

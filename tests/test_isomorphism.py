@@ -37,6 +37,7 @@ from machalg import (
     is_complete,
     make_machine,
     parse_machine,
+    parse_turing,
     state_reduction,
     states,
     TotalityViolationError,
@@ -764,6 +765,7 @@ class TestFingerprintKey:
     def test_a_differing_keyed_side_is_not_profiled(self, monkeypatch, keyed_side):
         keyed, fresh = (table_machine(t) for t in self.SAME_FINGERPRINTS)
         find_isomorphism(keyed, keyed)
+        monkeypatch.setattr(isomorphism, "_TINY", {})  # else a table seen before is not profiled again
         profiled = []
         real = isomorphism._function_profile
         monkeypatch.setattr(isomorphism, "_function_profile", lambda t: profiled.append(t) or real(t))
@@ -919,6 +921,83 @@ class TestRelabellings:
             else:
                 assert fingerprint_key(a) is None and fingerprint_key(b) is None
         assert keyed > 1000
+
+
+def fresh_facts(table):
+    """(profile, state codes, conjugates in relabelling order) of one table, from scratch."""
+    indeg, cyclic, _ = brute_force_decomposition(table)
+    codes = [4 * indeg[s] + 2 * (t == s) + cyclic[s] for s, t in enumerate(table)]
+    assert isomorphism._state_signatures([codes]) == codes
+    conjugates = [isomorphism._conjugate(table, g) for g in itertools.permutations(range(len(table)))]
+    return isomorphism._function_profile(table), codes, conjugates
+
+
+def assert_cache_holds_fresh_facts(cache):
+    """Every entry of ``cache`` equals a fresh computation, and it holds only the plain tuple
+    keys, at most 288 of them, each conjugate being the key object of its own entry."""
+    assert len(cache) <= 288
+    for key, (table, facts, conjugates) in cache.items():
+        assert type(key) is tuple and table is key
+        profile, codes, fresh = fresh_facts(key)
+        if facts is not None:
+            assert facts == (profile, codes), key
+        if conjugates is not None:
+            assert type(conjugates) is tuple and list(conjugates) == fresh, key
+            assert all(type(c) is tuple and c is cache[c][0] for c in conjugates)
+
+
+class TestTinyCache:
+    """What depends on one table alone, for the 288 self-maps on at most 4 states, is worked
+    out once per process: the profile, the state codes and the conjugates."""
+
+    def test_every_table_on_at_most_four_states(self, monkeypatch):
+        monkeypatch.setattr(isomorphism, "_TINY", {})
+        tables = [t for n in range(1, 5) for t in itertools.product(range(n), repeat=n)]
+        for table in tables:
+            profile, codes, conjugates = fresh_facts(table)
+            assert isomorphism._tiny(table, 1) == (profile, codes), table
+            assert list(isomorphism._tiny(table, 2)) == conjugates, table
+        assert len(tables) == len(isomorphism._TINY) == 288
+        assert_cache_holds_fresh_facts(isomorphism._TINY)
+
+    def test_no_call_mutates_a_cached_fact(self, monkeypatch):
+        monkeypatch.setattr(isomorphism, "_TINY", {})
+        rng, calls = random.Random(49), 0
+        while calls < 2000:
+            n = rng.randint(1, 4)
+            a = table_machine(random_tables(rng, n, rng.randint(1, min(3, n**n))))
+            b = relabelled(rng, a)
+            if calls % 2:
+                b = perturbed(rng, b)
+            for budget in (None, 0, TINY_BOUND[n]):
+                fresh_a, fresh_b = table_machine([f.table for f in a.functions]), table_machine(
+                    [f.table for f in b.functions], "t")
+                try:
+                    got = find_isomorphism(fresh_a, fresh_b, node_budget=budget)
+                except SearchBudgetExceededError:
+                    assert budget == 0
+                else:
+                    assert (None if got is None else (got.g, got.h)) == brute_force_isomorphism(a, b)
+                calls += 1
+        assert len(isomorphism._TINY) > 250
+        assert_cache_holds_fresh_facts(isomorphism._TINY)
+
+    def test_a_compiled_step_table_is_neither_a_key_nor_kept(self, monkeypatch):
+        import gc
+        import weakref
+
+        monkeypatch.setattr(isomorphism, "_TINY", {})
+        spec = parse_turing((Path(__file__).resolve().parent.parent / "samples" / "bitflip.tm").read_text())
+        m = compile_tm(spec)[0]
+        assert m.n_states == 4 and type(m.tables[0]) is not tuple
+        copy = table_machine([conjugated_table(tuple(m.tables[0]), (2, 0, 3, 1))], "t")
+        assert find_isomorphism(m, copy) is not None and find_isomorphism(copy, m) is not None
+        assert isomorphism._TINY[m.tables[0]][2] is not None  # its conjugates were read
+        assert_cache_holds_fresh_facts(isomorphism._TINY)
+        step_table = weakref.ref(m.tables[0])
+        del m
+        gc.collect()
+        assert step_table() is None
 
 
 def constantish(ss):
