@@ -22,6 +22,15 @@ of REV's median in the direction of ``better``:
 ten, over ten pairs or more, and whose medians differ by more than REV's
 interquartile range.  The share of failed operations is printed last.  Exits 1
 if a run fails or any pair's digests differ, 2 if REV cannot be exported, else 0.
+
+``--record N`` also writes what it printed to ``BENCH_<N>.json`` at the root of
+the repository, under the workload's name, with REV's commit, both sides'
+``src/`` line counts and the host facts of the runs' records; a file that
+already holds other workloads keeps them.  ``--trend`` prints the series of
+those files, reading nothing else, and runs nothing:
+
+    python scripts/bench_ab.py --against HEAD --workload census --seed-from 101 --record 47
+    python scripts/bench_ab.py --trend
 """
 
 import argparse
@@ -35,6 +44,7 @@ from pathlib import Path
 from checkout import ROOT, copy_working_tree, export
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+RECORDS = ROOT  # where --record writes BENCH_<n>.json and --trend reads them
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -50,7 +60,7 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced benchmark run in ``tree``, with its digest added."""
+    """The result line of one untraced benchmark run in ``tree``, with its digest and record added."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"], cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -58,6 +68,7 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     result["digest"] = next(line.split()[-1] for line in lines if line.startswith("  digest sha256 "))
+    result["record"] = json.loads(next(line[len("  record "):] for line in lines if line.startswith("  record ")))
     return result
 
 
@@ -76,19 +87,45 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> tuple[str
     return text, won, gain
 
 
+def trend() -> int:
+    """Print the series of the ``BENCH_<n>.json`` files, oldest first."""
+    paths = sorted((p for p in RECORDS.glob("BENCH_*.json") if p.stem[6:].isdigit()), key=lambda p: int(p.stem[6:]))
+    if not paths:
+        print(f"no BENCH_<n>.json under {RECORDS}")
+    for path in paths:
+        for workload, w in json.loads(path.read_text()).items():
+            seeds = f"{w['seed_from']}–{w['seed_from'] + w['pairs'] - 1}" if w["pairs"] > 1 else str(w["seed_from"])
+            print(f"{path.stem} {workload}: {w['pairs']} pair(s), seed {seeds}, {w['seconds']:g} s each, "
+                  f"{w['against']} {w['commit'][:12]} against the working tree; src/ {w['src_lines']['rev']} → "
+                  f"{w['src_lines']['tree']} lines; python {w['host']['python']}, {w['host']['nproc']} cpu(s)")
+            for name, m in w["metrics"].items():
+                print(f"  {name:<14}{m['unit']:<7}{m['rev_median']:>14.6g} → {m['tree_median']:<14.6g}"
+                      f"{m['won']:>3}/{w['pairs']}  {m['verdict']}{', gain' if m['gain'] else ''}")
+            print(f"  digests {'equal in every pair' if w['digests_equal'] else 'DIFFER'}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", default="HEAD", help="the revision to compare with")
-    parser.add_argument("--workload", required=True, choices=[w["name"] for w in BENCHMARK["workloads"]])
+    parser.add_argument("--workload", choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--seed-from", type=int, default=1, metavar="K", help="pair i runs seed K + i")
+    parser.add_argument("--record", type=int, metavar="N", help="also write the results to BENCH_<N>.json")
+    parser.add_argument("--trend", action="store_true", help="print the BENCH_<n>.json series and exit")
     args = parser.parse_args(argv)
+    if args.trend:
+        return trend()
+    if args.workload is None:
+        parser.error("--workload is required unless --trend is given")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         try:
             rev = export(args.against, Path(tmp) / "rev")
+            commit = subprocess.run(["git", "rev-parse", args.against + "^{commit}"], cwd=ROOT,
+                                    capture_output=True, check=True).stdout.decode().strip()
         except subprocess.CalledProcessError as e:
             print(f"error: git archive {args.against}: {e.stderr.decode().strip()}", file=sys.stderr)
             return 2
@@ -112,6 +149,7 @@ def main(argv=None) -> int:
           f"{args.against} against the working tree")
     print(f"  {'metric':<14}{'unit':<7}{args.against + ' median':>16}{'q1–q3':>24}{'tree median':>14}"
           f"{'won':>8}  verdict")
+    metrics = {}
     for metric in BENCHMARK["end_to_end"]:
         name = metric["name"]
         parent = [r["metrics"][name]["value"] for r in results["rev"] if name in r["metrics"]]
@@ -121,12 +159,29 @@ def main(argv=None) -> int:
             continue
         text, won, gain = verdict(metric, parent, change)
         q1, q3 = quartiles(parent)
+        metrics[name] = {"unit": metric["unit"], "better": metric["better"], "rev_median": statistics.median(parent),
+                         "rev_q1": q1, "rev_q3": q3, "tree_median": statistics.median(change), "won": won,
+                         "verdict": text, "gain": gain}
         print(f"  {name:<14}{metric['unit']:<7}{statistics.median(parent):>16.6g}{f'{q1:.6g}–{q3:.6g}':>24}"
               f"{statistics.median(change):>14.6g}{f'{won}/{args.pairs}':>8}  {text}{', gain' if gain else ''}")
+    failed = {side: sum(r["failed"] for r in results[side]) / sum(r["attempted"] for r in results[side])
+              for side in results}
     for side, label in (("rev", args.against), ("tree", "working tree")):
-        failed = sum(r["failed"] for r in results[side]) / sum(r["attempted"] for r in results[side])
-        print(f"  failed share at {label}: {failed:.6g}")
+        print(f"  failed share at {label}: {failed[side]:.6g}")
     print("digests: equal in every pair" if status == 0 else "digests: DIFFER")
+    if args.record is not None:
+        path = RECORDS / f"BENCH_{args.record}.json"
+        recorded = json.loads(path.read_text()) if path.exists() else {}
+        runs = {side: results[side][0]["record"] for side in results}
+        recorded[args.workload] = {
+            "against": args.against, "commit": commit, "pairs": args.pairs, "seconds": args.seconds,
+            "seed_from": args.seed_from, "src_lines": {side: runs[side]["src_lines"] for side in runs},
+            "tree_src_sha256": runs["tree"]["src_sha256"],
+            "host": {"python": runs["tree"]["python"], "nproc": runs["tree"]["nproc"]},
+            "metrics": metrics, "failed_share": failed, "digests_equal": status == 0,
+        }
+        path.write_text(json.dumps(recorded, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+        print(f"recorded in {path.name}")
     return status
 
 

@@ -19,6 +19,11 @@ reducing to ``S2`` after a functional reduction that keeps the functions
 preserving ``S1``, and both sides are undefined together.  So a state
 reduction of a state reduction is a sub-machine.  Acceptance criterion 5
 checks this law, and also checks that the literal law 2 stays refuted.
+
+A run asks each distinct reduction question once: its answer table holds
+each state reduction, functional reduction and sub-machine answer, and is
+cleared once it holds more than ``_HELD_TABLES`` tables, so memory does not
+grow with the draw count.  Reports are those of questions asked afresh.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ LEMMA_NAMES = {
 _MAX_STATES = max(n for n in range(1, 20) if n**n <= sys.maxsize)
 # A draw holds up to max_functions tables; 10 000 15-state ones are about 20 MB.
 _MAX_FUNCTIONS = 10_000
+_HELD_TABLES = 4096  # tables a run's answer table may hold before its next answer clears it
+_STATE_SETS: dict[int, StateSet] = {}  # random_machine's labels s0.. for each state count
 
 
 def _check_sizes(max_states: int, max_functions: int) -> None:
@@ -62,11 +69,10 @@ def random_machine(
     lexicographic index (its base-n numeral), so no draw lists all n**n."""
     _check_sizes(max_states, max_functions)
     n = rng.randint(1, max_states)
-    states = StateSet(tuple(f"s{i}" for i in range(n)))
+    states = _STATE_SETS.get(n) or _STATE_SETS.setdefault(n, StateSet(tuple(f"s{i}" for i in range(n))))
     k = rng.randint(1, min(max_functions, n**n))
-    every = _AllTables(n)
-    chosen = rng.sample(range(every.size), k)
-    return _assemble(states, [(every[c], None) for c in chosen])
+    decode = _AllTables(n)._decode  # each index lies in range(n**n)
+    return _assemble(states, [(decode(c), None) for c in rng.sample(range(n**n), k)])
 
 
 def _subset(rng: random.Random, items: Sequence) -> list:
@@ -81,20 +87,52 @@ def _describe(m: Machine) -> str:
     return f"states={list(m.states.labels)} tables=[{tables}]"
 
 
-def _try_state_reduce(m: Machine, labels) -> Machine | None:
-    try:
-        return state_reduction(m, labels).result
-    except EmptyReductionError:
-        return None
+_UNASKED = object()
 
 
-def check_lemma_1(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
+class _Answers(dict):
+    """One run's answers to its reduction questions, keyed by plain tuples of
+    labels and tables (a ``Machine`` key costs as much to hash as the
+    reduction it saves).  ``held`` counts the tables of each key and answer."""
+
+    held = 0
+
+    def _ask(self, key, tables: int, question):
+        """``question()``, or None where it raises EmptyReductionError, asked once a run."""
+        answer = self.get(key, _UNASKED)
+        if answer is _UNASKED:
+            if self.held > _HELD_TABLES:
+                self.clear()
+                self.held = 0
+            try:
+                answer = question()
+            except EmptyReductionError:
+                answer = None
+            self[key] = answer
+            self.held += tables + len(getattr(answer, "tables", ()))  # a bool or None holds none
+        return answer
+
+    def reduce_states(self, m: Machine, labels) -> Machine | None:
+        """``m`` reduced to the states ``labels``, or None where that is undefined."""
+        key = ("states", m.states.labels, m.tables, tuple(labels))
+        return self._ask(key, len(m.tables), lambda: state_reduction(m, labels).result)
+
+    def keep_functions(self, m: Machine, indices) -> Machine:
+        key = ("functions", m.states.labels, m.tables, tuple(indices))
+        return self._ask(key, len(m.tables), lambda: functional_reduction(m, indices).result)
+
+    def holds_sub_machine(self, a: Machine, b: Machine) -> bool:
+        key = ("sub", a.states.labels, a.tables, b.states.labels, b.tables)
+        return self._ask(key, len(a.tables) + len(b.tables), lambda: is_sub_machine(a, b) is not None)
+
+
+def check_lemma_1(m: Machine, rng: random.Random, ask: _Answers) -> tuple[int, list[str]]:
     """(1, violations) for one random nested pair of functional keeps."""
     k1 = _subset(rng, range(m.n_functions))
-    inner = functional_reduction(m, k1).result
+    inner = ask.keep_functions(m, k1)
     k2 = _subset(rng, range(inner.n_functions))
-    left = functional_reduction(inner, k2).result
-    right = functional_reduction(m, [k1[j] for j in k2]).result  # inner's function j is m's k1[j]
+    left = ask.keep_functions(inner, k2)
+    right = ask.keep_functions(m, [k1[j] for j in k2])  # inner's function j is m's k1[j]
     if left == right:
         return 1, []
     return 1, [
@@ -104,16 +142,16 @@ def check_lemma_1(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
     ]
 
 
-def check_lemma_2(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
+def check_lemma_2(m: Machine, rng: random.Random, ask: _Answers) -> tuple[int, list[str]]:
     """(pairs checked, violations) for one random nested pair of state
     subsets; none is checked when the outer reduction is undefined."""
     s1 = _subset(rng, m.states.labels)
-    inner = _try_state_reduce(m, s1)
+    inner = ask.reduce_states(m, s1)
     if inner is None:
         return 0, []
     s2 = _subset(rng, tuple(s1))
-    left = _try_state_reduce(inner, s2)
-    right = _try_state_reduce(m, s2)
+    left = ask.reduce_states(inner, s2)
+    right = ask.reduce_states(m, s2)
     if left == right:  # both undefined, or equal
         return 1, []
     if left is None or right is None:
@@ -125,7 +163,7 @@ def check_lemma_2(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
     ]
 
 
-def check_lemma_3(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
+def check_lemma_3(m: Machine, rng: random.Random, ask: _Answers) -> tuple[int, list[str]]:
     """(directions checked, violations) for one random draw per direction:
     a state reduction of a functional reduction is a functional reduction of
     the state reduction to the same subset, and a functional reduction of a
@@ -135,10 +173,10 @@ def check_lemma_3(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
 
     picks = _subset(rng, range(m.n_functions))
     s1 = _subset(rng, m.states.labels)
-    b = _try_state_reduce(functional_reduction(m, picks).result, s1)
+    b = ask.reduce_states(ask.keep_functions(m, picks), s1)
     if b is not None:
         checked += 1
-        sr = _try_state_reduce(m, s1)
+        sr = ask.reduce_states(m, s1)
         # same states in the same order, so inclusion of tables is the relation
         if sr is None or not set(b.tables) <= set(sr.tables):
             problems.append(
@@ -148,11 +186,11 @@ def check_lemma_3(m: Machine, rng: random.Random) -> tuple[int, list[str]]:
             )
 
     s2 = _subset(rng, m.states.labels)
-    sr2 = _try_state_reduce(m, s2)
+    sr2 = ask.reduce_states(m, s2)
     if sr2 is not None:
         checked += 1
-        b2 = functional_reduction(sr2, _subset(rng, range(sr2.n_functions))).result
-        if is_sub_machine(m, b2) is None:
+        b2 = ask.keep_functions(sr2, _subset(rng, range(sr2.n_functions)))
+        if not ask.holds_sub_machine(m, b2):
             problems.append(f"{_describe(m)} subset={s2}: {_describe(b2)} is not a sub-machine")
     return checked, problems
 
@@ -203,10 +241,11 @@ def run_lemma_suite(
     rng = random.Random(seed)
     counts = {1: 0, 2: 0, 3: 0}
     violations: list[LemmaViolation] = []
+    ask = _Answers()
     for _ in range(iterations):
         m = random_machine(rng, max_states, max_functions)
         for lemma, check in ((1, check_lemma_1), (2, check_lemma_2), (3, check_lemma_3)):
-            checked, problems = check(m, rng)
+            checked, problems = check(m, rng, ask)
             counts[lemma] += checked
             violations.extend(LemmaViolation(lemma, p) for p in problems)
     return LemmaRunReport(

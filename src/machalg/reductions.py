@@ -51,6 +51,13 @@ class Reduction(_Value):
         self._store(kind, source, result, kept_functions, kept_states)
 
 
+def _reduction(kind, source, result, kept_functions=(), kept_states=()) -> Reduction:
+    """A Reduction of fields this module built valid: stored unchecked."""
+    r = object.__new__(Reduction)
+    r._store(kind, source, result, kept_functions, kept_states)
+    return r
+
+
 def functional_reduction(m: Machine, keep: Iterable[Union[int, TransitionFunction]]) -> Reduction:
     """Keep only the functions at the indices ``keep``; the state set is
     untouched.  An item may also be one of ``m``'s own functions, which
@@ -77,9 +84,10 @@ def functional_reduction(m: Machine, keep: Iterable[Union[int, TransitionFunctio
         except ValueError:  # more digits than Python writes as text
             bound = f"0..(a {decimal_digits(m.n_functions - 1)}-digit number)"
         raise IndexError(f"function index out of range {bound}")
-    name = _names(m)
-    pairs = [(given[i] or m.tables[i], name(i)) for i in kept]
-    return Reduction("functional", m, _assemble(m.states, pairs, name=m.name), kept_functions=kept)
+    tables = tuple(given[i] or m.tables[i] for i in kept)  # ascending over sorted tables: canonical
+    result = object.__new__(Machine)  # as _assemble stores it, with nothing to dedupe or sort
+    result._store(m.states, tables, tuple(map(_names(m), kept)), m.name)
+    return _reduction("functional", m, result, kept_functions=kept)
 
 
 def _restrictions(m: Machine, kept: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -122,7 +130,7 @@ def _state_witness(m: Machine, labels: tuple, hits: Iterable, origin: Machine) -
             f"no transition function preserves {list(labels)}; "
             "the reduction would leave an empty function set"
         )
-    return Reduction("state", m, _assemble(sub, restricted, name=m.name), kept_states=labels)
+    return _reduction("state", m, _assemble(sub, restricted, name=m.name), kept_states=labels)
 
 
 def sub_machine(

@@ -3,6 +3,8 @@ scripts, each in its own process on this checkout.  Only a child process
 shows the exit code, that stderr holds one line, that ``-m`` finds the
 entry module, and what a run holds under an address-space cap."""
 
+import importlib
+import json
 import os
 import random
 import resource
@@ -70,6 +72,39 @@ class TestScripts:
         assert verdicts == dict.fromkeys(names, "within bound"), out
         assert out.endswith("digests: equal in every pair\n")
         assert time.monotonic() - start < 20
+
+    def test_bench_ab_sees_a_slowed_lemma_suite_outside_bound(self, monkeypatch, tmp_path, capsys):
+        # the working-tree side's run_lemma_suite sleeps 50 ms a call; --record
+        # writes what was printed, and --trend reads it back
+        if not (ROOT / ".git").exists():
+            pytest.skip("compares against HEAD, so it needs a git checkout")
+        monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+        bench_ab = importlib.import_module("bench_ab")
+        copy = bench_ab.copy_working_tree
+
+        def slowed(dest):
+            with open(copy(dest) / "src" / "machalg" / "lemmas.py", "a") as f:
+                f.write("\n_unslowed = run_lemma_suite\n\n\ndef run_lemma_suite(*args, **kwargs):\n"
+                        "    __import__('time').sleep(0.05)\n    return _unslowed(*args, **kwargs)\n")
+            return dest
+
+        monkeypatch.setattr(bench_ab, "copy_working_tree", slowed)
+        monkeypatch.setattr(bench_ab, "RECORDS", tmp_path)
+        assert bench_ab.main(["--workload", "census", "--pairs", "1", "--seconds", "1", "--record", "0"]) == 0
+        out = capsys.readouterr().out
+        verdicts = {line.split()[0]: line.split("  ")[-1] for line in out.splitlines()[2:] if "/1  " in line}
+        assert verdicts["ops_per_s"] == "outside bound", out
+        assert out.endswith("digests: equal in every pair\nrecorded in BENCH_0.json\n")
+        census = json.loads((tmp_path / "BENCH_0.json").read_text())["census"]
+        assert census["metrics"]["ops_per_s"]["verdict"] == "outside bound"
+        assert census["commit"] == subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                                                  text=True).stdout.strip()
+        lines = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src").rglob("*.py"))
+        assert census["src_lines"]["tree"] == lines + 7  # the plant's lines
+        assert bench_ab.main(["--trend"]) == 0
+        trend = capsys.readouterr().out.splitlines()
+        assert trend[0].startswith("BENCH_0 census: 1 pair(s), seed 1, 1 s each, HEAD ")
+        assert any(line.split()[0] == "ops_per_s" and line.endswith("0/1  outside bound") for line in trend)
 
     def test_cli_module_raises_no_runtime_warning(self):
         python("-W", "error::RuntimeWarning", "-m", "machalg.cli", "universality", "--no-trace")

@@ -774,6 +774,18 @@ class TestFingerprintKey:
         assert profiled == [f.table for f in fresh.functions]
         assert fingerprint_key(fresh) not in (None, fingerprint_key(keyed))
 
+    def test_a_differing_keyed_side_is_not_profiled_on_five_states(self, monkeypatch):
+        # past the relabelling path of at most 4 states: the fresh side's
+        # fixed point against the keyed side's 2-cycle, so its new key decides
+        fresh, keyed = table_machine([(0, 0, 1, 2, 3)]), table_machine([(1, 0, 0, 2, 3)], "t")
+        find_isomorphism(keyed, keyed)
+        profiled = []
+        real = isomorphism._function_profile
+        monkeypatch.setattr(isomorphism, "_function_profile", lambda t: profiled.append(t) or real(t))
+        assert find_isomorphism(fresh, keyed) is None
+        assert profiled == [f.table for f in fresh.functions]
+        assert fingerprint_key(fresh) not in (None, fingerprint_key(keyed))
+
     def test_equal_keys_are_no_proof(self):
         pairs = [self.SAME_FINGERPRINTS]
         pairs += [p for p in key_cases(33, 120) if brute_force_isomorphism(*map(table_machine, p)) is None]

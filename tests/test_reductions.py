@@ -1,6 +1,7 @@
 """Reductions: worked examples, composition laws, the sub-machine order."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import re
@@ -14,6 +15,7 @@ from machalg import (
     MachalgError,
     StateSet,
     TransitionFunction,
+    compile_tm,
     find_isomorphism,
     fn_from_map,
     full_machine,
@@ -21,6 +23,7 @@ from machalg import (
     identity_fn,
     is_sub_machine,
     make_machine,
+    parse_turing,
     state_reduction,
     states,
     sub_machine,
@@ -28,6 +31,7 @@ from machalg import (
 from machalg import lemmas, reductions
 from machalg.lemmas import random_machine, run_lemma_suite
 
+from conftest import clamp_tm
 from oracles import brute_force_state_reduction, brute_force_sub_machine
 
 
@@ -75,6 +79,12 @@ class TestFunctionalReduce:
         m = make_machine(ss, [ident])
         with pytest.raises(InvalidMachineError):
             functional_reduction(m, [])
+
+    def test_a_compiled_step_table_is_kept_unlisted(self):
+        m, _ = compile_tm(parse_turing(clamp_tm(3)))
+        kept = functional_reduction(m, [0]).result
+        assert kept == m and kept.tables[0] is m.tables[0]
+        assert "_listing" not in m.tables[0].__dict__
 
     def test_witness_records_indices(self):
         ss, ident, neg = switchlike()
@@ -326,6 +336,60 @@ class TestCompositionLaws:
             "law 3 lift": sum("not a sub-machine" in d for d in law3),
         }
         assert {check for check, n in tally.items() if n} == ({fires} if fires else set())
+
+    def test_reports_are_those_of_the_questions_asked_afresh(self):
+        # digest pinned from the suite that asked every question anew
+        digest = hashlib.sha256()
+        for seed in range(300):
+            digest.update(repr(run_lemma_suite(seed, 25)).encode())
+        for seed in range(20):
+            digest.update(repr(run_lemma_suite(seed, 150)).encode())
+        for seed in range(10):
+            digest.update(repr(run_lemma_suite(seed, 60, max_states=5, max_functions=8)).encode())
+        assert digest.hexdigest() == "d61dba6e03800fbd9b9ae333f9bb63975f9bc53fa353bd576e21024678f76ad4"
+
+    def test_each_distinct_question_is_asked_once(self, monkeypatch):
+        asked = []
+        for name in ("state_reduction", "functional_reduction", "is_sub_machine"):
+            def spy(a, b, answer=getattr(lemmas, name), name=name):
+                asked.append((name, a.states.labels, a.tables, *(
+                    (b.states.labels, b.tables) if name == "is_sub_machine" else (tuple(b),))))
+                return answer(a, b)
+            monkeypatch.setattr(lemmas, name, spy)
+        run_lemma_suite(seed=3, iterations=25)
+        assert len(set(asked)) == len(asked) > 100
+
+    def test_the_answer_table_holds_its_bound_plus_one_answer(self, monkeypatch):
+        ask, seen = lemmas._Answers._ask, []
+
+        def watched(self, key, tables, question):
+            before = self.held
+            answer = ask(self, key, tables, question)
+            seen.append((before, self.held))
+            return answer
+
+        monkeypatch.setattr(lemmas._Answers, "_ask", watched)
+        report = run_lemma_suite(1, 6, max_states=15, max_functions=3000)
+        assert any(after < before for before, after in seen)  # it was cleared
+        assert all(after <= lemmas._HELD_TABLES + max(after - before, 0) for before, after in seen)
+        monkeypatch.setattr(lemmas._Answers, "_ask", ask)
+        assert run_lemma_suite(1, 6, max_states=15, max_functions=3000) == report
+
+    def test_clearing_after_every_answer_changes_no_report(self, monkeypatch):
+        reports = [run_lemma_suite(seed, 25) for seed in range(20)]
+        monkeypatch.setattr(lemmas, "_HELD_TABLES", 0)
+        assert [run_lemma_suite(seed, 25) for seed in range(20)] == reports
+
+    def test_draws_of_one_state_count_share_their_state_set(self):
+        rng = random.Random(3)
+        draws = [random_machine(rng, 6, 8) for _ in range(500)]
+        by_count = {}
+        for m in draws:
+            assert by_count.setdefault(m.n_states, m.states) is m.states
+        assert len(by_count) == 6
+        # digest pinned from draws that built their labels anew each time
+        digest = hashlib.sha256(b"".join(repr(m).encode() for m in draws)).hexdigest()
+        assert digest == "e95c9ed327c415d13df513b92dbe53e74401ecb646cfcaf298ddb789bcd4d700"
 
 
 class TestSubMachine:
